@@ -71,28 +71,13 @@ fn bench_machine(c: &mut Criterion) {
         });
     });
 
-    // The per-boundary divergence check the convergence pruner runs: the
-    // full-state walk against the dirty-set-restricted compare the
-    // lockstep engine's split-off path made the common case.
-    let (full, dirty) = {
+    // The per-boundary divergence check the convergence pruner runs.
+    group.bench_function("state_equals_full_walk", |b| {
         let w = Workload::algorithm_one();
         let mut m = Machine::new();
         m.load_program(w.program());
         let twin = m.clone();
-        let units: Vec<_> = scan::catalog()
-            .iter()
-            .filter_map(|loc| loc.trace_unit())
-            .step_by(97)
-            .take(4)
-            .collect();
-        (m, (twin, units))
-    };
-    let (twin, units) = dirty;
-    group.bench_function("state_equals_full_walk", |b| {
-        b.iter(|| black_box(full.state_equals(&twin)));
-    });
-    group.bench_function("state_equals_on_dirty_set", |b| {
-        b.iter(|| black_box(full.state_equals_on(&twin, &units)));
+        b.iter(|| black_box(m.state_equals(&twin)));
     });
 
     group.finish();

@@ -6,7 +6,6 @@
 //! hardware duplication.
 
 use bera_goofi::experiment::LoopConfig;
-use bera_plant::{Engine, Profiles};
 
 /// A standard short loop configuration for campaign benches, with
 /// checkpointing disabled — the from-reset baseline the paper-era campaign
@@ -15,12 +14,8 @@ use bera_plant::{Engine, Profiles};
 pub fn bench_loop_config(iterations: usize) -> LoopConfig {
     LoopConfig {
         iterations,
-        sample_interval: 0.0154,
-        profiles: Profiles::paper(),
-        engine: Engine::paper(),
-        parity_cache: false,
         checkpoint_stride: 0,
-        fast_replay: true,
+        ..LoopConfig::paper()
     }
 }
 

@@ -8,14 +8,13 @@ use crate::experiment::{
 };
 use crate::observer::{CampaignObserver, NullObserver};
 use crate::planner::{
-    analytic_record, batch_eligible, batch_groups, lockstep_converged_record, paranoid_members,
-    plan_campaign, prune_eligible, records_equivalent, replicated_record, PlanAction,
+    analytic_record, paranoid_members, plan_campaign, prune_eligible, records_equivalent,
+    replicated_record, CampaignPlan, PlanAction,
 };
 use crate::supervisor::{run_supervised, SupervisorConfig};
 use crate::workload::Workload;
 use bera_stats::sampling::UniformSampler;
-use bera_tcpu::scan::{self, BitLocation};
-use bera_tcpu::{BatchMachine, ReplicaFate};
+use bera_tcpu::scan;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -41,39 +40,30 @@ pub struct CampaignConfig {
     /// quarantine). `None` runs experiments bare: a panic aborts the
     /// campaign, as a debugging aid.
     pub supervisor: Option<SupervisorConfig>,
-    /// Def/use fault-space pruning (see [`crate::planner`]): classify
-    /// faults whose outcome follows from the golden access trace without
-    /// simulating them, and simulate one representative per equivalence
-    /// class of provably identical runs. On by default; outcomes are
+    /// Fault-space pruning by the fate resolver (see [`crate::planner`]):
+    /// classify faults whose outcome follows from the golden traces
+    /// without simulating them, and simulate one representative per
+    /// equivalence class of provably identical runs, resumed from the
+    /// instant its flips are first observed. On by default; outcomes are
     /// bit-identical either way (`tests/prune_equivalence.rs`), so this
-    /// only trades a planning pass for campaign wall-clock. Automatically
-    /// bypassed for non-single-bit fault models and parity-cache runs.
+    /// only trades a planning pass for campaign wall-clock. `false` is the
+    /// reference path: every fault simulates from injection.
+    /// Automatically bypassed for the re-asserting fault models
+    /// (intermittent, stuck-at) and parity-cache runs.
     pub prune: bool,
     /// Paranoid cross-check: re-simulate up to this many members of every
-    /// def/use equivalence class and panic if any simulated outcome
+    /// equivalence class and panic if any simulated outcome
     /// disagrees with its replicated record. `0` (the default) disables
     /// the check; it exists to audit the pruning soundness argument on
     /// live campaigns.
     pub paranoid: usize,
-    /// Lockstep batch width: up to this many plan-`Simulate` replicas ride
-    /// the shared golden stream per [`bera_tcpu::BatchMachine`], resolving
-    /// latent/converged faults without executing an instruction and
-    /// materializing diverging replicas at their split instant. `0`
-    /// disables batching (every simulated fault replays its lockstep
-    /// prefix scalar). Outcomes are bit-identical either way
-    /// (`tests/lockstep_equivalence.rs`); automatically bypassed for
-    /// non-flip fault models, parity-cache runs, stride-0 campaigns and
-    /// chaos-harness tests. Not part of the result-store identity: stores
-    /// may be resumed under a different width.
-    pub batch_width: usize,
-    /// EDM-visibility analytic coverage (see [`bera_tcpu::vis`] and
-    /// DESIGN.md §8h): classify faults in *untraceable* state —
-    /// PC/PSR/signature/tags/buffers — from the golden run's
-    /// visibility-window trace, and admit their replicas to the lockstep
-    /// batch engine. On by default; outcomes are bit-identical either way
-    /// (the equivalence suites cover the untraceable population), so this
-    /// only widens the analytic/batched share of the campaign. Only
-    /// consulted where pruning/batching are themselves eligible.
+    /// EDM-visibility coverage (see [`bera_tcpu::vis`] and DESIGN.md
+    /// §8e): let the fate resolver walk the golden run's visibility-window
+    /// trace for faults in *untraceable* state — PC/PSR/signature/tags/
+    /// buffers — and the operand latch's shift instants. On by default;
+    /// outcomes are bit-identical either way (the equivalence suites cover
+    /// the untraceable population), so this only widens the resolved share
+    /// of the campaign. Only consulted where pruning is itself eligible.
     pub vis: bool,
 }
 
@@ -91,7 +81,6 @@ impl CampaignConfig {
             supervisor: Some(SupervisorConfig::default()),
             prune: true,
             paranoid: 0,
-            batch_width: 32,
             vis: true,
         }
     }
@@ -109,7 +98,6 @@ impl CampaignConfig {
             supervisor: Some(SupervisorConfig::default()),
             prune: true,
             paranoid: 0,
-            batch_width: 32,
             vis: true,
         }
     }
@@ -231,9 +219,8 @@ impl PreparedCampaign<'_> {
     ///
     /// The plan is computed over the *full* fault list (it is a pure
     /// function of the campaign, so every worker recomputes the identical
-    /// plan), and the lockstep batch pass walks the full candidate set so
-    /// split-off equivalence classes match a fresh single-process run
-    /// exactly. Only in-shard indices are executed, emitted to `observer`
+    /// plan and equivalence classes match a fresh single-process run
+    /// exactly). Only in-shard indices are executed, emitted to `observer`
     /// and returned; an in-shard class member whose representative lives
     /// in another shard derives its record from a locally re-simulated
     /// *shadow* of that representative (deterministic, observer-silent,
@@ -362,14 +349,6 @@ pub fn run_fault_list(
     run_fault_list_resumed(workload, cfg, golden, faults, Vec::new(), &NullObserver)
 }
 
-/// A split-off replica's resumption recipe: apply `flips` to the last
-/// golden checkpoint at or before `at` and drive the scalar engine from
-/// there (see [`run_split_experiment`]).
-struct SplitSpec {
-    at: u64,
-    flips: Vec<BitLocation>,
-}
-
 /// Runs one experiment according to the campaign's execution policy:
 /// supervised (panic isolation, watchdog, retry, quarantine) when the
 /// config carries a [`SupervisorConfig`], bare otherwise.
@@ -431,80 +410,52 @@ fn run_fault_list_resumed(
         .collect()
 }
 
-/// Observer-silently derives the record the full campaign would have
-/// produced for out-of-shard fault `i` — the *shadow* of a representative
-/// another shard owns. Everything here is deterministic (split resumption,
-/// scalar replay, replication), so the shadow is byte-identical to the
-/// record the owning shard stores; it is memoized but never emitted.
-#[allow(clippy::too_many_arguments)]
-fn shadow_record(
+/// Runs plan-`Simulate` fault `i` on its fastest sound path: a live
+/// representative resumes from its live instant (golden checkpoint plus
+/// the surviving flips, see [`run_split_experiment`]); anything else — or
+/// a live fault with no checkpoint between injection and that instant —
+/// runs the full experiment. Under supervision the resume is
+/// panic-contained, falling back to the fully supervised run.
+fn run_planned(
     i: usize,
+    plan: &CampaignPlan,
     workload: &Workload,
     cfg: &CampaignConfig,
     golden: &GoldenRun,
     faults: &[FaultSpec],
-    split_specs: &HashMap<usize, SplitSpec>,
-    split_rep_of: &HashMap<usize, usize>,
-    slots: &[Option<ExperimentRecord>],
-    shadow: &mut HashMap<usize, ExperimentRecord>,
+    observer: &dyn CampaignObserver,
 ) -> ExperimentRecord {
-    if let Some(r) = shadow.get(&i) {
-        return r.clone();
-    }
-    let record = if let Some(&rep) = split_rep_of.get(&i) {
-        // `i` is a split-dedup member: replicate from its class
-        // representative (which may itself need shadowing).
-        let rep_record = match slots.get(rep).and_then(Option::as_ref) {
-            Some(r) => r.clone(),
-            None => shadow_record(
-                rep,
-                workload,
-                cfg,
-                golden,
-                faults,
-                split_specs,
-                split_rep_of,
-                slots,
-                shadow,
-            ),
-        };
-        if matches!(rep_record.outcome, Outcome::HarnessFailure(_)) {
-            run_one(workload, cfg, golden, faults[i], i, &NullObserver)
-        } else {
-            replicated_record(faults[i], &rep_record)
-        }
-    } else if let Some(spec) = split_specs.get(&i) {
-        let split = || {
+    if let Some((at, flips)) = plan.resume_point(i) {
+        let resume = || {
             run_split_experiment(
                 &cfg.loop_cfg,
                 golden,
                 faults[i],
-                &spec.flips,
-                spec.at,
+                flips,
+                at,
                 cfg.detail,
                 i,
-                &NullObserver,
+                observer,
             )
         };
         let record = if cfg.supervisor.is_some() {
-            catch_unwind(AssertUnwindSafe(split)).ok().flatten()
+            catch_unwind(AssertUnwindSafe(resume)).ok().flatten()
         } else {
-            split()
+            resume()
         };
-        record.unwrap_or_else(|| run_one(workload, cfg, golden, faults[i], i, &NullObserver))
-    } else {
-        run_one(workload, cfg, golden, faults[i], i, &NullObserver)
-    };
-    shadow.insert(i, record.clone());
-    record
+        if let Some(record) = record {
+            return record;
+        }
+    }
+    run_one(workload, cfg, golden, faults[i], i, observer)
 }
 
 /// The scoped engine behind [`run_fault_list_resumed`] (full scope) and
-/// [`PreparedCampaign::run_shard`] (a farm worker's slice). The plan and
-/// the lockstep batch pass always cover the *full* fault list so that
-/// equivalence classes, split-off dedup and therefore record provenance
-/// are identical whichever process runs which slice; only in-scope
-/// indices execute experiments, emit observer events and fill slots.
+/// [`PreparedCampaign::run_shard`] (a farm worker's slice). The plan
+/// always covers the *full* fault list so that equivalence classes and
+/// therefore record provenance are identical whichever process runs
+/// which slice; only in-scope indices execute experiments, emit observer
+/// events and fill slots.
 fn run_fault_list_scoped(
     workload: &Workload,
     cfg: &CampaignConfig,
@@ -523,21 +474,9 @@ fn run_fault_list_scoped(
     };
     let in_scope = |i: usize| scope.contains(&i);
     let plan = plan_campaign(faults, cfg, golden);
-    observer.plan_computed(&plan.stats());
-
-    // Out-of-scope representatives that in-scope members will replicate
-    // from: the batch pass stashes their latent/converged records as
-    // shadows instead of discarding them. Empty for a full-scope run.
-    let needed_shadow: std::collections::HashSet<usize> = scope
-        .clone()
-        .filter_map(|i| match plan.action(i) {
-            PlanAction::Replicate { representative } if !in_scope(representative) => {
-                Some(representative)
-            }
-            _ => None,
-        })
-        .collect();
-    let mut shadow: HashMap<usize, ExperimentRecord> = HashMap::new();
+    let stats = plan.stats();
+    observer.plan_computed(&stats);
+    observer.batch_admission(stats.opaque, stats.vis_resolved());
 
     // Analytic records first: they cost nothing and keep the simulation
     // scheduler's claim loop dense in real work.
@@ -552,194 +491,18 @@ fn run_fault_list_scoped(
         }
     }
 
-    // Lockstep batch pass: resolve plan-`Simulate` faults against the
-    // golden access trace in shared-stream batches ([`BatchMachine`]).
-    // Replicas that never leave lockstep (latent / converged) are
-    // classified here without executing a single instruction; diverging
-    // replicas split off to the simulation pass below, which materializes
-    // them at their split instant instead of replaying the lockstep
-    // prefix. Split-offs with identical materialized states (same scan
-    // bit cluster, same split instant, same surviving units) deduplicate:
-    // one representative runs, members replicate its record.
-    let mut split_specs: HashMap<usize, SplitSpec> = HashMap::new();
-    let mut split_members: Vec<(usize, usize)> = Vec::new(); // (member, rep)
-    if batch_eligible(cfg) {
-        let catalog = scan::catalog();
-        // Candidates are *every* plan-`Simulate` fault — including
-        // preloaded and out-of-scope indices. Split-off dedup picks class
-        // representatives in candidate order, so the candidate set must
-        // match a fresh full-scope run exactly or resumed/sharded runs
-        // would assign different representatives (and therefore different
-        // provenance bytes) than a single-process campaign.
-        let candidates: Vec<usize> = (0..faults.len())
-            .filter(|&i| {
-                matches!(plan.action(i), PlanAction::Simulate)
-                    // A fault scheduled at or past the end of the run is
-                    // never injected; the trace proves nothing about it.
-                    && faults[i].inject_at < golden.total_instructions
-            })
-            .collect();
-        let mut split_classes: HashMap<(usize, u64, Vec<usize>), usize> = HashMap::new();
-        // When the def/use planner ran (single-bit campaigns), every
-        // vis-classifiable fault it left as `Simulate` is sample-first —
-        // its replica is guaranteed to split off at that very sample, so
-        // admission would only pay the lockstep walk for nothing. The
-        // visibility trace therefore feeds admission only where no
-        // planner ran: the multi-bit flip models, and `--no-prune`.
-        let vis_trace = (cfg.vis && !prune_eligible(cfg)).then_some(&golden.vis);
-        let mut rejected_untraceable = 0usize;
-        let mut vis_admitted = 0usize;
-        for group in batch_groups(&candidates, faults, golden, cfg.batch_width) {
-            let window = golden
-                .checkpoint_before(faults[group[0]].inject_at)
-                .map_or(0, |c| c.iteration);
-            let mut bm = BatchMachine::new(&golden.trace, vis_trace, cfg.batch_width);
-            let mut members: Vec<(usize, usize)> = Vec::new();
-            for &i in &group {
-                let flips: Vec<BitLocation> = cfg
-                    .fault_model
-                    .locations(faults[i].location_index)
-                    .into_iter()
-                    .map(|j| catalog[j])
-                    .collect();
-                // Groups are chunked to the batch width, so a rejection
-                // here always means an inadmissible bit: the replica
-                // stays scalar. With the visibility trace the residue is
-                // only the signature register, the fetch-valid bit and
-                // the operand latch.
-                let needs_vis = flips.iter().any(|b| b.trace_unit().is_none());
-                // Telemetry counts only work this process owns; preloaded
-                // and out-of-scope candidates ride along for dedup only.
-                let live = in_scope(i) && slots[i].is_none();
-                if let Some(r) = bm.try_add_replica(flips, faults[i].inject_at) {
-                    members.push((i, r));
-                    if needs_vis && live {
-                        vis_admitted += 1;
-                    }
-                } else if live {
-                    rejected_untraceable += 1;
-                }
-            }
-            if members.is_empty() {
-                continue;
-            }
-            let live_members = members
-                .iter()
-                .filter(|&&(i, _)| in_scope(i) && slots[i].is_none())
-                .count();
-            if live_members > 0 {
-                observer.batch_group_started(window, live_members, cfg.batch_width);
-            }
-            bm.run();
-            for (i, r) in members {
-                let prefix = bm.lockstep_instructions(r, golden.total_instructions);
-                let live = in_scope(i) && slots[i].is_none();
-                match bm.fate(r) {
-                    ReplicaFate::Latent => {
-                        if live {
-                            observer.replica_resolved(i, prefix);
-                            let record =
-                                analytic_record(faults[i], Outcome::Latent, golden, cfg.detail);
-                            observer.experiment_classified(i, &record);
-                            slots[i] = Some(record);
-                        } else if needed_shadow.contains(&i) {
-                            shadow.insert(
-                                i,
-                                analytic_record(faults[i], Outcome::Latent, golden, cfg.detail),
-                            );
-                        }
-                    }
-                    ReplicaFate::Converged { killed_at } => {
-                        if live {
-                            observer.replica_resolved(i, prefix);
-                            let record =
-                                lockstep_converged_record(faults[i], killed_at, golden, cfg.detail);
-                            if let Some(iteration) = record.pruned_at {
-                                observer.convergence_spliced(i, iteration);
-                            }
-                            observer.experiment_classified(i, &record);
-                            slots[i] = Some(record);
-                        } else if needed_shadow.contains(&i) {
-                            shadow.insert(
-                                i,
-                                lockstep_converged_record(faults[i], killed_at, golden, cfg.detail),
-                            );
-                        }
-                    }
-                    ReplicaFate::SplitOff { at } => {
-                        if live {
-                            observer.replica_split_off(i, at, prefix);
-                        }
-                        let units: Vec<usize> =
-                            bm.delta_units(r).iter().map(|u| u.index()).collect();
-                        match split_classes.entry((faults[i].location_index, at, units)) {
-                            std::collections::hash_map::Entry::Occupied(e) => {
-                                split_members.push((i, *e.get()));
-                            }
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert(i);
-                                split_specs.insert(
-                                    i,
-                                    SplitSpec {
-                                        at,
-                                        flips: bm.surviving_flips(r),
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    ReplicaFate::Lockstep => unreachable!("run() resolves every replica"),
-                }
-            }
-        }
-        observer.batch_admission(rejected_untraceable, vis_admitted);
-    }
-    let split_rep_of: HashMap<usize, usize> = split_members.iter().copied().collect();
-
     // The simulation pass skips out-of-scope indices, preloaded indices
-    // and everything the plan (or the batch pass) resolves without the
-    // simulator: analytic records above, replicated members filled in
-    // below.
+    // and everything the plan resolves without the simulator: analytic
+    // records above, replicated members filled in below.
     let done: Vec<bool> = slots
         .iter()
         .zip(plan.actions())
         .enumerate()
         .map(|(i, (slot, action))| {
-            !in_scope(i)
-                || slot.is_some()
-                || !matches!(action, PlanAction::Simulate)
-                || split_rep_of.contains_key(&i)
+            !in_scope(i) || slot.is_some() || !matches!(action, PlanAction::Simulate)
         })
         .collect();
-    // Runs fault index `i` on its fastest sound path: a split-off replica
-    // resumes from its materialized divergence state, anything else runs
-    // the full scalar experiment. Under supervision the split path is
-    // panic-contained, falling back to the fully supervised scalar run.
-    let run_index = |i: usize| -> ExperimentRecord {
-        if let Some(spec) = split_specs.get(&i) {
-            let split = |()| {
-                run_split_experiment(
-                    &cfg.loop_cfg,
-                    golden,
-                    faults[i],
-                    &spec.flips,
-                    spec.at,
-                    cfg.detail,
-                    i,
-                    observer,
-                )
-            };
-            let record = if cfg.supervisor.is_some() {
-                catch_unwind(AssertUnwindSafe(|| split(()))).ok().flatten()
-            } else {
-                split(())
-            };
-            if let Some(record) = record {
-                return record;
-            }
-        }
-        run_one(workload, cfg, golden, faults[i], i, observer)
-    };
+    let run_index = |i: usize| run_planned(i, &plan, workload, cfg, golden, faults, observer);
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
@@ -823,72 +586,29 @@ fn run_fault_list_scoped(
         }
     }
 
-    // Split-off replication pass: members of a split-off class share their
-    // representative's materialized state bit-for-bit, so its record
-    // transfers (latency rebased to the member's injection instant). Runs
-    // before the plan replication pass because plan-level members may name
-    // a split-dedup member as their representative. A representative owned
-    // by another shard is shadow-simulated locally (observer-silent).
-    for &(m, rep) in &split_members {
-        if !in_scope(m) || slots[m].is_some() {
-            continue;
-        }
-        let fetched;
-        let rep_record = match slots[rep].as_ref() {
-            Some(r) => r,
-            None => {
-                fetched = shadow_record(
-                    rep,
-                    workload,
-                    cfg,
-                    golden,
-                    faults,
-                    &split_specs,
-                    &split_rep_of,
-                    &slots,
-                    &mut shadow,
-                );
-                &fetched
-            }
-        };
-        let record = if matches!(rep_record.outcome, Outcome::HarnessFailure(_)) {
-            // A quarantined representative proves nothing about its class:
-            // fall back to simulating the member itself.
-            run_one(workload, cfg, golden, faults[m], m, observer)
-        } else {
-            let r = replicated_record(faults[m], rep_record);
-            observer.experiment_classified(m, &r);
-            r
-        };
-        slots[m] = Some(record);
-    }
-
     // Replication pass: every in-scope representative has a record by now
     // (reps are plan-`Simulate` and always precede their members in the
-    // fault list); out-of-scope representatives resolve through the batch
-    // shadows stashed above or a local shadow simulation.
+    // fault list); a representative another shard owns is re-simulated
+    // locally as an observer-silent shadow, memoized but never stored.
+    let mut shadow: HashMap<usize, ExperimentRecord> = HashMap::new();
     for i in scope.clone() {
         if slots[i].is_some() {
             continue;
         }
         if let PlanAction::Replicate { representative } = plan.action(i) {
-            let fetched;
             let rep = match slots[representative].as_ref() {
                 Some(r) => r,
-                None => {
-                    fetched = shadow_record(
+                None => shadow.entry(representative).or_insert_with(|| {
+                    run_planned(
                         representative,
+                        &plan,
                         workload,
                         cfg,
                         golden,
                         faults,
-                        &split_specs,
-                        &split_rep_of,
-                        &slots,
-                        &mut shadow,
-                    );
-                    &fetched
-                }
+                        &NullObserver,
+                    )
+                }),
             };
             let record = if matches!(rep.outcome, Outcome::HarnessFailure(_)) {
                 // A quarantined representative proves nothing about its

@@ -269,8 +269,8 @@ pub struct GoldenRun {
     /// ordered instants at which an asynchronous observer (pipeline
     /// fetch, branch-condition check, cache hit check, EDM sample)
     /// actually consulted or wholly redeposited it, plus operand-latch
-    /// shift instants. Extends analytic classification and lockstep
-    /// batching to the PC/PSR/tag/buffer fault population.
+    /// shift instants. Extends the fate resolver to the PC/PSR/tag/buffer
+    /// fault population.
     pub vis: VisTrace,
     /// Process-unique token identifying this golden run to the per-worker
     /// machine arenas (DESIGN.md §8j). A worker's resident machine is only
@@ -500,12 +500,12 @@ impl FaultInjector {
         }
     }
 
-    /// An injector for a replica split off a lockstep batch: the flip was
-    /// already deposited by [`bera_tcpu::BatchMachine::materialize`], so
-    /// this injector starts quiescent — it never perturbs the machine, it
-    /// only reports the fault as delivered (enabling convergence pruning
-    /// from the first boundary, exactly as a scalar run of the same fault
-    /// would be by its split instant).
+    /// An injector for a fault resumed from its live instant: the
+    /// surviving flips were already deposited on the restored checkpoint,
+    /// so this injector starts quiescent — it never perturbs the machine,
+    /// it only reports the fault as delivered (enabling convergence
+    /// pruning from the first boundary, exactly as a scalar run of the
+    /// same fault would be by its live instant).
     fn pre_injected(fault: FaultSpec) -> Self {
         FaultInjector {
             inject_at: fault.inject_at,
@@ -1182,7 +1182,7 @@ pub(crate) fn run_experiment_watchdog(
 
 /// Classifies a finished drive into the final [`ExperimentRecord`] and
 /// fires the detection / splice / classified observer events. Shared by
-/// the scalar experiment path and the lockstep split-off path so both
+/// the scalar experiment path and the live-instant resume path so both
 /// produce records through the identical code.
 #[allow(clippy::too_many_arguments)]
 fn classify_drive(
@@ -1263,18 +1263,19 @@ fn classify_drive(
     Ok(record)
 }
 
-/// Runs the divergent tail of a replica split off a lockstep batch (see
-/// [`bera_tcpu::BatchMachine`]): materializes the replica's exact state at
-/// the last golden checkpoint at or before its split instant — golden
-/// state plus the surviving `flips` — and drives the ordinary
+/// Runs a live fault from its live instant (see
+/// [`crate::planner::Fate::Live`]): materializes the fault's exact state
+/// at the last golden checkpoint at or before that instant — golden state
+/// plus the surviving `flips` — and drives the ordinary
 /// inject–run–classify pipeline from there with a pre-injected
-/// [`FaultInjector`]. The lockstep prefix between injection and that
-/// checkpoint is never executed; by the batch engine's invariant (no delta
-/// unit accessed in that window) the materialized state is bit-identical
-/// to what the scalar path would have computed, so the record is too.
+/// [`FaultInjector`]. The prefix between injection and that checkpoint is
+/// never executed; by the resolver's invariant (no surviving flipped unit
+/// is accessed in that window, every killed one was overwritten with its
+/// golden value) the materialized state is bit-identical to what the
+/// scalar path would have computed, so the record is too.
 ///
 /// Returns `None` when there is no checkpoint inside `[inject_at,
-/// split_at]` to materialize from — the split saves nothing over the
+/// split_at]` to materialize from — resuming saves nothing over the
 /// scalar path then, and the caller falls back to it.
 ///
 /// # Panics
@@ -1298,7 +1299,7 @@ pub(crate) fn run_split_experiment(
     if ckpt.machine.instr_count() < fault.inject_at {
         // The nearest checkpoint predates the injection: flips deposited
         // there would amount to injecting early. No prefix is skipped by
-        // splitting here anyway, so let the scalar path run it.
+        // resuming here anyway, so let the scalar path run it.
         return None;
     }
     let (mut machine, copied, full_clone) = arena_checkout(golden, ci);

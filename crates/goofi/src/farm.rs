@@ -169,8 +169,6 @@ pub struct FarmManifest {
     pub prune: bool,
     /// EDM-visibility analytic layer enabled.
     pub vis: bool,
-    /// Lockstep batch width.
-    pub batch_width: usize,
     /// Lease timing for this farm.
     pub lease: LeasePolicy,
     /// The store header every segment (and the merged store) must carry.
@@ -196,7 +194,6 @@ impl FarmManifest {
         cfg.fault_model = self.fault_model;
         cfg.prune = self.prune;
         cfg.vis = self.vis;
-        cfg.batch_width = self.batch_width;
         cfg
     }
 
@@ -418,7 +415,6 @@ pub fn init_farm(
         fault_model: cfg.fault_model,
         prune: cfg.prune,
         vis: cfg.vis,
-        batch_width: cfg.batch_width,
         lease,
         header,
         shards,
@@ -1143,6 +1139,26 @@ mod tests {
             init_farm(&root, "alg1", &quick_cfg(10), 3, LeasePolicy::default()),
             Err(FarmError::Manifest(_))
         ));
+    }
+
+    #[test]
+    fn a_manifest_with_a_retired_batch_width_still_loads() {
+        // Manifests written before the lockstep batch engine was retired
+        // carry a `batch_width` field. It was never part of the campaign
+        // identity, so such a farm must still load to the same campaign.
+        let root = scratch("batch-width");
+        let m = init_farm(&root, "alg1", &quick_cfg(10), 2, LeasePolicy::default()).unwrap();
+        let path = manifest_path(&root);
+        let text = fs::read_to_string(&path).unwrap();
+        let legacy = text.replacen("\"vis\":", "\"batch_width\": 32,\n  \"vis\":", 1);
+        assert_ne!(legacy, text, "the fixture must carry the retired field");
+        fs::write(&path, legacy).unwrap();
+        let read = read_manifest(&root).unwrap();
+        assert_eq!(read, m);
+        assert_eq!(
+            format!("{:?}", read.campaign_config(1)),
+            format!("{:?}", m.campaign_config(1))
+        );
     }
 
     #[test]

@@ -42,11 +42,13 @@ pub trait CampaignObserver: Sync {
         let _ = stats;
     }
 
-    /// The lockstep batch pass finished admission: `rejected_untraceable`
-    /// candidates had no admissible delta unit and stay scalar,
-    /// `vis_admitted` replicas were admitted only thanks to the
-    /// EDM-visibility trace (at least one flipped bit outside the def/use
-    /// trace). Fires once per campaign, after the batch pass.
+    /// The fate resolver's coverage of the planned fault list:
+    /// `rejected_untraceable` faults are opaque to the golden traces and
+    /// simulate from injection, `vis_admitted` were resolved only thanks
+    /// to the EDM-visibility trace (at least one flipped bit outside the
+    /// def/use trace). Fires once per campaign, right after
+    /// [`plan_computed`](CampaignObserver::plan_computed), with the same
+    /// counts [`PlanStats::opaque`] and [`PlanStats::vis_resolved`] carry.
     fn batch_admission(&self, rejected_untraceable: usize, vis_admitted: usize) {
         let _ = (rejected_untraceable, vis_admitted);
     }
@@ -91,27 +93,6 @@ pub trait CampaignObserver: Sync {
     /// and spliced the golden tail at `iteration`.
     fn convergence_spliced(&self, index: usize, iteration: usize) {
         let _ = (index, iteration);
-    }
-
-    /// A lockstep batch started resolving `members` replicas (of `width`
-    /// admission capacity) sharing the golden checkpoint window `window`.
-    fn batch_group_started(&self, window: usize, members: usize, width: usize) {
-        let _ = (window, members, width);
-    }
-
-    /// A batched replica was fully resolved *inside* lockstep — latent or
-    /// converged — after riding the shared golden stream for
-    /// `lockstep_instructions` dynamic instructions. No scalar execution
-    /// will happen for this fault.
-    fn replica_resolved(&self, index: usize, lockstep_instructions: u64) {
-        let _ = (index, lockstep_instructions);
-    }
-
-    /// A batched replica diverged from the golden stream at instruction
-    /// `split_at` (after a free lockstep prefix of
-    /// `lockstep_instructions`) and splits off to the scalar path.
-    fn replica_split_off(&self, index: usize, split_at: u64, lockstep_instructions: u64) {
-        let _ = (index, split_at, lockstep_instructions);
     }
 
     /// The experiment has been classified; `record` is final.
@@ -212,24 +193,6 @@ impl CampaignObserver for ObserverSet<'_> {
         }
     }
 
-    fn batch_group_started(&self, window: usize, members: usize, width: usize) {
-        for o in &self.observers {
-            o.batch_group_started(window, members, width);
-        }
-    }
-
-    fn replica_resolved(&self, index: usize, lockstep_instructions: u64) {
-        for o in &self.observers {
-            o.replica_resolved(index, lockstep_instructions);
-        }
-    }
-
-    fn replica_split_off(&self, index: usize, split_at: u64, lockstep_instructions: u64) {
-        for o in &self.observers {
-            o.replica_split_off(index, split_at, lockstep_instructions);
-        }
-    }
-
     fn experiment_classified(&self, index: usize, record: &ExperimentRecord) {
         for o in &self.observers {
             o.experiment_classified(index, record);
@@ -278,11 +241,8 @@ pub struct Telemetry {
     fast_forwarded: AtomicUsize,
     analytic: AtomicUsize,
     replicated: AtomicUsize,
-    batch_groups: AtomicUsize,
     batch_members: AtomicUsize,
-    batch_capacity: AtomicUsize,
     split_offs: AtomicUsize,
-    lockstep_instructions: AtomicUsize,
     plan_micros: AtomicUsize,
     vis_latent: AtomicUsize,
     vis_overwritten: AtomicUsize,
@@ -320,11 +280,8 @@ impl Telemetry {
             fast_forwarded: AtomicUsize::new(0),
             analytic: AtomicUsize::new(0),
             replicated: AtomicUsize::new(0),
-            batch_groups: AtomicUsize::new(0),
             batch_members: AtomicUsize::new(0),
-            batch_capacity: AtomicUsize::new(0),
             split_offs: AtomicUsize::new(0),
-            lockstep_instructions: AtomicUsize::new(0),
             plan_micros: AtomicUsize::new(0),
             vis_latent: AtomicUsize::new(0),
             vis_overwritten: AtomicUsize::new(0),
@@ -397,11 +354,8 @@ impl Telemetry {
             fast_forwarded: load(&self.fast_forwarded),
             analytic: load(&self.analytic),
             replicated: load(&self.replicated),
-            batch_groups: load(&self.batch_groups),
             batch_members: load(&self.batch_members),
-            batch_capacity: load(&self.batch_capacity),
             split_offs: load(&self.split_offs),
-            lockstep_instructions: load(&self.lockstep_instructions) as u64,
             plan_micros: load(&self.plan_micros) as u64,
             vis_latent: load(&self.vis_latent),
             vis_overwritten: load(&self.vis_overwritten),
@@ -450,13 +404,10 @@ impl CampaignObserver for Telemetry {
         add(&self.sig_overwritten, stats.sig_overwritten);
         add(&self.value_resolved, stats.value_resolved);
         add(&self.vis_replicated, stats.vis_replicated);
-    }
-
-    fn batch_admission(&self, rejected_untraceable: usize, vis_admitted: usize) {
-        self.batch_untraceable
-            .fetch_add(rejected_untraceable, Ordering::Relaxed);
-        self.batch_vis_admitted
-            .fetch_add(vis_admitted, Ordering::Relaxed);
+        add(&self.batch_members, stats.resolved());
+        add(&self.split_offs, stats.live);
+        add(&self.batch_untraceable, stats.opaque);
+        add(&self.batch_vis_admitted, stats.vis_resolved());
     }
 
     fn arena_restored(&self, copied_words: usize, full_clone: bool) {
@@ -474,23 +425,6 @@ impl CampaignObserver for Telemetry {
             .fetch_add(instructions as usize, Ordering::Relaxed);
         self.block_instructions
             .fetch_add(block_instructions as usize, Ordering::Relaxed);
-    }
-
-    fn batch_group_started(&self, _window: usize, members: usize, width: usize) {
-        self.batch_groups.fetch_add(1, Ordering::Relaxed);
-        self.batch_members.fetch_add(members, Ordering::Relaxed);
-        self.batch_capacity.fetch_add(width, Ordering::Relaxed);
-    }
-
-    fn replica_resolved(&self, _index: usize, lockstep_instructions: u64) {
-        self.lockstep_instructions
-            .fetch_add(lockstep_instructions as usize, Ordering::Relaxed);
-    }
-
-    fn replica_split_off(&self, _index: usize, _split_at: u64, lockstep_instructions: u64) {
-        self.split_offs.fetch_add(1, Ordering::Relaxed);
-        self.lockstep_instructions
-            .fetch_add(lockstep_instructions as usize, Ordering::Relaxed);
     }
 
     fn experiment_classified(&self, _index: usize, record: &ExperimentRecord) {
@@ -573,17 +507,12 @@ pub struct TelemetrySnapshot {
     pub analytic: usize,
     /// Records replicated from a def/use equivalence-class representative.
     pub replicated: usize,
-    /// Lockstep batches resolved by the batch engine.
-    pub batch_groups: usize,
-    /// Replicas admitted into lockstep batches.
+    /// Faults the fate resolver settled or placed from the golden traces
+    /// (every fate but opaque).
     pub batch_members: usize,
-    /// Total admission capacity of the started batches (for occupancy).
-    pub batch_capacity: usize,
-    /// Batched replicas that diverged and split off to the scalar path.
+    /// Of those, the live faults: class representatives resume from their
+    /// live instant, members replicate.
     pub split_offs: usize,
-    /// Dynamic instructions batched replicas rode the shared golden stream
-    /// for free (from injection to their fate instant, summed).
-    pub lockstep_instructions: u64,
     /// Wall-clock microseconds the planner spent classifying the fault
     /// list (def/use + visibility + value rules).
     pub plan_micros: u64,
@@ -597,14 +526,14 @@ pub struct TelemetrySnapshot {
     pub value_resolved: usize,
     /// Live faults merged into a class via a visibility window.
     pub vis_replicated: usize,
-    /// Batch candidates rejected at admission: no delta unit covers them
-    /// (the untraceable-must-simulate residue).
+    /// Flip-model faults opaque to the golden traces (the
+    /// untraceable-must-simulate residue).
     pub batch_untraceable: usize,
-    /// Replicas admitted to lockstep only thanks to the visibility trace.
+    /// Resolved faults that needed the visibility trace.
     pub batch_vis_admitted: usize,
     /// Dynamic instructions executed by scalar experiment drives in this
-    /// process (prefix fast-forward and lockstep riding excluded — this is
-    /// the simulated residue the fast-replay engine attacks).
+    /// process (prefix fast-forward excluded — this is the simulated
+    /// residue the fast-replay engine attacks).
     pub sim_instructions: u64,
     /// Of [`sim_instructions`](Self::sim_instructions), how many were
     /// executed by the predecoded block engine instead of the scalar
@@ -657,25 +586,11 @@ impl TelemetrySnapshot {
         (self.analytic + self.replicated) as f64 / (self.completed.max(1)) as f64
     }
 
-    /// Fraction of batched replicas that diverged and split off to the
-    /// scalar path (the rest were resolved entirely inside lockstep).
+    /// Fraction of resolved faults that are live (the rest were settled
+    /// analytically).
     #[must_use]
     pub fn split_off_rate(&self) -> f64 {
         self.split_offs as f64 / (self.batch_members.max(1)) as f64
-    }
-
-    /// Mean free lockstep prefix per batched replica, in dynamic
-    /// instructions.
-    #[must_use]
-    pub fn mean_lockstep_prefix(&self) -> f64 {
-        self.lockstep_instructions as f64 / (self.batch_members.max(1)) as f64
-    }
-
-    /// Mean fill level of the started batches: admitted replicas over
-    /// admission capacity.
-    #[must_use]
-    pub fn batch_occupancy(&self) -> f64 {
-        self.batch_members as f64 / (self.batch_capacity.max(1)) as f64
     }
 
     /// Total analytic verdicts attributable to the visibility/value layer
@@ -710,12 +625,14 @@ impl TelemetrySnapshot {
     /// once: records a crashed worker persisted before dying appear in the
     /// finishing worker's `preloaded` tally.
     ///
-    /// Planning-rule counters (`vis_latent`, `vis_overwritten`,
-    /// `sig_overwritten`, `value_resolved`, `vis_replicated`) are **not**
-    /// summed: every worker plans the same full fault list
-    /// deterministically, so each shard's counters already equal the exact
-    /// global counts and the merge takes the maximum instead (shards that
-    /// resumed fully-preloaded report zeros). `plan_micros` stays a sum —
+    /// Planning counters (`vis_latent`, `vis_overwritten`,
+    /// `sig_overwritten`, `value_resolved`, `vis_replicated` and the
+    /// resolver's `batch_members`, `split_offs`, `batch_untraceable`,
+    /// `batch_vis_admitted`) are **not** summed: every worker plans the
+    /// same full fault list deterministically, so each shard's counters
+    /// already equal the exact global counts and the merge takes the
+    /// maximum instead (shards that resumed fully-preloaded report
+    /// zeros). `plan_micros` stays a sum —
     /// it measures real aggregate planning CPU, which every worker spends.
     pub fn accumulate(&mut self, other: &TelemetrySnapshot) {
         self.total += other.total;
@@ -737,19 +654,16 @@ impl TelemetrySnapshot {
         self.fast_forwarded += other.fast_forwarded;
         self.analytic += other.analytic;
         self.replicated += other.replicated;
-        self.batch_groups += other.batch_groups;
-        self.batch_members += other.batch_members;
-        self.batch_capacity += other.batch_capacity;
-        self.split_offs += other.split_offs;
-        self.lockstep_instructions += other.lockstep_instructions;
         self.plan_micros += other.plan_micros;
         self.vis_latent = self.vis_latent.max(other.vis_latent);
         self.vis_overwritten = self.vis_overwritten.max(other.vis_overwritten);
         self.sig_overwritten = self.sig_overwritten.max(other.sig_overwritten);
         self.value_resolved = self.value_resolved.max(other.value_resolved);
         self.vis_replicated = self.vis_replicated.max(other.vis_replicated);
-        self.batch_untraceable += other.batch_untraceable;
-        self.batch_vis_admitted += other.batch_vis_admitted;
+        self.batch_members = self.batch_members.max(other.batch_members);
+        self.split_offs = self.split_offs.max(other.split_offs);
+        self.batch_untraceable = self.batch_untraceable.max(other.batch_untraceable);
+        self.batch_vis_admitted = self.batch_vis_admitted.max(other.batch_vis_admitted);
         self.sim_instructions += other.sim_instructions;
         self.block_instructions += other.block_instructions;
         self.arena_restores += other.arena_restores;
@@ -791,14 +705,12 @@ impl fmt::Display for TelemetrySnapshot {
                 self.replicated
             )?;
         }
-        if self.batch_groups > 0 {
+        if self.batch_members > 0 {
             write!(
                 f,
-                " | batch {}x{:.0}% split {:.0}% pfx {:.0}",
-                self.batch_groups,
-                100.0 * self.batch_occupancy(),
-                100.0 * self.split_off_rate(),
-                self.mean_lockstep_prefix()
+                " | fate resolved {} live {:.0}%",
+                self.batch_members,
+                100.0 * self.split_off_rate()
             )?;
         }
         if self.vis_analytic() > 0 || self.vis_replicated > 0 || self.batch_vis_admitted > 0 {
@@ -932,13 +844,11 @@ mod tests {
         }
         let probe = Probe::default();
         let w = Workload::algorithm_one();
-        // Def/use pruning and the lockstep batch engine skip
-        // started/injected for analytically classified faults; disable
-        // both so this test keeps documenting the full per-experiment
-        // life cycle.
+        // The planner skips started/injected for analytically classified
+        // faults; disable it so this test keeps documenting the full
+        // per-experiment life cycle.
         let mut cfg = CampaignConfig::quick(15, 7);
         cfg.prune = false;
-        cfg.batch_width = 0;
         let _ = run_scifi_campaign_observed(&w, &cfg, &probe);
         assert_eq!(probe.sampled.load(Ordering::Relaxed), 15);
         assert_eq!(probe.started.load(Ordering::Relaxed), 15);

@@ -1,58 +1,218 @@
-//! Campaign planner: def/use fault-space pruning over the golden access
-//! trace.
+//! Campaign planner: one fate resolver over the golden run's def/use and
+//! EDM-visibility traces.
 //!
 //! A SCIFI campaign samples (scan bit, injection time) pairs uniformly.
 //! Most of those faults land in state the workload overwrites before
 //! reading, or never touches again — their outcomes are fully determined
-//! by the golden run's access trace and need no simulation at all. The
-//! planner walks the fault list once against
-//! [`GoldenRun::trace`](crate::experiment::GoldenRun) and decides, per
-//! fault:
+//! by the golden run's traces and need no simulation at all. For every
+//! sampled fault the planner asks one question of [`resolve`]: *what is
+//! the first event to touch these flips after injection?* The answer is a
+//! [`Fate`]:
 //!
-//! * **first post-injection access is a full-width write** — the faulty
-//!   bit is deposited over with the value the fault-free run computes
-//!   (execution up to that write never observed the flip, so it is
-//!   bit-identical to the golden run): emit [`Outcome::Overwritten`]
-//!   analytically;
-//! * **the unit is never accessed again** — the flip sits untouched until
-//!   the end-of-run state diff and nothing else diverges: emit
-//!   [`Outcome::Latent`] analytically;
-//! * **first post-injection access is a read** — the fault is live. All
-//!   faults in the *same scan bit* whose first visible access is the *same
-//!   read* produce identical faulty trajectories (the machine state at
-//!   that read is the golden state plus the same flip, whichever earlier
-//!   boundary the flip landed at), so one simulated representative per
-//!   equivalence class stands for every member.
+//! * **every flipped unit is fully written before anything reads it** —
+//!   the flips are deposited over with the values the fault-free run
+//!   computes (execution up to each write never observed them, so it is
+//!   bit-identical to the golden run): [`Fate::Overwritten`], emitted
+//!   analytically as [`Outcome::Overwritten`];
+//! * **no flipped unit is touched again** — the flips sit untouched until
+//!   the end-of-run state diff and nothing else diverges:
+//!   [`Fate::Latent`], emitted analytically as [`Outcome::Latent`];
+//! * **a flipped unit is read first** (or partially written) — the fault
+//!   is [`Fate::Live`] at that instant. The machine state there is exactly
+//!   the golden state plus the surviving flips, so the representative is
+//!   resumed from that instant instead of replaying the prefix, and every
+//!   fault with the same scan bit, live instant and surviving units shares
+//!   its faulty trajectory: one simulation stands for the whole class;
+//! * **no trace covers the flips** — [`Fate::Opaque`]: simulate.
 //!
-//! Pruning applies only where the trace argument is sound: single-bit
-//! transients (intermittent re-assertions, stuck-at forcing and multi-bit
-//! clusters perturb state after injection — they bypass pruning exactly
-//! like the convergence pruner's quiescence gate), scan bits whose unit
-//! routes every semantic access through a trace hook
-//! ([`BitLocation::trace_unit`] returns `Some`; state the EDMs consult
-//! implicitly is excluded), and campaigns without the parity-protected
-//! cache (the parity checker reads cache data on every access without
-//! being part of the trace).
+//! Resolution applies only where the trace argument is sound: one-shot
+//! flip models (intermittent re-assertions and stuck-at forcing perturb
+//! state after injection — they bypass the planner exactly like the
+//! convergence pruner's quiescence gate) and campaigns without the
+//! parity-protected cache (the parity checker reads cache data on every
+//! access without being part of the trace). Soundness arguments are in
+//! DESIGN.md § 8e.
 //!
-//! The pruned campaign is provably outcome-equivalent to the unpruned one
-//! (`tests/prune_equivalence.rs`), and `--paranoid N` re-simulates `N`
-//! members per equivalence class at run time as a continuous cross-check.
+//! The planned campaign is provably outcome-equivalent to the unplanned
+//! (`prune: false`) one (`tests/prune_equivalence.rs`), and `--paranoid N`
+//! re-simulates `N` members per equivalence class at run time as a
+//! continuous cross-check.
 
 use crate::campaign::CampaignConfig;
 use crate::classify::Outcome;
 use crate::experiment::{ExperimentRecord, FaultModel, FaultSpec, GoldenRun, Provenance};
 use bera_tcpu::scan::{self, BitLocation};
-use bera_tcpu::{AccessTrace, Fnv64, VisTrace};
-use std::collections::{BTreeMap, HashMap};
+use bera_tcpu::{Access, AccessTrace, Fnv64, TraceUnit, VisTrace, VisUnit};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
+/// What the golden traces prove about one set of one-shot flips injected
+/// at one instruction boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fate {
+    /// No flipped unit is touched again: the flips survive, untouched and
+    /// unobserved, to the end-of-run state diff.
+    Latent,
+    /// Every flipped unit was fully written with its golden value before
+    /// being observed; the state is golden once the instruction at
+    /// `killed_at` retires.
+    Overwritten {
+        /// Dynamic instruction index of the write that killed the last
+        /// surviving flip.
+        killed_at: u64,
+    },
+    /// A flipped unit is read (or partially written) during instruction
+    /// `at`. Up to that instruction the state is exactly the golden state
+    /// plus the `surviving` flips.
+    Live {
+        /// Dynamic instruction index of the first observation.
+        at: u64,
+        /// Bit mask over the resolved flip slice: bit `i` is set when
+        /// `flips[i]` is still live at `at` (its unit was not killed
+        /// before `at`).
+        surviving: u64,
+    },
+    /// No trace covers one of the flips: only simulation can tell.
+    Opaque,
+}
+
+/// A unit of state a flip lives in, from whichever golden trace governs
+/// it. The two index spaces are disjoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unit {
+    Trace(TraceUnit),
+    Vis(VisUnit),
+}
+
+impl Unit {
+    /// The unit of `bit`: its def/use unit, else — when a visibility
+    /// trace is available — its visibility unit.
+    fn of(bit: BitLocation, vis: bool) -> Option<Unit> {
+        bit.trace_unit()
+            .map(Unit::Trace)
+            .or_else(|| bit.vis_unit().filter(|_| vis).map(Unit::Vis))
+    }
+
+    /// The first event of this unit at or after `cursor`.
+    fn first_at_or_after(
+        self,
+        trace: &AccessTrace,
+        vis: Option<&VisTrace>,
+        cursor: u64,
+    ) -> Option<Access> {
+        match self {
+            Unit::Trace(t) => trace.first_at_or_after(t, cursor),
+            Unit::Vis(v) => vis?.first_at_or_after(v, cursor),
+        }
+    }
+}
+
+/// Resolves the fate of `flips` injected at instruction boundary
+/// `inject_at` by walking the golden def/use `trace` and — when supplied —
+/// the EDM-visibility trace `vis`. The walk repeatedly takes the earliest
+/// event touching any surviving flipped unit: if every unit touched by
+/// that instruction is first fully written there, those units die (their
+/// flips are overwritten with golden values) and the walk continues;
+/// otherwise the fault is live there. Per-unit rules:
+///
+/// * a partial write counts as a use;
+/// * within one instruction, a read before a write keeps the flip live,
+///   a write before a read kills it (each unit's events keep execution
+///   order);
+/// * the signature register is folded by every instruction, so
+///   `golden ⊕ flip` stops describing it immediately: only a full write
+///   that comes first (a control transfer's zeroing) settles it, and while
+///   it survives the fault is [`Fate::Opaque`] rather than latent or live;
+/// * operand-latch flips (single flips only) resolve by the latch's shift
+///   count: slot A is overwritten by the first register read, slot B by
+///   the second;
+/// * the fetch-valid bit, and any bit the traces do not cover (every
+///   visibility unit when `vis` is `None`), is opaque.
+///
+/// Clusters of more than 64 flips are opaque (the surviving set is a
+/// 64-bit mask).
+#[must_use]
+pub fn resolve(
+    flips: &[BitLocation],
+    inject_at: u64,
+    trace: &AccessTrace,
+    vis: Option<&VisTrace>,
+) -> Fate {
+    if let [bit @ (BitLocation::OperandA { .. } | BitLocation::OperandB { .. })] = flips {
+        // The operand latch is a two-slot shift register (`a ← b`,
+        // `b ← clean value` on every register read) that nothing reads: a
+        // flip in slot A is deposited over by the first shift, one in slot
+        // B migrates bit-identically into A and dies at the second.
+        let nth = usize::from(matches!(bit, BitLocation::OperandB { .. }));
+        return match vis {
+            None => Fate::Opaque,
+            Some(vis) => match vis.nth_shift_at_or_after(inject_at, nth) {
+                Some(killed_at) => Fate::Overwritten { killed_at },
+                None => Fate::Latent,
+            },
+        };
+    }
+    if flips.len() > 64 {
+        return Fate::Opaque;
+    }
+    // (unit, mask of the flips living in it)
+    let mut units: Vec<(Unit, u64)> = Vec::with_capacity(flips.len());
+    for (i, &bit) in flips.iter().enumerate() {
+        let Some(unit) = Unit::of(bit, vis.is_some()) else {
+            return Fate::Opaque;
+        };
+        match units.iter_mut().find(|(u, _)| *u == unit) {
+            Some((_, mask)) => *mask |= 1 << i,
+            None => units.push((unit, 1 << i)),
+        }
+    }
+    let sig_survives =
+        |units: &[(Unit, u64)]| units.iter().any(|(u, _)| *u == Unit::Vis(VisUnit::Sig));
+    let mut cursor = inject_at;
+    loop {
+        let next: Vec<Option<Access>> = units
+            .iter()
+            .map(|(u, _)| u.first_at_or_after(trace, vis, cursor))
+            .collect();
+        let Some(at) = next.iter().flatten().map(|a| a.at).min() else {
+            return if sig_survives(&units) {
+                Fate::Opaque
+            } else {
+                Fate::Latent
+            };
+        };
+        let killed = |a: &Option<Access>| a.is_some_and(|a| a.at == at && a.kind.is_full_write());
+        let live = next
+            .iter()
+            .any(|a| a.is_some_and(|a| a.at == at) && !killed(a));
+        if live {
+            return if sig_survives(&units) {
+                Fate::Opaque
+            } else {
+                Fate::Live {
+                    at,
+                    surviving: units.iter().fold(0, |m, (_, bits)| m | bits),
+                }
+            };
+        }
+        let mut dead = next.iter().map(killed);
+        units.retain(|_| !dead.next().unwrap_or(false));
+        if units.is_empty() {
+            return Fate::Overwritten { killed_at: at };
+        }
+        cursor = at + 1;
+    }
+}
 
 /// The planner's decision for one fault-list index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanAction {
-    /// Inject and run this fault on the simulator (it is either live — an
-    /// equivalence-class representative — or ineligible for pruning).
+    /// Inject and run this fault on the simulator (it is either a live
+    /// equivalence-class representative — resumed from its live instant,
+    /// see [`CampaignPlan::resume_point`] — or opaque to the traces).
     Simulate,
     /// Emit the record analytically: the outcome follows from the golden
-    /// access trace alone.
+    /// traces alone.
     Analytic(Outcome),
     /// Copy the outcome of the simulated representative at fault-list
     /// index `representative` (always a lower index than this fault's).
@@ -71,11 +231,11 @@ pub struct PlanStats {
     pub defuse_latent: usize,
     /// Analytic `Overwritten` verdicts from the def/use access trace.
     pub defuse_overwritten: usize,
-    /// Analytic `Latent` verdicts from an EDM-visibility window (the
-    /// unit is never sampled again).
+    /// Analytic `Latent` verdicts that needed an EDM-visibility window
+    /// (some flipped unit is outside the def/use trace).
     pub vis_latent: usize,
-    /// Analytic `Overwritten` verdicts from an EDM-visibility window
-    /// (a whole-unit deposit precedes every sample).
+    /// Analytic `Overwritten` verdicts that needed an EDM-visibility
+    /// window.
     pub vis_overwritten: usize,
     /// Signature-register faults proven `Overwritten` by the write-first
     /// rule (a control transfer zeroes the register before any compare).
@@ -83,36 +243,97 @@ pub struct PlanStats {
     /// Operand-latch faults resolved by the value-level shift rule
     /// (either displaced off the latch or migrated bit-identically).
     pub value_resolved: usize,
-    /// Live faults merged into an equivalence class via a visibility
-    /// window rather than the def/use trace.
+    /// [`Fate::Live`] faults (class representatives and members).
+    pub live: usize,
+    /// Of [`live`](Self::live), those carrying a flip outside the def/use
+    /// trace (resolved through a visibility window).
+    pub vis_live: usize,
+    /// Live class members (not representatives) carrying a flip outside
+    /// the def/use trace.
     pub vis_replicated: usize,
+    /// [`Fate::Opaque`] faults: no trace covers them, so they simulate
+    /// from injection.
+    pub opaque: usize,
     /// Wall-clock microseconds spent planning (classification only).
     pub plan_micros: u64,
 }
 
 impl PlanStats {
     /// Total analytic verdicts attributable to the visibility/value layer
-    /// (everything PR-4's def/use planner could not classify).
+    /// (everything the def/use trace alone could not classify).
     #[must_use]
     pub fn vis_analytic(&self) -> usize {
         self.vis_latent + self.vis_overwritten + self.sig_overwritten + self.value_resolved
     }
+
+    /// Faults the resolver settled or placed (every fate but
+    /// [`Fate::Opaque`]).
+    #[must_use]
+    pub fn resolved(&self) -> usize {
+        self.defuse_latent + self.defuse_overwritten + self.vis_analytic() + self.live
+    }
+
+    /// Resolved faults that needed the visibility trace.
+    #[must_use]
+    pub fn vis_resolved(&self) -> usize {
+        self.vis_analytic() + self.vis_live
+    }
+
+    /// Attributes one fault's fate to its rule.
+    fn tally(&mut self, fate: Fate, flips: &[BitLocation]) {
+        let needs_vis = flips.iter().any(|b| b.trace_unit().is_none());
+        let counter = match fate {
+            Fate::Opaque => &mut self.opaque,
+            Fate::Live { .. } => {
+                if needs_vis {
+                    self.vis_live += 1;
+                }
+                &mut self.live
+            }
+            _ if flips.iter().any(|b| {
+                matches!(
+                    b,
+                    BitLocation::OperandA { .. } | BitLocation::OperandB { .. }
+                )
+            }) =>
+            {
+                &mut self.value_resolved
+            }
+            Fate::Overwritten { .. }
+                if flips
+                    .iter()
+                    .any(|b| matches!(b, BitLocation::SigReg { .. })) =>
+            {
+                &mut self.sig_overwritten
+            }
+            Fate::Latent if needs_vis => &mut self.vis_latent,
+            Fate::Latent => &mut self.defuse_latent,
+            Fate::Overwritten { .. } if needs_vis => &mut self.vis_overwritten,
+            Fate::Overwritten { .. } => &mut self.defuse_overwritten,
+        };
+        *counter += 1;
+    }
 }
 
 /// One action per fault-list index, plus the class structure needed for
-/// replication and paranoid cross-checking.
+/// replication and paranoid cross-checking and the resume point of every
+/// live representative.
 #[derive(Debug, Clone)]
 pub struct CampaignPlan {
     actions: Vec<PlanAction>,
+    /// Live representative index → (live instant, surviving flips).
+    resume: HashMap<usize, (u64, Box<[BitLocation]>)>,
     stats: PlanStats,
 }
 
 impl CampaignPlan {
-    /// A plan that simulates every fault (pruning disabled or ineligible).
+    /// A plan that simulates every fault from injection (pruning disabled
+    /// or ineligible).
     #[must_use]
     pub fn simulate_all(n: usize) -> Self {
         CampaignPlan {
             actions: vec![PlanAction::Simulate; n],
+            resume: HashMap::new(),
             stats: PlanStats::default(),
         }
     }
@@ -137,6 +358,14 @@ impl CampaignPlan {
     #[must_use]
     pub fn actions(&self) -> &[PlanAction] {
         &self.actions
+    }
+
+    /// Where a live representative resumes: its live instant and the
+    /// flips still live there. `None` for every other index — those
+    /// simulate from injection.
+    #[must_use]
+    pub fn resume_point(&self, i: usize) -> Option<(u64, &[BitLocation])> {
+        self.resume.get(&i).map(|(at, flips)| (*at, &flips[..]))
     }
 
     /// Number of faults that will be simulated.
@@ -177,99 +406,27 @@ impl CampaignPlan {
     }
 }
 
-/// `true` when `cfg` is eligible for def/use pruning at all: pruning
-/// enabled, a one-shot single-bit fault model (anything that re-asserts or
-/// clusters perturbs state the trace does not model), and no parity
-/// cache (its checker reads cache data outside the trace hooks).
+/// `true` when `cfg` is eligible for planning at all: pruning enabled, a
+/// one-shot flip fault model (anything that re-asserts or forces perturbs
+/// state the traces do not model), and no parity cache (its checker reads
+/// cache data outside the trace hooks).
 #[must_use]
 pub fn prune_eligible(cfg: &CampaignConfig) -> bool {
-    cfg.prune && cfg.fault_model == FaultModel::SingleBit && !cfg.loop_cfg.parity_cache
-}
-
-/// `true` when `cfg` may run its plan-`Simulate` faults through the
-/// lockstep batch engine ([`bera_tcpu::BatchMachine`]): batching enabled,
-/// a one-shot flip fault model (re-asserting and stuck-at injectors are
-/// not quiescent, so replicas cannot ride the golden stream), golden
-/// checkpoints available (split-off replicas materialize from them), no
-/// parity cache (its checker observes cache data outside the trace hooks)
-/// and no chaos harness (chaos sabotages *executions* by index; resolving
-/// an index without executing it would dodge the sabotage under test).
-#[must_use]
-pub fn batch_eligible(cfg: &CampaignConfig) -> bool {
-    cfg.batch_width > 0
-        && cfg.loop_cfg.checkpoint_stride > 0
-        && !cfg.loop_cfg.parity_cache
+    cfg.prune
         && matches!(
             cfg.fault_model,
             FaultModel::SingleBit | FaultModel::AdjacentDoubleBit | FaultModel::Burst { .. }
         )
-        && cfg.supervisor.as_ref().is_none_or(|s| s.chaos.is_none())
+        && !cfg.loop_cfg.parity_cache
 }
 
-/// Groups batch-candidate fault indices into lockstep batches: faults
-/// sharing a checkpoint fast-forward window (the same
-/// [`GoldenRun::checkpoint_before`] their injection instant resolves to)
-/// ride the same [`bera_tcpu::BatchMachine`], chunked to at most `width`
-/// replicas per batch. Grouping is deterministic — windows ascend and
-/// fault-list order is preserved within a window — so resumed campaigns
-/// rebuild identical batches.
-#[must_use]
-pub fn batch_groups(
-    candidates: &[usize],
-    faults: &[FaultSpec],
-    golden: &GoldenRun,
-    width: usize,
-) -> Vec<Vec<usize>> {
-    let mut by_window: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for &i in candidates {
-        let window = golden
-            .checkpoint_before(faults[i].inject_at)
-            .map_or(0, |c| c.iteration);
-        by_window.entry(window).or_default().push(i);
-    }
-    by_window
-        .into_values()
-        .flat_map(|group| {
-            group
-                .chunks(width.max(1))
-                .map(<[usize]>::to_vec)
-                .collect::<Vec<_>>()
-        })
-        .collect()
-}
-
-/// Builds the record of a replica the batch engine proved *converged*:
-/// every flipped unit was fully overwritten with its golden value by the
-/// instruction at `killed_at`, without ever being observed. The scalar
-/// path would detect the rejoin at the first golden checkpoint boundary
-/// past `killed_at` and splice the golden tail there; `pruned_at` records
-/// that same boundary (or `None` when no checkpoint boundary follows the
-/// kill — the scalar run would then simply complete in the golden end
-/// state).
-///
-/// # Panics
-///
-/// Panics if `fault.location_index` is outside the scan catalog.
-#[must_use]
-pub fn lockstep_converged_record(
-    fault: FaultSpec,
-    killed_at: u64,
-    golden: &GoldenRun,
-    detail: bool,
-) -> ExperimentRecord {
-    let mut record = analytic_record(fault, Outcome::Overwritten, golden, detail);
-    record.pruned_at = golden
-        .checkpoints
-        .iter()
-        .find(|c| c.machine.instr_count() > killed_at)
-        .map(|c| c.iteration);
-    record
-}
-
-/// Plans the campaign: one [`PlanAction`] per fault of `faults`, derived
-/// from `golden`'s access trace. The plan is a pure function of the fault
-/// list, the configuration and the golden run, so resumed campaigns
-/// recompute the identical plan (and hence identical representatives).
+/// Plans the campaign: one [`PlanAction`] per fault of `faults`, from the
+/// [`resolve`]d fate of each. Live faults form equivalence classes keyed
+/// on `(scan-catalog index, live instant, surviving flips)`; the lowest
+/// fault index of a class is its representative. The plan is a pure
+/// function of the fault list, the configuration and the golden run, so
+/// resumed and sharded campaigns recompute the identical plan (and hence
+/// identical representatives).
 ///
 /// # Panics
 ///
@@ -287,190 +444,62 @@ pub fn plan_campaign(
     let catalog = scan::catalog();
     let vis = cfg.vis.then_some(&golden.vis);
     let mut stats = PlanStats::default();
-    // Class key: (scan-catalog bit index, position of the first visible
-    // access in the unit's trace slot — def/use or visibility, disjoint
-    // per location). Two faults sharing both flip the same bit and are
-    // first observed by the same read, so their faulty trajectories are
-    // identical from that read onward.
-    let mut class_reps: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut class_reps: HashMap<(usize, u64, u64), usize> = HashMap::new();
+    let mut resume = HashMap::new();
     let actions = faults
         .iter()
         .enumerate()
         .map(|(i, fault)| {
-            match classify_fault(
-                &golden.trace,
-                vis,
-                catalog[fault.location_index],
-                fault,
-                golden,
-                &mut stats,
-            ) {
-                TraceVerdict::Opaque => PlanAction::Simulate,
-                TraceVerdict::Analytic(outcome) => PlanAction::Analytic(outcome),
-                TraceVerdict::Live {
-                    first_access,
-                    via_vis,
-                } => match class_reps.entry((fault.location_index, first_access)) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        if via_vis {
-                            stats.vis_replicated += 1;
+            let flips: Vec<BitLocation> = cfg
+                .fault_model
+                .locations(fault.location_index)
+                .into_iter()
+                .map(|j| catalog[j])
+                .collect();
+            // A fault scheduled at or past the end of the run is never
+            // injected (the drive loop completes first); no trace says
+            // anything about it.
+            let fate = if fault.inject_at < golden.total_instructions {
+                resolve(&flips, fault.inject_at, &golden.trace, vis)
+            } else {
+                Fate::Opaque
+            };
+            stats.tally(fate, &flips);
+            match fate {
+                Fate::Opaque => PlanAction::Simulate,
+                Fate::Latent => PlanAction::Analytic(Outcome::Latent),
+                Fate::Overwritten { .. } => PlanAction::Analytic(Outcome::Overwritten),
+                Fate::Live { at, surviving } => {
+                    match class_reps.entry((fault.location_index, at, surviving)) {
+                        Entry::Occupied(e) => {
+                            if flips.iter().any(|b| b.trace_unit().is_none()) {
+                                stats.vis_replicated += 1;
+                            }
+                            PlanAction::Replicate {
+                                representative: *e.get(),
+                            }
                         }
-                        PlanAction::Replicate {
-                            representative: *e.get(),
+                        Entry::Vacant(e) => {
+                            e.insert(i);
+                            let live: Box<[BitLocation]> = flips
+                                .iter()
+                                .enumerate()
+                                .filter(|(k, _)| surviving & (1 << k) != 0)
+                                .map(|(_, &b)| b)
+                                .collect();
+                            resume.insert(i, (at, live));
+                            PlanAction::Simulate
                         }
                     }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(i);
-                        PlanAction::Simulate
-                    }
-                },
+                }
             }
         })
         .collect();
     stats.plan_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    CampaignPlan { actions, stats }
-}
-
-/// What the golden traces say about one single-bit fault.
-enum TraceVerdict {
-    /// The faulted unit is not fully covered by any trace (or the
-    /// injection time falls outside the traced run): simulate.
-    Opaque,
-    /// The outcome follows from the traces alone.
-    Analytic(Outcome),
-    /// The fault is live: first observed by the read at this position of
-    /// the unit's trace slot.
-    Live {
-        first_access: usize,
-        /// The observation came from a visibility window (telemetry only).
-        via_vis: bool,
-    },
-}
-
-/// Classifies one fault against the def/use access trace first, then —
-/// when `vis` is supplied — against the EDM-visibility trace and the
-/// value-level rules for the remaining opaque state.
-fn classify_fault(
-    trace: &AccessTrace,
-    vis: Option<&VisTrace>,
-    location: BitLocation,
-    fault: &FaultSpec,
-    golden: &GoldenRun,
-    stats: &mut PlanStats,
-) -> TraceVerdict {
-    // A fault scheduled at or past the end of the run is never injected
-    // (the drive loop completes first); no trace says anything about it.
-    if fault.inject_at >= golden.total_instructions {
-        return TraceVerdict::Opaque;
-    }
-    if let Some(unit) = location.trace_unit() {
-        let slot = trace.accesses(unit);
-        let first = slot.partition_point(|a| a.at < fault.inject_at);
-        return match slot.get(first) {
-            // Never accessed again: the flip survives untouched to the
-            // end-of-run scan diff, and nothing else ever diverges.
-            None => {
-                stats.defuse_latent += 1;
-                TraceVerdict::Analytic(Outcome::Latent)
-            }
-            // Overwritten with the golden value before anything read it.
-            Some(a) if a.kind.is_full_write() => {
-                stats.defuse_overwritten += 1;
-                TraceVerdict::Analytic(Outcome::Overwritten)
-            }
-            // A read (or a partial write, treated conservatively as a use
-            // by classing on the access position): the fault is live.
-            Some(_) => TraceVerdict::Live {
-                first_access: first,
-                via_vis: false,
-            },
-        };
-    }
-    let Some(vis) = vis else {
-        return TraceVerdict::Opaque;
-    };
-    classify_from_vis(vis, location, fault, stats)
-}
-
-/// The visibility-window and value-level rules for a bit the def/use
-/// trace cannot see. Soundness arguments in DESIGN.md §8h and the
-/// [`bera_tcpu::vis`] module docs.
-fn classify_from_vis(
-    vis: &VisTrace,
-    location: BitLocation,
-    fault: &FaultSpec,
-    stats: &mut PlanStats,
-) -> TraceVerdict {
-    // Value-level rules for the operand latch, a two-slot shift register
-    // (`a ← b`, `b ← clean value` on every register read). A flip in
-    // slot A is deposited over by the first shift; a flip in slot B
-    // migrates — bit-identically — into slot A on the first shift and is
-    // deposited over by the second. Nothing ever reads the latch, so an
-    // undisplaced flip is exactly a latent end-of-run scan diff.
-    match location {
-        BitLocation::OperandA { .. } => {
-            stats.value_resolved += 1;
-            let shifts = vis.shifts_at_or_after(fault.inject_at);
-            return TraceVerdict::Analytic(if shifts >= 1 {
-                Outcome::Overwritten
-            } else {
-                Outcome::Latent
-            });
-        }
-        BitLocation::OperandB { .. } => {
-            stats.value_resolved += 1;
-            let shifts = vis.shifts_at_or_after(fault.inject_at);
-            return TraceVerdict::Analytic(if shifts >= 2 {
-                Outcome::Overwritten
-            } else {
-                Outcome::Latent
-            });
-        }
-        _ => {}
-    }
-    let Some(unit) = location.vis_unit() else {
-        // The fetch-latch valid bit: consulted every instruction, no
-        // window exists — permanently opaque.
-        return TraceVerdict::Opaque;
-    };
-    let slot = vis.accesses(unit);
-    let first = slot.partition_point(|a| a.at < fault.inject_at);
-    if unit == bera_tcpu::VisUnit::Sig {
-        // The signature register is folded (read-modify-written) by every
-        // executed instruction, so `golden ⊕ flip` stops describing the
-        // faulty value immediately: neither a latent claim (folding may
-        // or may not re-converge) nor class merging is sound. The one
-        // sound rule is write-first: a control transfer zeroes the
-        // register — value-independently — before any compare samples it.
-        return match slot.get(first) {
-            Some(a) if a.kind.is_full_write() => {
-                stats.sig_overwritten += 1;
-                TraceVerdict::Analytic(Outcome::Overwritten)
-            }
-            _ => TraceVerdict::Opaque,
-        };
-    }
-    match slot.get(first) {
-        // No asynchronous observer ever samples the unit again: the flip
-        // survives untouched to the end-of-run scan diff.
-        None => {
-            stats.vis_latent += 1;
-            TraceVerdict::Analytic(Outcome::Latent)
-        }
-        // A whole-unit deposit (line fill, store, cmp, control transfer,
-        // trap bookkeeping) lands before any sample: the flip is erased
-        // with clean inputs.
-        Some(a) if a.kind.is_full_write() => {
-            stats.vis_overwritten += 1;
-            TraceVerdict::Analytic(Outcome::Overwritten)
-        }
-        // Sampled: live, and mergeable on the sampling position exactly
-        // like a def/use read (the unit is untouched between injection
-        // and the sample, so every member reaches it as golden ⊕ flip).
-        Some(_) => TraceVerdict::Live {
-            first_access: first,
-            via_vis: true,
-        },
+    CampaignPlan {
+        actions,
+        resume,
+        stats,
     }
 }
 
@@ -599,7 +628,7 @@ mod tests {
     use crate::campaign::CampaignConfig;
     use crate::experiment::golden_run;
     use crate::workload::Workload;
-    use bera_tcpu::{Access, AccessKind};
+    use bera_tcpu::AccessKind;
 
     fn quick_plan_inputs() -> (CampaignConfig, GoldenRun, Vec<FaultSpec>) {
         let w = Workload::algorithm_one();
@@ -892,7 +921,11 @@ mod tests {
         assert_eq!(plan.stats().value_resolved, 2);
         // Past the final shift nothing displaces the latch: latent.
         let last_shift_plus = golden.total_instructions - 1;
-        if golden.vis.shifts_at_or_after(last_shift_plus) == 0 {
+        if golden
+            .vis
+            .nth_shift_at_or_after(last_shift_plus, 0)
+            .is_none()
+        {
             let plan = plan_campaign(
                 &[FaultSpec {
                     location_index: op_a,
@@ -966,5 +999,216 @@ mod tests {
         let plan = plan_campaign(&faults, &cfg, &golden);
         assert_eq!(plan.action(0), PlanAction::Simulate);
         assert_eq!(plan.action(1), PlanAction::Simulate, "class must split");
+    }
+
+    // ---------------------------------------------------------------------
+    // The resolver on synthetic traces.
+    // ---------------------------------------------------------------------
+
+    const REG3_BIT: BitLocation = BitLocation::Reg { index: 3, bit: 5 };
+    const REG4_BIT: BitLocation = BitLocation::Reg { index: 4, bit: 0 };
+    const PSR1_BIT: BitLocation = BitLocation::Psr { bit: 1 };
+    const REG3: TraceUnit = TraceUnit::Reg(3);
+    const REG4: TraceUnit = TraceUnit::Reg(4);
+
+    fn trace_with(entries: &[(TraceUnit, u64, AccessKind)]) -> AccessTrace {
+        let mut t = AccessTrace::new();
+        for &(u, at, kind) in entries {
+            t.record(u, at, kind);
+        }
+        t
+    }
+
+    fn resolve_on(flips: &[BitLocation], inject_at: u64, t: &AccessTrace) -> Fate {
+        resolve(flips, inject_at, t, Some(&VisTrace::new()))
+    }
+
+    #[test]
+    fn untouched_flips_are_latent() {
+        let t = trace_with(&[(REG3, 10, AccessKind::Read)]);
+        assert_eq!(resolve_on(&[REG3_BIT], 11, &t), Fate::Latent);
+    }
+
+    #[test]
+    fn a_read_is_live_and_a_full_write_kills() {
+        let t = trace_with(&[(REG3, 10, AccessKind::Write), (REG3, 20, AccessKind::Read)]);
+        assert_eq!(
+            resolve_on(&[REG3_BIT], 5, &t),
+            Fate::Overwritten { killed_at: 10 }
+        );
+        assert_eq!(
+            resolve_on(&[REG3_BIT], 15, &t),
+            Fate::Live {
+                at: 20,
+                surviving: 0b1
+            }
+        );
+    }
+
+    #[test]
+    fn a_partial_write_counts_as_a_use() {
+        let t = trace_with(&[(REG3, 10, AccessKind::PartialWrite)]);
+        assert_eq!(
+            resolve_on(&[REG3_BIT], 5, &t),
+            Fate::Live {
+                at: 10,
+                surviving: 0b1
+            }
+        );
+    }
+
+    #[test]
+    fn within_one_instant_the_first_event_decides() {
+        // `add r3, r3, r0`: the read observes the flip before the write.
+        let read_first = trace_with(&[(REG3, 10, AccessKind::Read), (REG3, 10, AccessKind::Write)]);
+        assert!(matches!(
+            resolve_on(&[REG3_BIT], 5, &read_first),
+            Fate::Live { at: 10, .. }
+        ));
+        // The write lands first from clean inputs, so the read sees golden.
+        let write_first =
+            trace_with(&[(REG3, 10, AccessKind::Write), (REG3, 10, AccessKind::Read)]);
+        assert_eq!(
+            resolve_on(&[REG3_BIT], 5, &write_first),
+            Fate::Overwritten { killed_at: 10 }
+        );
+    }
+
+    #[test]
+    fn a_multi_unit_fault_shrinks_then_goes_live_with_the_survivors() {
+        let t = trace_with(&[(REG3, 10, AccessKind::Write), (REG4, 30, AccessKind::Read)]);
+        // r3's flip dies at 10; only r4's (flip 1) survives to the read.
+        assert_eq!(
+            resolve_on(&[REG3_BIT, REG4_BIT], 5, &t),
+            Fate::Live {
+                at: 30,
+                surviving: 0b10
+            }
+        );
+        // Both killed: overwritten at the last kill.
+        let t = trace_with(&[(REG3, 10, AccessKind::Write), (REG4, 30, AccessKind::Write)]);
+        assert_eq!(
+            resolve_on(&[REG3_BIT, REG4_BIT], 5, &t),
+            Fate::Overwritten { killed_at: 30 }
+        );
+    }
+
+    #[test]
+    fn a_kill_and_a_use_in_one_instruction_leave_both_flips_live() {
+        // One instruction fully writes r3 but reads r4: r4's flip is
+        // observed, and r3 still holds its flip until that write retires.
+        let t = trace_with(&[(REG3, 10, AccessKind::Write), (REG4, 10, AccessKind::Read)]);
+        assert_eq!(
+            resolve_on(&[REG3_BIT, REG4_BIT], 5, &t),
+            Fate::Live {
+                at: 10,
+                surviving: 0b11
+            }
+        );
+    }
+
+    #[test]
+    fn a_vis_unit_mixes_with_a_trace_unit() {
+        // The register flip dies at 10; the PSR flag is consulted at 30.
+        let t = trace_with(&[(REG3, 10, AccessKind::Write)]);
+        let mut v = VisTrace::new();
+        v.record(VisUnit::Psr(1), 30, AccessKind::Read);
+        assert_eq!(
+            resolve(&[REG3_BIT, PSR1_BIT], 5, &t, Some(&v)),
+            Fate::Live {
+                at: 30,
+                surviving: 0b10
+            }
+        );
+        // Without the visibility trace the PSR flip is untraceable.
+        assert_eq!(resolve(&[REG3_BIT, PSR1_BIT], 5, &t, None), Fate::Opaque);
+    }
+
+    #[test]
+    fn vis_units_resolve_from_the_visibility_trace() {
+        let t = AccessTrace::new();
+        // A cmp deposits the flag at 10, a branch consults it at 20.
+        let mut v = VisTrace::new();
+        v.record(VisUnit::Psr(1), 10, AccessKind::Write);
+        v.record(VisUnit::Psr(1), 20, AccessKind::Read);
+        let vis = Some(&v);
+        assert_eq!(
+            resolve(&[PSR1_BIT], 5, &t, vis),
+            Fate::Overwritten { killed_at: 10 }
+        );
+        assert!(matches!(
+            resolve(&[PSR1_BIT], 15, &t, vis),
+            Fate::Live { at: 20, .. }
+        ));
+        assert_eq!(resolve(&[PSR1_BIT], 21, &t, vis), Fate::Latent);
+    }
+
+    #[test]
+    fn a_signature_flip_without_write_first_stays_opaque() {
+        const SIG_BIT: BitLocation = BitLocation::SigReg { bit: 2 };
+        let t = trace_with(&[(REG3, 12, AccessKind::Read)]);
+        let mut v = VisTrace::new();
+        v.record(VisUnit::Sig, 10, AccessKind::Read);
+        v.record(VisUnit::Sig, 10, AccessKind::Write);
+        v.record(VisUnit::Sig, 20, AccessKind::Write);
+        let vis = Some(&v);
+        // A compare samples the folded value first: no sound claim.
+        assert_eq!(resolve(&[SIG_BIT], 5, &t, vis), Fate::Opaque);
+        // A transfer zeroes it first: overwritten.
+        assert_eq!(
+            resolve(&[SIG_BIT], 11, &t, vis),
+            Fate::Overwritten { killed_at: 20 }
+        );
+        // Folded to the end of the run: no latent claim either.
+        assert_eq!(resolve(&[SIG_BIT], 21, &t, vis), Fate::Opaque);
+        // Another flip goes live while the signature still carries its
+        // morphed value: the state is not golden ⊕ flips, so opaque.
+        assert_eq!(resolve(&[REG3_BIT, SIG_BIT], 11, &t, vis), Fate::Opaque);
+        // Once the zeroing has landed the survivor resumes exactly.
+        let late_read = trace_with(&[(REG3, 25, AccessKind::Read)]);
+        assert_eq!(
+            resolve(&[REG3_BIT, SIG_BIT], 11, &late_read, vis),
+            Fate::Live {
+                at: 25,
+                surviving: 0b01
+            }
+        );
+    }
+
+    #[test]
+    fn fetch_valid_and_multi_flip_operand_latch_faults_are_opaque() {
+        let t = AccessTrace::new();
+        let v = VisTrace::new();
+        assert_eq!(
+            resolve(&[BitLocation::FetchValid], 0, &t, Some(&v)),
+            Fate::Opaque
+        );
+        let op = BitLocation::OperandA { bit: 0 };
+        assert_eq!(resolve(&[op], 0, &t, Some(&v)), Fate::Latent);
+        assert_eq!(resolve(&[op, REG3_BIT], 0, &t, Some(&v)), Fate::Opaque);
+    }
+
+    #[test]
+    fn multi_bit_classes_key_on_the_survivors_and_the_lowest_index_leads() {
+        let (mut cfg, golden, _) = quick_plan_inputs();
+        cfg.fault_model = FaultModel::AdjacentDoubleBit;
+        let faults = crate::campaign::FaultList::sample(600, 9, golden.total_instructions).faults;
+        let plan = plan_campaign(&faults, &cfg, &golden);
+        assert!(plan.analytic() > 0, "double flips resolve analytically too");
+        for (rep, members) in plan.classes() {
+            assert_eq!(plan.action(rep), PlanAction::Simulate);
+            assert!(plan.resume_point(rep).is_some(), "a live rep resumes");
+            for m in members {
+                assert!(rep < m);
+                assert_eq!(faults[rep].location_index, faults[m].location_index);
+            }
+        }
+        for (i, a) in plan.actions().iter().enumerate() {
+            if let Some((at, flips)) = plan.resume_point(i) {
+                assert_eq!(*a, PlanAction::Simulate);
+                assert!(at >= faults[i].inject_at);
+                assert!(!flips.is_empty() && flips.len() <= 2);
+            }
+        }
     }
 }

@@ -51,7 +51,6 @@
 
 pub mod access;
 pub mod asm;
-pub mod batch;
 pub mod cache;
 pub mod digest;
 pub mod edm;
@@ -64,7 +63,6 @@ pub mod vis;
 
 pub use access::{Access, AccessKind, AccessTrace, TraceUnit};
 pub use asm::{assemble, AsmError, Program};
-pub use batch::{BatchMachine, DeltaUnit, ReplicaFate};
 pub use digest::Fnv64;
 pub use edm::ErrorMechanism;
 pub use machine::{Machine, RunExit};

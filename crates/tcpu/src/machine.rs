@@ -29,48 +29,19 @@ use crate::vis::{VisSlot, VisTrace, VisUnit};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Per-ROM-slot memo of decoded instruction words. Each entry stores the
-/// word it was decoded from and is validated against the actual fetched
-/// word on every hit, so every way code can change under the memo —
-/// `poke_word`, a scan-chain flip of the fetch latch, a store to code —
-/// is handled by construction: a changed word simply misses and decodes
-/// fresh. The table is pre-populated for the whole ROM image at
-/// [`Machine::load_program`] and shared between clones through an `Arc`,
-/// so every machine cloned from a loaded one — checkpoints, lockstep
-/// replicas, convergence probes — starts warm without re-decoding or
-/// re-allocating; a post-load ROM change copies-on-write through
-/// `Arc::make_mut`. Behaviourally inert: equality ignores it and it
-/// serializes as `null` and deserializes empty.
-#[derive(Debug, Default, Clone)]
-struct DecodeMemo(Arc<Vec<Option<(u32, Decoded)>>>);
-
-impl PartialEq for DecodeMemo {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl serde::Serialize for DecodeMemo {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for DecodeMemo {
-    fn from_value(_v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(DecodeMemo::default())
-    }
-}
-
-/// Predecoded straight-line runs of the ROM image, the fast-replay engine's
-/// working set. `words` mirrors the ROM word-for-word, `decoded` holds the
-/// predecoded form of every decodable word, and `run_len[s]` is the number
-/// of consecutive straight-line instructions starting at slot `s` (zero when
-/// slot `s` itself is not straight-line; a run never includes the last ROM
-/// slot, so the slot after a run is always a valid fetch address). Built
-/// once per program load and shared between clones through an `Arc`, like
-/// [`DecodeMemo`]. Staleness is detected by two O(1) checks at replay
-/// entry: the fetched word must match the predecoded image (catches a
+/// The predecoded ROM image: the fast-replay engine's working set and the
+/// scalar step's decode cache. `words` mirrors the ROM word-for-word,
+/// `decoded` holds the predecoded form of every word, and `run_len[s]` is
+/// the number of consecutive straight-line instructions starting at slot
+/// `s` (zero when slot `s` itself is not straight-line; a run never
+/// includes the last ROM slot, so the slot after a run is always a valid
+/// fetch address). Built once per program load and shared between clones
+/// through an `Arc`, so every machine cloned from a loaded one —
+/// checkpoints, arena machines, convergence probes — starts warm. The
+/// scalar step honours a `decoded` entry only when `words` holds the very
+/// word being executed, so every way code can change under the table —
+/// a host poke, a scan flip of the fetch latch — just decodes fresh.
+/// Block replay detects staleness by two O(1) checks at entry: the fetched word must match the predecoded image (catches a
 /// scan-flipped latch) and the memory's host ROM-write counter must still
 /// equal the one recorded at build time (any later `load_rom_word`
 /// invalidates every block — coarse, but runtime stores cannot reach ROM,
@@ -104,16 +75,21 @@ impl BlockTable {
     }
 }
 
-/// Behaviourally inert [`BlockTable`] handle (same contract as
-/// [`DecodeMemo`]): equality ignores it, it serializes as `null` and
-/// deserializes as `None` (no table means every replay attempt falls back,
-/// so a deserialized machine runs scalar until re-enabled). The `Option`
-/// lets the replay entry point move the table out and back with plain
-/// pointer writes instead of an `Arc` refcount round-trip — that entry
-/// point runs at every untraced instruction boundary, where two atomic
-/// RMWs per attempt dominate the whole campaign.
+/// Behaviourally inert [`BlockTable`] handle: equality ignores it, it
+/// serializes as `null` and deserializes empty (no table means every
+/// replay attempt falls back and every instruction decodes fresh, so a
+/// deserialized machine runs scalar until re-enabled). `replay` gates the
+/// block engine alone; the table keeps serving the scalar step's decode
+/// with replay off. The `Option` lets the replay entry point move the
+/// table out and back with plain pointer writes instead of an `Arc`
+/// refcount round-trip — that entry point runs at every untraced
+/// instruction boundary, where two atomic RMWs per attempt dominate the
+/// whole campaign.
 #[derive(Debug, Default, Clone)]
-struct BlockCache(Option<Arc<BlockTable>>);
+struct BlockCache {
+    table: Option<Arc<BlockTable>>,
+    replay: bool,
+}
 
 impl PartialEq for BlockCache {
     fn eq(&self, _other: &Self) -> bool {
@@ -344,9 +320,7 @@ pub struct Machine {
     atrace: TraceSlot,
     /// Optional golden-run EDM-visibility recorder (see [`crate::vis`]).
     vtrace: VisSlot,
-    /// Validated per-ROM-slot decode memo.
-    decode_memo: DecodeMemo,
-    /// Predecoded straight-line runs for the fast-replay engine.
+    /// The predecoded ROM image (fast replay and scalar decode).
     block_cache: BlockCache,
     /// Fast-replay telemetry counters.
     fast_stats: FastStats,
@@ -390,7 +364,6 @@ impl Machine {
             shadow: [crate::cache::CacheLine::default(); crate::cache::NUM_LINES],
             atrace: TraceSlot::default(),
             vtrace: VisSlot::default(),
-            decode_memo: DecodeMemo::default(),
             block_cache: BlockCache::default(),
             fast_stats: FastStats::default(),
             dirty: DirtySlot::default(),
@@ -479,26 +452,19 @@ impl Machine {
         }
         self.pc = program.entry;
         // ROM is immutable from here on, so decode the whole image once;
-        // clones share the warm table through the memo's `Arc`.
-        let mut table = vec![None; (mem::ROM_SIZE / 4) as usize];
-        for (i, &word) in program.code.iter().enumerate() {
-            let slot = ((program.code_base - mem::ROM_BASE) >> 2) as usize + i;
-            table[slot] = isa::decode(word).map(|d| (word, d));
-        }
-        self.decode_memo = DecodeMemo(Arc::new(table));
-        self.block_cache = BlockCache(Some(Arc::new(BlockTable::build(&self.mem))));
+        // clones share the warm table through the `Arc`.
+        self.set_fast_replay(true);
     }
 
     /// Enables or disables the predecoded fast-replay engine. Disabling
-    /// clears the block table, so every instruction takes the scalar step
+    /// stops block replay, so every instruction takes the scalar step
     /// path (the reference behaviour for the equivalence suite); enabling
     /// rebuilds the table from the current ROM image.
     pub fn set_fast_replay(&mut self, enabled: bool) {
-        self.block_cache = if enabled {
-            BlockCache(Some(Arc::new(BlockTable::build(&self.mem))))
-        } else {
-            BlockCache::default()
-        };
+        if enabled {
+            self.block_cache.table = Some(Arc::new(BlockTable::build(&self.mem)));
+        }
+        self.block_cache.replay = enabled;
     }
 
     /// Instructions retired through the predecoded block engine over this
@@ -682,7 +648,6 @@ impl Machine {
         self.shadow = src.shadow;
         self.atrace = TraceSlot::default();
         self.vtrace = VisSlot::default();
-        self.decode_memo = src.decode_memo.clone();
         self.block_cache = src.block_cache.clone();
         debug_assert!(
             self.state_equals(src),
@@ -818,30 +783,6 @@ impl Machine {
             && self.mem == other.mem
     }
 
-    /// Equality restricted to the given trace units — the dirty-set
-    /// divergence check of the lockstep batch engine. Where a replica is
-    /// known (from the golden access trace) to differ from golden *at most*
-    /// on its delta units, comparing those units alone replaces the full
-    /// `state_equals` walk over every register, cache line, and memory
-    /// word. This is **not** architectural equality: units outside `units`
-    /// are not examined.
-    #[must_use]
-    pub fn state_equals_on(&self, other: &Machine, units: &[TraceUnit]) -> bool {
-        units.iter().all(|unit| match *unit {
-            TraceUnit::Reg(r) => self.regs[r as usize & 0xF] == other.regs[r as usize & 0xF],
-            TraceUnit::CacheWord { line, word } => {
-                let range = word * 4..word * 4 + 4;
-                self.cache.line(line).data[range.clone()] == other.cache.line(line).data[range]
-            }
-            TraceUnit::PortOut(p) => self.ports_out[p as usize] == other.ports_out[p as usize],
-            TraceUnit::Save(i) => self.save[i as usize] == other.save[i as usize],
-            TraceUnit::MemWord(key) => match mem::key_addr(key) {
-                Some(addr) => self.mem.read_word(addr) == other.mem.read_word(addr),
-                None => true,
-            },
-        })
-    }
-
     /// Host-side write of a data word (campaign initialisation).
     pub fn poke_data(&mut self, addr: u32, word: u32) -> bool {
         let ok = self.mem.poke(addr, word);
@@ -964,11 +905,14 @@ impl Machine {
         // move, not an `Arc` refcount round-trip, because this point is
         // reached at every untraced `run_until` — and put it back on every
         // exit.
-        let Some(table) = self.block_cache.0.take() else {
+        if !self.block_cache.replay {
+            return BlockExit::Fallback;
+        }
+        let Some(table) = self.block_cache.table.take() else {
             return BlockExit::Fallback;
         };
         let exit = self.run_block_inner(&table, stop_at);
-        self.block_cache.0 = Some(table);
+        self.block_cache.table = Some(table);
         exit
     }
 
@@ -1473,36 +1417,19 @@ impl Machine {
         }
     }
 
-    /// Decodes through the per-ROM-slot memo. A memo hit is honoured only
-    /// when the memoized word equals the word actually being executed, so
-    /// the fast path is bit-identical to calling [`isa::decode`] directly.
-    fn decode_cached(&mut self, word: u32, ipc: u32) -> Option<Decoded> {
-        let slot = (mem::ROM_BASE..mem::ROM_BASE + mem::ROM_SIZE)
-            .contains(&ipc)
-            .then(|| ((ipc - mem::ROM_BASE) >> 2) as usize);
-        if let Some(s) = slot {
-            if let Some(Some((w, d))) = self.decode_memo.0.get(s) {
-                if *w == word {
-                    return Some(*d);
+    /// Decodes through the predecoded ROM image. A hit is honoured only
+    /// when the image holds the word actually being executed, so the fast
+    /// path is bit-identical to calling [`isa::decode`] directly.
+    fn decode_cached(&self, word: u32, ipc: u32) -> Option<Decoded> {
+        if let Some(table) = &self.block_cache.table {
+            if (mem::ROM_BASE..mem::ROM_BASE + mem::ROM_SIZE).contains(&ipc) {
+                let slot = ((ipc - mem::ROM_BASE) >> 2) as usize;
+                if table.words.get(slot) == Some(&word) {
+                    return table.decoded[slot];
                 }
             }
         }
-        let d = isa::decode(word)?;
-        if let Some(s) = slot {
-            // Miss on a ROM slot: the image changed after load (host poke,
-            // deserialized machine) or a scan flip corrupted the fetched
-            // word. Re-warm only a table this machine owns outright — a
-            // shared table would need a full copy-on-write clone per miss,
-            // and the memo is a pure cache, so skipping the store is
-            // always sound (the next miss just decodes again).
-            if let Some(table) = Arc::get_mut(&mut self.decode_memo.0) {
-                if table.is_empty() {
-                    *table = vec![None; (mem::ROM_SIZE / 4) as usize];
-                }
-                table[s] = Some((word, d));
-            }
-        }
-        Some(d)
+        isa::decode(word)
     }
 
     fn read_reg<const TRACING: bool>(&mut self, r: u8) -> u32 {
@@ -2495,7 +2422,7 @@ mod tests {
     fn rom_change_invalidates_affected_block() {
         // Mutating program text after load must fall the affected run back
         // to the scalar path with identical outcomes (the scalar decode
-        // memo re-validates per word, so it re-decodes fresh).
+        // re-validates per word, so it re-decodes fresh).
         let program =
             assemble(".text\nstart:\n nop\n nop\n nop\n nop\n yield\nloop:\n jmp loop\n").unwrap();
         let mut fast = Machine::new();

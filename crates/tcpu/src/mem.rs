@@ -84,21 +84,6 @@ pub fn word_key(addr: u32) -> Option<usize> {
     }
 }
 
-/// Inverse of [`word_key`]: the aligned address of a dense data-word index.
-/// `None` when `key` is out of range. Used by the lockstep engine to compare
-/// individual delta words without walking the whole memory image.
-#[must_use]
-pub fn key_addr(key: usize) -> Option<u32> {
-    let ram_words = (RAM_SIZE / 4) as usize;
-    if key < ram_words {
-        Some(RAM_BASE + (key as u32) * 4)
-    } else if key < NUM_DATA_WORDS {
-        Some(STACK_BASE + ((key - ram_words) as u32) * 4)
-    } else {
-        None
-    }
-}
-
 /// Main memory: ROM plus EDAC-protected RAM and stack.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Memory {

@@ -96,8 +96,8 @@ impl BitLocation {
     /// *not* traceable by the def/use trace. Most such bits are still
     /// covered analytically by the coarser EDM-visibility trace — see
     /// [`BitLocation::vis_unit`]; only the few bits where *that* returns
-    /// `None` too (or whose unit is not batch-inert) must always be
-    /// simulated.
+    /// `None` too (the fetch-valid bit, the operand latch) must always be
+    /// simulated or resolved by value-level rules.
     ///
     /// A location is traceable only if **every** semantic access to it
     /// flows through an explicit trace hook. That holds for the register

@@ -5,9 +5,9 @@
 //! words, ports, save slots, memory words. Everything else — PC, PSR,
 //! signature register, pipeline latches, cache tags/flags, the store/fill
 //! buffers, stack bounds, EDAC syndrome — is consulted *asynchronously*
-//! by the pipeline and the error detection mechanisms, so PR-4's planner
-//! and PR-5's lockstep batch engine had to simulate every fault landing
-//! there (~28 % of multi-bit candidates).
+//! by the pipeline and the error detection mechanisms, so the def/use
+//! trace alone would leave every fault landing there to simulation (~28 %
+//! of multi-bit candidates).
 //!
 //! This module closes most of that gap with a second, coarser trace: the
 //! golden run records, per [`VisUnit`], the **visibility windows** in
@@ -38,17 +38,18 @@
 //!
 //! A fault in a [`VisUnit`] whose recorded events never sample it is
 //! *latent*; one whose first event is a full-width deposit is
-//! *overwritten* — exactly the def/use argument, transplanted to the
-//! asynchronous observers. Units for which the golden-value-⊕-flip
-//! representation stays exact between events ([`VisUnit::batch_inert`])
-//! are additionally admissible to the lockstep batch engine, which
-//! widens `batch_eligible` to the previously rejected population.
+//! *overwritten*; one whose first event is a sample is *live* there, in
+//! the exact state `golden ⊕ flip` — exactly the def/use argument,
+//! transplanted to the asynchronous observers (the planner's fate resolver
+//! walks both traces alike). The one exception is the signature register,
+//! which every instruction folds: only its write-first rule is sound.
 //!
 //! Two state elements remain opaque by design: the fetch-latch valid bit
 //! (consulted every instruction to decide whether to fetch — no window
 //! exists) and the operand latch (a shift register whose flips *migrate*
-//! between its two slots; the planner resolves those with the value-level
-//! shift count recorded in [`VisTrace::shifts`], but they never batch).
+//! between its two slots; the planner resolves single flips there with
+//! the value-level shift instants, see
+//! [`VisTrace::nth_shift_at_or_after`]).
 
 use crate::access::{Access, AccessKind};
 use crate::cache;
@@ -63,10 +64,10 @@ pub enum VisUnit {
     /// One bit of the processor status register (bits are independently
     /// read and written: branches consult exactly one or two of them).
     Psr(u8),
-    /// The control-flow signature register. **Not** batch-inert: the
-    /// per-instruction signature folding evolves a flipped value, so
-    /// `golden ⊕ flip` stops describing the faulty state after one
-    /// instruction. Planner-only, and only the write-first rule is sound.
+    /// The control-flow signature register. The per-instruction signature
+    /// folding evolves a flipped value, so `golden ⊕ flip` stops
+    /// describing the faulty state after one instruction: only the
+    /// write-first rule is sound.
     Sig,
     /// The fetch-latch instruction word.
     FetchWord,
@@ -123,18 +124,6 @@ impl VisUnit {
             VisUnit::CacheValid(l) => SCALAR_UNITS + cache::NUM_LINES + l,
             VisUnit::CacheDirty(l) => SCALAR_UNITS + 2 * cache::NUM_LINES + l,
         }
-    }
-
-    /// `true` when a flip in this unit stays exactly `golden ⊕ flip`
-    /// between recorded events, so the lockstep batch engine may carry it
-    /// as a copy-on-write delta and [`crate::machine::Machine::scan_flip`]
-    /// rematerializes it faithfully. Everything except the signature
-    /// register qualifies: between events nothing reads these units *and*
-    /// nothing rewrites them in place, whereas the signature register is
-    /// folded (read-modify-written) by every executed instruction.
-    #[must_use]
-    pub fn batch_inert(&self) -> bool {
-        !matches!(self, VisUnit::Sig)
     }
 }
 
@@ -233,11 +222,13 @@ impl VisTrace {
         slot.get(i).copied()
     }
 
-    /// Number of operand-latch shifts visible to a fault injected at
-    /// boundary `inject_at` (shift instants `>= inject_at`).
+    /// The instant of the `n`-th (from 0) operand-latch shift visible to
+    /// a fault injected at boundary `inject_at` (shift instants
+    /// `>= inject_at`), or `None` when fewer shifts follow.
     #[must_use]
-    pub fn shifts_at_or_after(&self, inject_at: u64) -> usize {
-        self.shifts.len() - self.shifts.partition_point(|&s| s < inject_at)
+    pub fn nth_shift_at_or_after(&self, inject_at: u64, n: usize) -> Option<u64> {
+        let first = self.shifts.partition_point(|&s| s < inject_at);
+        self.shifts.get(first + n).copied()
     }
 
     /// Total number of recorded events, across all units (shifts
@@ -361,19 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn only_the_signature_register_is_batch_opaque() {
-        for &loc in scan::catalog() {
-            if let Some(u) = loc.vis_unit() {
-                assert_eq!(
-                    u.batch_inert(),
-                    !matches!(loc, BitLocation::SigReg { .. }),
-                    "{loc:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn first_at_or_after_and_shift_counts() {
         let mut t = VisTrace::new();
         t.record(VisUnit::Pc, 5, AccessKind::Read);
@@ -390,8 +368,10 @@ mod tests {
         );
         assert_eq!(t.first_at_or_after(VisUnit::Pc, 10), None);
         assert_eq!(t.first_at_or_after(VisUnit::Sig, 0), None);
-        assert_eq!(t.shifts_at_or_after(0), 3);
-        assert_eq!(t.shifts_at_or_after(4), 2);
-        assert_eq!(t.shifts_at_or_after(8), 0);
+        assert_eq!(t.nth_shift_at_or_after(0, 0), Some(3));
+        assert_eq!(t.nth_shift_at_or_after(0, 2), Some(7));
+        assert_eq!(t.nth_shift_at_or_after(4, 1), Some(7));
+        assert_eq!(t.nth_shift_at_or_after(4, 2), None);
+        assert_eq!(t.nth_shift_at_or_after(8, 0), None);
     }
 }

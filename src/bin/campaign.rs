@@ -6,7 +6,7 @@
 //!          [--parity-cache] [--checkpoint-stride K]
 //!          [--fault-model single|double|intermittent:N|stuck0|stuck1|burst:W]
 //!          [--deadline SECS] [--unsupervised] [--no-prune] [--paranoid N]
-//!          [--batch-width W] [--no-batch] [--no-vis]
+//!          [--no-vis]
 //!          [--json FILE] [--out FILE] [--resume] [--progress]
 //!          [--failpoint id=action[@N]]...
 //! campaign --farm-init DIR [--shards N] [--lease-heartbeat-ms MS]
@@ -27,30 +27,23 @@
 //! quarantined as harness failures rather than aborting the campaign.
 //! `--unsupervised` disables the containment as a debugging aid.
 //!
-//! Single-bit campaigns prune the fault space from the golden run's
-//! def/use access trace by default (`DESIGN.md` § 8e): faults whose
-//! target is overwritten before any read, or never accessed again, are
-//! classified analytically, and faults sharing a first-read site run one
-//! representative simulation. Bits the def/use trace cannot see are
-//! classified from the golden run's EDM-visibility windows and value-level
-//! rules (`DESIGN.md` § 8h) unless `--no-vis` turns that layer off.
-//! `--no-prune` simulates every fault; `--paranoid N` re-simulates up to
-//! N replicated class members per equivalence class and panics if any
-//! disagrees with its representative.
+//! Flip-model campaigns (single, double, burst) prune the fault space by
+//! default with one fate resolver over the golden run's def/use access
+//! trace and EDM-visibility windows (`DESIGN.md` § 8e): faults whose
+//! flipped state is overwritten before any read, or never touched again,
+//! are classified analytically; faults sharing a scan bit, first-read
+//! instant and surviving flips run one representative simulation, resumed
+//! from that instant. `--no-vis` restricts the resolver to the def/use
+//! trace. `--no-prune` is the reference configuration: it simulates every
+//! fault from injection. `--paranoid N` re-simulates up to N replicated
+//! members per equivalence class and panics if any disagrees with its
+//! representative. Outcomes are bit-identical under every combination.
 //!
 //! Builds carrying the `failpoints` feature accept `--failpoint
 //! id=action[@N]` (repeatable) to arm deterministic crash/error/panic/
 //! delay injection at the campaign plane's durability boundaries — the
 //! manual-repro face of the crash-recovery assurance suite
 //! (`ASSURANCE.md`, `tests/crash_recovery.rs`).
-//!
-//! Flip-model campaigns additionally run the lockstep batch engine
-//! (`DESIGN.md` § 8f): plan survivors sharing a checkpoint window walk the
-//! golden access trace together as copy-on-write deltas, classifying
-//! replicas that never diverge without executing a single instruction and
-//! materializing the rest at their divergence instant. `--batch-width W`
-//! sizes the replica groups; `--no-batch` forces the scalar path.
-//! Outcomes are bit-identical either way.
 
 use bera::goofi::campaign::{prepare_campaign, CampaignConfig};
 use bera::goofi::experiment::{ExperimentRecord, FaultModel, LoopConfig};
@@ -79,7 +72,6 @@ struct Args {
     no_prune: bool,
     no_vis: bool,
     paranoid: usize,
-    batch_width: usize,
     json: Option<String>,
     out: Option<String>,
     resume: bool,
@@ -111,7 +103,6 @@ fn parse_args() -> Result<Args, String> {
         no_prune: false,
         no_vis: false,
         paranoid: 0,
-        batch_width: CampaignConfig::paper(1, 0).batch_width,
         json: None,
         out: None,
         resume: false,
@@ -185,12 +176,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--paranoid: {e}"))?;
             }
-            "--batch-width" => {
-                args.batch_width = value("--batch-width")?
-                    .parse()
-                    .map_err(|e| format!("--batch-width: {e}"))?;
-            }
-            "--no-batch" => args.batch_width = 0,
             "--json" => args.json = Some(value("--json")?),
             "--out" => args.out = Some(value("--out")?),
             "--resume" => args.resume = true,
@@ -277,7 +262,7 @@ fn usage() {
          \t[--parity-cache] [--checkpoint-stride K]\n\
          \t[--fault-model single|double|intermittent:N|stuck0|stuck1|burst:W]\n\
          \t[--deadline SECS] [--unsupervised] [--no-prune] [--paranoid N]\n\
-         \t[--batch-width W] [--no-batch]\n\
+         \t[--no-vis]\n\
          \t[--json FILE] [--out FILE] [--resume] [--progress]\n\
          \n\
          --checkpoint-stride K  capture a golden checkpoint every K iterations\n\
@@ -291,19 +276,16 @@ fn usage() {
          \toverrun is retried once at stride 0, then quarantined\n\
          --unsupervised   run experiments bare: a panicking experiment\n\
          \taborts the whole campaign (debugging aid)\n\
-         --no-prune     simulate every fault; disables the def/use\n\
-         \taccess-trace pruner (single-bit campaigns classify overwritten/\n\
-         \tlatent faults analytically and share one simulation per\n\
-         \tequivalence class; outcomes are bit-identical either way)\n\
+         --no-prune     the reference path: simulate every fault from\n\
+         \tinjection (by default flip-model campaigns classify overwritten/\n\
+         \tlatent faults analytically from the golden traces and share one\n\
+         \tsimulation per equivalence class, resumed where the flips are\n\
+         \tfirst read; outcomes are bit-identical either way)\n\
          --paranoid N   re-simulate up to N replicated members per\n\
          \tequivalence class as a runtime cross-check of the pruner\n\
-         --batch-width W  lockstep-batch up to W replicas per checkpoint\n\
-         \twindow against the golden access trace (flip models only;\n\
-         \toutcomes are bit-identical to the scalar path)\n\
-         --no-batch     force the scalar per-fault path (= --batch-width 0)\n\
          --no-vis       disable EDM-visibility analytic classification of\n\
-         	bits the def/use trace cannot see (they simulate instead;\n\
-         	outcomes are bit-identical either way)\n\
+         \tbits the def/use trace cannot see (they simulate instead;\n\
+         \toutcomes are bit-identical either way)\n\
          --out FILE     stream records to a checksummed JSONL result store\n\
          --resume       continue an interrupted store (validates that it\n\
          \tbelongs to this campaign; re-runs only the missing faults)\n\
@@ -381,7 +363,6 @@ fn main() -> ExitCode {
     cfg.prune = !args.no_prune;
     cfg.vis = !args.no_vis;
     cfg.paranoid = args.paranoid;
-    cfg.batch_width = args.batch_width;
     cfg.supervisor = if args.unsupervised {
         None
     } else {
@@ -524,7 +505,7 @@ fn finish(
     );
 
     // A result store gets a telemetry sidecar: the snapshot holds the
-    // execution-strategy counters (prune/splice/batch/split-off) that the
+    // execution-strategy counters (prune/splice/resolver fates) that the
     // records themselves don't carry, so `report` can show how a stored
     // campaign was run. Written atomically (temp file + rename) so a
     // crash mid-write cannot leave a truncated sidecar.

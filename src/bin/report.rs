@@ -228,8 +228,8 @@ fn load_farm(root: &Path, partial: bool) -> Result<CampaignResult, String> {
 /// Prints the execution-strategy counters from a campaign's telemetry
 /// sidecar (`<store>.telemetry.json`, written by `campaign --out`), when
 /// one exists. The records alone can't show *how* the campaign ran —
-/// prune rate, convergence splices, lockstep batch occupancy and
-/// split-off rate live only in the snapshot.
+/// prune rate, convergence splices and the fate resolver's coverage live
+/// only in the snapshot.
 fn report_telemetry_sidecar(store_path: &str) {
     let side = format!("{store_path}.telemetry.json");
     let Ok(json) = std::fs::read_to_string(&side) else {
@@ -238,14 +238,15 @@ fn report_telemetry_sidecar(store_path: &str) {
     match serde_json::from_str::<TelemetrySnapshot>(&json) {
         Ok(snap) => {
             eprintln!("{store_path}: run as {snap}");
-            if snap.batch_members > 0 {
+            if snap.batch_members > 0 || snap.batch_untraceable > 0 {
                 eprintln!(
-                    "{store_path}: lockstep batching: {} groups, {:.0}% occupancy, \
-                     {:.0}% split off, mean lockstep prefix {:.0} instructions",
-                    snap.batch_groups,
-                    100.0 * snap.batch_occupancy(),
-                    100.0 * snap.split_off_rate(),
-                    snap.mean_lockstep_prefix(),
+                    "{store_path}: fate resolver: {} faults resolved from the golden \
+                     traces ({} live, resumed at their live instant; {} via visibility \
+                     windows), {} opaque",
+                    snap.batch_members,
+                    snap.split_offs,
+                    snap.batch_vis_admitted,
+                    snap.batch_untraceable,
                 );
             }
             if snap.vis_analytic() > 0 || snap.vis_replicated > 0 {
@@ -271,13 +272,6 @@ fn report_telemetry_sidecar(store_path: &str) {
                     snap.arena_restores,
                     snap.mean_dirty_words(),
                     snap.arena_full_clones,
-                );
-            }
-            if snap.batch_vis_admitted > 0 || snap.batch_untraceable > 0 {
-                eprintln!(
-                    "{store_path}: lockstep admission: {} replicas admitted via \
-                     visibility deltas, {} rejected as untraceable",
-                    snap.batch_vis_admitted, snap.batch_untraceable,
                 );
             }
         }

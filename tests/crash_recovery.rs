@@ -65,10 +65,10 @@ const BASE_ARGS: &[&str] = &[
     "60",
 ];
 
-/// Flag sets a scenario can run under. `Scalar` disables the planner and
-/// the lockstep batch pass so that every fault flows through the scalar
-/// claim loop and the supervised `attempt` path — the scenarios that arm
-/// those failpoints need deterministic hit counts there.
+/// Flag sets a scenario can run under. `Scalar` disables the planner so
+/// that every fault flows through the scalar claim loop and the
+/// supervised `attempt` path — the scenarios that arm those failpoints
+/// need deterministic hit counts there.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Flags {
     Default,
@@ -79,7 +79,7 @@ impl Flags {
     fn args(self) -> &'static [&'static str] {
         match self {
             Flags::Default => &[],
-            Flags::Scalar => &["--no-prune", "--no-batch"],
+            Flags::Scalar => &["--no-prune"],
         }
     }
 }

@@ -10,9 +10,9 @@
 //! * fixed-seed campaigns on both algorithms under all five fault models
 //!   are compared record for record — serialized JSON, so *every* field
 //!   (outcome, deviation, latency, provenance, outputs) must match;
-//! * the single-bit campaign is additionally pinned under `--no-prune` and
-//!   `--no-batch` layer configurations, so the equivalence does not lean
-//!   on any other optimisation layer masking a divergence;
+//! * the single-bit campaign is additionally pinned under the `--no-prune`
+//!   and `--no-vis` layer configurations, so the equivalence does not
+//!   lean on any other optimisation layer masking a divergence;
 //! * property tests show (a) the dirty-delta arena restore lands on the
 //!   same architectural state as a deep clone, byte for byte, and (b) a
 //!   host write into program text invalidates the predecoded image and
@@ -85,9 +85,9 @@ fn single_bit_is_bit_identical_across_layer_configurations() {
     no_prune.prune = false;
     assert_fastpath_identical(&workload, &no_prune, "--no-prune");
 
-    let mut no_batch = base.clone();
-    no_batch.batch_width = 0;
-    assert_fastpath_identical(&workload, &no_batch, "--no-batch");
+    let mut no_vis = base.clone();
+    no_vis.vis = false;
+    assert_fastpath_identical(&workload, &no_vis, "--no-vis");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,30 +1,29 @@
-//! The lockstep batch-engine equivalence suite.
+//! The batched-resolution equivalence suite.
 //!
-//! The batch engine's contract (`DESIGN.md` § 8f) is the same as the
-//! pruner's: a batched campaign is a pure wall-clock optimisation. Every
-//! record it emits carries the classification a scalar run of that fault
-//! would have produced — same outcome, deviation, detection latency and
-//! outputs — differing at most in the provenance metadata that says *how*
-//! the record was obtained. These tests drive that contract end to end:
+//! Batching is part of the fate resolver (`DESIGN.md` § 8e): a default
+//! campaign groups flip faults, resolves what the golden traces prove and
+//! resumes the rest at their live instant. Its contract is that of a pure
+//! wall-clock optimisation: every record it emits carries the
+//! classification a scalar run — `prune: false`, which simulates every
+//! fault from injection — would have produced, differing at most in the
+//! provenance metadata that says *how* the record was obtained. These
+//! tests drive that contract at the seeds, fault counts and pinned lists
+//! the scalar path is held to:
 //!
 //! * fixed-seed 500-fault campaigns on both algorithms are compared
-//!   record-for-record against their `batch_width: 0` twins;
+//!   record-for-record against their scalar twins;
 //! * every fault model gets the same comparison — the flip models through
-//!   the batch engine proper, the non-quiescent models (intermittent,
-//!   stuck-at) through the eligibility gate that must bypass it, where
-//!   even the bytes must match;
-//! * the batch path is *load-bearing* without the pruner: a `prune: false`
-//!   single-bit campaign still classifies faults analytically, from the
-//!   lockstep walk alone;
-//! * batch width is outcome-*and*-byte invariant: widths 1, 3, 32 and
-//!   1024 produce identical record streams (grouping and split-off
-//!   dedup do not depend on the chunk size);
-//! * property tests generalise the fixed seeds over random seeds, both
+//!   the resolver, the re-asserting models (intermittent, stuck-at)
+//!   through the eligibility gate that must bypass it, where even the
+//!   bytes must match;
+//! * a pinned list over the state the def/use trace cannot see batches
+//!   equivalently under every model;
+//! * a property test generalises the fixed seeds over random seeds, both
 //!   algorithms and all models.
 
 use bera_goofi::campaign::{run_fault_list, run_scifi_campaign_observed, CampaignConfig};
 use bera_goofi::experiment::{golden_run, ExperimentRecord, FaultModel, FaultSpec, Provenance};
-use bera_goofi::observer::{NullObserver, Telemetry};
+use bera_goofi::observer::NullObserver;
 use bera_goofi::planner::records_equivalent;
 use bera_goofi::workload::Workload;
 use bera_tcpu::scan;
@@ -57,9 +56,11 @@ fn batched_equivalence_500(workload: &Workload, seed: u64) {
     let mut cfg = CampaignConfig::quick(500, seed);
     cfg.threads = 0; // all cores; sharding is outcome-invariant
     let batched = run(workload, &cfg);
-    cfg.batch_width = 0;
+    cfg.prune = false;
     let scalar = run(workload, &cfg);
     assert_equivalent(&batched, &scalar);
+    assert_eq!(analytic_count(&scalar), 0, "the scalar run simulates all");
+    assert!(analytic_count(&batched) > 0, "the batched run must resolve");
 }
 
 #[test]
@@ -89,7 +90,7 @@ fn every_fault_model_matches_its_scalar_run() {
         let mut cfg = CampaignConfig::quick(120, 43);
         cfg.fault_model = model;
         let batched = run(&workload, &cfg);
-        cfg.batch_width = 0;
+        cfg.prune = false;
         let scalar = run(&workload, &cfg);
 
         assert_equivalent(&batched, &scalar);
@@ -105,95 +106,25 @@ fn every_fault_model_matches_its_scalar_run() {
             FaultModel::Intermittent { .. } | FaultModel::StuckAt { .. } => {
                 assert_eq!(json(&batched), json(&scalar), "{model:?} must bypass");
             }
-            // The multi-bit flip models have no def/use pruner: every
-            // analytic record in the batched run came from the lockstep
-            // walk, and there must be some for the engine to earn its keep.
-            FaultModel::AdjacentDoubleBit | FaultModel::Burst { .. } => {
-                assert_eq!(analytic_count(&scalar), 0, "{model:?} has no pruner");
+            // The flip models resolve from the traces: the scalar run has
+            // no analytic records, and the batched run must have some.
+            FaultModel::SingleBit | FaultModel::AdjacentDoubleBit | FaultModel::Burst { .. } => {
+                assert_eq!(analytic_count(&scalar), 0, "{model:?} scalar run");
                 assert!(
                     analytic_count(&batched) > 0,
-                    "{model:?} must classify some faults in lockstep"
+                    "{model:?} must resolve some faults from the traces"
                 );
             }
-            FaultModel::SingleBit => {}
         }
     }
-}
-
-#[test]
-fn batching_virtualizes_without_the_pruner() {
-    // With the def/use planner off, the lockstep walk is the only thing
-    // standing between a latent/overwritten fault and a full simulation;
-    // it must still find them, and still agree with the scalar run.
-    let workload = Workload::algorithm_one();
-    let mut cfg = CampaignConfig::quick(300, 44);
-    cfg.prune = false;
-    let batched = run(&workload, &cfg);
-    assert!(
-        analytic_count(&batched) > 0,
-        "the batch engine must classify analytically without the pruner"
-    );
-    for r in &batched {
-        if r.provenance == Provenance::Analytic {
-            assert!(
-                matches!(
-                    r.outcome,
-                    bera_goofi::Outcome::Latent | bera_goofi::Outcome::Overwritten
-                ),
-                "lockstep record with outcome {:?}",
-                r.outcome
-            );
-        }
-    }
-
-    cfg.batch_width = 0;
-    let scalar = run(&workload, &cfg);
-    assert_eq!(analytic_count(&scalar), 0);
-    assert_equivalent(&batched, &scalar);
-}
-
-#[test]
-fn batch_width_is_byte_invariant_and_width_one_matches_scalar() {
-    let workload = Workload::algorithm_one();
-    let json = |width: usize| -> Vec<String> {
-        let mut cfg = CampaignConfig::quick(300, 45);
-        cfg.fault_model = FaultModel::Burst { width: 3 };
-        cfg.batch_width = width;
-        run(&workload, &cfg)
-            .iter()
-            .map(|r| serde_json::to_string(r).expect("serialize"))
-            .collect()
-    };
-    // Group chunking and split-off dedup preserve candidate order, so the
-    // record stream is identical down to the bytes at any width ≥ 1.
-    let reference = json(1);
-    for width in [3, 32, 1024] {
-        assert_eq!(
-            reference,
-            json(width),
-            "width {width} diverged from width 1"
-        );
-    }
-    // Width 1 still batches (groups of one), so against the true scalar
-    // path only provenance metadata may differ.
-    let scalar: Vec<ExperimentRecord> = json(0)
-        .iter()
-        .map(|s| serde_json::from_str(s).expect("parse"))
-        .collect();
-    let width_one: Vec<ExperimentRecord> = reference
-        .iter()
-        .map(|s| serde_json::from_str(s).expect("parse"))
-        .collect();
-    assert_equivalent(&width_one, &scalar);
 }
 
 /// A pinned fault list over the state the def/use trace cannot see —
 /// PSR flags, the signature register, cache metadata, the store and fill
-/// buffers — where lockstep admission now rides on visibility deltas.
-/// Under every fault model the batched run must stay record-for-record
+/// buffers — where resolution rides on the EDM-visibility trace. Under
+/// every fault model the batched run must stay record-for-record
 /// equivalent to its scalar twin, and for the multi-bit flip models the
-/// visibility deltas must actually admit some of these replicas (without
-/// them the whole set fell back to scalar simulation).
+/// visibility trace must actually resolve some of these faults.
 #[test]
 fn untraceable_locations_batch_equivalently_across_models() {
     let workload = Workload::algorithm_one();
@@ -245,7 +176,7 @@ fn untraceable_locations_batch_equivalently_across_models() {
         let mut cfg = base.clone();
         cfg.fault_model = model;
         let batched = run_fault_list(&workload, &cfg, &golden, &faults);
-        cfg.batch_width = 0;
+        cfg.prune = false;
         let scalar = run_fault_list(&workload, &cfg, &golden, &faults);
         assert_equivalent(&batched, &scalar);
 
@@ -253,47 +184,13 @@ fn untraceable_locations_batch_equivalently_across_models() {
             model,
             FaultModel::AdjacentDoubleBit | FaultModel::Burst { .. }
         ) {
-            assert_eq!(analytic_count(&scalar), 0, "{model:?} has no pruner");
+            assert_eq!(analytic_count(&scalar), 0, "{model:?} scalar run");
             assert!(
                 analytic_count(&batched) > 0,
-                "{model:?} must resolve some untraceable replicas in lockstep"
+                "{model:?} must resolve some untraceable faults"
             );
         }
     }
-}
-
-#[test]
-fn batch_telemetry_counts_are_coherent() {
-    let workload = Workload::algorithm_two();
-    let mut cfg = CampaignConfig::quick(300, 46);
-    cfg.fault_model = FaultModel::AdjacentDoubleBit;
-    let telemetry = Telemetry::new(cfg.faults);
-    let result = run_scifi_campaign_observed(&workload, &cfg, &telemetry);
-    let snap = telemetry.snapshot();
-
-    assert!(snap.batch_groups > 0, "a flip campaign must form batches");
-    assert!(snap.batch_members > 0);
-    assert!(
-        snap.batch_members <= snap.batch_capacity,
-        "occupancy cannot exceed capacity"
-    );
-    assert!(
-        snap.split_offs <= snap.batch_members,
-        "only batched replicas can split off"
-    );
-    assert!((0.0..=1.0).contains(&snap.batch_occupancy()));
-    assert!((0.0..=1.0).contains(&snap.split_off_rate()));
-    assert!(snap.mean_lockstep_prefix() >= 0.0);
-    // The convergence-splice invariant survives virtual records: every
-    // `pruned_at` in the record stream was announced to the observer.
-    assert_eq!(
-        snap.pruned,
-        result
-            .records
-            .iter()
-            .filter(|r| r.pruned_at.is_some())
-            .count()
-    );
 }
 
 proptest! {
@@ -322,29 +219,9 @@ proptest! {
             _ => FaultModel::Burst { width: 3 },
         };
         let batched = run(&workload, &cfg);
-        cfg.batch_width = 0;
+        cfg.prune = false;
         let scalar = run(&workload, &cfg);
         prop_assert_eq!(batched.len(), scalar.len());
-        for (b, s) in batched.iter().zip(&scalar) {
-            prop_assert!(records_equivalent(b, s), "{:?} vs {:?}", b, s);
-        }
-    }
-
-    /// The split-off boundary is exact: whatever instant a replica
-    /// diverges at, resuming the scalar engine there must classify like
-    /// a scalar run that replayed the whole lockstep prefix. Narrow
-    /// fault lists at random seeds exercise boundaries the fixed-seed
-    /// suites may miss (checkpoint edges, injection-adjacent accesses).
-    #[test]
-    fn split_off_boundaries_are_exact_for_random_seeds(seed in 0u64..1_000) {
-        let workload = Workload::algorithm_one();
-        // prune: false maximises batch traffic — every sampled fault is a
-        // batch candidate, so split-offs dominate the record stream.
-        let mut cfg = CampaignConfig::quick(32, seed);
-        cfg.prune = false;
-        let batched = run(&workload, &cfg);
-        cfg.batch_width = 0;
-        let scalar = run(&workload, &cfg);
         for (b, s) in batched.iter().zip(&scalar) {
             prop_assert!(records_equivalent(b, s), "{:?} vs {:?}", b, s);
         }

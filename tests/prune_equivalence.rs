@@ -1,16 +1,22 @@
-//! The def/use pruning equivalence suite.
+//! The pruning equivalence suite.
 //!
-//! The pruner's contract (`DESIGN.md` § 8e) is that a pruned campaign is a
-//! pure wall-clock optimisation: every record it emits carries the same
-//! classification a full simulation of that fault would have produced —
-//! same outcome, deviation, detection latency and outputs — differing only
-//! in the provenance metadata that says *how* the record was obtained.
-//! These tests drive that contract end to end:
+//! The fate resolver's contract (`DESIGN.md` § 8e) is that a pruned
+//! campaign is a pure wall-clock optimisation: every record it emits
+//! carries the same classification a full simulation of that fault from
+//! injection would have produced — same outcome, deviation, detection
+//! latency and outputs — differing only in the provenance metadata that
+//! says *how* the record was obtained. `prune: false` is the reference
+//! path. These tests drive that contract end to end:
 //!
-//! * fixed-seed 500-fault campaigns on both algorithms are compared
-//!   record-for-record against their `prune: false` twins;
-//! * every non-transient fault model (and the parity-cache configuration)
-//!   bypasses the pruner entirely and stays byte-identical;
+//! * fixed-seed 500-fault single- and double-bit campaigns on both
+//!   algorithms are compared record-for-record against their
+//!   `prune: false` twins;
+//! * every flip model prunes; the re-asserting models (and the
+//!   parity-cache configuration) bypass the pruner entirely and stay
+//!   byte-identical;
+//! * a pinned list over the untraceable state agrees across every model
+//!   and layer, and live representatives resumed at their live instant
+//!   classify like a replay from injection at random seeds;
 //! * `paranoid` mode re-simulates class members in-campaign and panics on
 //!   any disagreement — running it clean is itself the assertion;
 //! * property tests show the planner's analysis is *load-bearing*: a
@@ -23,7 +29,7 @@ use bera_goofi::campaign::{
 use bera_goofi::experiment::{
     golden_run, ExperimentRecord, FaultModel, FaultSpec, GoldenRun, Provenance,
 };
-use bera_goofi::observer::NullObserver;
+use bera_goofi::observer::{NullObserver, Telemetry};
 use bera_goofi::planner::{plan_campaign, records_equivalent, PlanAction};
 use bera_goofi::workload::Workload;
 use bera_tcpu::access::{Access, AccessKind};
@@ -57,9 +63,15 @@ fn assert_equivalent(pruned: &[ExperimentRecord], unpruned: &[ExperimentRecord])
 }
 
 fn equivalence_500(workload: &Workload, seed: u64) {
-    let mut cfg = CampaignConfig::quick(500, seed);
-    cfg.threads = 0; // all cores; sharding is outcome-invariant
-    cfg.batch_width = 0; // provenance counts below assume scalar execution
+    for model in [FaultModel::SingleBit, FaultModel::AdjacentDoubleBit] {
+        let mut cfg = CampaignConfig::quick(500, seed);
+        cfg.threads = 0; // all cores; sharding is outcome-invariant
+        cfg.fault_model = model;
+        equivalence_for(workload, cfg);
+    }
+}
+
+fn equivalence_for(workload: &Workload, mut cfg: CampaignConfig) {
     let pruned = run(workload, &cfg);
     cfg.prune = false;
     let unpruned = run(workload, &cfg);
@@ -145,19 +157,16 @@ fn every_fault_model_matches_its_unpruned_run() {
     for model in models {
         let mut cfg = CampaignConfig::quick(80, 31);
         cfg.fault_model = model;
-        // The lockstep batch engine also emits analytic records for the
-        // flip models; pin it off so the counts below isolate the pruner.
-        cfg.batch_width = 0;
         let pruned = run(&workload, &cfg);
         cfg.prune = false;
         let unpruned = run(&workload, &cfg);
 
         assert_equivalent(&pruned, &unpruned);
         let (_, analytic, replicated) = provenance_counts(&pruned);
-        if model == FaultModel::SingleBit {
-            assert!(analytic > 0, "single-bit campaign must prune");
+        if model.reassert_budget() == 0 {
+            assert!(analytic > 0, "{model:?}: a flip-model campaign must prune");
         } else {
-            // Non-transient models bypass the planner: the two runs are the
+            // Re-asserting models bypass the planner: the two runs are the
             // same code path, so even the provenance metadata is identical.
             assert_eq!((analytic, replicated), (0, 0), "{model:?} must not prune");
             let json = |rs: &[ExperimentRecord]| -> Vec<String> {
@@ -243,20 +252,55 @@ fn sample_faults(seed: u64) -> Vec<FaultSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random-seed generalisation of the fixed-seed suites above: pruned
-    /// and unpruned campaigns agree record for record.
+    /// Random-seed generalisation of the fixed-seed suites above, over
+    /// both algorithms and every fault model: pruned and unpruned
+    /// campaigns agree record for record.
     #[test]
-    fn pruning_is_outcome_invariant_for_random_seeds(seed in 0u64..1_000) {
+    fn pruning_is_outcome_invariant_for_random_seeds(
+        seed in 0u64..1_000,
+        model_pick in 0usize..6,
+    ) {
         let workload = if seed.is_multiple_of(2) {
             Workload::algorithm_one()
         } else {
             Workload::algorithm_two()
         };
         let mut cfg = CampaignConfig::quick(24, seed);
+        cfg.fault_model = match model_pick {
+            0 => FaultModel::SingleBit,
+            1 => FaultModel::AdjacentDoubleBit,
+            2 => FaultModel::Intermittent { reassert_iterations: 2 },
+            3 => FaultModel::StuckAt { value: false },
+            4 => FaultModel::StuckAt { value: true },
+            _ => FaultModel::Burst { width: 3 },
+        };
         let pruned = run(&workload, &cfg);
         cfg.prune = false;
         let unpruned = run(&workload, &cfg);
         prop_assert_eq!(pruned.len(), unpruned.len());
+        for (p, u) in pruned.iter().zip(&unpruned) {
+            prop_assert!(records_equivalent(p, u), "{:?} vs {:?}", p, u);
+        }
+    }
+
+    /// The live-instant boundary is exact: whatever instant a fault is
+    /// first observed at, resuming the simulator there from a checkpoint
+    /// plus the surviving flips must classify like a replay from
+    /// injection. Narrow fault lists at random seeds exercise boundaries
+    /// the fixed-seed suites may miss (checkpoint edges,
+    /// injection-adjacent accesses, multi-bit shrinking).
+    #[test]
+    fn resume_boundaries_are_exact_for_random_seeds(seed in 0u64..1_000) {
+        let workload = Workload::algorithm_one();
+        let mut cfg = CampaignConfig::quick(32, seed);
+        cfg.fault_model = match seed % 3 {
+            0 => FaultModel::SingleBit,
+            1 => FaultModel::AdjacentDoubleBit,
+            _ => FaultModel::Burst { width: 3 },
+        };
+        let pruned = run(&workload, &cfg);
+        cfg.prune = false;
+        let unpruned = run(&workload, &cfg);
         for (p, u) in pruned.iter().zip(&unpruned) {
             prop_assert!(records_equivalent(p, u), "{:?} vs {:?}", p, u);
         }
@@ -512,11 +556,16 @@ fn untraceable_locations_are_equivalent_across_models_and_layers() {
                 unvis[i]
             );
         }
-        if model == FaultModel::SingleBit {
+        if model.reassert_budget() == 0 {
             // The pinned set is invisible to the def/use trace, so any
             // analytic record here was earned by the visibility layer.
             let (_, analytic, _) = provenance_counts(&default_run);
-            assert!(analytic > 0, "the visibility layer must carry this set");
+            assert!(
+                analytic > 0,
+                "{model:?}: the visibility layer must carry this set"
+            );
+        }
+        if model == FaultModel::SingleBit {
             assert_eq!(
                 provenance_counts(&unvis).1,
                 0,
@@ -524,6 +573,37 @@ fn untraceable_locations_are_equivalent_across_models_and_layers() {
             );
         }
     }
+}
+
+/// The resolver's telemetry partitions the planned campaign: every flip
+/// fault is either resolved from the traces or opaque, live faults are a
+/// subset of the resolved ones, and every `pruned_at` in the record stream
+/// was announced to the observer.
+#[test]
+fn resolver_telemetry_counts_are_coherent() {
+    let workload = Workload::algorithm_two();
+    let mut cfg = CampaignConfig::quick(300, 46);
+    cfg.fault_model = FaultModel::AdjacentDoubleBit;
+    let telemetry = Telemetry::new(cfg.faults);
+    let result = run_scifi_campaign_observed(&workload, &cfg, &telemetry);
+    let snap = telemetry.snapshot();
+
+    assert!(snap.batch_members > 0, "a flip campaign resolves faults");
+    assert_eq!(snap.batch_members + snap.batch_untraceable, cfg.faults);
+    assert!(snap.split_offs <= snap.batch_members);
+    assert!((0.0..=1.0).contains(&snap.split_off_rate()));
+    let (_, analytic, replicated) = provenance_counts(&result.records);
+    assert_eq!(snap.analytic, analytic);
+    assert_eq!(snap.replicated, replicated);
+    assert_eq!(analytic + snap.split_offs, snap.batch_members);
+    assert_eq!(
+        snap.pruned,
+        result
+            .records
+            .iter()
+            .filter(|r| r.pruned_at.is_some())
+            .count()
+    );
 }
 
 /// The `instruction_cap` boundary: a fault scheduled past the end of the

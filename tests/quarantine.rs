@@ -51,13 +51,10 @@ fn sabotaged_campaign_completes_with_quarantine_records() {
 
     let mut cfg = CampaignConfig::quick(16, 7);
     // Chaos sabotage keys on fault-list indices and only fires inside the
-    // containment boundary of an *executed* experiment; def/use pruning
-    // would classify some target indices analytically and dodge the trap.
-    // The lockstep batch engine is off for the same reason: chaos runs
-    // bypass it, so the unsupervised baseline must execute scalar too for
-    // the byte-identity comparison below to be meaningful.
+    // containment boundary of an *executed* experiment; the planner would
+    // classify some target indices analytically, or resume them past the
+    // supervised attempt, and dodge the trap.
     cfg.prune = false;
-    cfg.batch_width = 0;
     cfg.supervisor = Some(SupervisorConfig {
         // Generous for a healthy short(60) experiment (sub-millisecond),
         // far below the chaos stall, so only sabotage trips it.
@@ -121,7 +118,6 @@ fn one_shot_panic_is_retried_and_classifies_normally() {
     let mut cfg = CampaignConfig::quick(12, 3);
     // Sabotage only fires for simulated experiments — see above.
     cfg.prune = false;
-    cfg.batch_width = 0;
     cfg.supervisor = Some(SupervisorConfig {
         deadline: None,
         chaos: Some(Arc::new(ChaosHarness::panicking_once([4]))),
@@ -168,7 +164,6 @@ fn parallel_sabotaged_campaign_matches_serial() {
     let mut cfg = CampaignConfig::quick(18, 5);
     // Sabotage only fires for simulated experiments — see above.
     cfg.prune = false;
-    cfg.batch_width = 0;
     cfg.supervisor = Some(SupervisorConfig {
         deadline: None,
         chaos: Some(Arc::clone(&chaos)),
