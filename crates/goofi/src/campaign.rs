@@ -3,8 +3,8 @@
 
 use crate::classify::Outcome;
 use crate::experiment::{
-    golden_run, run_experiment_observed, run_experiment_with_model, run_split_experiment,
-    ExperimentRecord, FaultModel, FaultSpec, GoldenRun, LoopConfig, Provenance,
+    golden_run, run_experiment_with_model, run_from, start_for, ExperimentRecord, FaultModel,
+    FaultSpec, GoldenRun, LoopConfig, Provenance,
 };
 use crate::observer::{CampaignObserver, NullObserver};
 use crate::planner::{
@@ -17,7 +17,6 @@ use bera_stats::sampling::UniformSampler;
 use bera_tcpu::scan;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of one SCIFI campaign (GOOFI's set-up phase).
@@ -349,42 +348,6 @@ pub fn run_fault_list(
     run_fault_list_resumed(workload, cfg, golden, faults, Vec::new(), &NullObserver)
 }
 
-/// Runs one experiment according to the campaign's execution policy:
-/// supervised (panic isolation, watchdog, retry, quarantine) when the
-/// config carries a [`SupervisorConfig`], bare otherwise.
-fn run_one(
-    workload: &Workload,
-    cfg: &CampaignConfig,
-    golden: &GoldenRun,
-    fault: FaultSpec,
-    index: usize,
-    observer: &dyn CampaignObserver,
-) -> ExperimentRecord {
-    match &cfg.supervisor {
-        Some(sup) => run_supervised(
-            workload,
-            &cfg.loop_cfg,
-            golden,
-            fault,
-            cfg.fault_model,
-            cfg.detail,
-            index,
-            observer,
-            sup,
-        ),
-        None => run_experiment_observed(
-            workload,
-            &cfg.loop_cfg,
-            golden,
-            fault,
-            cfg.fault_model,
-            cfg.detail,
-            index,
-            observer,
-        ),
-    }
-}
-
 /// Runs the fault indices of `faults` whose `completed` slot is `None`
 /// (all of them when `completed` is empty), reporting events to
 /// `observer`; pre-completed records are adopted without re-execution.
@@ -410,12 +373,12 @@ fn run_fault_list_resumed(
         .collect()
 }
 
-/// Runs plan-`Simulate` fault `i` on its fastest sound path: a live
+/// Runs fault `i` from the start its plan entry allows: a live
 /// representative resumes from its live instant (golden checkpoint plus
-/// the surviving flips, see [`run_split_experiment`]); anything else — or
-/// a live fault with no checkpoint between injection and that instant —
-/// runs the full experiment. Under supervision the resume is
-/// panic-contained, falling back to the fully supervised run.
+/// the surviving flips) when a checkpoint lies between injection and that
+/// instant, anything else runs from injection. The experiment runs
+/// supervised (panic isolation, watchdog, retry, quarantine) when the
+/// config carries a [`SupervisorConfig`], bare otherwise.
 fn run_planned(
     i: usize,
     plan: &CampaignPlan,
@@ -425,29 +388,26 @@ fn run_planned(
     faults: &[FaultSpec],
     observer: &dyn CampaignObserver,
 ) -> ExperimentRecord {
-    if let Some((at, flips)) = plan.resume_point(i) {
-        let resume = || {
-            run_split_experiment(
-                &cfg.loop_cfg,
-                golden,
-                faults[i],
-                flips,
-                at,
-                cfg.detail,
-                i,
-                observer,
-            )
-        };
-        let record = if cfg.supervisor.is_some() {
-            catch_unwind(AssertUnwindSafe(resume)).ok().flatten()
-        } else {
-            resume()
-        };
-        if let Some(record) = record {
-            return record;
-        }
+    let fault = faults[i];
+    let start = start_for(golden, fault, plan.resume_point(i));
+    let run = |start, deadline| {
+        run_from(
+            workload,
+            &cfg.loop_cfg,
+            golden,
+            fault,
+            cfg.fault_model,
+            cfg.detail,
+            i,
+            observer,
+            start,
+            deadline,
+        )
+    };
+    match &cfg.supervisor {
+        Some(sup) => run_supervised(fault, i, start, observer, sup, run),
+        None => run(start, None).expect("no deadline was set"),
     }
-    run_one(workload, cfg, golden, faults[i], i, observer)
 }
 
 /// The scoped engine behind [`run_fault_list_resumed`] (full scope) and
@@ -613,7 +573,7 @@ fn run_fault_list_scoped(
             let record = if matches!(rep.outcome, Outcome::HarnessFailure(_)) {
                 // A quarantined representative proves nothing about its
                 // class: fall back to simulating the member itself.
-                run_one(workload, cfg, golden, faults[i], i, observer)
+                run_planned(i, &plan, workload, cfg, golden, faults, observer)
             } else {
                 let r = replicated_record(faults[i], rep);
                 observer.experiment_classified(i, &r);

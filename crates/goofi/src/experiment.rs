@@ -275,9 +275,8 @@ pub struct GoldenRun {
     /// Process-unique token identifying this golden run to the per-worker
     /// machine arenas (DESIGN.md §8j). A worker's resident machine is only
     /// delta-restored when its token matches; otherwise the arena falls
-    /// back to a full checkpoint clone. The supervisor's stride-0 retry
-    /// golden keeps the token but has no checkpoints, so it never reaches
-    /// the arena at all.
+    /// back to a full checkpoint clone. The supervisor's retry runs from
+    /// reset, so it never reaches the arena at all.
     pub arena_token: u64,
     /// For each pair of consecutive checkpoints, the dense data-memory
     /// word keys (see `Memory::data_diff_keys`) at which the two images
@@ -590,7 +589,7 @@ struct DriveResult {
 
 /// What [`drive_from`] does at checkpoint-stride iteration boundaries.
 enum DriveMode<'a> {
-    /// Plain closed-loop drive (checkpointing disabled).
+    /// Plain closed-loop drive: no capture, no convergence pruning.
     Plain,
     /// Golden run: capture a [`Checkpoint`] at every stride boundary.
     Capture(&'a mut Vec<Checkpoint>),
@@ -1027,7 +1026,7 @@ pub fn run_experiment_with_model(
     model: FaultModel,
     detail: bool,
 ) -> ExperimentRecord {
-    run_experiment_observed(
+    run_from(
         workload,
         cfg,
         golden,
@@ -1036,34 +1035,56 @@ pub fn run_experiment_with_model(
         detail,
         0,
         &NullObserver,
+        Start::Injection,
+        None,
     )
+    .expect("no deadline was set")
 }
 
-/// Like [`run_experiment_with_model`], reporting each life-cycle stage
-/// (started, injected, detected / spliced, classified) to `observer` as it
-/// happens. `index` is the fault-list index carried on every event so
-/// observers can correlate them; it does not affect execution.
-///
-/// # Panics
-///
-/// Panics if `fault.location_index` is outside the scan catalog.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn run_experiment_observed(
-    workload: &Workload,
-    cfg: &LoopConfig,
+/// Where an experiment's drive starts. Every kind runs the identical
+/// inject–run–classify pipeline of [`run_from`] and yields the identical
+/// record (up to `pruned_at`, which only [`Start::Reset`] never sets);
+/// they differ only in how much of the run they skip.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Start<'a> {
+    /// The nearest golden checkpoint at or before the injection point —
+    /// the fault-free prefix is bit-identical to the golden run — or reset
+    /// when the golden run has no checkpoints.
+    Injection,
+    /// A live fault's live instant (see [`crate::planner::Fate::Live`]):
+    /// the last golden checkpoint at or before `at`, with the surviving
+    /// `flips` applied and the injector pre-fired. The prefix between
+    /// injection and that checkpoint is never executed; by the resolver's
+    /// invariant (no surviving flipped unit is accessed in that window,
+    /// every killed one was overwritten with its golden value) the
+    /// materialized state is bit-identical to what [`Start::Injection`]
+    /// computes there. Chosen by [`start_for`] only.
+    Live { at: u64, flips: &'a [BitLocation] },
+    /// From reset, ignoring the checkpoints and never pruning a converged
+    /// tail: the supervisor's retry, in case the fast-forward path itself
+    /// is implicated.
+    Reset,
+}
+
+/// The start of a fault the plan may resume at `resume` (its live instant
+/// and surviving flips, [`crate::planner::CampaignPlan::resume_point`]):
+/// [`Start::Live`] only when a golden checkpoint lies in `[inject_at, at]`.
+/// Without one, resuming would either deposit the flips before injection
+/// or skip nothing, so the fault starts from [`Start::Injection`].
+pub(crate) fn start_for<'a>(
     golden: &GoldenRun,
     fault: FaultSpec,
-    model: FaultModel,
-    detail: bool,
-    index: usize,
-    observer: &dyn CampaignObserver,
-) -> ExperimentRecord {
-    match run_experiment_watchdog(
-        workload, cfg, golden, fault, model, detail, index, observer, None,
-    ) {
-        Ok(record) => record,
-        Err(WatchdogExpired) => unreachable!("no deadline was set"),
+    resume: Option<(u64, &'a [BitLocation])>,
+) -> Start<'a> {
+    match resume {
+        Some((at, flips))
+            if golden
+                .checkpoint_before(at)
+                .is_some_and(|c| c.machine.instr_count() >= fault.inject_at) =>
+        {
+            Start::Live { at, flips }
+        }
+        _ => Start::Injection,
     }
 }
 
@@ -1074,13 +1095,20 @@ pub fn run_experiment_observed(
 #[derive(Debug)]
 pub(crate) struct WatchdogExpired;
 
-/// Like [`run_experiment_observed`], aborting with [`WatchdogExpired`] if
-/// the wall-clock `deadline` passes before the run finishes. The deadline
-/// is checked at iteration boundaries only, so target execution (and hence
-/// every classified record) stays bit-deterministic regardless of host
-/// timing.
+/// Runs one experiment from `start` and classifies it, reporting each
+/// life-cycle stage (restored, started, injected, detected / spliced,
+/// classified) to `observer`; `index` is the fault-list index carried on
+/// every event and does not affect execution. Aborts with
+/// [`WatchdogExpired`] if the wall-clock `deadline` passes first. The
+/// deadline is checked at iteration boundaries only, so target execution
+/// (and hence every classified record) stays bit-deterministic regardless
+/// of host timing.
+///
+/// # Panics
+///
+/// Panics if `fault.location_index` is outside the scan catalog.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_experiment_watchdog(
+pub(crate) fn run_from(
     workload: &Workload,
     cfg: &LoopConfig,
     golden: &GoldenRun,
@@ -1089,20 +1117,27 @@ pub(crate) fn run_experiment_watchdog(
     detail: bool,
     index: usize,
     observer: &dyn CampaignObserver,
+    start: Start<'_>,
     deadline: Option<Instant>,
 ) -> Result<ExperimentRecord, WatchdogExpired> {
     let location = scan::catalog()[fault.location_index];
-    let injector = FaultInjector::new(model, fault);
     let cap = instruction_cap(golden.total_instructions);
 
-    // Fast-forward: resume from the nearest golden checkpoint at or before
-    // the injection point instead of re-executing the fault-free prefix
-    // (which is bit-identical to the golden run by determinism). The
-    // checkpoint state comes out of this worker's machine arena — a delta
-    // restore when the previous experiment ran against the same golden, a
-    // full clone otherwise. With checkpointing disabled this falls back to
-    // a from-reset run that never touches the arena.
-    let ckpt_index = golden.checkpoint_index_before(fault.inject_at);
+    // Fast-forward: resume from a golden checkpoint instead of
+    // re-executing the fault-free prefix (which is bit-identical to the
+    // golden run by determinism). The checkpoint state comes out of this
+    // worker's machine arena — a delta restore when the previous
+    // experiment ran against the same golden, a full clone otherwise. A
+    // run from reset never touches the arena.
+    let ckpt_index = match start {
+        Start::Injection => golden.checkpoint_index_before(fault.inject_at),
+        Start::Live { at, .. } => Some(
+            golden
+                .checkpoint_index_before(at)
+                .expect("a live start has a checkpoint at or before its instant"),
+        ),
+        Start::Reset => None,
+    };
     let (mut machine, engine, start_k, prefix_outputs, prefix_speeds) = match ckpt_index {
         Some(ci) => {
             let ckpt = &golden.checkpoints[ci];
@@ -1146,6 +1181,21 @@ pub(crate) fn run_experiment_watchdog(
         fault,
         ckpt_index.map(|ci| golden.checkpoints[ci].iteration),
     );
+    let prune = DriveMode::Prune {
+        golden,
+        resident: ckpt_index.unwrap_or(0),
+    };
+    let (injector, mode) = match start {
+        Start::Injection => (FaultInjector::new(model, fault), prune),
+        Start::Live { flips, .. } => {
+            for &bit in flips {
+                machine.scan_flip(bit);
+            }
+            observer.fault_injected(index, fault);
+            (FaultInjector::pre_injected(fault), prune)
+        }
+        Start::Reset => (FaultInjector::new(model, fault), DriveMode::Plain),
+    };
     let start_instructions = machine.instr_count();
     let start_block_instructions = machine.block_instructions();
     let result = drive_from(
@@ -1158,10 +1208,7 @@ pub(crate) fn run_experiment_watchdog(
         Some(injector),
         cap,
         deadline,
-        DriveMode::Prune {
-            golden,
-            resident: ckpt_index.unwrap_or(0),
-        },
+        mode,
         &mut || observer.fault_injected(index, fault),
     );
     observer.experiment_executed(
@@ -1181,9 +1228,7 @@ pub(crate) fn run_experiment_watchdog(
 }
 
 /// Classifies a finished drive into the final [`ExperimentRecord`] and
-/// fires the detection / splice / classified observer events. Shared by
-/// the scalar experiment path and the live-instant resume path so both
-/// produce records through the identical code.
+/// fires the detection / splice / classified observer events.
 #[allow(clippy::too_many_arguments)]
 fn classify_drive(
     result: DriveResult,
@@ -1261,95 +1306,6 @@ fn classify_drive(
     };
     observer.experiment_classified(index, &record);
     Ok(record)
-}
-
-/// Runs a live fault from its live instant (see
-/// [`crate::planner::Fate::Live`]): materializes the fault's exact state
-/// at the last golden checkpoint at or before that instant — golden state
-/// plus the surviving `flips` — and drives the ordinary
-/// inject–run–classify pipeline from there with a pre-injected
-/// [`FaultInjector`]. The prefix between injection and that checkpoint is
-/// never executed; by the resolver's invariant (no surviving flipped unit
-/// is accessed in that window, every killed one was overwritten with its
-/// golden value) the materialized state is bit-identical to what the
-/// scalar path would have computed, so the record is too.
-///
-/// Returns `None` when there is no checkpoint inside `[inject_at,
-/// split_at]` to materialize from — resuming saves nothing over the
-/// scalar path then, and the caller falls back to it.
-///
-/// # Panics
-///
-/// Panics if `fault.location_index` is outside the scan catalog.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_split_experiment(
-    cfg: &LoopConfig,
-    golden: &GoldenRun,
-    fault: FaultSpec,
-    flips: &[BitLocation],
-    split_at: u64,
-    detail: bool,
-    index: usize,
-    observer: &dyn CampaignObserver,
-) -> Option<ExperimentRecord> {
-    let location = scan::catalog()[fault.location_index];
-    let cap = instruction_cap(golden.total_instructions);
-    let ci = golden.checkpoint_index_before(split_at)?;
-    let ckpt = &golden.checkpoints[ci];
-    if ckpt.machine.instr_count() < fault.inject_at {
-        // The nearest checkpoint predates the injection: flips deposited
-        // there would amount to injecting early. No prefix is skipped by
-        // resuming here anyway, so let the scalar path run it.
-        return None;
-    }
-    let (mut machine, copied, full_clone) = arena_checkout(golden, ci);
-    observer.arena_restored(copied, full_clone);
-    if !cfg.fast_replay {
-        machine.set_fast_replay(false);
-    }
-    for &bit in flips {
-        machine.scan_flip(bit);
-    }
-    let injector = FaultInjector::pre_injected(fault);
-    observer.experiment_started(index, fault, Some(ckpt.iteration));
-    observer.fault_injected(index, fault);
-    let start_instructions = machine.instr_count();
-    let start_block_instructions = machine.block_instructions();
-    let mut prefix_outputs = Vec::with_capacity(cfg.iterations);
-    prefix_outputs.extend_from_slice(&golden.outputs[..ckpt.iteration]);
-    let mut prefix_speeds = Vec::with_capacity(cfg.iterations + 1);
-    prefix_speeds.extend_from_slice(&golden.speeds[..=ckpt.iteration]);
-    let result = drive_from(
-        &mut machine,
-        cfg,
-        ckpt.engine.clone(),
-        ckpt.iteration,
-        prefix_outputs,
-        prefix_speeds,
-        Some(injector),
-        cap,
-        None,
-        DriveMode::Prune {
-            golden,
-            resident: ci,
-        },
-        &mut || {},
-    );
-    observer.experiment_executed(
-        index,
-        machine.instr_count().saturating_sub(start_instructions),
-        machine
-            .block_instructions()
-            .saturating_sub(start_block_instructions),
-    );
-    let record = match classify_drive(
-        result, &machine, golden, fault, location, detail, index, observer,
-    ) {
-        Ok(record) => Some(record),
-        Err(WatchdogExpired) => unreachable!("no deadline was set"),
-    };
-    arena_release(machine, golden, ci);
-    record
 }
 
 fn deviation_stats(golden: &[u32], observed: &[u32], threshold: f64) -> (f64, Option<usize>) {

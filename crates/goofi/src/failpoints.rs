@@ -115,13 +115,14 @@ pub const CATALOG: &[FailpointDef] = &[
     },
     FailpointDef {
         id: "experiment.attempt",
-        site: "supervised experiment attempt, inside the containment boundary \
-               (arm with `panic` to drive the retry/quarantine paths)",
+        site: "supervised experiment attempt, inside the containment boundary, \
+               for every start: injection checkpoint, live-instant resume or \
+               reset retry (arm with `panic` to drive the retry/quarantine paths)",
         can_return_error: false,
     },
     FailpointDef {
         id: "supervisor.before-retry",
-        site: "supervisor, first attempt failed but the stride-0 retry has not started",
+        site: "supervisor, first attempt failed but the retry from reset has not started",
         can_return_error: false,
     },
     FailpointDef {

@@ -14,19 +14,20 @@
 //!    target execution, so every *classified* record stays
 //!    bit-deterministic.
 //! 3. **Retry, then quarantine** — a failed attempt is retried exactly
-//!    once with checkpointing disabled (stride-0 full replay, in case the
+//!    once from reset (no checkpoints, no convergence pruning, in case the
 //!    fast-forward path itself is implicated); a second failure produces a
 //!    terminal [`Outcome::HarnessFailure`] record carrying the panic
 //!    payload or deadline cause, which flows through the store, the
 //!    observer events and the offline report like any other outcome.
 //!
-//! The state machine per fault:
+//! Every supervised experiment runs through here, whichever
+//! start the plan gave it. The state machine per fault:
 //!
 //! ```text
-//! attempt 1 (campaign config) ──ok──▶ classified record
+//! attempt 1 (planned start: live instant or injection checkpoint) ──ok──▶ classified record
 //!        │ panic / deadline
 //!        ▼  (experiment_retried event)
-//! attempt 2 (stride 0, no checkpoints) ──ok──▶ classified record
+//! attempt 2 (reset) ──ok──▶ classified record
 //!        │ panic / deadline
 //!        ▼
 //! quarantine: Outcome::HarnessFailure(cause) record
@@ -37,11 +38,8 @@
 //! boundary, so the quarantine suite can prove a campaign completes.
 
 use crate::classify::{HarnessCause, Outcome};
-use crate::experiment::{
-    run_experiment_watchdog, ExperimentRecord, FaultSpec, GoldenRun, LoopConfig, WatchdogExpired,
-};
+use crate::experiment::{ExperimentRecord, FaultSpec, Start, WatchdogExpired};
 use crate::observer::CampaignObserver;
-use crate::workload::Workload;
 use bera_tcpu::scan;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -101,7 +99,7 @@ impl ChaosHarness {
     }
 
     /// A harness that panics on the *first* attempt only at `indices` —
-    /// the stride-0 retry succeeds.
+    /// the retry from reset succeeds.
     #[must_use]
     pub fn panicking_once(indices: impl IntoIterator<Item = usize>) -> Self {
         ChaosHarness {
@@ -161,19 +159,13 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One supervised attempt: chaos hook, then the watchdog-bounded
-/// experiment, all behind the unwind boundary.
-#[allow(clippy::too_many_arguments)]
-fn attempt(
-    workload: &Workload,
-    cfg: &LoopConfig,
-    golden: &GoldenRun,
-    fault: FaultSpec,
-    model: crate::experiment::FaultModel,
-    detail: bool,
+/// One supervised attempt: failpoint and chaos hook, then `run` from
+/// `start` under the watchdog deadline, all behind the unwind boundary.
+fn attempt<'s>(
     index: usize,
-    observer: &dyn CampaignObserver,
+    start: Start<'s>,
     sup: &SupervisorConfig,
+    run: &impl Fn(Start<'s>, Option<Instant>) -> Result<ExperimentRecord, WatchdogExpired>,
 ) -> Result<ExperimentRecord, (HarnessCause, String)> {
     let deadline = sup.deadline.map(|d| Instant::now() + d);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -184,9 +176,7 @@ fn attempt(
         if let Some(chaos) = &sup.chaos {
             chaos.before_attempt(index);
         }
-        run_experiment_watchdog(
-            workload, cfg, golden, fault, model, detail, index, observer, deadline,
-        )
+        run(start, deadline)
     }));
     match outcome {
         Ok(Ok(record)) => Ok(record),
@@ -201,32 +191,27 @@ fn attempt(
     }
 }
 
-/// Runs one experiment under full supervision: panic isolation, watchdog
-/// deadline, one stride-0 retry, then quarantine. Always returns a record —
-/// by construction this function cannot panic out of a worker thread for
-/// any per-experiment failure.
+/// Runs fault `index` under full supervision: panic isolation, watchdog
+/// deadline, one retry from reset, then quarantine. `run` executes the
+/// experiment from a start under a deadline; attempt 1 passes it `start`,
+/// the retry [`Start::Reset`]. Always returns a record — by construction
+/// this function cannot panic out of a worker thread for any
+/// per-experiment failure.
 ///
 /// # Panics
 ///
 /// Panics only if `fault.location_index` is outside the scan catalog — a
 /// campaign construction bug, not an experiment failure.
-#[allow(clippy::too_many_arguments)]
 #[must_use]
-pub fn run_supervised(
-    workload: &Workload,
-    cfg: &LoopConfig,
-    golden: &GoldenRun,
+pub(crate) fn run_supervised<'s>(
     fault: FaultSpec,
-    model: crate::experiment::FaultModel,
-    detail: bool,
     index: usize,
+    start: Start<'s>,
     observer: &dyn CampaignObserver,
     sup: &SupervisorConfig,
+    run: impl Fn(Start<'s>, Option<Instant>) -> Result<ExperimentRecord, WatchdogExpired>,
 ) -> ExperimentRecord {
-    let first = attempt(
-        workload, cfg, golden, fault, model, detail, index, observer, sup,
-    );
-    let (cause, message) = match first {
+    let (cause, message) = match attempt(index, start, sup, &run) {
         Ok(record) => return record,
         Err(failure) => failure,
     };
@@ -235,28 +220,11 @@ pub fn run_supervised(
     crate::fp_nofail!("supervisor.before-retry");
     observer.experiment_retried(index, cause);
 
-    // Graceful degradation: replay from reset with checkpointing disabled,
-    // in case the fast-forward / pruning path is implicated. The
-    // checkpoint-equivalence suite proves the stride-0 record is
-    // bit-identical to the checkpointed one.
-    let mut retry_cfg = cfg.clone();
-    retry_cfg.checkpoint_stride = 0;
-    let retry_golden = GoldenRun {
-        checkpoints: Vec::new(),
-        ..golden.clone()
-    };
-    let second = attempt(
-        workload,
-        &retry_cfg,
-        &retry_golden,
-        fault,
-        model,
-        detail,
-        index,
-        observer,
-        sup,
-    );
-    let (cause, retry_message) = match second {
+    // Graceful degradation: replay from reset, in case the fast-forward /
+    // pruning path is implicated. The checkpoint-equivalence suite proves
+    // the reset record is bit-identical to the checkpointed one up to
+    // `pruned_at`.
+    let (cause, retry_message) = match attempt(index, Start::Reset, sup, &run) {
         Ok(record) => return record,
         Err(failure) => failure,
     };
@@ -279,7 +247,7 @@ pub fn run_supervised(
         pruned_at: None,
         provenance: crate::experiment::Provenance::Simulated,
         harness_error: Some(format!(
-            "first attempt: {message}; stride-0 retry: {retry_message}"
+            "first attempt: {message}; retry from reset: {retry_message}"
         )),
     };
     observer.experiment_classified(index, &record);
@@ -289,8 +257,9 @@ pub fn run_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{golden_run, FaultModel};
+    use crate::experiment::{golden_run, run_from, FaultModel, GoldenRun, LoopConfig};
     use crate::observer::NullObserver;
+    use crate::workload::Workload;
 
     fn setup() -> (Workload, LoopConfig, GoldenRun) {
         let w = Workload::algorithm_one();
@@ -299,26 +268,46 @@ mod tests {
         (w, cfg, golden)
     }
 
+    /// Single-bit fault `index` under `sup`, planned from injection.
+    fn supervised(
+        (w, cfg, golden): &(Workload, LoopConfig, GoldenRun),
+        fault: FaultSpec,
+        index: usize,
+        sup: &SupervisorConfig,
+    ) -> ExperimentRecord {
+        run_supervised(
+            fault,
+            index,
+            Start::Injection,
+            &NullObserver,
+            sup,
+            |start, deadline| {
+                run_from(
+                    w,
+                    cfg,
+                    golden,
+                    fault,
+                    FaultModel::SingleBit,
+                    false,
+                    index,
+                    &NullObserver,
+                    start,
+                    deadline,
+                )
+            },
+        )
+    }
+
     #[test]
     fn healthy_experiment_is_untouched_by_supervision() {
-        let (w, cfg, golden) = setup();
+        let setup = setup();
+        let (w, cfg, golden) = &setup;
         let fault = FaultSpec {
             location_index: 17,
             inject_at: golden.total_instructions / 3,
         };
-        let sup = SupervisorConfig::default();
-        let supervised = run_supervised(
-            &w,
-            &cfg,
-            &golden,
-            fault,
-            FaultModel::SingleBit,
-            false,
-            0,
-            &NullObserver,
-            &sup,
-        );
-        let plain = crate::experiment::run_experiment(&w, &cfg, &golden, fault, false);
+        let supervised = supervised(&setup, fault, 0, &SupervisorConfig::default());
+        let plain = crate::experiment::run_experiment(w, cfg, golden, fault, false);
         assert_eq!(
             serde_json::to_string(&supervised).unwrap(),
             serde_json::to_string(&plain).unwrap(),
@@ -328,7 +317,7 @@ mod tests {
 
     #[test]
     fn persistent_panic_is_quarantined_with_the_payload() {
-        let (w, cfg, golden) = setup();
+        let setup = setup();
         let fault = FaultSpec {
             location_index: 5,
             inject_at: 100,
@@ -337,87 +326,53 @@ mod tests {
             chaos: Some(Arc::new(ChaosHarness::panicking([3]))),
             ..SupervisorConfig::default()
         };
-        let record = run_supervised(
-            &w,
-            &cfg,
-            &golden,
-            fault,
-            FaultModel::SingleBit,
-            false,
-            3,
-            &NullObserver,
-            &sup,
-        );
+        let record = supervised(&setup, fault, 3, &sup);
         assert_eq!(record.outcome, Outcome::HarnessFailure(HarnessCause::Panic));
         let detail = record.harness_error.as_deref().unwrap();
         assert!(detail.contains("forced panic at fault index 3"), "{detail}");
-        assert!(detail.contains("stride-0 retry"), "{detail}");
+        assert!(detail.contains("retry from reset"), "{detail}");
     }
 
     #[test]
     fn one_shot_panic_recovers_on_the_stride_zero_retry() {
-        let (w, cfg, golden) = setup();
+        let setup = setup();
+        let (w, cfg, golden) = &setup;
         let fault = FaultSpec {
             location_index: 11,
             inject_at: golden.total_instructions / 2,
         };
         let sup = SupervisorConfig {
-            chaos: Some(Arc::new(ChaosHarness {
-                panic_once_on: [7].into_iter().collect(),
-                ..ChaosHarness::default()
-            })),
+            chaos: Some(Arc::new(ChaosHarness::panicking_once([7]))),
             ..SupervisorConfig::default()
         };
-        let record = run_supervised(
-            &w,
-            &cfg,
-            &golden,
-            fault,
-            FaultModel::SingleBit,
-            false,
-            7,
-            &NullObserver,
-            &sup,
-        );
+        let record = supervised(&setup, fault, 7, &sup);
         assert!(
             !record.outcome.is_harness_failure(),
             "the retry succeeds, so the fault classifies normally: {:?}",
             record.outcome
         );
-        let plain = crate::experiment::run_experiment(&w, &cfg, &golden, fault, false);
+        let plain = crate::experiment::run_experiment(w, cfg, golden, fault, false);
         assert_eq!(
             serde_json::to_string(&record).unwrap(),
             serde_json::to_string(&plain).unwrap(),
-            "stride-0 retry must reproduce the checkpointed record bit-for-bit"
+            "the retry from reset must reproduce the checkpointed record bit-for-bit"
         );
     }
 
     #[test]
     fn stalled_experiment_trips_the_deadline() {
-        let (w, cfg, golden) = setup();
+        let setup = setup();
         let fault = FaultSpec {
             location_index: 2,
             inject_at: 50,
         };
         let sup = SupervisorConfig {
             deadline: Some(Duration::from_millis(5)),
-            chaos: Some(Arc::new(ChaosHarness {
-                stall_on: [4].into_iter().collect(),
-                stall_for: Duration::from_millis(50),
-                ..ChaosHarness::default()
-            })),
+            chaos: Some(Arc::new(
+                ChaosHarness::panicking([]).stalling([4], Duration::from_millis(50)),
+            )),
         };
-        let record = run_supervised(
-            &w,
-            &cfg,
-            &golden,
-            fault,
-            FaultModel::SingleBit,
-            false,
-            4,
-            &NullObserver,
-            &sup,
-        );
+        let record = supervised(&setup, fault, 4, &sup);
         assert_eq!(
             record.outcome,
             Outcome::HarnessFailure(HarnessCause::Deadline)

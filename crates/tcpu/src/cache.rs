@@ -285,7 +285,10 @@ mod tests {
         assert_eq!(dirty[0].0, RAM_BASE + 0x10);
     }
 
+    // The miss check is a `debug_assert!` on the cache hot path, so it
+    // exists only in debug builds.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "cache miss")]
     fn read_miss_panics() {
         let _ = DataCache::new().read_word(RAM_BASE);

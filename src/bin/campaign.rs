@@ -23,7 +23,7 @@
 //! classification counters, checkpoint hit-rate, prune rate) to stderr.
 //!
 //! Experiments run supervised by default: panics and (with `--deadline`)
-//! wall-clock overruns are contained, retried once at stride 0, and
+//! wall-clock overruns are contained, retried once from reset, and
 //! quarantined as harness failures rather than aborting the campaign.
 //! `--unsupervised` disables the containment as a debugging aid.
 //!
@@ -50,6 +50,7 @@ use bera::goofi::experiment::{ExperimentRecord, FaultModel, LoopConfig};
 use bera::goofi::failpoints;
 use bera::goofi::farm;
 use bera::goofi::observer::{CampaignObserver, ObserverSet, Telemetry};
+use bera::goofi::planner::prune_eligible;
 use bera::goofi::store::{headerless_remnant, write_telemetry_sidecar, JsonlStore, StoreHeader};
 use bera::goofi::table::tabulate;
 use bera::goofi::workload::Workload;
@@ -273,7 +274,7 @@ fn usage() {
          \tstuck0/stuck1 (bit forced for the rest of the run), or\n\
          \tburst:W (random-width cluster of up to W adjacent bits)\n\
          --deadline SECS  wall-clock watchdog per experiment attempt; an\n\
-         \toverrun is retried once at stride 0, then quarantined\n\
+         \toverrun is retried once from reset, then quarantined\n\
          --unsupervised   run experiments bare: a panicking experiment\n\
          \taborts the whole campaign (debugging aid)\n\
          --no-prune     the reference path: simulate every fault from\n\
@@ -339,18 +340,9 @@ impl CampaignObserver for ProgressPrinter<'_> {
     }
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
-
+/// The campaign configuration the parsed flags describe. Refuses flag
+/// combinations that can only be judged against the built config.
+fn campaign_config(args: &Args) -> Result<CampaignConfig, String> {
     let mut cfg = CampaignConfig::paper(args.faults, args.seed);
     cfg.loop_cfg = LoopConfig {
         iterations: args.iterations,
@@ -370,6 +362,31 @@ fn main() -> ExitCode {
             deadline: args.deadline.map(Duration::from_secs_f64),
             ..Default::default()
         })
+    };
+    if cfg.paranoid > 0 && !prune_eligible(&cfg) {
+        let bypass = if cfg.loop_cfg.parity_cache {
+            "--parity-cache".to_string()
+        } else {
+            format!("--fault-model {}", cfg.fault_model)
+        };
+        return Err(format!(
+            "--paranoid cross-checks the pruner, which {bypass} bypasses; drop --paranoid"
+        ));
+    }
+    Ok(cfg)
+}
+
+fn main() -> ExitCode {
+    let parsed = parse_args().and_then(|args| Ok((campaign_config(&args)?, args)));
+    let (cfg, args) = match parsed {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            if !msg.is_empty() {
+                eprintln!("error: {msg}");
+            }
+            usage();
+            return ExitCode::FAILURE;
+        }
     };
 
     if let Some(dir) = args.farm_init.clone() {

@@ -3,7 +3,7 @@
 //!
 //! The supervisor's contract (`DESIGN.md` § "Supervised execution") is
 //! that per-experiment harness failures — panics and wall-clock deadline
-//! overruns — are contained, retried once at stride 0, and then
+//! overruns — are contained, retried once from reset, and then
 //! quarantined as [`Outcome::HarnessFailure`] records, while every
 //! *healthy* experiment produces a record bit-identical to an
 //! unsupervised run. These tests drive that contract end to end with a
@@ -14,6 +14,7 @@
 
 use bera_goofi::campaign::{prepare_campaign, run_scifi_campaign_observed, CampaignConfig};
 use bera_goofi::observer::Telemetry;
+use bera_goofi::planner::{plan_campaign, PlanAction};
 use bera_goofi::store::{load_store, JsonlStore, StoreHeader};
 use bera_goofi::workload::Workload;
 use bera_goofi::{ChaosHarness, HarnessCause, Outcome, SupervisorConfig};
@@ -52,8 +53,8 @@ fn sabotaged_campaign_completes_with_quarantine_records() {
     let mut cfg = CampaignConfig::quick(16, 7);
     // Chaos sabotage keys on fault-list indices and only fires inside the
     // containment boundary of an *executed* experiment; the planner would
-    // classify some target indices analytically, or resume them past the
-    // supervised attempt, and dodge the trap.
+    // classify some target indices analytically, or replicate them from a
+    // class representative, and dodge the trap.
     cfg.prune = false;
     cfg.supervisor = Some(SupervisorConfig {
         // Generous for a healthy short(60) experiment (sub-millisecond),
@@ -194,5 +195,80 @@ fn parallel_sabotaged_campaign_matches_serial() {
             .filter(|r| r.outcome.is_harness_failure())
             .count(),
         3
+    );
+}
+
+#[test]
+fn sabotaged_live_representative_is_retried_from_reset() {
+    // Pruning on: the target is a live class representative whose plan
+    // resumes it from its live instant. That resume must run inside the
+    // same containment boundary as every other experiment.
+    let workload = Workload::algorithm_one();
+    let cfg = CampaignConfig::quick(60, 7);
+    let prepared = prepare_campaign(&workload, &cfg);
+    let (golden, faults) = (prepared.golden(), prepared.faults());
+    let plan = plan_campaign(faults, &cfg, golden);
+    let reps_with_members: BTreeSet<usize> =
+        plan.classes().into_iter().map(|(rep, _)| rep).collect();
+    // A live representative that really resumes (a golden checkpoint lies
+    // between its injection and its live instant) and has no replicated
+    // members, so every other record stays bit-identical to the baseline.
+    let target = (0..faults.len())
+        .find(|&i| {
+            plan.action(i) == PlanAction::Simulate
+                && !reps_with_members.contains(&i)
+                && plan.resume_point(i).is_some_and(|(at, _)| {
+                    golden
+                        .checkpoint_before(at)
+                        .is_some_and(|c| c.machine.instr_count() >= faults[i].inject_at)
+                })
+        })
+        .expect("the campaign has a resumable live representative");
+    let reference = baseline(&workload, &cfg);
+    let sabotaged = |chaos: ChaosHarness| {
+        let mut cfg = cfg.clone();
+        cfg.supervisor = Some(SupervisorConfig {
+            deadline: None,
+            chaos: Some(Arc::new(chaos)),
+        });
+        let telemetry = Telemetry::new(cfg.faults);
+        let result = run_scifi_campaign_observed(&workload, &cfg, &telemetry);
+        for (i, record) in result.records.iter().enumerate() {
+            if i != target {
+                assert_eq!(
+                    serde_json::to_string(record).expect("serialize record"),
+                    reference[i],
+                    "untouched fault index {i} must be bit-identical"
+                );
+            }
+        }
+        (result.records[target].clone(), telemetry.snapshot())
+    };
+
+    // A persistent panic is retried once, then quarantined.
+    let (record, snap) = sabotaged(ChaosHarness::panicking([target]));
+    assert_eq!(snap.retried, 1, "exactly one attempt was retried");
+    assert_eq!(snap.harness_failures, 1);
+    assert_eq!(record.outcome, Outcome::HarnessFailure(HarnessCause::Panic));
+    let detail = record.harness_error.as_deref().expect("panic detail");
+    assert!(detail.contains("forced panic"), "{detail}");
+
+    // A one-shot panic recovers on the retry from reset, which never
+    // prunes; otherwise the record matches the live resume's.
+    let (record, snap) = sabotaged(ChaosHarness::panicking_once([target]));
+    assert_eq!(snap.retried, 1, "exactly one attempt was retried");
+    assert_eq!(snap.harness_failures, 0, "nothing was quarantined");
+    assert!(!record.outcome.is_harness_failure());
+    assert!(
+        record.pruned_at.is_none(),
+        "a retry from reset cannot prune"
+    );
+    let mut base: bera_goofi::ExperimentRecord =
+        serde_json::from_str(&reference[target]).expect("parse baseline");
+    base.pruned_at = None;
+    assert_eq!(
+        serde_json::to_string(&record).expect("serialize record"),
+        serde_json::to_string(&base).expect("serialize baseline"),
+        "the retried record must classify identically to the baseline"
     );
 }
