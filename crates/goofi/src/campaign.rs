@@ -56,14 +56,6 @@ pub struct CampaignConfig {
     /// the check; it exists to audit the pruning soundness argument on
     /// live campaigns.
     pub paranoid: usize,
-    /// EDM-visibility coverage (see [`bera_tcpu::vis`] and DESIGN.md
-    /// §8e): let the fate resolver walk the golden run's visibility-window
-    /// trace for faults in *untraceable* state — PC/PSR/signature/tags/
-    /// buffers — and the operand latch's shift instants. On by default;
-    /// outcomes are bit-identical either way (the equivalence suites cover
-    /// the untraceable population), so this only widens the resolved share
-    /// of the campaign. Only consulted where pruning is itself eligible.
-    pub vis: bool,
 }
 
 impl CampaignConfig {
@@ -80,7 +72,6 @@ impl CampaignConfig {
             supervisor: Some(SupervisorConfig::default()),
             prune: true,
             paranoid: 0,
-            vis: true,
         }
     }
 
@@ -97,7 +88,6 @@ impl CampaignConfig {
             supervisor: Some(SupervisorConfig::default()),
             prune: true,
             paranoid: 0,
-            vis: true,
         }
     }
 }

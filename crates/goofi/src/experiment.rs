@@ -8,7 +8,6 @@ use bera_plant::{Engine, Profiles};
 use bera_tcpu::access::AccessTrace;
 use bera_tcpu::machine::{Machine, RunExit, PORT_R, PORT_U, PORT_Y};
 use bera_tcpu::scan::{self, BitLocation, CpuPart, ScanSnapshot};
-use bera_tcpu::vis::VisTrace;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
@@ -258,20 +257,15 @@ pub struct GoldenRun {
     /// 0. Empty when checkpointing is disabled.
     pub checkpoints: Vec<Checkpoint>,
     /// Per-unit access trace recorded while the run executed (see
-    /// [`bera_tcpu::access`]): for every traceable state unit, the ordered
-    /// dynamic-instruction indices of its reads and full-width writes.
-    /// Drives the campaign planner's def/use fault-space pruning
-    /// ([`crate::planner`]). Deterministic for a given workload and loop
-    /// configuration, like everything else in the golden run.
+    /// [`bera_tcpu::access`]): for every traceable state unit — def/use
+    /// state and the state asynchronous observers (pipeline fetch,
+    /// branch-condition check, cache hit check, EDM sample) consult — the
+    /// ordered dynamic-instruction indices of its reads and full-width
+    /// writes, plus the operand-latch shift instants. Drives the campaign
+    /// planner's fate resolver ([`crate::planner`]). Deterministic for a
+    /// given workload and loop configuration, like everything else in the
+    /// golden run.
     pub trace: AccessTrace,
-    /// EDM-visibility trace recorded alongside the access trace (see
-    /// [`bera_tcpu::vis`]): for every *untraceable* state unit, the
-    /// ordered instants at which an asynchronous observer (pipeline
-    /// fetch, branch-condition check, cache hit check, EDM sample)
-    /// actually consulted or wholly redeposited it, plus operand-latch
-    /// shift instants. Extends the fate resolver to the PC/PSR/tag/buffer
-    /// fault population.
-    pub vis: VisTrace,
     /// Process-unique token identifying this golden run to the per-worker
     /// machine arenas (DESIGN.md §8j). A worker's resident machine is only
     /// delta-restored when its token matches; otherwise the arena falls
@@ -871,7 +865,6 @@ pub fn golden_run(workload: &Workload, cfg: &LoopConfig) -> GoldenRun {
     machine.load_program(workload.program());
     machine.set_cache_parity(cfg.parity_cache);
     machine.start_access_trace();
-    machine.start_vis_trace();
     let engine = cfg.engine.clone();
     let speeds = vec![engine.speed_rpm()];
     set_ports(&mut machine, cfg, 0, &engine);
@@ -905,9 +898,6 @@ pub fn golden_run(workload: &Workload, cfg: &LoopConfig) -> GoldenRun {
     let trace = machine
         .take_access_trace()
         .expect("the golden machine was tracing");
-    let vis = machine
-        .take_vis_trace()
-        .expect("the golden machine was vis-tracing");
     let ckpt_data_deltas = checkpoints
         .windows(2)
         .map(|pair| {
@@ -925,7 +915,6 @@ pub fn golden_run(workload: &Workload, cfg: &LoopConfig) -> GoldenRun {
         end_machine: machine,
         checkpoints,
         trace,
-        vis,
         arena_token: NEXT_ARENA_TOKEN.fetch_add(1, Ordering::Relaxed),
         ckpt_data_deltas,
     }
@@ -1349,6 +1338,13 @@ mod tests {
         assert_eq!(a.total_instructions, b.total_instructions);
         assert_eq!(a.outputs.len(), 50);
         assert_eq!(a.end_scan.diff_count(&b.end_scan), 0);
+        assert_eq!(a.trace, b.trace);
+        // The one recorder holds def/use events, visibility events and
+        // the operand-latch shift instants of the same run.
+        use bera_tcpu::{TraceUnit, VisUnit};
+        assert!(!a.trace.accesses(TraceUnit::Reg(1)).is_empty());
+        assert!(!a.trace.accesses(TraceUnit::Vis(VisUnit::Psr(0))).is_empty());
+        assert!(a.trace.nth_shift_at_or_after(0, 0).is_some());
     }
 
     #[test]

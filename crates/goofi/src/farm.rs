@@ -165,10 +165,8 @@ pub struct FarmManifest {
     pub checkpoint_stride: usize,
     /// The campaign's fault model.
     pub fault_model: FaultModel,
-    /// Def/use pruning enabled.
+    /// Fate-resolver pruning enabled.
     pub prune: bool,
-    /// EDM-visibility analytic layer enabled.
-    pub vis: bool,
     /// Lease timing for this farm.
     pub lease: LeasePolicy,
     /// The store header every segment (and the merged store) must carry.
@@ -193,7 +191,6 @@ impl FarmManifest {
         cfg.threads = threads;
         cfg.fault_model = self.fault_model;
         cfg.prune = self.prune;
-        cfg.vis = self.vis;
         cfg
     }
 
@@ -414,7 +411,6 @@ pub fn init_farm(
         checkpoint_stride: cfg.loop_cfg.checkpoint_stride,
         fault_model: cfg.fault_model,
         prune: cfg.prune,
-        vis: cfg.vis,
         lease,
         header,
         shards,
@@ -1150,7 +1146,7 @@ mod tests {
         let m = init_farm(&root, "alg1", &quick_cfg(10), 2, LeasePolicy::default()).unwrap();
         let path = manifest_path(&root);
         let text = fs::read_to_string(&path).unwrap();
-        let legacy = text.replacen("\"vis\":", "\"batch_width\": 32,\n  \"vis\":", 1);
+        let legacy = text.replacen("\"prune\":", "\"batch_width\": 32,\n  \"prune\":", 1);
         assert_ne!(legacy, text, "the fixture must carry the retired field");
         fs::write(&path, legacy).unwrap();
         let read = read_manifest(&root).unwrap();

@@ -45,8 +45,8 @@ pub trait CampaignObserver: Sync {
     /// The fate resolver's coverage of the planned fault list:
     /// `rejected_untraceable` faults are opaque to the golden traces and
     /// simulate from injection, `vis_admitted` were resolved only thanks
-    /// to the EDM-visibility trace (at least one flipped bit outside the
-    /// def/use trace). Fires once per campaign, right after
+    /// to an EDM-visibility unit or value-level rule (at least one flipped
+    /// bit outside the def/use units). Fires once per campaign, right after
     /// [`plan_computed`](CampaignObserver::plan_computed), with the same
     /// counts [`PlanStats::opaque`] and [`PlanStats::vis_resolved`] carry.
     fn batch_admission(&self, rejected_untraceable: usize, vis_admitted: usize) {
@@ -55,7 +55,8 @@ pub trait CampaignObserver: Sync {
 
     /// An experiment is starting. `fast_forward_from` is the golden
     /// checkpoint iteration it resumes from (`None` when it replays from
-    /// reset because checkpointing is disabled).
+    /// reset: checkpointing is disabled, no checkpoint precedes the
+    /// injection, or this is the supervisor's retry).
     fn experiment_started(&self, index: usize, fault: FaultSpec, fast_forward_from: Option<usize>) {
         let _ = (index, fault, fast_forward_from);
     }
@@ -101,8 +102,8 @@ pub trait CampaignObserver: Sync {
     }
 
     /// The supervisor caught a harness failure (`cause`) on the first
-    /// attempt and is retrying the experiment once with checkpointing
-    /// disabled. Fires at most once per fault; a second failure produces a
+    /// attempt and is retrying the experiment once from reset. Fires at
+    /// most once per fault; a second failure produces a
     /// quarantined `experiment_classified` record instead.
     fn experiment_retried(&self, index: usize, cause: HarnessCause) {
         let _ = (index, cause);

@@ -1,10 +1,10 @@
-//! Campaign planner: one fate resolver over the golden run's def/use and
-//! EDM-visibility traces.
+//! Campaign planner: one fate resolver over the golden run's access
+//! trace.
 //!
 //! A SCIFI campaign samples (scan bit, injection time) pairs uniformly.
 //! Most of those faults land in state the workload overwrites before
 //! reading, or never touches again — their outcomes are fully determined
-//! by the golden run's traces and need no simulation at all. For every
+//! by the golden run's trace and need no simulation at all. For every
 //! sampled fault the planner asks one question of [`resolve`]: *what is
 //! the first event to touch these flips after injection?* The answer is a
 //! [`Fate`]:
@@ -42,7 +42,7 @@ use crate::campaign::CampaignConfig;
 use crate::classify::Outcome;
 use crate::experiment::{ExperimentRecord, FaultModel, FaultSpec, GoldenRun, Provenance};
 use bera_tcpu::scan::{self, BitLocation};
-use bera_tcpu::{Access, AccessTrace, Fnv64, TraceUnit, VisTrace, VisUnit};
+use bera_tcpu::{Access, AccessTrace, Fnv64, TraceUnit, VisUnit};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -76,40 +76,9 @@ pub enum Fate {
     Opaque,
 }
 
-/// A unit of state a flip lives in, from whichever golden trace governs
-/// it. The two index spaces are disjoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Unit {
-    Trace(TraceUnit),
-    Vis(VisUnit),
-}
-
-impl Unit {
-    /// The unit of `bit`: its def/use unit, else — when a visibility
-    /// trace is available — its visibility unit.
-    fn of(bit: BitLocation, vis: bool) -> Option<Unit> {
-        bit.trace_unit()
-            .map(Unit::Trace)
-            .or_else(|| bit.vis_unit().filter(|_| vis).map(Unit::Vis))
-    }
-
-    /// The first event of this unit at or after `cursor`.
-    fn first_at_or_after(
-        self,
-        trace: &AccessTrace,
-        vis: Option<&VisTrace>,
-        cursor: u64,
-    ) -> Option<Access> {
-        match self {
-            Unit::Trace(t) => trace.first_at_or_after(t, cursor),
-            Unit::Vis(v) => vis?.first_at_or_after(v, cursor),
-        }
-    }
-}
-
 /// Resolves the fate of `flips` injected at instruction boundary
-/// `inject_at` by walking the golden def/use `trace` and — when supplied —
-/// the EDM-visibility trace `vis`. The walk repeatedly takes the earliest
+/// `inject_at` by walking the golden access `trace` — def/use and
+/// EDM-visibility units alike. The walk repeatedly takes the earliest
 /// event touching any surviving flipped unit: if every unit touched by
 /// that instruction is first fully written there, those units die (their
 /// flips are overwritten with golden values) and the walk continues;
@@ -126,39 +95,30 @@ impl Unit {
 /// * operand-latch flips (single flips only) resolve by the latch's shift
 ///   count: slot A is overwritten by the first register read, slot B by
 ///   the second;
-/// * the fetch-valid bit, and any bit the traces do not cover (every
-///   visibility unit when `vis` is `None`), is opaque.
+/// * the fetch-valid bit, which no trace unit covers, is opaque.
 ///
 /// Clusters of more than 64 flips are opaque (the surviving set is a
 /// 64-bit mask).
 #[must_use]
-pub fn resolve(
-    flips: &[BitLocation],
-    inject_at: u64,
-    trace: &AccessTrace,
-    vis: Option<&VisTrace>,
-) -> Fate {
+pub fn resolve(flips: &[BitLocation], inject_at: u64, trace: &AccessTrace) -> Fate {
     if let [bit @ (BitLocation::OperandA { .. } | BitLocation::OperandB { .. })] = flips {
         // The operand latch is a two-slot shift register (`a ← b`,
         // `b ← clean value` on every register read) that nothing reads: a
         // flip in slot A is deposited over by the first shift, one in slot
         // B migrates bit-identically into A and dies at the second.
         let nth = usize::from(matches!(bit, BitLocation::OperandB { .. }));
-        return match vis {
-            None => Fate::Opaque,
-            Some(vis) => match vis.nth_shift_at_or_after(inject_at, nth) {
-                Some(killed_at) => Fate::Overwritten { killed_at },
-                None => Fate::Latent,
-            },
+        return match trace.nth_shift_at_or_after(inject_at, nth) {
+            Some(killed_at) => Fate::Overwritten { killed_at },
+            None => Fate::Latent,
         };
     }
     if flips.len() > 64 {
         return Fate::Opaque;
     }
     // (unit, mask of the flips living in it)
-    let mut units: Vec<(Unit, u64)> = Vec::with_capacity(flips.len());
+    let mut units: Vec<(TraceUnit, u64)> = Vec::with_capacity(flips.len());
     for (i, &bit) in flips.iter().enumerate() {
-        let Some(unit) = Unit::of(bit, vis.is_some()) else {
+        let Some(unit) = bit.trace_unit() else {
             return Fate::Opaque;
         };
         match units.iter_mut().find(|(u, _)| *u == unit) {
@@ -166,13 +126,16 @@ pub fn resolve(
             None => units.push((unit, 1 << i)),
         }
     }
-    let sig_survives =
-        |units: &[(Unit, u64)]| units.iter().any(|(u, _)| *u == Unit::Vis(VisUnit::Sig));
+    let sig_survives = |units: &[(TraceUnit, u64)]| {
+        units
+            .iter()
+            .any(|(u, _)| *u == TraceUnit::Vis(VisUnit::Sig))
+    };
     let mut cursor = inject_at;
     loop {
         let next: Vec<Option<Access>> = units
             .iter()
-            .map(|(u, _)| u.first_at_or_after(trace, vis, cursor))
+            .map(|(u, _)| trace.first_at_or_after(*u, cursor))
             .collect();
         let Some(at) = next.iter().flatten().map(|a| a.at).min() else {
             return if sig_survives(&units) {
@@ -227,12 +190,12 @@ pub enum PlanAction {
 /// campaign observer, the telemetry sidecar and `report`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
-    /// Analytic `Latent` verdicts from the def/use access trace.
+    /// Analytic `Latent` verdicts from def/use units alone.
     pub defuse_latent: usize,
-    /// Analytic `Overwritten` verdicts from the def/use access trace.
+    /// Analytic `Overwritten` verdicts from def/use units alone.
     pub defuse_overwritten: usize,
     /// Analytic `Latent` verdicts that needed an EDM-visibility window
-    /// (some flipped unit is outside the def/use trace).
+    /// (some flipped unit is outside the def/use units).
     pub vis_latent: usize,
     /// Analytic `Overwritten` verdicts that needed an EDM-visibility
     /// window.
@@ -246,10 +209,10 @@ pub struct PlanStats {
     /// [`Fate::Live`] faults (class representatives and members).
     pub live: usize,
     /// Of [`live`](Self::live), those carrying a flip outside the def/use
-    /// trace (resolved through a visibility window).
+    /// units (resolved through a visibility window).
     pub vis_live: usize,
     /// Live class members (not representatives) carrying a flip outside
-    /// the def/use trace.
+    /// the def/use units.
     pub vis_replicated: usize,
     /// [`Fate::Opaque`] faults: no trace covers them, so they simulate
     /// from injection.
@@ -260,7 +223,7 @@ pub struct PlanStats {
 
 impl PlanStats {
     /// Total analytic verdicts attributable to the visibility/value layer
-    /// (everything the def/use trace alone could not classify).
+    /// (everything the def/use units alone could not classify).
     #[must_use]
     pub fn vis_analytic(&self) -> usize {
         self.vis_latent + self.vis_overwritten + self.sig_overwritten + self.value_resolved
@@ -273,7 +236,7 @@ impl PlanStats {
         self.defuse_latent + self.defuse_overwritten + self.vis_analytic() + self.live
     }
 
-    /// Resolved faults that needed the visibility trace.
+    /// Resolved faults that needed a visibility unit or value-level rule.
     #[must_use]
     pub fn vis_resolved(&self) -> usize {
         self.vis_analytic() + self.vis_live
@@ -281,7 +244,7 @@ impl PlanStats {
 
     /// Attributes one fault's fate to its rule.
     fn tally(&mut self, fate: Fate, flips: &[BitLocation]) {
-        let needs_vis = flips.iter().any(|b| b.trace_unit().is_none());
+        let needs_vis = needs_vis(flips);
         let counter = match fate {
             Fate::Opaque => &mut self.opaque,
             Fate::Live { .. } => {
@@ -313,6 +276,15 @@ impl PlanStats {
         };
         *counter += 1;
     }
+}
+
+/// `true` when some flip lies outside the def/use units: in a visibility
+/// unit, or in state only the value-level rules cover.
+fn needs_vis(flips: &[BitLocation]) -> bool {
+    flips.iter().any(|b| {
+        b.trace_unit()
+            .is_none_or(|u| matches!(u, TraceUnit::Vis(_)))
+    })
 }
 
 /// One action per fault-list index, plus the class structure needed for
@@ -442,7 +414,6 @@ pub fn plan_campaign(
     }
     let started = std::time::Instant::now();
     let catalog = scan::catalog();
-    let vis = cfg.vis.then_some(&golden.vis);
     let mut stats = PlanStats::default();
     let mut class_reps: HashMap<(usize, u64, u64), usize> = HashMap::new();
     let mut resume = HashMap::new();
@@ -460,7 +431,7 @@ pub fn plan_campaign(
             // injected (the drive loop completes first); no trace says
             // anything about it.
             let fate = if fault.inject_at < golden.total_instructions {
-                resolve(&flips, fault.inject_at, &golden.trace, vis)
+                resolve(&flips, fault.inject_at, &golden.trace)
             } else {
                 Fate::Opaque
             };
@@ -472,7 +443,7 @@ pub fn plan_campaign(
                 Fate::Live { at, surviving } => {
                     match class_reps.entry((fault.location_index, at, surviving)) {
                         Entry::Occupied(e) => {
-                            if flips.iter().any(|b| b.trace_unit().is_none()) {
+                            if needs_vis(&flips) {
                                 stats.vis_replicated += 1;
                             }
                             PlanAction::Replicate {
@@ -822,7 +793,6 @@ mod tests {
     #[test]
     fn vis_windows_classify_the_untraceable_population() {
         let (cfg, golden, _) = quick_plan_inputs();
-        assert!(cfg.vis);
         // PSR bits 2..8 are never consulted by this ISA: latent.
         let psr7 = catalog_index(|l| matches!(l, BitLocation::Psr { bit: 7 }));
         // The trap bookkeeping registers are written only by the (never
@@ -842,20 +812,13 @@ mod tests {
         assert_eq!(plan.action(0), PlanAction::Analytic(Outcome::Latent));
         assert_eq!(plan.action(1), PlanAction::Analytic(Outcome::Latent));
         assert_eq!(plan.stats().vis_latent, 2);
-
-        // Without the visibility layer both fall back to simulation.
-        let mut no_vis = cfg.clone();
-        no_vis.vis = false;
-        let plan = plan_campaign(&faults, &no_vis, &golden);
-        assert_eq!(plan.simulated(), faults.len());
-        assert_eq!(plan.stats().vis_analytic(), 0);
     }
 
     #[test]
     fn signature_faults_use_only_the_write_first_rule() {
         let (cfg, golden, _) = quick_plan_inputs();
         let sig = catalog_index(|l| matches!(l, BitLocation::SigReg { bit: 3 }));
-        let sig_slot = golden.vis.accesses(bera_tcpu::VisUnit::Sig);
+        let sig_slot = golden.trace.accesses(TraceUnit::Vis(VisUnit::Sig));
         assert!(
             !sig_slot.is_empty(),
             "the workload loops, so control transfers zero the signature"
@@ -922,7 +885,7 @@ mod tests {
         // Past the final shift nothing displaces the latch: latent.
         let last_shift_plus = golden.total_instructions - 1;
         if golden
-            .vis
+            .trace
             .nth_shift_at_or_after(last_shift_plus, 0)
             .is_none()
         {
@@ -955,7 +918,6 @@ mod tests {
 
     #[test]
     fn vis_live_faults_merge_on_the_sampling_position() {
-        use bera_tcpu::VisUnit;
         let (cfg, mut golden, _) = quick_plan_inputs();
         assert!(golden.total_instructions > 300);
         let psr0 = catalog_index(|l| matches!(l, BitLocation::Psr { bit: 0 }));
@@ -963,9 +925,10 @@ mod tests {
         // consults it at 200. Two flips landing inside (100, 200] are
         // first observed by the same consult — one class; a flip before
         // the deposit is erased by it.
-        golden.vis = bera_tcpu::VisTrace::new();
-        golden.vis.record(VisUnit::Psr(0), 100, AccessKind::Write);
-        golden.vis.record(VisUnit::Psr(0), 200, AccessKind::Read);
+        let psr0_unit = TraceUnit::Vis(VisUnit::Psr(0));
+        golden.trace = AccessTrace::new();
+        golden.trace.record(psr0_unit, 100, AccessKind::Write);
+        golden.trace.record(psr0_unit, 200, AccessKind::Read);
         let faults = [
             FaultSpec {
                 location_index: psr0,
@@ -989,8 +952,8 @@ mod tests {
 
         // Adversarial: one extra EDM sample inside the window splits the
         // class — the earlier fault is now observed by a different read.
-        golden.vis.insert_for_test(
-            VisUnit::Psr(0),
+        golden.trace.insert_for_test(
+            psr0_unit,
             Access {
                 at: 170,
                 kind: AccessKind::Read,
@@ -1010,6 +973,8 @@ mod tests {
     const PSR1_BIT: BitLocation = BitLocation::Psr { bit: 1 };
     const REG3: TraceUnit = TraceUnit::Reg(3);
     const REG4: TraceUnit = TraceUnit::Reg(4);
+    const PSR1: TraceUnit = TraceUnit::Vis(VisUnit::Psr(1));
+    const SIG: TraceUnit = TraceUnit::Vis(VisUnit::Sig);
 
     fn trace_with(entries: &[(TraceUnit, u64, AccessKind)]) -> AccessTrace {
         let mut t = AccessTrace::new();
@@ -1019,25 +984,21 @@ mod tests {
         t
     }
 
-    fn resolve_on(flips: &[BitLocation], inject_at: u64, t: &AccessTrace) -> Fate {
-        resolve(flips, inject_at, t, Some(&VisTrace::new()))
-    }
-
     #[test]
     fn untouched_flips_are_latent() {
         let t = trace_with(&[(REG3, 10, AccessKind::Read)]);
-        assert_eq!(resolve_on(&[REG3_BIT], 11, &t), Fate::Latent);
+        assert_eq!(resolve(&[REG3_BIT], 11, &t), Fate::Latent);
     }
 
     #[test]
     fn a_read_is_live_and_a_full_write_kills() {
         let t = trace_with(&[(REG3, 10, AccessKind::Write), (REG3, 20, AccessKind::Read)]);
         assert_eq!(
-            resolve_on(&[REG3_BIT], 5, &t),
+            resolve(&[REG3_BIT], 5, &t),
             Fate::Overwritten { killed_at: 10 }
         );
         assert_eq!(
-            resolve_on(&[REG3_BIT], 15, &t),
+            resolve(&[REG3_BIT], 15, &t),
             Fate::Live {
                 at: 20,
                 surviving: 0b1
@@ -1049,7 +1010,7 @@ mod tests {
     fn a_partial_write_counts_as_a_use() {
         let t = trace_with(&[(REG3, 10, AccessKind::PartialWrite)]);
         assert_eq!(
-            resolve_on(&[REG3_BIT], 5, &t),
+            resolve(&[REG3_BIT], 5, &t),
             Fate::Live {
                 at: 10,
                 surviving: 0b1
@@ -1062,14 +1023,14 @@ mod tests {
         // `add r3, r3, r0`: the read observes the flip before the write.
         let read_first = trace_with(&[(REG3, 10, AccessKind::Read), (REG3, 10, AccessKind::Write)]);
         assert!(matches!(
-            resolve_on(&[REG3_BIT], 5, &read_first),
+            resolve(&[REG3_BIT], 5, &read_first),
             Fate::Live { at: 10, .. }
         ));
         // The write lands first from clean inputs, so the read sees golden.
         let write_first =
             trace_with(&[(REG3, 10, AccessKind::Write), (REG3, 10, AccessKind::Read)]);
         assert_eq!(
-            resolve_on(&[REG3_BIT], 5, &write_first),
+            resolve(&[REG3_BIT], 5, &write_first),
             Fate::Overwritten { killed_at: 10 }
         );
     }
@@ -1079,7 +1040,7 @@ mod tests {
         let t = trace_with(&[(REG3, 10, AccessKind::Write), (REG4, 30, AccessKind::Read)]);
         // r3's flip dies at 10; only r4's (flip 1) survives to the read.
         assert_eq!(
-            resolve_on(&[REG3_BIT, REG4_BIT], 5, &t),
+            resolve(&[REG3_BIT, REG4_BIT], 5, &t),
             Fate::Live {
                 at: 30,
                 surviving: 0b10
@@ -1088,7 +1049,7 @@ mod tests {
         // Both killed: overwritten at the last kill.
         let t = trace_with(&[(REG3, 10, AccessKind::Write), (REG4, 30, AccessKind::Write)]);
         assert_eq!(
-            resolve_on(&[REG3_BIT, REG4_BIT], 5, &t),
+            resolve(&[REG3_BIT, REG4_BIT], 5, &t),
             Fate::Overwritten { killed_at: 30 }
         );
     }
@@ -1099,7 +1060,7 @@ mod tests {
         // observed, and r3 still holds its flip until that write retires.
         let t = trace_with(&[(REG3, 10, AccessKind::Write), (REG4, 10, AccessKind::Read)]);
         assert_eq!(
-            resolve_on(&[REG3_BIT, REG4_BIT], 5, &t),
+            resolve(&[REG3_BIT, REG4_BIT], 5, &t),
             Fate::Live {
                 at: 10,
                 surviving: 0b11
@@ -1110,64 +1071,58 @@ mod tests {
     #[test]
     fn a_vis_unit_mixes_with_a_trace_unit() {
         // The register flip dies at 10; the PSR flag is consulted at 30.
-        let t = trace_with(&[(REG3, 10, AccessKind::Write)]);
-        let mut v = VisTrace::new();
-        v.record(VisUnit::Psr(1), 30, AccessKind::Read);
+        let t = trace_with(&[(REG3, 10, AccessKind::Write), (PSR1, 30, AccessKind::Read)]);
         assert_eq!(
-            resolve(&[REG3_BIT, PSR1_BIT], 5, &t, Some(&v)),
+            resolve(&[REG3_BIT, PSR1_BIT], 5, &t),
             Fate::Live {
                 at: 30,
                 surviving: 0b10
             }
         );
-        // Without the visibility trace the PSR flip is untraceable.
-        assert_eq!(resolve(&[REG3_BIT, PSR1_BIT], 5, &t, None), Fate::Opaque);
     }
 
     #[test]
     fn vis_units_resolve_from_the_visibility_trace() {
-        let t = AccessTrace::new();
         // A cmp deposits the flag at 10, a branch consults it at 20.
-        let mut v = VisTrace::new();
-        v.record(VisUnit::Psr(1), 10, AccessKind::Write);
-        v.record(VisUnit::Psr(1), 20, AccessKind::Read);
-        let vis = Some(&v);
+        let t = trace_with(&[(PSR1, 10, AccessKind::Write), (PSR1, 20, AccessKind::Read)]);
         assert_eq!(
-            resolve(&[PSR1_BIT], 5, &t, vis),
+            resolve(&[PSR1_BIT], 5, &t),
             Fate::Overwritten { killed_at: 10 }
         );
         assert!(matches!(
-            resolve(&[PSR1_BIT], 15, &t, vis),
+            resolve(&[PSR1_BIT], 15, &t),
             Fate::Live { at: 20, .. }
         ));
-        assert_eq!(resolve(&[PSR1_BIT], 21, &t, vis), Fate::Latent);
+        assert_eq!(resolve(&[PSR1_BIT], 21, &t), Fate::Latent);
     }
 
     #[test]
     fn a_signature_flip_without_write_first_stays_opaque() {
         const SIG_BIT: BitLocation = BitLocation::SigReg { bit: 2 };
-        let t = trace_with(&[(REG3, 12, AccessKind::Read)]);
-        let mut v = VisTrace::new();
-        v.record(VisUnit::Sig, 10, AccessKind::Read);
-        v.record(VisUnit::Sig, 10, AccessKind::Write);
-        v.record(VisUnit::Sig, 20, AccessKind::Write);
-        let vis = Some(&v);
+        let sig_events = [
+            (SIG, 10, AccessKind::Read),
+            (SIG, 10, AccessKind::Write),
+            (SIG, 20, AccessKind::Write),
+        ];
+        let mut t = trace_with(&sig_events);
+        t.record(REG3, 12, AccessKind::Read);
         // A compare samples the folded value first: no sound claim.
-        assert_eq!(resolve(&[SIG_BIT], 5, &t, vis), Fate::Opaque);
+        assert_eq!(resolve(&[SIG_BIT], 5, &t), Fate::Opaque);
         // A transfer zeroes it first: overwritten.
         assert_eq!(
-            resolve(&[SIG_BIT], 11, &t, vis),
+            resolve(&[SIG_BIT], 11, &t),
             Fate::Overwritten { killed_at: 20 }
         );
         // Folded to the end of the run: no latent claim either.
-        assert_eq!(resolve(&[SIG_BIT], 21, &t, vis), Fate::Opaque);
+        assert_eq!(resolve(&[SIG_BIT], 21, &t), Fate::Opaque);
         // Another flip goes live while the signature still carries its
         // morphed value: the state is not golden ⊕ flips, so opaque.
-        assert_eq!(resolve(&[REG3_BIT, SIG_BIT], 11, &t, vis), Fate::Opaque);
+        assert_eq!(resolve(&[REG3_BIT, SIG_BIT], 11, &t), Fate::Opaque);
         // Once the zeroing has landed the survivor resumes exactly.
-        let late_read = trace_with(&[(REG3, 25, AccessKind::Read)]);
+        let mut late_read = trace_with(&sig_events);
+        late_read.record(REG3, 25, AccessKind::Read);
         assert_eq!(
-            resolve(&[REG3_BIT, SIG_BIT], 11, &late_read, vis),
+            resolve(&[REG3_BIT, SIG_BIT], 11, &late_read),
             Fate::Live {
                 at: 25,
                 surviving: 0b01
@@ -1178,14 +1133,10 @@ mod tests {
     #[test]
     fn fetch_valid_and_multi_flip_operand_latch_faults_are_opaque() {
         let t = AccessTrace::new();
-        let v = VisTrace::new();
-        assert_eq!(
-            resolve(&[BitLocation::FetchValid], 0, &t, Some(&v)),
-            Fate::Opaque
-        );
+        assert_eq!(resolve(&[BitLocation::FetchValid], 0, &t), Fate::Opaque);
         let op = BitLocation::OperandA { bit: 0 };
-        assert_eq!(resolve(&[op], 0, &t, Some(&v)), Fate::Latent);
-        assert_eq!(resolve(&[op, REG3_BIT], 0, &t, Some(&v)), Fate::Opaque);
+        assert_eq!(resolve(&[op], 0, &t), Fate::Latent);
+        assert_eq!(resolve(&[op, REG3_BIT], 0, &t), Fate::Opaque);
     }
 
     #[test]

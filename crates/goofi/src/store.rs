@@ -44,10 +44,11 @@ pub const STORE_MAGIC: &str = "bera-campaign-store";
 /// Version 2 added the `harness_error` record field (supervised execution
 /// quarantine); version 3 added the `provenance` record field and the
 /// `prune` header field (def/use fault-space pruning); version 4 added
-/// the `vis` header field (EDM-visibility analytic classification).
+/// the `vis` header field (EDM-visibility analytic classification), which
+/// version 5 dropped again (the visibility units are always traced).
 /// Older stores are refused on resume rather than misread, since the
 /// vendored deserializer has no field defaults.
-pub const STORE_VERSION: u32 = 4;
+pub const STORE_VERSION: u32 = 5;
 
 /// Everything needed to validate and re-interpret a stored campaign:
 /// the identity of the run plus the golden vectors records are classified
@@ -71,11 +72,6 @@ pub struct StoreHeader {
     /// their provenance tags differ, so mixing the two in one store would
     /// make the provenance split meaningless.
     pub prune: bool,
-    /// Whether EDM-visibility analytic classification was enabled.
-    /// Validated on resume for the same reason as `prune`: the visibility
-    /// layer changes which faults carry `Analytic`/`Replicated`
-    /// provenance, so a resumed half must use the same setting.
-    pub vis: bool,
     /// Closed-loop iterations per experiment.
     pub iterations: usize,
     /// Whether the data cache ran parity-protected.
@@ -105,7 +101,6 @@ impl StoreHeader {
             seed: cfg.seed,
             fault_model: cfg.fault_model,
             prune: cfg.prune,
-            vis: cfg.vis,
             iterations: cfg.loop_cfg.iterations,
             parity_cache: cfg.loop_cfg.parity_cache,
             total_locations: bera_tcpu::scan::catalog().len(),
@@ -147,7 +142,6 @@ impl StoreHeader {
         check("seed", &self.seed, &current.seed)?;
         check("fault_model", &self.fault_model, &current.fault_model)?;
         check("prune", &self.prune, &current.prune)?;
-        check("vis", &self.vis, &current.vis)?;
         check("iterations", &self.iterations, &current.iterations)?;
         check("parity_cache", &self.parity_cache, &current.parity_cache)?;
         check(

@@ -1,12 +1,27 @@
-//! Golden-run access tracing — the def/use substrate for fault-space
-//! pruning.
+//! Golden-run access tracing — the substrate of the campaign planner's
+//! fate resolver.
 //!
-//! While the golden reference run executes, the machine records, for every
-//! *traceable unit* of architectural state (a general-purpose register, a
-//! cache data word, an output port, a save register, a memory word), the
+//! While the golden reference run executes, the machine records one
+//! [`AccessTrace`]: for every *traceable unit* of architectural state, the
 //! ordered dynamic-instruction indices at which that unit is read or fully
-//! written. A campaign planner can then classify most transient single-bit
-//! faults without simulating them:
+//! written. Two kinds of unit share its one dense index space:
+//!
+//! * **def/use units** — a general-purpose register, a cache data word, an
+//!   output port, a save register, a memory word — whose every semantic
+//!   access flows through an explicit hook (`read_reg`/`write_reg`, cached
+//!   accesses, line fills, write-backs, `out`, the harness port sample);
+//! * **visibility units** ([`TraceUnit::Vis`]) — the state the pipeline
+//!   and the error detection mechanisms consult *asynchronously* (PC, PSR
+//!   flags, signature, latches, cache tags/flags, buffers, stack bounds,
+//!   EDAC syndrome), recorded at the few enumerable consult sites listed
+//!   in [`crate::vis`].
+//!
+//! The trace also holds the operand latch's shift instants (one per
+//! register read), for the planner's value-level rule on that shift
+//! register.
+//!
+//! A campaign planner can then classify most transient faults without
+//! simulating them:
 //!
 //! * first post-injection access is a **full-width write** → the flip is
 //!   deposited over with the fault-free value before anything observed it:
@@ -18,13 +33,13 @@
 //!   read produces the identical faulty trajectory, so one simulated
 //!   representative stands for the whole equivalence class.
 //!
-//! Only units whose every semantic access flows through an explicit trace
-//! hook may be classified this way; state the EDMs or the pipeline consult
-//! implicitly (the signature register, the fetch latch, cache tags, …) is
-//! excluded by [`crate::scan::BitLocation::trace_unit`] returning `None`.
+//! Only the fetch-latch valid bit and the operand latch have no unit
+//! ([`crate::scan::BitLocation::trace_unit`] returns `None`): the first is
+//! consulted by every instruction, the second shifts its contents.
 
 use crate::cache;
 use crate::mem;
+use crate::vis::VisUnit;
 use serde::{Deserialize, Serialize};
 
 /// How a traceable unit was touched.
@@ -65,7 +80,8 @@ pub struct Access {
 
 /// A unit of architectural state with a dense trace index. Each scan-chain
 /// bit that is traceable maps to exactly one unit (the register, cache
-/// word, port, or save slot containing it).
+/// word, port, save slot, or asynchronously consulted element containing
+/// it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TraceUnit {
     /// General-purpose register `r0..r15`.
@@ -83,19 +99,32 @@ pub enum TraceUnit {
     Save(u8),
     /// One word of data RAM or stack, by [`mem::word_key`] index.
     MemWord(usize),
+    /// State consulted asynchronously by the pipeline or an EDM, traced
+    /// at its consult sites (see [`crate::vis`]).
+    Vis(VisUnit),
+}
+
+impl From<VisUnit> for TraceUnit {
+    fn from(v: VisUnit) -> Self {
+        TraceUnit::Vis(v)
+    }
 }
 
 /// Number of non-memory units: 16 registers + 8×4 cache words + 4 output
 /// ports + 2 save registers.
 const CPU_UNITS: usize = 16 + cache::NUM_LINES * cache::WORDS_PER_LINE + 4 + 2;
 
+/// Number of def/use units: the CPU units plus every RAM and stack word.
+const DEFUSE_UNITS: usize = CPU_UNITS + mem::NUM_DATA_WORDS;
+
 impl TraceUnit {
-    /// Total number of traceable units (CPU units plus every RAM and stack
-    /// word).
-    pub const COUNT: usize = CPU_UNITS + mem::NUM_DATA_WORDS;
+    /// Total number of traceable units (def/use units, then the
+    /// visibility units).
+    pub const COUNT: usize = DEFUSE_UNITS + VisUnit::COUNT;
 
     /// Dense index of this unit in `0..TraceUnit::COUNT`.
     #[must_use]
+    #[inline]
     pub fn index(&self) -> usize {
         match *self {
             TraceUnit::Reg(r) => r as usize,
@@ -103,14 +132,17 @@ impl TraceUnit {
             TraceUnit::PortOut(p) => 16 + cache::NUM_LINES * cache::WORDS_PER_LINE + p as usize,
             TraceUnit::Save(s) => 16 + cache::NUM_LINES * cache::WORDS_PER_LINE + 4 + s as usize,
             TraceUnit::MemWord(w) => CPU_UNITS + w,
+            TraceUnit::Vis(v) => DEFUSE_UNITS + v.index(),
         }
     }
 }
 
-/// The full per-unit access trace of one golden run.
+/// The full per-unit access trace of one golden run, plus the operand-latch
+/// shift instants.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AccessTrace {
     units: Vec<Vec<Access>>,
+    shifts: Vec<u64>,
 }
 
 impl Default for AccessTrace {
@@ -125,16 +157,25 @@ impl AccessTrace {
     pub fn new() -> Self {
         AccessTrace {
             units: vec![Vec::new(); TraceUnit::COUNT],
+            shifts: Vec::new(),
         }
     }
 
     /// Appends an access. Entries for one unit must arrive in
     /// non-decreasing `at` order (they do, when recorded during execution);
     /// [`AccessTrace::first_at_or_after`] relies on it.
+    #[inline]
     pub fn record(&mut self, unit: TraceUnit, at: u64, kind: AccessKind) {
         let slot = &mut self.units[unit.index()];
         debug_assert!(slot.last().is_none_or(|a| a.at <= at), "trace not sorted");
         slot.push(Access { at, kind });
+    }
+
+    /// Appends an operand-latch shift instant (each register read shifts
+    /// the latch: `a ← b`, `b ← value`).
+    pub fn record_shift(&mut self, at: u64) {
+        debug_assert!(self.shifts.last().is_none_or(|&s| s <= at));
+        self.shifts.push(at);
     }
 
     /// All accesses to `unit`, in execution order.
@@ -153,7 +194,17 @@ impl AccessTrace {
         slot.get(i).copied()
     }
 
-    /// Total number of recorded accesses, across all units.
+    /// The instant of the `n`-th (from 0) operand-latch shift visible to
+    /// a fault injected at boundary `inject_at` (shift instants
+    /// `>= inject_at`), or `None` when fewer shifts follow.
+    #[must_use]
+    pub fn nth_shift_at_or_after(&self, inject_at: u64, n: usize) -> Option<u64> {
+        let first = self.shifts.partition_point(|&s| s < inject_at);
+        self.shifts.get(first + n).copied()
+    }
+
+    /// Total number of recorded accesses, across all units (shifts
+    /// excluded).
     #[must_use]
     pub fn total_accesses(&self) -> usize {
         self.units.iter().map(Vec::len).sum()
@@ -171,6 +222,12 @@ impl AccessTrace {
     /// (for adversarial tests).
     pub fn set_kind_for_test(&mut self, unit: TraceUnit, i: usize, kind: AccessKind) {
         self.units[unit.index()][i].kind = kind;
+    }
+
+    /// Removes the access at position `i` of `unit`'s slot (for
+    /// adversarial tests — deleting a boundary shrinks a window).
+    pub fn remove_for_test(&mut self, unit: TraceUnit, i: usize) {
+        self.units[unit.index()].remove(i);
     }
 }
 
@@ -230,6 +287,11 @@ mod tests {
         for w in 0..mem::NUM_DATA_WORDS {
             units.push(TraceUnit::MemWord(w));
         }
+        units.extend(
+            crate::vis::tests::all_units()
+                .into_iter()
+                .map(TraceUnit::Vis),
+        );
         assert_eq!(units.len(), TraceUnit::COUNT);
         for u in units {
             let i = u.index();

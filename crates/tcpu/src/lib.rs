@@ -67,4 +67,4 @@ pub use digest::Fnv64;
 pub use edm::ErrorMechanism;
 pub use machine::{Machine, RunExit};
 pub use scan::{BitLocation, CpuPart, ScanSnapshot};
-pub use vis::{VisTrace, VisUnit};
+pub use vis::VisUnit;

@@ -25,7 +25,7 @@ use crate::cache::{DataCache, LINE_BYTES, WORDS_PER_LINE};
 use crate::edm::{ErrorMechanism as Edm, Trap};
 use crate::isa::{self, Decoded, Opcode};
 use crate::mem::{self, Memory, Region};
-use crate::vis::{VisSlot, VisTrace, VisUnit};
+use crate::vis::VisUnit;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -317,9 +317,7 @@ pub struct Machine {
     parity_cache: bool,
     shadow: [crate::cache::CacheLine; crate::cache::NUM_LINES],
     /// Optional golden-run access-trace recorder (see [`crate::access`]).
-    atrace: TraceSlot,
-    /// Optional golden-run EDM-visibility recorder (see [`crate::vis`]).
-    vtrace: VisSlot,
+    trace: TraceSlot,
     /// The predecoded ROM image (fast replay and scalar decode).
     block_cache: BlockCache,
     /// Fast-replay telemetry counters.
@@ -362,8 +360,7 @@ impl Machine {
             trapped: None,
             parity_cache: false,
             shadow: [crate::cache::CacheLine::default(); crate::cache::NUM_LINES],
-            atrace: TraceSlot::default(),
-            vtrace: VisSlot::default(),
+            trace: TraceSlot::default(),
             block_cache: BlockCache::default(),
             fast_stats: FastStats::default(),
             dirty: DirtySlot::default(),
@@ -373,25 +370,12 @@ impl Machine {
     /// Starts recording an access trace (golden runs only). Any previous
     /// trace is discarded. Clones taken while tracing do not trace.
     pub fn start_access_trace(&mut self) {
-        self.atrace.0 = Some(Box::new(AccessTrace::new()));
+        self.trace.0 = Some(Box::new(AccessTrace::new()));
     }
 
     /// Stops tracing and returns the recorded trace, if one was started.
     pub fn take_access_trace(&mut self) -> Option<AccessTrace> {
-        self.atrace.0.take().map(|b| *b)
-    }
-
-    /// Starts recording an EDM-visibility trace (golden runs only). Any
-    /// previous trace is discarded. Clones taken while tracing do not
-    /// trace.
-    pub fn start_vis_trace(&mut self) {
-        self.vtrace.0 = Some(Box::new(VisTrace::new()));
-    }
-
-    /// Stops visibility tracing and returns the recorded trace, if one
-    /// was started.
-    pub fn take_vis_trace(&mut self) -> Option<VisTrace> {
-        self.vtrace.0.take().map(|b| *b)
+        self.trace.0.take().map(|b| *b)
     }
 
     /// Records the harness's read of an output port at a `yield` boundary
@@ -401,29 +385,15 @@ impl Machine {
     /// current boundary is *not* visible to it.
     pub fn trace_harness_port_read(&mut self, port: u16) {
         let at = self.instr_count.saturating_sub(1);
-        if let Some(t) = self.atrace.0.as_mut() {
+        if let Some(t) = self.trace.0.as_mut() {
             t.record(TraceUnit::PortOut(port as u8), at, AccessKind::Read);
         }
     }
 
     #[inline]
-    fn trace(&mut self, unit: TraceUnit, kind: AccessKind) {
-        if let Some(t) = self.atrace.0.as_mut() {
-            t.record(unit, self.instr_count, kind);
-        }
-    }
-
-    #[inline]
-    fn vis(&mut self, unit: VisUnit, kind: AccessKind) {
-        if let Some(v) = self.vtrace.0.as_mut() {
-            v.record(unit, self.instr_count, kind);
-        }
-    }
-
-    #[inline]
-    fn vis_shift(&mut self) {
-        if let Some(v) = self.vtrace.0.as_mut() {
-            v.record_shift(self.instr_count);
+    fn trace(&mut self, unit: impl Into<TraceUnit>, kind: AccessKind) {
+        if let Some(t) = self.trace.0.as_mut() {
+            t.record(unit.into(), self.instr_count, kind);
         }
     }
 
@@ -646,8 +616,7 @@ impl Machine {
         self.trapped = src.trapped;
         self.parity_cache = src.parity_cache;
         self.shadow = src.shadow;
-        self.atrace = TraceSlot::default();
-        self.vtrace = VisSlot::default();
+        self.trace = TraceSlot::default();
         self.block_cache = src.block_cache.clone();
         debug_assert!(
             self.state_equals(src),
@@ -837,9 +806,9 @@ impl Machine {
     /// Executes at most `budget` instructions, returning early on a `yield`
     /// or a trap.
     pub fn run(&mut self, budget: u64) -> RunExit {
-        // Monomorphise the step path on whether a trace (access or
-        // visibility) is being recorded: the untraced interpreter (every
-        // experiment) compiles with all trace hooks removed entirely.
+        // Monomorphise the step path on whether a trace is being
+        // recorded: the untraced interpreter (every experiment) compiles
+        // with all trace hooks removed entirely.
         if self.tracing() {
             self.run_gen::<true>(budget)
         } else {
@@ -1114,7 +1083,7 @@ impl Machine {
 
     #[inline]
     fn tracing(&self) -> bool {
-        self.atrace.0.is_some() || self.vtrace.0.is_some()
+        self.trace.0.is_some()
     }
 
     fn step_gen<const TRACING: bool>(&mut self) -> Result<StepEvent, Trap> {
@@ -1134,7 +1103,7 @@ impl Machine {
                     pc,
                 };
                 if TRACING {
-                    self.vis(VisUnit::EpcCause, AccessKind::Write);
+                    self.trace(VisUnit::EpcCause, AccessKind::Write);
                 }
                 self.instr_count += 1;
                 self.trapped = Some(trap);
@@ -1152,8 +1121,8 @@ impl Machine {
             self.fill_latch::<TRACING>().map_err(|m| (m, self.pc))?;
         }
         if TRACING {
-            self.vis(VisUnit::FetchWord, AccessKind::Read);
-            self.vis(VisUnit::FetchPc, AccessKind::Read);
+            self.trace(VisUnit::FetchWord, AccessKind::Read);
+            self.trace(VisUnit::FetchPc, AccessKind::Read);
         }
         let word = self.fetch.word;
         let ipc = self.fetch.pc;
@@ -1201,13 +1170,13 @@ impl Machine {
                 // it is zeroed (a deposit derived from the compare — the
                 // preceding Read keeps a flipped signature live here).
                 if TRACING {
-                    self.vis(VisUnit::Sig, AccessKind::Read);
+                    self.trace(VisUnit::Sig, AccessKind::Read);
                 }
                 if self.sig != d.uimm16 as u16 {
                     return Err(Edm::ControlFlowError);
                 }
                 if TRACING {
-                    self.vis(VisUnit::Sig, AccessKind::Write);
+                    self.trace(VisUnit::Sig, AccessKind::Write);
                 }
                 self.sig = 0;
             }
@@ -1289,10 +1258,10 @@ impl Machine {
                 // invisible to this branch.
                 if TRACING {
                     if matches!(d.op, Beq | Bne | Bgt | Ble) {
-                        self.vis(VisUnit::Psr(0), AccessKind::Read);
+                        self.trace(VisUnit::Psr(0), AccessKind::Read);
                     }
                     if matches!(d.op, Blt | Bge | Bgt | Ble) {
-                        self.vis(VisUnit::Psr(1), AccessKind::Read);
+                        self.trace(VisUnit::Psr(1), AccessKind::Read);
                     }
                 }
                 let eq = self.psr & PSR_EQ != 0;
@@ -1405,8 +1374,8 @@ impl Machine {
         // Both condition flags are deposited full-width from clean
         // compare inputs — the kill event for pending EQ/LT flips.
         if TRACING {
-            self.vis(VisUnit::Psr(0), AccessKind::Write);
-            self.vis(VisUnit::Psr(1), AccessKind::Write);
+            self.trace(VisUnit::Psr(0), AccessKind::Write);
+            self.trace(VisUnit::Psr(1), AccessKind::Write);
         }
         self.psr &= !(PSR_EQ | PSR_LT);
         if eq {
@@ -1434,10 +1403,12 @@ impl Machine {
 
     fn read_reg<const TRACING: bool>(&mut self, r: u8) -> u32 {
         if TRACING {
-            self.trace(TraceUnit::Reg(r & 0xF), AccessKind::Read);
-            // The operand latch shifts (a ← b, b ← value): record the
-            // instant for the planner's value-level migration rule.
-            self.vis_shift();
+            if let Some(t) = self.trace.0.as_mut() {
+                t.record(TraceUnit::Reg(r & 0xF), self.instr_count, AccessKind::Read);
+                // The operand latch shifts (a ← b, b ← value): record the
+                // instant for the planner's value-level migration rule.
+                t.record_shift(self.instr_count);
+            }
         }
         let v = self.regs[(r & 0xF) as usize];
         self.idex.a = self.idex.b;
@@ -1450,7 +1421,7 @@ impl Machine {
             self.trace(TraceUnit::Reg(r & 0xF), AccessKind::Write);
             // The whole result latch (value, rd, we) is deposited from
             // clean inputs.
-            self.vis(VisUnit::Exwb, AccessKind::Write);
+            self.trace(VisUnit::Exwb, AccessKind::Write);
         }
         self.exwb = ResultLatch {
             value: v,
@@ -1470,8 +1441,8 @@ impl Machine {
             // the PC is replaced by the (clean-input) target and the
             // signature register is zeroed unconditionally — the only
             // sound kill for signature flips.
-            self.vis(VisUnit::Pc, AccessKind::Write);
-            self.vis(VisUnit::Sig, AccessKind::Write);
+            self.trace(VisUnit::Pc, AccessKind::Write);
+            self.trace(VisUnit::Sig, AccessKind::Write);
         }
         self.pc = target;
         self.fetch.valid = false;
@@ -1495,14 +1466,14 @@ impl Machine {
             // *after* the read in per-unit order, so a pending PC flip is
             // observed here, never killed — the increment derives from
             // the flipped value.
-            self.vis(VisUnit::Pc, AccessKind::Read);
+            self.trace(VisUnit::Pc, AccessKind::Read);
         }
         match self.mem.fetch(self.pc) {
             Some(word) => {
                 if TRACING {
-                    self.vis(VisUnit::FetchWord, AccessKind::Write);
-                    self.vis(VisUnit::FetchPc, AccessKind::Write);
-                    self.vis(VisUnit::Pc, AccessKind::Write);
+                    self.trace(VisUnit::FetchWord, AccessKind::Write);
+                    self.trace(VisUnit::FetchPc, AccessKind::Write);
+                    self.trace(VisUnit::Pc, AccessKind::Write);
                 }
                 self.fetch = FetchLatch {
                     word,
@@ -1538,8 +1509,8 @@ impl Machine {
             Region::Stack => {
                 // The storage-error EDM samples both bound registers.
                 if TRACING {
-                    self.vis(VisUnit::StackLo, AccessKind::Read);
-                    self.vis(VisUnit::StackHi, AccessKind::Read);
+                    self.trace(VisUnit::StackLo, AccessKind::Read);
+                    self.trace(VisUnit::StackHi, AccessKind::Read);
                 }
                 if addr < self.stack_lo || addr >= self.stack_hi {
                     return Err(Edm::StorageError);
@@ -1602,9 +1573,9 @@ impl Machine {
             // short-circuit splits off at this very Read, so conditioning
             // the tag sample on the *golden* flag is sound.
             let idx = crate::cache::index_of(addr);
-            self.vis(VisUnit::CacheValid(idx), AccessKind::Read);
+            self.trace(VisUnit::CacheValid(idx), AccessKind::Read);
             if self.cache.line(idx).valid {
-                self.vis(VisUnit::CacheTag(idx), AccessKind::Read);
+                self.trace(VisUnit::CacheTag(idx), AccessKind::Read);
             }
         }
         if !self.cache.hits(addr) {
@@ -1613,7 +1584,7 @@ impl Machine {
                 // victim (pending_writeback short-circuits on valid).
                 let idx = crate::cache::index_of(addr);
                 if self.cache.line(idx).valid {
-                    self.vis(VisUnit::CacheDirty(idx), AccessKind::Read);
+                    self.trace(VisUnit::CacheDirty(idx), AccessKind::Read);
                 }
             }
             if let Some((wb_addr, data)) = self.cache.pending_writeback(addr) {
@@ -1639,8 +1610,8 @@ impl Machine {
                     // A store deposits the whole store buffer and forces
                     // the line's dirty flag to 1 — both value-independent
                     // of the previous contents.
-                    self.vis(VisUnit::Sbuf, AccessKind::Write);
-                    self.vis(
+                    self.trace(VisUnit::Sbuf, AccessKind::Write);
+                    self.trace(
                         VisUnit::CacheDirty(crate::cache::index_of(addr)),
                         AccessKind::Write,
                     );
@@ -1734,14 +1705,14 @@ impl Machine {
                 }
                 // The EDAC check samples the syndrome register per word;
                 // each word then deposits a whole fill buffer.
-                self.vis(VisUnit::EdacSyndrome, AccessKind::Read);
+                self.trace(VisUnit::EdacSyndrome, AccessKind::Read);
             }
             let (w, parity_ok) = self.mem.read_word(a).ok_or(Edm::AddressError)?;
             if !parity_ok || self.edac_syndrome != 0 {
                 return Err(Edm::DataError);
             }
             if TRACING {
-                self.vis(VisUnit::Fbuf, AccessKind::Write);
+                self.trace(VisUnit::Fbuf, AccessKind::Write);
             }
             self.fbuf = FillBuffer {
                 addr: a,
@@ -1757,9 +1728,9 @@ impl Machine {
                 self.trace(TraceUnit::CacheWord { line, word }, AccessKind::Write);
             }
             // The fill deposits the line's tag, valid and dirty flags.
-            self.vis(VisUnit::CacheTag(line), AccessKind::Write);
-            self.vis(VisUnit::CacheValid(line), AccessKind::Write);
-            self.vis(VisUnit::CacheDirty(line), AccessKind::Write);
+            self.trace(VisUnit::CacheTag(line), AccessKind::Write);
+            self.trace(VisUnit::CacheValid(line), AccessKind::Write);
+            self.trace(VisUnit::CacheDirty(line), AccessKind::Write);
         }
         self.cache.fill(base, data);
         self.update_shadow(base);

@@ -92,24 +92,24 @@ impl BitLocation {
         }
     }
 
-    /// The access-trace unit governing this bit, or `None` when the bit is
-    /// *not* traceable by the def/use trace. Most such bits are still
-    /// covered analytically by the coarser EDM-visibility trace — see
-    /// [`BitLocation::vis_unit`]; only the few bits where *that* returns
-    /// `None` too (the fetch-valid bit, the operand latch) must always be
-    /// simulated or resolved by value-level rules.
+    /// The access-trace unit governing this bit, or `None` for the two
+    /// elements no trace can cover: the fetch-latch valid bit (consulted
+    /// by every instruction to decide whether to fetch) and the operand
+    /// latch (a shift register whose flips migrate between its slots; the
+    /// planner resolves it from the trace's shift instants instead).
     ///
-    /// A location is traceable only if **every** semantic access to it
-    /// flows through an explicit trace hook. That holds for the register
-    /// file (`read_reg`/`write_reg`), cache data words (cached reads and
+    /// Bits whose **every** semantic access flows through an explicit
+    /// trace hook map to a def/use unit: the register file
+    /// (`read_reg`/`write_reg`), cache data words (cached reads and
     /// writes, line fills, write-backs), the output ports (`out` plus the
     /// harness's sample at each `yield`), and the save registers (never
     /// touched at run time). Everything else is consulted implicitly —
     /// the fetch latch on every step, the signature register by the
     /// control-flow monitor, cache tags/flags by every hit check, the
     /// store/fill buffers by the memory interface, the PSR by branches,
-    /// the stack bounds and EDAC syndrome by the EDMs — so no per-access
-    /// trace can be complete for them.
+    /// the stack bounds and EDAC syndrome by the EDMs — and maps to its
+    /// visibility unit ([`TraceUnit::Vis`](crate::access::TraceUnit::Vis)),
+    /// traced at those consult sites.
     #[must_use]
     pub fn trace_unit(&self) -> Option<crate::access::TraceUnit> {
         use crate::access::TraceUnit;
@@ -121,7 +121,7 @@ impl BitLocation {
             }),
             BitLocation::PortOut { port, .. } => Some(TraceUnit::PortOut(port)),
             BitLocation::Save { index, .. } => Some(TraceUnit::Save(index)),
-            _ => None,
+            _ => self.vis_unit().map(TraceUnit::Vis),
         }
     }
 }

@@ -1,17 +1,15 @@
-//! EDM-visibility tracing — analytic coverage for the *untraceable* set.
+//! EDM-visibility units — where the asynchronously consulted state is
+//! observed.
 //!
-//! The def/use access trace ([`crate::access`]) covers state whose every
-//! semantic access flows through an explicit hook: registers, cache data
-//! words, ports, save slots, memory words. Everything else — PC, PSR,
-//! signature register, pipeline latches, cache tags/flags, the store/fill
-//! buffers, stack bounds, EDAC syndrome — is consulted *asynchronously*
-//! by the pipeline and the error detection mechanisms, so the def/use
-//! trace alone would leave every fault landing there to simulation (~28 %
-//! of multi-bit candidates).
-//!
-//! This module closes most of that gap with a second, coarser trace: the
-//! golden run records, per [`VisUnit`], the **visibility windows** in
-//! which each asynchronous observer actually samples that state. The
+//! The golden run's one [`AccessTrace`] records def/use events for state
+//! whose every semantic access flows through an explicit hook: registers,
+//! cache data words, ports, save slots, memory words. Everything else —
+//! PC, PSR, signature register, pipeline latches, cache tags/flags, the
+//! store/fill buffers, stack bounds, EDAC syndrome — is consulted
+//! *asynchronously* by the pipeline and the error detection mechanisms.
+//! Each such element is a [`VisUnit`], traced in the same container as
+//! [`TraceUnit::Vis`]: the golden run records the **visibility windows**
+//! in which an asynchronous observer actually samples that state. The
 //! hooks live at the (few, enumerable) consult sites:
 //!
 //! * the fetch path: `fill_latch` reads the PC and deposits a whole new
@@ -41,7 +39,7 @@
 //! *overwritten*; one whose first event is a sample is *live* there, in
 //! the exact state `golden ⊕ flip` — exactly the def/use argument,
 //! transplanted to the asynchronous observers (the planner's fate resolver
-//! walks both traces alike). The one exception is the signature register,
+//! walks every unit alike). The one exception is the signature register,
 //! which every instruction folds: only its write-first rule is sound.
 //!
 //! Two state elements remain opaque by design: the fetch-latch valid bit
@@ -49,15 +47,19 @@
 //! exists) and the operand latch (a shift register whose flips *migrate*
 //! between its two slots; the planner resolves single flips there with
 //! the value-level shift instants, see
-//! [`VisTrace::nth_shift_at_or_after`]).
+//! [`AccessTrace::nth_shift_at_or_after`]).
+//!
+//! [`AccessTrace`]: crate::access::AccessTrace
+//! [`AccessTrace::nth_shift_at_or_after`]: crate::access::AccessTrace::nth_shift_at_or_after
+//! [`TraceUnit::Vis`]: crate::access::TraceUnit::Vis
 
-use crate::access::{Access, AccessKind};
 use crate::cache;
 use crate::scan::BitLocation;
+use serde::{Deserialize, Serialize};
 
-/// A unit of *untraceable* architectural state with a dense index, the
-/// visibility-window analogue of [`crate::access::TraceUnit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A unit of asynchronously consulted architectural state with a dense
+/// index; traced as [`TraceUnit::Vis`](crate::access::TraceUnit::Vis).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum VisUnit {
     /// The program counter.
     Pc,
@@ -106,6 +108,7 @@ impl VisUnit {
 
     /// Dense index of this unit in `0..VisUnit::COUNT`.
     #[must_use]
+    #[inline]
     pub fn index(&self) -> usize {
         match *self {
             VisUnit::Pc => 0,
@@ -129,11 +132,9 @@ impl VisUnit {
 
 impl BitLocation {
     /// The visibility unit governing this bit, or `None` when the bit is
-    /// either covered by the ordinary access trace
-    /// ([`BitLocation::trace_unit`] returns `Some`) or genuinely opaque
-    /// (the fetch-latch valid bit, the operand latch).
-    #[must_use]
-    pub fn vis_unit(&self) -> Option<VisUnit> {
+    /// either a def/use bit or genuinely opaque (the fetch-latch valid
+    /// bit, the operand latch).
+    pub(crate) fn vis_unit(&self) -> Option<VisUnit> {
         match *self {
             BitLocation::Pc { .. } => Some(VisUnit::Pc),
             BitLocation::Psr { bit } => Some(VisUnit::Psr(bit)),
@@ -165,138 +166,14 @@ impl BitLocation {
     }
 }
 
-/// The visibility-window trace of one golden run: per [`VisUnit`], the
-/// ordered instants at which an asynchronous observer sampled (`Read`) or
-/// fully deposited (`Write`) that unit, plus the operand-latch shift
-/// instants for the planner's value-level rule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VisTrace {
-    units: Vec<Vec<Access>>,
-    shifts: Vec<u64>,
-}
-
-impl Default for VisTrace {
-    fn default() -> Self {
-        VisTrace::new()
-    }
-}
-
-impl VisTrace {
-    /// An empty trace covering every unit.
-    #[must_use]
-    pub fn new() -> Self {
-        VisTrace {
-            units: vec![Vec::new(); VisUnit::COUNT],
-            shifts: Vec::new(),
-        }
-    }
-
-    /// Appends an event. Entries for one unit must arrive in
-    /// non-decreasing `at` order (they do, when recorded during
-    /// execution); [`VisTrace::first_at_or_after`] relies on it.
-    pub fn record(&mut self, unit: VisUnit, at: u64, kind: AccessKind) {
-        let slot = &mut self.units[unit.index()];
-        debug_assert!(slot.last().is_none_or(|a| a.at <= at), "trace not sorted");
-        slot.push(Access { at, kind });
-    }
-
-    /// Appends an operand-latch shift instant (each `read_reg` shifts the
-    /// latch: `a ← b`, `b ← value`).
-    pub fn record_shift(&mut self, at: u64) {
-        debug_assert!(self.shifts.last().is_none_or(|&s| s <= at));
-        self.shifts.push(at);
-    }
-
-    /// All events of `unit`, in execution order.
-    #[must_use]
-    pub fn accesses(&self, unit: VisUnit) -> &[Access] {
-        &self.units[unit.index()]
-    }
-
-    /// The first event of `unit` visible to a fault injected at boundary
-    /// `inject_at` (first entry with `at >= inject_at`), or `None`.
-    #[must_use]
-    pub fn first_at_or_after(&self, unit: VisUnit, inject_at: u64) -> Option<Access> {
-        let slot = &self.units[unit.index()];
-        let i = slot.partition_point(|a| a.at < inject_at);
-        slot.get(i).copied()
-    }
-
-    /// The instant of the `n`-th (from 0) operand-latch shift visible to
-    /// a fault injected at boundary `inject_at` (shift instants
-    /// `>= inject_at`), or `None` when fewer shifts follow.
-    #[must_use]
-    pub fn nth_shift_at_or_after(&self, inject_at: u64, n: usize) -> Option<u64> {
-        let first = self.shifts.partition_point(|&s| s < inject_at);
-        self.shifts.get(first + n).copied()
-    }
-
-    /// Total number of recorded events, across all units (shifts
-    /// excluded).
-    #[must_use]
-    pub fn total_events(&self) -> usize {
-        self.units.iter().map(Vec::len).sum()
-    }
-
-    /// Mutates the trace (for adversarial tests): inserts `access` into
-    /// `unit`'s slot at its sorted position — the "one extra EDM sample"
-    /// of the soundness proptests.
-    pub fn insert_for_test(&mut self, unit: VisUnit, access: Access) {
-        let slot = &mut self.units[unit.index()];
-        let i = slot.partition_point(|a| a.at <= access.at);
-        slot.insert(i, access);
-    }
-
-    /// Mutates the kind of the event at position `i` of `unit`'s slot
-    /// (for adversarial tests — demoting a kill shrinks the window).
-    pub fn set_kind_for_test(&mut self, unit: VisUnit, i: usize, kind: AccessKind) {
-        self.units[unit.index()][i].kind = kind;
-    }
-
-    /// Removes the event at position `i` of `unit`'s slot (for
-    /// adversarial tests — deleting a boundary shrinks the window).
-    pub fn remove_for_test(&mut self, unit: VisUnit, i: usize) {
-        self.units[unit.index()].remove(i);
-    }
-}
-
-/// The machine's optional visibility recorder. Behaviourally inert
-/// exactly like [`crate::access::TraceSlot`]: clones of a tracing machine
-/// do not trace, equality ignores it, and it serializes as `null`.
-#[derive(Debug, Default)]
-pub(crate) struct VisSlot(pub(crate) Option<Box<VisTrace>>);
-
-impl Clone for VisSlot {
-    fn clone(&self) -> Self {
-        VisSlot(None)
-    }
-}
-
-impl PartialEq for VisSlot {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl serde::Serialize for VisSlot {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for VisSlot {
-    fn from_value(_v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(VisSlot::default())
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::access::{Access, AccessKind, AccessTrace, TraceUnit};
     use crate::scan;
 
-    #[test]
-    fn unit_indices_are_dense_and_unique() {
+    /// Every visibility unit, in catalog order.
+    pub(crate) fn all_units() -> Vec<VisUnit> {
         let mut units: Vec<VisUnit> = vec![VisUnit::Pc];
         for b in 0..8 {
             units.push(VisUnit::Psr(b));
@@ -318,6 +195,12 @@ mod tests {
             units.push(VisUnit::CacheValid(l));
             units.push(VisUnit::CacheDirty(l));
         }
+        units
+    }
+
+    #[test]
+    fn unit_indices_are_dense_and_unique() {
+        let units = all_units();
         assert_eq!(units.len(), VisUnit::COUNT);
         let mut seen = [false; VisUnit::COUNT];
         for u in units {
@@ -330,15 +213,17 @@ mod tests {
 
     #[test]
     fn every_catalog_bit_is_traceable_visible_or_known_opaque() {
-        // The catalog partitions exactly: each bit has a trace unit, or a
-        // visibility unit, or is one of the two deliberately opaque
+        // The catalog partitions exactly: each bit has a def/use unit, or
+        // a visibility unit, or is one of the two deliberately opaque
         // elements (fetch-valid, operand latch).
         for &loc in scan::catalog() {
-            let traced = loc.trace_unit().is_some();
-            let vis = loc.vis_unit().is_some();
-            assert!(!(traced && vis), "{loc:?} must not be doubly covered");
-            if !traced && !vis {
-                assert!(
+            match (loc.trace_unit(), loc.vis_unit()) {
+                (Some(TraceUnit::Vis(t)), Some(v)) => assert_eq!(t, v, "{loc:?}"),
+                (Some(TraceUnit::Vis(_)), None) | (_, Some(_)) => {
+                    panic!("{loc:?} must be traced through its visibility unit")
+                }
+                (Some(_), None) => {}
+                (None, None) => assert!(
                     matches!(
                         loc,
                         BitLocation::FetchValid
@@ -346,28 +231,29 @@ mod tests {
                             | BitLocation::OperandB { .. }
                     ),
                     "{loc:?} is neither traced, visible, nor known-opaque"
-                );
+                ),
             }
         }
     }
 
     #[test]
     fn first_at_or_after_and_shift_counts() {
-        let mut t = VisTrace::new();
-        t.record(VisUnit::Pc, 5, AccessKind::Read);
-        t.record(VisUnit::Pc, 9, AccessKind::Write);
+        let pc = TraceUnit::Vis(VisUnit::Pc);
+        let mut t = AccessTrace::new();
+        t.record(pc, 5, AccessKind::Read);
+        t.record(pc, 9, AccessKind::Write);
         t.record_shift(3);
         t.record_shift(7);
         t.record_shift(7);
         assert_eq!(
-            t.first_at_or_after(VisUnit::Pc, 6),
+            t.first_at_or_after(pc, 6),
             Some(Access {
                 at: 9,
                 kind: AccessKind::Write
             })
         );
-        assert_eq!(t.first_at_or_after(VisUnit::Pc, 10), None);
-        assert_eq!(t.first_at_or_after(VisUnit::Sig, 0), None);
+        assert_eq!(t.first_at_or_after(pc, 10), None);
+        assert_eq!(t.first_at_or_after(TraceUnit::Vis(VisUnit::Sig), 0), None);
         assert_eq!(t.nth_shift_at_or_after(0, 0), Some(3));
         assert_eq!(t.nth_shift_at_or_after(0, 2), Some(7));
         assert_eq!(t.nth_shift_at_or_after(4, 1), Some(7));

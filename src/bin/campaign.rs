@@ -6,7 +6,6 @@
 //!          [--parity-cache] [--checkpoint-stride K]
 //!          [--fault-model single|double|intermittent:N|stuck0|stuck1|burst:W]
 //!          [--deadline SECS] [--unsupervised] [--no-prune] [--paranoid N]
-//!          [--no-vis]
 //!          [--json FILE] [--out FILE] [--resume] [--progress]
 //!          [--failpoint id=action[@N]]...
 //! campaign --farm-init DIR [--shards N] [--lease-heartbeat-ms MS]
@@ -28,16 +27,16 @@
 //! `--unsupervised` disables the containment as a debugging aid.
 //!
 //! Flip-model campaigns (single, double, burst) prune the fault space by
-//! default with one fate resolver over the golden run's def/use access
-//! trace and EDM-visibility windows (`DESIGN.md` § 8e): faults whose
-//! flipped state is overwritten before any read, or never touched again,
-//! are classified analytically; faults sharing a scan bit, first-read
-//! instant and surviving flips run one representative simulation, resumed
-//! from that instant. `--no-vis` restricts the resolver to the def/use
-//! trace. `--no-prune` is the reference configuration: it simulates every
-//! fault from injection. `--paranoid N` re-simulates up to N replicated
-//! members per equivalence class and panics if any disagrees with its
-//! representative. Outcomes are bit-identical under every combination.
+//! default with one fate resolver over the golden run's access trace —
+//! def/use events and EDM-visibility windows alike (`DESIGN.md` § 8e):
+//! faults whose flipped state is overwritten before any read, or never
+//! touched again, are classified analytically; faults sharing a scan bit,
+//! first-read instant and surviving flips run one representative
+//! simulation, resumed from that instant. `--no-prune` is the reference
+//! configuration: it simulates every fault from injection. `--paranoid N`
+//! re-simulates up to N replicated members per equivalence class and
+//! panics if any disagrees with its representative. Outcomes are
+//! bit-identical either way.
 //!
 //! Builds carrying the `failpoints` feature accept `--failpoint
 //! id=action[@N]` (repeatable) to arm deterministic crash/error/panic/
@@ -71,7 +70,6 @@ struct Args {
     deadline: Option<f64>,
     unsupervised: bool,
     no_prune: bool,
-    no_vis: bool,
     paranoid: usize,
     json: Option<String>,
     out: Option<String>,
@@ -102,7 +100,6 @@ fn parse_args() -> Result<Args, String> {
         deadline: None,
         unsupervised: false,
         no_prune: false,
-        no_vis: false,
         paranoid: 0,
         json: None,
         out: None,
@@ -171,7 +168,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--unsupervised" => args.unsupervised = true,
             "--no-prune" => args.no_prune = true,
-            "--no-vis" => args.no_vis = true,
             "--paranoid" => {
                 args.paranoid = value("--paranoid")?
                     .parse()
@@ -263,7 +259,6 @@ fn usage() {
          \t[--parity-cache] [--checkpoint-stride K]\n\
          \t[--fault-model single|double|intermittent:N|stuck0|stuck1|burst:W]\n\
          \t[--deadline SECS] [--unsupervised] [--no-prune] [--paranoid N]\n\
-         \t[--no-vis]\n\
          \t[--json FILE] [--out FILE] [--resume] [--progress]\n\
          \n\
          --checkpoint-stride K  capture a golden checkpoint every K iterations\n\
@@ -284,9 +279,6 @@ fn usage() {
          \tfirst read; outcomes are bit-identical either way)\n\
          --paranoid N   re-simulate up to N replicated members per\n\
          \tequivalence class as a runtime cross-check of the pruner\n\
-         --no-vis       disable EDM-visibility analytic classification of\n\
-         \tbits the def/use trace cannot see (they simulate instead;\n\
-         \toutcomes are bit-identical either way)\n\
          --out FILE     stream records to a checksummed JSONL result store\n\
          --resume       continue an interrupted store (validates that it\n\
          \tbelongs to this campaign; re-runs only the missing faults)\n\
@@ -353,7 +345,6 @@ fn campaign_config(args: &Args) -> Result<CampaignConfig, String> {
     cfg.threads = args.threads;
     cfg.fault_model = args.fault_model;
     cfg.prune = !args.no_prune;
-    cfg.vis = !args.no_vis;
     cfg.paranoid = args.paranoid;
     cfg.supervisor = if args.unsupervised {
         None

@@ -57,3 +57,10 @@ fn deadline_without_supervision_is_refused() {
         "--deadline requires supervision; drop --unsupervised",
     );
 }
+
+#[test]
+fn the_retired_no_vis_flag_is_refused() {
+    // The visibility units are always traced now; a script still passing
+    // the old switch must fail rather than silently run the default.
+    assert_refused(&["--no-vis"], "unknown flag `--no-vis`");
+}

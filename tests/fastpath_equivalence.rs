@@ -11,8 +11,8 @@
 //!   are compared record for record — serialized JSON, so *every* field
 //!   (outcome, deviation, latency, provenance, outputs) must match;
 //! * the single-bit campaign is additionally pinned under the `--no-prune`
-//!   and `--no-vis` layer configurations, so the equivalence does not
-//!   lean on any other optimisation layer masking a divergence;
+//!   layer configuration, so the equivalence does not lean on the pruner
+//!   masking a divergence;
 //! * property tests show (a) the dirty-delta arena restore lands on the
 //!   same architectural state as a deep clone, byte for byte, and (b) a
 //!   host write into program text invalidates the predecoded image and
@@ -84,10 +84,6 @@ fn single_bit_is_bit_identical_across_layer_configurations() {
     let mut no_prune = base.clone();
     no_prune.prune = false;
     assert_fastpath_identical(&workload, &no_prune, "--no-prune");
-
-    let mut no_vis = base.clone();
-    no_vis.vis = false;
-    assert_fastpath_identical(&workload, &no_vis, "--no-vis");
 }
 
 // ---------------------------------------------------------------------------

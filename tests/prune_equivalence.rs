@@ -32,7 +32,7 @@ use bera_goofi::experiment::{
 use bera_goofi::observer::{NullObserver, Telemetry};
 use bera_goofi::planner::{plan_campaign, records_equivalent, PlanAction};
 use bera_goofi::workload::Workload;
-use bera_tcpu::access::{Access, AccessKind};
+use bera_tcpu::access::{Access, AccessKind, TraceUnit};
 use bera_tcpu::scan;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -244,6 +244,15 @@ fn shared_golden() -> &'static (GoldenRun, CampaignConfig) {
     })
 }
 
+/// The trace unit of the scan bit at `location_index` when it is a
+/// visibility unit (state consulted asynchronously by an EDM or the
+/// pipeline).
+fn vis_unit(location_index: usize) -> Option<TraceUnit> {
+    scan::catalog()[location_index]
+        .trace_unit()
+        .filter(|u| matches!(u, TraceUnit::Vis(_)))
+}
+
 fn sample_faults(seed: u64) -> Vec<FaultSpec> {
     let (golden, cfg) = shared_golden();
     FaultList::sample(cfg.faults, seed, golden.total_instructions).faults
@@ -399,24 +408,21 @@ proptest! {
         let faults = sample_faults(seed);
         let plan = plan_campaign(&faults, cfg, golden);
 
-        // A latent verdict earned through the visibility trace: the bit
-        // has no def/use unit but does have a visibility unit. (The
-        // operand latch resolves by shift count, not window accesses, so
-        // its `vis_unit` is `None` and it is excluded here.)
+        // A latent verdict earned through a visibility window: the bit's
+        // trace unit is a visibility unit. (The operand latch resolves by
+        // shift count, not window accesses, so it has no trace unit and
+        // is excluded here.)
         let Some(victim) = plan.actions().iter().enumerate().position(|(i, a)| {
-            let bit = scan::catalog()[faults[i].location_index];
             matches!(a, PlanAction::Analytic(bera_goofi::Outcome::Latent))
-                && bit.trace_unit().is_none()
-                && bit.vis_unit().is_some()
+                && vis_unit(faults[i].location_index).is_some()
         }) else {
             return Ok(());
         };
-        let unit = scan::catalog()[faults[victim].location_index]
-            .vis_unit()
+        let unit = vis_unit(faults[victim].location_index)
             .expect("filtered to visibility units above");
 
         let mut perturbed = golden.clone();
-        perturbed.vis.insert_for_test(
+        perturbed.trace.insert_for_test(
             unit,
             Access { at: faults[victim].inject_at, kind: AccessKind::Read },
         );
@@ -439,25 +445,22 @@ proptest! {
         let plan = plan_campaign(&faults, cfg, golden);
 
         let Some(victim) = plan.actions().iter().enumerate().position(|(i, a)| {
-            let bit = scan::catalog()[faults[i].location_index];
             matches!(a, PlanAction::Analytic(bera_goofi::Outcome::Overwritten))
-                && bit.trace_unit().is_none()
-                && bit.vis_unit().is_some()
+                && vis_unit(faults[i].location_index).is_some()
         }) else {
             return Ok(());
         };
-        let unit = scan::catalog()[faults[victim].location_index]
-            .vis_unit()
+        let unit = vis_unit(faults[victim].location_index)
             .expect("filtered to visibility units above");
 
         // The verdict came from the first window event at-or-after
         // injection being a whole-unit deposit; demote exactly that one.
         let mut perturbed = golden.clone();
         let first = perturbed
-            .vis
+            .trace
             .accesses(unit)
             .partition_point(|a| a.at < faults[victim].inject_at);
-        perturbed.vis.set_kind_for_test(unit, first, AccessKind::PartialWrite);
+        perturbed.trace.set_kind_for_test(unit, first, AccessKind::PartialWrite);
 
         let replanned = plan_campaign(&faults, cfg, &perturbed);
         prop_assert!(
@@ -512,8 +515,8 @@ fn pinned_untraceable_faults(golden: &GoldenRun) -> Vec<FaultSpec> {
 /// The EDM-visibility layer's end-to-end equivalence claim over the
 /// untraceable set: under every fault model, the pinned list classifies
 /// record-for-record identically whether the campaign runs with the
-/// default layers, without the pruner, or without the visibility layer —
-/// only provenance metadata may differ.
+/// default layers or without the pruner — only provenance metadata may
+/// differ.
 #[test]
 fn untraceable_locations_are_equivalent_across_models_and_layers() {
     let workload = Workload::algorithm_one();
@@ -538,22 +541,12 @@ fn untraceable_locations_are_equivalent_across_models_and_layers() {
         no_prune.prune = false;
         let unpruned = run_fault_list(&workload, &no_prune, golden, &faults);
 
-        let mut no_vis = cfg.clone();
-        no_vis.vis = false;
-        let unvis = run_fault_list(&workload, &no_vis, golden, &faults);
-
         for (i, d) in default_run.iter().enumerate() {
             assert!(
                 records_equivalent(d, &unpruned[i]),
                 "{model:?} fault {i} diverges without the pruner\n\
                  default:  {d:?}\nunpruned: {:?}",
                 unpruned[i]
-            );
-            assert!(
-                records_equivalent(d, &unvis[i]),
-                "{model:?} fault {i} diverges without the visibility layer\n\
-                 default: {d:?}\nunvis:   {:?}",
-                unvis[i]
             );
         }
         if model.reassert_budget() == 0 {
@@ -563,13 +556,6 @@ fn untraceable_locations_are_equivalent_across_models_and_layers() {
             assert!(
                 analytic > 0,
                 "{model:?}: the visibility layer must carry this set"
-            );
-        }
-        if model == FaultModel::SingleBit {
-            assert_eq!(
-                provenance_counts(&unvis).1,
-                0,
-                "without it nothing on this set is analytic"
             );
         }
     }

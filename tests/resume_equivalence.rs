@@ -13,7 +13,7 @@
 
 use bera_goofi::campaign::{prepare_campaign, CampaignConfig, CampaignResult};
 use bera_goofi::experiment::FaultModel;
-use bera_goofi::store::{load_store, JsonlStore, StoreError, StoreHeader};
+use bera_goofi::store::{load_store, JsonlStore, StoreError, StoreHeader, STORE_VERSION};
 use bera_goofi::table::ComparisonTable;
 use bera_goofi::workload::Workload;
 use std::path::{Path, PathBuf};
@@ -393,15 +393,35 @@ fn resume_rejects_mismatched_workload() {
 
 #[test]
 fn resume_rejects_mismatched_vis() {
-    // The visibility layer changes which faults carry analytic or
-    // replicated provenance, so the two halves of a resumed campaign
-    // must agree on it.
-    let stored = config(FaultModel::SingleBit);
-    let mut other = stored.clone();
-    other.vis = false;
-    assert_eq!(
-        mismatch_field(&stored, &current_header(&other), "vis"),
-        "vis"
+    // Version-4 stores carried a `vis` flag (a store written with the
+    // visibility units switched off has different provenance). The flag
+    // is gone, so such a store is refused by version rather than resumed
+    // with mixed provenance.
+    let cfg = config(FaultModel::SingleBit);
+    let current = current_header(&cfg);
+    let text = serde_json::to_string(&current).expect("serialize header");
+    let legacy = text
+        .replacen(&format!("\"version\":{STORE_VERSION}"), "\"version\":4", 1)
+        .replacen("\"prune\":", "\"vis\":false,\"prune\":", 1);
+    assert!(
+        legacy.contains("\"version\":4") && legacy.contains("\"vis\":false"),
+        "the fixture must be a parent-format header: {legacy}"
+    );
+    let path = temp_path("vis");
+    std::fs::write(&path, format!("{legacy}\n")).expect("write legacy store");
+    let err = JsonlStore::open_resume(&path, &current)
+        .err()
+        .expect("a version-4 store must not resume");
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        matches!(
+            err,
+            StoreError::HeaderMismatch {
+                field: "version",
+                ..
+            }
+        ),
+        "expected a version mismatch, got {err}"
     );
 }
 
