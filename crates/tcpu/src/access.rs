@@ -231,37 +231,6 @@ impl AccessTrace {
     }
 }
 
-/// The machine's optional trace recorder. Behaviourally inert: clones of a
-/// tracing machine do not trace (checkpoints taken mid-golden-run must not
-/// alias the recorder), equality ignores it, and it serializes as `null`
-/// and deserializes empty.
-#[derive(Debug, Default)]
-pub(crate) struct TraceSlot(pub(crate) Option<Box<AccessTrace>>);
-
-impl Clone for TraceSlot {
-    fn clone(&self) -> Self {
-        TraceSlot(None)
-    }
-}
-
-impl PartialEq for TraceSlot {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl serde::Serialize for TraceSlot {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for TraceSlot {
-    fn from_value(_v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(TraceSlot::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,8 +9,6 @@
 //! Address split (byte address): `offset = addr[3:0]`, `index = addr[6:4]`,
 //! `tag = addr[31:7]` (25 bits stored per line).
 
-use serde::{Deserialize, Serialize};
-
 /// Number of cache lines.
 pub const NUM_LINES: usize = 8;
 /// Bytes per cache line.
@@ -58,7 +56,7 @@ pub fn line_base(tag: u32, index: usize) -> u32 {
 }
 
 /// One cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheLine {
     /// Stored tag (25 bits significant).
     pub tag: u32,
@@ -82,7 +80,7 @@ impl Default for CacheLine {
 }
 
 /// The direct-mapped write-back data cache.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DataCache {
     lines: [CacheLine; NUM_LINES],
 }

@@ -85,7 +85,7 @@ pub fn word_key(addr: u32) -> Option<usize> {
 }
 
 /// Main memory: ROM plus EDAC-protected RAM and stack.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Memory {
     rom: Vec<u32>,
     ram: Vec<u32>,

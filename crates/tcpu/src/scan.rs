@@ -273,38 +273,38 @@ impl Machine {
         use BitLocation::*;
         match loc {
             CacheData { line, bit } => {
-                let l = self.cache.line(line as usize);
+                let l = self.core.cache.line(line as usize);
                 l.data[(bit / 8) as usize] >> (bit % 8) & 1 == 1
             }
-            CacheTag { line, bit } => bit_of_u32(self.cache.line(line as usize).tag, bit),
-            CacheValid { line } => self.cache.line(line as usize).valid,
-            CacheDirty { line } => self.cache.line(line as usize).dirty,
-            StoreBufAddr { bit } => bit_of_u32(self.sbuf.addr, bit),
-            StoreBufData { bit } => bit_of_u32(self.sbuf.data, bit),
-            StoreBufValid => self.sbuf.valid,
-            FillBufAddr { bit } => bit_of_u32(self.fbuf.addr, bit),
-            FillBufData { bit } => bit_of_u32(self.fbuf.data, bit),
-            FillBufParity => self.fbuf.parity,
-            FillBufValid => self.fbuf.valid,
-            EdacSyndrome { bit } => self.edac_syndrome >> bit & 1 == 1,
-            Reg { index, bit } => bit_of_u32(self.regs[index as usize], bit),
-            Pc { bit } => bit_of_u32(self.pc, bit),
-            Psr { bit } => self.psr >> bit & 1 == 1,
-            SigReg { bit } => self.sig >> bit & 1 == 1,
-            StackLo { bit } => bit_of_u32(self.stack_lo, bit),
-            StackHi { bit } => bit_of_u32(self.stack_hi, bit),
-            Epc { bit } => bit_of_u32(self.epc, bit),
-            Cause { bit } => self.cause >> bit & 1 == 1,
-            Save { index, bit } => bit_of_u32(self.save[index as usize], bit),
-            FetchWord { bit } => bit_of_u32(self.fetch.word, bit),
-            FetchPc { bit } => bit_of_u32(self.fetch.pc, bit),
-            FetchValid => self.fetch.valid,
-            OperandA { bit } => bit_of_u32(self.idex.a, bit),
-            OperandB { bit } => bit_of_u32(self.idex.b, bit),
-            ResultValue { bit } => bit_of_u32(self.exwb.value, bit),
-            ResultRd { bit } => self.exwb.rd >> bit & 1 == 1,
-            ResultWe => self.exwb.we,
-            PortOut { port, bit } => bit_of_u32(self.ports_out[port as usize], bit),
+            CacheTag { line, bit } => bit_of_u32(self.core.cache.line(line as usize).tag, bit),
+            CacheValid { line } => self.core.cache.line(line as usize).valid,
+            CacheDirty { line } => self.core.cache.line(line as usize).dirty,
+            StoreBufAddr { bit } => bit_of_u32(self.core.sbuf.addr, bit),
+            StoreBufData { bit } => bit_of_u32(self.core.sbuf.data, bit),
+            StoreBufValid => self.core.sbuf.valid,
+            FillBufAddr { bit } => bit_of_u32(self.core.fbuf.addr, bit),
+            FillBufData { bit } => bit_of_u32(self.core.fbuf.data, bit),
+            FillBufParity => self.core.fbuf.parity,
+            FillBufValid => self.core.fbuf.valid,
+            EdacSyndrome { bit } => self.core.edac_syndrome >> bit & 1 == 1,
+            Reg { index, bit } => bit_of_u32(self.core.regs[index as usize], bit),
+            Pc { bit } => bit_of_u32(self.core.pc, bit),
+            Psr { bit } => self.core.psr >> bit & 1 == 1,
+            SigReg { bit } => self.core.sig >> bit & 1 == 1,
+            StackLo { bit } => bit_of_u32(self.core.stack_lo, bit),
+            StackHi { bit } => bit_of_u32(self.core.stack_hi, bit),
+            Epc { bit } => bit_of_u32(self.core.epc, bit),
+            Cause { bit } => self.core.cause >> bit & 1 == 1,
+            Save { index, bit } => bit_of_u32(self.core.save[index as usize], bit),
+            FetchWord { bit } => bit_of_u32(self.core.fetch.word, bit),
+            FetchPc { bit } => bit_of_u32(self.core.fetch.pc, bit),
+            FetchValid => self.core.fetch.valid,
+            OperandA { bit } => bit_of_u32(self.core.idex.a, bit),
+            OperandB { bit } => bit_of_u32(self.core.idex.b, bit),
+            ResultValue { bit } => bit_of_u32(self.core.exwb.value, bit),
+            ResultRd { bit } => self.core.exwb.rd >> bit & 1 == 1,
+            ResultWe => self.core.exwb.we,
+            PortOut { port, bit } => bit_of_u32(self.core.ports_out[port as usize], bit),
         }
     }
 
@@ -315,44 +315,46 @@ impl Machine {
         use BitLocation::*;
         match loc {
             CacheData { line, bit } => {
-                let l = self.cache.line_mut(line as usize);
+                let l = self.core.cache.line_mut(line as usize);
                 l.data[(bit / 8) as usize] ^= 1 << (bit % 8);
             }
-            CacheTag { line, bit } => flip_u32(&mut self.cache.line_mut(line as usize).tag, bit),
+            CacheTag { line, bit } => {
+                flip_u32(&mut self.core.cache.line_mut(line as usize).tag, bit)
+            }
             CacheValid { line } => {
-                let l = self.cache.line_mut(line as usize);
+                let l = self.core.cache.line_mut(line as usize);
                 l.valid = !l.valid;
             }
             CacheDirty { line } => {
-                let l = self.cache.line_mut(line as usize);
+                let l = self.core.cache.line_mut(line as usize);
                 l.dirty = !l.dirty;
             }
-            StoreBufAddr { bit } => flip_u32(&mut self.sbuf.addr, bit),
-            StoreBufData { bit } => flip_u32(&mut self.sbuf.data, bit),
-            StoreBufValid => self.sbuf.valid = !self.sbuf.valid,
-            FillBufAddr { bit } => flip_u32(&mut self.fbuf.addr, bit),
-            FillBufData { bit } => flip_u32(&mut self.fbuf.data, bit),
-            FillBufParity => self.fbuf.parity = !self.fbuf.parity,
-            FillBufValid => self.fbuf.valid = !self.fbuf.valid,
-            EdacSyndrome { bit } => self.edac_syndrome ^= 1 << bit,
-            Reg { index, bit } => flip_u32(&mut self.regs[index as usize], bit),
-            Pc { bit } => flip_u32(&mut self.pc, bit),
-            Psr { bit } => self.psr ^= 1 << bit,
-            SigReg { bit } => self.sig ^= 1 << bit,
-            StackLo { bit } => flip_u32(&mut self.stack_lo, bit),
-            StackHi { bit } => flip_u32(&mut self.stack_hi, bit),
-            Epc { bit } => flip_u32(&mut self.epc, bit),
-            Cause { bit } => self.cause ^= 1 << bit,
-            Save { index, bit } => flip_u32(&mut self.save[index as usize], bit),
-            FetchWord { bit } => flip_u32(&mut self.fetch.word, bit),
-            FetchPc { bit } => flip_u32(&mut self.fetch.pc, bit),
-            FetchValid => self.fetch.valid = !self.fetch.valid,
-            OperandA { bit } => flip_u32(&mut self.idex.a, bit),
-            OperandB { bit } => flip_u32(&mut self.idex.b, bit),
-            ResultValue { bit } => flip_u32(&mut self.exwb.value, bit),
-            ResultRd { bit } => self.exwb.rd ^= 1 << bit,
-            ResultWe => self.exwb.we = !self.exwb.we,
-            PortOut { port, bit } => flip_u32(&mut self.ports_out[port as usize], bit),
+            StoreBufAddr { bit } => flip_u32(&mut self.core.sbuf.addr, bit),
+            StoreBufData { bit } => flip_u32(&mut self.core.sbuf.data, bit),
+            StoreBufValid => self.core.sbuf.valid = !self.core.sbuf.valid,
+            FillBufAddr { bit } => flip_u32(&mut self.core.fbuf.addr, bit),
+            FillBufData { bit } => flip_u32(&mut self.core.fbuf.data, bit),
+            FillBufParity => self.core.fbuf.parity = !self.core.fbuf.parity,
+            FillBufValid => self.core.fbuf.valid = !self.core.fbuf.valid,
+            EdacSyndrome { bit } => self.core.edac_syndrome ^= 1 << bit,
+            Reg { index, bit } => flip_u32(&mut self.core.regs[index as usize], bit),
+            Pc { bit } => flip_u32(&mut self.core.pc, bit),
+            Psr { bit } => self.core.psr ^= 1 << bit,
+            SigReg { bit } => self.core.sig ^= 1 << bit,
+            StackLo { bit } => flip_u32(&mut self.core.stack_lo, bit),
+            StackHi { bit } => flip_u32(&mut self.core.stack_hi, bit),
+            Epc { bit } => flip_u32(&mut self.core.epc, bit),
+            Cause { bit } => self.core.cause ^= 1 << bit,
+            Save { index, bit } => flip_u32(&mut self.core.save[index as usize], bit),
+            FetchWord { bit } => flip_u32(&mut self.core.fetch.word, bit),
+            FetchPc { bit } => flip_u32(&mut self.core.fetch.pc, bit),
+            FetchValid => self.core.fetch.valid = !self.core.fetch.valid,
+            OperandA { bit } => flip_u32(&mut self.core.idex.a, bit),
+            OperandB { bit } => flip_u32(&mut self.core.idex.b, bit),
+            ResultValue { bit } => flip_u32(&mut self.core.exwb.value, bit),
+            ResultRd { bit } => self.core.exwb.rd ^= 1 << bit,
+            ResultWe => self.core.exwb.we = !self.core.exwb.we,
+            PortOut { port, bit } => flip_u32(&mut self.core.ports_out[port as usize], bit),
         }
     }
 
@@ -379,12 +381,12 @@ impl Machine {
     /// arbitrarily; this is the multi-bit corruption used to reproduce the
     /// in-range state error of Figure 10.)
     pub fn scan_write_cached(&mut self, addr: u32, word: u32) -> bool {
-        if !self.cache.hits(addr) {
+        if !self.core.cache.hits(addr) {
             return false;
         }
         let line = crate::cache::index_of(addr);
         let off = (addr & 0xC) as usize;
-        let l = self.cache.line_mut(line);
+        let l = self.core.cache.line_mut(line);
         l.data[off..off + 4].copy_from_slice(&word.to_le_bytes());
         true
     }

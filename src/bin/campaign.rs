@@ -122,8 +122,8 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--workload" => {
                 let key = value("--workload")?;
-                args.workload =
-                    Workload::by_key(&key).ok_or_else(|| format!("unknown workload `{key}`"))?;
+                args.workload = Workload::by_key(&key)
+                    .ok_or_else(|| format!("--workload: unknown workload `{key}`"))?;
                 args.workload_key = key;
             }
             "--faults" => {

@@ -64,3 +64,52 @@ fn the_retired_no_vis_flag_is_refused() {
     // the old switch must fail rather than silently run the default.
     assert_refused(&["--no-vis"], "unknown flag `--no-vis`");
 }
+
+/// Every remaining argument-parsing refusal, one row each: the offending
+/// flags and the part of the error line that names them.
+#[test]
+fn parse_refusals_name_their_flag() {
+    let cases: Vec<(&[&str], &str)> = vec![
+        (
+            &["--farm-init", "f", "--worker", "f"],
+            "--farm-init, --worker, --farm-merge and --farm-tend are distinct modes",
+        ),
+        (
+            &["--worker", "f", "--out", "s.jsonl"],
+            "drop --out/--resume/--json",
+        ),
+        (
+            &["--farm-merge", "f", "--resume"],
+            "drop --out/--resume/--json",
+        ),
+        (
+            &["--farm-tend", "f", "--json", "o.json"],
+            "drop --out/--resume/--json",
+        ),
+        (
+            &["--worker-id", "w1"],
+            "--worker-id only makes sense with --worker DIR",
+        ),
+        (&["--resume"], "--resume requires --out FILE"),
+        (
+            &["--workload", "bogus"],
+            "--workload: unknown workload `bogus`",
+        ),
+        (&["--faults", "abc"], "--faults: "),
+        (&["--fault-model", "bogus"], "--fault-model: "),
+        (&["--deadline", "0"], "--deadline expects a positive number"),
+        (&["--seed"], "--seed expects a value"),
+    ];
+    #[cfg(not(feature = "failpoints"))]
+    let cases = [
+        cases,
+        vec![(
+            &["--failpoint", "x=panic"][..],
+            "--failpoint requires a build with the `failpoints` feature",
+        )],
+    ]
+    .concat();
+    for (args, message) in cases {
+        assert_refused(args, message);
+    }
+}

@@ -16,8 +16,8 @@
 use bera_goofi::campaign::{run_scifi_campaign, run_scifi_campaign_observed, CampaignConfig};
 use bera_goofi::experiment::ExperimentRecord;
 use bera_goofi::farm::{
-    done_path, init_farm, manifest_path, merge_farm, merged_path, read_manifest, run_worker,
-    segment_path, FarmError, FarmManifest, LeasePolicy,
+    assemble_farm, done_path, init_farm, manifest_path, merge_farm, merged_path, read_manifest,
+    run_worker, segment_path, FarmError, FarmManifest, LeasePolicy,
 };
 use bera_goofi::observer::Telemetry;
 use bera_goofi::store::{encode_record, load_store, JsonlStore};
@@ -156,9 +156,15 @@ fn merged_planning_counters_are_exact_not_per_shard_sums() {
     assert_eq!(merged.sig_overwritten, reference.sig_overwritten);
     assert_eq!(merged.value_resolved, reference.value_resolved);
     assert_eq!(merged.vis_replicated, reference.vis_replicated);
-    // Planning CPU stays a sum: each of the three shard runs really spent
-    // it, so the farm figure must be at least the single-process figure.
-    assert!(merged.plan_micros >= reference.plan_micros);
+    // Planning CPU stays a sum: each shard run really spent it, so the
+    // farm figure is exactly the total of the shard sidecars.
+    let shard_plan: u64 = assemble_farm(&root)
+        .expect("assemble completed farm")
+        .shards
+        .iter()
+        .map(|s| s.telemetry.as_ref().expect("shard sidecar").plan_micros)
+        .sum();
+    assert_eq!(merged.plan_micros, shard_plan);
 }
 
 proptest! {
