@@ -335,7 +335,19 @@ pub fn run_fault_list(
     golden: &GoldenRun,
     faults: &[FaultSpec],
 ) -> Vec<ExperimentRecord> {
-    run_fault_list_resumed(workload, cfg, golden, faults, Vec::new(), &NullObserver)
+    run_fault_list_observed(workload, cfg, golden, faults, &NullObserver)
+}
+
+/// Like [`run_fault_list`], reporting every life-cycle event to `observer`.
+#[must_use]
+pub fn run_fault_list_observed(
+    workload: &Workload,
+    cfg: &CampaignConfig,
+    golden: &GoldenRun,
+    faults: &[FaultSpec],
+    observer: &dyn CampaignObserver,
+) -> Vec<ExperimentRecord> {
+    run_fault_list_resumed(workload, cfg, golden, faults, Vec::new(), observer)
 }
 
 /// Runs the fault indices of `faults` whose `completed` slot is `None`

@@ -3,6 +3,7 @@
 
 use crate::classify::{Classifier, Outcome};
 use crate::observer::{CampaignObserver, NullObserver};
+use crate::recall::{Tail, TrajectoryMemo, RECALL_EVERY};
 use crate::workload::Workload;
 use bera_plant::{Engine, Profiles};
 use bera_tcpu::access::AccessTrace;
@@ -443,6 +444,32 @@ enum DriveEnd {
     /// The wall-clock watchdog deadline expired at an iteration boundary —
     /// a harness abort, not a target outcome.
     DeadlineExceeded,
+    /// The state at the start of this iteration equals one an earlier run
+    /// passed through (see [`crate::recall`]); the run ends as that one
+    /// did, after golden's outputs up to its end.
+    Recalled {
+        iteration: usize,
+        tail: Tail,
+    },
+}
+
+/// How a classified run's trajectory ended: what classification needs
+/// from a drive, and what the trajectory memo files.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Ending {
+    /// All iterations ran. `latent`: the end state differs from golden's.
+    /// It is computed only where some reader can see it — when the outputs
+    /// from the start, or from a boundary the memo files, equal golden's —
+    /// and is `false` otherwise.
+    Completed {
+        latent: bool,
+    },
+    Trapped(bera_tcpu::edm::Trap),
+    Hang,
+    /// The state rejoined golden's at the start of this iteration.
+    Converged {
+        iteration: usize,
+    },
 }
 
 /// Applies a [`FaultModel`] to a running machine: the initial scan-chain
@@ -592,10 +619,13 @@ enum DriveMode<'a> {
     /// on a proven match. `resident` is the index of the checkpoint the
     /// machine's dirty-word log was started from, so the convergence
     /// compare can walk only the words the experiment or the golden run
-    /// touched since (see [`converged`]).
+    /// touched since (see [`converged`]). With a `recall` memo, every
+    /// [`RECALL_EVERY`]-th checkpoint also stops on a state an earlier run
+    /// passed through, and notes the state otherwise.
     Prune {
         golden: &'a GoldenRun,
         resident: usize,
+        recall: Option<&'a mut TrajectoryMemo>,
     },
 }
 
@@ -755,7 +785,7 @@ fn drive_from(
                     DriveMode::Capture(into) => {
                         into.push(Checkpoint::capture(k, machine, &engine));
                     }
-                    DriveMode::Prune { golden, .. } => {
+                    DriveMode::Prune { golden, recall, .. } => {
                         // Convergence is only meaningful once the fault has
                         // been delivered in full: before injection the run
                         // *is* the golden run, and while re-assertions are
@@ -796,6 +826,24 @@ fn drive_from(
                                             speeds,
                                             end: DriveEnd::Converged { iteration: k },
                                         };
+                                    }
+                                    if let Some(memo) = recall.as_deref_mut() {
+                                        let c = k / stride;
+                                        if c.is_multiple_of(RECALL_EVERY) && engine == ckpt.engine {
+                                            if let Some(tail) = memo.probe(
+                                                machine,
+                                                &ckpt.machine,
+                                                c,
+                                                k,
+                                                &golden_delta_keys,
+                                            ) {
+                                                return DriveResult {
+                                                    outputs,
+                                                    speeds,
+                                                    end: DriveEnd::Recalled { iteration: k, tail },
+                                                };
+                                            }
+                                        }
                                     }
                                 }
                             }
@@ -892,7 +940,9 @@ pub fn golden_run(workload: &Workload, cfg: &LoopConfig) -> GoldenRun {
         DriveEnd::Completed => {}
         DriveEnd::Trapped(t) => panic!("golden run trapped: {t:?}"),
         DriveEnd::Hang => panic!("golden run exceeded the instruction cap"),
-        DriveEnd::Converged { .. } => unreachable!("golden run never prunes"),
+        DriveEnd::Converged { .. } | DriveEnd::Recalled { .. } => {
+            unreachable!("golden run never prunes")
+        }
         DriveEnd::DeadlineExceeded => unreachable!("golden run has no deadline"),
     }
     let trace = machine
@@ -929,13 +979,15 @@ static NEXT_ARENA_TOKEN: AtomicU64 = AtomicU64::new(1);
 /// was left. Checking out restores it to the next experiment's checkpoint
 /// by copying only the words either run touched since the two states last
 /// coincided, replacing the per-experiment deep clone with an O(touched)
-/// delta restore.
+/// delta restore. The slot also keeps the thread's trajectory memo
+/// (DESIGN.md §8k), which belongs to the same golden run.
 struct ArenaSlot {
     machine: Machine,
-    /// [`GoldenRun::arena_token`] of the run the machine belongs to.
+    /// [`GoldenRun::arena_token`] of the run the machine and memo belong to.
     token: u64,
     /// Checkpoint index the machine's dirty-word log was started from.
     resident: usize,
+    recall: TrajectoryMemo,
 }
 
 thread_local! {
@@ -943,13 +995,14 @@ thread_local! {
 }
 
 /// Checks a machine out of this worker's arena, positioned exactly at
-/// `golden.checkpoints[ckpt_index]` with a fresh dirty-word log. Returns
-/// the machine, the number of data words copied, and whether the arena
-/// missed (full checkpoint clone). The slot is left empty while the
-/// experiment runs: if classification panics, the machine unwinds with the
-/// stack and the next checkout starts from a clean clone, so a poisoned
-/// intermediate state can never leak into a later record.
-fn arena_checkout(golden: &GoldenRun, ckpt_index: usize) -> (Machine, usize, bool) {
+/// `golden.checkpoints[ckpt_index]` with a fresh dirty-word log, together
+/// with the worker's trajectory memo for `golden`. Returns the machine, the
+/// memo, the number of data words copied, and whether the arena missed
+/// (full checkpoint clone, empty memo). The slot is left empty while the
+/// experiment runs: if classification panics, the machine and memo unwind
+/// with the stack and the next checkout starts from a clean clone, so a
+/// poisoned intermediate state can never leak into a later record.
+fn arena_checkout(golden: &GoldenRun, ckpt_index: usize) -> (Machine, TrajectoryMemo, usize, bool) {
     let ckpt = &golden.checkpoints[ckpt_index];
     let slot = ARENA.with(|a| a.borrow_mut().take());
     match slot {
@@ -962,24 +1015,25 @@ fn arena_checkout(golden: &GoldenRun, ckpt_index: usize) -> (Machine, usize, boo
             let hi = slot.resident.max(ckpt_index);
             let copied =
                 machine.restore_delta_from(&ckpt.machine, &golden.ckpt_data_deltas[lo..hi]);
-            (machine, copied, false)
+            (machine, slot.recall, copied, false)
         }
         _ => {
             let mut machine = ckpt.machine.clone();
             machine.begin_dirty_log();
-            (machine, 0, true)
+            (machine, TrajectoryMemo::default(), 0, true)
         }
     }
 }
 
-/// Returns an experiment's machine to this worker's arena for the next
-/// checkout, recording which checkpoint its dirty log is relative to.
-fn arena_release(machine: Machine, golden: &GoldenRun, ckpt_index: usize) {
+/// Returns an experiment's machine and memo to this worker's arena for the
+/// next checkout, recording which checkpoint the dirty log is relative to.
+fn arena_release(machine: Machine, recall: TrajectoryMemo, golden: &GoldenRun, ckpt_index: usize) {
     ARENA.with(|a| {
         *a.borrow_mut() = Some(ArenaSlot {
             machine,
             token: golden.arena_token,
             resident: ckpt_index,
+            recall,
         });
     });
 }
@@ -1127,10 +1181,11 @@ pub(crate) fn run_from(
         ),
         Start::Reset => None,
     };
-    let (mut machine, engine, start_k, prefix_outputs, prefix_speeds) = match ckpt_index {
+    let (mut machine, mut recall, engine, start_k, prefix_outputs, prefix_speeds) = match ckpt_index
+    {
         Some(ci) => {
             let ckpt = &golden.checkpoints[ci];
-            let (machine, copied, full_clone) = arena_checkout(golden, ci);
+            let (machine, recall, copied, full_clone) = arena_checkout(golden, ci);
             observer.arena_restored(copied, full_clone);
             // Size the logs for the whole drive up front so the per-
             // iteration pushes never reallocate.
@@ -1140,6 +1195,7 @@ pub(crate) fn run_from(
             prefix_speeds.extend_from_slice(&golden.speeds[..=ckpt.iteration]);
             (
                 machine,
+                Some(recall),
                 ckpt.engine.clone(),
                 ckpt.iteration,
                 prefix_outputs,
@@ -1155,6 +1211,7 @@ pub(crate) fn run_from(
             set_ports(&mut machine, cfg, 0, &engine);
             (
                 machine,
+                None,
                 engine,
                 0,
                 Vec::with_capacity(cfg.iterations),
@@ -1173,6 +1230,7 @@ pub(crate) fn run_from(
     let prune = DriveMode::Prune {
         golden,
         resident: ckpt_index.unwrap_or(0),
+        recall: recall.as_mut(),
     };
     let (injector, mode) = match start {
         Start::Injection => (FaultInjector::new(model, fault), prune),
@@ -1207,76 +1265,89 @@ pub(crate) fn run_from(
             .block_instructions()
             .saturating_sub(start_block_instructions),
     );
-    let record = classify_drive(
-        result, &machine, golden, fault, location, detail, index, observer,
-    );
-    if let Some(ci) = ckpt_index {
-        arena_release(machine, golden, ci);
+    let DriveResult {
+        mut outputs, end, ..
+    } = result;
+    let ending = match end {
+        DriveEnd::DeadlineExceeded => None,
+        DriveEnd::Trapped(trap) => Some(Ending::Trapped(trap)),
+        DriveEnd::Hang => Some(Ending::Hang),
+        DriveEnd::Converged { iteration } => Some(Ending::Converged { iteration }),
+        DriveEnd::Recalled { iteration, tail } => {
+            observer.trajectory_recalled(index, iteration);
+            outputs.extend_from_slice(&golden.outputs[iteration..tail.outputs]);
+            Some(tail.ending)
+        }
+        DriveEnd::Completed => {
+            // Latent iff any machine or memory state differs from the
+            // golden end state.
+            let from = crate::recall::golden_from(&outputs, &golden.outputs);
+            let seen = from == 0 || recall.as_ref().is_some_and(|m| m.files_from(from));
+            let latent = seen
+                && (machine.scan_snapshot().diff_count(&golden.end_scan) != 0
+                    || !machine.memory().data_equals(golden.end_machine.memory()));
+            Some(Ending::Completed { latent })
+        }
+    };
+    if let Some(memo) = recall.as_mut() {
+        memo.finish(ending.map(|e| (outputs.as_slice(), golden.outputs.as_slice(), e)));
+    }
+    let record = ending
+        .map(|e| classify(e, outputs, golden, fault, location, detail, index, observer))
+        .ok_or(WatchdogExpired);
+    if let (Some(ci), Some(recall)) = (ckpt_index, recall) {
+        arena_release(machine, recall, golden, ci);
     }
     record
 }
 
-/// Classifies a finished drive into the final [`ExperimentRecord`] and
+/// Classifies a finished run into the final [`ExperimentRecord`] and
 /// fires the detection / splice / classified observer events.
 #[allow(clippy::too_many_arguments)]
-fn classify_drive(
-    result: DriveResult,
-    machine: &Machine,
+fn classify(
+    ending: Ending,
+    mut outputs: Vec<u32>,
     golden: &GoldenRun,
     fault: FaultSpec,
     location: BitLocation,
     detail: bool,
     index: usize,
     observer: &dyn CampaignObserver,
-) -> Result<ExperimentRecord, WatchdogExpired> {
+) -> ExperimentRecord {
     let classifier = Classifier::paper();
-    let DriveResult {
-        mut outputs, end, ..
-    } = result;
     let mut detection_latency = None;
     let mut pruned_at = None;
-    let (outcome, max_deviation, first_strong) = match end {
-        DriveEnd::DeadlineExceeded => return Err(WatchdogExpired),
-        DriveEnd::Trapped(trap) => {
+    // A run that logged every output is a value failure unless they all
+    // equal golden's; otherwise it ends as `settled` says.
+    let value_or = |outputs: &[u32], settled: Outcome| {
+        let (max_dev, first) = deviation_stats(&golden.outputs, outputs, classifier.threshold);
+        match classifier.classify_bits(&golden.outputs, outputs) {
+            Some(severity) => (Outcome::ValueFailure(severity), max_dev, first),
+            None => (settled, 0.0, None),
+        }
+    };
+    let (outcome, max_deviation, first_strong) = match ending {
+        Ending::Trapped(trap) => {
             let latency = trap.at_instruction.saturating_sub(fault.inject_at);
             observer.error_detected(index, trap.mechanism, latency);
             detection_latency = Some(latency);
             (Outcome::Detected(trap.mechanism), 0.0, None)
         }
-        DriveEnd::Hang => (Outcome::Hang, 0.0, None),
-        DriveEnd::Completed => {
-            let (max_dev, first) = deviation_stats(&golden.outputs, &outputs, classifier.threshold);
-            match classifier.classify_bits(&golden.outputs, &outputs) {
-                Some(severity) => (Outcome::ValueFailure(severity), max_dev, first),
-                None => {
-                    // Outputs identical: latent iff any machine or memory
-                    // state differs from the golden end state.
-                    let scan_differs = machine.scan_snapshot().diff_count(&golden.end_scan) != 0;
-                    let mem_differs = !machine.memory().data_equals(golden.end_machine.memory());
-                    if scan_differs || mem_differs {
-                        (Outcome::Latent, 0.0, None)
-                    } else {
-                        (Outcome::Overwritten, 0.0, None)
-                    }
-                }
-            }
-        }
-        DriveEnd::Converged { iteration } => {
+        Ending::Hang => (Outcome::Hang, 0.0, None),
+        Ending::Completed { latent: true } => value_or(&outputs, Outcome::Latent),
+        Ending::Completed { latent: false } => value_or(&outputs, Outcome::Overwritten),
+        Ending::Converged { iteration } => {
             // The run provably rejoined the golden trajectory at this
             // boundary: splice the golden tail in place of executing it.
             // The spliced sequence equals what a from-reset run would have
             // produced, so the value-failure classification is unchanged.
+            // Convergence proved the machine and plant equal to the golden
+            // checkpoint, so the run would end in exactly the golden end
+            // state: no latent damage is possible.
             observer.convergence_spliced(index, iteration);
             pruned_at = Some(iteration);
             outputs.extend_from_slice(&golden.outputs[iteration..]);
-            let (max_dev, first) = deviation_stats(&golden.outputs, &outputs, classifier.threshold);
-            match classifier.classify_bits(&golden.outputs, &outputs) {
-                Some(severity) => (Outcome::ValueFailure(severity), max_dev, first),
-                // Convergence proved the machine and plant equal to the
-                // golden checkpoint, so the run would end in exactly the
-                // golden end state: no latent damage is possible.
-                None => (Outcome::Overwritten, 0.0, None),
-            }
+            value_or(&outputs, Outcome::Overwritten)
         }
     };
 
@@ -1294,7 +1365,7 @@ fn classify_drive(
         harness_error: None,
     };
     observer.experiment_classified(index, &record);
-    Ok(record)
+    record
 }
 
 fn deviation_stats(golden: &[u32], observed: &[u32], threshold: f64) -> (f64, Option<usize>) {

@@ -53,6 +53,7 @@ pub mod farm;
 pub mod observer;
 pub mod planner;
 pub mod propagation;
+mod recall;
 pub mod store;
 pub mod supervisor;
 pub mod swifi;

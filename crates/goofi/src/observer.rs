@@ -96,6 +96,15 @@ pub trait CampaignObserver: Sync {
         let _ = (index, iteration);
     }
 
+    /// The run's state at the start of `iteration` equals one an earlier
+    /// run of this worker passed through (DESIGN.md §8k): the rest of the
+    /// run was not executed, it ends as that run did. A recalled run that
+    /// ends converged still fires
+    /// [`convergence_spliced`](CampaignObserver::convergence_spliced).
+    fn trajectory_recalled(&self, index: usize, iteration: usize) {
+        let _ = (index, iteration);
+    }
+
     /// The experiment has been classified; `record` is final.
     fn experiment_classified(&self, index: usize, record: &ExperimentRecord) {
         let _ = (index, record);
@@ -194,6 +203,12 @@ impl CampaignObserver for ObserverSet<'_> {
         }
     }
 
+    fn trajectory_recalled(&self, index: usize, iteration: usize) {
+        for o in &self.observers {
+            o.trajectory_recalled(index, iteration);
+        }
+    }
+
     fn experiment_classified(&self, index: usize, record: &ExperimentRecord) {
         for o in &self.observers {
             o.experiment_classified(index, record);
@@ -213,10 +228,38 @@ impl CampaignObserver for ObserverSet<'_> {
     }
 }
 
-/// Exponentially-smoothed completion rate shared by the worker threads.
+/// Exponentially-smoothed completion interval shared by the worker
+/// threads. The interval is smoothed, not its inverse: analytic and
+/// replicated records complete microseconds apart, and averaging `1/dt`
+/// over such bursts reports rates hundreds of times the real one.
 struct RateState {
-    last_completion: Instant,
-    per_second: Ewma,
+    last_completion: Option<Instant>,
+    interval: Ewma,
+}
+
+impl RateState {
+    fn new() -> Self {
+        RateState {
+            last_completion: None,
+            // Smooth over roughly the last ~40 completions.
+            interval: Ewma::new(0.05),
+        }
+    }
+
+    /// Notes one completion at `now`. The first only starts the clock.
+    fn completed(&mut self, now: Instant) {
+        if let Some(last) = self.last_completion.replace(now) {
+            self.interval.update(now.duration_since(last).as_secs_f64());
+        }
+    }
+
+    /// Completions per second at the smoothed interval.
+    fn per_second(&self) -> Option<f64> {
+        self.interval
+            .value()
+            .filter(|&dt| dt > 0.0)
+            .map(|dt| 1.0 / dt)
+    }
 }
 
 /// Live campaign counters: classification tallies, throughput, ETA,
@@ -239,6 +282,7 @@ pub struct Telemetry {
     harness_failures: AtomicUsize,
     retried: AtomicUsize,
     pruned: AtomicUsize,
+    recalled: AtomicUsize,
     fast_forwarded: AtomicUsize,
     analytic: AtomicUsize,
     replicated: AtomicUsize,
@@ -278,6 +322,7 @@ impl Telemetry {
             harness_failures: AtomicUsize::new(0),
             retried: AtomicUsize::new(0),
             pruned: AtomicUsize::new(0),
+            recalled: AtomicUsize::new(0),
             fast_forwarded: AtomicUsize::new(0),
             analytic: AtomicUsize::new(0),
             replicated: AtomicUsize::new(0),
@@ -296,11 +341,7 @@ impl Telemetry {
             arena_restores: AtomicUsize::new(0),
             arena_dirty_words: AtomicUsize::new(0),
             arena_full_clones: AtomicUsize::new(0),
-            rate: Mutex::new(RateState {
-                last_completion: Instant::now(),
-                // Smooth over roughly the last ~40 completions.
-                per_second: Ewma::new(0.05),
-            }),
+            rate: Mutex::new(RateState::new()),
         }
     }
 
@@ -319,11 +360,7 @@ impl Telemetry {
         let preloaded = load(&self.preloaded);
         let elapsed = self.started.elapsed().as_secs_f64();
         let throughput = completed as f64 / elapsed.max(1e-9);
-        let smoothed = self
-            .rate
-            .lock()
-            .map(|r| r.per_second.value())
-            .unwrap_or(None);
+        let smoothed = self.rate.lock().ok().and_then(|r| r.per_second());
         let done = completed + preloaded;
         let remaining = self.total.saturating_sub(done);
         let eta_seconds = match smoothed.filter(|&r| r > 0.0).or(if throughput > 0.0 {
@@ -352,6 +389,7 @@ impl Telemetry {
             harness_failures: load(&self.harness_failures),
             retried: load(&self.retried),
             pruned: load(&self.pruned),
+            recalled: load(&self.recalled),
             fast_forwarded: load(&self.fast_forwarded),
             analytic: load(&self.analytic),
             replicated: load(&self.replicated),
@@ -390,6 +428,10 @@ impl CampaignObserver for Telemetry {
 
     fn convergence_spliced(&self, _index: usize, _iteration: usize) {
         self.pruned.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn trajectory_recalled(&self, _index: usize, _iteration: usize) {
+        self.recalled.fetch_add(1, Ordering::Relaxed);
     }
 
     fn plan_computed(&self, stats: &PlanStats) {
@@ -450,12 +492,7 @@ impl CampaignObserver for Telemetry {
         .fetch_add(1, Ordering::Relaxed);
         self.completed.fetch_add(1, Ordering::Relaxed);
         if let Ok(mut rate) = self.rate.lock() {
-            let now = Instant::now();
-            let dt = now.duration_since(rate.last_completion).as_secs_f64();
-            rate.last_completion = now;
-            if dt > 0.0 {
-                rate.per_second.update(1.0 / dt);
-            }
+            rate.completed(Instant::now());
         }
     }
 
@@ -501,6 +538,9 @@ pub struct TelemetrySnapshot {
     pub retried: usize,
     /// Experiments ended early by convergence pruning.
     pub pruned: usize,
+    /// Experiments ended early by trajectory recall: their state matched
+    /// one an earlier run of the same worker passed through.
+    pub recalled: usize,
     /// Experiments that fast-forwarded past at least one checkpoint.
     pub fast_forwarded: usize,
     /// Records classified analytically from the golden access trace (no
@@ -652,6 +692,7 @@ impl TelemetrySnapshot {
         self.harness_failures += other.harness_failures;
         self.retried += other.retried;
         self.pruned += other.pruned;
+        self.recalled += other.recalled;
         self.fast_forwarded += other.fast_forwarded;
         self.analytic += other.analytic;
         self.replicated += other.replicated;
@@ -677,7 +718,11 @@ impl fmt::Display for TelemetrySnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let pct = 100.0 * self.done() as f64 / self.total.max(1) as f64;
         write!(f, "{}/{} ({pct:.1}%)", self.done(), self.total)?;
-        let rate = self.smoothed_throughput.unwrap_or(self.throughput);
+        // The recent rate while running; the overall one once done.
+        let rate = match self.smoothed_throughput {
+            Some(recent) if self.done() < self.total => recent,
+            _ => self.throughput,
+        };
         write!(f, " | {rate:.1} exp/s")?;
         match self.eta_seconds {
             Some(eta) if self.done() < self.total => write!(f, ", ETA {eta:.0} s")?,
@@ -693,9 +738,10 @@ impl fmt::Display for TelemetrySnapshot {
         }
         write!(
             f,
-            " | ff {:.0}% prune {:.0}%",
+            " | ff {:.0}% prune {:.0}% recall {}",
             100.0 * self.checkpoint_hit_rate(),
-            100.0 * self.prune_rate()
+            100.0 * self.prune_rate(),
+            self.recalled
         )?;
         if self.analytic > 0 || self.replicated > 0 {
             write!(
@@ -800,6 +846,39 @@ mod tests {
         let _ = run_scifi_campaign_observed(&w, &cfg, &set);
         assert_eq!(a.0.load(Ordering::Relaxed), 10);
         assert_eq!(b.0.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn smoothed_rate_follows_uneven_intervals() {
+        // Bursts of nine completions 1 µs apart, then a 10 ms gap: the
+        // analytic-then-simulated rhythm of a planned campaign. The true
+        // rate is ten completions per 10.009 ms, about 1 000/s.
+        let mut rate = RateState::new();
+        let mut now = Instant::now();
+        for _ in 0..50 {
+            for _ in 0..9 {
+                now += std::time::Duration::from_micros(1);
+                rate.completed(now);
+            }
+            now += std::time::Duration::from_millis(10);
+            rate.completed(now);
+        }
+        let per_second = rate.per_second().expect("completions were noted");
+        assert!(
+            (500.0..2_000.0).contains(&per_second),
+            "smoothed rate {per_second:.1}/s is far from the true ~1 000/s"
+        );
+    }
+
+    #[test]
+    fn finished_campaign_reports_its_overall_throughput() {
+        let mut snap = Telemetry::new(1).snapshot();
+        snap.completed = 1;
+        snap.throughput = 2_580.0;
+        snap.smoothed_throughput = Some(410_649.9);
+        assert!(snap.to_string().contains(" 2580.0 exp/s"), "{snap}");
+        snap.total = 2;
+        assert!(snap.to_string().contains(" 410649.9 exp/s"), "{snap}");
     }
 
     #[test]

@@ -331,7 +331,65 @@ impl Core {
         h.write_u32_slice(&self.ports_in);
         h.write_bool(self.parity_cache);
     }
+
+    /// The state as [`CORE_WORDS`] words, in declaration order with each
+    /// narrow field widened to one word and each cache line as tag, flags,
+    /// then its data words. Injective: two cores are equal iff their words
+    /// are, which is what lets [`Machine::sparse_diff`] stand in for
+    /// equality.
+    fn words(&self) -> [u32; CORE_WORDS] {
+        let mut w = [0; CORE_WORDS];
+        let mut n = 0;
+        let mut put = |v: u32| {
+            w[n] = v;
+            n += 1;
+        };
+        let line = |put: &mut dyn FnMut(u32), l: &CacheLine| {
+            put(l.tag);
+            put(u32::from(l.valid) | u32::from(l.dirty) << 1);
+            for word in l.data.chunks_exact(4) {
+                put(u32::from_le_bytes([word[0], word[1], word[2], word[3]]));
+            }
+        };
+        self.regs.iter().for_each(|&r| put(r));
+        put(self.pc);
+        put(u32::from(self.psr));
+        put(u32::from(self.sig));
+        put(self.stack_lo);
+        put(self.stack_hi);
+        put(self.epc);
+        put(u32::from(self.cause));
+        self.save.iter().for_each(|&s| put(s));
+        put(self.fetch.word);
+        put(self.fetch.pc);
+        put(u32::from(self.fetch.valid));
+        put(self.idex.a);
+        put(self.idex.b);
+        put(self.exwb.value);
+        put(u32::from(self.exwb.rd));
+        put(u32::from(self.exwb.we));
+        (0..NUM_LINES).for_each(|i| line(&mut put, self.cache.line(i)));
+        put(self.sbuf.addr);
+        put(self.sbuf.data);
+        put(u32::from(self.sbuf.valid));
+        put(self.fbuf.addr);
+        put(self.fbuf.data);
+        put(u32::from(self.fbuf.parity));
+        put(u32::from(self.fbuf.valid));
+        put(u32::from(self.edac_syndrome));
+        self.ports_out.iter().for_each(|&p| put(p));
+        self.ports_in.iter().for_each(|&p| put(p));
+        put(u32::from(self.parity_cache));
+        self.shadow.iter().for_each(|l| line(&mut put, l));
+        debug_assert_eq!(n, CORE_WORDS);
+        w
+    }
 }
+
+/// Length of [`Core::words`]: the scalar fields, plus tag, flags and data
+/// words for every cache and shadow line.
+const CORE_WORDS: usize =
+    isa::NUM_REGS + 26 + NUM_OUT_PORTS + NUM_IN_PORTS + 2 * NUM_LINES * (2 + WORDS_PER_LINE);
 
 /// The Thor-like processor: its architectural state (`Core` and memory),
 /// the retirement counter and trap latch, and per-machine bookkeeping that
@@ -648,6 +706,41 @@ impl Machine {
                 .chain(extra)
                 .all(|&k| self.mem.data_word(k as usize) == other.mem.data_word(k as usize)),
         )
+    }
+
+    /// Sparse architectural difference from `base`: replaces `out` with
+    /// every `(position, value)` at which this machine's state differs,
+    /// sorted by position. Positions below the `Core` word count index the
+    /// `Core` words (every register, latch, cache and shadow line, port and
+    /// switch); the ones above index data words by dense key (see
+    /// [`mem::word_key`]). Data memory is walked over the keys
+    /// [`Machine::state_equals_sparse`] walks — this machine's dirty log
+    /// plus `extra` — or in full where that returns `None`. Parity is a
+    /// function of the data words, and ROM is immutable, so the diff is
+    /// empty iff [`Machine::state_equals`] holds, and two machines with
+    /// equal diffs against one base are themselves `state_equals`.
+    pub fn sparse_diff(&self, base: &Machine, extra: &[u32], out: &mut Vec<(u32, u32)>) {
+        out.clear();
+        let theirs = base.core.words();
+        for (i, (a, b)) in self.core.words().into_iter().zip(theirs).enumerate() {
+            if a != b {
+                out.push((i as u32, a));
+            }
+        }
+        let mut data = |k: u32| {
+            let a = self.mem.data_word(k as usize);
+            if a != base.mem.data_word(k as usize) {
+                out.push((CORE_WORDS as u32 + k, a));
+            }
+        };
+        match self.dirty.0.as_deref() {
+            Some(log) if log.keys.len() + extra.len() <= mem::NUM_DATA_WORDS / 2 => {
+                log.keys.iter().chain(extra).for_each(|&k| data(k));
+                out.sort_unstable();
+                out.dedup();
+            }
+            _ => (0..mem::NUM_DATA_WORDS as u32).for_each(data),
+        }
     }
 
     /// FNV-1a 64 digest of the architectural state: everything that
@@ -2417,6 +2510,76 @@ mod tests {
             Some(m.state_equals(&checkpoint))
         );
         assert_eq!(m.state_equals_sparse(&checkpoint, &[]), Some(false));
+    }
+
+    #[test]
+    fn sparse_diff_is_empty_iff_states_are_equal() {
+        let mut golden = machine_with(REPLAY_SRC);
+        assert_eq!(golden.run(10_000), RunExit::Yield);
+        let base = golden.clone();
+        let mut diff = Vec::new();
+        // Every scan-chain bit, flipped on a logged machine, shows up in the
+        // diff; flipped back, the diff is empty again.
+        let mut m = base.clone();
+        m.begin_dirty_log();
+        m.sparse_diff(&base, &[], &mut diff);
+        assert!(diff.is_empty() && m.state_equals(&base));
+        for &loc in crate::scan::catalog() {
+            m.scan_flip(loc);
+            m.sparse_diff(&base, &[], &mut diff);
+            assert!(!diff.is_empty(), "{loc:?} must show in the diff");
+            assert!(!m.state_equals(&base));
+            m.scan_flip(loc);
+            m.sparse_diff(&base, &[], &mut diff);
+            assert!(diff.is_empty(), "{loc:?} flipped back must not");
+        }
+        // So do the state elements the scan chain does not reach.
+        m.set_port(PORT_R, 7);
+        m.sparse_diff(&base, &[], &mut diff);
+        assert_eq!(diff.is_empty(), m.state_equals(&base));
+        assert!(!diff.is_empty());
+        // A data word, found through the dirty log (sparse walk) or the
+        // full sweep alike.
+        let mut m = base.clone();
+        m.begin_dirty_log();
+        assert!(m.poke_word(mem::STACK_BASE + 0x40, 0x1234_5678));
+        m.sparse_diff(&base, &[], &mut diff);
+        assert_eq!(diff.len(), 1);
+        let mut unlogged = base.clone();
+        assert!(unlogged.poke_word(mem::STACK_BASE + 0x40, 0x1234_5678));
+        let mut full = Vec::new();
+        unlogged.sparse_diff(&base, &[], &mut full);
+        assert_eq!(diff, full);
+    }
+
+    #[test]
+    fn equal_diffs_against_one_base_mean_equal_states() {
+        let mut golden = machine_with(REPLAY_SRC);
+        assert_eq!(golden.run(10_000), RunExit::Yield);
+        let base = golden.clone();
+        // Two runs that reach the same damaged state by different routes:
+        // one pokes a RAM word the program never touches and then runs, the
+        // other runs and then pokes.
+        let addr = mem::RAM_BASE + 0x400;
+        let mut a = base.clone();
+        a.begin_dirty_log();
+        assert!(a.poke_word(addr, 5));
+        assert_eq!(a.run(10_000), RunExit::Yield);
+        let mut b = base.clone();
+        b.begin_dirty_log();
+        assert_eq!(b.run(10_000), RunExit::Yield);
+        assert!(b.poke_word(addr, 5));
+        let (mut da, mut db) = (Vec::new(), Vec::new());
+        a.sparse_diff(&base, &[], &mut da);
+        b.sparse_diff(&base, &[], &mut db);
+        assert!(!da.is_empty());
+        assert_eq!(da, db);
+        assert!(a.state_equals(&b));
+        // One more word of difference on one side breaks both.
+        assert!(b.poke_word(addr + 4, 6));
+        b.sparse_diff(&base, &[], &mut db);
+        assert_ne!(da, db);
+        assert!(!a.state_equals(&b));
     }
 }
 

@@ -9,9 +9,12 @@
 //! machine that differs from the golden checkpoint in *any* scan-chain bit
 //! or memory word must never compare as converged.
 
-use bera_goofi::campaign::FaultList;
-use bera_goofi::experiment::{golden_run, run_experiment_with_model, FaultModel, LoopConfig};
+use bera_goofi::campaign::{run_fault_list, run_fault_list_observed, CampaignConfig, FaultList};
+use bera_goofi::experiment::{
+    golden_run, run_experiment_with_model, FaultModel, FaultSpec, LoopConfig,
+};
 use bera_goofi::workload::Workload;
+use bera_goofi::{records_equivalent, Telemetry};
 use bera_tcpu::mem::{RAM_BASE, RAM_SIZE, STACK_BASE, STACK_SIZE};
 use bera_tcpu::scan;
 use proptest::prelude::*;
@@ -173,6 +176,81 @@ fn intermittent_never_prunes_while_reassertable() {
     assert_eq!(
         pruned, 0,
         "pruning while a re-assertion is pending would diverge from from-reset replay"
+    );
+}
+
+/// Runs a paper-length campaign over `locations` × `instants` evenly
+/// spread injection times, each with a twin a few instructions later,
+/// checkpointed and at stride 0, and asserts the records are equivalent.
+/// Returns how many runs the checkpointed campaign ended by trajectory
+/// recall. Stride 0 has no checkpoints, so it never recalls: every one of
+/// its records comes from a full execution. The planner is off, so twins
+/// that reach the same state both simulate and the later one recalls the
+/// earlier, whatever its outputs did before.
+fn assert_recall_equivalent(
+    workload: &Workload,
+    model: FaultModel,
+    locations: &[usize],
+    instants: u64,
+) -> usize {
+    let mut cfg = CampaignConfig::paper(0, 0);
+    cfg.threads = 1;
+    cfg.detail = true;
+    cfg.prune = false;
+    cfg.fault_model = model;
+    let mut reference = cfg.clone();
+    reference.loop_cfg.checkpoint_stride = 0;
+    let golden = golden_run(workload, &cfg.loop_cfg);
+    let golden_plain = golden_run(workload, &reference.loop_cfg);
+    let faults: Vec<FaultSpec> = locations
+        .iter()
+        .flat_map(|&location_index| {
+            (0..instants).flat_map(move |j| {
+                let at = golden.total_instructions * (2 * j + 1) / (2 * instants);
+                [at, at + 5].map(|inject_at| FaultSpec {
+                    location_index,
+                    inject_at,
+                })
+            })
+        })
+        .collect();
+    let telemetry = Telemetry::new(faults.len());
+    let fast = run_fault_list_observed(workload, &cfg, &golden, &faults, &telemetry);
+    let slow = run_fault_list(workload, &reference, &golden_plain, &faults);
+    for (f, s) in fast.iter().zip(&slow) {
+        assert!(records_equivalent(f, s), "{f:?}\n  differs from\n{s:?}");
+    }
+    assert_eq!(fast.len(), faults.len());
+    telemetry.snapshot().recalled
+}
+
+#[test]
+fn recalled_runs_match_full_execution_algorithm_one() {
+    // Cache words and the stack bound that leave latent damage: the same
+    // bit flipped at different instants often reaches the same state.
+    let recalled = assert_recall_equivalent(
+        &Workload::algorithm_one(),
+        FaultModel::SingleBit,
+        &[1108, 1146, 897, 1998],
+        10,
+    );
+    assert!(
+        recalled > 0,
+        "no run was recalled: this test would be vacuous"
+    );
+}
+
+#[test]
+fn recalled_runs_match_full_execution_double_bit_algorithm_two() {
+    let recalled = assert_recall_equivalent(
+        &Workload::algorithm_two(),
+        FaultModel::AdjacentDoubleBit,
+        &[1108, 750, 857, 1997],
+        10,
+    );
+    assert!(
+        recalled > 0,
+        "no run was recalled: this test would be vacuous"
     );
 }
 
