@@ -3,13 +3,13 @@
 
 use crate::classify::Outcome;
 use crate::experiment::{
-    golden_run, run_experiment_with_model, run_from, start_for, ExperimentRecord, FaultModel,
-    FaultSpec, GoldenRun, LoopConfig, Provenance,
+    golden_run, run_experiment_with_model, run_from, ExperimentRecord, FaultModel, FaultSpec,
+    GoldenRun, LoopConfig, Provenance, Start,
 };
 use crate::observer::{CampaignObserver, NullObserver};
 use crate::planner::{
     analytic_record, paranoid_members, plan_campaign, prune_eligible, records_equivalent,
-    replicated_record, CampaignPlan, PlanAction,
+    replicated_record, PlanAction,
 };
 use crate::supervisor::{run_supervised, SupervisorConfig};
 use crate::workload::Workload;
@@ -42,19 +42,20 @@ pub struct CampaignConfig {
     /// Fault-space pruning by the fate resolver (see [`crate::planner`]):
     /// classify faults whose outcome follows from the golden traces
     /// without simulating them, and simulate one representative per
-    /// equivalence class of provably identical runs, resumed from the
-    /// instant its flips are first observed. On by default; outcomes are
+    /// equivalence class of provably identical runs, carried by diff
+    /// replay from injection (DESIGN.md §8l). On by default; outcomes are
     /// bit-identical either way (`tests/prune_equivalence.rs`), so this
     /// only trades a planning pass for campaign wall-clock. `false` is the
-    /// reference path: every fault simulates from injection.
+    /// reference path: every fault is interpreted from injection.
     /// Automatically bypassed for the re-asserting fault models
     /// (intermittent, stuck-at) and parity-cache runs.
     pub prune: bool,
     /// Paranoid cross-check: re-simulate up to this many members of every
-    /// equivalence class and panic if any simulated outcome
-    /// disagrees with its replicated record. `0` (the default) disables
-    /// the check; it exists to audit the pruning soundness argument on
-    /// live campaigns.
+    /// equivalence class and panic if any simulated outcome disagrees with
+    /// its replicated record; and re-run up to this many diff-replayed
+    /// experiments on the interpreter alone and panic on any record
+    /// mismatch. `0` (the default) disables the checks; they exist to
+    /// audit the pruning and replay soundness arguments on live campaigns.
     pub paranoid: usize,
 }
 
@@ -375,15 +376,13 @@ fn run_fault_list_resumed(
         .collect()
 }
 
-/// Runs fault `i` from the start its plan entry allows: a live
-/// representative resumes from its live instant (golden checkpoint plus
-/// the surviving flips) when a checkpoint lies between injection and that
-/// instant, anything else runs from injection. The experiment runs
-/// supervised (panic isolation, watchdog, retry, quarantine) when the
-/// config carries a [`SupervisorConfig`], bare otherwise.
+/// Runs fault `i` from injection: under diff replay when the campaign
+/// prunes (one-shot flip models without a parity cache), on the
+/// interpreter otherwise. The experiment runs supervised (panic isolation,
+/// watchdog, retry, quarantine) when the config carries a
+/// [`SupervisorConfig`], bare otherwise.
 fn run_planned(
     i: usize,
-    plan: &CampaignPlan,
     workload: &Workload,
     cfg: &CampaignConfig,
     golden: &GoldenRun,
@@ -391,7 +390,11 @@ fn run_planned(
     observer: &dyn CampaignObserver,
 ) -> ExperimentRecord {
     let fault = faults[i];
-    let start = start_for(golden, fault, plan.resume_point(i));
+    let start = if prune_eligible(cfg) {
+        Start::Replay
+    } else {
+        Start::Injection
+    };
     let run = |start, deadline| {
         run_from(
             workload,
@@ -464,7 +467,7 @@ fn run_fault_list_scoped(
             !in_scope(i) || slot.is_some() || !matches!(action, PlanAction::Simulate)
         })
         .collect();
-    let run_index = |i: usize| run_planned(i, &plan, workload, cfg, golden, faults, observer);
+    let run_index = |i: usize| run_planned(i, workload, cfg, golden, faults, observer);
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
@@ -561,21 +564,13 @@ fn run_fault_list_scoped(
             let rep = match slots[representative].as_ref() {
                 Some(r) => r,
                 None => shadow.entry(representative).or_insert_with(|| {
-                    run_planned(
-                        representative,
-                        &plan,
-                        workload,
-                        cfg,
-                        golden,
-                        faults,
-                        &NullObserver,
-                    )
+                    run_planned(representative, workload, cfg, golden, faults, &NullObserver)
                 }),
             };
             let record = if matches!(rep.outcome, Outcome::HarnessFailure(_)) {
                 // A quarantined representative proves nothing about its
                 // class: fall back to simulating the member itself.
-                run_planned(i, &plan, workload, cfg, golden, faults, observer)
+                run_planned(i, workload, cfg, golden, faults, observer)
             } else {
                 let r = replicated_record(faults[i], rep);
                 observer.experiment_classified(i, &r);
@@ -586,10 +581,47 @@ fn run_fault_list_scoped(
     }
 
     // Paranoid cross-check: re-simulate sampled class members and demand
-    // semantic equality with their replicated records. Observer-silent —
-    // the checks are audits, not campaign work.
+    // semantic equality with their replicated records, and re-run sampled
+    // replayed experiments on the interpreter alone and demand the same
+    // record. Observer-silent — the checks are audits, not campaign work.
     if cfg.paranoid > 0 && prune_eligible(cfg) {
         let golden_digest = golden.digest();
+        let simulated: Vec<usize> = (0..faults.len())
+            .filter(|&i| matches!(plan.action(i), PlanAction::Simulate))
+            .collect();
+        // Anchored on the fault list's first fault, so the choice is a
+        // function of the campaign's content alone.
+        let anchor = faults.first().copied().unwrap_or(FaultSpec {
+            location_index: 0,
+            inject_at: 0,
+        });
+        for i in paranoid_members(&simulated, cfg.paranoid, cfg.seed, golden_digest, anchor) {
+            let Some(replayed) = slots[i].as_ref().filter(|r| {
+                r.provenance == Provenance::Simulated
+                    && !matches!(r.outcome, Outcome::HarnessFailure(_))
+            }) else {
+                continue; // another shard's, preloaded or quarantined
+            };
+            let interpreted = run_from(
+                workload,
+                &cfg.loop_cfg,
+                golden,
+                faults[i],
+                cfg.fault_model,
+                cfg.detail,
+                i,
+                &NullObserver,
+                Start::Injection,
+                None,
+            )
+            .expect("no deadline was set");
+            assert!(
+                records_equivalent(&interpreted, replayed)
+                    && interpreted.pruned_at == replayed.pruned_at,
+                "paranoid replay audit failed at fault index {i}: interpreted \
+                 {interpreted:?} disagrees with replayed {replayed:?}"
+            );
+        }
         for (rep, members) in plan.classes() {
             for m in paranoid_members(&members, cfg.paranoid, cfg.seed, golden_digest, faults[rep])
             {

@@ -431,8 +431,12 @@ pub struct ExperimentRecord {
 }
 
 /// How a closed-loop drive ended.
-enum DriveEnd {
-    Completed,
+pub(crate) enum DriveEnd {
+    /// All iterations ran. `latent` is known when diff replay carried the
+    /// run to its end; otherwise the caller reads it off the machine.
+    Completed {
+        latent: Option<bool>,
+    },
     Trapped(bera_tcpu::edm::Trap),
     Hang,
     /// The faulty state provably rejoined the golden trajectory at the
@@ -450,6 +454,13 @@ enum DriveEnd {
     Recalled {
         iteration: usize,
         tail: Tail,
+    },
+    /// At golden checkpoint `checkpoint`'s boundary, in step with golden,
+    /// the state differs from golden's by `diff`, which diff replay can
+    /// carry on (see [`crate::replay`]).
+    Reenter {
+        checkpoint: usize,
+        diff: Vec<(u32, u32)>,
     },
 }
 
@@ -476,7 +487,7 @@ pub(crate) enum Ending {
 /// perturbation once the dynamic instruction count reaches the injection
 /// point, plus any re-assertions at later iteration boundaries
 /// (intermittent and stuck-at models).
-struct FaultInjector {
+pub(crate) struct FaultInjector {
     inject_at: u64,
     locations: Vec<BitLocation>,
     kind: InjectKind,
@@ -492,10 +503,13 @@ enum InjectKind {
     /// Force the bit(s) to `value` at injection and at every iteration
     /// boundary after it.
     Stuck { value: bool },
+    /// Deposit the faulty state diff replay carried to this instant (see
+    /// [`crate::replay`]): the flips were delivered long before.
+    Diff(Vec<(u32, u32)>),
 }
 
 impl FaultInjector {
-    fn new(model: FaultModel, fault: FaultSpec) -> Self {
+    pub(crate) fn new(model: FaultModel, fault: FaultSpec) -> Self {
         let locations = model
             .locations(fault.location_index)
             .into_iter()
@@ -520,18 +534,14 @@ impl FaultInjector {
         }
     }
 
-    /// An injector for a fault resumed from its live instant: the
-    /// surviving flips were already deposited on the restored checkpoint,
-    /// so this injector starts quiescent — it never perturbs the machine,
-    /// it only reports the fault as delivered (enabling convergence
-    /// pruning from the first boundary, exactly as a scalar run of the
-    /// same fault would be by its live instant).
-    fn pre_injected(fault: FaultSpec) -> Self {
+    /// An injector that, at instant `at`, replaces the golden state with
+    /// golden's plus `diff`, in [`Machine::sparse_diff`]'s position space.
+    pub(crate) fn diff(at: u64, diff: Vec<(u32, u32)>) -> Self {
         FaultInjector {
-            inject_at: fault.inject_at,
+            inject_at: at,
             locations: Vec::new(),
-            kind: InjectKind::Flip,
-            injected: true,
+            kind: InjectKind::Diff(diff),
+            injected: false,
         }
     }
 
@@ -547,12 +557,13 @@ impl FaultInjector {
 
     /// Delivers the initial perturbation.
     fn inject(&mut self, machine: &mut Machine) {
-        match self.kind {
-            InjectKind::Stuck { value } => {
+        match &self.kind {
+            &InjectKind::Stuck { value } => {
                 for &loc in &self.locations {
                     machine.scan_set(loc, value);
                 }
             }
+            InjectKind::Diff(diff) => machine.apply_diff(diff),
             InjectKind::Flip | InjectKind::Reassert { .. } => {
                 for &loc in &self.locations {
                     machine.scan_flip(loc);
@@ -571,7 +582,7 @@ impl FaultInjector {
             return;
         }
         match &mut self.kind {
-            InjectKind::Flip => {}
+            InjectKind::Flip | InjectKind::Diff(_) => {}
             InjectKind::Reassert { remaining } => {
                 if *remaining > 0 {
                     *remaining -= 1;
@@ -595,37 +606,40 @@ impl FaultInjector {
     fn quiescent(&self) -> bool {
         self.injected
             && match self.kind {
-                InjectKind::Flip => true,
+                InjectKind::Flip | InjectKind::Diff(_) => true,
                 InjectKind::Reassert { remaining } => remaining == 0,
                 InjectKind::Stuck { .. } => false,
             }
     }
 }
 
-struct DriveResult {
-    outputs: Vec<u32>,
-    speeds: Vec<f64>,
-    end: DriveEnd,
+pub(crate) struct DriveResult {
+    pub(crate) outputs: Vec<u32>,
+    pub(crate) speeds: Vec<f64>,
+    pub(crate) end: DriveEnd,
 }
 
 /// What [`drive_from`] does at checkpoint-stride iteration boundaries.
-enum DriveMode<'a> {
+pub(crate) enum DriveMode<'a> {
     /// Plain closed-loop drive: no capture, no convergence pruning.
     Plain,
     /// Golden run: capture a [`Checkpoint`] at every stride boundary.
     Capture(&'a mut Vec<Checkpoint>),
-    /// Experiment: once the fault has been injected, test for convergence
-    /// against the golden checkpoint of the same iteration and stop early
-    /// on a proven match. `resident` is the index of the checkpoint the
-    /// machine's dirty-word log was started from, so the convergence
-    /// compare can walk only the words the experiment or the golden run
-    /// touched since (see [`converged`]). With a `recall` memo, every
-    /// [`RECALL_EVERY`]-th checkpoint also stops on a state an earlier run
-    /// passed through, and notes the state otherwise.
+    /// Experiment: once the fault has been injected, take the sparse diff
+    /// against the golden checkpoint of the same iteration (whenever the
+    /// plant equals golden's) and stop early when it is empty. `resident`
+    /// is the index of the checkpoint the machine's dirty-word log was
+    /// started from, so the diff walks only the words the experiment or
+    /// the golden run touched since (see [`converged`]). With a `recall`
+    /// memo, every [`RECALL_EVERY`]-th checkpoint also stops on a state an
+    /// earlier run passed through, keyed by that diff, and notes the state
+    /// otherwise. With `reenter`, a state diff replay can carry, reached in
+    /// step with golden, ends the drive to hand the run back to replay.
     Prune {
         golden: &'a GoldenRun,
         resident: usize,
         recall: Option<&'a mut TrajectoryMemo>,
+        reenter: bool,
     },
 }
 
@@ -646,7 +660,7 @@ pub fn instruction_cap(expected_instructions: u64) -> u64 {
     expected_instructions * 2 + 20_000
 }
 
-fn set_ports(machine: &mut Machine, cfg: &LoopConfig, k: usize, engine: &Engine) {
+pub(crate) fn set_ports(machine: &mut Machine, cfg: &LoopConfig, k: usize, engine: &Engine) {
     let t = k as f64 * cfg.sample_interval;
     machine.set_port_f32(PORT_R, cfg.profiles.reference(t) as f32);
     machine.set_port_f32(PORT_Y, engine.speed_rpm() as f32);
@@ -655,7 +669,7 @@ fn set_ports(machine: &mut Machine, cfg: &LoopConfig, k: usize, engine: &Engine)
 /// Converts a (possibly corrupted) actuator word into the physical throttle
 /// angle: the actuator hardware saturates at its mechanical limits and
 /// rejects non-finite bit patterns at the lower stop.
-fn actuate(u: f32) -> f64 {
+pub(crate) fn actuate(u: f32) -> f64 {
     let u = f64::from(u);
     if u.is_finite() {
         u.clamp(0.0, 70.0)
@@ -664,50 +678,35 @@ fn actuate(u: f32) -> f64 {
     }
 }
 
-/// Proven convergence test at an iteration boundary: exact plant and
-/// machine equality first, then the hang-cap guard. `true` means a
-/// from-reset run of this experiment would finish by replaying the golden
-/// tail bit-for-bit, so executing the tail is unnecessary.
+/// Proven convergence test at an iteration boundary whose plant equals
+/// golden's: the machine's sparse `diff` against the checkpoint is empty,
+/// and the hang cap holds. `true` means a from-reset run of this
+/// experiment would finish by replaying the golden tail bit-for-bit, so
+/// executing the tail is unnecessary.
 ///
-/// Equality is checked directly rather than via the digest: comparing two
-/// resident states is a short-circuiting memcmp (nanoseconds on the common
-/// diverged path), while hashing the faulty state costs a full pass over
-/// memory every checked boundary. The stored digest still identifies the
-/// checkpoint across runs; here it only cross-checks a positive match.
-///
-/// When the machine carries a dirty-word log (the arena path), memory is
-/// compared sparsely: outside `delta_keys` — the golden run's own writes
-/// between the machine's resident checkpoint and `ckpt` — plus the
+/// The diff walks memory only over the keys that can differ: outside the
+/// golden run's own writes since the machine's resident checkpoint and the
 /// experiment's dirty set, both images provably still equal the resident
-/// checkpoint, so only the union of the two key sets needs a look.
+/// checkpoint. The stored digest identifies the checkpoint across runs;
+/// here it only cross-checks a positive match.
 fn converged(
     machine: &Machine,
-    engine: &Engine,
+    diff: &[(u32, u32)],
     ckpt: &Checkpoint,
     golden: &GoldenRun,
     instr_cap: u64,
-    delta_keys: &[u32],
 ) -> bool {
-    if *engine != ckpt.engine {
-        return false;
-    }
-    let state_eq = match machine.state_equals_sparse(&ckpt.machine, delta_keys) {
-        Some(eq) => {
-            debug_assert_eq!(
-                eq,
-                machine.state_equals(&ckpt.machine),
-                "sparse convergence equality must agree with the full walk"
-            );
-            eq
-        }
-        None => machine.state_equals(&ckpt.machine),
-    };
-    if !state_eq {
+    debug_assert_eq!(
+        diff.is_empty(),
+        machine.state_equals(&ckpt.machine),
+        "sparse convergence equality must agree with the full walk"
+    );
+    if !diff.is_empty() {
         return false;
     }
     debug_assert_eq!(
-        loop_digest(machine, engine),
-        ckpt.digest,
+        machine.state_digest(),
+        ckpt.machine.state_digest(),
         "equal states must agree on the checkpoint digest"
     );
     // The golden tail from this checkpoint executes a known number of
@@ -718,10 +717,83 @@ fn converged(
     machine.instr_count() + tail <= instr_cap
 }
 
+/// Golden data-memory write keys from a machine's resident checkpoint up
+/// to the boundary under test, extended lazily from
+/// [`GoldenRun::ckpt_data_deltas`] as a drive advances (see [`converged`]).
+/// The same hot words repeat in window after window, so a membership
+/// bitmap (lazily sized to the data-word universe) keeps the key list
+/// duplicate-free: the sparse diff then walks each distinct word once and
+/// the list stays bounded by the universe instead of growing per window.
+struct GoldenDeltas {
+    keys: Vec<u32>,
+    seen: Vec<u64>,
+    /// The next window to absorb.
+    cursor: usize,
+}
+
+impl GoldenDeltas {
+    /// Absorbs the windows up to checkpoint `c`.
+    fn extend_to(&mut self, golden: &GoldenRun, c: usize) {
+        while self.cursor < c {
+            if let Some(w) = golden.ckpt_data_deltas.get(self.cursor) {
+                if self.seen.is_empty() {
+                    self.seen = vec![0u64; bera_tcpu::mem::NUM_DATA_WORDS.div_ceil(64)];
+                }
+                for &key in w {
+                    let (slot, bit) = (key as usize / 64, 1u64 << (key % 64));
+                    if self.seen[slot] & bit == 0 {
+                        self.seen[slot] |= bit;
+                        self.keys.push(key);
+                    }
+                }
+            }
+            self.cursor += 1;
+        }
+    }
+}
+
+/// The prune checks of a quiescent experiment at the start of iteration
+/// `k`, checkpoint `c`'s stride boundary: when golden's checkpoint sits
+/// there and the plant equals golden's, one sparse diff against it decides
+/// convergence, at every [`RECALL_EVERY`]-th checkpoint keys the trajectory
+/// memo, and with `reenter` hands a state diff replay can carry back to it.
+fn prune_at(
+    (machine, engine, k, c, instr_cap): (&Machine, &Engine, usize, usize, u64),
+    golden: &GoldenRun,
+    (memo, reenter): (Option<&mut TrajectoryMemo>, bool),
+    deltas: &mut GoldenDeltas,
+    diff: &mut Vec<(u32, u32)>,
+) -> Option<DriveEnd> {
+    let ckpt = golden
+        .checkpoints
+        .get(c)
+        .filter(|ckpt| ckpt.iteration == k)?;
+    deltas.extend_to(golden, c);
+    if *engine != ckpt.engine {
+        return None;
+    }
+    machine.sparse_diff(&ckpt.machine, &deltas.keys, diff);
+    if converged(machine, diff, ckpt, golden, instr_cap) {
+        return Some(DriveEnd::Converged { iteration: k });
+    }
+    let offset = i128::from(machine.instr_count()) - i128::from(ckpt.machine.instr_count());
+    if let Some(memo) = memo.filter(|_| c.is_multiple_of(RECALL_EVERY)) {
+        if let Some(tail) = memo.probe(diff, c, k, offset) {
+            return Some(DriveEnd::Recalled { iteration: k, tail });
+        }
+    }
+    (reenter && offset == 0 && bera_tcpu::diff::carries(diff)).then(|| DriveEnd::Reenter {
+        checkpoint: c,
+        diff: diff.clone(),
+    })
+}
+
 /// Drives the machine in closed loop from the state the caller prepared:
 /// iteration index `k` with `set_ports(k)` already applied, `outputs`
 /// holding the first `k` logged outputs and `speeds` the first `k + 1`
-/// speed samples. `injector` perturbs scan-chain bits when the dynamic
+/// speed samples. The machine sits at the start of iteration `k`, or
+/// inside it when `mid_iteration` is set (the boundary is then past).
+/// `injector` perturbs scan-chain bits when the dynamic
 /// instruction count reaches its injection point (and re-asserts at later
 /// iteration boundaries for intermittent/stuck-at models); `instr_cap`
 /// bounds the total instruction count to detect hangs; `deadline` is the
@@ -730,7 +802,7 @@ fn converged(
 /// at stride boundaries. `on_inject` fires once, at the moment the initial
 /// scan-chain perturbation lands (the observer's "fault injected" event).
 #[allow(clippy::too_many_arguments)]
-fn drive_from(
+pub(crate) fn drive_from(
     machine: &mut Machine,
     cfg: &LoopConfig,
     mut engine: Engine,
@@ -741,27 +813,23 @@ fn drive_from(
     instr_cap: u64,
     deadline: Option<Instant>,
     mut mode: DriveMode<'_>,
+    mid_iteration: bool,
     on_inject: &mut dyn FnMut(),
 ) -> DriveResult {
     let stride = cfg.checkpoint_stride;
-    // Accumulated golden data-memory write keys from the machine's resident
-    // checkpoint up to the boundary under test, extended lazily from
-    // `GoldenRun::ckpt_data_deltas` as the drive advances. Only the Prune
-    // mode uses these (see `converged`). The same hot words repeat in
-    // window after window, so a membership bitmap (lazily sized to the
-    // data-word universe) keeps the key list duplicate-free: the sparse
-    // convergence compare then walks each distinct word once and the list
-    // stays bounded by the universe instead of growing per window.
-    let mut golden_delta_keys: Vec<u32> = Vec::new();
-    let mut delta_seen: Vec<u64> = Vec::new();
-    let mut delta_cursor = match &mode {
-        DriveMode::Prune { resident, .. } => *resident,
-        _ => 0,
+    let mut deltas = GoldenDeltas {
+        keys: Vec::new(),
+        seen: Vec::new(),
+        cursor: match &mode {
+            DriveMode::Prune { resident, .. } => *resident,
+            _ => 0,
+        },
     };
+    let mut diff: Vec<(u32, u32)> = Vec::new();
     // Set when execution sits at the start of iteration `k` (function entry
     // and after every completed iteration); cleared once the boundary has
     // been processed so mid-iteration injection resumes don't repeat it.
-    let mut at_boundary = true;
+    let mut at_boundary = !mid_iteration;
     while k < cfg.iterations {
         if at_boundary {
             at_boundary = false;
@@ -785,67 +853,27 @@ fn drive_from(
                     DriveMode::Capture(into) => {
                         into.push(Checkpoint::capture(k, machine, &engine));
                     }
-                    DriveMode::Prune { golden, recall, .. } => {
+                    DriveMode::Prune {
+                        golden,
+                        recall,
+                        reenter,
+                        ..
+                    } => {
                         // Convergence is only meaningful once the fault has
                         // been delivered in full: before injection the run
                         // *is* the golden run, and while re-assertions are
                         // pending the state can still diverge again.
                         if injector.as_ref().is_some_and(FaultInjector::quiescent) {
-                            if let Some(ckpt) = golden.checkpoints.get(k / stride) {
-                                if ckpt.iteration == k {
-                                    while delta_cursor < k / stride {
-                                        if let Some(w) = golden.ckpt_data_deltas.get(delta_cursor) {
-                                            if delta_seen.is_empty() {
-                                                delta_seen = vec![
-                                                    0u64;
-                                                    bera_tcpu::mem::NUM_DATA_WORDS
-                                                        .div_ceil(64)
-                                                ];
-                                            }
-                                            for &key in w {
-                                                let slot = key as usize / 64;
-                                                let bit = 1u64 << (key % 64);
-                                                if delta_seen[slot] & bit == 0 {
-                                                    delta_seen[slot] |= bit;
-                                                    golden_delta_keys.push(key);
-                                                }
-                                            }
-                                        }
-                                        delta_cursor += 1;
-                                    }
-                                    if converged(
-                                        machine,
-                                        &engine,
-                                        ckpt,
-                                        golden,
-                                        instr_cap,
-                                        &golden_delta_keys,
-                                    ) {
-                                        return DriveResult {
-                                            outputs,
-                                            speeds,
-                                            end: DriveEnd::Converged { iteration: k },
-                                        };
-                                    }
-                                    if let Some(memo) = recall.as_deref_mut() {
-                                        let c = k / stride;
-                                        if c.is_multiple_of(RECALL_EVERY) && engine == ckpt.engine {
-                                            if let Some(tail) = memo.probe(
-                                                machine,
-                                                &ckpt.machine,
-                                                c,
-                                                k,
-                                                &golden_delta_keys,
-                                            ) {
-                                                return DriveResult {
-                                                    outputs,
-                                                    speeds,
-                                                    end: DriveEnd::Recalled { iteration: k, tail },
-                                                };
-                                            }
-                                        }
-                                    }
-                                }
+                            let memo = recall.as_deref_mut();
+                            let at = (&*machine, &engine, k, k / stride, instr_cap);
+                            let checks = (memo, *reenter);
+                            if let Some(end) = prune_at(at, golden, checks, &mut deltas, &mut diff)
+                            {
+                                return DriveResult {
+                                    outputs,
+                                    speeds,
+                                    end,
+                                };
                             }
                         }
                     }
@@ -897,7 +925,7 @@ fn drive_from(
     DriveResult {
         outputs,
         speeds,
-        end: DriveEnd::Completed,
+        end: DriveEnd::Completed { latent: None },
     }
 }
 
@@ -934,13 +962,14 @@ pub fn golden_run(workload: &Workload, cfg: &LoopConfig) -> GoldenRun {
         cap,
         None,
         mode,
+        false,
         &mut || {},
     );
     match result.end {
-        DriveEnd::Completed => {}
+        DriveEnd::Completed { .. } => {}
         DriveEnd::Trapped(t) => panic!("golden run trapped: {t:?}"),
         DriveEnd::Hang => panic!("golden run exceeded the instruction cap"),
-        DriveEnd::Converged { .. } | DriveEnd::Recalled { .. } => {
+        DriveEnd::Converged { .. } | DriveEnd::Recalled { .. } | DriveEnd::Reenter { .. } => {
             unreachable!("golden run never prunes")
         }
         DriveEnd::DeadlineExceeded => unreachable!("golden run has no deadline"),
@@ -1088,47 +1117,21 @@ pub fn run_experiment_with_model(
 /// inject–run–classify pipeline of [`run_from`] and yields the identical
 /// record (up to `pruned_at`, which only [`Start::Reset`] never sets);
 /// they differ only in how much of the run they skip.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Start<'a> {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Start {
+    /// As [`Start::Injection`], but from the injection point on the run is
+    /// carried by diff replay ([`crate::replay`]) until its first event
+    /// the diff cannot follow. One-shot flip models only; without golden
+    /// checkpoints it is [`Start::Injection`].
+    Replay,
     /// The nearest golden checkpoint at or before the injection point —
     /// the fault-free prefix is bit-identical to the golden run — or reset
     /// when the golden run has no checkpoints.
     Injection,
-    /// A live fault's live instant (see [`crate::planner::Fate::Live`]):
-    /// the last golden checkpoint at or before `at`, with the surviving
-    /// `flips` applied and the injector pre-fired. The prefix between
-    /// injection and that checkpoint is never executed; by the resolver's
-    /// invariant (no surviving flipped unit is accessed in that window,
-    /// every killed one was overwritten with its golden value) the
-    /// materialized state is bit-identical to what [`Start::Injection`]
-    /// computes there. Chosen by [`start_for`] only.
-    Live { at: u64, flips: &'a [BitLocation] },
     /// From reset, ignoring the checkpoints and never pruning a converged
     /// tail: the supervisor's retry, in case the fast-forward path itself
     /// is implicated.
     Reset,
-}
-
-/// The start of a fault the plan may resume at `resume` (its live instant
-/// and surviving flips, [`crate::planner::CampaignPlan::resume_point`]):
-/// [`Start::Live`] only when a golden checkpoint lies in `[inject_at, at]`.
-/// Without one, resuming would either deposit the flips before injection
-/// or skip nothing, so the fault starts from [`Start::Injection`].
-pub(crate) fn start_for<'a>(
-    golden: &GoldenRun,
-    fault: FaultSpec,
-    resume: Option<(u64, &'a [BitLocation])>,
-) -> Start<'a> {
-    match resume {
-        Some((at, flips))
-            if golden
-                .checkpoint_before(at)
-                .is_some_and(|c| c.machine.instr_count() >= fault.inject_at) =>
-        {
-            Start::Live { at, flips }
-        }
-        _ => Start::Injection,
-    }
 }
 
 /// The wall-clock watchdog deadline expired before the experiment reached a
@@ -1160,7 +1163,7 @@ pub(crate) fn run_from(
     detail: bool,
     index: usize,
     observer: &dyn CampaignObserver,
-    start: Start<'_>,
+    start: Start,
     deadline: Option<Instant>,
 ) -> Result<ExperimentRecord, WatchdogExpired> {
     let location = scan::catalog()[fault.location_index];
@@ -1173,12 +1176,7 @@ pub(crate) fn run_from(
     // experiment ran against the same golden, a full clone otherwise. A
     // run from reset never touches the arena.
     let ckpt_index = match start {
-        Start::Injection => golden.checkpoint_index_before(fault.inject_at),
-        Start::Live { at, .. } => Some(
-            golden
-                .checkpoint_index_before(at)
-                .expect("a live start has a checkpoint at or before its instant"),
-        ),
+        Start::Replay | Start::Injection => golden.checkpoint_index_before(fault.inject_at),
         Start::Reset => None,
     };
     let (mut machine, mut recall, engine, start_k, prefix_outputs, prefix_speeds) = match ckpt_index
@@ -1227,40 +1225,55 @@ pub(crate) fn run_from(
         fault,
         ckpt_index.map(|ci| golden.checkpoints[ci].iteration),
     );
-    let prune = DriveMode::Prune {
-        golden,
-        resident: ckpt_index.unwrap_or(0),
-        recall: recall.as_mut(),
-    };
-    let (injector, mode) = match start {
-        Start::Injection => (FaultInjector::new(model, fault), prune),
-        Start::Live { flips, .. } => {
-            for &bit in flips {
-                machine.scan_flip(bit);
-            }
-            observer.fault_injected(index, fault);
-            (FaultInjector::pre_injected(fault), prune)
-        }
-        Start::Reset => (FaultInjector::new(model, fault), DriveMode::Plain),
-    };
-    let start_instructions = machine.instr_count();
+
     let start_block_instructions = machine.block_instructions();
-    let result = drive_from(
-        &mut machine,
-        cfg,
-        engine,
-        start_k,
-        prefix_outputs,
-        prefix_speeds,
-        Some(injector),
-        cap,
-        deadline,
-        mode,
-        &mut || observer.fault_injected(index, fault),
-    );
+    let replay = start == Start::Replay && ckpt_index.is_some();
+    let (result, instructions, resident) = match (replay, ckpt_index, recall.as_mut()) {
+        (true, Some(ci), Some(memo)) => {
+            let run = crate::replay::Run {
+                cfg,
+                golden,
+                fault,
+                model,
+                index,
+                observer,
+                cap,
+                deadline,
+            };
+            crate::replay::drive(&run, &mut machine, ci, memo)
+        }
+        _ => {
+            let start_instructions = machine.instr_count();
+            let mode = match start {
+                Start::Reset => DriveMode::Plain,
+                Start::Replay | Start::Injection => DriveMode::Prune {
+                    golden,
+                    resident: ckpt_index.unwrap_or(0),
+                    recall: recall.as_mut(),
+                    reenter: false,
+                },
+            };
+            let result = drive_from(
+                &mut machine,
+                cfg,
+                engine,
+                start_k,
+                prefix_outputs,
+                prefix_speeds,
+                Some(FaultInjector::new(model, fault)),
+                cap,
+                deadline,
+                mode,
+                false,
+                &mut || observer.fault_injected(index, fault),
+            );
+            let executed = machine.instr_count().saturating_sub(start_instructions);
+            (result, executed, ckpt_index)
+        }
+    };
     observer.experiment_executed(
         index,
-        machine.instr_count().saturating_sub(start_instructions),
+        instructions,
         machine
             .block_instructions()
             .saturating_sub(start_block_instructions),
@@ -1270,6 +1283,7 @@ pub(crate) fn run_from(
     } = result;
     let ending = match end {
         DriveEnd::DeadlineExceeded => None,
+        DriveEnd::Reenter { .. } => unreachable!("only diff replay hands runs back to itself"),
         DriveEnd::Trapped(trap) => Some(Ending::Trapped(trap)),
         DriveEnd::Hang => Some(Ending::Hang),
         DriveEnd::Converged { iteration } => Some(Ending::Converged { iteration }),
@@ -1278,14 +1292,16 @@ pub(crate) fn run_from(
             outputs.extend_from_slice(&golden.outputs[iteration..tail.outputs]);
             Some(tail.ending)
         }
-        DriveEnd::Completed => {
+        DriveEnd::Completed { latent } => {
             // Latent iff any machine or memory state differs from the
             // golden end state.
             let from = crate::recall::golden_from(&outputs, &golden.outputs);
             let seen = from == 0 || recall.as_ref().is_some_and(|m| m.files_from(from));
             let latent = seen
-                && (machine.scan_snapshot().diff_count(&golden.end_scan) != 0
-                    || !machine.memory().data_equals(golden.end_machine.memory()));
+                && latent.unwrap_or_else(|| {
+                    machine.scan_snapshot().diff_count(&golden.end_scan) != 0
+                        || !machine.memory().data_equals(golden.end_machine.memory())
+                });
             Some(Ending::Completed { latent })
         }
     };
@@ -1295,7 +1311,7 @@ pub(crate) fn run_from(
     let record = ending
         .map(|e| classify(e, outputs, golden, fault, location, detail, index, observer))
         .ok_or(WatchdogExpired);
-    if let (Some(ci), Some(recall)) = (ckpt_index, recall) {
+    if let (Some(ci), Some(recall)) = (resident, recall) {
         arena_release(machine, recall, golden, ci);
     }
     record

@@ -54,6 +54,7 @@ pub mod observer;
 pub mod planner;
 pub mod propagation;
 mod recall;
+mod replay;
 pub mod store;
 pub mod supervisor;
 pub mod swifi;

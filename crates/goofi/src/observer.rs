@@ -14,6 +14,7 @@ use crate::classify::{HarnessCause, Outcome};
 use crate::experiment::{ExperimentRecord, FaultSpec};
 use crate::planner::PlanStats;
 use bera_stats::rate::Ewma;
+use bera_tcpu::diff::FallbackReason;
 use bera_tcpu::edm::ErrorMechanism;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,10 +75,26 @@ pub trait CampaignObserver: Sync {
         let _ = (copied_words, full_clone);
     }
 
+    /// An experiment's drive starts under diff replay (DESIGN.md §8l): from
+    /// its injection point on, the run is carried as golden plus a diff.
+    fn replay_started(&self, index: usize) {
+        let _ = index;
+    }
+
+    /// Diff replay handed the run to the interpreter before instruction
+    /// `at`, for `reason`: the interpreter carries it on from golden's
+    /// state there plus the diff.
+    fn replay_fell_back(&self, index: usize, at: u64, reason: FallbackReason) {
+        let _ = (index, at, reason);
+    }
+
     /// An experiment's drive finished executing: it ran `instructions`
     /// dynamic instructions in this process, of which `block_instructions`
     /// went through the predecoded fast-replay block engine rather than
-    /// the scalar fetch–decode–execute step. Fires before
+    /// the scalar fetch–decode–execute step. Diff replay's events are not
+    /// instructions and are not counted: a replayed run counts only its
+    /// fault-free prefix up to injection and whatever the interpreter ran
+    /// after a fallback. Fires before
     /// [`experiment_classified`](CampaignObserver::experiment_classified),
     /// only for experiments that actually simulated here.
     fn experiment_executed(&self, index: usize, instructions: u64, block_instructions: u64) {
@@ -182,6 +199,18 @@ impl CampaignObserver for ObserverSet<'_> {
     fn arena_restored(&self, copied_words: usize, full_clone: bool) {
         for o in &self.observers {
             o.arena_restored(copied_words, full_clone);
+        }
+    }
+
+    fn replay_started(&self, index: usize) {
+        for o in &self.observers {
+            o.replay_started(index);
+        }
+    }
+
+    fn replay_fell_back(&self, index: usize, at: u64, reason: FallbackReason) {
+        for o in &self.observers {
+            o.replay_fell_back(index, at, reason);
         }
     }
 
@@ -301,6 +330,9 @@ pub struct Telemetry {
     arena_restores: AtomicUsize,
     arena_dirty_words: AtomicUsize,
     arena_full_clones: AtomicUsize,
+    replayed: AtomicUsize,
+    /// Replay fallbacks, indexed like [`FallbackReason::ALL`].
+    fallbacks: [AtomicUsize; 7],
     rate: Mutex<RateState>,
 }
 
@@ -341,6 +373,8 @@ impl Telemetry {
             arena_restores: AtomicUsize::new(0),
             arena_dirty_words: AtomicUsize::new(0),
             arena_full_clones: AtomicUsize::new(0),
+            replayed: AtomicUsize::new(0),
+            fallbacks: Default::default(),
             rate: Mutex::new(RateState::new()),
         }
     }
@@ -408,6 +442,14 @@ impl Telemetry {
             arena_restores: load(&self.arena_restores),
             arena_dirty_words: load(&self.arena_dirty_words) as u64,
             arena_full_clones: load(&self.arena_full_clones),
+            replayed: load(&self.replayed),
+            fallback_control_state: load(&self.fallbacks[0]),
+            fallback_address: load(&self.fallbacks[1]),
+            fallback_cache_control: load(&self.fallbacks[2]),
+            fallback_branch: load(&self.fallbacks[3]),
+            fallback_trap: load(&self.fallbacks[4]),
+            fallback_output: load(&self.fallbacks[5]),
+            fallback_dense: load(&self.fallbacks[6]),
         }
     }
 }
@@ -461,6 +503,15 @@ impl CampaignObserver for Telemetry {
             self.arena_dirty_words
                 .fetch_add(copied_words, Ordering::Relaxed);
         }
+    }
+
+    fn replay_started(&self, _index: usize) {
+        self.replayed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn replay_fell_back(&self, _index: usize, _at: u64, reason: FallbackReason) {
+        let i = FallbackReason::ALL.iter().position(|r| *r == reason);
+        self.fallbacks[i.expect("every reason is listed")].fetch_add(1, Ordering::Relaxed);
     }
 
     fn experiment_executed(&self, _index: usize, instructions: u64, block_instructions: u64) {
@@ -551,8 +602,8 @@ pub struct TelemetrySnapshot {
     /// Faults the fate resolver settled or placed from the golden traces
     /// (every fate but opaque).
     pub batch_members: usize,
-    /// Of those, the live faults: class representatives resume from their
-    /// live instant, members replicate.
+    /// Of those, the live faults: class representatives simulate, members
+    /// replicate.
     pub split_offs: usize,
     /// Wall-clock microseconds the planner spent classifying the fault
     /// list (def/use + visibility + value rules).
@@ -588,6 +639,23 @@ pub struct TelemetrySnapshot {
     /// Experiment machines obtained by a full checkpoint clone (arena
     /// empty, golden changed, or a poisoned slot after a panic).
     pub arena_full_clones: usize,
+    /// Experiments whose drive started under diff replay.
+    pub replayed: usize,
+    /// Replayed experiments handed to the interpreter because the diff
+    /// covered the PC, fetch latch or signature register.
+    pub fallback_control_state: usize,
+    /// ... because a load or store's base register was diffed.
+    pub fallback_address: usize,
+    /// ... because an access consulted a diffed cache tag or flag.
+    pub fallback_cache_control: usize,
+    /// ... because a branch or return diverged.
+    pub fallback_branch: usize,
+    /// ... because the faulty instruction trapped.
+    pub fallback_trap: usize,
+    /// ... because the harness sampled a diffed output port.
+    pub fallback_output: usize,
+    /// ... because events came faster than interpreting costs.
+    pub fallback_dense: usize,
 }
 
 impl TelemetrySnapshot {
@@ -646,6 +714,21 @@ impl TelemetrySnapshot {
     #[must_use]
     pub fn block_hit_rate(&self) -> f64 {
         self.block_instructions as f64 / (self.sim_instructions.max(1)) as f64
+    }
+
+    /// Replay fallbacks by reason, in [`FallbackReason::ALL`] order.
+    #[must_use]
+    pub fn fallbacks(&self) -> [(FallbackReason, usize); 7] {
+        let n = [
+            self.fallback_control_state,
+            self.fallback_address,
+            self.fallback_cache_control,
+            self.fallback_branch,
+            self.fallback_trap,
+            self.fallback_output,
+            self.fallback_dense,
+        ];
+        std::array::from_fn(|i| (FallbackReason::ALL[i], n[i]))
     }
 
     /// Mean data words copied per dirty-delta arena restore.
@@ -711,6 +794,14 @@ impl TelemetrySnapshot {
         self.arena_restores += other.arena_restores;
         self.arena_dirty_words += other.arena_dirty_words;
         self.arena_full_clones += other.arena_full_clones;
+        self.replayed += other.replayed;
+        self.fallback_control_state += other.fallback_control_state;
+        self.fallback_address += other.fallback_address;
+        self.fallback_cache_control += other.fallback_cache_control;
+        self.fallback_branch += other.fallback_branch;
+        self.fallback_trap += other.fallback_trap;
+        self.fallback_output += other.fallback_output;
+        self.fallback_dense += other.fallback_dense;
     }
 }
 
@@ -782,6 +873,19 @@ impl fmt::Display for TelemetrySnapshot {
                 self.arena_restores,
                 self.arena_full_clones
             )?;
+        }
+        if self.replayed > 0 {
+            let fallbacks = self.fallbacks();
+            let total: usize = fallbacks.iter().map(|(_, n)| n).sum();
+            write!(f, " | replay {}, fallback {total}", self.replayed)?;
+            let by_reason: Vec<String> = fallbacks
+                .iter()
+                .filter(|(_, n)| *n > 0)
+                .map(|(r, n)| format!("{} {n}", r.label()))
+                .collect();
+            if !by_reason.is_empty() {
+                write!(f, " ({})", by_reason.join(", "))?;
+            }
         }
         if self.plan_micros > 0 {
             write!(f, " | plan {} µs", self.plan_micros)?;

@@ -19,10 +19,11 @@
 //!   [`Fate::Latent`], emitted analytically as [`Outcome::Latent`];
 //! * **a flipped unit is read first** (or partially written) — the fault
 //!   is [`Fate::Live`] at that instant. The machine state there is exactly
-//!   the golden state plus the surviving flips, so the representative is
-//!   resumed from that instant instead of replaying the prefix, and every
-//!   fault with the same scan bit, live instant and surviving units shares
-//!   its faulty trajectory: one simulation stands for the whole class;
+//!   the golden state plus the surviving flips, so every fault with the
+//!   same scan bit, live instant and surviving units shares its faulty
+//!   trajectory: one simulation stands for the whole class (diff replay,
+//!   DESIGN.md §8l, carries the representative to that instant without
+//!   executing anything);
 //! * **no trace covers the flips** — [`Fate::Opaque`]: simulate.
 //!
 //! Resolution applies only where the trace argument is sound: one-shot
@@ -171,8 +172,8 @@ pub fn resolve(flips: &[BitLocation], inject_at: u64, trace: &AccessTrace) -> Fa
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanAction {
     /// Inject and run this fault on the simulator (it is either a live
-    /// equivalence-class representative — resumed from its live instant,
-    /// see [`CampaignPlan::resume_point`] — or opaque to the traces).
+    /// equivalence-class representative — see
+    /// [`CampaignPlan::resume_point`] — or opaque to the traces).
     Simulate,
     /// Emit the record analytically: the outcome follows from the golden
     /// traces alone.
@@ -288,7 +289,7 @@ fn needs_vis(flips: &[BitLocation]) -> bool {
 }
 
 /// One action per fault-list index, plus the class structure needed for
-/// replication and paranoid cross-checking and the resume point of every
+/// replication and paranoid cross-checking and the live instant of every
 /// live representative.
 #[derive(Debug, Clone)]
 pub struct CampaignPlan {
@@ -332,9 +333,9 @@ impl CampaignPlan {
         &self.actions
     }
 
-    /// Where a live representative resumes: its live instant and the
-    /// flips still live there. `None` for every other index — those
-    /// simulate from injection.
+    /// A live representative's live instant and the flips still live
+    /// there: its state at that instant is golden's plus those flips.
+    /// `None` for every other index.
     #[must_use]
     pub fn resume_point(&self, i: usize) -> Option<(u64, &[BitLocation])> {
         self.resume.get(&i).map(|(at, flips)| (*at, &flips[..]))
@@ -684,7 +685,7 @@ mod tests {
             .expect("some location is traceable");
         let unit = catalog[loc_index].trace_unit().unwrap();
         golden.trace = AccessTrace::new();
-        golden.trace.record(unit, 100, AccessKind::Write);
+        golden.trace.record(unit, 100, AccessKind::Write, 0);
         let fault = FaultSpec {
             location_index: loc_index,
             inject_at: 50,
@@ -710,7 +711,7 @@ mod tests {
             .expect("some location is traceable");
         let unit = catalog[loc_index].trace_unit().unwrap();
         golden.trace = AccessTrace::new();
-        golden.trace.record(unit, 200, AccessKind::Read);
+        golden.trace.record(unit, 200, AccessKind::Read, 0);
         let faults = [
             FaultSpec {
                 location_index: loc_index,
@@ -927,8 +928,8 @@ mod tests {
         // the deposit is erased by it.
         let psr0_unit = TraceUnit::Vis(VisUnit::Psr(0));
         golden.trace = AccessTrace::new();
-        golden.trace.record(psr0_unit, 100, AccessKind::Write);
-        golden.trace.record(psr0_unit, 200, AccessKind::Read);
+        golden.trace.record(psr0_unit, 100, AccessKind::Write, 0);
+        golden.trace.record(psr0_unit, 200, AccessKind::Read, 0);
         let faults = [
             FaultSpec {
                 location_index: psr0,
@@ -979,7 +980,7 @@ mod tests {
     fn trace_with(entries: &[(TraceUnit, u64, AccessKind)]) -> AccessTrace {
         let mut t = AccessTrace::new();
         for &(u, at, kind) in entries {
-            t.record(u, at, kind);
+            t.record(u, at, kind, 0);
         }
         t
     }
@@ -1105,7 +1106,7 @@ mod tests {
             (SIG, 20, AccessKind::Write),
         ];
         let mut t = trace_with(&sig_events);
-        t.record(REG3, 12, AccessKind::Read);
+        t.record(REG3, 12, AccessKind::Read, 0);
         // A compare samples the folded value first: no sound claim.
         assert_eq!(resolve(&[SIG_BIT], 5, &t), Fate::Opaque);
         // A transfer zeroes it first: overwritten.
@@ -1120,7 +1121,7 @@ mod tests {
         assert_eq!(resolve(&[REG3_BIT, SIG_BIT], 11, &t), Fate::Opaque);
         // Once the zeroing has landed the survivor resumes exactly.
         let mut late_read = trace_with(&sig_events);
-        late_read.record(REG3, 25, AccessKind::Read);
+        late_read.record(REG3, 25, AccessKind::Read, 0);
         assert_eq!(
             resolve(&[REG3_BIT, SIG_BIT], 11, &late_read),
             Fate::Live {

@@ -14,7 +14,6 @@
 //! by golden's outputs up to the filed ending.
 
 use crate::experiment::Ending;
-use bera_tcpu::machine::Machine;
 use std::collections::HashMap;
 
 /// A drive consults and feeds the memo at every this-many-th golden
@@ -63,29 +62,25 @@ pub(crate) struct TrajectoryMemo {
     /// States the running drive passed, filed or dropped when it ends.
     pending: Vec<(u32, Key)>,
     pending_pool: Vec<(u32, u32)>,
-    diff: Vec<(u32, u32)>,
 }
 
 impl TrajectoryMemo {
-    /// Looks up the state `machine` holds at the boundary of golden
-    /// checkpoint `checkpoint`, reached at `iteration`; `delta_keys` are
-    /// the golden writes since the machine's resident checkpoint (see
-    /// [`Machine::sparse_diff`]). On a miss the state is remembered as
-    /// passed by the running drive.
+    /// Looks up a state at the boundary of golden checkpoint
+    /// `checkpoint`, reached at `iteration`, `offset` instructions after
+    /// golden reached it, whose difference from the checkpoint is `diff`
+    /// (see [`bera_tcpu::Machine::sparse_diff`]). On a miss the state is
+    /// remembered as passed by the running drive.
     pub(crate) fn probe(
         &mut self,
-        machine: &Machine,
-        golden_ckpt: &Machine,
+        diff: &[(u32, u32)],
         checkpoint: usize,
         iteration: usize,
-        delta_keys: &[u32],
+        offset: i128,
     ) -> Option<Tail> {
-        machine.sparse_diff(golden_ckpt, delta_keys, &mut self.diff);
-        let offset = i128::from(machine.instr_count()) - i128::from(golden_ckpt.instr_count());
         // A state outside the packed ranges is neither recalled nor filed.
         let (Ok(instr_offset), Ok(len), Ok(checkpoint), Ok(iteration), Ok(start)) = (
             i32::try_from(offset),
-            u16::try_from(self.diff.len()),
+            u16::try_from(diff.len()),
             u16::try_from(checkpoint),
             u32::try_from(iteration),
             u32::try_from(self.pending_pool.len()),
@@ -95,7 +90,7 @@ impl TrajectoryMemo {
         let mut h = bera_tcpu::Fnv64::new();
         h.write_u32(u32::from(checkpoint));
         h.write_u32(instr_offset as u32);
-        for &(pos, value) in &self.diff {
+        for &(pos, value) in diff {
             h.write_u32(pos);
             h.write_u32(value);
         }
@@ -110,7 +105,7 @@ impl TrajectoryMemo {
                 && self.positions[at.clone()]
                     .iter()
                     .zip(&self.values[at])
-                    .zip(&self.diff)
+                    .zip(diff)
                     .all(|((&p, &v), &(dp, dv))| u32::from(p) == dp && v == dv)
             {
                 return Some(self.tails[key.tail as usize]);
@@ -126,7 +121,7 @@ impl TrajectoryMemo {
                 tail: iteration,
             },
         ));
-        self.pending_pool.extend_from_slice(&self.diff);
+        self.pending_pool.extend_from_slice(diff);
         None
     }
 
@@ -210,7 +205,13 @@ mod tests {
         faulty.begin_dirty_log();
         assert!(faulty.poke_word(RAM_BASE + 0x400, 5));
         let mut memo = TrajectoryMemo::default();
-        let probe = |memo: &mut TrajectoryMemo| memo.probe(&faulty, &ckpt.machine, c, k, &[]);
+        let diff_of = |m: &bera_tcpu::Machine| {
+            let mut diff = Vec::new();
+            m.sparse_diff(&ckpt.machine, &[], &mut diff);
+            diff
+        };
+        let diff = diff_of(&faulty);
+        let probe = |memo: &mut TrajectoryMemo| memo.probe(&diff, c, k, 0);
         let ended = |outputs: &[u32]| {
             let end = Ending::Completed { latent: true };
             Some((outputs.to_vec(), golden.outputs.clone(), end))
@@ -238,10 +239,11 @@ mod tests {
         finish(&mut memo, None);
 
         // The key is exact: another checkpoint or diff misses.
-        assert!(memo.probe(&faulty, &ckpt.machine, c + 1, k, &[]).is_none());
+        assert!(memo.probe(&diff, c + 1, k, 0).is_none());
+        assert!(memo.probe(&diff, c, k, 1).is_none());
         let mut other = faulty.clone();
         other.begin_dirty_log();
         assert!(other.poke_word(RAM_BASE + 0x400, 6));
-        assert!(memo.probe(&other, &ckpt.machine, c, k, &[]).is_none());
+        assert!(memo.probe(&diff_of(&other), c, k, 0).is_none());
     }
 }

@@ -1,0 +1,264 @@
+//! Diff replay of one experiment (DESIGN.md §8l): from its injection point
+//! on, a one-shot flip fault runs as the golden run plus a sorted diff
+//! ([`bera_tcpu::diff`]), executing only the instructions that touch the
+//! diff, until its first event the diff cannot follow; from there the
+//! interpreter carries on from golden's state plus the diff.
+//!
+//! The plant is never advanced while replaying: replay stops before the
+//! harness could sample a differing actuator word, so outputs, and with
+//! them the plant, are golden's. At every golden checkpoint the diff is
+//! also the whole state comparison: empty means the run converged there,
+//! and at every [`RECALL_EVERY`]-th checkpoint it is the trajectory memo's
+//! key. A run replayed to its end is classified from golden's end state
+//! plus the diff. Every record equals the interpreter's.
+
+use crate::experiment::{
+    actuate, drive_from, set_ports, DriveEnd, DriveMode, DriveResult, FaultInjector, FaultModel,
+    FaultSpec, GoldenRun, LoopConfig,
+};
+use crate::observer::CampaignObserver;
+use crate::recall::{TrajectoryMemo, RECALL_EVERY};
+use bera_plant::Engine;
+use bera_tcpu::diff::{DiffReplay, Fallback, FallbackReason, ReplayScratch};
+use bera_tcpu::machine::{Machine, RunExit, PORT_U};
+use bera_tcpu::scan::{self, BitLocation};
+use std::cell::RefCell;
+use std::time::Instant;
+
+/// One experiment's fixed inputs.
+pub(crate) struct Run<'a> {
+    pub(crate) cfg: &'a LoopConfig,
+    pub(crate) golden: &'a GoldenRun,
+    pub(crate) fault: FaultSpec,
+    pub(crate) model: FaultModel,
+    pub(crate) index: usize,
+    pub(crate) observer: &'a dyn CampaignObserver,
+    pub(crate) cap: u64,
+    pub(crate) deadline: Option<Instant>,
+}
+
+/// Instructions the interpreter executes in the time replay takes for one
+/// event, measured on the paper's Algorithm I campaign: a checkpoint
+/// interval with more than one event per this many instructions falls back.
+const DENSE: u64 = 6;
+
+thread_local! {
+    /// This worker's replay scratch, taken out for the length of a replay:
+    /// a panic drops it and the next replay allocates a fresh one.
+    static SCRATCH: RefCell<Option<Box<ReplayScratch>>> = const { RefCell::new(None) };
+}
+
+/// Drives experiment `run` on `machine`, restored to golden checkpoint
+/// `resident` at or before the injection point with a fresh dirty log.
+/// Returns the drive's result, the instructions the interpreter executed,
+/// and the checkpoint the machine's dirty log is now relative to.
+pub(crate) fn drive(
+    run: &Run<'_>,
+    machine: &mut Machine,
+    mut resident: usize,
+    memo: &mut TrajectoryMemo,
+) -> (DriveResult, u64, Option<usize>) {
+    let golden = run.golden;
+    let ckpt = &golden.checkpoints[resident];
+    let start = machine.instr_count();
+    let mut position = Position {
+        k: ckpt.iteration,
+        engine: ckpt.engine.clone(),
+    };
+    position.advance(run.cfg, machine, run.fault.inject_at);
+    let locations: Vec<BitLocation> = run
+        .model
+        .locations(run.fault.location_index)
+        .into_iter()
+        .map(|i| scan::catalog()[i])
+        .collect();
+    let mut diff = machine.flip_diff(&locations);
+    // Undone at once: until replay first falls back, the machine holds
+    // golden's state at the injection point.
+    for &loc in &locations {
+        machine.scan_flip(loc);
+    }
+    let mut golden_here = Some(position);
+    run.observer.fault_injected(run.index, run.fault);
+    run.observer.replay_started(run.index);
+    let mut executed = machine.instr_count() - start;
+    // Outputs logged before replay (re)started, and where it starts.
+    let (mut logged, mut from, mut after) = (Vec::new(), run.fault.inject_at, resident);
+    loop {
+        let mut scratch = SCRATCH.with(|s| s.borrow_mut().take()).unwrap_or_default();
+        let replayed = replay(run, &mut scratch, from, after, diff, memo);
+        SCRATCH.with(|s| *s.borrow_mut() = Some(scratch));
+        let (fallback, at_fallback) = match replayed {
+            Ok(end) => {
+                let until = match end {
+                    DriveEnd::Converged { iteration } | DriveEnd::Recalled { iteration, .. } => {
+                        iteration
+                    }
+                    _ => golden.outputs.len(),
+                };
+                let k = logged.len();
+                logged.extend_from_slice(&golden.outputs[k..until]);
+                let result = DriveResult {
+                    outputs: logged,
+                    speeds: Vec::new(),
+                    end,
+                };
+                return (result, executed, Some(resident));
+            }
+            Err(fell) => fell,
+        };
+        run.observer
+            .replay_fell_back(run.index, fallback.at, fallback.reason);
+        // Golden's state at the fallback: the machine, while it still holds
+        // golden's and no checkpoint lies between it and the fallback; the
+        // last checkpoint before the fallback otherwise.
+        let c = golden
+            .checkpoint_index_before(fallback.at)
+            .expect("the fallback follows the resident checkpoint");
+        let mid_iteration = c == resident && golden_here.is_some();
+        let at = match golden_here.take().filter(|_| mid_iteration) {
+            Some(position) => position,
+            None => {
+                let ckpt = &golden.checkpoints[c];
+                let (lo, hi) = (resident.min(c), resident.max(c));
+                machine.restore_delta_from(&ckpt.machine, &golden.ckpt_data_deltas[lo..hi]);
+                if !run.cfg.fast_replay {
+                    machine.set_fast_replay(false);
+                }
+                resident = c;
+                Position {
+                    k: ckpt.iteration,
+                    engine: ckpt.engine.clone(),
+                }
+            }
+        };
+        // Outputs before the restored iteration are golden's or were
+        // logged by an earlier interpreted stretch.
+        let mut outputs = Vec::with_capacity(run.cfg.iterations);
+        outputs.extend_from_slice(&logged[..at.k.min(logged.len())]);
+        let k = outputs.len();
+        outputs.extend_from_slice(&golden.outputs[k..at.k]);
+        let mut speeds = Vec::with_capacity(run.cfg.iterations + 1);
+        speeds.extend_from_slice(&golden.speeds[..=at.k]);
+        let count = machine.instr_count();
+        let result = drive_from(
+            machine,
+            run.cfg,
+            at.engine,
+            at.k,
+            outputs,
+            speeds,
+            Some(FaultInjector::diff(fallback.at, at_fallback)),
+            run.cap,
+            run.deadline,
+            DriveMode::Prune {
+                golden,
+                resident,
+                recall: Some(&mut *memo),
+                // Back to replay later, unless it ran too dense, or a
+                // re-entry failed before its first checkpoint.
+                reenter: fallback.reason != FallbackReason::Dense
+                    && (from == run.fault.inject_at || c > after),
+            },
+            mid_iteration,
+            &mut || {},
+        );
+        executed += machine.instr_count() - count;
+        match result.end {
+            DriveEnd::Reenter {
+                checkpoint,
+                diff: carried,
+            } => {
+                logged = result.outputs;
+                (from, after, diff) = (
+                    golden.checkpoints[checkpoint].machine.instr_count(),
+                    checkpoint,
+                    carried,
+                );
+            }
+            _ => return (result, executed, Some(resident)),
+        }
+    }
+}
+
+/// Where the golden loop stands: in iteration `k`, with the plant's state.
+struct Position {
+    k: usize,
+    engine: Engine,
+}
+
+impl Position {
+    /// Runs the golden machine from here to boundary `stop_at`, closing the
+    /// loop at each `yield` as [`drive_from`] does.
+    fn advance(&mut self, cfg: &LoopConfig, machine: &mut Machine, stop_at: u64) {
+        while machine.instr_count() < stop_at {
+            match machine.run_until(stop_at) {
+                RunExit::Yield => {
+                    let u = machine.port_out_f32(PORT_U);
+                    let t = self.k as f64 * cfg.sample_interval;
+                    self.engine
+                        .advance(actuate(u), cfg.profiles.load(t), cfg.sample_interval);
+                    self.k += 1;
+                    if self.k < cfg.iterations {
+                        set_ports(machine, cfg, self.k, &self.engine);
+                    }
+                }
+                RunExit::Budget => {}
+                RunExit::Trap(trap) => unreachable!("the golden prefix trapped: {trap:?}"),
+            }
+        }
+    }
+}
+
+/// Replays from boundary `from`, where the state differs from golden's by
+/// `diff`, over the golden checkpoints after index `after`: the drive's
+/// end, or the first fallback with the diff at its instant.
+fn replay(
+    run: &Run<'_>,
+    scratch: &mut ReplayScratch,
+    from: u64,
+    after: usize,
+    diff: Vec<(u32, u32)>,
+    memo: &mut TrajectoryMemo,
+) -> Result<DriveEnd, (Fallback, Vec<(u32, u32)>)> {
+    let golden = run.golden;
+    let mut r = DiffReplay::new(&golden.trace, &golden.end_machine, scratch, from, diff);
+    let fell = |r: &mut DiffReplay<'_>, f| (f, r.diff().to_vec());
+    let (mut events, mut since) = (0, from);
+    for (c, ckpt) in golden.checkpoints.iter().enumerate().skip(after + 1) {
+        r.advance(ckpt.machine.instr_count())
+            .map_err(|f| fell(&mut r, f))?;
+        if run.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Ok(DriveEnd::DeadlineExceeded);
+        }
+        let iteration = ckpt.iteration;
+        if r.diff().is_empty() {
+            return Ok(DriveEnd::Converged { iteration });
+        }
+        if c.is_multiple_of(RECALL_EVERY) {
+            if let Some(tail) = memo.probe(r.diff(), c, iteration, 0) {
+                return Ok(DriveEnd::Recalled { iteration, tail });
+            }
+        }
+        // An event costs about as much as interpreting DENSE instructions:
+        // past that rate the interpreter carries the run more cheaply.
+        let at = ckpt.machine.instr_count();
+        if (r.events() - events) * DENSE > at - since {
+            let dense = Fallback {
+                at,
+                reason: FallbackReason::Dense,
+            };
+            return Err(fell(&mut r, dense));
+        }
+        (events, since) = (r.events(), at);
+    }
+    r.advance(golden.total_instructions)
+        .map_err(|f| fell(&mut r, f))?;
+    let mut end = golden.end_machine.clone();
+    end.apply_diff(r.diff());
+    let latent = end.scan_snapshot().diff_count(&golden.end_scan) != 0
+        || !end.memory().data_equals(golden.end_machine.memory());
+    Ok(DriveEnd::Completed {
+        latent: Some(latent),
+    })
+}

@@ -161,11 +161,11 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// One supervised attempt: failpoint and chaos hook, then `run` from
 /// `start` under the watchdog deadline, all behind the unwind boundary.
-fn attempt<'s>(
+fn attempt(
     index: usize,
-    start: Start<'s>,
+    start: Start,
     sup: &SupervisorConfig,
-    run: &impl Fn(Start<'s>, Option<Instant>) -> Result<ExperimentRecord, WatchdogExpired>,
+    run: &impl Fn(Start, Option<Instant>) -> Result<ExperimentRecord, WatchdogExpired>,
 ) -> Result<ExperimentRecord, (HarnessCause, String)> {
     let deadline = sup.deadline.map(|d| Instant::now() + d);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -203,13 +203,13 @@ fn attempt<'s>(
 /// Panics only if `fault.location_index` is outside the scan catalog — a
 /// campaign construction bug, not an experiment failure.
 #[must_use]
-pub(crate) fn run_supervised<'s>(
+pub(crate) fn run_supervised(
     fault: FaultSpec,
     index: usize,
-    start: Start<'s>,
+    start: Start,
     observer: &dyn CampaignObserver,
     sup: &SupervisorConfig,
-    run: impl Fn(Start<'s>, Option<Instant>) -> Result<ExperimentRecord, WatchdogExpired>,
+    run: impl Fn(Start, Option<Instant>) -> Result<ExperimentRecord, WatchdogExpired>,
 ) -> ExperimentRecord {
     let (cause, message) = match attempt(index, start, sup, &run) {
         Ok(record) => return record,

@@ -69,7 +69,8 @@ impl AccessKind {
 ///
 /// A fault injected at instruction boundary `t` (i.e. after `t`
 /// instructions have retired, before instruction `t` executes) is visible
-/// to exactly the accesses with `at >= t`.
+/// to exactly the accesses with `at >= t`. This is the unpacked view of a
+/// [`Recorded`] entry, for the planner's queries and for tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Access {
     /// Dynamic instruction index during which the access occurred.
@@ -77,6 +78,108 @@ pub struct Access {
     /// Read, full write, or partial write.
     pub kind: AccessKind,
 }
+
+/// Largest instant a [`Recorded`] entry can hold: the instant shares a
+/// `u32` with the two kind bits.
+pub const MAX_INSTANT: u64 = (1 << 30) - 1;
+
+/// One recorded access as the trace stores it, 8 bytes: the instant with
+/// the kind in its two low bits, plus the value the access read or
+/// deposited (see [`AccessTrace::record`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Recorded {
+    key: u32,
+    value: u32,
+}
+
+impl Recorded {
+    fn new(at: u64, kind: AccessKind, value: u32) -> Self {
+        assert!(
+            at <= MAX_INSTANT,
+            "instant {at} does not fit the packed access trace (max {MAX_INSTANT})"
+        );
+        let bits = match kind {
+            AccessKind::Read => 0,
+            AccessKind::Write => 1,
+            AccessKind::PartialWrite => 2,
+        };
+        Recorded {
+            key: (at as u32) << 2 | bits,
+            value,
+        }
+    }
+
+    /// Dynamic instruction index during which the access occurred.
+    #[must_use]
+    #[inline]
+    pub fn at(&self) -> u64 {
+        u64::from(self.key >> 2)
+    }
+
+    /// Read, full write, or partial write.
+    #[must_use]
+    #[inline]
+    pub fn kind(&self) -> AccessKind {
+        match self.key & 3 {
+            0 => AccessKind::Read,
+            1 => AccessKind::Write,
+            _ => AccessKind::PartialWrite,
+        }
+    }
+
+    /// The value read or deposited.
+    #[must_use]
+    #[inline]
+    pub fn value(&self) -> u32 {
+        self.value
+    }
+
+    /// The unpacked view.
+    #[must_use]
+    pub fn access(&self) -> Access {
+        Access {
+            at: self.at(),
+            kind: self.kind(),
+        }
+    }
+}
+
+/// One operand-latch shift: a register read, with the register and the
+/// value read (the value the latch's `b` slot takes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Shift {
+    key: u32,
+    value: u32,
+}
+
+impl Shift {
+    /// Dynamic instruction index of the read.
+    #[must_use]
+    #[inline]
+    pub fn at(&self) -> u64 {
+        u64::from(self.key >> 4)
+    }
+
+    /// The register read.
+    #[must_use]
+    #[inline]
+    pub fn reg(&self) -> u8 {
+        (self.key & 0xF) as u8
+    }
+
+    /// The value read.
+    #[must_use]
+    #[inline]
+    pub fn value(&self) -> u32 {
+        self.value
+    }
+}
+
+/// Flag bits of [`AccessTrace::step`] above the ROM slot: the
+/// instruction's data access missed and filled its cache line.
+pub const STEP_FILL: u32 = 1 << 16;
+/// The instruction's line fill first wrote a dirty victim back.
+pub const STEP_WRITEBACK: u32 = 1 << 17;
 
 /// A unit of architectural state with a dense trace index. Each scan-chain
 /// bit that is traceable maps to exactly one unit (the register, cache
@@ -138,11 +241,14 @@ impl TraceUnit {
 }
 
 /// The full per-unit access trace of one golden run, plus the operand-latch
-/// shift instants.
+/// shifts and one step word per executed instruction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AccessTrace {
-    units: Vec<Vec<Access>>,
-    shifts: Vec<u64>,
+    units: Vec<Vec<Recorded>>,
+    shifts: Vec<Shift>,
+    /// Per instruction: the step word (see [`AccessTrace::step`]) and the
+    /// index of its first operand-latch shift.
+    steps: Vec<[u32; 2]>,
 }
 
 impl Default for AccessTrace {
@@ -158,30 +264,105 @@ impl AccessTrace {
         AccessTrace {
             units: vec![Vec::new(); TraceUnit::COUNT],
             shifts: Vec::new(),
+            steps: Vec::new(),
         }
     }
 
-    /// Appends an access. Entries for one unit must arrive in
-    /// non-decreasing `at` order (they do, when recorded during execution);
+    /// Appends an access with the value it read or deposited: the word
+    /// for registers, cache and memory words and ports; the register's
+    /// contents for the PSR flags, tags, flags, syndrome and latches; and,
+    /// for the two stack-bound units, the address the bound was checked
+    /// against. Entries for one unit must arrive in non-decreasing `at`
+    /// order (they do, when recorded during execution);
     /// [`AccessTrace::first_at_or_after`] relies on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` exceeds [`MAX_INSTANT`].
     #[inline]
-    pub fn record(&mut self, unit: TraceUnit, at: u64, kind: AccessKind) {
+    pub fn record(&mut self, unit: TraceUnit, at: u64, kind: AccessKind, value: u32) {
         let slot = &mut self.units[unit.index()];
-        debug_assert!(slot.last().is_none_or(|a| a.at <= at), "trace not sorted");
-        slot.push(Access { at, kind });
+        debug_assert!(slot.last().is_none_or(|a| a.at() <= at), "trace not sorted");
+        slot.push(Recorded::new(at, kind, value));
     }
 
-    /// Appends an operand-latch shift instant (each register read shifts
-    /// the latch: `a ← b`, `b ← value`).
-    pub fn record_shift(&mut self, at: u64) {
-        debug_assert!(self.shifts.last().is_none_or(|&s| s <= at));
-        self.shifts.push(at);
+    /// Appends an operand-latch shift (each register read shifts the
+    /// latch: `a ← b`, `b ← value`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` does not fit the 28 bits a shift keeps for it.
+    pub fn record_shift(&mut self, at: u64, reg: u8, value: u32) {
+        assert!(
+            at < 1 << 28,
+            "shift instant {at} does not fit the packed trace"
+        );
+        debug_assert!(self.shifts.last().is_none_or(|s| s.at() <= at));
+        self.shifts.push(Shift {
+            key: (at as u32) << 4 | u32::from(reg & 0xF),
+            value,
+        });
     }
 
-    /// All accesses to `unit`, in execution order.
+    /// Opens instruction `at`'s step word with its ROM slot. Steps arrive
+    /// one per instruction, in order, before the instruction's shifts.
+    pub fn record_step(&mut self, at: u64, slot: u32) {
+        debug_assert_eq!(self.steps.len() as u64, at, "one step per instruction");
+        self.steps.push([slot, self.shifts.len() as u32]);
+    }
+
+    /// Sets `flag` ([`STEP_FILL`], [`STEP_WRITEBACK`]) on the step word of
+    /// the instruction executing now.
+    pub fn mark_step(&mut self, flag: u32) {
+        if let Some(s) = self.steps.last_mut() {
+            s[0] |= flag;
+        }
+    }
+
+    /// The step word of instruction `at`: the ROM slot it executed from in
+    /// the low 16 bits, plus the `STEP_*` flags.
     #[must_use]
-    pub fn accesses(&self, unit: TraceUnit) -> &[Access] {
+    #[inline]
+    pub fn step(&self, at: u64) -> u32 {
+        self.steps[at as usize][0]
+    }
+
+    /// The index in [`AccessTrace::shifts`] of the first shift at or after
+    /// boundary `at`: instruction `at`'s first shift, or the end past the
+    /// last instruction.
+    #[must_use]
+    #[inline]
+    pub fn first_shift(&self, at: u64) -> usize {
+        self.steps
+            .get(at as usize)
+            .map_or(self.shifts.len(), |s| s[1] as usize)
+    }
+
+    /// All accesses to `unit`, in execution order, unpacked.
+    #[must_use]
+    pub fn accesses(&self, unit: TraceUnit) -> Vec<Access> {
+        self.recorded(unit).iter().map(Recorded::access).collect()
+    }
+
+    /// All accesses to `unit` as stored, with their values.
+    #[must_use]
+    #[inline]
+    pub fn recorded(&self, unit: TraceUnit) -> &[Recorded] {
         &self.units[unit.index()]
+    }
+
+    /// All accesses to the unit of index `index` (see
+    /// [`TraceUnit::index`]), as stored.
+    #[must_use]
+    #[inline]
+    pub fn recorded_at(&self, index: usize) -> &[Recorded] {
+        &self.units[index]
+    }
+
+    /// Every operand-latch shift, in execution order.
+    #[must_use]
+    pub fn shifts(&self) -> &[Shift] {
+        &self.shifts
     }
 
     /// The first access to `unit` visible to a fault injected at
@@ -189,9 +370,9 @@ impl AccessTrace {
     /// `at >= inject_at`; `None` when the unit is never touched again.
     #[must_use]
     pub fn first_at_or_after(&self, unit: TraceUnit, inject_at: u64) -> Option<Access> {
-        let slot = &self.units[unit.index()];
-        let i = slot.partition_point(|a| a.at < inject_at);
-        slot.get(i).copied()
+        let slot = self.recorded(unit);
+        let i = slot.partition_point(|a| a.at() < inject_at);
+        slot.get(i).map(Recorded::access)
     }
 
     /// The instant of the `n`-th (from 0) operand-latch shift visible to
@@ -199,8 +380,8 @@ impl AccessTrace {
     /// `>= inject_at`), or `None` when fewer shifts follow.
     #[must_use]
     pub fn nth_shift_at_or_after(&self, inject_at: u64, n: usize) -> Option<u64> {
-        let first = self.shifts.partition_point(|&s| s < inject_at);
-        self.shifts.get(first + n).copied()
+        let first = self.shifts.partition_point(|s| s.at() < inject_at);
+        self.shifts.get(first + n).map(Shift::at)
     }
 
     /// Total number of recorded accesses, across all units (shifts
@@ -210,18 +391,19 @@ impl AccessTrace {
         self.units.iter().map(Vec::len).sum()
     }
 
-    /// Mutates the trace (for adversarial tests): inserts `access` into
-    /// `unit`'s slot at its sorted position.
+    /// Mutates the trace (for adversarial tests): inserts `access`, with
+    /// value 0, into `unit`'s slot at its sorted position.
     pub fn insert_for_test(&mut self, unit: TraceUnit, access: Access) {
         let slot = &mut self.units[unit.index()];
-        let i = slot.partition_point(|a| a.at <= access.at);
-        slot.insert(i, access);
+        let i = slot.partition_point(|a| a.at() <= access.at);
+        slot.insert(i, Recorded::new(access.at, access.kind, 0));
     }
 
     /// Mutates the kind of the access at position `i` of `unit`'s slot
     /// (for adversarial tests).
     pub fn set_kind_for_test(&mut self, unit: TraceUnit, i: usize, kind: AccessKind) {
-        self.units[unit.index()][i].kind = kind;
+        let a = &mut self.units[unit.index()][i];
+        *a = Recorded::new(a.at(), kind, a.value);
     }
 
     /// Removes the access at position `i` of `unit`'s slot (for
@@ -274,9 +456,9 @@ mod tests {
     fn first_at_or_after_is_a_lower_bound() {
         let mut t = AccessTrace::new();
         let u = TraceUnit::Reg(3);
-        t.record(u, 10, AccessKind::Read);
-        t.record(u, 10, AccessKind::Write);
-        t.record(u, 25, AccessKind::Read);
+        t.record(u, 10, AccessKind::Read, 0);
+        t.record(u, 10, AccessKind::Write, 0);
+        t.record(u, 25, AccessKind::Read, 0);
         assert_eq!(
             t.first_at_or_after(u, 0),
             Some(Access {
@@ -308,8 +490,8 @@ mod tests {
         // stay read-first: the read makes the flip live.
         let mut t = AccessTrace::new();
         let u = TraceUnit::CacheWord { line: 2, word: 1 };
-        t.record(u, 7, AccessKind::Read);
-        t.record(u, 7, AccessKind::Write);
+        t.record(u, 7, AccessKind::Read, 0);
+        t.record(u, 7, AccessKind::Write, 0);
         let first = t.first_at_or_after(u, 7).unwrap();
         assert_eq!(first.kind, AccessKind::Read);
     }

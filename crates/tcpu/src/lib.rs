@@ -52,6 +52,7 @@
 pub mod access;
 pub mod asm;
 pub mod cache;
+pub mod diff;
 pub mod digest;
 pub mod edm;
 pub mod isa;

@@ -20,7 +20,7 @@
 //! A trap (a detected error) freezes the machine: the experiment has
 //! terminated, as in GOOFI's termination condition.
 
-use crate::access::{AccessKind, AccessTrace, TraceUnit};
+use crate::access::{AccessKind, AccessTrace, TraceUnit, STEP_FILL, STEP_WRITEBACK};
 use crate::cache::{CacheLine, DataCache, LINE_BYTES, NUM_LINES, WORDS_PER_LINE};
 use crate::edm::{ErrorMechanism as Edm, Trap};
 use crate::isa::{self, Decoded, Opcode};
@@ -384,11 +384,103 @@ impl Core {
         debug_assert_eq!(n, CORE_WORDS);
         w
     }
+
+    /// Writes word `pos` of [`Core::words`]: the inverse of reading it.
+    fn set_word(&mut self, pos: usize, v: u32) {
+        fn line(l: &mut CacheLine, off: usize, v: u32) {
+            match off {
+                0 => l.tag = v,
+                1 => {
+                    l.valid = v & 1 != 0;
+                    l.dirty = v & 2 != 0;
+                }
+                w => l.data[(w - 2) * 4..(w - 1) * 4].copy_from_slice(&v.to_le_bytes()),
+            }
+        }
+        use word::*;
+        match pos {
+            0..PC => self.regs[pos] = v,
+            PC => self.pc = v,
+            PSR => self.psr = v as u8,
+            SIG => self.sig = v as u16,
+            STACK_LO => self.stack_lo = v,
+            STACK_HI => self.stack_hi = v,
+            EPC => self.epc = v,
+            CAUSE => self.cause = v as u8,
+            SAVE..FETCH_WORD => self.save[pos - SAVE] = v,
+            FETCH_WORD => self.fetch.word = v,
+            FETCH_PC => self.fetch.pc = v,
+            FETCH_VALID => self.fetch.valid = v != 0,
+            IDEX_A => self.idex.a = v,
+            IDEX_B => self.idex.b = v,
+            EXWB_VALUE => self.exwb.value = v,
+            EXWB_RD => self.exwb.rd = v as u8,
+            EXWB_WE => self.exwb.we = v != 0,
+            LINES..SBUF_ADDR => {
+                let p = pos - LINES;
+                line(self.cache.line_mut(p / LINE_WORDS), p % LINE_WORDS, v);
+            }
+            SBUF_ADDR => self.sbuf.addr = v,
+            SBUF_DATA => self.sbuf.data = v,
+            SBUF_VALID => self.sbuf.valid = v != 0,
+            FBUF_ADDR => self.fbuf.addr = v,
+            FBUF_DATA => self.fbuf.data = v,
+            FBUF_PARITY => self.fbuf.parity = v != 0,
+            FBUF_VALID => self.fbuf.valid = v != 0,
+            EDAC => self.edac_syndrome = v as u8,
+            PORTS_OUT..PORTS_IN => self.ports_out[pos - PORTS_OUT] = v,
+            PORTS_IN..PARITY => self.ports_in[pos - PORTS_IN] = v,
+            PARITY => self.parity_cache = v != 0,
+            _ => {
+                let p = pos - SHADOW;
+                line(&mut self.shadow[p / LINE_WORDS], p % LINE_WORDS, v);
+            }
+        }
+    }
+}
+
+/// Positions of [`Core::words`], which are also the `Core` positions of
+/// [`Machine::sparse_diff`].
+pub(crate) mod word {
+    use super::{NUM_LINES, NUM_OUT_PORTS, WORDS_PER_LINE};
+
+    pub const PC: usize = 16;
+    pub const PSR: usize = 17;
+    pub const SIG: usize = 18;
+    pub const STACK_LO: usize = 19;
+    pub const STACK_HI: usize = 20;
+    pub const EPC: usize = 21;
+    pub const CAUSE: usize = 22;
+    pub const SAVE: usize = 23;
+    pub const FETCH_WORD: usize = 25;
+    pub const FETCH_PC: usize = 26;
+    pub const FETCH_VALID: usize = 27;
+    pub const IDEX_A: usize = 28;
+    pub const IDEX_B: usize = 29;
+    pub const EXWB_VALUE: usize = 30;
+    pub const EXWB_RD: usize = 31;
+    pub const EXWB_WE: usize = 32;
+    /// Cache line `l` occupies `LINES + l * LINE_WORDS ..`: tag, flags
+    /// (valid | dirty << 1), then its data words.
+    pub const LINES: usize = 33;
+    pub const LINE_WORDS: usize = 2 + WORDS_PER_LINE;
+    pub const SBUF_ADDR: usize = LINES + NUM_LINES * LINE_WORDS;
+    pub const SBUF_DATA: usize = SBUF_ADDR + 1;
+    pub const SBUF_VALID: usize = SBUF_ADDR + 2;
+    pub const FBUF_ADDR: usize = SBUF_ADDR + 3;
+    pub const FBUF_DATA: usize = SBUF_ADDR + 4;
+    pub const FBUF_PARITY: usize = SBUF_ADDR + 5;
+    pub const FBUF_VALID: usize = SBUF_ADDR + 6;
+    pub const EDAC: usize = SBUF_ADDR + 7;
+    pub const PORTS_OUT: usize = EDAC + 1;
+    pub const PORTS_IN: usize = PORTS_OUT + NUM_OUT_PORTS;
+    pub const PARITY: usize = PORTS_IN + super::NUM_IN_PORTS;
+    pub const SHADOW: usize = PARITY + 1;
 }
 
 /// Length of [`Core::words`]: the scalar fields, plus tag, flags and data
 /// words for every cache and shadow line.
-const CORE_WORDS: usize =
+pub(crate) const CORE_WORDS: usize =
     isa::NUM_REGS + 26 + NUM_OUT_PORTS + NUM_IN_PORTS + 2 * NUM_LINES * (2 + WORDS_PER_LINE);
 
 /// The Thor-like processor: its architectural state (`Core` and memory),
@@ -459,15 +551,16 @@ impl Machine {
     /// current boundary is *not* visible to it.
     pub fn trace_harness_port_read(&mut self, port: u16) {
         let at = self.instr_count.saturating_sub(1);
+        let value = self.core.ports_out[port as usize];
         if let Some(t) = self.trace.0.as_mut() {
-            t.record(TraceUnit::PortOut(port as u8), at, AccessKind::Read);
+            t.record(TraceUnit::PortOut(port as u8), at, AccessKind::Read, value);
         }
     }
 
     #[inline]
-    fn trace(&mut self, unit: impl Into<TraceUnit>, kind: AccessKind) {
+    fn trace(&mut self, unit: impl Into<TraceUnit>, kind: AccessKind, value: u32) {
         if let Some(t) = self.trace.0.as_mut() {
-            t.record(unit.into(), self.instr_count, kind);
+            t.record(unit.into(), self.instr_count, kind, value);
         }
     }
 
@@ -609,8 +702,8 @@ impl Machine {
 
     /// Starts (or restarts) the dirty-word log: every subsequent write to
     /// data memory — cache write-backs and host pokes — records its dense
-    /// word key, enabling [`Machine::restore_delta_from`] and
-    /// [`Machine::state_equals_sparse`].
+    /// word key, enabling [`Machine::restore_delta_from`] and the sparse
+    /// walk of [`Machine::sparse_diff`].
     pub fn begin_dirty_log(&mut self) {
         match self.dirty.0.as_mut() {
             Some(log) => log.clear(),
@@ -681,44 +774,19 @@ impl Machine {
         copied
     }
 
-    /// Sparse architectural equality for the convergence check: compares
-    /// the CPU state (`Core`) exactly as [`Machine::state_equals`] does,
-    /// but walks data memory only over this machine's dirty-log keys plus
-    /// `extra` (the golden run's writes since the checkpoint this machine
-    /// was restored from) instead of the full image — sound because ROM is
-    /// immutable at run time and RAM/stack can differ only where one side
-    /// wrote. Returns `None` when no dirty log is active — and also once
-    /// the combined key set covers more than half of data memory, where a
-    /// random-access key walk loses to the full comparison's sequential
-    /// sweep; the caller must then fall back to the full comparison.
-    #[must_use]
-    pub fn state_equals_sparse(&self, other: &Machine, extra: &[u32]) -> Option<bool> {
-        let log = self.dirty.0.as_deref()?;
-        if log.keys.len() + extra.len() > mem::NUM_DATA_WORDS / 2 {
-            return None;
-        }
-        if self.core != other.core {
-            return Some(false);
-        }
-        Some(
-            log.keys
-                .iter()
-                .chain(extra)
-                .all(|&k| self.mem.data_word(k as usize) == other.mem.data_word(k as usize)),
-        )
-    }
-
     /// Sparse architectural difference from `base`: replaces `out` with
     /// every `(position, value)` at which this machine's state differs,
     /// sorted by position. Positions below the `Core` word count index the
     /// `Core` words (every register, latch, cache and shadow line, port and
     /// switch); the ones above index data words by dense key (see
-    /// [`mem::word_key`]). Data memory is walked over the keys
-    /// [`Machine::state_equals_sparse`] walks — this machine's dirty log
-    /// plus `extra` — or in full where that returns `None`. Parity is a
-    /// function of the data words, and ROM is immutable, so the diff is
-    /// empty iff [`Machine::state_equals`] holds, and two machines with
-    /// equal diffs against one base are themselves `state_equals`.
+    /// [`mem::word_key`]). Data memory is walked only over this machine's
+    /// dirty log plus `extra` (the golden run's writes since the checkpoint
+    /// this machine was restored from) — sound because ROM is immutable at
+    /// run time and RAM/stack can differ only where one side wrote — and in
+    /// full without a log or once those keys cover more than half of data
+    /// memory. Parity is a function of the data words, so the diff is empty
+    /// iff [`Machine::state_equals`] holds, and two machines with equal
+    /// diffs against one base are themselves `state_equals`.
     pub fn sparse_diff(&self, base: &Machine, extra: &[u32], out: &mut Vec<(u32, u32)>) {
         out.clear();
         let theirs = base.core.words();
@@ -740,6 +808,48 @@ impl Machine {
                 out.dedup();
             }
             _ => (0..mem::NUM_DATA_WORDS as u32).for_each(data),
+        }
+    }
+
+    /// Overwrites the state at every `(position, value)` of `diff`, in
+    /// [`Machine::sparse_diff`]'s position space: applied to a copy of the
+    /// base, it reproduces the machine the diff was taken from. Data words
+    /// are written with fresh parity and enter the dirty log.
+    pub fn apply_diff(&mut self, diff: &[(u32, u32)]) {
+        for &(pos, v) in diff {
+            match (pos as usize).checked_sub(CORE_WORDS) {
+                None => self.core.set_word(pos as usize, v),
+                Some(key) => {
+                    self.mem.set_data_word(key, v);
+                    if let Some(log) = self.dirty.0.as_mut() {
+                        log.insert(key);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Flips `locations` and returns what the flips changed, in
+    /// [`Machine::sparse_diff`]'s position space: the flipped machine's
+    /// value at every `Core` word that differs from before (scan flips
+    /// never reach data memory).
+    pub fn flip_diff(&mut self, locations: &[crate::scan::BitLocation]) -> Vec<(u32, u32)> {
+        let before = self.core.words();
+        for &loc in locations {
+            self.scan_flip(loc);
+        }
+        let after = self.core.words();
+        (0..CORE_WORDS)
+            .filter(|&i| after[i] != before[i])
+            .map(|i| (i as u32, after[i]))
+            .collect()
+    }
+
+    /// The predecoded instruction in ROM slot `slot`, for diff replay.
+    pub(crate) fn predecoded(&self, slot: usize) -> Option<Decoded> {
+        match &self.block_cache.table {
+            Some(table) => table.decoded.get(slot).copied().flatten(),
+            None => self.mem.rom_words().get(slot).and_then(|&w| isa::decode(w)),
         }
     }
 
@@ -1116,7 +1226,7 @@ impl Machine {
                     pc,
                 };
                 if TRACING {
-                    self.trace(VisUnit::EpcCause, AccessKind::Write);
+                    self.trace(VisUnit::EpcCause, AccessKind::Write, pc);
                 }
                 self.instr_count += 1;
                 self.trapped = Some(trap);
@@ -1134,12 +1244,16 @@ impl Machine {
             self.fill_latch::<TRACING>()
                 .map_err(|m| (m, self.core.pc))?;
         }
-        if TRACING {
-            self.trace(VisUnit::FetchWord, AccessKind::Read);
-            self.trace(VisUnit::FetchPc, AccessKind::Read);
-        }
         let word = self.core.fetch.word;
         let ipc = self.core.fetch.pc;
+        if TRACING {
+            self.trace(VisUnit::FetchWord, AccessKind::Read, word);
+            self.trace(VisUnit::FetchPc, AccessKind::Read, ipc);
+            let at = self.instr_count;
+            if let Some(t) = self.trace.0.as_mut() {
+                t.record_step(at, (ipc.wrapping_sub(mem::ROM_BASE) >> 2) & 0xFFFF);
+            }
+        }
         self.core.fetch.valid = false;
 
         let d = self
@@ -1167,7 +1281,7 @@ impl Machine {
     }
 
     #[inline(always)]
-    fn execute<const TRACING: bool>(
+    pub(crate) fn execute<const TRACING: bool>(
         &mut self,
         d: &Decoded,
         ipc: u32,
@@ -1184,13 +1298,13 @@ impl Machine {
                 // it is zeroed (a deposit derived from the compare — the
                 // preceding Read keeps a flipped signature live here).
                 if TRACING {
-                    self.trace(VisUnit::Sig, AccessKind::Read);
+                    self.trace(VisUnit::Sig, AccessKind::Read, u32::from(self.core.sig));
                 }
                 if self.core.sig != d.uimm16 as u16 {
                     return Err(Edm::ControlFlowError);
                 }
                 if TRACING {
-                    self.trace(VisUnit::Sig, AccessKind::Write);
+                    self.trace(VisUnit::Sig, AccessKind::Write, 0);
                 }
                 self.core.sig = 0;
             }
@@ -1271,11 +1385,12 @@ impl Machine {
                 // bgt/ble. A flip in an unconsulted PSR bit stays
                 // invisible to this branch.
                 if TRACING {
+                    let psr = u32::from(self.core.psr);
                     if matches!(d.op, Beq | Bne | Bgt | Ble) {
-                        self.trace(VisUnit::Psr(0), AccessKind::Read);
+                        self.trace(VisUnit::Psr(0), AccessKind::Read, psr);
                     }
                     if matches!(d.op, Blt | Bge | Bgt | Ble) {
-                        self.trace(VisUnit::Psr(1), AccessKind::Read);
+                        self.trace(VisUnit::Psr(1), AccessKind::Read, psr);
                     }
                 }
                 let eq = self.core.psr & PSR_EQ != 0;
@@ -1324,7 +1439,7 @@ impl Machine {
                 }
                 let v = self.read_reg::<TRACING>(d.rd);
                 if TRACING {
-                    self.trace(TraceUnit::PortOut(port as u8), AccessKind::Write);
+                    self.trace(TraceUnit::PortOut(port as u8), AccessKind::Write, v);
                 }
                 self.core.ports_out[port] = v;
             }
@@ -1385,18 +1500,19 @@ impl Machine {
     }
 
     fn set_flags<const TRACING: bool>(&mut self, eq: bool, lt: bool) {
-        // Both condition flags are deposited full-width from clean
-        // compare inputs — the kill event for pending EQ/LT flips.
-        if TRACING {
-            self.trace(VisUnit::Psr(0), AccessKind::Write);
-            self.trace(VisUnit::Psr(1), AccessKind::Write);
-        }
         self.core.psr &= !(PSR_EQ | PSR_LT);
         if eq {
             self.core.psr |= PSR_EQ;
         }
         if lt {
             self.core.psr |= PSR_LT;
+        }
+        // Both condition flags are deposited full-width from clean
+        // compare inputs — the kill event for pending EQ/LT flips.
+        if TRACING {
+            let psr = u32::from(self.core.psr);
+            self.trace(VisUnit::Psr(0), AccessKind::Write, psr);
+            self.trace(VisUnit::Psr(1), AccessKind::Write, psr);
         }
     }
 
@@ -1416,15 +1532,21 @@ impl Machine {
     }
 
     fn read_reg<const TRACING: bool>(&mut self, r: u8) -> u32 {
+        let v = self.core.regs[(r & 0xF) as usize];
         if TRACING {
             if let Some(t) = self.trace.0.as_mut() {
-                t.record(TraceUnit::Reg(r & 0xF), self.instr_count, AccessKind::Read);
-                // The operand latch shifts (a ← b, b ← value): record the
-                // instant for the planner's value-level migration rule.
-                t.record_shift(self.instr_count);
+                t.record(
+                    TraceUnit::Reg(r & 0xF),
+                    self.instr_count,
+                    AccessKind::Read,
+                    v,
+                );
+                // The operand latch shifts (a ← b, b ← value): record it
+                // for the planner's value-level migration rule and for
+                // diff replay.
+                t.record_shift(self.instr_count, r & 0xF, v);
             }
         }
-        let v = self.core.regs[(r & 0xF) as usize];
         self.core.idex.a = self.core.idex.b;
         self.core.idex.b = v;
         v
@@ -1432,10 +1554,10 @@ impl Machine {
 
     fn write_reg<const TRACING: bool>(&mut self, r: u8, v: u32) {
         if TRACING {
-            self.trace(TraceUnit::Reg(r & 0xF), AccessKind::Write);
+            self.trace(TraceUnit::Reg(r & 0xF), AccessKind::Write, v);
             // The whole result latch (value, rd, we) is deposited from
             // clean inputs.
-            self.trace(VisUnit::Exwb, AccessKind::Write);
+            self.trace(VisUnit::Exwb, AccessKind::Write, v);
         }
         self.core.exwb = ResultLatch {
             value: v,
@@ -1455,8 +1577,8 @@ impl Machine {
             // the PC is replaced by the (clean-input) target and the
             // signature register is zeroed unconditionally — the only
             // sound kill for signature flips.
-            self.trace(VisUnit::Pc, AccessKind::Write);
-            self.trace(VisUnit::Sig, AccessKind::Write);
+            self.trace(VisUnit::Pc, AccessKind::Write, target);
+            self.trace(VisUnit::Sig, AccessKind::Write, 0);
         }
         self.core.pc = target;
         self.core.fetch.valid = false;
@@ -1480,14 +1602,15 @@ impl Machine {
             // *after* the read in per-unit order, so a pending PC flip is
             // observed here, never killed — the increment derives from
             // the flipped value.
-            self.trace(VisUnit::Pc, AccessKind::Read);
+            self.trace(VisUnit::Pc, AccessKind::Read, self.core.pc);
         }
         match self.mem.fetch(self.core.pc) {
             Some(word) => {
                 if TRACING {
-                    self.trace(VisUnit::FetchWord, AccessKind::Write);
-                    self.trace(VisUnit::FetchPc, AccessKind::Write);
-                    self.trace(VisUnit::Pc, AccessKind::Write);
+                    let pc = self.core.pc;
+                    self.trace(VisUnit::FetchWord, AccessKind::Write, word);
+                    self.trace(VisUnit::FetchPc, AccessKind::Write, pc);
+                    self.trace(VisUnit::Pc, AccessKind::Write, pc.wrapping_add(4));
                 }
                 self.core.fetch = FetchLatch {
                     word,
@@ -1523,8 +1646,8 @@ impl Machine {
             Region::Stack => {
                 // The storage-error EDM samples both bound registers.
                 if TRACING {
-                    self.trace(VisUnit::StackLo, AccessKind::Read);
-                    self.trace(VisUnit::StackHi, AccessKind::Read);
+                    self.trace(VisUnit::StackLo, AccessKind::Read, addr);
+                    self.trace(VisUnit::StackHi, AccessKind::Read, addr);
                 }
                 if addr < self.core.stack_lo || addr >= self.core.stack_hi {
                     return Err(Edm::StorageError);
@@ -1588,9 +1711,14 @@ impl Machine {
             // short-circuit splits off at this very Read, so conditioning
             // the tag sample on the *golden* flag is sound.
             let idx = crate::cache::index_of(addr);
-            self.trace(VisUnit::CacheValid(idx), AccessKind::Read);
-            if self.core.cache.line(idx).valid {
-                self.trace(VisUnit::CacheTag(idx), AccessKind::Read);
+            let line = *self.core.cache.line(idx);
+            self.trace(
+                VisUnit::CacheValid(idx),
+                AccessKind::Read,
+                u32::from(line.valid),
+            );
+            if line.valid {
+                self.trace(VisUnit::CacheTag(idx), AccessKind::Read, line.tag);
             }
         }
         if !self.core.cache.hits(addr) {
@@ -1598,8 +1726,16 @@ impl Machine {
                 // The eviction decision samples the dirty flag of a valid
                 // victim (pending_writeback short-circuits on valid).
                 let idx = crate::cache::index_of(addr);
-                if self.core.cache.line(idx).valid {
-                    self.trace(VisUnit::CacheDirty(idx), AccessKind::Read);
+                let line = *self.core.cache.line(idx);
+                if line.valid {
+                    self.trace(
+                        VisUnit::CacheDirty(idx),
+                        AccessKind::Read,
+                        u32::from(line.dirty),
+                    );
+                }
+                if let Some(t) = self.trace.0.as_mut() {
+                    t.mark_step(STEP_FILL);
                 }
             }
             if let Some((wb_addr, data)) = self.core.cache.pending_writeback(addr) {
@@ -1607,7 +1743,12 @@ impl Machine {
                 if TRACING {
                     let line = crate::cache::index_of(addr);
                     for word in 0..WORDS_PER_LINE {
-                        self.trace(TraceUnit::CacheWord { line, word }, AccessKind::Read);
+                        let v =
+                            u32::from_le_bytes(data[word * 4..word * 4 + 4].try_into().unwrap());
+                        self.trace(TraceUnit::CacheWord { line, word }, AccessKind::Read, v);
+                    }
+                    if let Some(t) = self.trace.0.as_mut() {
+                        t.mark_step(STEP_WRITEBACK);
                     }
                 }
                 self.write_back::<TRACING>(wb_addr, &data)?;
@@ -1621,14 +1762,15 @@ impl Machine {
         match write {
             Some(w) => {
                 if TRACING {
-                    self.trace(unit, AccessKind::Write);
+                    self.trace(unit, AccessKind::Write, w);
                     // A store deposits the whole store buffer and forces
                     // the line's dirty flag to 1 — both value-independent
                     // of the previous contents.
-                    self.trace(VisUnit::Sbuf, AccessKind::Write);
+                    self.trace(VisUnit::Sbuf, AccessKind::Write, w);
                     self.trace(
                         VisUnit::CacheDirty(crate::cache::index_of(addr)),
                         AccessKind::Write,
+                        1,
                     );
                 }
                 self.core.sbuf = StoreBuffer {
@@ -1641,10 +1783,11 @@ impl Machine {
                 Ok(w)
             }
             None => {
+                let w = self.core.cache.read_word(addr);
                 if TRACING {
-                    self.trace(unit, AccessKind::Read);
+                    self.trace(unit, AccessKind::Read, w);
                 }
-                Ok(self.core.cache.read_word(addr))
+                Ok(w)
             }
         }
     }
@@ -1692,7 +1835,7 @@ impl Machine {
                     let w = u32::from_le_bytes(data[i * 4..i * 4 + 4].try_into().unwrap());
                     if TRACING {
                         if let Some(key) = mem::word_key(a) {
-                            self.trace(TraceUnit::MemWord(key), AccessKind::Write);
+                            self.trace(TraceUnit::MemWord(key), AccessKind::Write, w);
                         }
                     }
                     self.mem.write_word(a, w);
@@ -1714,20 +1857,26 @@ impl Machine {
         let mut data = [0u8; LINE_BYTES];
         for i in 0..4 {
             let a = base + (i as u32) * 4;
+            let read = self.mem.read_word(a);
             if TRACING {
                 if let Some(key) = mem::word_key(a) {
-                    self.trace(TraceUnit::MemWord(key), AccessKind::Read);
+                    self.trace(
+                        TraceUnit::MemWord(key),
+                        AccessKind::Read,
+                        read.map_or(0, |r| r.0),
+                    );
                 }
                 // The EDAC check samples the syndrome register per word;
                 // each word then deposits a whole fill buffer.
-                self.trace(VisUnit::EdacSyndrome, AccessKind::Read);
+                let syndrome = u32::from(self.core.edac_syndrome);
+                self.trace(VisUnit::EdacSyndrome, AccessKind::Read, syndrome);
             }
-            let (w, parity_ok) = self.mem.read_word(a).ok_or(Edm::AddressError)?;
+            let (w, parity_ok) = read.ok_or(Edm::AddressError)?;
             if !parity_ok || self.core.edac_syndrome != 0 {
                 return Err(Edm::DataError);
             }
             if TRACING {
-                self.trace(VisUnit::Fbuf, AccessKind::Write);
+                self.trace(VisUnit::Fbuf, AccessKind::Write, w);
             }
             self.core.fbuf = FillBuffer {
                 addr: a,
@@ -1740,12 +1889,17 @@ impl Machine {
         if TRACING {
             let line = crate::cache::index_of(base);
             for word in 0..WORDS_PER_LINE {
-                self.trace(TraceUnit::CacheWord { line, word }, AccessKind::Write);
+                let v = u32::from_le_bytes(data[word * 4..word * 4 + 4].try_into().unwrap());
+                self.trace(TraceUnit::CacheWord { line, word }, AccessKind::Write, v);
             }
             // The fill deposits the line's tag, valid and dirty flags.
-            self.trace(VisUnit::CacheTag(line), AccessKind::Write);
-            self.trace(VisUnit::CacheValid(line), AccessKind::Write);
-            self.trace(VisUnit::CacheDirty(line), AccessKind::Write);
+            self.trace(
+                VisUnit::CacheTag(line),
+                AccessKind::Write,
+                crate::cache::tag_of(base),
+            );
+            self.trace(VisUnit::CacheValid(line), AccessKind::Write, 1);
+            self.trace(VisUnit::CacheDirty(line), AccessKind::Write, 0);
         }
         self.core.cache.fill(base, data);
         self.update_shadow(base);
@@ -2496,20 +2650,76 @@ mod tests {
 
     #[test]
     fn sparse_equality_agrees_with_full_equality() {
+        // Convergence is "the sparse diff is empty": it must agree with
+        // full equality with and without a dirty log.
         let mut golden = machine_with(REPLAY_SRC);
         assert_eq!(golden.run(10_000), RunExit::Yield);
         let checkpoint = golden.clone();
         let mut m = checkpoint.clone();
-        assert!(m.state_equals_sparse(&checkpoint, &[]).is_none(), "no log");
+        let mut diff = Vec::new();
+        m.sparse_diff(&checkpoint, &[], &mut diff);
+        assert!(diff.is_empty() && m.state_equals(&checkpoint), "no log");
         m.begin_dirty_log();
-        assert_eq!(m.state_equals_sparse(&checkpoint, &[]), Some(true));
+        m.sparse_diff(&checkpoint, &[], &mut diff);
+        assert!(diff.is_empty());
         // Diverge in memory only via a logged poke.
         assert!(m.poke_word(mem::RAM_BASE + 0x40, 0x1234_5678));
-        assert_eq!(
-            m.state_equals_sparse(&checkpoint, &[]),
-            Some(m.state_equals(&checkpoint))
-        );
-        assert_eq!(m.state_equals_sparse(&checkpoint, &[]), Some(false));
+        m.sparse_diff(&checkpoint, &[], &mut diff);
+        assert_eq!(diff.is_empty(), m.state_equals(&checkpoint));
+        assert!(!diff.is_empty());
+    }
+
+    #[test]
+    fn set_word_inverts_words() {
+        let mut core = machine_with(REPLAY_SRC).core;
+        for pos in 0..CORE_WORDS {
+            for v in [0, 1] {
+                core.set_word(pos, v);
+                assert_eq!(core.words()[pos], v, "position {pos}");
+            }
+        }
+        assert_eq!(word::SHADOW + NUM_LINES * word::LINE_WORDS, CORE_WORDS);
+    }
+
+    #[test]
+    fn applying_a_diff_reproduces_the_diffed_machine() {
+        let mut golden = machine_with(REPLAY_SRC);
+        assert_eq!(golden.run(10_000), RunExit::Yield);
+        let base = golden.clone();
+        let mut m = base.clone();
+        m.begin_dirty_log();
+        let flips = [crate::scan::catalog()[3], crate::scan::catalog()[1500]];
+        let flipped = m.flip_diff(&flips);
+        assert!(!flipped.is_empty());
+        let _ = m.run(500);
+        let mut diff = Vec::new();
+        m.sparse_diff(&base, &[], &mut diff);
+        let mut rebuilt = base.clone();
+        rebuilt.apply_diff(&diff);
+        assert!(rebuilt.state_equals(&m));
+        // The flips' own diff against the unflipped state.
+        let mut again = base.clone();
+        again.apply_diff(&flipped);
+        let mut direct = base.clone();
+        for &loc in &flips {
+            direct.scan_flip(loc);
+        }
+        assert!(again.state_equals(&direct));
+    }
+
+    #[test]
+    fn rom_poke_on_one_clone_leaves_the_other_intact() {
+        let mut a = machine_with(REPLAY_SRC);
+        let mut b = a.clone();
+        let word = a.memory().fetch(mem::ROM_BASE).unwrap();
+        b.poke_rom_word(mem::ROM_BASE, 0xFFFF_FFFF);
+        assert_eq!(a.memory().fetch(mem::ROM_BASE), Some(word));
+        assert_eq!(b.memory().fetch(mem::ROM_BASE), Some(0xFFFF_FFFF));
+        // `a`'s blocks stay valid: it still replays through the table.
+        let before = a.block_instructions();
+        assert_eq!(a.run(10_000), RunExit::Yield);
+        assert!(a.block_instructions() > before);
+        assert_ne!(a.memory().rom_version(), b.memory().rom_version());
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! that asymmetry is the root cause of the paper's severe value failures.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Base address of the code ROM.
 pub const ROM_BASE: u32 = 0x0000_1000;
@@ -87,7 +88,9 @@ pub fn word_key(addr: u32) -> Option<usize> {
 /// Main memory: ROM plus EDAC-protected RAM and stack.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    rom: Vec<u32>,
+    /// The ROM image, shared between clones: only host loads and pokes
+    /// write it, and they copy it first when another clone holds it.
+    rom: Arc<[u32]>,
     ram: Vec<u32>,
     ram_parity: Vec<bool>,
     stack: Vec<u32>,
@@ -103,7 +106,7 @@ impl PartialEq for Memory {
         // `rom_version` is a cache-coherence counter, not architectural
         // state: two memories holding identical images are equal no matter
         // how many ROM loads produced them.
-        self.rom == other.rom
+        (Arc::ptr_eq(&self.rom, &other.rom) || self.rom == other.rom)
             && self.ram == other.ram
             && self.ram_parity == other.ram_parity
             && self.stack == other.stack
@@ -127,7 +130,7 @@ impl Memory {
         let ram_words = (RAM_SIZE / 4) as usize;
         let stack_words = (STACK_SIZE / 4) as usize;
         Memory {
-            rom: vec![0xFFFF_FFFF; rom_words],
+            rom: vec![0xFFFF_FFFF; rom_words].into(),
             ram: vec![0; ram_words],
             ram_parity: vec![parity(0); ram_words],
             stack: vec![0; stack_words],
@@ -144,7 +147,7 @@ impl Memory {
     pub fn load_rom_word(&mut self, addr: u32, word: u32) {
         assert_eq!(region(addr), Region::Rom, "load_rom_word outside ROM");
         assert_eq!(addr % 4, 0, "unaligned ROM load");
-        self.rom[((addr - ROM_BASE) / 4) as usize] = word;
+        Arc::make_mut(&mut self.rom)[((addr - ROM_BASE) / 4) as usize] = word;
         self.rom_version += 1;
     }
 
@@ -298,6 +301,23 @@ impl Memory {
         } else {
             self.stack[key - ram_words]
         }
+    }
+
+    /// Writes the data word at dense index `key` (see [`word_key`]) with
+    /// its parity bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key >= NUM_DATA_WORDS`.
+    pub(crate) fn set_data_word(&mut self, key: usize, word: u32) {
+        let ram_words = (RAM_SIZE / 4) as usize;
+        let (mem, par, k) = if key < ram_words {
+            (&mut self.ram, &mut self.ram_parity, key)
+        } else {
+            (&mut self.stack, &mut self.stack_parity, key - ram_words)
+        };
+        mem[k] = word;
+        par[k] = parity(word);
     }
 
     /// Copies one data word (and its stored parity bit) from `other`,

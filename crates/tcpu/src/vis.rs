@@ -240,11 +240,11 @@ pub(crate) mod tests {
     fn first_at_or_after_and_shift_counts() {
         let pc = TraceUnit::Vis(VisUnit::Pc);
         let mut t = AccessTrace::new();
-        t.record(pc, 5, AccessKind::Read);
-        t.record(pc, 9, AccessKind::Write);
-        t.record_shift(3);
-        t.record_shift(7);
-        t.record_shift(7);
+        t.record(pc, 5, AccessKind::Read, 0);
+        t.record(pc, 9, AccessKind::Write, 0);
+        t.record_shift(3, 0, 0);
+        t.record_shift(7, 0, 0);
+        t.record_shift(7, 0, 0);
         assert_eq!(
             t.first_at_or_after(pc, 6),
             Some(Access {

@@ -32,11 +32,12 @@
 //! faults whose flipped state is overwritten before any read, or never
 //! touched again, are classified analytically; faults sharing a scan bit,
 //! first-read instant and surviving flips run one representative
-//! simulation, resumed from that instant. `--no-prune` is the reference
-//! configuration: it simulates every fault from injection. `--paranoid N`
-//! re-simulates up to N replicated members per equivalence class and
-//! panics if any disagrees with its representative. Outcomes are
-//! bit-identical either way.
+//! simulation, carried by diff replay (`DESIGN.md` § 8l) from injection
+//! until it needs the interpreter. `--no-prune` is the reference
+//! configuration: it interprets every fault from injection. `--paranoid N`
+//! re-simulates up to N replicated members per equivalence class, and
+//! re-runs up to N replayed experiments on the interpreter, and panics if
+//! any disagrees. Outcomes are bit-identical either way.
 //!
 //! Builds carrying the `failpoints` feature accept `--failpoint
 //! id=action[@N]` (repeatable) to arm deterministic crash/error/panic/
@@ -275,10 +276,11 @@ fn usage() {
          --no-prune     the reference path: simulate every fault from\n\
          \tinjection (by default flip-model campaigns classify overwritten/\n\
          \tlatent faults analytically from the golden traces and share one\n\
-         \tsimulation per equivalence class, resumed where the flips are\n\
-         \tfirst read; outcomes are bit-identical either way)\n\
+         \tsimulation per equivalence class, diff-replayed from injection;\n\
+         \toutcomes are bit-identical either way)\n\
          --paranoid N   re-simulate up to N replicated members per\n\
-         \tequivalence class as a runtime cross-check of the pruner\n\
+         \tequivalence class, and re-run up to N replayed experiments on\n\
+         \tthe interpreter, as a runtime cross-check of pruner and replay\n\
          --out FILE     stream records to a checksummed JSONL result store\n\
          --resume       continue an interrupted store (validates that it\n\
          \tbelongs to this campaign; re-runs only the missing faults)\n\

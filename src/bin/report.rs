@@ -241,7 +241,7 @@ fn report_telemetry_sidecar(store_path: &str) {
             if snap.batch_members > 0 || snap.batch_untraceable > 0 {
                 eprintln!(
                     "{store_path}: fate resolver: {} faults resolved from the golden \
-                     traces ({} live, resumed at their live instant; {} via visibility \
+                     traces ({} live, one simulation per class; {} via visibility \
                      windows), {} opaque",
                     snap.batch_members,
                     snap.split_offs,
