@@ -17,7 +17,7 @@ use bera_stats::rate::Ewma;
 use bera_tcpu::diff::FallbackReason;
 use bera_tcpu::edm::ErrorMechanism;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -86,6 +86,13 @@ pub trait CampaignObserver: Sync {
     /// state there plus the diff.
     fn replay_fell_back(&self, index: usize, at: u64, reason: FallbackReason) {
         let _ = (index, at, reason);
+    }
+
+    /// Diff replay processed `n` events for the run (see
+    /// [`DiffReplay::events`](bera_tcpu::diff::DiffReplay::events)): once
+    /// per replayed stretch, a fallback's or the run's end.
+    fn replay_events(&self, index: usize, n: u64) {
+        let _ = (index, n);
     }
 
     /// An experiment's drive finished executing: it ran `instructions`
@@ -214,6 +221,12 @@ impl CampaignObserver for ObserverSet<'_> {
         }
     }
 
+    fn replay_events(&self, index: usize, n: u64) {
+        for o in &self.observers {
+            o.replay_events(index, n);
+        }
+    }
+
     fn experiment_executed(&self, index: usize, instructions: u64, block_instructions: u64) {
         for o in &self.observers {
             o.experiment_executed(index, instructions, block_instructions);
@@ -331,6 +344,7 @@ pub struct Telemetry {
     arena_dirty_words: AtomicUsize,
     arena_full_clones: AtomicUsize,
     replayed: AtomicUsize,
+    replay_events: AtomicU64,
     /// Replay fallbacks, indexed like [`FallbackReason::ALL`].
     fallbacks: [AtomicUsize; 7],
     rate: Mutex<RateState>,
@@ -374,6 +388,7 @@ impl Telemetry {
             arena_dirty_words: AtomicUsize::new(0),
             arena_full_clones: AtomicUsize::new(0),
             replayed: AtomicUsize::new(0),
+            replay_events: AtomicU64::new(0),
             fallbacks: Default::default(),
             rate: Mutex::new(RateState::new()),
         }
@@ -443,6 +458,7 @@ impl Telemetry {
             arena_dirty_words: load(&self.arena_dirty_words) as u64,
             arena_full_clones: load(&self.arena_full_clones),
             replayed: load(&self.replayed),
+            replay_events: self.replay_events.load(Ordering::Relaxed),
             fallback_control_state: load(&self.fallbacks[0]),
             fallback_address: load(&self.fallbacks[1]),
             fallback_cache_control: load(&self.fallbacks[2]),
@@ -512,6 +528,10 @@ impl CampaignObserver for Telemetry {
     fn replay_fell_back(&self, _index: usize, _at: u64, reason: FallbackReason) {
         let i = FallbackReason::ALL.iter().position(|r| *r == reason);
         self.fallbacks[i.expect("every reason is listed")].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn replay_events(&self, _index: usize, n: u64) {
+        self.replay_events.fetch_add(n, Ordering::Relaxed);
     }
 
     fn experiment_executed(&self, _index: usize, instructions: u64, block_instructions: u64) {
@@ -641,6 +661,10 @@ pub struct TelemetrySnapshot {
     pub arena_full_clones: usize,
     /// Experiments whose drive started under diff replay.
     pub replayed: usize,
+    /// Diff-replay events processed, summed over every replayed stretch.
+    /// Absent from sidecars written before it existed.
+    #[serde(default)]
+    pub replay_events: u64,
     /// Replayed experiments handed to the interpreter because the diff
     /// covered the PC, fetch latch or signature register.
     pub fallback_control_state: usize,
@@ -795,6 +819,7 @@ impl TelemetrySnapshot {
         self.arena_dirty_words += other.arena_dirty_words;
         self.arena_full_clones += other.arena_full_clones;
         self.replayed += other.replayed;
+        self.replay_events += other.replay_events;
         self.fallback_control_state += other.fallback_control_state;
         self.fallback_address += other.fallback_address;
         self.fallback_cache_control += other.fallback_cache_control;
@@ -802,6 +827,15 @@ impl TelemetrySnapshot {
         self.fallback_trap += other.fallback_trap;
         self.fallback_output += other.fallback_output;
         self.fallback_dense += other.fallback_dense;
+    }
+}
+
+/// `n` for a summary line: in millions, to two decimals, from a million.
+fn count(n: u64) -> String {
+    if n >= 1_000_000 {
+        format!("{:.2} M", n as f64 / 1e6)
+    } else {
+        n.to_string()
     }
 }
 
@@ -877,7 +911,12 @@ impl fmt::Display for TelemetrySnapshot {
         if self.replayed > 0 {
             let fallbacks = self.fallbacks();
             let total: usize = fallbacks.iter().map(|(_, n)| n).sum();
-            write!(f, " | replay {}, fallback {total}", self.replayed)?;
+            write!(
+                f,
+                " | replay {} ({} events), fallback {total}",
+                self.replayed,
+                count(self.replay_events)
+            )?;
             let by_reason: Vec<String> = fallbacks
                 .iter()
                 .filter(|(_, n)| *n > 0)
@@ -983,6 +1022,19 @@ mod tests {
         assert!(snap.to_string().contains(" 2580.0 exp/s"), "{snap}");
         snap.total = 2;
         assert!(snap.to_string().contains(" 410649.9 exp/s"), "{snap}");
+    }
+
+    #[test]
+    fn sidecars_without_replay_events_still_parse() {
+        let mut snap = Telemetry::new(3).snapshot();
+        snap.replay_events = 7;
+        let json = serde_json::to_string(&snap).unwrap();
+        let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.replay_events, 7);
+        let older = json.replace(",\"replay_events\":7", "");
+        assert_ne!(older, json, "{json}");
+        let back: TelemetrySnapshot = serde_json::from_str(&older).unwrap();
+        assert_eq!(back.replay_events, 0);
     }
 
     #[test]

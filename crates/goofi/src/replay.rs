@@ -37,10 +37,12 @@ pub(crate) struct Run<'a> {
     pub(crate) deadline: Option<Instant>,
 }
 
-/// Instructions the interpreter executes in the time replay takes for one
-/// event, measured on the paper's Algorithm I campaign: a checkpoint
-/// interval with more than one event per this many instructions falls back.
-const DENSE: u64 = 6;
+/// A checkpoint interval with more than one event per this many
+/// instructions falls back to the interpreter for the rest of the run
+/// (DESIGN.md §8l). An event costs about a dozen interpreted instructions,
+/// but a dense fallback is never handed back: priced at those costs, the
+/// paper campaigns' event and instruction counts are least at 3 and 4.
+const DENSE: u64 = 4;
 
 thread_local! {
     /// This worker's replay scratch, taken out for the length of a replay:
@@ -223,41 +225,56 @@ fn replay(
 ) -> Result<DriveEnd, (Fallback, Vec<(u32, u32)>)> {
     let golden = run.golden;
     let mut r = DiffReplay::new(&golden.trace, &golden.end_machine, scratch, from, diff);
-    let fell = |r: &mut DiffReplay<'_>, f| (f, r.diff().to_vec());
+    let end = replay_checkpoints(run, &mut r, from, after, memo);
+    run.observer.replay_events(run.index, r.events());
+    end.map_err(|fallback| (fallback, r.diff().to_vec()))
+}
+
+/// [`replay`]'s walk over the golden checkpoints.
+fn replay_checkpoints(
+    run: &Run<'_>,
+    r: &mut DiffReplay<'_>,
+    from: u64,
+    after: usize,
+    memo: &mut TrajectoryMemo,
+) -> Result<DriveEnd, Fallback> {
+    let golden = run.golden;
     let (mut events, mut since) = (0, from);
     for (c, ckpt) in golden.checkpoints.iter().enumerate().skip(after + 1) {
-        r.advance(ckpt.machine.instr_count())
-            .map_err(|f| fell(&mut r, f))?;
+        r.advance(ckpt.machine.instr_count())?;
         if run.deadline.is_some_and(|d| Instant::now() >= d) {
             return Ok(DriveEnd::DeadlineExceeded);
         }
         let iteration = ckpt.iteration;
-        if r.diff().is_empty() {
+        let diff = r.diff();
+        if diff.is_empty() {
             return Ok(DriveEnd::Converged { iteration });
         }
         if c.is_multiple_of(RECALL_EVERY) {
-            if let Some(tail) = memo.probe(r.diff(), c, iteration, 0) {
+            if let Some(tail) = memo.probe(diff, c, iteration, 0) {
                 return Ok(DriveEnd::Recalled { iteration, tail });
             }
         }
-        // An event costs about as much as interpreting DENSE instructions:
-        // past that rate the interpreter carries the run more cheaply.
+        // Past one event per DENSE instructions, the interpreter carries
+        // the rest of the run.
         let at = ckpt.machine.instr_count();
         if (r.events() - events) * DENSE > at - since {
-            let dense = Fallback {
+            return Err(Fallback {
                 at,
                 reason: FallbackReason::Dense,
-            };
-            return Err(fell(&mut r, dense));
+            });
         }
         (events, since) = (r.events(), at);
     }
-    r.advance(golden.total_instructions)
-        .map_err(|f| fell(&mut r, f))?;
-    let mut end = golden.end_machine.clone();
-    end.apply_diff(r.diff());
-    let latent = end.scan_snapshot().diff_count(&golden.end_scan) != 0
-        || !end.memory().data_equals(golden.end_machine.memory());
+    r.advance(golden.total_instructions)?;
+    let end = &golden.end_machine;
+    let latent = end.diff_is_latent(r.diff());
+    debug_assert_eq!(latent, {
+        let mut faulty = end.clone();
+        faulty.apply_diff(r.diff());
+        faulty.scan_snapshot().diff_count(&golden.end_scan) != 0
+            || !faulty.memory().data_equals(end.memory())
+    });
     Ok(DriveEnd::Completed {
         latent: Some(latent),
     })

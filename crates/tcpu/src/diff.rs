@@ -1,34 +1,34 @@
 //! Diff replay (DESIGN.md §8l): a faulty run carried as the golden run
-//! plus a sorted diff, in [`Machine::sparse_diff`]'s `(position, value)`
-//! space, advanced from one golden access of a diffed unit to the next.
+//! plus a diff, in [`Machine::sparse_diff`]'s `(position, value)` space,
+//! advanced from one golden access of a diffed unit to the next.
 //!
 //! The golden [`AccessTrace`] records every semantic read and write with
 //! its value, so an instruction that touches no diffed unit computes
-//! exactly what golden computed and leaves the diff as it was. Replay
-//! therefore skips it and stops only at an *event*: an instruction during
-//! which golden's trace touches a unit the diff covers (or, while the
-//! operand latch is diffed, shifts the latch). At an event:
+//! exactly what golden computed and leaves the diff as it was. Each diff
+//! entry caches the instant of golden's next access to its units, looked
+//! up again only when an event touched the entry. Where that access
+//! overwrites the entry whole without reading it, the entry *dies* there:
+//! it leaves the diff once replay passes that instant, at no cost. Every
+//! other such access is an *event*, and replay stops at it:
 //!
-//! * if the instruction only *writes* diffed units, it deposits golden's
-//!   values there and those entries leave the diff;
-//! * otherwise a register instruction re-executes through the machine's
-//!   own `execute`, twice, on two scratch machines seeded with golden's
-//!   traced operands and with the same operands patched by the diff; the
-//!   written words whose results differ form the new entries;
+//! * a register instruction re-executes through the machine's own
+//!   `execute`, twice, on two scratch machines seeded with golden's traced
+//!   operands and with the same operands patched by the diff; the written
+//!   words whose results differ form the new entries (a compare into a PSR
+//!   whose upper bits differ is one: it keeps them);
 //! * a load or store whose address, cache tag, flags and EDAC syndrome are
 //!   all golden's takes golden's hit, miss and write-back decisions, so the
-//!   diff's data moves with it word for word (cache ↔ memory ↔ register).
+//!   diff's data moves with it, a line at a time (cache ↔ memory ↔
+//!   register).
 //!
 //! Whatever the diff cannot follow stops replay with a [`Fallback`]: the
 //! caller materializes golden-at-that-instant plus the diff and hands the
 //! machine to the interpreter.
 
-use crate::access::{
-    AccessKind, AccessTrace, Recorded, Shift, TraceUnit, STEP_FILL, STEP_WRITEBACK,
-};
+use crate::access::{AccessKind, AccessTrace, Recorded, TraceUnit, STEP_FILL, STEP_WRITEBACK};
 use crate::cache::{self, WORDS_PER_LINE};
 use crate::isa::{Decoded, Opcode};
-use crate::machine::{word, Machine, OperandLatch, ResultLatch, StepEvent, CORE_WORDS};
+use crate::machine::{word, Machine, ResultLatch, StepEvent, CORE_WORDS};
 use crate::mem::{self, Region};
 use crate::vis::VisUnit;
 
@@ -90,13 +90,17 @@ pub struct Fallback {
 }
 
 /// A worker's reusable replay state: the two scratch machines event
-/// instructions execute on and one trace cursor per unit. Allocated once;
-/// [`DiffReplay::new`] resets the cursors.
+/// instructions execute on, one trace cursor per unit, and the diff's
+/// entries. Allocated once and reused by every [`DiffReplay`].
 #[derive(Debug)]
 pub struct ReplayScratch {
     golden: Machine,
     faulty: Machine,
-    cursors: Vec<u32>,
+    /// Per unit: the trace cursor and the unit's last long hop (see
+    /// [`seek`]).
+    cursors: Vec<[u32; 2]>,
+    entries: Vec<Entry>,
+    merged: Vec<(u32, u32)>,
 }
 
 impl Default for ReplayScratch {
@@ -104,7 +108,36 @@ impl Default for ReplayScratch {
         ReplayScratch {
             golden: Machine::new(),
             faulty: Machine::new(),
-            cursors: vec![0; TraceUnit::COUNT],
+            cursors: vec![[0; 2]; TraceUnit::COUNT],
+            entries: Vec::new(),
+            merged: Vec::new(),
+        }
+    }
+}
+
+/// One diff entry: a position, its faulty value, the trace indices of the
+/// (up to two) units whose golden accesses concern it, and the next one.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    pos: u32,
+    value: u32,
+    units: [u32; 2],
+    /// The instant of golden's first access to `units` at or after the
+    /// current instant, [`STALE`] until looked up, `u64::MAX` for none.
+    next: u64,
+    /// That access overwrites the entry without reading it: the entry
+    /// leaves the diff after instant `next`, without an event.
+    dies: bool,
+}
+
+impl Entry {
+    fn new(pos: u32, value: u32, units: [u32; 2]) -> Self {
+        Entry {
+            pos,
+            value,
+            units,
+            next: STALE,
+            dies: false,
         }
     }
 }
@@ -181,7 +214,7 @@ impl Latch {
 /// No unit, in [`units_of`].
 const NO_UNIT: u32 = u32::MAX;
 
-/// The next-event placeholder of a diff entry not yet looked up.
+/// The next access of an entry not yet looked up.
 const STALE: u64 = u64::MAX - 1;
 
 /// `true` when replay can carry a state differing from golden's by
@@ -208,40 +241,140 @@ fn mem_word(key: usize) -> u32 {
 
 /// The first index at or after `from` of `list` whose instant is at least
 /// `t`, given that every entry before `from` is earlier: a galloping search
-/// forward from the cursor, so short hops cost a probe or two.
-fn seek<T>(list: &[T], from: usize, t: u64, at: impl Fn(&T) -> u64) -> usize {
+/// forward.
+fn gallop(list: &[Recorded], from: usize, t: u64) -> usize {
     let (mut lo, mut step) = (from, 1);
-    while lo + step <= list.len() && at(&list[lo + step - 1]) < t {
+    while lo + step <= list.len() && list[lo + step - 1].at() < t {
         lo += step;
         step *= 2;
     }
     let hi = (lo + step).min(list.len());
-    lo + list[lo..hi].partition_point(|x| at(x) < t)
+    lo + list[lo..hi].partition_point(|a| a.at() < t)
+}
+
+/// The first index after `from` of `list` whose instant is at least `t`,
+/// given that `list[from]` and every entry before it are earlier. A hop of
+/// up to three entries is a scan. A longer one first tries `stride`
+/// entries on, the length of the unit's last long hop, which it then
+/// records: a unit's accesses recur with the control loop, so a unit that
+/// re-enters the diff every iteration skips about as many each time.
+fn seek(list: &[Recorded], from: usize, t: u64, stride: &mut u32) -> usize {
+    let near = list.len().min(from + 4);
+    if let Some(i) = list[from + 1..near].iter().position(|a| a.at() >= t) {
+        return from + 1 + i;
+    }
+    let guess = from + *stride as usize;
+    let next = if *stride < 4 || guess >= list.len() {
+        gallop(list, near, t)
+    } else if list[guess - 1].at() < t {
+        gallop(list, guess, t)
+    } else {
+        // Past it: gallop back towards `near`, to a bracket `lo..=hi`
+        // whose last instant is at least `t`.
+        let (mut lo, mut hi, mut step) = (guess - 1, guess - 1, 1);
+        while lo > near && list[lo - 1].at() >= t {
+            hi = lo - 1;
+            lo = lo.saturating_sub(step).max(near);
+            step *= 2;
+        }
+        lo + list[lo..=hi].partition_point(|a| a.at() < t)
+    };
+    *stride = (next - from) as u32;
+    next
+}
+
+/// The first access at or after instant `t` of the unit of index `unit`,
+/// as an index into its trace list, found from and stored in the unit's
+/// cursor. A cursor past `t` is left over from an earlier run; within one
+/// run instants only grow, so most lookups are a probe or two.
+#[inline]
+fn cursor<'t>(
+    trace: &'t AccessTrace,
+    cursors: &mut [[u32; 2]],
+    unit: usize,
+    t: u64,
+) -> (usize, &'t [Recorded]) {
+    let list = trace.recorded_at(unit);
+    let [slot, stride] = &mut cursors[unit];
+    let mut c = (*slot as usize).min(list.len());
+    if c > 0 && list[c - 1].at() >= t {
+        c = list[..c].partition_point(|a| a.at() < t);
+    } else if list.get(c).is_some_and(|a| a.at() < t) {
+        c = seek(list, c, t, stride);
+    }
+    *slot = c as u32;
+    (c, list)
+}
+
+/// Golden's first access at or after instant `now` to the unit of index
+/// `unit`: its instant (`u64::MAX` for none), whether every access at that
+/// instant is a full write, and the value the last of them deposits.
+#[inline]
+fn first_access(
+    trace: &AccessTrace,
+    cursors: &mut [[u32; 2]],
+    unit: u32,
+    now: u64,
+) -> (u64, bool, u32) {
+    if unit == NO_UNIT {
+        return (u64::MAX, false, 0);
+    }
+    let (c, list) = cursor(trace, cursors, unit as usize, now);
+    let Some(a) = list.get(c) else {
+        return (u64::MAX, false, 0);
+    };
+    let at = a.at();
+    let (mut writes, mut last) = (a.kind() == AccessKind::Write, a.value());
+    for b in list[c + 1..].iter().take_while(|b| b.at() == at) {
+        writes &= b.kind() == AccessKind::Write;
+        last = b.value();
+    }
+    (at, writes, last)
+}
+
+/// Looks up entry `e`'s next golden access at or after instant `now`, and
+/// whether it kills the entry: every unit is fully written then and none
+/// read, and the write leaves no part of the entry differing. A cache
+/// line's flags never die (every access to the line consults them), nor
+/// does a PSR whose upper bits differ from golden's (a compare keeps them).
+fn schedule(trace: &AccessTrace, cursors: &mut [[u32; 2]], e: &mut Entry, now: u64) {
+    let (at, writes, deposit) = first_access(trace, cursors, e.units[0], now);
+    if e.units[1] == NO_UNIT {
+        (e.next, e.dies) = (at, writes);
+        return;
+    }
+    // The PSR's two flags, or a line's valid and dirty flags.
+    let (at2, writes2, _) = first_access(trace, cursors, e.units[1], now);
+    e.next = at.min(at2);
+    e.dies = e.pos == word::PSR as u32
+        && at == at2
+        && writes
+        && writes2
+        && (e.value ^ deposit) & !3 == 0;
 }
 
 /// One faulty run under diff replay. See the module documentation.
 pub struct DiffReplay<'a> {
     trace: &'a AccessTrace,
     golden: &'a Machine,
+    /// Holds the diff's entries, unordered, each with its next access.
     scratch: &'a mut ReplayScratch,
-    diff: Vec<(u32, u32)>,
-    /// Parallel to `diff`: each entry's next event instant, [`STALE`]
-    /// until computed (see [`DiffReplay::refresh`]), and the trace indices
-    /// of the units it watches ([`NO_UNIT`] for none).
-    next: Vec<u64>,
-    units: Vec<[u32; 2]>,
     /// The operand and result latches are written by most instructions
-    /// and read by none, so they stay out of `diff` and its events: the
-    /// operand latch holds the last two register reads, and `latch` the
-    /// reads whose value differed; the result latch holds the last write.
+    /// and read by none, so they stay out of the entries and their events:
+    /// the operand latch holds the last two register reads, and `latch`
+    /// the reads whose value differed; the result latch holds the last
+    /// write.
     latch: Latch,
     /// The result latch's faulty words (value, rd, we), valid until golden
     /// next writes the latch at or after the instant kept with them.
     exwb: Option<(u64, [Option<u32>; 3])>,
-    /// The diff with both latches merged in (see [`DiffReplay::diff`]).
-    merged: Vec<(u32, u32)>,
     /// Every instruction before this instant is accounted for.
     now: u64,
+    /// The least `next` of the entries that do not die there: the instant
+    /// of the next event.
+    next_event: u64,
+    /// The least `next` of the entries that die there.
+    first_death: u64,
     events: u64,
     /// Set when the diff holds a position replay cannot carry.
     blocked: Option<Fallback>,
@@ -275,65 +408,59 @@ impl<'a> DiffReplay<'a> {
             tainted: [(-1, 0); 2],
         };
         let exwb = [word::EXWB_VALUE, word::EXWB_RD, word::EXWB_WE].map(latch_word);
-        let diff: Vec<(u32, u32)> = diff
-            .into_iter()
-            .filter(|&(p, _)| !(word::IDEX_A..=word::EXWB_WE).contains(&(p as usize)))
-            .collect();
-        scratch.cursors.fill(0);
-        DiffReplay {
+        let latches = word::IDEX_A as u32..=word::EXWB_WE as u32;
+        scratch.entries.clear();
+        scratch.entries.extend(
+            diff.iter()
+                .filter(|(p, _)| !latches.contains(p))
+                .map(|&(p, v)| Entry::new(p, v, units_of(p).unwrap_or([NO_UNIT; 2]))),
+        );
+        let mut replay = DiffReplay {
             trace,
             golden,
             scratch,
-            next: vec![STALE; diff.len()],
-            units: diff
-                .iter()
-                .map(|&(p, _)| units_of(p).unwrap_or([NO_UNIT; 2]))
-                .collect(),
-            diff,
             latch,
             exwb: exwb.iter().any(Option::is_some).then_some((at, exwb)),
-            merged: Vec::new(),
             now: at,
+            next_event: u64::MAX,
+            first_death: u64::MAX,
             events: 0,
             blocked: blocked.then_some(Fallback {
                 at,
                 reason: FallbackReason::ControlState,
             }),
-        }
+        };
+        replay.settle();
+        replay
     }
 
     /// The faulty state's difference from golden's at the current instant,
     /// in [`Machine::sparse_diff`]'s form.
     pub fn diff(&mut self) -> &[(u32, u32)] {
+        self.expire();
         let now = self.now;
         let latch = self.latch_at(now);
-        let exwb = match self.exwb {
-            Some((from, words)) => {
-                let exwb = TraceUnit::Vis(VisUnit::Exwb).index();
-                let (c, list) = self.cursor(exwb, from);
-                let overwritten = list.get(c).is_some_and(|a| a.at() < now);
-                if overwritten {
-                    [None; 3]
-                } else {
-                    words
-                }
+        if let Some((from, _)) = self.exwb {
+            let exwb = TraceUnit::Vis(VisUnit::Exwb).index();
+            let (c, list) = cursor(self.trace, &mut self.scratch.cursors, exwb, from);
+            if list.get(c).is_some_and(|a| a.at() < now) {
+                self.exwb = None;
             }
-            None => [None; 3],
-        };
+        }
+        let exwb = self.exwb.map_or([None; 3], |(_, words)| words);
         let latches = latch.into_iter().chain(exwb).zip(word::IDEX_A as u32..);
-        let split = self
-            .diff
-            .partition_point(|&(p, _)| (p as usize) < word::IDEX_A);
-        self.merged.clear();
-        self.merged.extend_from_slice(&self.diff[..split]);
-        self.merged
-            .extend(latches.filter_map(|(v, p)| v.map(|v| (p, v))));
-        self.merged.extend_from_slice(&self.diff[split..]);
-        &self.merged
+        let ReplayScratch {
+            entries, merged, ..
+        } = &mut *self.scratch;
+        merged.clear();
+        merged.extend(entries.iter().map(|e| (e.pos, e.value)));
+        merged.extend(latches.filter_map(|(v, p)| v.map(|v| (p, v))));
+        merged.sort_unstable();
+        merged
     }
 
     /// Events processed so far. An event is one instruction re-examined,
-    /// not one executed: most events deposit or move a word.
+    /// not one executed: most events move or recompute a word.
     #[must_use]
     pub fn events(&self) -> u64 {
         self.events
@@ -362,8 +489,7 @@ impl<'a> DiffReplay<'a> {
         if let Some(fallback) = self.blocked {
             return Err(fallback);
         }
-        self.refresh();
-        let t = self.next.iter().copied().min().unwrap_or(u64::MAX);
+        let t = self.next_event;
         if t >= until {
             self.now = self.now.max(until);
             return Ok(None);
@@ -371,78 +497,71 @@ impl<'a> DiffReplay<'a> {
         self.events += 1;
         // On a fallback the diff describes boundary `t`, latches included.
         self.now = t;
+        self.expire();
         self.event(t)?;
         self.now = t + 1;
+        self.settle();
         Ok(Some(t))
     }
 
-    fn get(&self, pos: u32) -> Option<u32> {
-        self.diff
-            .binary_search_by_key(&pos, |&(p, _)| p)
-            .ok()
-            .map(|i| self.diff[i].1)
+    /// Drops the entries that died before the current instant.
+    fn expire(&mut self) {
+        let now = self.now;
+        if self.first_death < now {
+            self.scratch.entries.retain(|e| !(e.dies && e.next < now));
+            self.first_death = self
+                .scratch
+                .entries
+                .iter()
+                .filter(|e| e.dies)
+                .map(|e| e.next)
+                .min()
+                .unwrap_or(u64::MAX);
+        }
     }
 
-    fn has(&self, pos: u32) -> bool {
-        self.get(pos).is_some()
+    /// Looks up the next access of every entry an event touched (its next
+    /// access is past) or created, drops the entries that died in it, and
+    /// caches the next event and the next death.
+    fn settle(&mut self) {
+        let now = self.now;
+        let ReplayScratch {
+            entries, cursors, ..
+        } = &mut *self.scratch;
+        let (mut next_event, mut first_death) = (u64::MAX, u64::MAX);
+        let mut i = 0;
+        while i < entries.len() {
+            let e = &mut entries[i];
+            if e.next < now || e.next == STALE {
+                if e.dies {
+                    entries.swap_remove(i);
+                    continue;
+                }
+                schedule(self.trace, cursors, e, now);
+            }
+            if e.dies {
+                first_death = first_death.min(e.next);
+            } else {
+                next_event = next_event.min(e.next);
+            }
+            i += 1;
+        }
+        (self.next_event, self.first_death) = (next_event, first_death);
     }
 
     /// Records that the faulty value at `pos` is `faulty` where golden's
     /// is `golden`. Every position an event changes is one golden touches
-    /// during it, so its next event is recomputed afterwards.
+    /// during it, so its next access is looked up afterwards.
     fn set(&mut self, pos: u32, faulty: u32, golden: u32) {
-        if faulty == golden {
-            self.remove(pos);
-        } else {
-            self.put(pos, faulty);
-        }
-    }
-
-    fn put(&mut self, pos: u32, v: u32) {
-        match self.diff.binary_search_by_key(&pos, |&(p, _)| p) {
-            Ok(i) => self.diff[i].1 = v,
-            Err(i) => {
-                self.diff.insert(i, (pos, v));
-                self.next.insert(i, STALE);
-                self.units.insert(
-                    i,
-                    units_of(pos).expect("replay creates only carried positions"),
-                );
+        let entries = &mut self.scratch.entries;
+        match entries.iter().position(|e| e.pos == pos) {
+            Some(i) if faulty == golden => {
+                entries.swap_remove(i);
             }
+            Some(i) => entries[i] = Entry::new(pos, faulty, entries[i].units),
+            None if faulty == golden => {}
+            None => entries.push(Entry::new(pos, faulty, carried(pos))),
         }
-    }
-
-    fn remove(&mut self, pos: u32) {
-        if let Ok(i) = self.diff.binary_search_by_key(&pos, |&(p, _)| p) {
-            self.diff.remove(i);
-            self.next.remove(i);
-            self.units.remove(i);
-        }
-    }
-
-    /// Golden copied the word at `from` into `to`: the faulty copy carries
-    /// `from`'s faulty value, or golden's when `from` is clean.
-    fn copy(&mut self, from: u32, to: u32) {
-        match self.get(from) {
-            Some(v) => self.put(to, v),
-            None => self.remove(to),
-        }
-    }
-
-    /// The cursor of the unit of index `unit`, moved to its first access
-    /// at or after `t` (`t >= now`, so the cursor stays a lower bound for
-    /// later instants).
-    #[inline]
-    fn cursor(&mut self, unit: usize, t: u64) -> (usize, &'a [Recorded]) {
-        let list = self.trace.recorded_at(unit);
-        let slot = &mut self.scratch.cursors[unit];
-        let c = *slot as usize;
-        if list.get(c).is_none_or(|a| a.at() >= t) {
-            return (c, list);
-        }
-        let i = seek(list, c, t, Recorded::at);
-        *slot = i as u32;
-        (i, list)
     }
 
     /// The faulty operand latch's differences from golden's at boundary
@@ -458,78 +577,15 @@ impl<'a> DiffReplay<'a> {
         self.trace.first_shift(t)..self.trace.first_shift(t + 1)
     }
 
-    /// Recomputes the next event of every entry whose event is past (or
-    /// never computed): the first golden access at or after `now` of its
-    /// units.
-    fn refresh(&mut self) {
-        let now = self.now;
-        for i in 0..self.diff.len() {
-            if self.next[i] != STALE && self.next[i] >= now {
-                continue;
-            }
-            let mut next = u64::MAX;
-            for u in self.units[i] {
-                if u != NO_UNIT {
-                    let (c, list) = self.cursor(u as usize, now);
-                    next = next.min(list.get(c).map_or(u64::MAX, Recorded::at));
-                }
-            }
-            self.next[i] = next;
-        }
-    }
-
     /// Golden's accesses to the unit of index `unit` during instruction `t`.
     #[inline]
     fn accesses(&mut self, unit: usize, t: u64) -> &'a [Recorded] {
-        let (c, list) = self.cursor(unit, t);
+        let (c, list) = cursor(self.trace, &mut self.scratch.cursors, unit, t);
         let n = list[c..].iter().take_while(|a| a.at() == t).count();
         &list[c..c + n]
     }
 
     fn event(&mut self, t: u64) -> Result<(), Fallback> {
-        // Which diffed positions golden touches now, and whether only by
-        // full writes (a flag is consulted by every access to its line, so
-        // it always counts as read).
-        let mut written: [(u32, u32); 8] = [(0, 0); 8];
-        let mut n = 0;
-        let mut reads = false;
-        for i in 0..self.diff.len() {
-            if self.next[i] != t {
-                continue;
-            }
-            let pos = self.diff[i].0;
-            let flags = (word::LINES..word::SBUF_ADDR).contains(&(pos as usize))
-                && (pos as usize - word::LINES) % word::LINE_WORDS == 1;
-            for u in self.units[i] {
-                if u == NO_UNIT {
-                    continue;
-                }
-                let acc = self.accesses(u as usize, t);
-                if flags || acc.iter().any(|a| a.kind() != AccessKind::Write) {
-                    reads |= !acc.is_empty();
-                } else if let Some(last) = acc.last() {
-                    if n < written.len() {
-                        written[n] = (pos, last.value());
-                        n += 1;
-                    } else {
-                        reads = true;
-                    }
-                }
-            }
-        }
-        if !reads {
-            for &(pos, value) in &written[..n] {
-                if pos as usize == word::PSR {
-                    // The compare deposits the two flag bits; the others
-                    // keep their (golden: zero) contents.
-                    let v = self.get(pos).unwrap_or(value);
-                    self.set(pos, v & !3 | value & 3, value);
-                } else {
-                    self.remove(pos);
-                }
-            }
-            return Ok(());
-        }
         let step = self.trace.step(t);
         let slot = (step & 0xFFFF) as usize;
         let d = self
@@ -548,17 +604,31 @@ impl<'a> DiffReplay<'a> {
         }
     }
 
-    /// Re-executes register instruction `d` at `t` on golden's operands and
-    /// on the diff-patched ones, and diffs the words it writes.
+    /// Re-executes register instruction `d` at `t` on golden's traced
+    /// operands and on the diff-patched ones, and diffs the words it writes.
     fn register_event(&mut self, t: u64, d: &Decoded, ipc: u32) -> Result<(), Fallback> {
         let range = self.shifts_at(t);
         let shifts = &self.trace.shifts()[range.clone()];
-        let before = &self.trace.shifts()[..range.start];
-        let latch = OperandLatch {
-            a: before.len().checked_sub(2).map_or(0, |i| before[i].value()),
-            b: before.last().map_or(0, Shift::value),
-        };
-        let j = range.start as i64;
+        let out = usize::from(d.uimm16 as u16) % crate::machine::NUM_OUT_PORTS;
+        let (psr_pos, out_pos) = (word::PSR as u32, (word::PORTS_OUT + out) as u32);
+        // The registers read (at most three, for `chk`), with golden's and
+        // the faulty value, and the faulty PSR and output port.
+        let mut regs = [(0u8, 0u32, 0u32); 3];
+        for (r, s) in regs.iter_mut().zip(shifts) {
+            *r = (s.reg(), s.value(), s.value());
+        }
+        let regs = &mut regs[..shifts.len()];
+        let (mut faulty_psr, mut faulty_out) = (None, None);
+        for e in &self.scratch.entries {
+            if e.pos == psr_pos {
+                faulty_psr = Some(e.value);
+            } else if e.pos == out_pos {
+                faulty_out = Some(e.value);
+            }
+            for r in regs.iter_mut().filter(|r| u32::from(r.0) == e.pos) {
+                r.2 = e.value;
+            }
+        }
         // A branch samples golden's flags from the trace; a compare keeps
         // the upper PSR bits, which golden never sets.
         let psr = if d.op.is_branch() {
@@ -573,28 +643,12 @@ impl<'a> DiffReplay<'a> {
         } else {
             0
         };
-        let out = usize::from(d.uimm16 as u16) % crate::machine::NUM_OUT_PORTS;
-        let faulty_latch = OperandLatch {
-            a: self.latch.slot(j - 2).unwrap_or(latch.a),
-            b: self.latch.slot(j - 1).unwrap_or(latch.b),
-        };
-        let faulty_psr = self.get(word::PSR as u32).map_or(psr, |v| v as u8);
-        let faulty_out = self.get((word::PORTS_OUT + out) as u32);
-        // An instruction reads at most three registers (`chk`).
-        let mut regs = [(0u8, 0u32, 0u32); 3];
-        for (slot, s) in regs.iter_mut().zip(shifts) {
-            *slot = (
-                s.reg(),
-                s.value(),
-                self.get(reg(s.reg())).unwrap_or(s.value()),
-            );
-        }
-        let regs = &regs[..shifts.len()];
+        let faulty_psr = faulty_psr.map_or(psr, |v| v as u8);
+        let regs = &*regs;
         let seed = |m: &mut Machine, faulty: bool| {
             for &(r, g, f) in regs {
                 m.core.regs[r as usize] = if faulty { f } else { g };
             }
-            m.core.idex = if faulty { faulty_latch } else { latch };
             m.core.psr = if faulty { faulty_psr } else { psr };
             m.core.exwb = ResultLatch::default();
             m.core.pc = ipc.wrapping_add(4);
@@ -620,38 +674,29 @@ impl<'a> DiffReplay<'a> {
             });
         }
         let (g, f) = (&golden.core, &faulty.core);
-        let mut update: [(u32, u32, u32); 10] = [(0, 0, 0); 10];
-        let mut n = 0;
-        let mut push = |pos: usize, fv: u32, gv: u32| {
-            update[n] = (pos as u32, fv, gv);
-            n += 1;
-        };
-        let mut exwb = None;
-        if g.exwb.we {
-            let rd = usize::from(g.exwb.rd);
-            push(rd, f.regs[rd], g.regs[rd]);
-            let differ = |f: u32, g: u32| (f != g).then_some(f);
-            exwb = Some([
-                differ(f.exwb.value, g.exwb.value),
-                differ(u32::from(f.exwb.rd), u32::from(g.exwb.rd)),
-                differ(u32::from(f.exwb.we), u32::from(g.exwb.we)),
-            ]);
-        }
-        match d.op {
-            Opcode::Cmp | Opcode::Fcmp => push(word::PSR, u32::from(f.psr), u32::from(g.psr)),
-            Opcode::Out => push(word::PORTS_OUT + out, f.ports_out[out], g.ports_out[out]),
-            _ => {}
-        }
-        for &(pos, fv, gv) in &update[..n] {
+        // The words an instruction writes: its register (with the result
+        // latch), and the PSR of a compare or the port of an `out`.
+        let written = [
+            g.exwb
+                .we
+                .then_some((u32::from(g.exwb.rd), f.exwb.value, g.exwb.value)),
+            match d.op {
+                Opcode::Cmp | Opcode::Fcmp => Some((psr_pos, u32::from(f.psr), u32::from(g.psr))),
+                Opcode::Out => Some((out_pos, f.ports_out[out], g.ports_out[out])),
+                _ => None,
+            },
+        ];
+        for &(pos, fv, gv) in written.iter().flatten() {
             self.set(pos, fv, gv);
+        }
+        if let Some((_, fv, gv)) = written[0] {
+            // Both wrote the same register, so only the value can differ.
+            self.write_exwb(t, [(fv != gv).then_some(fv), None, None]);
         }
         for (k, &(_, g, f)) in range.zip(regs) {
             if f != g {
                 self.latch.taint(k, f);
             }
-        }
-        if let Some(words) = exwb {
-            self.write_exwb(t, words);
         }
         Ok(())
     }
@@ -662,94 +707,175 @@ impl<'a> DiffReplay<'a> {
     }
 
     /// A load or store at `t` whose control inputs are golden's: golden's
-    /// cache decisions stand, and the diff's words move with the data.
+    /// cache decisions stand, and the diff's words move with the data. One
+    /// pass over the entries reads the control inputs and what moves (the
+    /// line's words, the filled memory words, the stored register); after
+    /// the checks, a second drops every entry the instruction overwrites,
+    /// and the moved words that differ go back in.
     fn memory_event(&mut self, t: u64, d: &Decoded, step: u32) -> Result<(), Fallback> {
         let fallback = |reason| Err(Fallback { at: t, reason });
-        let range = self.shifts_at(t);
-        let base = self.trace.shifts()[range.start];
+        let first_shift = self.trace.first_shift(t);
+        let base = self.trace.shifts()[first_shift];
         debug_assert_eq!(
             base.reg(),
             d.ra & 0xF,
             "a memory access first reads its base"
         );
-        if self.has(reg(d.ra)) {
-            return fallback(FallbackReason::Address);
-        }
         let addr = base.value().wrapping_add(d.imm16 as u32);
         let line = cache::index_of(addr);
-        if mem::region(addr) == Region::Stack
-            && (self.has(word::STACK_LO as u32) || self.has(word::STACK_HI as u32))
-        {
-            let lo = self
-                .get(word::STACK_LO as u32)
-                .unwrap_or(self.golden.core.stack_lo);
-            let hi = self
-                .get(word::STACK_HI as u32)
-                .unwrap_or(self.golden.core.stack_hi);
+        let (fill, store) = (step & STEP_FILL != 0, d.op == Opcode::St);
+        // Where the line's words come from and go to.
+        let cached = line_word(line, 0);
+        let filled = fill.then(|| {
+            let key = mem::word_key(addr & !0xF).expect("golden fills from data memory");
+            mem_word(key)
+        });
+        let victim = (step & STEP_WRITEBACK != 0).then(|| {
+            let tag = TraceUnit::Vis(VisUnit::CacheTag(line)).index();
+            let tag = self.accesses(tag, t).first();
+            let tag = tag.expect("a write-back reads its victim's tag").value();
+            let key = mem::word_key(cache::line_base(tag, line));
+            mem_word(key.expect("golden writes back to data memory"))
+        });
+        let control = (word::LINES + line * word::LINE_WORDS) as u32;
+        let (base_reg, data_reg) = (reg(d.ra), reg(d.rd));
+        let (mut line_words, mut fill_words) = ([None; WORDS_PER_LINE], [None; WORDS_PER_LINE]);
+        let (mut stored, mut bounds) = (None, [None; 2]);
+        let (mut address, mut tainted_control, mut syndrome) = (false, false, false);
+        for e in &self.scratch.entries {
+            let p = e.pos;
+            if let Some(w) = word_in(p, Some(cached)) {
+                line_words[w] = Some(e.value);
+            } else if let Some(w) = word_in(p, filled) {
+                fill_words[w] = Some(e.value);
+            } else if p == control || p == control + 1 {
+                tainted_control = true;
+            } else if p == word::STACK_LO as u32 || p == word::STACK_HI as u32 {
+                bounds[(p - word::STACK_LO as u32) as usize] = Some(e.value);
+            } else if p == word::EDAC as u32 {
+                syndrome = true;
+            }
+            address |= p == base_reg;
+            if p == data_reg {
+                stored = Some(e.value);
+            }
+        }
+        if address {
+            return fallback(FallbackReason::Address);
+        }
+        if mem::region(addr) == Region::Stack && bounds.iter().any(Option::is_some) {
+            let lo = bounds[0].unwrap_or(self.golden.core.stack_lo);
+            let hi = bounds[1].unwrap_or(self.golden.core.stack_hi);
             if addr < lo || addr >= hi {
                 return fallback(FallbackReason::Trap);
             }
         }
-        let control = word::LINES + line * word::LINE_WORDS;
-        if self.has(control as u32) || self.has(control as u32 + 1) {
+        if tainted_control {
             return fallback(FallbackReason::CacheControl);
         }
-        if step & STEP_FILL != 0 && self.has(word::EDAC as u32) {
+        if fill && syndrome {
             return fallback(FallbackReason::Trap);
         }
         // The latch shifts the (clean) base in; a store then shifts its
         // data register in behind it.
-        if d.op == Opcode::St {
-            if let Some(v) = self.get(reg(d.rd)) {
-                self.latch.taint(range.start + 1, v);
+        if let Some(v) = stored.filter(|_| store) {
+            self.latch.taint(first_shift + 1, v);
+        }
+        // The line after the fill, if any, and the access.
+        let at = cache::word_of(addr);
+        let mut after = if fill { fill_words } else { line_words };
+        if store {
+            after[at] = stored;
+        }
+        let last = fill_words[WORDS_PER_LINE - 1];
+        let parity = match (filled, last) {
+            (Some(from), Some(v)) => {
+                let unit = TraceUnit::MemWord((from as usize - CORE_WORDS) + WORDS_PER_LINE - 1);
+                let g = self.accesses(unit.index(), t).first();
+                let g = g.expect("a fill reads its last word").value();
+                (mem::parity(v) != mem::parity(g)).then_some(u32::from(mem::parity(v)))
+            }
+            _ => None,
+        };
+        let accessed = cached + at as u32;
+        let moved = |p: u32| {
+            word_in(p, victim).is_some()
+                || fill && word_in(p, Some(cached)).is_some()
+                || fill && (word::FBUF_ADDR as u32..=word::FBUF_VALID as u32).contains(&p)
+                || store
+                    && (p == accessed
+                        || (word::SBUF_ADDR as u32..=word::SBUF_VALID as u32).contains(&p))
+                || !store && p == data_reg
+        };
+        let entries = &mut self.scratch.entries;
+        entries.retain(|e| !moved(e.pos));
+        let mut put = |pos: u32, v: Option<u32>| {
+            if let Some(v) = v {
+                entries.push(Entry::new(pos, v, carried(pos)));
+            }
+        };
+        if let Some(victim) = victim {
+            for (w, &v) in (victim..).zip(&line_words) {
+                put(w, v);
             }
         }
-        if step & STEP_WRITEBACK != 0 {
-            let tag = TraceUnit::Vis(VisUnit::CacheTag(line)).index();
-            let tag = self.accesses(tag, t).first();
-            let tag = tag.expect("a write-back reads its victim's tag").value();
-            let victim = mem::word_key(cache::line_base(tag, line))
-                .expect("golden writes back to data memory");
-            for w in 0..WORDS_PER_LINE {
-                self.copy(line_word(line, w), mem_word(victim + w));
+        if fill {
+            for (w, &v) in (cached..).zip(&after) {
+                put(w, v);
             }
+            put(word::FBUF_DATA as u32, last);
+            put(word::FBUF_PARITY as u32, parity);
+        } else if store {
+            put(accessed, stored);
         }
-        if step & STEP_FILL != 0 {
-            let fill = mem::word_key(addr & !0xF).expect("golden fills from data memory");
-            let last = mem_word(fill + WORDS_PER_LINE - 1);
-            match self.get(last) {
-                Some(v) => {
-                    let word3 = TraceUnit::MemWord(fill + WORDS_PER_LINE - 1).index();
-                    let g = self.accesses(word3, t);
-                    let g = g.first().expect("a fill reads its last word").value();
-                    self.set(
-                        word::FBUF_PARITY as u32,
-                        u32::from(mem::parity(v)),
-                        u32::from(mem::parity(g)),
-                    );
-                }
-                None => self.remove(word::FBUF_PARITY as u32),
-            }
-            self.copy(last, word::FBUF_DATA as u32);
-            self.remove(word::FBUF_ADDR as u32);
-            self.remove(word::FBUF_VALID as u32);
-            for w in 0..WORDS_PER_LINE {
-                self.copy(mem_word(fill + w), line_word(line, w));
-            }
-        }
-        let data = line_word(line, cache::word_of(addr));
-        match d.op {
-            Opcode::Ld => {
-                self.copy(data, reg(d.rd));
-                self.write_exwb(t, [self.get(data), None, None]);
-            }
-            _ => {
-                self.copy(reg(d.rd), data);
-                self.copy(reg(d.rd), word::SBUF_DATA as u32);
-                self.remove(word::SBUF_ADDR as u32);
-                self.remove(word::SBUF_VALID as u32);
-            }
+        if store {
+            put(word::SBUF_DATA as u32, stored);
+        } else {
+            put(data_reg, after[at]);
+            self.write_exwb(t, [after[at], None, None]);
         }
         Ok(())
+    }
+}
+
+/// The word of a line whose first word is at position `first` that
+/// position `pos` holds, if any.
+fn word_in(pos: u32, first: Option<u32>) -> Option<usize> {
+    let w = pos.wrapping_sub(first?) as usize;
+    (w < WORDS_PER_LINE).then_some(w)
+}
+
+/// The units of a position an event creates.
+fn carried(pos: u32) -> [u32; 2] {
+    units_of(pos).expect("replay creates only carried positions")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cursor_finds_the_first_access_at_or_after_an_instant_from_any_state() {
+        // A unit accessed at irregular instants, some several per instant.
+        let mut trace = AccessTrace::new();
+        let unit = TraceUnit::Reg(3);
+        let mut at = 0;
+        for i in 0..600u64 {
+            at += (i % 7) / 3 * (1 + i % 5);
+            trace.record(unit, at, AccessKind::Read, 0);
+        }
+        let list = trace.recorded(unit);
+        let mut cursors = vec![[0; 2]; TraceUnit::COUNT];
+        for from in (0..list.len()).step_by(13) {
+            for t in (0..=at + 2).step_by(29) {
+                for stride in [0, 3, 4, 9, 57, 1_000, u32::MAX / 2] {
+                    cursors[unit.index()] = [from as u32, stride];
+                    let (c, _) = cursor(&trace, &mut cursors, unit.index(), t);
+                    let expect = list.partition_point(|a| a.at() < t);
+                    assert_eq!(c, expect, "from {from}, instant {t}, stride {stride}");
+                    assert_eq!(cursors[unit.index()][0] as usize, expect);
+                }
+            }
+        }
     }
 }

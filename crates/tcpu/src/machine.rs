@@ -337,7 +337,7 @@ impl Core {
     /// then its data words. Injective: two cores are equal iff their words
     /// are, which is what lets [`Machine::sparse_diff`] stand in for
     /// equality.
-    fn words(&self) -> [u32; CORE_WORDS] {
+    pub(crate) fn words(&self) -> [u32; CORE_WORDS] {
         let mut w = [0; CORE_WORDS];
         let mut n = 0;
         let mut put = |v: u32| {

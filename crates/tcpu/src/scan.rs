@@ -9,7 +9,7 @@
 //! Tables 2 and 3, and the machine can read, flip and snapshot them.
 
 use crate::cache::{LINE_BYTES, NUM_LINES, TAG_BITS};
-use crate::machine::{Machine, NUM_OUT_PORTS};
+use crate::machine::{Machine, CORE_WORDS, NUM_OUT_PORTS};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::OnceLock;
@@ -124,6 +124,25 @@ impl BitLocation {
             _ => self.vis_unit().map(TraceUnit::Vis),
         }
     }
+}
+
+/// Per `Core` word (see [`Machine::sparse_diff`]), the bits the scan chain
+/// reaches: each catalog location flips exactly one of them.
+fn scan_masks() -> &'static [u32; CORE_WORDS] {
+    static MASKS: OnceLock<[u32; CORE_WORDS]> = OnceLock::new();
+    MASKS.get_or_init(|| {
+        let mut m = Machine::new();
+        let before = m.core.words();
+        let mut masks = [0; CORE_WORDS];
+        for &loc in catalog() {
+            m.scan_flip(loc);
+            for (mask, (a, b)) in masks.iter_mut().zip(m.core.words().into_iter().zip(before)) {
+                *mask |= a ^ b;
+            }
+            m.scan_flip(loc);
+        }
+        masks
+    })
 }
 
 /// An immutable capture of every scannable bit, used to diff the end state
@@ -375,6 +394,20 @@ impl Machine {
         }
     }
 
+    /// `true` when this machine with `diff` applied (in
+    /// [`Machine::sparse_diff`]'s position space) would differ from it in a
+    /// scannable bit or a data word: the latent test of a run's end state,
+    /// decided from the diff without building that state.
+    #[must_use]
+    pub fn diff_is_latent(&self, diff: &[(u32, u32)]) -> bool {
+        let masks = scan_masks();
+        let words = self.core.words();
+        diff.iter().any(|&(pos, v)| match masks.get(pos as usize) {
+            Some(mask) => (v ^ words[pos as usize]) & mask != 0,
+            None => v != self.memory().data_word(pos as usize - CORE_WORDS),
+        })
+    }
+
     /// Writes a full 32-bit word into the cache copy of `addr` via the scan
     /// chain, without changing the line's dirty/valid bits. Returns `false`
     /// when the address is not cache-resident. (GOOFI can write scan chains
@@ -410,6 +443,39 @@ mod tests {
             "catalog has {} bits",
             c1.len()
         );
+    }
+
+    #[test]
+    fn diff_is_latent_matches_the_snapshot_test_at_every_core_position() {
+        let golden = Machine::new();
+        let scan = golden.scan_snapshot();
+        let words = golden.core.words();
+        let applied = |diff: &[(u32, u32)]| {
+            let mut m = golden.clone();
+            m.apply_diff(diff);
+            m
+        };
+        let mut scannable = 0;
+        for (pos, &word) in words.iter().enumerate() {
+            for bit in 0..32 {
+                let diff = [(pos as u32, word ^ 1 << bit)];
+                let m = applied(&diff);
+                if m.core.words()[pos] != diff[0].1 {
+                    continue; // wider than the field: no state holds it
+                }
+                let latent = m.scan_snapshot().diff_count(&scan) != 0;
+                assert_eq!(
+                    golden.diff_is_latent(&diff),
+                    latent,
+                    "position {pos} bit {bit}"
+                );
+                scannable += usize::from(latent);
+            }
+        }
+        assert_eq!(scannable, catalog().len(), "every scan bit is one word bit");
+        let data = [(CORE_WORDS as u32 + 5, golden.memory().data_word(5) ^ 1)];
+        assert!(!applied(&data).memory().data_equals(golden.memory()));
+        assert!(golden.diff_is_latent(&data));
     }
 
     #[test]
