@@ -326,8 +326,8 @@ impl GoldenRun {
 }
 
 /// A snapshot of the whole closed loop at the start of one control
-/// iteration: machine (input ports already loaded for that iteration),
-/// plant, and a digest for cheap convergence filtering.
+/// iteration: machine (input ports already loaded for that iteration)
+/// and plant.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Iteration index `k`: when this state is live, the golden run has
@@ -337,8 +337,6 @@ pub struct Checkpoint {
     pub machine: Machine,
     /// Plant state after `k` control intervals.
     pub engine: Engine,
-    /// Combined machine + plant digest (see [`Machine::state_digest`]).
-    pub digest: u64,
 }
 
 impl Checkpoint {
@@ -347,17 +345,8 @@ impl Checkpoint {
             iteration,
             machine: machine.clone(),
             engine: engine.clone(),
-            digest: loop_digest(machine, engine),
         }
     }
-}
-
-/// Digest of the combined machine + plant state at an iteration boundary.
-fn loop_digest(machine: &Machine, engine: &Engine) -> u64 {
-    let mut h = bera_tcpu::Fnv64::new();
-    h.write_u64(machine.state_digest());
-    h.write_u64(engine.state_digest());
-    h.finish()
 }
 
 /// How an [`ExperimentRecord`]'s classification was obtained. Provenance
@@ -687,8 +676,8 @@ pub(crate) fn actuate(u: f32) -> f64 {
 /// The diff walks memory only over the keys that can differ: outside the
 /// golden run's own writes since the machine's resident checkpoint and the
 /// experiment's dirty set, both images provably still equal the resident
-/// checkpoint. The stored digest identifies the checkpoint across runs;
-/// here it only cross-checks a positive match.
+/// checkpoint. Debug builds cross-check a positive match against the
+/// machines' state digests.
 fn converged(
     machine: &Machine,
     diff: &[(u32, u32)],
@@ -707,7 +696,7 @@ fn converged(
     debug_assert_eq!(
         machine.state_digest(),
         ckpt.machine.state_digest(),
-        "equal states must agree on the checkpoint digest"
+        "equal states must agree on the state digest"
     );
     // The golden tail from this checkpoint executes a known number of
     // further instructions. Prune only if the faulty run's counter stays

@@ -155,6 +155,12 @@ impl StoreHeader {
             &current.total_instructions,
         )?;
         check("golden_digest", &self.golden_digest, &current.golden_digest)?;
+        check(
+            "golden_outputs",
+            &self.golden_outputs,
+            &current.golden_outputs,
+        )?;
+        check("golden_speeds", &self.golden_speeds, &current.golden_speeds)?;
         Ok(())
     }
 }

@@ -122,25 +122,6 @@ impl Engine {
         self.params
     }
 
-    /// FNV-1a 64 digest of the dynamic state (`omega`, `torque`) by exact
-    /// bit pattern. The parameters are deliberately excluded: campaign
-    /// checkpointing only ever compares engines built from the same
-    /// configuration, and exact `PartialEq` (which does include them)
-    /// confirms any digest match.
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut state = FNV_OFFSET;
-        for word in [self.omega.to_bits(), self.torque.to_bits()] {
-            for b in word.to_le_bytes() {
-                state ^= u64::from(b);
-                state = state.wrapping_mul(FNV_PRIME);
-            }
-        }
-        state
-    }
-
     /// Steady-state torque command for throttle `theta_deg` at speed
     /// `omega` — the engine's static torque map.
     #[must_use]

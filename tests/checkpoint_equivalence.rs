@@ -4,111 +4,44 @@
 //! `DESIGN.md` § "Campaign execution engine") claims to be a pure
 //! optimisation: for any fault, the classified outcome must be
 //! bit-identical to re-executing the whole run from reset. These tests
-//! check that claim directly over sampled fault lists on both workloads,
-//! and property-test the convergence filter's soundness precondition: a
-//! machine that differs from the golden checkpoint in *any* scan-chain bit
-//! or memory word must never compare as converged.
+//! check that claim through the differential oracle (`tests/oracle`) over
+//! sampled fault lists on both workloads and every fault model, and over
+//! paper-length pinned lists where trajectory recall ends runs early.
+//! They also property-test the convergence check's soundness
+//! precondition: a machine that differs from the golden checkpoint in
+//! *any* scan-chain bit or memory word must never compare as converged.
 
-use bera_goofi::campaign::{run_fault_list, run_fault_list_observed, CampaignConfig, FaultList};
-use bera_goofi::experiment::{
-    golden_run, run_experiment_with_model, FaultModel, FaultSpec, LoopConfig,
-};
+mod oracle;
+
+use bera_goofi::experiment::{golden_run, FaultModel, FaultSpec, LoopConfig};
 use bera_goofi::workload::Workload;
-use bera_goofi::{records_equivalent, Telemetry};
 use bera_tcpu::mem::{RAM_BASE, RAM_SIZE, STACK_BASE, STACK_SIZE};
 use bera_tcpu::scan;
+use oracle::{check, Campaign, Point};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// Runs `faults` sampled faults under both engines and asserts every
-/// observable field of every record is identical. When `require_prunes`
-/// is set, the fault set must exercise convergence pruning (so the fast
-/// path is actually tested); models that legitimately never converge —
-/// stuck-at, or intermittents whose re-assertions outlive the run — pass
-/// `false`. Returns how many checkpointed records pruned.
-fn assert_equivalent(
-    workload: &Workload,
-    faults: usize,
-    seed: u64,
-    model: FaultModel,
-    require_prunes: bool,
-) -> usize {
-    let mut from_reset = LoopConfig::short(60);
-    from_reset.checkpoint_stride = 0;
-    let mut checkpointed = LoopConfig::short(60);
-    checkpointed.checkpoint_stride = 5;
-
-    let golden_plain = golden_run(workload, &from_reset);
-    let golden_ckpt = golden_run(workload, &checkpointed);
-    assert_eq!(
-        golden_plain.outputs, golden_ckpt.outputs,
-        "checkpoint capture must not perturb the golden run"
-    );
-    assert_eq!(
-        golden_plain.total_instructions,
-        golden_ckpt.total_instructions
-    );
-    assert!(!golden_ckpt.checkpoints.is_empty());
-
-    let list = FaultList::sample(faults, seed, golden_plain.total_instructions);
-    let mut pruned = 0usize;
-    for &fault in &list.faults {
-        let slow =
-            run_experiment_with_model(workload, &from_reset, &golden_plain, fault, model, true);
-        let fast =
-            run_experiment_with_model(workload, &checkpointed, &golden_ckpt, fault, model, true);
-        assert_eq!(slow.outcome, fast.outcome, "fault {fault:?}");
-        assert_eq!(slow.max_deviation, fast.max_deviation, "fault {fault:?}");
-        assert_eq!(
-            slow.first_strong_iteration, fast.first_strong_iteration,
-            "fault {fault:?}"
-        );
-        assert_eq!(
-            slow.detection_latency, fast.detection_latency,
-            "fault {fault:?}"
-        );
-        assert_eq!(slow.outputs, fast.outputs, "fault {fault:?}");
-        assert!(slow.pruned_at.is_none(), "stride 0 must never prune");
-        pruned += usize::from(fast.pruned_at.is_some());
-    }
-    assert!(
-        !require_prunes || pruned > 0,
-        "the fault set must exercise convergence pruning, or this test is vacuous"
-    );
-    pruned
-}
+/// Checkpoints every 5 iterations and convergence pruning, without the
+/// fate resolver; the oracle requires one-shot models to prune.
+const CHECKPOINTED: Point = Point::REFERENCE.stride(5).fast_replay(true);
 
 #[test]
 fn checkpointed_engine_matches_from_reset_algorithm_one() {
-    assert_equivalent(
-        &Workload::algorithm_one(),
-        220,
-        17,
-        FaultModel::SingleBit,
-        true,
-    );
+    let campaign = Campaign::sampled(Workload::algorithm_one(), FaultModel::SingleBit, 220, 17);
+    check(&campaign, &[CHECKPOINTED]);
 }
 
 #[test]
 fn checkpointed_engine_matches_from_reset_algorithm_two() {
-    assert_equivalent(
-        &Workload::algorithm_two(),
-        220,
-        23,
-        FaultModel::SingleBit,
-        true,
-    );
+    let campaign = Campaign::sampled(Workload::algorithm_two(), FaultModel::SingleBit, 220, 23);
+    check(&campaign, &[CHECKPOINTED]);
 }
 
 #[test]
 fn checkpointed_engine_matches_from_reset_double_bit_model() {
-    assert_equivalent(
-        &Workload::algorithm_one(),
-        200,
-        5,
-        FaultModel::AdjacentDoubleBit,
-        true,
-    );
+    let model = FaultModel::AdjacentDoubleBit;
+    let campaign = Campaign::sampled(Workload::algorithm_one(), model, 200, 5);
+    check(&campaign, &[CHECKPOINTED]);
 }
 
 #[test]
@@ -116,27 +49,19 @@ fn checkpointed_engine_matches_from_reset_intermittent_model() {
     // Re-assertions land at iteration boundaries counted from injection,
     // so they are stride-independent; once the budget is exhausted the
     // injector goes quiescent and pruning may resume. Equivalence must
-    // hold either way, so pruning is not required here.
-    assert_equivalent(
-        &Workload::algorithm_one(),
-        150,
-        29,
-        FaultModel::Intermittent {
-            reassert_iterations: 2,
-        },
-        false,
-    );
+    // hold either way, so the oracle does not require pruning here.
+    let model = FaultModel::Intermittent {
+        reassert_iterations: 2,
+    };
+    let campaign = Campaign::sampled(Workload::algorithm_one(), model, 150, 29);
+    check(&campaign, &[CHECKPOINTED]);
 }
 
 #[test]
 fn checkpointed_engine_matches_from_reset_burst_model() {
-    assert_equivalent(
-        &Workload::algorithm_one(),
-        150,
-        31,
-        FaultModel::Burst { width: 4 },
-        true,
-    );
+    let model = FaultModel::Burst { width: 4 };
+    let campaign = Campaign::sampled(Workload::algorithm_one(), model, 150, 31);
+    check(&campaign, &[CHECKPOINTED]);
 }
 
 #[test]
@@ -146,17 +71,10 @@ fn stuck_at_faults_are_never_pruned() {
     // injector never reports quiescent and pruning must never fire —
     // while stride equivalence still holds on the full unpruned replay.
     for value in [false, true] {
-        let pruned = assert_equivalent(
-            &Workload::algorithm_one(),
-            60,
-            37,
-            FaultModel::StuckAt { value },
-            false,
-        );
-        assert_eq!(
-            pruned, 0,
-            "stuck-at({value}) faults can still re-assert; pruning would be unsound"
-        );
+        let model = FaultModel::StuckAt { value };
+        let campaign = Campaign::sampled(Workload::algorithm_one(), model, 60, 37);
+        let runs = check(&campaign, &[CHECKPOINTED]);
+        assert_eq!(runs[0].pruned(), 0, "{model:?}: pruning would be unsound");
     }
 }
 
@@ -164,49 +82,27 @@ fn stuck_at_faults_are_never_pruned() {
 fn intermittent_never_prunes_while_reassertable() {
     // A re-assertion budget larger than the run's iteration count means
     // the fault never goes quiescent inside the run: no record may prune.
-    let pruned = assert_equivalent(
-        &Workload::algorithm_one(),
-        60,
-        41,
-        FaultModel::Intermittent {
-            reassert_iterations: 10_000,
-        },
-        false,
-    );
-    assert_eq!(
-        pruned, 0,
-        "pruning while a re-assertion is pending would diverge from from-reset replay"
-    );
+    let model = FaultModel::Intermittent {
+        reassert_iterations: 10_000,
+    };
+    let campaign = Campaign::sampled(Workload::algorithm_one(), model, 60, 41);
+    let runs = check(&campaign, &[CHECKPOINTED]);
+    assert_eq!(runs[0].pruned(), 0, "pruned while a re-assertion pends");
 }
 
-/// Runs a paper-length campaign over `locations` × `instants` evenly
-/// spread injection times, each with a twin a few instructions later,
-/// checkpointed and at stride 0, and asserts the records are equivalent.
-/// Returns how many runs the checkpointed campaign ended by trajectory
-/// recall. Stride 0 has no checkpoints, so it never recalls: every one of
-/// its records comes from a full execution. The planner is off, so twins
-/// that reach the same state both simulate and the later one recalls the
-/// earlier, whatever its outputs did before.
-fn assert_recall_equivalent(
-    workload: &Workload,
-    model: FaultModel,
-    locations: &[usize],
-    instants: u64,
-) -> usize {
-    let mut cfg = CampaignConfig::paper(0, 0);
-    cfg.threads = 1;
-    cfg.detail = true;
-    cfg.prune = false;
-    cfg.fault_model = model;
-    let mut reference = cfg.clone();
-    reference.loop_cfg.checkpoint_stride = 0;
-    let golden = golden_run(workload, &cfg.loop_cfg);
-    let golden_plain = golden_run(workload, &reference.loop_cfg);
+/// A paper-length campaign over `locations` × `instants` evenly spread
+/// injection times, each with a twin a few instructions later. The
+/// resolver is off, so twins that reach the same state both simulate and
+/// the later one recalls the earlier, whatever its outputs did before.
+/// Stride 0 has no checkpoints, so the reference never recalls.
+fn recall_campaign(workload: Workload, model: FaultModel, locations: &[usize]) -> Campaign {
+    const INSTANTS: u64 = 10;
+    let total = golden_run(&workload, &LoopConfig::paper()).total_instructions;
     let faults: Vec<FaultSpec> = locations
         .iter()
         .flat_map(|&location_index| {
-            (0..instants).flat_map(move |j| {
-                let at = golden.total_instructions * (2 * j + 1) / (2 * instants);
+            (0..INSTANTS).flat_map(move |j| {
+                let at = total * (2 * j + 1) / (2 * INSTANTS);
                 [at, at + 5].map(|inject_at| FaultSpec {
                     location_index,
                     inject_at,
@@ -214,44 +110,28 @@ fn assert_recall_equivalent(
             })
         })
         .collect();
-    let telemetry = Telemetry::new(faults.len());
-    let fast = run_fault_list_observed(workload, &cfg, &golden, &faults, &telemetry);
-    let slow = run_fault_list(workload, &reference, &golden_plain, &faults);
-    for (f, s) in fast.iter().zip(&slow) {
-        assert!(records_equivalent(f, s), "{f:?}\n  differs from\n{s:?}");
-    }
-    assert_eq!(fast.len(), faults.len());
-    telemetry.snapshot().recalled
+    Campaign::listed(workload, model, faults).iterations(650)
 }
 
 #[test]
 fn recalled_runs_match_full_execution_algorithm_one() {
     // Cache words and the stack bound that leave latent damage: the same
     // bit flipped at different instants often reaches the same state.
-    let recalled = assert_recall_equivalent(
-        &Workload::algorithm_one(),
-        FaultModel::SingleBit,
-        &[1108, 1146, 897, 1998],
-        10,
-    );
-    assert!(
-        recalled > 0,
-        "no run was recalled: this test would be vacuous"
-    );
+    let locations = [1108, 1146, 897, 1998];
+    let campaign = recall_campaign(Workload::algorithm_one(), FaultModel::SingleBit, &locations);
+    let runs = check(&campaign, &[Point::DEFAULT.prune(false)]);
+    let recalled = runs[0].telemetry.recalled;
+    assert!(recalled > 0, "no run was recalled: vacuous");
 }
 
 #[test]
 fn recalled_runs_match_full_execution_double_bit_algorithm_two() {
-    let recalled = assert_recall_equivalent(
-        &Workload::algorithm_two(),
-        FaultModel::AdjacentDoubleBit,
-        &[1108, 750, 857, 1997],
-        10,
-    );
-    assert!(
-        recalled > 0,
-        "no run was recalled: this test would be vacuous"
-    );
+    let locations = [1108, 750, 857, 1997];
+    let model = FaultModel::AdjacentDoubleBit;
+    let campaign = recall_campaign(Workload::algorithm_two(), model, &locations);
+    let runs = check(&campaign, &[Point::DEFAULT.prune(false)]);
+    let recalled = runs[0].telemetry.recalled;
+    assert!(recalled > 0, "no run was recalled: vacuous");
 }
 
 /// Golden context shared by the property tests (built once: the properties
@@ -269,7 +149,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Flipping any single scan-chain bit of a checkpoint machine must
-    /// break both the exact-equality proof and the digest filter, so
+    /// break both the exact-equality proof and the state digest, so
     /// convergence pruning can never fire against a state that differs in
     /// that bit.
     #[test]
@@ -290,7 +170,7 @@ proptest! {
     }
 
     /// Changing any RAM or stack word must likewise defeat both the
-    /// equality proof and the digest filter.
+    /// equality proof and the state digest.
     #[test]
     fn any_memory_word_difference_defeats_convergence(
         raw_word in 0usize..1_000_000,

@@ -17,7 +17,7 @@ use bera_goofi::campaign::{run_scifi_campaign, run_scifi_campaign_observed, Camp
 use bera_goofi::experiment::ExperimentRecord;
 use bera_goofi::farm::{
     assemble_farm, done_path, init_farm, manifest_path, merge_farm, merged_path, read_manifest,
-    run_worker, segment_path, FarmError, FarmManifest, LeasePolicy,
+    run_worker, segment_path, FarmError, FarmManifest, LeasePolicy, FARM_VERSION,
 };
 use bera_goofi::observer::Telemetry;
 use bera_goofi::store::{encode_record, load_store, JsonlStore};
@@ -262,6 +262,63 @@ proptest! {
             merged,
             fixture().canonical_merged.clone(),
             "resumed merge must be byte-identical to the canonical merge"
+        );
+    }
+}
+
+/// A manifest written by a build with another farm version is refused by
+/// every entry point, and the error names the foreign version.
+#[test]
+fn foreign_manifest_version_is_refused_by_version() {
+    let fx = fixture();
+    let root = forge_farm("foreign-version", &(0..FAULTS).collect::<Vec<_>>());
+    let mut foreign = fx.manifest.clone();
+    foreign.version = FARM_VERSION + 6;
+    let json = serde_json::to_string_pretty(&foreign).expect("manifest serializes");
+    fs::write(manifest_path(&root), json).expect("rewrite manifest");
+
+    let named = |result: Result<(), FarmError>| match result {
+        Err(FarmError::Manifest(message)) => {
+            message.contains(&format!("version {}", FARM_VERSION + 6))
+        }
+        _ => false,
+    };
+    assert!(named(read_manifest(&root).map(drop)), "read_manifest");
+    assert!(
+        named(run_worker(&root, "w", 1, &mut |_| {}).map(drop)),
+        "run_worker"
+    );
+    assert!(named(merge_farm(&root).map(drop)), "merge_farm");
+    assert!(
+        !merged_path(&root).exists(),
+        "a refused merge publishes nothing"
+    );
+}
+
+/// A done marker on a segment that ends in a torn line cannot come from
+/// this farm's protocol (finalize is ordered after the flush): the merge
+/// refuses it, naming the shard.
+#[test]
+fn done_marker_on_a_torn_segment_is_refused_by_shard() {
+    for shard in 0..SHARDS {
+        let root = forge_farm("torn-done", &(0..FAULTS).collect::<Vec<_>>());
+        let seg = segment_path(&root, shard);
+        let bytes = fs::read(&seg).expect("read segment");
+        fs::write(&seg, &bytes[..bytes.len() - 5]).expect("tear segment");
+        assert!(done_path(&root, shard).exists(), "the done marker stays");
+
+        match merge_farm(&root) {
+            Err(FarmError::Shard {
+                shard: named,
+                message,
+            }) => {
+                assert_eq!(named, shard, "the refusal names the torn shard: {message}");
+            }
+            other => panic!("a torn done segment must be refused, got {other:?}"),
+        }
+        assert!(
+            !merged_path(&root).exists(),
+            "a refused merge publishes nothing"
         );
     }
 }

@@ -5,11 +5,12 @@
 //! cache, the dirty-delta arena restore and the sparse convergence compare
 //! produces records **byte-identical** to the same campaign stepping every
 //! instruction through the scalar path. These tests drive that contract
-//! end to end:
+//! end to end through the differential oracle (`tests/oracle`):
 //!
-//! * fixed-seed campaigns on both algorithms under all five fault models
-//!   are compared record for record — serialized JSON, so *every* field
-//!   (outcome, deviation, latency, provenance, outputs) must match;
+//! * fixed-seed campaigns on both algorithms under every fault model hold
+//!   fast and scalar replay byte-identical — serialized JSON, so *every*
+//!   field (outcome, deviation, latency, provenance, outputs) must match —
+//!   and equivalent to the plain reference;
 //! * the single-bit campaign is additionally pinned under the `--no-prune`
 //!   layer configuration, so the equivalence does not lean on the pruner
 //!   masking a divergence;
@@ -20,70 +21,41 @@
 //! * a store aimed at program text raises the same trap on both paths —
 //!   the self-modifying-store escape hatch of the block engine.
 
-use bera_goofi::campaign::{run_scifi_campaign, CampaignConfig};
+mod oracle;
+
 use bera_goofi::experiment::FaultModel;
 use bera_goofi::workload::Workload;
 use bera_tcpu::asm::assemble;
 use bera_tcpu::machine::{Machine, RunExit};
 use bera_tcpu::mem;
+use oracle::{check, Campaign, Point, MODELS};
 use proptest::prelude::*;
-
-const MODELS: [FaultModel; 5] = [
-    FaultModel::SingleBit,
-    FaultModel::AdjacentDoubleBit,
-    FaultModel::Intermittent {
-        reassert_iterations: 2,
-    },
-    FaultModel::StuckAt { value: true },
-    FaultModel::Burst { width: 3 },
-];
-
-/// Runs the campaign and serializes every record — byte-level identity is
-/// the equivalence the block engine promises, so nothing weaker than the
-/// full JSON encoding will do.
-fn records_json(workload: &Workload, cfg: &CampaignConfig) -> Vec<String> {
-    run_scifi_campaign(workload, cfg)
-        .records
-        .iter()
-        .map(|r| serde_json::to_string(r).expect("records serialize"))
-        .collect()
-}
-
-/// Asserts that `cfg` classifies identically with fast replay on and off.
-fn assert_fastpath_identical(workload: &Workload, cfg: &CampaignConfig, label: &str) {
-    let mut fast_cfg = cfg.clone();
-    fast_cfg.loop_cfg.fast_replay = true;
-    let mut scalar_cfg = cfg.clone();
-    scalar_cfg.loop_cfg.fast_replay = false;
-    let fast = records_json(workload, &fast_cfg);
-    let scalar = records_json(workload, &scalar_cfg);
-    assert_eq!(fast.len(), scalar.len(), "{label}: record counts differ");
-    for (i, (f, s)) in fast.iter().zip(&scalar).enumerate() {
-        assert_eq!(f, s, "{label}: fault index {i} diverges");
-    }
-}
 
 #[test]
 fn both_algorithms_all_models_are_bit_identical() {
     for workload in [Workload::algorithm_one(), Workload::algorithm_two()] {
         for model in MODELS {
-            let mut cfg = CampaignConfig::quick(60, 41);
-            cfg.fault_model = model;
-            assert_fastpath_identical(&workload, &cfg, &format!("{} / {model:?}", workload.name()));
+            let campaign = Campaign::sampled(workload.clone(), model, 60, 41);
+            check(
+                &campaign,
+                &[Point::DEFAULT, Point::DEFAULT.fast_replay(false)],
+            );
         }
     }
 }
 
 #[test]
 fn single_bit_is_bit_identical_across_layer_configurations() {
-    let workload = Workload::algorithm_one();
-    let base = CampaignConfig::quick(300, 42);
-
-    assert_fastpath_identical(&workload, &base, "default layers");
-
-    let mut no_prune = base.clone();
-    no_prune.prune = false;
-    assert_fastpath_identical(&workload, &no_prune, "--no-prune");
+    let no_prune = Point::DEFAULT.prune(false);
+    check(
+        &Campaign::sampled(Workload::algorithm_one(), FaultModel::SingleBit, 300, 42),
+        &[
+            Point::DEFAULT,
+            Point::DEFAULT.fast_replay(false),
+            no_prune,
+            no_prune.fast_replay(false),
+        ],
+    );
 }
 
 // ---------------------------------------------------------------------------

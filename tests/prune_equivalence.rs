@@ -1,117 +1,53 @@
 //! The pruning equivalence suite.
 //!
 //! The fate resolver's contract (`DESIGN.md` § 8e) is that a pruned
-//! campaign is a pure wall-clock optimisation: every record it emits
-//! carries the same classification a full simulation of that fault from
-//! injection would have produced — same outcome, deviation, detection
-//! latency and outputs — differing only in the provenance metadata that
-//! says *how* the record was obtained. `prune: false` is the reference
-//! path. These tests drive that contract end to end:
+//! campaign is a pure wall-clock optimisation: every record carries the
+//! classification a full simulation of that fault would have produced,
+//! differing only in the provenance metadata that says *how* it was
+//! obtained. These tests check it through the differential oracle
+//! (`tests/oracle`) against the plain reference, which interprets every
+//! fault from reset: fixed-seed 500- and 2 000-fault campaigns (the
+//! latter large enough for replication), every fault model (the
+//! re-asserting ones and parity-cache runs bypass the resolver and stay
+//! byte-identical to `prune: false`), pinned untraceable and replay-edge
+//! lists, random seeds, the paper's 650 iterations, and `paranoid` audits,
+//! whose clean completion is itself the assertion.
 //!
-//! * fixed-seed 500-fault single- and double-bit campaigns on both
-//!   algorithms are compared record-for-record against their
-//!   `prune: false` twins;
-//! * every flip model prunes; the re-asserting models (and the
-//!   parity-cache configuration) bypass the pruner entirely and stay
-//!   byte-identical;
-//! * a pinned list over the untraceable state agrees across every model
-//!   and layer, and live representatives resumed at their live instant
-//!   classify like a replay from injection at random seeds;
-//! * `paranoid` mode re-simulates class members in-campaign and panics on
-//!   any disagreement — running it clean is itself the assertion;
-//! * property tests show the planner's analysis is *load-bearing*: a
-//!   perturbed golden trace (an extra read between two class members, a
-//!   full write narrowed to a partial one) changes the plan.
+//! Property tests show the planner's analysis is *load-bearing*: a
+//! perturbed golden trace (an extra read between two class members, a
+//! full write narrowed to a partial one) changes the plan. The full
+//! lattice of engine configurations is one ignored sweep:
+//! `cargo test --release --test prune_equivalence -- --ignored`.
+
+mod oracle;
 
 use bera_goofi::campaign::{
-    prepare_campaign, run_fault_list, run_scifi_campaign_observed, CampaignConfig, FaultList,
+    prepare_campaign, run_scifi_campaign_observed, CampaignConfig, FaultList,
 };
-use bera_goofi::experiment::{
-    golden_run, ExperimentRecord, FaultModel, FaultSpec, GoldenRun, Provenance,
-};
-use bera_goofi::observer::{NullObserver, Telemetry};
-use bera_goofi::planner::{plan_campaign, records_equivalent, PlanAction};
+use bera_goofi::experiment::{golden_run, FaultModel, FaultSpec, GoldenRun, Provenance};
+use bera_goofi::observer::Telemetry;
+use bera_goofi::planner::{plan_campaign, PlanAction};
 use bera_goofi::workload::Workload;
 use bera_tcpu::access::{Access, AccessKind, TraceUnit};
 use bera_tcpu::scan;
+use oracle::{check, Campaign, Point, MODELS};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-fn run(workload: &Workload, cfg: &CampaignConfig) -> Vec<ExperimentRecord> {
-    run_scifi_campaign_observed(workload, cfg, &NullObserver).records
-}
-
-fn provenance_counts(records: &[ExperimentRecord]) -> (usize, usize, usize) {
-    let count = |p: Provenance| records.iter().filter(|r| r.provenance == p).count();
-    (
-        count(Provenance::Simulated),
-        count(Provenance::Analytic),
-        count(Provenance::Replicated),
-    )
-}
-
-/// Asserts record-for-record equivalence in the pruner's sense: identical
-/// classification, differing at most in provenance metadata.
-fn assert_equivalent(pruned: &[ExperimentRecord], unpruned: &[ExperimentRecord]) {
-    assert_eq!(pruned.len(), unpruned.len());
-    for (i, (p, u)) in pruned.iter().zip(unpruned).enumerate() {
-        assert!(
-            records_equivalent(p, u),
-            "fault index {i} diverges\npruned:   {p:?}\nunpruned: {u:?}"
-        );
-    }
-}
-
-fn equivalence_500(workload: &Workload, seed: u64) {
-    for model in [FaultModel::SingleBit, FaultModel::AdjacentDoubleBit] {
-        let mut cfg = CampaignConfig::quick(500, seed);
-        cfg.threads = 0; // all cores; sharding is outcome-invariant
-        cfg.fault_model = model;
-        equivalence_for(workload, cfg);
-    }
-}
-
-fn equivalence_for(workload: &Workload, mut cfg: CampaignConfig) {
-    let pruned = run(workload, &cfg);
-    cfg.prune = false;
-    let unpruned = run(workload, &cfg);
-
-    assert_equivalent(&pruned, &unpruned);
-
-    // The pruned run classified a substantial share analytically. (Exact-
-    // bit equivalence classes are rare at 500 faults over ~2400 scan bits;
-    // replication is exercised by the dedicated test below.)
-    let (sim, analytic, replicated) = provenance_counts(&pruned);
-    assert!(analytic > 0, "no fault classified analytically");
-    assert_eq!(sim + analytic + replicated, cfg.faults);
-    assert!(
-        provenance_counts(&unpruned) == (cfg.faults, 0, 0),
-        "an unpruned campaign simulates every fault"
-    );
-
-    // Analytic outcomes can only be the two the trace proves.
-    for r in &pruned {
-        if r.provenance == Provenance::Analytic {
-            assert!(
-                matches!(
-                    r.outcome,
-                    bera_goofi::Outcome::Latent | bera_goofi::Outcome::Overwritten
-                ),
-                "analytic record with outcome {:?}",
-                r.outcome
-            );
-        }
-    }
-}
-
 #[test]
 fn pruned_algorithm_one_is_record_for_record_identical_to_unpruned() {
-    equivalence_500(&Workload::algorithm_one(), 21);
+    for model in [FaultModel::SingleBit, FaultModel::AdjacentDoubleBit] {
+        let campaign = Campaign::sampled(Workload::algorithm_one(), model, 500, 21);
+        check(&campaign, &[Point::DEFAULT.threads(2)]);
+    }
 }
 
 #[test]
 fn pruned_algorithm_two_is_record_for_record_identical_to_unpruned() {
-    equivalence_500(&Workload::algorithm_two(), 22);
+    for model in [FaultModel::SingleBit, FaultModel::AdjacentDoubleBit] {
+        let campaign = Campaign::sampled(Workload::algorithm_two(), model, 500, 22);
+        check(&campaign, &[Point::DEFAULT.threads(2)]);
+    }
 }
 
 #[test]
@@ -119,63 +55,20 @@ fn replication_fires_at_scale_and_stays_bit_identical() {
     // Equivalence classes need two sampled faults on the *same scan bit*
     // whose injection times fall in the same first-read window — rare
     // below ~1000 faults. At 2000 faults the replication pass runs for
-    // real, and every replicated record must still match the full
-    // simulation of its fault.
-    let workload = Workload::algorithm_one();
-    let mut cfg = CampaignConfig::quick(2000, 21);
-    cfg.threads = 0;
-    let pruned = run(&workload, &cfg);
-    let (_, _, replicated) = provenance_counts(&pruned);
-    assert!(replicated > 0, "seed must produce at least one class merge");
-
-    cfg.prune = false;
-    let unpruned = run(&workload, &cfg);
-    assert_equivalent(&pruned, &unpruned);
-
-    // Replicated members carry a detection latency rebased to their own
-    // injection time, never the representative's raw value copied blind.
-    for (p, u) in pruned.iter().zip(&unpruned) {
-        if p.provenance == Provenance::Replicated {
-            assert_eq!(p.detection_latency, u.detection_latency);
-        }
-    }
+    // real, and every replicated record (its detection latency rebased
+    // to its own injection time) must match the reference.
+    let campaign = Campaign::sampled(Workload::algorithm_one(), FaultModel::SingleBit, 2000, 21);
+    let runs = check(&campaign, &[Point::DEFAULT.threads(2)]);
+    assert!(runs[0].count(Provenance::Replicated) > 0, "no class merged");
 }
 
 #[test]
 fn every_fault_model_matches_its_unpruned_run() {
-    let workload = Workload::algorithm_one();
-    let models = [
-        FaultModel::SingleBit,
-        FaultModel::AdjacentDoubleBit,
-        FaultModel::Intermittent {
-            reassert_iterations: 2,
-        },
-        FaultModel::StuckAt { value: false },
-        FaultModel::StuckAt { value: true },
-        FaultModel::Burst { width: 3 },
-    ];
-    for model in models {
-        let mut cfg = CampaignConfig::quick(80, 31);
-        cfg.fault_model = model;
-        let pruned = run(&workload, &cfg);
-        cfg.prune = false;
-        let unpruned = run(&workload, &cfg);
-
-        assert_equivalent(&pruned, &unpruned);
-        let (_, analytic, replicated) = provenance_counts(&pruned);
-        if model.reassert_budget() == 0 {
-            assert!(analytic > 0, "{model:?}: a flip-model campaign must prune");
-        } else {
-            // Re-asserting models bypass the planner: the two runs are the
-            // same code path, so even the provenance metadata is identical.
-            assert_eq!((analytic, replicated), (0, 0), "{model:?} must not prune");
-            let json = |rs: &[ExperimentRecord]| -> Vec<String> {
-                rs.iter()
-                    .map(|r| serde_json::to_string(r).expect("serialize"))
-                    .collect()
-            };
-            assert_eq!(json(&pruned), json(&unpruned), "{model:?}");
-        }
+    // Re-asserting models bypass the planner: the two points share a key,
+    // so the oracle holds them byte-identical.
+    for model in MODELS {
+        let campaign = Campaign::sampled(Workload::algorithm_one(), model, 80, 31);
+        check(&campaign, &[Point::DEFAULT, Point::DEFAULT.prune(false)]);
     }
 }
 
@@ -184,21 +77,14 @@ fn parity_cache_campaigns_bypass_the_pruner() {
     // EDM-asynchronous observation: with the parity checker armed, cache
     // faults can trap *between* the accesses the trace records, so the
     // trace is not a sound basis for classification and the planner must
-    // decline (mirroring the convergence pruner's `quiescent()` gate).
-    let workload = Workload::algorithm_one();
-    let mut cfg = CampaignConfig::quick(40, 13);
-    cfg.loop_cfg.parity_cache = true;
-    let pruned = run(&workload, &cfg);
-    assert_eq!(provenance_counts(&pruned).0, cfg.faults);
-
-    cfg.prune = false;
-    let unpruned = run(&workload, &cfg);
-    let json = |rs: &[ExperimentRecord]| -> Vec<String> {
-        rs.iter()
-            .map(|r| serde_json::to_string(r).expect("serialize"))
-            .collect()
+    // decline; the oracle then requires every record simulated and the
+    // two points byte-identical.
+    let model = FaultModel::SingleBit;
+    let campaign = Campaign {
+        parity_cache: true,
+        ..Campaign::sampled(Workload::algorithm_one(), model, 40, 13)
     };
-    assert_eq!(json(&pruned), json(&unpruned));
+    check(&campaign, &[Point::DEFAULT, Point::DEFAULT.prune(false)]);
 }
 
 #[test]
@@ -206,25 +92,80 @@ fn paranoid_mode_cross_checks_class_members_in_campaign() {
     // `paranoid` re-simulates members of every equivalence class and
     // panics inside the campaign on any disagreement with the replicated
     // record, so a clean completion *is* the soundness check. The records
-    // themselves must be untouched by the auditing.
-    let workload = Workload::algorithm_one();
-    let mut cfg = CampaignConfig::quick(2000, 21);
-    cfg.threads = 0;
-    cfg.paranoid = 2;
-    let audited = run(&workload, &cfg);
-    assert!(
-        provenance_counts(&audited).2 > 0,
-        "seed must produce replicated records for the audit to bite"
-    );
+    // themselves must be untouched by the auditing: byte-identical.
+    let campaign = Campaign::sampled(Workload::algorithm_one(), FaultModel::SingleBit, 2000, 21);
+    let audited = Point::DEFAULT.threads(2).paranoid(2);
+    let runs = check(&campaign, &[audited, Point::DEFAULT.threads(2)]);
+    let replicated = runs[0].count(Provenance::Replicated);
+    assert!(replicated > 0, "nothing to audit");
+}
 
-    cfg.paranoid = 0;
-    let plain = run(&workload, &cfg);
-    for (i, (a, p)) in audited.iter().zip(&plain).enumerate() {
-        assert_eq!(
-            serde_json::to_string(a).expect("serialize"),
-            serde_json::to_string(p).expect("serialize"),
-            "paranoid auditing perturbed record {i}"
-        );
+/// The default engine against the plain reference at the paper's run
+/// length, where runs pass many recall checkpoints beyond the eighth and
+/// diff replay both carries runs and falls back; a three-shard farm must
+/// agree with it byte for byte.
+#[test]
+fn default_engine_matches_the_plain_reference_at_paper_length() {
+    let points = [Point::DEFAULT, Point::DEFAULT.farm(3)];
+    for (workload, model) in [
+        (Workload::algorithm_one(), FaultModel::SingleBit),
+        (Workload::algorithm_two(), FaultModel::AdjacentDoubleBit),
+    ] {
+        let campaign = Campaign::sampled(workload, model, 40, 650).iterations(650);
+        let runs = check(&campaign, &points);
+        let t = &runs[0].telemetry;
+        let fallbacks: usize = t.fallbacks().iter().map(|&(_, n)| n).sum();
+        let name = campaign.workload.name();
+        assert!(t.replayed > 0 && fallbacks > 0, "{name}: nothing replayed");
+    }
+}
+
+/// Two faults of the paper's Algorithm II double-bit campaign (seed
+/// 20010701) whose diff replay hinges on the instant a dying diff entry
+/// leaves the diff: expiring it one instant early misclassifies the first
+/// as latent.
+#[test]
+fn replay_death_instants_match_the_plain_reference() {
+    let faults = [(1413, 24_410), (1482, 94_352)].map(|(location_index, inject_at)| FaultSpec {
+        location_index,
+        inject_at,
+    });
+    let model = FaultModel::AdjacentDoubleBit;
+    let campaign = Campaign::listed(Workload::algorithm_two(), model, faults.to_vec());
+    check(&campaign.iterations(650), &[Point::DEFAULT]);
+}
+
+/// Every lattice point on both workloads, every fault model, and both
+/// run lengths (slow in debug builds; CI runs it in release).
+#[test]
+#[ignore = "full lattice sweep: run with --ignored in release"]
+fn full_lattice_sweep() {
+    // Stride × prune × fast replay × supervision, then the other axes.
+    let mut points: Vec<Point> = [0, 4, 5]
+        .into_iter()
+        .flat_map(|stride| {
+            (0..8).map(move |bits| {
+                let point = Point::DEFAULT.stride(stride).prune(bits & 4 != 0);
+                point.fast_replay(bits & 2 != 0).supervised(bits & 1 != 0)
+            })
+        })
+        .collect();
+    points.extend([
+        Point::DEFAULT.threads(2),
+        Point::DEFAULT.paranoid(2),
+        Point::DEFAULT.resume(&[(9, 0), (30, 11)]),
+        Point::DEFAULT.farm(1),
+        Point::DEFAULT.farm(3),
+        Point::DEFAULT.prune(false).farm(3),
+    ]);
+    for workload in [Workload::algorithm_one(), Workload::algorithm_two()] {
+        for model in MODELS {
+            for (iterations, faults) in [(60, 120), (650, 60)] {
+                let campaign =
+                    Campaign::sampled(workload.clone(), model, faults, 19).iterations(iterations);
+                check(&campaign, &points);
+            }
+        }
     }
 }
 
@@ -262,57 +203,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random-seed generalisation of the fixed-seed suites above, over
-    /// both algorithms and every fault model: pruned and unpruned
-    /// campaigns agree record for record.
+    /// both algorithms and every fault model.
     #[test]
     fn pruning_is_outcome_invariant_for_random_seeds(
         seed in 0u64..1_000,
-        model_pick in 0usize..6,
+        model_pick in 0usize..MODELS.len(),
     ) {
         let workload = if seed.is_multiple_of(2) {
             Workload::algorithm_one()
         } else {
             Workload::algorithm_two()
         };
-        let mut cfg = CampaignConfig::quick(24, seed);
-        cfg.fault_model = match model_pick {
-            0 => FaultModel::SingleBit,
-            1 => FaultModel::AdjacentDoubleBit,
-            2 => FaultModel::Intermittent { reassert_iterations: 2 },
-            3 => FaultModel::StuckAt { value: false },
-            4 => FaultModel::StuckAt { value: true },
-            _ => FaultModel::Burst { width: 3 },
-        };
-        let pruned = run(&workload, &cfg);
-        cfg.prune = false;
-        let unpruned = run(&workload, &cfg);
-        prop_assert_eq!(pruned.len(), unpruned.len());
-        for (p, u) in pruned.iter().zip(&unpruned) {
-            prop_assert!(records_equivalent(p, u), "{:?} vs {:?}", p, u);
-        }
+        check(&Campaign::sampled(workload, MODELS[model_pick], 24, seed), &[Point::DEFAULT]);
     }
 
     /// The live-instant boundary is exact: whatever instant a fault is
-    /// first observed at, resuming the simulator there from a checkpoint
-    /// plus the surviving flips must classify like a replay from
-    /// injection. Narrow fault lists at random seeds exercise boundaries
-    /// the fixed-seed suites may miss (checkpoint edges,
+    /// first observed at, diff replay from injection must classify like
+    /// the reference. Narrow fault lists at random seeds exercise
+    /// boundaries the fixed-seed suites may miss (checkpoint edges,
     /// injection-adjacent accesses, multi-bit shrinking).
     #[test]
     fn resume_boundaries_are_exact_for_random_seeds(seed in 0u64..1_000) {
-        let workload = Workload::algorithm_one();
-        let mut cfg = CampaignConfig::quick(32, seed);
-        cfg.fault_model = match seed % 3 {
-            0 => FaultModel::SingleBit,
-            1 => FaultModel::AdjacentDoubleBit,
-            _ => FaultModel::Burst { width: 3 },
-        };
-        let pruned = run(&workload, &cfg);
-        cfg.prune = false;
-        let unpruned = run(&workload, &cfg);
-        for (p, u) in pruned.iter().zip(&unpruned) {
-            prop_assert!(records_equivalent(p, u), "{:?} vs {:?}", p, u);
-        }
+        let model = [
+            FaultModel::SingleBit,
+            FaultModel::AdjacentDoubleBit,
+            FaultModel::Burst { width: 3 },
+        ][(seed % 3) as usize];
+        let campaign = Campaign::sampled(Workload::algorithm_one(), model, 32, seed);
+        check(&campaign, &[Point::DEFAULT]);
     }
 
     /// An extra read landing between two class members' injection times is
@@ -471,34 +389,11 @@ proptest! {
 }
 
 /// A pinned fault list over the architectural state the def/use trace
-/// cannot see — PSR flags, the signature register, cache tag/valid/dirty
-/// metadata, the store and fill buffers — with injection times spread
-/// across the run. Classification here comes from the EDM-visibility
-/// layer, so these locations are exactly where its soundness is at stake.
+/// cannot see, with injection times spread across the run.
+/// Classification here comes from the EDM-visibility layer, so these
+/// locations are exactly where its soundness is at stake.
 fn pinned_untraceable_faults(golden: &GoldenRun) -> Vec<FaultSpec> {
-    let locations: Vec<usize> = scan::catalog()
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| {
-            use scan::BitLocation::*;
-            matches!(
-                l,
-                Psr { .. }
-                    | SigReg { .. }
-                    | CacheTag { .. }
-                    | CacheValid { .. }
-                    | CacheDirty { .. }
-                    | StoreBufAddr { .. }
-                    | StoreBufData { .. }
-                    | StoreBufValid
-                    | FillBufAddr { .. }
-                    | FillBufData { .. }
-                    | FillBufParity
-                    | FillBufValid
-            )
-        })
-        .map(|(i, _)| i)
-        .collect();
+    let locations = oracle::untraceable_locations();
     let total = golden.total_instructions;
     locations
         .iter()
@@ -514,50 +409,19 @@ fn pinned_untraceable_faults(golden: &GoldenRun) -> Vec<FaultSpec> {
 
 /// The EDM-visibility layer's end-to-end equivalence claim over the
 /// untraceable set: under every fault model, the pinned list classifies
-/// record-for-record identically whether the campaign runs with the
-/// default layers or without the pruner — only provenance metadata may
-/// differ.
+/// like the reference. The set is invisible to the def/use trace, so any
+/// analytic record here was earned by the visibility layer.
 #[test]
 fn untraceable_locations_are_equivalent_across_models_and_layers() {
-    let workload = Workload::algorithm_one();
-    let (golden, base) = shared_golden();
-    let faults = pinned_untraceable_faults(golden);
+    let faults = pinned_untraceable_faults(&shared_golden().0);
     assert!(faults.len() >= 100, "the pinned list must cover the set");
-    let models = [
-        FaultModel::SingleBit,
-        FaultModel::AdjacentDoubleBit,
-        FaultModel::Intermittent {
-            reassert_iterations: 2,
-        },
-        FaultModel::StuckAt { value: true },
-        FaultModel::Burst { width: 3 },
-    ];
-    for model in models {
-        let mut cfg = base.clone();
-        cfg.fault_model = model;
-        let default_run = run_fault_list(&workload, &cfg, golden, &faults);
-
-        let mut no_prune = cfg.clone();
-        no_prune.prune = false;
-        let unpruned = run_fault_list(&workload, &no_prune, golden, &faults);
-
-        for (i, d) in default_run.iter().enumerate() {
-            assert!(
-                records_equivalent(d, &unpruned[i]),
-                "{model:?} fault {i} diverges without the pruner\n\
-                 default:  {d:?}\nunpruned: {:?}",
-                unpruned[i]
-            );
-        }
-        if model.reassert_budget() == 0 {
-            // The pinned set is invisible to the def/use trace, so any
-            // analytic record here was earned by the visibility layer.
-            let (_, analytic, _) = provenance_counts(&default_run);
-            assert!(
-                analytic > 0,
-                "{model:?}: the visibility layer must carry this set"
-            );
-        }
+    for model in MODELS {
+        let campaign = Campaign::listed(Workload::algorithm_one(), model, faults.clone());
+        let analytic = check(&campaign, &[Point::DEFAULT])[0].count(Provenance::Analytic);
+        assert!(
+            model.reassert_budget() > 0 || analytic > 0,
+            "{model:?}: nothing resolved"
+        );
     }
 }
 
@@ -578,7 +442,8 @@ fn resolver_telemetry_counts_are_coherent() {
     assert_eq!(snap.batch_members + snap.batch_untraceable, cfg.faults);
     assert!(snap.split_offs <= snap.batch_members);
     assert!((0.0..=1.0).contains(&snap.split_off_rate()));
-    let (_, analytic, replicated) = provenance_counts(&result.records);
+    let count = |p: Provenance| result.records.iter().filter(|r| r.provenance == p).count();
+    let (analytic, replicated) = (count(Provenance::Analytic), count(Provenance::Replicated));
     assert_eq!(snap.analytic, analytic);
     assert_eq!(snap.replicated, replicated);
     assert_eq!(analytic + snap.split_offs, snap.batch_members);

@@ -4,19 +4,24 @@
 //! interrupted campaign, resumed from its JSONL file, finishes with
 //! *bit-identical* results to a never-interrupted run: the same record for
 //! every fault index, and therefore the same rendered tables. These tests
-//! interrupt campaigns at line boundaries and mid-line (a torn write),
-//! resume them, and compare both the full record sets and the rendered
-//! Table 4 against one-shot references — for both algorithms under both
-//! fault models. They also pin the resume guard-rails: a store from a
-//! different campaign (seed, fault count, fault model, workload, or golden
-//! digest) must be refused with an error naming the mismatched field.
+//! hand resume points to the differential oracle (`tests/oracle`), which
+//! interrupts a one-shot store at a line boundary or mid-line (a torn
+//! write), resumes it, and holds the resumed records and the reloaded
+//! store byte-identical to the one-shot run and equivalent to the plain
+//! reference — for both algorithms under several fault models. They also
+//! pin the resume guard-rails: a store from a different campaign (any
+//! header field) must be refused with an error naming the mismatched
+//! field.
 
-use bera_goofi::campaign::{prepare_campaign, CampaignConfig, CampaignResult};
+mod oracle;
+
+use bera_goofi::campaign::{prepare_campaign, CampaignConfig};
 use bera_goofi::experiment::FaultModel;
-use bera_goofi::store::{load_store, JsonlStore, StoreError, StoreHeader, STORE_VERSION};
+use bera_goofi::store::{JsonlStore, StoreError, StoreHeader, STORE_VERSION};
 use bera_goofi::table::ComparisonTable;
 use bera_goofi::workload::Workload;
-use std::path::{Path, PathBuf};
+use oracle::{check, Campaign, Point};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -34,157 +39,45 @@ fn config(model: FaultModel) -> CampaignConfig {
     cfg
 }
 
-/// Runs the campaign start-to-finish, streaming into a fresh store file.
-fn one_shot(workload: &Workload, cfg: &CampaignConfig, path: &Path) -> CampaignResult {
-    let prepared = prepare_campaign(workload, cfg);
-    let header = StoreHeader::new(workload.name(), cfg, prepared.golden());
-    let store = JsonlStore::create(path, &header).expect("create store");
-    let result = prepared.run(&store);
-    store.finish().expect("finish store");
-    result
-}
-
-/// Copies the first `1 + records` lines (header + records) of `src` to
-/// `dst`, then chops `torn_bytes` off the end — simulating a crash either
-/// at a line boundary (`torn_bytes == 0`) or mid-write.
-fn interrupt(src: &Path, dst: &Path, records: usize, torn_bytes: usize) {
-    let text = std::fs::read_to_string(src).expect("read one-shot store");
-    let mut kept: String = text
-        .lines()
-        .take(1 + records)
-        .map(|l| format!("{l}\n"))
-        .collect();
-    kept.truncate(kept.len() - torn_bytes);
-    std::fs::write(dst, kept).expect("write interrupted store");
-}
-
-/// Resumes the interrupted store to completion and returns its result.
-fn resume(workload: &Workload, cfg: &CampaignConfig, path: &Path) -> CampaignResult {
-    let prepared = prepare_campaign(workload, cfg);
-    let header = StoreHeader::new(workload.name(), cfg, prepared.golden());
-    let (store, loaded) = JsonlStore::open_resume(path, &header).expect("open_resume");
-    let result = prepared.run_resumed(loaded.records, &store);
-    store.finish().expect("finish resumed store");
-    result
-}
-
-fn record_set_json(result: &CampaignResult) -> Vec<String> {
-    result
-        .records
-        .iter()
-        .map(|r| serde_json::to_string(r).expect("serialize record"))
-        .collect()
-}
-
-/// The core property: interrupt after `records` complete lines (minus
-/// `torn_bytes`), resume, and require the final store and result to be
-/// bit-identical to the one-shot run.
-fn assert_resume_identical(
-    workload: &Workload,
-    model: FaultModel,
-    records: usize,
-    torn_bytes: usize,
-    tag: &str,
-) -> CampaignResult {
-    let cfg = config(model);
-    let full_path = temp_path(&format!("{tag}-full"));
-    let cut_path = temp_path(&format!("{tag}-cut"));
-
-    let full = one_shot(workload, &cfg, &full_path);
-    interrupt(&full_path, &cut_path, records, torn_bytes);
-    if records < cfg.faults || torn_bytes > 0 {
-        let loaded = load_store(&cut_path).expect("interrupted store loads");
-        assert!(
-            loaded.done() < cfg.faults,
-            "interrupted store must have a gap to fill"
-        );
-    }
-    let resumed = resume(workload, &cfg, &cut_path);
-
-    // The in-memory results agree field-for-field (serialized form covers
-    // every field, including the classification and bit-exact deviations).
-    assert_eq!(
-        record_set_json(&full),
-        record_set_json(&resumed),
-        "resumed campaign must reproduce the one-shot records exactly"
-    );
-
-    // The persisted stores hold the same record set (line order may differ
-    // because the resumed run only appends the gap).
-    let reload_full = load_store(&full_path)
-        .expect("reload one-shot store")
-        .into_result()
-        .expect("one-shot store complete");
-    let reload_resumed = load_store(&cut_path)
-        .expect("reload resumed store")
-        .into_result()
-        .expect("resumed store complete");
-    assert_eq!(
-        record_set_json(&reload_full),
-        record_set_json(&reload_resumed)
-    );
-
-    let _ = std::fs::remove_file(&full_path);
-    let _ = std::fs::remove_file(&cut_path);
-    full
+/// The 24-fault, seed-7 campaign every resume test interrupts.
+fn campaign(workload: Workload, model: FaultModel) -> Campaign {
+    Campaign::sampled(workload, model, 24, 7)
 }
 
 #[test]
 fn resume_matches_one_shot_alg1_single_bit() {
-    assert_resume_identical(
-        &Workload::algorithm_one(),
-        FaultModel::SingleBit,
-        9,
-        0,
-        "a1s",
-    );
+    let campaign = campaign(Workload::algorithm_one(), FaultModel::SingleBit);
+    check(&campaign, &[Point::DEFAULT.resume(&[(9, 0)])]);
 }
 
 #[test]
 fn resume_matches_one_shot_alg2_single_bit() {
-    assert_resume_identical(
-        &Workload::algorithm_two(),
-        FaultModel::SingleBit,
-        15,
-        0,
-        "a2s",
-    );
+    let campaign = campaign(Workload::algorithm_two(), FaultModel::SingleBit);
+    check(&campaign, &[Point::DEFAULT.resume(&[(15, 0)])]);
 }
 
 #[test]
 fn resume_matches_one_shot_alg1_double_bit() {
-    assert_resume_identical(
-        &Workload::algorithm_one(),
-        FaultModel::AdjacentDoubleBit,
-        5,
-        0,
-        "a1d",
-    );
+    let campaign = campaign(Workload::algorithm_one(), FaultModel::AdjacentDoubleBit);
+    check(&campaign, &[Point::DEFAULT.resume(&[(5, 0)])]);
 }
 
 #[test]
 fn resume_matches_one_shot_alg2_double_bit() {
-    assert_resume_identical(
-        &Workload::algorithm_two(),
-        FaultModel::AdjacentDoubleBit,
-        20,
-        0,
-        "a2d",
-    );
+    let campaign = campaign(Workload::algorithm_two(), FaultModel::AdjacentDoubleBit);
+    check(&campaign, &[Point::DEFAULT.resume(&[(20, 0)])]);
 }
 
 #[test]
 fn resume_matches_one_shot_alg1_intermittent() {
     // Re-asserting faults carry extra injector state across iteration
     // boundaries; resume must still reproduce every record exactly.
-    assert_resume_identical(
-        &Workload::algorithm_one(),
-        FaultModel::Intermittent {
-            reassert_iterations: 3,
-        },
-        9,
-        0,
-        "a1i",
+    let model = FaultModel::Intermittent {
+        reassert_iterations: 3,
+    };
+    check(
+        &campaign(Workload::algorithm_one(), model),
+        &[Point::DEFAULT.resume(&[(9, 0)])],
     );
 }
 
@@ -192,12 +85,10 @@ fn resume_matches_one_shot_alg1_intermittent() {
 fn resume_matches_one_shot_alg2_stuck_at() {
     // Stuck-at faults re-apply at every boundary and are never pruned;
     // resume must agree with one-shot on the full unpruned records.
-    assert_resume_identical(
-        &Workload::algorithm_two(),
-        FaultModel::StuckAt { value: true },
-        13,
-        0,
-        "a2st",
+    let model = FaultModel::StuckAt { value: true };
+    check(
+        &campaign(Workload::algorithm_two(), model),
+        &[Point::DEFAULT.resume(&[(13, 0)])],
     );
 }
 
@@ -205,121 +96,57 @@ fn resume_matches_one_shot_alg2_stuck_at() {
 fn resume_after_torn_final_line_matches_one_shot() {
     // Keep 8 whole records, then tear 13 bytes off the 8th — the crash
     // happened mid-write, so the resumed run must redo that fault too.
-    assert_resume_identical(
-        &Workload::algorithm_one(),
-        FaultModel::SingleBit,
-        8,
-        13,
-        "torn",
-    );
+    let campaign = campaign(Workload::algorithm_one(), FaultModel::SingleBit);
+    check(&campaign, &[Point::DEFAULT.resume(&[(8, 13)])]);
 }
 
 #[test]
 fn resume_from_empty_gap_is_a_no_op() {
     // Interrupt after *all* records: resume must adopt everything and run
     // nothing new, still matching the one-shot result.
-    let cfg = config(FaultModel::SingleBit);
-    assert_resume_identical(
-        &Workload::algorithm_one(),
-        FaultModel::SingleBit,
-        cfg.faults,
-        0,
-        "full",
-    );
+    let campaign = campaign(Workload::algorithm_one(), FaultModel::SingleBit);
+    check(&campaign, &[Point::DEFAULT.resume(&[(24, 0)])]);
 }
 
 #[test]
 fn double_crash_converges_to_the_one_shot_result() {
-    // Crash once mid-campaign (torn final line), crash *again* midway
-    // through the resume that was repairing it (its own torn final line),
-    // and resume a third time: the store must still converge bit-identical
-    // to the never-crashed run. Resume is idempotent, not merely
-    // single-shot safe.
-    let workload = Workload::algorithm_one();
-    let cfg = config(FaultModel::SingleBit);
-    let full_path = temp_path("dc-full");
-    let crash1_path = temp_path("dc-crash1");
-    let crash2_path = temp_path("dc-crash2");
-
-    let full = one_shot(&workload, &cfg, &full_path);
-
-    // Crash #1: six records survive whole, the seventh is torn mid-write.
-    interrupt(&full_path, &crash1_path, 6, 9);
-
-    // The first recovery run completes the store...
-    let resumed_once = resume(&workload, &cfg, &crash1_path);
-    assert_eq!(record_set_json(&full), record_set_json(&resumed_once));
-
-    // ...but crash #2 hits a hypothetical sibling of that run midway:
-    // the six original records plus three the resume appended survive,
-    // and the recovery's own in-flight line is torn.
-    interrupt(&crash1_path, &crash2_path, 9, 11);
-    let after_second_crash = load_store(&crash2_path).expect("doubly-crashed store loads");
-    assert!(
-        after_second_crash.torn_tail,
-        "second crash must leave a torn tail"
+    // Crash once mid-campaign (six records survive, the sixth torn),
+    // crash *again* midway through the resume that was repairing it
+    // (nine lines survive, its own final line torn), and resume a third
+    // time: the store must still converge bit-identical to the
+    // never-crashed run, and so must the tables rendered from it. Resume
+    // is idempotent, not merely single-shot safe.
+    let campaign = campaign(Workload::algorithm_one(), FaultModel::SingleBit);
+    let runs = check(
+        &campaign,
+        &[Point::DEFAULT.resume(&[(6, 9), (9, 11)]), Point::DEFAULT],
     );
-    assert!(
-        after_second_crash.done() < cfg.faults,
-        "doubly-crashed store must still have a gap"
-    );
-
-    // The third run converges.
-    let final_result = resume(&workload, &cfg, &crash2_path);
+    let table = |i: usize| ComparisonTable::new(&runs[i].result, &runs[i].result).render();
     assert_eq!(
-        record_set_json(&full),
-        record_set_json(&final_result),
-        "two crashes and two resumes must still reproduce the one-shot records"
+        table(0),
+        table(1),
+        "tables after a double crash must be byte-identical"
     );
-    let reload_full = load_store(&full_path)
-        .expect("reload one-shot store")
-        .into_result()
-        .expect("one-shot store complete");
-    let reload_final = load_store(&crash2_path)
-        .expect("reload twice-resumed store")
-        .into_result()
-        .expect("twice-resumed store complete");
-    assert_eq!(
-        record_set_json(&reload_full),
-        record_set_json(&reload_final)
-    );
-    assert_eq!(
-        ComparisonTable::new(&reload_full, &reload_full).render(),
-        ComparisonTable::new(&reload_final, &reload_final).render(),
-        "tables rendered after a double crash must be byte-identical"
-    );
-
-    let _ = std::fs::remove_file(&full_path);
-    let _ = std::fs::remove_file(&crash1_path);
-    let _ = std::fs::remove_file(&crash2_path);
 }
 
 #[test]
 fn table4_from_resumed_stores_is_bit_identical() {
     // Render the Algorithm I vs II comparison from one-shot results and
-    // from interrupted-then-resumed results; the reports must match
+    // from interrupted-then-resumed stores; the reports must match
     // byte-for-byte.
-    let full1 = assert_resume_identical(
-        &Workload::algorithm_one(),
-        FaultModel::SingleBit,
-        7,
-        0,
-        "t4a1",
+    let points = [Point::DEFAULT.resume(&[(7, 0)]), Point::DEFAULT];
+    let one = check(
+        &campaign(Workload::algorithm_one(), FaultModel::SingleBit),
+        &points,
     );
-    let full2 = assert_resume_identical(
-        &Workload::algorithm_two(),
-        FaultModel::SingleBit,
-        11,
-        0,
-        "t4a2",
+    let points = [Point::DEFAULT.resume(&[(11, 0)]), Point::DEFAULT];
+    let two = check(
+        &campaign(Workload::algorithm_two(), FaultModel::SingleBit),
+        &points,
     );
-    // assert_resume_identical proved resumed records equal the one-shot
-    // records, so rendering either yields the same bytes; render both
-    // one-shot results here to pin the end-to-end artifact.
-    let table = ComparisonTable::new(&full1, &full2).render();
-    let again = ComparisonTable::new(&full1, &full2).render();
-    assert_eq!(table, again);
-    assert!(table.contains("Algorithm I"));
+    let table = |i: usize| ComparisonTable::new(&one[i].result, &two[i].result).render();
+    assert_eq!(table(0), table(1));
+    assert!(table(0).contains("Algorithm I"));
 }
 
 // ---------------------------------------------------------------------------
@@ -443,4 +270,49 @@ fn resume_rejects_garbage_file() {
     let err = JsonlStore::open_resume(&path, &current_header(&cfg)).err();
     let _ = std::fs::remove_file(&path);
     assert!(err.is_some(), "garbage file must be refused");
+}
+
+/// One row per header field: a store whose header differs from the
+/// current campaign's in that field alone is refused, naming the field.
+#[test]
+fn resume_names_every_mismatched_header_field() {
+    type Mutation = fn(&mut StoreHeader);
+    let current = current_header(&config(FaultModel::SingleBit));
+    let rows: [(&str, Mutation); 14] = [
+        ("magic", |h| h.magic.push('x')),
+        ("version", |h| h.version += 1),
+        ("workload", |h| h.workload = "Algorithm II".to_string()),
+        ("faults", |h| h.faults += 1),
+        ("seed", |h| h.seed += 1),
+        ("fault_model", |h| {
+            h.fault_model = FaultModel::AdjacentDoubleBit
+        }),
+        ("prune", |h| h.prune = !h.prune),
+        ("iterations", |h| h.iterations += 1),
+        ("parity_cache", |h| h.parity_cache = !h.parity_cache),
+        ("total_locations", |h| h.total_locations += 1),
+        ("total_instructions", |h| h.total_instructions += 1),
+        ("golden_digest", |h| h.golden_digest ^= 1),
+        ("golden_outputs", |h| h.golden_outputs[0] ^= 1),
+        ("golden_speeds", |h| h.golden_speeds[0] += 1.0),
+    ];
+    for (field, mutate) in rows {
+        let mut stored = current.clone();
+        mutate(&mut stored);
+        let path = temp_path(field);
+        JsonlStore::create(&path, &stored)
+            .and_then(JsonlStore::finish)
+            .expect("write store");
+        let err = JsonlStore::open_resume(&path, &current).err();
+        let _ = std::fs::remove_file(&path);
+        match err {
+            Some(StoreError::HeaderMismatch { field: named, .. }) => {
+                assert_eq!(
+                    named, field,
+                    "a mismatched `{field}` is refused by its name"
+                );
+            }
+            other => panic!("a mismatched `{field}` must be refused, got {other:?}"),
+        }
+    }
 }
