@@ -1284,4 +1284,33 @@ mod tests {
         }
         let _ = m;
     }
+
+    #[test]
+    fn a_worker_refuses_to_resume_a_segment_holding_a_foreign_record() {
+        // Shard 1's segment gains a record of shard 0's and is reopened
+        // for work: the worker resuming it must refuse before running,
+        // naming the index, the shard and the owner.
+        let root = scratch("worker-foreign");
+        init_farm(&root, "alg1", &quick_cfg(6), 2, LeasePolicy::default()).unwrap();
+        run_worker(&root, "w0", 1, &mut |_| {}).unwrap();
+        let loaded = load_store(&segment_path(&root, 0)).unwrap();
+        let record = loaded.records[0].clone().unwrap();
+        let mut file = OpenOptions::new()
+            .append(true)
+            .open(segment_path(&root, 1))
+            .unwrap();
+        let line = crate::store::encode_record(0, &record);
+        file.write_all(line.as_bytes()).unwrap();
+        file.write_all(b"\n").unwrap();
+        drop(file);
+        fs::remove_file(done_path(&root, 1)).unwrap();
+        match run_worker(&root, "w1", 1, &mut |_| {}) {
+            Err(FarmError::ForeignIndex {
+                index: 0,
+                shard: 1,
+                owner: 0,
+            }) => {}
+            other => panic!("expected ForeignIndex, got {other:?}"),
+        }
+    }
 }

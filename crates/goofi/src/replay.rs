@@ -39,9 +39,11 @@ pub(crate) struct Run<'a> {
 
 /// A checkpoint interval with more than one event per this many
 /// instructions falls back to the interpreter for the rest of the run
-/// (DESIGN.md §8l). An event costs about a dozen interpreted instructions,
-/// but a dense fallback is never handed back: priced at those costs, the
-/// paper campaigns' event and instruction counts are least at 3 and 4.
+/// (DESIGN.md §8l). With XOR chains skipped, an event (the walks it
+/// starts included) costs about two dozen interpreted instructions, but a
+/// dense fallback is never handed back: priced at those costs, the paper
+/// campaigns' event and instruction counts are least at 3, 4 and 6, which
+/// differ by less than 0.02 ms.
 const DENSE: u64 = 4;
 
 thread_local! {

@@ -21,6 +21,20 @@
 //!   diff's data moves with it, a line at a time (cache ↔ memory ↔
 //!   register).
 //!
+//! One register instruction is no event: an XOR accumulator step
+//! `xor r, r, g` whose `g` is golden's leaves `r`'s difference from
+//! golden (its *delta*) as it was. When a diffed register's next access
+//! is such an xor, the entry skips golden's whole chain of them with one
+//! `g`, its *guard*, and keeps the delta instead of the value; its next
+//! access is where the chain stops, and the death rule applies there. An
+//! event that creates or changes `g`'s entry ends the chain at once, so
+//! the xor that reads a diffed `g` is an event. Whatever reads the state
+//! in a chain's middle (an event's operands, [`DiffReplay::diff`]) first
+//! ends it: the value is golden's `r` there plus the delta, and the
+//! operand and result latches take the skipped xors' faulty read and
+//! result as an event would have left them. Debug builds re-execute
+//! every skipped xor and assert its delta.
+//!
 //! Whatever the diff cannot follow stops replay with a [`Fallback`]: the
 //! caller materializes golden-at-that-instant plus the diff and hands the
 //! machine to the interpreter.
@@ -120,6 +134,7 @@ impl Default for ReplayScratch {
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     pos: u32,
+    /// The faulty value; in a chain, its difference from golden's.
     value: u32,
     units: [u32; 2],
     /// The instant of golden's first access to `units` at or after the
@@ -128,6 +143,10 @@ struct Entry {
     /// That access overwrites the entry without reading it: the entry
     /// leaves the diff after instant `next`, without an event.
     dies: bool,
+    /// [`NO_GUARD`], or the register `g` of the chain of `xor r, r, g`
+    /// the entry skips from instant `from` up to `next` (see [`chain`]).
+    guard: u8,
+    from: u32,
 }
 
 impl Entry {
@@ -138,9 +157,14 @@ impl Entry {
             units,
             next: STALE,
             dies: false,
+            guard: NO_GUARD,
+            from: 0,
         }
     }
 }
+
+// The chain's guard and start fit in the padding after `dies`.
+const _: () = assert!(std::mem::size_of::<Entry>() == 32);
 
 /// The trace indices of the (up to two) units whose golden accesses are
 /// `pos`'s events, padded with [`NO_UNIT`]; `None` for a position replay
@@ -206,13 +230,22 @@ impl Latch {
     }
 
     /// Shift `k` shifted in the faulty `value`, which differs from golden's.
+    /// A chain ended late may taint a shift older than the latest taint.
     fn taint(&mut self, k: usize, value: u32) {
-        self.tainted = [self.tainted[1], (k as i64, value)];
+        let k = k as i64;
+        if k > self.tainted[1].0 {
+            self.tainted = [self.tainted[1], (k, value)];
+        } else if k > self.tainted[0].0 {
+            self.tainted[0] = (k, value);
+        }
     }
 }
 
 /// No unit, in [`units_of`].
 const NO_UNIT: u32 = u32::MAX;
+
+/// No chain, in [`Entry::guard`].
+const NO_GUARD: u8 = u8::MAX;
 
 /// The next access of an entry not yet looked up.
 const STALE: u64 = u64::MAX - 1;
@@ -227,6 +260,15 @@ pub fn carries(diff: &[(u32, u32)]) -> bool {
 /// Diff position of general-purpose register `r`.
 fn reg(r: u8) -> u32 {
     u32::from(r & 0xF)
+}
+
+/// The bit of position `pos` in a mask of registers; none for the rest.
+fn reg_bit(pos: u32) -> u16 {
+    if pos < word::PC as u32 {
+        1 << pos
+    } else {
+        0
+    }
 }
 
 /// Diff position of data word `w` of cache line `line`.
@@ -353,6 +395,160 @@ fn schedule(trace: &AccessTrace, cursors: &mut [[u32; 2]], e: &mut Entry, now: u
         && (e.value ^ deposit) & !3 == 0;
 }
 
+/// The register `g` of the instruction golden executed at instant `at`
+/// when it is `xor r, r, g` with `g` not `r` (the position of `r`).
+fn xor_guard(trace: &AccessTrace, golden: &Machine, at: u64, r: u32) -> Option<u8> {
+    let d = golden.predecoded((trace.step(at) & 0xFFFF) as usize)?;
+    (d.op == Opcode::Xor && reg(d.rd) == r && reg(d.ra) == r && reg(d.rb) != r)
+        .then_some(d.rb & 0xF)
+}
+
+/// `true` when register entry `e`, just looked up, is next accessed by an
+/// `xor r, r, g` (see [`chain`]). [`schedule`] left the unit's cursor at
+/// that access.
+fn reaches_xor(trace: &AccessTrace, cursors: &[[u32; 2]], golden: &Machine, e: &Entry) -> bool {
+    if e.pos >= word::PC as u32 {
+        return false;
+    }
+    // An xor reads `r`, then writes it in the same instruction.
+    let list = trace.recorded_at(e.pos as usize);
+    let i = cursors[e.pos as usize][0] as usize;
+    matches!(list.get(i..i + 2), Some([a, b]) if a.kind() == AccessKind::Read && b.at() == a.at())
+        && xor_guard(trace, golden, e.next, e.pos).is_some()
+}
+
+/// Extends register entry `e`, whose next access is an `xor r, r, g`
+/// ([`reaches_xor`]), over golden's chain of them, provided `g` is not
+/// in `live` (the registers with an entry that does not die: a dying
+/// entry's unit is not read before its death). Each xor leaves `r`'s
+/// delta as it was, so the entry keeps the delta, and its next access
+/// becomes the first one to `r` that is not such an xor with the same
+/// `g`. `pair` is the scratch machines debug builds re-execute every
+/// skipped xor on.
+// Called about once per chain, not per event: kept out of `settle`.
+#[inline(never)]
+fn chain(
+    trace: &AccessTrace,
+    cursors: &mut [[u32; 2]],
+    golden: &Machine,
+    e: &mut Entry,
+    live: u16,
+    pair: (&mut Machine, &mut Machine),
+) {
+    let r = e.pos;
+    let Some(g) = xor_guard(trace, golden, e.next, r).filter(|&g| live & 1 << g == 0) else {
+        return;
+    };
+    // The first xor reads golden's `r` as it stands now.
+    let list = trace.recorded_at(r as usize);
+    let mut i = cursors[r as usize][0] as usize;
+    e.value ^= list[i].value();
+    (e.guard, e.from) = (g, e.next as u32);
+    // A loop runs its xor from one ROM slot: a step from that slot needs
+    // no decoding.
+    let slot = trace.step(e.next) & 0xFFFF;
+    loop {
+        if cfg!(debug_assertions) {
+            check_xor(
+                trace,
+                golden,
+                (&mut *pair.0, &mut *pair.1),
+                list[i].at(),
+                e.value,
+            );
+        }
+        // The xor reads `r`, then writes it.
+        i += 2;
+        match list.get(i).map(Recorded::at) {
+            Some(at)
+                if trace.step(at) & 0xFFFF == slot
+                    || xor_guard(trace, golden, at, r) == Some(g) => {}
+            _ => break,
+        }
+    }
+    cursors[r as usize][0] = i as u32;
+    (e.next, e.dies, _) = first_access(trace, cursors, r, list[i - 1].at() + 1);
+}
+
+/// Re-executes the skipped `xor r, r, g` at instant `t` on golden's traced
+/// operands and on them with `r` off by `delta`, as an event would, and
+/// asserts that the results differ by `delta`.
+fn check_xor(
+    trace: &AccessTrace,
+    golden: &Machine,
+    pair: (&mut Machine, &mut Machine),
+    t: u64,
+    delta: u32,
+) {
+    let slot = (trace.step(t) & 0xFFFF) as usize;
+    let d = golden.predecoded(slot).expect("golden executed it");
+    assert_eq!(d.op, Opcode::Xor, "a skipped instruction at {t}");
+    let ipc = mem::ROM_BASE + 4 * slot as u32;
+    let shifts = &trace.shifts()[trace.first_shift(t)..trace.first_shift(t + 1)];
+    let [a, b] = shifts else {
+        panic!("an xor reads two registers at {t}")
+    };
+    let results = [(pair.0, 0), (pair.1, delta)].map(|(m, off)| {
+        m.core.regs[a.reg() as usize] = a.value() ^ off;
+        m.core.regs[b.reg() as usize] = b.value();
+        m.core.exwb = ResultLatch::default();
+        m.core.pc = ipc.wrapping_add(4);
+        let (mut event, mut transferred) = (StepEvent::Normal, false);
+        let done = m.execute::<false>(&d, ipc, &mut event, &mut transferred);
+        assert!(done.is_ok(), "an xor cannot trap");
+        m.core.exwb.value
+    });
+    assert_eq!(
+        results[0] ^ results[1],
+        delta,
+        "the xor at {t} keeps the delta"
+    );
+}
+
+/// The trace index of the result latch's unit.
+fn exwb_unit() -> usize {
+    TraceUnit::Vis(VisUnit::Exwb).index()
+}
+
+/// Ends chained entry `e`'s chain at boundary `u`, leaving what the
+/// skipped xors before `u` would have left as events: `e`'s faulty value
+/// (golden's `r` at `u` plus the delta), and in the operand latch and the
+/// result latch the faulty `r` they read and the faulty result they wrote.
+// Called about once per chain, not per event: kept out of its callers.
+#[inline(never)]
+fn commit(
+    trace: &AccessTrace,
+    cursors: &mut [[u32; 2]],
+    latch: &mut Latch,
+    exwb: &mut Option<(u64, [Option<u32>; 3])>,
+    e: &mut Entry,
+    u: u64,
+) {
+    let (r, delta) = (e.pos, e.value);
+    let skipped = u64::from(e.from)..e.next;
+    // The latch holds the last two shifts before `u`; a skipped xor
+    // shifts in `r` (which differs), then `g` (which does not).
+    let j = trace.first_shift(u);
+    for k in j.saturating_sub(2)..j {
+        let s = trace.shifts()[k];
+        if u32::from(s.reg()) == r && skipped.contains(&s.at()) {
+            latch.taint(k, s.value() ^ delta);
+        }
+    }
+    // Golden's `r` at `u`: its last access before `u` left it, or, before
+    // the first xor, that xor reads it.
+    let (c, list) = cursor(trace, cursors, r as usize, u);
+    let last = list[c.saturating_sub(1)];
+    if c > 0 && skipped.contains(&last.at()) {
+        let (w, writes) = cursor(trace, cursors, exwb_unit(), u);
+        if writes[w - 1].at() == last.at() {
+            *exwb = Some((last.at() + 1, [Some(last.value() ^ delta), None, None]));
+        }
+    }
+    e.value = last.value() ^ delta;
+    e.guard = NO_GUARD;
+}
+
 /// One faulty run under diff replay. See the module documentation.
 pub struct DiffReplay<'a> {
     trace: &'a AccessTrace,
@@ -375,6 +571,9 @@ pub struct DiffReplay<'a> {
     next_event: u64,
     /// The least `next` of the entries that die there.
     first_death: u64,
+    /// At most the least `next` of the chained entries, and at most
+    /// [`STALE`] while there are any: `u64::MAX` means none.
+    chain_stop: u64,
     events: u64,
     /// Set when the diff holds a position replay cannot carry.
     blocked: Option<Fallback>,
@@ -424,6 +623,7 @@ impl<'a> DiffReplay<'a> {
             now: at,
             next_event: u64::MAX,
             first_death: u64::MAX,
+            chain_stop: u64::MAX,
             events: 0,
             blocked: blocked.then_some(Fallback {
                 at,
@@ -438,12 +638,16 @@ impl<'a> DiffReplay<'a> {
     /// in [`Machine::sparse_diff`]'s form.
     pub fn diff(&mut self) -> &[(u32, u32)] {
         self.expire();
+        // A chain pending here ends here; the rest of it starts anew.
+        let restart = self.chain_stop != u64::MAX && self.end_chains(true);
         let now = self.now;
         let latch = self.latch_at(now);
         if let Some((from, _)) = self.exwb {
-            let exwb = TraceUnit::Vis(VisUnit::Exwb).index();
-            let (c, list) = cursor(self.trace, &mut self.scratch.cursors, exwb, from);
-            if list.get(c).is_some_and(|a| a.at() < now) {
+            // Golden overwrote the words if its last write before now is
+            // at or after `from`: asked from now, the cursor only moves
+            // forward within a run.
+            let (c, list) = cursor(self.trace, &mut self.scratch.cursors, exwb_unit(), now);
+            if c > 0 && list[c - 1].at() >= from {
                 self.exwb = None;
             }
         }
@@ -456,7 +660,10 @@ impl<'a> DiffReplay<'a> {
         merged.extend(entries.iter().map(|e| (e.pos, e.value)));
         merged.extend(latches.filter_map(|(v, p)| v.map(|v| (p, v))));
         merged.sort_unstable();
-        merged
+        if restart {
+            self.settle();
+        }
+        &self.scratch.merged
     }
 
     /// Events processed so far. An event is one instruction re-examined,
@@ -498,16 +705,30 @@ impl<'a> DiffReplay<'a> {
         // On a fallback the diff describes boundary `t`, latches included.
         self.now = t;
         self.expire();
+        if self.chain_stop <= t {
+            self.end_chains(false);
+        }
         self.event(t)?;
         self.now = t + 1;
         self.settle();
         Ok(Some(t))
     }
 
-    /// Drops the entries that died before the current instant.
+    /// Drops the entries that died before the current instant, ending
+    /// their chains first.
     fn expire(&mut self) {
         let now = self.now;
         if self.first_death < now {
+            if self.chain_stop < now {
+                let ReplayScratch {
+                    entries, cursors, ..
+                } = &mut *self.scratch;
+                for e in entries.iter_mut() {
+                    if e.guard != NO_GUARD && e.dies && e.next < now {
+                        commit(self.trace, cursors, &mut self.latch, &mut self.exwb, e, now);
+                    }
+                }
+            }
             self.scratch.entries.retain(|e| !(e.dies && e.next < now));
             self.first_death = self
                 .scratch
@@ -520,15 +741,57 @@ impl<'a> DiffReplay<'a> {
         }
     }
 
-    /// Looks up the next access of every entry an event touched (its next
-    /// access is past) or created, drops the entries that died in it, and
-    /// caches the next event and the next death.
-    fn settle(&mut self) {
+    /// Ends at the current instant the chains of the entries whose next
+    /// access is now (the event reads their values), or, with `restart`,
+    /// of every entry, which [`DiffReplay::settle`] then looks up again.
+    /// Whether it ended any.
+    fn end_chains(&mut self, restart: bool) -> bool {
         let now = self.now;
         let ReplayScratch {
             entries, cursors, ..
         } = &mut *self.scratch;
-        let (mut next_event, mut first_death) = (u64::MAX, u64::MAX);
+        let mut ended = false;
+        for e in entries.iter_mut() {
+            if e.guard != NO_GUARD && (restart || e.next == now) {
+                commit(self.trace, cursors, &mut self.latch, &mut self.exwb, e, now);
+                if restart {
+                    (e.next, e.dies) = (STALE, false);
+                }
+                ended = true;
+            }
+        }
+        ended
+    }
+
+    /// Looks up the next access of every entry an event touched (its next
+    /// access is past) or created, drops the entries that died in it, and
+    /// caches the next event and the next death. A register entry looked
+    /// up starts a chain where it can; an entry the event created or
+    /// changed first ends every chain it guards, which is looked up again.
+    fn settle(&mut self) {
+        let now = self.now;
+        let ReplayScratch {
+            entries,
+            cursors,
+            golden,
+            faulty,
+            ..
+        } = &mut *self.scratch;
+        if self.chain_stop != u64::MAX {
+            let changed = entries
+                .iter()
+                .filter(|e| e.next == STALE)
+                .fold(0, |m, e| m | reg_bit(e.pos));
+            for e in entries.iter_mut() {
+                if e.guard != NO_GUARD && changed & 1 << e.guard != 0 {
+                    commit(self.trace, cursors, &mut self.latch, &mut self.exwb, e, now);
+                    (e.next, e.dies) = (STALE, false);
+                }
+            }
+        }
+        // The register entries just looked up whose next access is an xor
+        // accumulator step, and the registers that stay diffed.
+        let (mut xors, mut live) = (0, 0);
         let mut i = 0;
         while i < entries.len() {
             let e = &mut entries[i];
@@ -538,15 +801,33 @@ impl<'a> DiffReplay<'a> {
                     continue;
                 }
                 schedule(self.trace, cursors, e, now);
+                if !e.dies && reaches_xor(self.trace, cursors, self.golden, e) {
+                    xors |= reg_bit(e.pos);
+                }
             }
+            if !e.dies {
+                live |= reg_bit(e.pos);
+            }
+            i += 1;
+        }
+        if xors != 0 {
+            for e in entries.iter_mut().filter(|e| xors & reg_bit(e.pos) != 0) {
+                chain(self.trace, cursors, self.golden, e, live, (golden, faulty));
+            }
+        }
+        let (mut next_event, mut first_death, mut chain_stop) = (u64::MAX, u64::MAX, u64::MAX);
+        for e in entries.iter() {
             if e.dies {
                 first_death = first_death.min(e.next);
             } else {
                 next_event = next_event.min(e.next);
             }
-            i += 1;
+            if e.guard != NO_GUARD {
+                chain_stop = chain_stop.min(e.next.min(STALE));
+            }
         }
-        (self.next_event, self.first_death) = (next_event, first_death);
+        (self.next_event, self.first_death, self.chain_stop) =
+            (next_event, first_death, chain_stop);
     }
 
     /// Records that the faulty value at `pos` is `faulty` where golden's

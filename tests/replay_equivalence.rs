@@ -110,6 +110,8 @@ struct Trail {
     first_events: Vec<(u64, Vec<(u32, u32)>)>,
     /// Every boundary replay advanced to.
     boundaries: Vec<Boundary>,
+    /// The fallback's instant, with the diff there and the events by then.
+    fallback: Option<Boundary>,
     /// The most entries the diff held after any event or at any boundary.
     widest: usize,
 }
@@ -126,6 +128,8 @@ impl Trail {
 /// the fault's, to the end of the run or the first fallback. Replay stops
 /// at every golden checkpoint after injection and at every boundary of
 /// `extra`; the diff must equal the pair's there and after every event.
+/// A second replay of the same diff then stops only where a campaign's
+/// does (see [`quietly`]).
 fn lockstep_with(
     golden: &GoldenRun,
     cfg: &LoopConfig,
@@ -171,7 +175,7 @@ fn lockstep_with(
         .collect();
     stops.sort_unstable();
     stops.dedup();
-    for until in stops {
+    'replay: for until in stops {
         loop {
             match r.step(until) {
                 Ok(Some(t)) => {
@@ -197,17 +201,60 @@ fn lockstep_with(
                 }
                 Err(fallback) => {
                     pair.run_to(fallback.at);
-                    assert_eq!(r.diff(), pair.diff(), "diff at the fallback");
+                    let diff = r.diff().to_vec();
+                    assert_eq!(diff, pair.diff(), "diff at the fallback");
                     trail.ending = fallback.reason.label().to_string();
-                    trail.events = r.events();
-                    return trail;
+                    trail.fallback = Some(Boundary {
+                        at: fallback.at,
+                        diff,
+                        events: r.events(),
+                    });
+                    break 'replay;
                 }
             }
         }
     }
-    trail.ending = "completed".to_string();
+    if trail.fallback.is_none() {
+        trail.ending = "completed".to_string();
+    }
     trail.events = r.events();
+    quietly(golden, inject_at, &trail);
     trail
+}
+
+/// Replays `trail`'s fault again from `inject_at`, reading the diff only at
+/// golden's checkpoints, the run's end and the fallback, as a campaign
+/// does: nothing in between ends a pending xor chain. Each of those reads
+/// must see what the lockstep replay saw there, after as many events.
+fn quietly(golden: &GoldenRun, inject_at: u64, trail: &Trail) {
+    let mut scratch = ReplayScratch::default();
+    let mut r = DiffReplay::new(
+        &golden.trace,
+        &golden.end_machine,
+        &mut scratch,
+        inject_at,
+        trail.initial.clone(),
+    );
+    let checkpoint = |n: u64| {
+        n == golden.total_instructions
+            || golden
+                .checkpoints
+                .iter()
+                .any(|c| c.machine.instr_count() == n)
+    };
+    for b in trail.boundaries.iter().filter(|b| checkpoint(b.at)) {
+        r.advance(b.at).expect("the lockstep replay got past it");
+        assert_eq!(r.diff(), b.diff, "quiet diff at boundary {}", b.at);
+        assert_eq!(r.events(), b.events, "quiet events by boundary {}", b.at);
+    }
+    if let Some(b) = &trail.fallback {
+        let fallback = r
+            .advance(u64::MAX)
+            .expect_err("the lockstep replay fell back");
+        assert_eq!(fallback.at, b.at, "quiet fallback");
+        assert_eq!(r.diff(), b.diff, "quiet diff at the fallback");
+        assert_eq!(r.events(), b.events, "quiet events by the fallback");
+    }
 }
 
 /// Replays `fault` alongside a lockstep pair; returns how it ended and
@@ -462,6 +509,210 @@ fn a_diff_wider_than_any_inline_array_replays() {
     let trail = lockstep_with(golden, &cfg, at, every_word, &[]);
     assert_eq!(trail.initial.len(), 32);
     assert!(trail.widest > 16 && trail.events > 0, "{trail:?}");
+}
+
+/// `Core` positions of the operand latch's `a` slot and of the result
+/// latch's value, in a sparse diff.
+const IDEX_A: u32 = 28;
+const EXWB_VALUE: u32 = 30;
+
+/// Golden's first scrub pass (the housekeeping checksum over the ring
+/// buffer) that starts at or after instant `from`: the instants of its
+/// `xor r10, r10, r11`s, each right after the `ld r11` of its ring word,
+/// and the pass's `st r10` four instructions after the last.
+fn scrub_pass(golden: &GoldenRun, from: u64) -> Vec<u64> {
+    let is_xor = |t: u64| {
+        let d = decoded_at(golden, t);
+        d.op == Opcode::Xor && (d.rd, d.ra, d.rb) == (10, 10, 11)
+    };
+    let first = (from.max(5)..golden.total_instructions)
+        .find(|&t| is_xor(t) && !is_xor(t - 5))
+        .expect("golden scrubs");
+    let pass: Vec<u64> = (first..).step_by(5).take_while(|&t| is_xor(t)).collect();
+    assert_eq!(decoded_at(golden, first - 1).op, Opcode::Ld);
+    assert_eq!(decoded_at(golden, pass[pass.len() - 1] + 4).op, Opcode::St);
+    pass
+}
+
+/// The address golden's load or store at instant `t` accesses.
+fn address_at(golden: &GoldenRun, t: u64) -> u32 {
+    let base = golden.trace.shifts()[golden.trace.first_shift(t)].value();
+    base.wrapping_add(decoded_at(golden, t).imm16 as u32)
+}
+
+/// Corrupts the ring word golden's `ld` at instant `t` reads, in memory
+/// and, where the load hits, in the cache, so that it stays corrupted
+/// across evictions.
+fn corrupt_ring_word(golden: &GoldenRun, t: u64, bit: u8) -> impl Fn(&mut Machine) {
+    let addr = address_at(golden, t);
+    let hit = golden.trace.step(t) & STEP_FILL == 0;
+    move |m: &mut Machine| {
+        if hit {
+            m.scan_flip(BitLocation::CacheData {
+                line: bera_tcpu::cache::index_of(addr) as u8,
+                bit: 32 * bera_tcpu::cache::word_of(addr) as u8 + bit,
+            });
+        }
+        let (v, _) = m.memory().read_word(addr).expect("a data word");
+        assert!(m.poke_word(addr, v ^ 1 << bit));
+    }
+}
+
+#[test]
+fn a_scrubbed_ring_word_rides_the_xor_chain_through_two_passes() {
+    // The flipped word is the pass's first: its `ld` and `xor` are
+    // events, the other 27 xors leave r10's delta alone and are skipped,
+    // and the `st` of the checksum is the third event. Every boundary of
+    // the pass checks the diff mid-chain, both latches included.
+    let golden = golden_paper();
+    let cfg = LoopConfig::paper();
+    let pass = scrub_pass(golden, golden.total_instructions / 3);
+    let end = pass[pass.len() - 1] + 5;
+    let next = scrub_pass(golden, end);
+    let (next_start, next_end) = (next[0] - 1, next[next.len() - 1] + 5);
+    let start = pass[0] - 1;
+    let mut extra: Vec<u64> = (start + 1..=end).collect();
+    extra.extend([next_start, next_end]);
+    let trail = lockstep_with(
+        golden,
+        &cfg,
+        start,
+        corrupt_ring_word(golden, start, 7),
+        &extra,
+    );
+    let skipped = pass[pass.len() / 2];
+    let mid = positions(&trail.at_boundary(skipped + 1).diff);
+    for pos in [10, IDEX_A, EXWB_VALUE] {
+        assert!(
+            mid.contains(&pos),
+            "after the skipped xor at {skipped}: {mid:?}"
+        );
+    }
+    assert_eq!(trail.at_boundary(end).events, 3, "ld, first xor, st");
+    // The next pass reads the word again. Its only xor event is the
+    // first; a fill there also writes back the checksum word the last
+    // pass stored.
+    let again: Vec<(u64, Opcode)> = trail
+        .first_events
+        .iter()
+        .map(|&(t, _)| (t, decoded_at(golden, t).op))
+        .filter(|&(t, _)| (next_start..next_end).contains(&t))
+        .collect();
+    let xors: Vec<u64> = again
+        .iter()
+        .filter(|&&(_, op)| op == Opcode::Xor)
+        .map(|&(t, _)| t)
+        .collect();
+    assert_eq!(xors, [next[0]], "{again:?}");
+    assert_eq!(again.len() as u64, {
+        trail.at_boundary(next_end).events - trail.at_boundary(next_start).events
+    });
+    assert!(positions(&trail.at_boundary(next_end).diff).contains(&10));
+}
+
+#[test]
+fn a_second_scrubbed_word_ends_the_chain_its_guard_reads() {
+    // Two words of one pass: loading the second turns the chain's guard
+    // r11 diffed while r10's chain is pending, so the xor that reads it
+    // is an event, and a new chain starts after it.
+    let golden = golden_paper();
+    let cfg = LoopConfig::paper();
+    let pass = scrub_pass(golden, golden.total_instructions / 2);
+    let (start, second) = (pass[0] - 1, pass[9] - 1);
+    let end = pass[pass.len() - 1] + 5;
+    let (first_word, second_word) = (
+        corrupt_ring_word(golden, start, 3),
+        corrupt_ring_word(golden, second, 12),
+    );
+    let corrupt = |m: &mut Machine| {
+        first_word(m);
+        second_word(m);
+    };
+    let extra: Vec<u64> = (start + 1..=end).collect();
+    let trail = lockstep_with(golden, &cfg, start, corrupt, &extra);
+    let events: Vec<u64> = trail.first_events.iter().map(|&(t, _)| t).collect();
+    assert_eq!(
+        events[..5],
+        [start, pass[0], second, pass[9], end - 1],
+        "ld, xor, ld, xor, st"
+    );
+    assert_eq!(trail.at_boundary(end).events, 5);
+}
+
+#[test]
+fn a_fallback_inside_a_chain_sees_the_chained_register() {
+    // A flipped tag of a later scrubbed line stops replay at that line's
+    // `ld`, with r10's chain pending: the diff there is the faulty state.
+    let golden = golden_paper();
+    let cfg = LoopConfig::paper();
+    let pass = scrub_pass(golden, 2 * golden.total_instructions / 3);
+    let (start, at) = (pass[0] - 1, pass[8] - 1);
+    let line = bera_tcpu::cache::index_of(address_at(golden, at)) as u8;
+    assert_ne!(
+        usize::from(line),
+        bera_tcpu::cache::index_of(address_at(golden, start))
+    );
+    let word = corrupt_ring_word(golden, start, 20);
+    let corrupt = |m: &mut Machine| {
+        word(m);
+        m.scan_flip(BitLocation::CacheTag { line, bit: 2 });
+    };
+    let extra: Vec<u64> = (start + 1..=at).collect();
+    let trail = lockstep_with(golden, &cfg, start, corrupt, &extra);
+    assert_eq!(trail.ending, "cache-control");
+    assert_eq!(trail.boundaries.last().map(|b| b.at), Some(at));
+    assert!(positions(&trail.at_boundary(at).diff).contains(&10));
+    assert_eq!(trail.events, 3, "ld, xor, and the fallback's");
+}
+
+/// An xor chain whose register is overwritten right after it, with no
+/// store in between.
+const CHAIN_THEN_OVERWRITE: &str = "
+    .data 0x10000
+    ring: .word 3, 5, 6, 9
+    .text
+start:
+    nop
+loop:
+    li   r8, 0x10000
+    ld   r11, [r8+0]
+    xor  r10, r10, r11
+    ld   r11, [r8+4]
+    xor  r10, r10, r11
+    ld   r11, [r8+8]
+    xor  r10, r10, r11
+    ld   r11, [r8+12]
+    xor  r10, r10, r11
+    li   r10, 0
+    li   r2, 0
+    out  r2, 2
+    yield
+    jmp  loop
+";
+
+#[test]
+fn a_chain_that_ends_in_a_death_leaves_its_last_read_in_the_latch() {
+    // A flipped r10 rides the four xors and dies at the `lui` that opens
+    // `li r10, 0`, all without an event. One instruction after the death
+    // the operand latch still holds the last xor's faulty read of r10:
+    // the chain is ended there before the entry leaves the diff.
+    let workload = Workload::from_source("xor chain", CHAIN_THEN_OVERWRITE).expect("assembles");
+    let cfg = LoopConfig::paper();
+    let golden = golden_run(&workload, &cfg);
+    let (first, _) = find(&golden, golden.total_instructions / 2, |d, _| {
+        d.op == Opcode::Ori && d.rd == 8
+    });
+    let xors = [first + 2, first + 4, first + 6, first + 8];
+    for t in xors {
+        assert_eq!(decoded_at(&golden, t).op, Opcode::Xor);
+    }
+    let death = first + 9;
+    assert_eq!(decoded_at(&golden, death).op, Opcode::Lui);
+    let flip = |m: &mut Machine| m.scan_flip(BitLocation::Reg { index: 10, bit: 6 });
+    let trail = lockstep_with(&golden, &cfg, xors[0], flip, &[death + 1]);
+    let after = trail.at_boundary(death + 1);
+    assert_eq!(positions(&after.diff), [IDEX_A], "{after:?}");
+    assert_eq!(after.events, 0, "a chain and a death are no events");
 }
 
 /// Every replay fallback a campaign reports.
