@@ -604,7 +604,6 @@ impl FaultInjector {
 
 pub(crate) struct DriveResult {
     pub(crate) outputs: Vec<u32>,
-    pub(crate) speeds: Vec<f64>,
     pub(crate) end: DriveEnd,
 }
 
@@ -612,8 +611,13 @@ pub(crate) struct DriveResult {
 pub(crate) enum DriveMode<'a> {
     /// Plain closed-loop drive: no capture, no convergence pruning.
     Plain,
-    /// Golden run: capture a [`Checkpoint`] at every stride boundary.
-    Capture(&'a mut Vec<Checkpoint>),
+    /// Golden run: log the plant speed at the start of every iteration
+    /// after the first, and capture a [`Checkpoint`] at every stride
+    /// boundary.
+    Capture {
+        checkpoints: &'a mut Vec<Checkpoint>,
+        speeds: &'a mut Vec<f64>,
+    },
     /// Experiment: once the fault has been injected, take the sparse diff
     /// against the golden checkpoint of the same iteration (whenever the
     /// plant equals golden's) and stop early when it is empty. `resident`
@@ -778,17 +782,16 @@ fn prune_at(
 }
 
 /// Drives the machine in closed loop from the state the caller prepared:
-/// iteration index `k` with `set_ports(k)` already applied, `outputs`
-/// holding the first `k` logged outputs and `speeds` the first `k + 1`
-/// speed samples. The machine sits at the start of iteration `k`, or
-/// inside it when `mid_iteration` is set (the boundary is then past).
-/// `injector` perturbs scan-chain bits when the dynamic
-/// instruction count reaches its injection point (and re-asserts at later
-/// iteration boundaries for intermittent/stuck-at models); `instr_cap`
-/// bounds the total instruction count to detect hangs; `deadline` is the
-/// wall-clock watchdog, checked at iteration boundaries only so target
-/// execution stays deterministic; `mode` selects the checkpoint behaviour
-/// at stride boundaries. `on_inject` fires once, at the moment the initial
+/// iteration index `k` with `set_ports(k)` already applied and `outputs`
+/// holding the first `k` logged outputs. The machine sits at the start
+/// of iteration `k`, or inside it when `mid_iteration` is set (the
+/// boundary is then past). `injector` perturbs scan-chain bits when the
+/// dynamic instruction count reaches its injection point (and re-asserts
+/// at later iteration boundaries for intermittent/stuck-at models);
+/// `instr_cap` bounds the total instruction count to detect hangs;
+/// `deadline` is the wall-clock watchdog, checked at iteration boundaries
+/// only so target execution stays deterministic; `mode` selects the
+/// checkpoint behaviour at stride boundaries. `on_inject` fires once, at the moment the initial
 /// scan-chain perturbation lands (the observer's "fault injected" event).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_from(
@@ -797,7 +800,6 @@ pub(crate) fn drive_from(
     mut engine: Engine,
     mut k: usize,
     mut outputs: Vec<u32>,
-    mut speeds: Vec<f64>,
     mut injector: Option<FaultInjector>,
     instr_cap: u64,
     deadline: Option<Instant>,
@@ -831,7 +833,6 @@ pub(crate) fn drive_from(
                 if Instant::now() >= d {
                     return DriveResult {
                         outputs,
-                        speeds,
                         end: DriveEnd::DeadlineExceeded,
                     };
                 }
@@ -839,8 +840,8 @@ pub(crate) fn drive_from(
             if stride > 0 && k.is_multiple_of(stride) {
                 match &mut mode {
                     DriveMode::Plain => {}
-                    DriveMode::Capture(into) => {
-                        into.push(Checkpoint::capture(k, machine, &engine));
+                    DriveMode::Capture { checkpoints, .. } => {
+                        checkpoints.push(Checkpoint::capture(k, machine, &engine));
                     }
                     DriveMode::Prune {
                         golden,
@@ -858,11 +859,7 @@ pub(crate) fn drive_from(
                             let checks = (memo, *reenter);
                             if let Some(end) = prune_at(at, golden, checks, &mut deltas, &mut diff)
                             {
-                                return DriveResult {
-                                    outputs,
-                                    speeds,
-                                    end,
-                                };
+                                return DriveResult { outputs, end };
                             }
                         }
                     }
@@ -884,7 +881,9 @@ pub(crate) fn drive_from(
                 engine.advance(actuate(u), cfg.profiles.load(t), cfg.sample_interval);
                 k += 1;
                 if k < cfg.iterations {
-                    speeds.push(engine.speed_rpm());
+                    if let DriveMode::Capture { speeds, .. } = &mut mode {
+                        speeds.push(engine.speed_rpm());
+                    }
                     set_ports(machine, cfg, k, &engine);
                 }
                 at_boundary = true;
@@ -892,7 +891,6 @@ pub(crate) fn drive_from(
             RunExit::Trap(trap) => {
                 return DriveResult {
                     outputs,
-                    speeds,
                     end: DriveEnd::Trapped(trap),
                 };
             }
@@ -904,7 +902,6 @@ pub(crate) fn drive_from(
                 _ => {
                     return DriveResult {
                         outputs,
-                        speeds,
                         end: DriveEnd::Hang,
                     };
                 }
@@ -913,7 +910,6 @@ pub(crate) fn drive_from(
     }
     DriveResult {
         outputs,
-        speeds,
         end: DriveEnd::Completed { latent: None },
     }
 }
@@ -931,14 +927,14 @@ pub fn golden_run(workload: &Workload, cfg: &LoopConfig) -> GoldenRun {
     machine.set_cache_parity(cfg.parity_cache);
     machine.start_access_trace();
     let engine = cfg.engine.clone();
-    let speeds = vec![engine.speed_rpm()];
+    let mut speeds = Vec::with_capacity(cfg.iterations);
+    speeds.push(engine.speed_rpm());
     set_ports(&mut machine, cfg, 0, &engine);
     let cap = instruction_cap(cfg.iterations as u64 * WORST_CASE_ITERATION_INSTRUCTIONS);
     let mut checkpoints = Vec::new();
-    let mode = if cfg.checkpoint_stride > 0 {
-        DriveMode::Capture(&mut checkpoints)
-    } else {
-        DriveMode::Plain
+    let mode = DriveMode::Capture {
+        checkpoints: &mut checkpoints,
+        speeds: &mut speeds,
     };
     let result = drive_from(
         &mut machine,
@@ -946,7 +942,6 @@ pub fn golden_run(workload: &Workload, cfg: &LoopConfig) -> GoldenRun {
         engine,
         0,
         Vec::with_capacity(cfg.iterations),
-        speeds,
         None,
         cap,
         None,
@@ -977,7 +972,7 @@ pub fn golden_run(workload: &Workload, cfg: &LoopConfig) -> GoldenRun {
         .collect();
     GoldenRun {
         outputs: result.outputs,
-        speeds: result.speeds,
+        speeds,
         total_instructions: machine.instr_count(),
         end_scan: machine.scan_snapshot(),
         end_machine: machine,
@@ -1131,9 +1126,9 @@ pub(crate) enum Start {
 pub(crate) struct WatchdogExpired;
 
 /// Runs one experiment from `start` and classifies it, reporting each
-/// life-cycle stage (restored, started, injected, detected / spliced,
-/// classified) to `observer`; `index` is the fault-list index carried on
-/// every event and does not affect execution. Aborts with
+/// life-cycle stage (restored, started, injected, executed, classified)
+/// to `observer`; `index` is the fault-list index carried on every event
+/// and does not affect execution. Aborts with
 /// [`WatchdogExpired`] if the wall-clock `deadline` passes first. The
 /// deadline is checked at iteration boundaries only, so target execution
 /// (and hence every classified record) stays bit-deterministic regardless
@@ -1168,25 +1163,21 @@ pub(crate) fn run_from(
         Start::Replay | Start::Injection => golden.checkpoint_index_before(fault.inject_at),
         Start::Reset => None,
     };
-    let (mut machine, mut recall, engine, start_k, prefix_outputs, prefix_speeds) = match ckpt_index
-    {
+    let (mut machine, mut recall, engine, start_k, prefix_outputs) = match ckpt_index {
         Some(ci) => {
             let ckpt = &golden.checkpoints[ci];
             let (machine, recall, copied, full_clone) = arena_checkout(golden, ci);
             observer.arena_restored(copied, full_clone);
-            // Size the logs for the whole drive up front so the per-
+            // Size the log for the whole drive up front so the per-
             // iteration pushes never reallocate.
             let mut prefix_outputs = Vec::with_capacity(cfg.iterations);
             prefix_outputs.extend_from_slice(&golden.outputs[..ckpt.iteration]);
-            let mut prefix_speeds = Vec::with_capacity(cfg.iterations + 1);
-            prefix_speeds.extend_from_slice(&golden.speeds[..=ckpt.iteration]);
             (
                 machine,
                 Some(recall),
                 ckpt.engine.clone(),
                 ckpt.iteration,
                 prefix_outputs,
-                prefix_speeds,
             )
         }
         None => {
@@ -1194,16 +1185,8 @@ pub(crate) fn run_from(
             machine.load_program(workload.program());
             machine.set_cache_parity(cfg.parity_cache);
             let engine = cfg.engine.clone();
-            let speeds = vec![engine.speed_rpm()];
             set_ports(&mut machine, cfg, 0, &engine);
-            (
-                machine,
-                None,
-                engine,
-                0,
-                Vec::with_capacity(cfg.iterations),
-                speeds,
-            )
+            (machine, None, engine, 0, Vec::with_capacity(cfg.iterations))
         }
     };
     if !cfg.fast_replay {
@@ -1248,7 +1231,6 @@ pub(crate) fn run_from(
                 engine,
                 start_k,
                 prefix_outputs,
-                prefix_speeds,
                 Some(FaultInjector::new(model, fault)),
                 cap,
                 deadline,
@@ -1307,7 +1289,7 @@ pub(crate) fn run_from(
 }
 
 /// Classifies a finished run into the final [`ExperimentRecord`] and
-/// fires the detection / splice / classified observer events.
+/// fires the classified observer event.
 #[allow(clippy::too_many_arguments)]
 fn classify(
     ending: Ending,
@@ -1334,7 +1316,6 @@ fn classify(
     let (outcome, max_deviation, first_strong) = match ending {
         Ending::Trapped(trap) => {
             let latency = trap.at_instruction.saturating_sub(fault.inject_at);
-            observer.error_detected(index, trap.mechanism, latency);
             detection_latency = Some(latency);
             (Outcome::Detected(trap.mechanism), 0.0, None)
         }
@@ -1349,7 +1330,6 @@ fn classify(
             // Convergence proved the machine and plant equal to the golden
             // checkpoint, so the run would end in exactly the golden end
             // state: no latent damage is possible.
-            observer.convergence_spliced(index, iteration);
             pruned_at = Some(iteration);
             outputs.extend_from_slice(&golden.outputs[iteration..]);
             value_or(&outputs, Outcome::Overwritten)

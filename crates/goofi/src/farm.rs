@@ -45,7 +45,7 @@ use crate::experiment::{ExperimentRecord, FaultModel, LoopConfig};
 use crate::observer::{CampaignObserver, ObserverSet, Telemetry, TelemetrySnapshot};
 use crate::store::{
     headerless_remnant, load_store, telemetry_sidecar_path, write_telemetry_sidecar, JsonlStore,
-    LoadedCampaign, StoreError, StoreHeader,
+    LoadedCampaign, Reattached, StoreError, StoreHeader,
 };
 use crate::workload::Workload;
 
@@ -228,15 +228,6 @@ pub enum FarmError {
         /// What went wrong.
         message: String,
     },
-    /// Two segments both carry a record for the same fault index.
-    DuplicateIndex {
-        /// The doubly-recorded fault index.
-        index: usize,
-        /// Shard whose segment recorded it first (scan order).
-        first_shard: usize,
-        /// Shard whose segment recorded it again.
-        second_shard: usize,
-    },
     /// A segment carries a record outside its shard's range.
     ForeignIndex {
         /// The out-of-range fault index.
@@ -262,15 +253,6 @@ impl std::fmt::Display for FarmError {
             FarmError::Store(e) => write!(f, "{e}"),
             FarmError::Manifest(m) => write!(f, "farm manifest error: {m}"),
             FarmError::Shard { shard, message } => write!(f, "farm shard {shard}: {message}"),
-            FarmError::DuplicateIndex {
-                index,
-                first_shard,
-                second_shard,
-            } => write!(
-                f,
-                "fault index {index} is recorded by both shard {first_shard} and \
-                 shard {second_shard} (refusing to merge ambiguous segments)"
-            ),
             FarmError::ForeignIndex {
                 index,
                 shard,
@@ -750,13 +732,10 @@ fn run_claimed_shard(
     let seg = segment_path(root, shard.index);
 
     // Attach the segment store exactly like the single-process `--resume`
-    // path: a headerless remnant restarts cleanly, an existing segment is
-    // validated and torn-tail-recovered, anything else is created fresh.
-    let mut preloaded: Vec<Option<ExperimentRecord>> = Vec::new();
-    let store = if seg.exists() && headerless_remnant(&seg) {
-        JsonlStore::create(&seg, &manifest.header)?
-    } else if seg.exists() {
-        let (store, loaded) = JsonlStore::open_resume(&seg, &manifest.header)?;
+    // path, refusing a segment that holds another shard's record.
+    let (store, attached) = JsonlStore::reattach(&seg, &manifest.header)?;
+    let mut preloaded = vec![None; manifest.faults];
+    if let Reattached::Resumed(loaded) = attached {
         for (i, slot) in loaded.records.iter().enumerate() {
             if slot.is_some() && !shard.contains(i) {
                 let owner = manifest.shard_of(i).map_or(usize::MAX, |s| s.index);
@@ -768,14 +747,8 @@ fn run_claimed_shard(
             }
         }
         preloaded = loaded.records;
-        store
-    } else {
-        JsonlStore::create(&seg, &manifest.header)?
-    };
-    let already = preloaded.iter().filter(|r| r.is_some()).count();
-    if preloaded.is_empty() {
-        preloaded = vec![None; manifest.faults];
     }
+    let already = preloaded.iter().filter(|r| r.is_some()).count();
 
     let telemetry = Telemetry::new(shard.len());
     telemetry.note_preloaded(already);
@@ -930,20 +903,20 @@ impl FarmAssembly {
 }
 
 /// Reads every segment of the farm at `root`, validates each against the
-/// manifest (field-by-field header check, range check, duplicate check)
-/// and assembles the records. Works mid-flight: missing segments and
-/// gaps are fine; *inconsistent* segments are not.
+/// manifest (field-by-field header check, range check) and assembles the
+/// records. Works mid-flight: missing segments and gaps are fine;
+/// *inconsistent* segments are not.
 ///
 /// # Errors
 ///
 /// [`FarmError::Store`] on a header mismatch or corruption,
-/// [`FarmError::ForeignIndex`] / [`FarmError::DuplicateIndex`] on
-/// cross-shard violations, [`FarmError::Shard`] on a torn done segment.
+/// [`FarmError::ForeignIndex`] on a record outside its segment's shard
+/// (the shards tile the fault list, so this also refuses every
+/// cross-segment duplicate), [`FarmError::Shard`] on a torn done segment.
 pub fn assemble_farm(root: &Path) -> Result<FarmAssembly, FarmError> {
     let manifest = read_manifest(root)?;
     let expiry = Duration::from_millis(manifest.lease.expiry_ms);
     let mut records: Vec<Option<ExperimentRecord>> = vec![None; manifest.faults];
-    let mut owner_of: Vec<Option<usize>> = vec![None; manifest.faults];
     let mut shards = Vec::with_capacity(manifest.shards.len());
     for shard in &manifest.shards {
         crate::fp!("farm.merge.segment");
@@ -974,14 +947,6 @@ pub fn assemble_farm(root: &Path) -> Result<FarmAssembly, FarmError> {
                         owner,
                     });
                 }
-                if let Some(first) = owner_of[i] {
-                    return Err(FarmError::DuplicateIndex {
-                        index: i,
-                        first_shard: first,
-                        second_shard: shard.index,
-                    });
-                }
-                owner_of[i] = Some(shard.index);
                 records[i] = Some(record);
                 count += 1;
             }
@@ -1263,9 +1228,9 @@ mod tests {
             Err(FarmError::Incomplete { .. })
         ));
         run_worker(&root, "w0", 1, &mut |_| {}).unwrap();
-        // Forge a duplicate: copy shard 0's records into a fresh shard-1
-        // segment (shard 1's own records are already there — append a
-        // foreign index instead to trip the range check first).
+        // Forge a duplicate: append one of shard 0's records to shard 1's
+        // segment. The shards tile the fault list, so the range check
+        // refuses it before any record could be seen twice.
         let loaded = load_store(&segment_path(&root, 0)).unwrap();
         let record = loaded.records[0].clone().unwrap();
         let seg1 = segment_path(&root, 1);

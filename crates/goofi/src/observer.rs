@@ -1,24 +1,22 @@
 //! Campaign observability: the [`CampaignObserver`] hook trait threaded
-//! through campaign and experiment execution, plus the lock-light
-//! [`Telemetry`] aggregator built on top of it.
+//! through campaign and experiment execution, plus the [`Telemetry`]
+//! aggregator built on top of it.
 //!
 //! The campaign engine emits one event per phase of every experiment's
-//! life cycle (sampled, started, injected, detected / spliced, classified,
+//! life cycle (sampled, started, injected, executed, classified,
 //! completed). Observers run *inside* the worker threads, so an
 //! implementation must be `Sync` and should be cheap: the streaming store
 //! ([`crate::store::JsonlStore`]) serialises one line under a mutex, and
-//! [`Telemetry`] touches a handful of atomics.
+//! [`Telemetry`] folds each event into one locked counter record.
 
 use crate::campaign::CampaignResult;
 use crate::classify::{HarnessCause, Outcome};
-use crate::experiment::{ExperimentRecord, FaultSpec};
+use crate::experiment::{ExperimentRecord, FaultSpec, Provenance};
 use crate::planner::PlanStats;
 use bera_stats::rate::Ewma;
 use bera_tcpu::diff::FallbackReason;
-use bera_tcpu::edm::ErrorMechanism;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Hooks into the life cycle of a SCIFI campaign.
@@ -108,23 +106,11 @@ pub trait CampaignObserver: Sync {
         let _ = (index, instructions, block_instructions);
     }
 
-    /// A hardware error detection mechanism fired `latency` dynamic
-    /// instructions after injection.
-    fn error_detected(&self, index: usize, mechanism: ErrorMechanism, latency: u64) {
-        let _ = (index, mechanism, latency);
-    }
-
-    /// Convergence pruning proved the run rejoined the golden trajectory
-    /// and spliced the golden tail at `iteration`.
-    fn convergence_spliced(&self, index: usize, iteration: usize) {
-        let _ = (index, iteration);
-    }
-
     /// The run's state at the start of `iteration` equals one an earlier
     /// run of this worker passed through (DESIGN.md §8k): the rest of the
     /// run was not executed, it ends as that run did. A recalled run that
-    /// ends converged still fires
-    /// [`convergence_spliced`](CampaignObserver::convergence_spliced).
+    /// ends converged still carries
+    /// [`pruned_at`](ExperimentRecord::pruned_at) in its record.
     fn trajectory_recalled(&self, index: usize, iteration: usize) {
         let _ = (index, iteration);
     }
@@ -233,18 +219,6 @@ impl CampaignObserver for ObserverSet<'_> {
         }
     }
 
-    fn error_detected(&self, index: usize, mechanism: ErrorMechanism, latency: u64) {
-        for o in &self.observers {
-            o.error_detected(index, mechanism, latency);
-        }
-    }
-
-    fn convergence_spliced(&self, index: usize, iteration: usize) {
-        for o in &self.observers {
-            o.convergence_spliced(index, iteration);
-        }
-    }
-
     fn trajectory_recalled(&self, index: usize, iteration: usize) {
         for o in &self.observers {
             o.trajectory_recalled(index, iteration);
@@ -307,47 +281,20 @@ impl RateState {
 /// Live campaign counters: classification tallies, throughput, ETA,
 /// checkpoint fast-forward hit-rate and convergence-prune rate.
 ///
-/// All counters are atomics, so observing a heavily parallel campaign
-/// costs a few uncontended fetch-adds per experiment; only the smoothed
-/// throughput estimate takes a (short) mutex.
+/// The counts are one [`TelemetrySnapshot`] record under a mutex, next to
+/// the smoothed-rate state; each hook is one fold step on that record,
+/// and [`snapshot`](Telemetry::snapshot) copies it and fills in the
+/// timing fields.
 pub struct Telemetry {
-    total: usize,
     started: Instant,
-    preloaded: AtomicUsize,
-    completed: AtomicUsize,
-    detected: AtomicUsize,
-    hangs: AtomicUsize,
-    severe: AtomicUsize,
-    minor: AtomicUsize,
-    latent: AtomicUsize,
-    overwritten: AtomicUsize,
-    harness_failures: AtomicUsize,
-    retried: AtomicUsize,
-    pruned: AtomicUsize,
-    recalled: AtomicUsize,
-    fast_forwarded: AtomicUsize,
-    analytic: AtomicUsize,
-    replicated: AtomicUsize,
-    batch_members: AtomicUsize,
-    split_offs: AtomicUsize,
-    plan_micros: AtomicUsize,
-    vis_latent: AtomicUsize,
-    vis_overwritten: AtomicUsize,
-    sig_overwritten: AtomicUsize,
-    value_resolved: AtomicUsize,
-    vis_replicated: AtomicUsize,
-    batch_untraceable: AtomicUsize,
-    batch_vis_admitted: AtomicUsize,
-    sim_instructions: AtomicUsize,
-    block_instructions: AtomicUsize,
-    arena_restores: AtomicUsize,
-    arena_dirty_words: AtomicUsize,
-    arena_full_clones: AtomicUsize,
-    replayed: AtomicUsize,
-    replay_events: AtomicU64,
-    /// Replay fallbacks, indexed like [`FallbackReason::ALL`].
-    fallbacks: [AtomicUsize; 7],
-    rate: Mutex<RateState>,
+    state: Mutex<State>,
+}
+
+/// What [`Telemetry`]'s mutex guards.
+struct State {
+    /// The counts; the timing fields stay at their defaults.
+    counts: TelemetrySnapshot,
+    rate: RateState,
 }
 
 impl Telemetry {
@@ -355,118 +302,52 @@ impl Telemetry {
     #[must_use]
     pub fn new(total: usize) -> Self {
         Telemetry {
-            total,
             started: Instant::now(),
-            preloaded: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
-            detected: AtomicUsize::new(0),
-            hangs: AtomicUsize::new(0),
-            severe: AtomicUsize::new(0),
-            minor: AtomicUsize::new(0),
-            latent: AtomicUsize::new(0),
-            overwritten: AtomicUsize::new(0),
-            harness_failures: AtomicUsize::new(0),
-            retried: AtomicUsize::new(0),
-            pruned: AtomicUsize::new(0),
-            recalled: AtomicUsize::new(0),
-            fast_forwarded: AtomicUsize::new(0),
-            analytic: AtomicUsize::new(0),
-            replicated: AtomicUsize::new(0),
-            batch_members: AtomicUsize::new(0),
-            split_offs: AtomicUsize::new(0),
-            plan_micros: AtomicUsize::new(0),
-            vis_latent: AtomicUsize::new(0),
-            vis_overwritten: AtomicUsize::new(0),
-            sig_overwritten: AtomicUsize::new(0),
-            value_resolved: AtomicUsize::new(0),
-            vis_replicated: AtomicUsize::new(0),
-            batch_untraceable: AtomicUsize::new(0),
-            batch_vis_admitted: AtomicUsize::new(0),
-            sim_instructions: AtomicUsize::new(0),
-            block_instructions: AtomicUsize::new(0),
-            arena_restores: AtomicUsize::new(0),
-            arena_dirty_words: AtomicUsize::new(0),
-            arena_full_clones: AtomicUsize::new(0),
-            replayed: AtomicUsize::new(0),
-            replay_events: AtomicU64::new(0),
-            fallbacks: Default::default(),
-            rate: Mutex::new(RateState::new()),
+            state: Mutex::new(State {
+                counts: TelemetrySnapshot {
+                    total,
+                    ..TelemetrySnapshot::default()
+                },
+                rate: RateState::new(),
+            }),
         }
+    }
+
+    /// The guarded state. A panic elsewhere cannot leave a count half
+    /// updated, so a poisoned lock is still read.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Applies one fold step to the counts.
+    fn fold(&self, step: impl FnOnce(&mut TelemetrySnapshot)) {
+        step(&mut self.state().counts);
     }
 
     /// Marks `n` experiments as already complete (restored from a result
     /// store during a resume). They count towards progress but not towards
     /// the throughput estimate.
     pub fn note_preloaded(&self, n: usize) {
-        self.preloaded.fetch_add(n, Ordering::Relaxed);
+        self.fold(|c| c.preloaded += n);
     }
 
     /// A point-in-time copy of all counters with derived rates.
     #[must_use]
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let load = |c: &AtomicUsize| c.load(Ordering::Relaxed);
-        let completed = load(&self.completed);
-        let preloaded = load(&self.preloaded);
         let elapsed = self.started.elapsed().as_secs_f64();
-        let throughput = completed as f64 / elapsed.max(1e-9);
-        let smoothed = self.rate.lock().ok().and_then(|r| r.per_second());
-        let done = completed + preloaded;
-        let remaining = self.total.saturating_sub(done);
-        let eta_seconds = match smoothed.filter(|&r| r > 0.0).or(if throughput > 0.0 {
-            Some(throughput)
-        } else {
-            None
-        }) {
-            Some(rate) if remaining > 0 => Some(remaining as f64 / rate),
-            Some(_) => Some(0.0),
-            None => None,
+        let (mut snap, smoothed) = {
+            let state = self.state();
+            (state.counts, state.rate.per_second())
         };
-        TelemetrySnapshot {
-            total: self.total,
-            preloaded,
-            completed,
-            elapsed_seconds: elapsed,
-            throughput,
-            smoothed_throughput: smoothed,
-            eta_seconds,
-            detected: load(&self.detected),
-            hangs: load(&self.hangs),
-            severe: load(&self.severe),
-            minor: load(&self.minor),
-            latent: load(&self.latent),
-            overwritten: load(&self.overwritten),
-            harness_failures: load(&self.harness_failures),
-            retried: load(&self.retried),
-            pruned: load(&self.pruned),
-            recalled: load(&self.recalled),
-            fast_forwarded: load(&self.fast_forwarded),
-            analytic: load(&self.analytic),
-            replicated: load(&self.replicated),
-            batch_members: load(&self.batch_members),
-            split_offs: load(&self.split_offs),
-            plan_micros: load(&self.plan_micros) as u64,
-            vis_latent: load(&self.vis_latent),
-            vis_overwritten: load(&self.vis_overwritten),
-            sig_overwritten: load(&self.sig_overwritten),
-            value_resolved: load(&self.value_resolved),
-            vis_replicated: load(&self.vis_replicated),
-            batch_untraceable: load(&self.batch_untraceable),
-            batch_vis_admitted: load(&self.batch_vis_admitted),
-            sim_instructions: load(&self.sim_instructions) as u64,
-            block_instructions: load(&self.block_instructions) as u64,
-            arena_restores: load(&self.arena_restores),
-            arena_dirty_words: load(&self.arena_dirty_words) as u64,
-            arena_full_clones: load(&self.arena_full_clones),
-            replayed: load(&self.replayed),
-            replay_events: self.replay_events.load(Ordering::Relaxed),
-            fallback_control_state: load(&self.fallbacks[0]),
-            fallback_address: load(&self.fallbacks[1]),
-            fallback_cache_control: load(&self.fallbacks[2]),
-            fallback_branch: load(&self.fallbacks[3]),
-            fallback_trap: load(&self.fallbacks[4]),
-            fallback_output: load(&self.fallbacks[5]),
-            fallback_dense: load(&self.fallbacks[6]),
-        }
+        snap.elapsed_seconds = elapsed;
+        snap.throughput = snap.completed as f64 / elapsed.max(1e-9);
+        snap.smoothed_throughput = smoothed;
+        let remaining = snap.total.saturating_sub(snap.done());
+        let rate = smoothed
+            .filter(|&r| r > 0.0)
+            .or(Some(snap.throughput).filter(|&r| r > 0.0));
+        snap.eta_seconds = rate.map(|rate| remaining as f64 / rate);
+        snap
     }
 }
 
@@ -480,102 +361,101 @@ impl CampaignObserver for Telemetry {
         // A fast-forward from the iteration-0 checkpoint saves nothing, so
         // the hit-rate only counts resumes that skipped real work.
         if fast_forward_from.is_some_and(|k| k > 0) {
-            self.fast_forwarded.fetch_add(1, Ordering::Relaxed);
+            self.fold(|c| c.fast_forwarded += 1);
         }
-    }
-
-    fn convergence_spliced(&self, _index: usize, _iteration: usize) {
-        self.pruned.fetch_add(1, Ordering::Relaxed);
     }
 
     fn trajectory_recalled(&self, _index: usize, _iteration: usize) {
-        self.recalled.fetch_add(1, Ordering::Relaxed);
+        self.fold(|c| c.recalled += 1);
     }
 
     fn plan_computed(&self, stats: &PlanStats) {
-        let add = |c: &AtomicUsize, n: usize| {
-            c.fetch_add(n, Ordering::Relaxed);
-        };
-        add(
-            &self.plan_micros,
-            usize::try_from(stats.plan_micros).unwrap_or(usize::MAX),
-        );
-        add(&self.vis_latent, stats.vis_latent);
-        add(&self.vis_overwritten, stats.vis_overwritten);
-        add(&self.sig_overwritten, stats.sig_overwritten);
-        add(&self.value_resolved, stats.value_resolved);
-        add(&self.vis_replicated, stats.vis_replicated);
-        add(&self.batch_members, stats.resolved());
-        add(&self.split_offs, stats.live);
-        add(&self.batch_untraceable, stats.opaque);
-        add(&self.batch_vis_admitted, stats.vis_resolved());
+        self.fold(|c| {
+            c.plan_micros += stats.plan_micros;
+            c.vis_latent += stats.vis_latent;
+            c.vis_overwritten += stats.vis_overwritten;
+            c.sig_overwritten += stats.sig_overwritten;
+            c.value_resolved += stats.value_resolved;
+            c.vis_replicated += stats.vis_replicated;
+            c.batch_members += stats.resolved();
+            c.split_offs += stats.live;
+            c.batch_untraceable += stats.opaque;
+            c.batch_vis_admitted += stats.vis_resolved();
+        });
     }
 
     fn arena_restored(&self, copied_words: usize, full_clone: bool) {
-        if full_clone {
-            self.arena_full_clones.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.arena_restores.fetch_add(1, Ordering::Relaxed);
-            self.arena_dirty_words
-                .fetch_add(copied_words, Ordering::Relaxed);
-        }
+        self.fold(|c| {
+            if full_clone {
+                c.arena_full_clones += 1;
+            } else {
+                c.arena_restores += 1;
+                c.arena_dirty_words += copied_words as u64;
+            }
+        });
     }
 
     fn replay_started(&self, _index: usize) {
-        self.replayed.fetch_add(1, Ordering::Relaxed);
+        self.fold(|c| c.replayed += 1);
     }
 
     fn replay_fell_back(&self, _index: usize, _at: u64, reason: FallbackReason) {
-        let i = FallbackReason::ALL.iter().position(|r| *r == reason);
-        self.fallbacks[i.expect("every reason is listed")].fetch_add(1, Ordering::Relaxed);
+        self.fold(|c| {
+            *match reason {
+                FallbackReason::ControlState => &mut c.fallback_control_state,
+                FallbackReason::Address => &mut c.fallback_address,
+                FallbackReason::CacheControl => &mut c.fallback_cache_control,
+                FallbackReason::Branch => &mut c.fallback_branch,
+                FallbackReason::Trap => &mut c.fallback_trap,
+                FallbackReason::Output => &mut c.fallback_output,
+                FallbackReason::Dense => &mut c.fallback_dense,
+            } += 1;
+        });
     }
 
     fn replay_events(&self, _index: usize, n: u64) {
-        self.replay_events.fetch_add(n, Ordering::Relaxed);
+        self.fold(|c| c.replay_events += n);
     }
 
     fn experiment_executed(&self, _index: usize, instructions: u64, block_instructions: u64) {
-        self.sim_instructions
-            .fetch_add(instructions as usize, Ordering::Relaxed);
-        self.block_instructions
-            .fetch_add(block_instructions as usize, Ordering::Relaxed);
+        self.fold(|c| {
+            c.sim_instructions += instructions;
+            c.block_instructions += block_instructions;
+        });
     }
 
     fn experiment_classified(&self, _index: usize, record: &ExperimentRecord) {
+        let now = Instant::now();
+        let mut state = self.state();
+        let c = &mut state.counts;
         match record.provenance {
-            crate::experiment::Provenance::Simulated => {}
-            crate::experiment::Provenance::Analytic => {
-                self.analytic.fetch_add(1, Ordering::Relaxed);
-            }
-            crate::experiment::Provenance::Replicated => {
-                self.replicated.fetch_add(1, Ordering::Relaxed);
-            }
+            Provenance::Simulated => {}
+            Provenance::Analytic => c.analytic += 1,
+            Provenance::Replicated => c.replicated += 1,
         }
-        match record.outcome {
-            Outcome::Detected(_) => &self.detected,
-            Outcome::Hang => &self.hangs,
-            Outcome::ValueFailure(s) if s.is_severe() => &self.severe,
-            Outcome::ValueFailure(_) => &self.minor,
-            Outcome::Latent => &self.latent,
-            Outcome::Overwritten => &self.overwritten,
-            Outcome::HarnessFailure(_) => &self.harness_failures,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        if let Ok(mut rate) = self.rate.lock() {
-            rate.completed(Instant::now());
-        }
+        *match record.outcome {
+            Outcome::Detected(_) => &mut c.detected,
+            Outcome::Hang => &mut c.hangs,
+            Outcome::ValueFailure(s) if s.is_severe() => &mut c.severe,
+            Outcome::ValueFailure(_) => &mut c.minor,
+            Outcome::Latent => &mut c.latent,
+            Outcome::Overwritten => &mut c.overwritten,
+            Outcome::HarnessFailure(_) => &mut c.harness_failures,
+        } += 1;
+        c.pruned += usize::from(record.pruned_at.is_some());
+        c.completed += 1;
+        state.rate.completed(now);
     }
 
     fn experiment_retried(&self, _index: usize, _cause: HarnessCause) {
-        self.retried.fetch_add(1, Ordering::Relaxed);
+        self.fold(|c| c.retried += 1);
     }
 }
 
 /// A point-in-time view of a campaign's [`Telemetry`]. Serializable so a
 /// campaign can persist its final snapshot as a machine-readable side
 /// artifact for the offline `report` bin.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TelemetrySnapshot {
     /// Campaign size (faults).
     pub total: usize,
@@ -937,38 +817,82 @@ impl fmt::Display for TelemetrySnapshot {
 mod tests {
     use super::*;
     use crate::campaign::{run_scifi_campaign_observed, CampaignConfig};
+    use crate::experiment::FaultModel;
     use crate::workload::Workload;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The counters [`Telemetry`] derives from the records alone: the
+    /// seven outcome buckets, `analytic`, `replicated`, `pruned` and
+    /// `completed`.
+    fn record_counters(s: &TelemetrySnapshot) -> [usize; 11] {
+        [
+            s.detected,
+            s.hangs,
+            s.severe,
+            s.minor,
+            s.latent,
+            s.overwritten,
+            s.harness_failures,
+            s.analytic,
+            s.replicated,
+            s.pruned,
+            s.completed,
+        ]
+    }
+
+    /// [`record_counters`], recounted from `records`.
+    fn recount(records: &[ExperimentRecord]) -> [usize; 11] {
+        let n = |f: &dyn Fn(&ExperimentRecord) -> bool| records.iter().filter(|r| f(r)).count();
+        [
+            n(&|r| matches!(r.outcome, Outcome::Detected(_))),
+            n(&|r| r.outcome == Outcome::Hang),
+            n(&|r| matches!(r.outcome, Outcome::ValueFailure(s) if s.is_severe())),
+            n(&|r| matches!(r.outcome, Outcome::ValueFailure(s) if !s.is_severe())),
+            n(&|r| r.outcome == Outcome::Latent),
+            n(&|r| r.outcome == Outcome::Overwritten),
+            n(&|r| r.outcome.is_harness_failure()),
+            n(&|r| r.provenance == Provenance::Analytic),
+            n(&|r| r.provenance == Provenance::Replicated),
+            n(&|r| r.pruned_at.is_some()),
+            records.len(),
+        ]
+    }
 
     #[test]
     fn telemetry_counts_partition_the_campaign() {
         let w = Workload::algorithm_one();
-        let cfg = CampaignConfig::quick(40, 11);
-        let telemetry = Telemetry::new(40);
-        let result = run_scifi_campaign_observed(&w, &cfg, &telemetry);
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.completed, 40);
-        assert_eq!(snap.done(), 40);
-        assert_eq!(
-            snap.detected
-                + snap.hangs
-                + snap.severe
-                + snap.minor
-                + snap.latent
-                + snap.overwritten
-                + snap.harness_failures,
-            40,
-            "every record lands in exactly one telemetry bucket"
-        );
-        assert_eq!(snap.harness_failures, 0, "healthy campaign: no quarantine");
-        assert_eq!(snap.retried, 0, "healthy campaign: no retries");
-        let pruned = result
-            .records
-            .iter()
-            .filter(|r| r.pruned_at.is_some())
-            .count();
-        assert_eq!(snap.pruned, pruned);
-        assert!(snap.throughput > 0.0);
-        assert!(snap.eta_seconds.is_some());
+        // A pruned one-shot model, and a stuck-at model, which bypasses
+        // the pruner.
+        for model in [FaultModel::SingleBit, FaultModel::StuckAt { value: false }] {
+            let mut cfg = CampaignConfig::quick(40, 11);
+            cfg.fault_model = model;
+            let telemetry = Telemetry::new(40);
+            let result = run_scifi_campaign_observed(&w, &cfg, &telemetry);
+            let snap = telemetry.snapshot();
+            assert_eq!(
+                record_counters(&snap),
+                recount(&result.records),
+                "{model}: every record-derived counter matches a recount"
+            );
+            assert_eq!(snap.done(), 40);
+            assert_eq!(
+                record_counters(&snap)[..7].iter().sum::<usize>(),
+                40,
+                "{model}: every record lands in exactly one outcome bucket"
+            );
+            assert_eq!(snap.harness_failures, 0, "healthy campaign: no quarantine");
+            assert_eq!(snap.retried, 0, "healthy campaign: no retries");
+            if model == FaultModel::SingleBit {
+                assert!(
+                    snap.analytic > 0 && snap.pruned > 0,
+                    "{model}: the pruner ran"
+                );
+            } else {
+                assert_eq!(snap.analytic + snap.replicated + snap.pruned, 0, "{model}");
+            }
+            assert!(snap.throughput > 0.0);
+            assert!(snap.eta_seconds.is_some());
+        }
     }
 
     #[test]

@@ -172,8 +172,7 @@ pub fn resolve(flips: &[BitLocation], inject_at: u64, trace: &AccessTrace) -> Fa
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanAction {
     /// Inject and run this fault on the simulator (it is either a live
-    /// equivalence-class representative — see
-    /// [`CampaignPlan::resume_point`] — or opaque to the traces).
+    /// equivalence-class representative or opaque to the traces).
     Simulate,
     /// Emit the record analytically: the outcome follows from the golden
     /// traces alone.
@@ -288,14 +287,11 @@ fn needs_vis(flips: &[BitLocation]) -> bool {
     })
 }
 
-/// One action per fault-list index, plus the class structure needed for
-/// replication and paranoid cross-checking and the live instant of every
-/// live representative.
+/// One action per fault-list index, which carries the class structure
+/// needed for replication and paranoid cross-checking.
 #[derive(Debug, Clone)]
 pub struct CampaignPlan {
     actions: Vec<PlanAction>,
-    /// Live representative index → (live instant, surviving flips).
-    resume: HashMap<usize, (u64, Box<[BitLocation]>)>,
     stats: PlanStats,
 }
 
@@ -306,7 +302,6 @@ impl CampaignPlan {
     pub fn simulate_all(n: usize) -> Self {
         CampaignPlan {
             actions: vec![PlanAction::Simulate; n],
-            resume: HashMap::new(),
             stats: PlanStats::default(),
         }
     }
@@ -331,14 +326,6 @@ impl CampaignPlan {
     #[must_use]
     pub fn actions(&self) -> &[PlanAction] {
         &self.actions
-    }
-
-    /// A live representative's live instant and the flips still live
-    /// there: its state at that instant is golden's plus those flips.
-    /// `None` for every other index.
-    #[must_use]
-    pub fn resume_point(&self, i: usize) -> Option<(u64, &[BitLocation])> {
-        self.resume.get(&i).map(|(at, flips)| (*at, &flips[..]))
     }
 
     /// Number of faults that will be simulated.
@@ -417,7 +404,6 @@ pub fn plan_campaign(
     let catalog = scan::catalog();
     let mut stats = PlanStats::default();
     let mut class_reps: HashMap<(usize, u64, u64), usize> = HashMap::new();
-    let mut resume = HashMap::new();
     let actions = faults
         .iter()
         .enumerate()
@@ -453,13 +439,6 @@ pub fn plan_campaign(
                         }
                         Entry::Vacant(e) => {
                             e.insert(i);
-                            let live: Box<[BitLocation]> = flips
-                                .iter()
-                                .enumerate()
-                                .filter(|(k, _)| surviving & (1 << k) != 0)
-                                .map(|(_, &b)| b)
-                                .collect();
-                            resume.insert(i, (at, live));
                             PlanAction::Simulate
                         }
                     }
@@ -468,11 +447,7 @@ pub fn plan_campaign(
         })
         .collect();
     stats.plan_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    CampaignPlan {
-        actions,
-        resume,
-        stats,
-    }
+    CampaignPlan { actions, stats }
 }
 
 /// Builds the record of an analytically classified fault. Matches what a
@@ -1144,22 +1119,44 @@ mod tests {
     fn multi_bit_classes_key_on_the_survivors_and_the_lowest_index_leads() {
         let (mut cfg, golden, _) = quick_plan_inputs();
         cfg.fault_model = FaultModel::AdjacentDoubleBit;
-        let faults = crate::campaign::FaultList::sample(600, 9, golden.total_instructions).faults;
+        let faults = crate::campaign::FaultList::sample(2000, 9, golden.total_instructions).faults;
         let plan = plan_campaign(&faults, &cfg, &golden);
         assert!(plan.analytic() > 0, "double flips resolve analytically too");
-        for (rep, members) in plan.classes() {
+        let fate = |i: usize| {
+            let flips: Vec<BitLocation> = cfg
+                .fault_model
+                .locations(faults[i].location_index)
+                .into_iter()
+                .map(|j| scan::catalog()[j])
+                .collect();
+            resolve(&flips, faults[i].inject_at, &golden.trace)
+        };
+        let classes = plan.classes();
+        assert!(!classes.is_empty(), "the sample holds a replicated class");
+        for (rep, members) in classes {
             assert_eq!(plan.action(rep), PlanAction::Simulate);
-            assert!(plan.resume_point(rep).is_some(), "a live rep resumes");
+            assert!(matches!(fate(rep), Fate::Live { .. }), "a rep is live");
             for m in members {
                 assert!(rep < m);
                 assert_eq!(faults[rep].location_index, faults[m].location_index);
+                assert_eq!(
+                    fate(m),
+                    fate(rep),
+                    "a class shares its instant and survivors"
+                );
             }
         }
         for (i, a) in plan.actions().iter().enumerate() {
-            if let Some((at, flips)) = plan.resume_point(i) {
-                assert_eq!(*a, PlanAction::Simulate);
+            if faults[i].inject_at >= golden.total_instructions {
+                continue; // never injected: the plan simulates it unresolved
+            }
+            if let Fate::Live { at, surviving } = fate(i) {
+                assert!(matches!(
+                    a,
+                    PlanAction::Simulate | PlanAction::Replicate { .. }
+                ));
                 assert!(at >= faults[i].inject_at);
-                assert!(!flips.is_empty() && flips.len() <= 2);
+                assert!(surviving != 0 && surviving.count_ones() <= 2);
             }
         }
     }

@@ -104,7 +104,6 @@ pub(crate) fn drive(
                 logged.extend_from_slice(&golden.outputs[k..until]);
                 let result = DriveResult {
                     outputs: logged,
-                    speeds: Vec::new(),
                     end,
                 };
                 return (result, executed, Some(resident));
@@ -142,8 +141,6 @@ pub(crate) fn drive(
         outputs.extend_from_slice(&logged[..at.k.min(logged.len())]);
         let k = outputs.len();
         outputs.extend_from_slice(&golden.outputs[k..at.k]);
-        let mut speeds = Vec::with_capacity(run.cfg.iterations + 1);
-        speeds.extend_from_slice(&golden.speeds[..=at.k]);
         let count = machine.instr_count();
         let result = drive_from(
             machine,
@@ -151,7 +148,6 @@ pub(crate) fn drive(
             at.engine,
             at.k,
             outputs,
-            speeds,
             Some(FaultInjector::diff(fallback.at, at_fallback)),
             run.cap,
             run.deadline,

@@ -11,8 +11,10 @@
 //! the line being written — and a torn final line is detected by parse or
 //! checksum failure and simply re-run on resume.
 //!
-//! Resume contract: [`JsonlStore::open_resume`] validates the stored
-//! header against the header of the *current* configuration
+//! Resume contract: [`JsonlStore::reattach`] starts a missing store or a
+//! headerless remnant afresh and hands an existing one to
+//! [`JsonlStore::open_resume`], which validates the stored header
+//! against the header of the *current* configuration
 //! ([`StoreHeader::validate_against`]) and refuses to mix campaigns that
 //! differ in workload, fault count, seed, fault model, loop shape or
 //! golden digest. The checkpoint stride is deliberately *not* validated:
@@ -449,6 +451,19 @@ struct StoreInner {
     deferred_error: Option<std::io::Error>,
 }
 
+/// What [`JsonlStore::reattach`] found at the store's path.
+#[derive(Debug)]
+pub enum Reattached {
+    /// No file: the store was created.
+    Created,
+    /// A headerless remnant of a crash before the header was durable: the
+    /// store was created afresh over it.
+    Remnant,
+    /// An existing store, validated and resumed; see
+    /// [`LoadedCampaign::torn_tail`].
+    Resumed(LoadedCampaign),
+}
+
 /// The streaming sink: an open store file accepting record appends.
 ///
 /// Implements [`CampaignObserver`], so threading it through a campaign
@@ -526,6 +541,28 @@ impl JsonlStore {
             },
             loaded,
         ))
+    }
+
+    /// Attaches a resumed campaign to the store at `path`: a missing file
+    /// is created, a [`headerless_remnant`] (provably no records) is
+    /// created afresh over, and an existing store goes through
+    /// [`open_resume`](Self::open_resume). The second value says which,
+    /// with the loaded records (and whether a torn tail was cut) for an
+    /// existing store.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`create`](Self::create) and
+    /// [`open_resume`](Self::open_resume) can return.
+    pub fn reattach(path: &Path, header: &StoreHeader) -> Result<(Self, Reattached), StoreError> {
+        if !path.exists() {
+            return Ok((Self::create(path, header)?, Reattached::Created));
+        }
+        if headerless_remnant(path) {
+            return Ok((Self::create(path, header)?, Reattached::Remnant));
+        }
+        let (store, loaded) = Self::open_resume(path, header)?;
+        Ok((store, Reattached::Resumed(loaded)))
     }
 
     /// Writes and flushes one record line; the single append path shared

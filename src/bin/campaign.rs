@@ -51,7 +51,7 @@ use bera::goofi::failpoints;
 use bera::goofi::farm;
 use bera::goofi::observer::{CampaignObserver, ObserverSet, Telemetry};
 use bera::goofi::planner::prune_eligible;
-use bera::goofi::store::{headerless_remnant, write_telemetry_sidecar, JsonlStore, StoreHeader};
+use bera::goofi::store::{write_telemetry_sidecar, JsonlStore, Reattached, StoreHeader};
 use bera::goofi::table::tabulate;
 use bera::goofi::workload::Workload;
 use std::path::Path;
@@ -413,52 +413,41 @@ fn main() -> ExitCode {
         Some(path) => {
             let path = Path::new(path);
             let header = StoreHeader::new(args.workload.name(), &cfg, prepared.golden());
-            if args.resume && path.exists() && headerless_remnant(path) {
-                // A crash between store creation and a durable header
-                // leaves an empty or newline-free file: provably no
-                // records, so recovery is a fresh start, not a refusal.
-                eprintln!(
-                    "note: {} is a headerless remnant (crash before the \
-                     header was durable); starting the store afresh",
-                    path.display()
-                );
-                match JsonlStore::create(path, &header) {
-                    Ok(store) => store,
-                    Err(e) => {
-                        eprintln!("error: cannot recreate {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else if args.resume && path.exists() {
-                match JsonlStore::open_resume(path, &header) {
-                    Ok((store, loaded)) => {
-                        if loaded.torn_tail {
-                            eprintln!(
-                                "note: store had a torn final line (crash mid-write); \
-                                 that fault will be re-run"
-                            );
-                        }
-                        eprintln!(
-                            "resuming {}: {}/{} records already complete",
-                            path.display(),
-                            loaded.done(),
-                            args.faults
-                        );
-                        preloaded = loaded.records;
-                        store
-                    }
-                    Err(e) => {
-                        eprintln!("error: cannot resume {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
+            let attached = if args.resume {
+                JsonlStore::reattach(path, &header)
             } else {
-                match JsonlStore::create(path, &header) {
-                    Ok(store) => store,
-                    Err(e) => {
-                        eprintln!("error: cannot create {}: {e}", path.display());
-                        return ExitCode::FAILURE;
+                JsonlStore::create(path, &header).map(|store| (store, Reattached::Created))
+            };
+            match attached {
+                Ok((store, Reattached::Created)) => store,
+                Ok((store, Reattached::Remnant)) => {
+                    eprintln!(
+                        "note: {} was a headerless remnant (crash before the \
+                         header was durable); started the store afresh",
+                        path.display()
+                    );
+                    store
+                }
+                Ok((store, Reattached::Resumed(loaded))) => {
+                    if loaded.torn_tail {
+                        eprintln!(
+                            "note: store had a torn final line (crash mid-write); \
+                             that fault will be re-run"
+                        );
                     }
+                    eprintln!(
+                        "resuming {}: {}/{} records already complete",
+                        path.display(),
+                        loaded.done(),
+                        args.faults
+                    );
+                    preloaded = loaded.records;
+                    store
+                }
+                Err(e) => {
+                    let verb = if args.resume { "resume" } else { "create" };
+                    eprintln!("error: cannot {verb} {}: {e}", path.display());
+                    return ExitCode::FAILURE;
                 }
             }
         }

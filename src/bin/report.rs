@@ -24,7 +24,8 @@
 //! telemetry are printed to stderr, and the tables come from the merged
 //! store when the farm is complete, or from the segments assembled in
 //! place (use `--partial` mid-flight). Segment/manifest header mismatches
-//! and cross-shard duplicates are refused with a precise error.
+//! and records outside their segment's shard are refused with a precise
+//! error.
 
 use bera::goofi::campaign::CampaignResult;
 use bera::goofi::farm;
@@ -154,8 +155,8 @@ fn load(path: &str, partial: bool) -> Result<CampaignResult, String> {
 /// and telemetry go to stderr, and the records come from the canonical
 /// merged store when the farm is complete and merged, otherwise from the
 /// segments assembled in place (cross-validated against the manifest —
-/// a header mismatch, foreign index or duplicate index is refused, never
-/// papered over).
+/// a header mismatch or a foreign index is refused, never papered
+/// over).
 fn load_farm(root: &Path, partial: bool) -> Result<CampaignResult, String> {
     let label = root.display();
     let assembly = farm::assemble_farm(root).map_err(|e| format!("{label}: {e}"))?;

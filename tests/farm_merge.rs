@@ -7,8 +7,8 @@
 //!    records landed inside each segment (workers race; the merge
 //!    canonicalizes);
 //! 2. **Duplicate detection** — a fault index recorded by a second
-//!    shard's segment fails the merge loudly, naming the index and both
-//!    shards, never silently picking a winner;
+//!    shard's segment fails the merge loudly as a foreign index, naming
+//!    the index and both shards, never silently picking a winner;
 //! 3. **Torn-tail recovery** — a segment truncated mid final line loses
 //!    exactly that one record, and a resuming worker re-runs exactly the
 //!    gap, converging to the identical canonical merge.
@@ -19,7 +19,7 @@ use bera_goofi::farm::{
     assemble_farm, done_path, init_farm, manifest_path, merge_farm, merged_path, read_manifest,
     run_worker, segment_path, FarmError, FarmManifest, LeasePolicy, FARM_VERSION,
 };
-use bera_goofi::observer::Telemetry;
+use bera_goofi::observer::{Telemetry, TelemetrySnapshot};
 use bera_goofi::store::{encode_record, load_store, JsonlStore};
 use bera_goofi::workload::Workload;
 use proptest::prelude::*;
@@ -125,7 +125,9 @@ fn permutation(seed: u64, n: usize) -> Vec<usize> {
 /// full fault list, so each shard sidecar already carries the global
 /// counts; the merge must deduplicate (take the maximum), not sum
 /// (DESIGN.md § 8i). The reference is the single-process campaign's own
-/// telemetry of the identical configuration.
+/// telemetry of the identical configuration. The counters derived from
+/// the records (outcome buckets, provenance, pruning, completions) are
+/// summed over shards and must match it too.
 #[test]
 fn merged_planning_counters_are_exact_not_per_shard_sums() {
     // A dedicated farm, larger than the shared fixture: enough faults
@@ -156,6 +158,27 @@ fn merged_planning_counters_are_exact_not_per_shard_sums() {
     assert_eq!(merged.sig_overwritten, reference.sig_overwritten);
     assert_eq!(merged.value_resolved, reference.value_resolved);
     assert_eq!(merged.vis_replicated, reference.vis_replicated);
+    let record_counters = |s: &TelemetrySnapshot| {
+        [
+            s.detected,
+            s.hangs,
+            s.severe,
+            s.minor,
+            s.latent,
+            s.overwritten,
+            s.harness_failures,
+            s.analytic,
+            s.replicated,
+            s.pruned,
+            s.completed,
+        ]
+    };
+    assert_eq!(record_counters(&merged), record_counters(&reference));
+    assert_eq!(reference.completed, PLAN_FAULTS);
+    assert!(
+        reference.analytic > 0 && reference.pruned > 0,
+        "the record-derived counters must move for this comparison to bite"
+    );
     // Planning CPU stays a sum: each shard run really spent it, so the
     // farm figure is exactly the total of the shard sidecars.
     let shard_plan: u64 = assemble_farm(&root)
@@ -184,8 +207,11 @@ proptest! {
         );
     }
 
-    /// Claim 2: a duplicated fault index across segments is refused with
-    /// an error naming the index and both shards involved.
+    /// Claim 2: a duplicated fault index across segments is refused as a
+    /// foreign index of the stranger's segment, with an error naming the
+    /// index and both shards involved. The shards tile the fault list, so
+    /// the range check sees every duplicate before any record is seen
+    /// twice.
     #[test]
     fn duplicate_index_across_segments_is_loud(
         index in 0..FAULTS,
@@ -203,7 +229,8 @@ proptest! {
         file.write_all(b"\n").expect("append newline");
         drop(file);
         match merge_farm(&root) {
-            Err(e @ (FarmError::ForeignIndex { .. } | FarmError::DuplicateIndex { .. })) => {
+            Err(e @ FarmError::ForeignIndex { index: i, shard, owner: o }) => {
+                prop_assert_eq!((i, shard, o), (index, stranger, owner));
                 let msg = e.to_string();
                 prop_assert!(msg.contains(&format!("{index}")), "error names the index: {msg}");
                 prop_assert!(

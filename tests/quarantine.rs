@@ -14,10 +14,11 @@
 
 use bera_goofi::campaign::{prepare_campaign, run_scifi_campaign_observed, CampaignConfig};
 use bera_goofi::observer::Telemetry;
-use bera_goofi::planner::{plan_campaign, PlanAction};
+use bera_goofi::planner::{plan_campaign, resolve, Fate, PlanAction};
 use bera_goofi::store::{load_store, JsonlStore, StoreHeader};
 use bera_goofi::workload::Workload;
 use bera_goofi::{ChaosHarness, HarnessCause, Outcome, SupervisorConfig};
+use bera_tcpu::scan;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -200,8 +201,8 @@ fn parallel_sabotaged_campaign_matches_serial() {
 
 #[test]
 fn sabotaged_live_representative_is_retried_from_reset() {
-    // Pruning on: the target is a live class representative whose plan
-    // resumes it from its live instant. That resume must run inside the
+    // Pruning on: the target is a live class representative, which runs
+    // under diff replay from its injection. That run must stay inside the
     // same containment boundary as every other experiment.
     let workload = Workload::algorithm_one();
     let cfg = CampaignConfig::quick(60, 7);
@@ -210,20 +211,24 @@ fn sabotaged_live_representative_is_retried_from_reset() {
     let plan = plan_campaign(faults, &cfg, golden);
     let reps_with_members: BTreeSet<usize> =
         plan.classes().into_iter().map(|(rep, _)| rep).collect();
-    // A live representative that really resumes (a golden checkpoint lies
-    // between its injection and its live instant) and has no replicated
+    // A simulated fault the resolver finds live, with no replicated
     // members, so every other record stays bit-identical to the baseline.
     let target = (0..faults.len())
         .find(|&i| {
+            let flips: Vec<_> = cfg
+                .fault_model
+                .locations(faults[i].location_index)
+                .into_iter()
+                .map(|j| scan::catalog()[j])
+                .collect();
             plan.action(i) == PlanAction::Simulate
                 && !reps_with_members.contains(&i)
-                && plan.resume_point(i).is_some_and(|(at, _)| {
-                    golden
-                        .checkpoint_before(at)
-                        .is_some_and(|c| c.machine.instr_count() >= faults[i].inject_at)
-                })
+                && matches!(
+                    resolve(&flips, faults[i].inject_at, &golden.trace),
+                    Fate::Live { .. }
+                )
         })
-        .expect("the campaign has a resumable live representative");
+        .expect("the campaign has a memberless live representative");
     let reference = baseline(&workload, &cfg);
     let sabotaged = |chaos: ChaosHarness| {
         let mut cfg = cfg.clone();
@@ -254,7 +259,7 @@ fn sabotaged_live_representative_is_retried_from_reset() {
     assert!(detail.contains("forced panic"), "{detail}");
 
     // A one-shot panic recovers on the retry from reset, which never
-    // prunes; otherwise the record matches the live resume's.
+    // prunes; otherwise the record matches the replayed run's.
     let (record, snap) = sabotaged(ChaosHarness::panicking_once([target]));
     assert_eq!(snap.retried, 1, "exactly one attempt was retried");
     assert_eq!(snap.harness_failures, 0, "nothing was quarantined");
