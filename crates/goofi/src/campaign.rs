@@ -3,10 +3,10 @@
 
 use crate::classify::Outcome;
 use crate::experiment::{
-    golden_run, run_experiment_with_model, run_from, ExperimentRecord, FaultModel, FaultSpec,
-    GoldenRun, LoopConfig, Provenance, Start,
+    golden_run, interpreted_end_diff, run_experiment_with_model, run_from, ExperimentRecord,
+    FaultModel, FaultSpec, GoldenRun, LoopConfig, Provenance, Start,
 };
-use crate::observer::{CampaignObserver, NullObserver};
+use crate::observer::{CampaignObserver, NullObserver, ObserverSet};
 use crate::planner::{
     analytic_record, paranoid_members, plan_campaign, prune_eligible, records_equivalent,
     replicated_record, PlanAction,
@@ -18,6 +18,7 @@ use bera_tcpu::scan;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Configuration of one SCIFI campaign (GOOFI's set-up phase).
 #[derive(Debug, Clone)]
@@ -437,6 +438,13 @@ fn run_fault_list_scoped(
     } else {
         completed
     };
+    // The paranoid audit also checks the end diffs of the runs diff replay
+    // ended by the steady-delta jump.
+    let steady = SteadyEnds::default();
+    let mut audited = ObserverSet::new();
+    audited.push(observer);
+    audited.push(&steady);
+    let observer: &dyn CampaignObserver = if cfg.paranoid > 0 { &audited } else { observer };
     let in_scope = |i: usize| scope.contains(&i);
     let plan = plan_campaign(faults, cfg, golden);
     let stats = plan.stats();
@@ -622,6 +630,20 @@ fn run_fault_list_scoped(
                  {interpreted:?} disagrees with replayed {replayed:?}"
             );
         }
+        // A wrong delta that stays latent leaves the record as it was, so
+        // the jumped runs' end diffs are audited themselves.
+        let ends = steady.0.into_inner().expect("no audit observer panics");
+        let jumped: Vec<usize> = ends.keys().copied().collect();
+        for i in paranoid_members(&jumped, cfg.paranoid, cfg.seed, golden_digest, anchor) {
+            let interpreted =
+                interpreted_end_diff(&cfg.loop_cfg, golden, faults[i], cfg.fault_model);
+            assert!(
+                interpreted.as_ref() == Some(&ends[&i]),
+                "paranoid steady-delta audit failed at fault index {i}: the \
+                 interpreter ends {interpreted:?}, the jumped replay {:?}",
+                ends[&i]
+            );
+        }
         for (rep, members) in plan.classes() {
             for m in paranoid_members(&members, cfg.paranoid, cfg.seed, golden_digest, faults[rep])
             {
@@ -650,6 +672,18 @@ fn run_fault_list_scoped(
     }
 
     slots
+}
+
+/// The end diffs of the runs diff replay ended by the steady-delta jump,
+/// by fault index, for the paranoid audit.
+#[derive(Default)]
+struct SteadyEnds(Mutex<HashMap<usize, Vec<(u32, u32)>>>);
+
+impl CampaignObserver for SteadyEnds {
+    fn replay_steady(&self, index: usize, end: &[(u32, u32)]) {
+        let mut ends = self.0.lock().expect("no audit observer panics");
+        ends.insert(index, end.to_vec());
+    }
 }
 
 #[cfg(test)]

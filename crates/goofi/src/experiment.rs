@@ -4,6 +4,7 @@
 use crate::classify::{Classifier, Outcome};
 use crate::observer::{CampaignObserver, NullObserver};
 use crate::recall::{Tail, TrajectoryMemo, RECALL_EVERY};
+use crate::steady::IntervalClasses;
 use crate::workload::Workload;
 use bera_plant::{Engine, Profiles};
 use bera_tcpu::access::AccessTrace;
@@ -280,6 +281,9 @@ pub struct GoldenRun {
     /// checkpoints by copying only words the golden run itself touched,
     /// and lets `drive_from`'s convergence check compare memory sparsely.
     pub ckpt_data_deltas: Vec<Vec<u32>>,
+    /// Per unit of the trace, its class in each checkpoint interval, for
+    /// diff replay's steady-delta jump ([`crate::steady`]).
+    pub(crate) classes: IntervalClasses,
 }
 
 impl GoldenRun {
@@ -980,6 +984,7 @@ pub fn golden_run(workload: &Workload, cfg: &LoopConfig) -> GoldenRun {
         trace,
         arena_token: NEXT_ARENA_TOKEN.fetch_add(1, Ordering::Relaxed),
         ckpt_data_deltas,
+        classes: IntervalClasses::default(),
     }
 }
 
@@ -1286,6 +1291,41 @@ pub(crate) fn run_from(
         arena_release(machine, recall, golden, ci);
     }
     record
+}
+
+/// `fault`'s run interpreted from injection to its end without pruning:
+/// its end state's sparse diff against golden's, or `None` when the run
+/// does not complete. The paranoid audit's reference for the end diff of
+/// a replay that took the steady-delta jump.
+pub(crate) fn interpreted_end_diff(
+    cfg: &LoopConfig,
+    golden: &GoldenRun,
+    fault: FaultSpec,
+    model: FaultModel,
+) -> Option<Vec<(u32, u32)>> {
+    let ckpt = golden.checkpoint_before(fault.inject_at)?;
+    let mut machine = ckpt.machine.clone();
+    let mut outputs = Vec::with_capacity(cfg.iterations);
+    outputs.extend_from_slice(&golden.outputs[..ckpt.iteration]);
+    let result = drive_from(
+        &mut machine,
+        cfg,
+        ckpt.engine.clone(),
+        ckpt.iteration,
+        outputs,
+        Some(FaultInjector::new(model, fault)),
+        instruction_cap(golden.total_instructions),
+        None,
+        DriveMode::Plain,
+        false,
+        &mut || {},
+    );
+    matches!(result.end, DriveEnd::Completed { .. }).then(|| {
+        // A clone keeps no dirty log: the diff sweeps all of memory.
+        let mut diff = Vec::new();
+        machine.sparse_diff(&golden.end_machine, &[], &mut diff);
+        diff
+    })
 }
 
 /// Classifies a finished run into the final [`ExperimentRecord`] and

@@ -55,6 +55,7 @@ pub mod planner;
 pub mod propagation;
 mod recall;
 mod replay;
+pub mod steady;
 pub mod store;
 pub mod supervisor;
 pub mod swifi;

@@ -93,6 +93,15 @@ pub trait CampaignObserver: Sync {
         let _ = (index, n);
     }
 
+    /// A diff replay of the run jumped over the checkpoint intervals its
+    /// steady delta provably survives (DESIGN.md §8l) and replayed the tail
+    /// to the end of the run, where its diff from golden's end state is
+    /// `end` (in [`Machine::sparse_diff`](bera_tcpu::Machine::sparse_diff)'s
+    /// form).
+    fn replay_steady(&self, index: usize, end: &[(u32, u32)]) {
+        let _ = (index, end);
+    }
+
     /// An experiment's drive finished executing: it ran `instructions`
     /// dynamic instructions in this process, of which `block_instructions`
     /// went through the predecoded fast-replay block engine rather than
@@ -210,6 +219,12 @@ impl CampaignObserver for ObserverSet<'_> {
     fn replay_events(&self, index: usize, n: u64) {
         for o in &self.observers {
             o.replay_events(index, n);
+        }
+    }
+
+    fn replay_steady(&self, index: usize, end: &[(u32, u32)]) {
+        for o in &self.observers {
+            o.replay_steady(index, end);
         }
     }
 
@@ -417,6 +432,10 @@ impl CampaignObserver for Telemetry {
         self.fold(|c| c.replay_events += n);
     }
 
+    fn replay_steady(&self, _index: usize, _end: &[(u32, u32)]) {
+        self.fold(|c| c.steady += 1);
+    }
+
     fn experiment_executed(&self, _index: usize, instructions: u64, block_instructions: u64) {
         self.fold(|c| {
             c.sim_instructions += instructions;
@@ -545,6 +564,10 @@ pub struct TelemetrySnapshot {
     /// Absent from sidecars written before it existed.
     #[serde(default)]
     pub replay_events: u64,
+    /// Replays that took the steady-delta jump and replayed the tail to
+    /// the end of the run. Absent from sidecars written before it existed.
+    #[serde(default)]
+    pub steady: usize,
     /// Replayed experiments handed to the interpreter because the diff
     /// covered the PC, fetch latch or signature register.
     pub fallback_control_state: usize,
@@ -700,6 +723,7 @@ impl TelemetrySnapshot {
         self.arena_full_clones += other.arena_full_clones;
         self.replayed += other.replayed;
         self.replay_events += other.replay_events;
+        self.steady += other.steady;
         self.fallback_control_state += other.fallback_control_state;
         self.fallback_address += other.fallback_address;
         self.fallback_cache_control += other.fallback_cache_control;
@@ -793,9 +817,10 @@ impl fmt::Display for TelemetrySnapshot {
             let total: usize = fallbacks.iter().map(|(_, n)| n).sum();
             write!(
                 f,
-                " | replay {} ({} events), fallback {total}",
+                " | replay {} ({} events, steady {}), fallback {total}",
                 self.replayed,
-                count(self.replay_events)
+                count(self.replay_events),
+                self.steady
             )?;
             let by_reason: Vec<String> = fallbacks
                 .iter()
@@ -886,6 +911,10 @@ mod tests {
                 assert!(
                     snap.analytic > 0 && snap.pruned > 0,
                     "{model}: the pruner ran"
+                );
+                assert!(
+                    0 < snap.steady && snap.steady <= snap.replayed,
+                    "{model}: some replays end by the steady-delta jump"
                 );
             } else {
                 assert_eq!(snap.analytic + snap.replicated + snap.pruned, 0, "{model}");

@@ -9,8 +9,10 @@
 //! them the plant, are golden's. At every golden checkpoint the diff is
 //! also the whole state comparison: empty means the run converged there,
 //! and at every [`RECALL_EVERY`]-th checkpoint it is the trajectory memo's
-//! key. A run replayed to its end is classified from golden's end state
-//! plus the diff. Every record equals the interpreter's.
+//! key. A run whose delta against golden is provably steady jumps to
+//! golden's last checkpoint ([`crate::steady`]). A run replayed to its end
+//! is classified from golden's end state plus the diff. Every record
+//! equals the interpreter's.
 
 use crate::experiment::{
     actuate, drive_from, set_ports, DriveEnd, DriveMode, DriveResult, FaultInjector, FaultModel,
@@ -18,6 +20,7 @@ use crate::experiment::{
 };
 use crate::observer::CampaignObserver;
 use crate::recall::{TrajectoryMemo, RECALL_EVERY};
+use crate::steady::Steady;
 use bera_plant::Engine;
 use bera_tcpu::diff::{DiffReplay, Fallback, FallbackReason, ReplayScratch};
 use bera_tcpu::machine::{Machine, RunExit, PORT_U};
@@ -212,20 +215,51 @@ impl Position {
 
 /// Replays from boundary `from`, where the state differs from golden's by
 /// `diff`, over the golden checkpoints after index `after`: the drive's
-/// end, or the first fallback with the diff at its instant.
+/// end, or the first fallback with the diff at its instant. Where the
+/// steady-delta rule allows it ([`Steady`]), replay jumps to golden's last
+/// checkpoint and goes on from there.
 fn replay(
     run: &Run<'_>,
     scratch: &mut ReplayScratch,
-    from: u64,
-    after: usize,
-    diff: Vec<(u32, u32)>,
+    mut from: u64,
+    mut after: usize,
+    mut diff: Vec<(u32, u32)>,
     memo: &mut TrajectoryMemo,
 ) -> Result<DriveEnd, (Fallback, Vec<(u32, u32)>)> {
     let golden = run.golden;
-    let mut r = DiffReplay::new(&golden.trace, &golden.end_machine, scratch, from, diff);
-    let end = replay_checkpoints(run, &mut r, from, after, memo);
-    run.observer.replay_events(run.index, r.events());
-    end.map_err(|fallback| (fallback, r.diff().to_vec()))
+    let (mut events, mut jumped) = (0, false);
+    loop {
+        let mut r = DiffReplay::new(&golden.trace, &golden.end_machine, scratch, from, diff);
+        let walked = replay_checkpoints(run, &mut r, from, after, memo);
+        events += r.events();
+        let end = match walked {
+            Ok(Walk::Jump(last, at_last)) => {
+                (from, after, diff) = (
+                    golden.checkpoints[last].machine.instr_count(),
+                    last,
+                    at_last,
+                );
+                jumped = true;
+                continue;
+            }
+            Ok(Walk::End(end)) => {
+                if jumped && matches!(end, DriveEnd::Completed { .. }) {
+                    run.observer.replay_steady(run.index, r.diff());
+                }
+                Ok(end)
+            }
+            Err(fallback) => Err((fallback, r.diff().to_vec())),
+        };
+        run.observer.replay_events(run.index, events);
+        return end;
+    }
+}
+
+/// How [`replay_checkpoints`] ended: with the drive's end, or with the
+/// steady-delta jump to golden checkpoint `.0`, where the diff is `.1`.
+enum Walk {
+    End(DriveEnd),
+    Jump(usize, Vec<(u32, u32)>),
 }
 
 /// [`replay`]'s walk over the golden checkpoints.
@@ -235,22 +269,23 @@ fn replay_checkpoints(
     from: u64,
     after: usize,
     memo: &mut TrajectoryMemo,
-) -> Result<DriveEnd, Fallback> {
+) -> Result<Walk, Fallback> {
     let golden = run.golden;
+    let mut steady = Steady::new(golden);
     let (mut events, mut since) = (0, from);
     for (c, ckpt) in golden.checkpoints.iter().enumerate().skip(after + 1) {
         r.advance(ckpt.machine.instr_count())?;
         if run.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Ok(DriveEnd::DeadlineExceeded);
+            return Ok(Walk::End(DriveEnd::DeadlineExceeded));
         }
         let iteration = ckpt.iteration;
-        let diff = r.diff();
+        let (diff, jump) = steady.at_checkpoint(c, r);
         if diff.is_empty() {
-            return Ok(DriveEnd::Converged { iteration });
+            return Ok(Walk::End(DriveEnd::Converged { iteration }));
         }
         if c.is_multiple_of(RECALL_EVERY) {
             if let Some(tail) = memo.probe(diff, c, iteration, 0) {
-                return Ok(DriveEnd::Recalled { iteration, tail });
+                return Ok(Walk::End(DriveEnd::Recalled { iteration, tail }));
             }
         }
         // Past one event per DENSE instructions, the interpreter carries
@@ -261,6 +296,21 @@ fn replay_checkpoints(
                 at,
                 reason: FallbackReason::Dense,
             });
+        }
+        if let Some(at_last) = jump {
+            // The state at every checkpoint jumped over is known: recall
+            // probes it as if replay had passed it.
+            let last = golden.checkpoints.len() - 1;
+            for j in (c + 1..=last).filter(|j| j.is_multiple_of(RECALL_EVERY)) {
+                let Some(at_j) = steady.diff_at(j) else {
+                    continue;
+                };
+                let iteration = golden.checkpoints[j].iteration;
+                if let Some(tail) = memo.probe(&at_j, j, iteration, 0) {
+                    return Ok(Walk::End(DriveEnd::Recalled { iteration, tail }));
+                }
+            }
+            return Ok(Walk::Jump(last, at_last));
         }
         (events, since) = (r.events(), at);
     }
@@ -273,7 +323,7 @@ fn replay_checkpoints(
         faulty.scan_snapshot().diff_count(&golden.end_scan) != 0
             || !faulty.memory().data_equals(end.memory())
     });
-    Ok(DriveEnd::Completed {
+    Ok(Walk::End(DriveEnd::Completed {
         latent: Some(latent),
-    })
+    }))
 }

@@ -34,7 +34,7 @@ use bera_tcpu::Fnv64;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -367,7 +367,17 @@ impl LoadedCampaign {
 /// header or a bad non-final line, [`StoreError::HeaderMismatch`] when the
 /// magic or version is wrong.
 pub fn load_store(path: &Path) -> Result<LoadedCampaign, StoreError> {
+    load(path).map(|(loaded, _)| loaded)
+}
+
+/// [`load_store`], with the length of the file up to and including its
+/// last newline: what a torn final line is cut back to.
+fn load(path: &Path) -> Result<(LoadedCampaign, u64), StoreError> {
     let bytes = std::fs::read(path)?;
+    let intact = bytes
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |pos| pos + 1);
     let ends_with_newline = bytes.last() == Some(&b'\n');
     let chunks: Vec<&[u8]> = bytes
         .split(|&b| b == b'\n')
@@ -436,11 +446,14 @@ pub fn load_store(path: &Path) -> Result<LoadedCampaign, StoreError> {
             }
         }
     }
-    Ok(LoadedCampaign {
-        header,
-        records,
-        torn_tail,
-    })
+    Ok((
+        LoadedCampaign {
+            header,
+            records,
+            torn_tail,
+        },
+        intact as u64,
+    ))
 }
 
 struct StoreInner {
@@ -515,19 +528,14 @@ impl JsonlStore {
         path: &Path,
         current: &StoreHeader,
     ) -> Result<(Self, LoadedCampaign), StoreError> {
-        let loaded = load_store(path)?;
+        let (loaded, intact) = load(path)?;
         loaded.header.validate_against(current)?;
         if loaded.torn_tail {
             // Cut the partial final line so new appends start on a fresh
             // line instead of concatenating onto the torn one.
             crate::fp!("store.resume.before-truncate");
-            let bytes = std::fs::read(path)?;
-            let keep = bytes
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |pos| pos + 1);
             let file = OpenOptions::new().write(true).open(path)?;
-            file.set_len(keep as u64)?;
+            file.set_len(intact)?;
             file.sync_all()?;
             crate::fp!("store.resume.after-truncate");
         }
@@ -664,13 +672,26 @@ pub fn write_telemetry_sidecar(
 /// records). A resume can safely recreate such a remnant from scratch;
 /// anything else that fails to load is genuine corruption and must be
 /// refused, never overwritten.
+/// The file is read a chunk at a time, up to its first newline.
 #[must_use]
 pub fn headerless_remnant(path: &Path) -> bool {
-    let Ok(bytes) = std::fs::read(path) else {
+    let Ok(mut file) = File::open(path) else {
         return false;
     };
-    !bytes.contains(&b'\n')
+    let mut chunk = [0; REMNANT_CHUNK];
+    loop {
+        match file.read(&mut chunk) {
+            Ok(0) => return true,
+            Ok(n) if chunk[..n].contains(&b'\n') => return false,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
 }
+
+/// The bytes [`headerless_remnant`] reads at a time.
+const REMNANT_CHUNK: usize = 8192;
 
 impl CampaignObserver for JsonlStore {
     fn experiment_classified(&self, index: usize, record: &ExperimentRecord) {
@@ -834,6 +855,24 @@ mod tests {
             !headerless_remnant(&path),
             "a missing file is not a remnant"
         );
+    }
+
+    #[test]
+    fn remnants_longer_than_a_read_chunk_are_told_apart() {
+        let path = temp_path("remnant-chunks");
+        std::fs::write(&path, vec![b'x'; 2 * REMNANT_CHUNK + 17]).unwrap();
+        assert!(
+            headerless_remnant(&path),
+            "no newline in several chunks is a remnant"
+        );
+        let mut late = vec![b'x'; REMNANT_CHUNK + 5];
+        late.extend_from_slice(b"\nmore\n");
+        std::fs::write(&path, late).unwrap();
+        assert!(
+            !headerless_remnant(&path),
+            "a first newline past the first chunk is found"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

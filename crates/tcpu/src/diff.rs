@@ -115,6 +115,9 @@ pub struct ReplayScratch {
     cursors: Vec<[u32; 2]>,
     entries: Vec<Entry>,
     merged: Vec<(u32, u32)>,
+    /// The positions in the diff since the stretch began (see
+    /// [`DiffReplay::end_interval`]), with repeats.
+    touched: Vec<u32>,
 }
 
 impl Default for ReplayScratch {
@@ -125,6 +128,7 @@ impl Default for ReplayScratch {
             cursors: vec![[0; 2]; TraceUnit::COUNT],
             entries: Vec::new(),
             merged: Vec::new(),
+            touched: Vec::new(),
         }
     }
 }
@@ -240,6 +244,9 @@ impl Latch {
         }
     }
 }
+
+/// The positions of the operand and result latches in a sparse diff.
+pub const LATCHES: std::ops::RangeInclusive<u32> = word::IDEX_A as u32..=word::EXWB_WE as u32;
 
 /// No unit, in [`units_of`].
 const NO_UNIT: u32 = u32::MAX;
@@ -575,6 +582,9 @@ pub struct DiffReplay<'a> {
     /// [`STALE`] while there are any: `u64::MAX` means none.
     chain_stop: u64,
     events: u64,
+    /// Every event since the stretch began was delta-determined (see
+    /// [`DiffReplay::end_interval`]).
+    determined: bool,
     /// Set when the diff holds a position replay cannot carry.
     blocked: Option<Fallback>,
 }
@@ -607,13 +617,16 @@ impl<'a> DiffReplay<'a> {
             tainted: [(-1, 0); 2],
         };
         let exwb = [word::EXWB_VALUE, word::EXWB_RD, word::EXWB_WE].map(latch_word);
-        let latches = word::IDEX_A as u32..=word::EXWB_WE as u32;
         scratch.entries.clear();
         scratch.entries.extend(
             diff.iter()
-                .filter(|(p, _)| !latches.contains(p))
+                .filter(|(p, _)| !LATCHES.contains(p))
                 .map(|&(p, v)| Entry::new(p, v, units_of(p).unwrap_or([NO_UNIT; 2]))),
         );
+        scratch.touched.clear();
+        scratch
+            .touched
+            .extend(scratch.entries.iter().map(|e| e.pos));
         let mut replay = DiffReplay {
             trace,
             golden,
@@ -625,6 +638,7 @@ impl<'a> DiffReplay<'a> {
             first_death: u64::MAX,
             chain_stop: u64::MAX,
             events: 0,
+            determined: true,
             blocked: blocked.then_some(Fallback {
                 at,
                 reason: FallbackReason::ControlState,
@@ -671,6 +685,35 @@ impl<'a> DiffReplay<'a> {
     #[must_use]
     pub fn events(&self) -> u64 {
         self.events
+    }
+
+    /// Ends a stretch of replay, a checkpoint interval, for the
+    /// steady-delta rule (DESIGN.md §8l): appends to `units` the trace
+    /// indices of the units of every position in the diff at some point
+    /// since the stretch began (at the last call, or at
+    /// [`DiffReplay::new`]), and returns whether every event since was
+    /// *delta-determined*: its written words' differences from golden's
+    /// depend only on the differences it read. Moves by loads, stores,
+    /// fills and write-backs, `xor`, `mov` and `ori`, skipped chains and
+    /// deaths are; any other register instruction and a stack-bound check
+    /// against a diffed bound are not. Nor is a stretch with a PSR entry,
+    /// whose death depends on golden's flags.
+    pub fn end_interval(&mut self, units: &mut Vec<u32>) -> bool {
+        self.expire();
+        let ReplayScratch {
+            entries, touched, ..
+        } = &mut *self.scratch;
+        let psr = touched.contains(&(word::PSR as u32));
+        let of = |p: u32| units_of(p).unwrap_or([NO_UNIT; 2]);
+        units.extend(
+            touched
+                .iter()
+                .flat_map(|&p| of(p))
+                .filter(|&u| u != NO_UNIT),
+        );
+        touched.clear();
+        touched.extend(entries.iter().map(|e| e.pos));
+        std::mem::replace(&mut self.determined, true) && !psr
     }
 
     /// Processes every event before instant `until`, leaving the diff as
@@ -834,14 +877,19 @@ impl<'a> DiffReplay<'a> {
     /// is `golden`. Every position an event changes is one golden touches
     /// during it, so its next access is looked up afterwards.
     fn set(&mut self, pos: u32, faulty: u32, golden: u32) {
-        let entries = &mut self.scratch.entries;
+        let ReplayScratch {
+            entries, touched, ..
+        } = &mut *self.scratch;
         match entries.iter().position(|e| e.pos == pos) {
             Some(i) if faulty == golden => {
                 entries.swap_remove(i);
             }
             Some(i) => entries[i] = Entry::new(pos, faulty, entries[i].units),
             None if faulty == golden => {}
-            None => entries.push(Entry::new(pos, faulty, carried(pos))),
+            None => {
+                entries.push(Entry::new(pos, faulty, carried(pos)));
+                touched.push(pos);
+            }
         }
     }
 
@@ -979,6 +1027,7 @@ impl<'a> DiffReplay<'a> {
                 self.latch.taint(k, f);
             }
         }
+        self.determined &= matches!(d.op, Opcode::Xor | Opcode::Mov | Opcode::Ori);
         Ok(())
     }
 
@@ -1045,6 +1094,8 @@ impl<'a> DiffReplay<'a> {
             return fallback(FallbackReason::Address);
         }
         if mem::region(addr) == Region::Stack && bounds.iter().any(Option::is_some) {
+            // The check's outcome depends on golden's address.
+            self.determined = false;
             let lo = bounds[0].unwrap_or(self.golden.core.stack_lo);
             let hi = bounds[1].unwrap_or(self.golden.core.stack_hi);
             if addr < lo || addr >= hi {
@@ -1088,11 +1139,14 @@ impl<'a> DiffReplay<'a> {
                         || (word::SBUF_ADDR as u32..=word::SBUF_VALID as u32).contains(&p))
                 || !store && p == data_reg
         };
-        let entries = &mut self.scratch.entries;
+        let ReplayScratch {
+            entries, touched, ..
+        } = &mut *self.scratch;
         entries.retain(|e| !moved(e.pos));
         let mut put = |pos: u32, v: Option<u32>| {
             if let Some(v) = v {
                 entries.push(Entry::new(pos, v, carried(pos)));
+                touched.push(pos);
             }
         };
         if let Some(victim) = victim {

@@ -385,6 +385,59 @@ impl Core {
         w
     }
 
+    /// Word `pos` of [`Core::words`], read alone.
+    fn word(&self, pos: usize) -> u32 {
+        fn line(l: &CacheLine, off: usize) -> u32 {
+            match off {
+                0 => l.tag,
+                1 => u32::from(l.valid) | u32::from(l.dirty) << 1,
+                w => {
+                    let b = &l.data[(w - 2) * 4..(w - 1) * 4];
+                    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+                }
+            }
+        }
+        use word::*;
+        match pos {
+            0..PC => self.regs[pos],
+            PC => self.pc,
+            PSR => u32::from(self.psr),
+            SIG => u32::from(self.sig),
+            STACK_LO => self.stack_lo,
+            STACK_HI => self.stack_hi,
+            EPC => self.epc,
+            CAUSE => u32::from(self.cause),
+            SAVE..FETCH_WORD => self.save[pos - SAVE],
+            FETCH_WORD => self.fetch.word,
+            FETCH_PC => self.fetch.pc,
+            FETCH_VALID => u32::from(self.fetch.valid),
+            IDEX_A => self.idex.a,
+            IDEX_B => self.idex.b,
+            EXWB_VALUE => self.exwb.value,
+            EXWB_RD => u32::from(self.exwb.rd),
+            EXWB_WE => u32::from(self.exwb.we),
+            LINES..SBUF_ADDR => {
+                let p = pos - LINES;
+                line(self.cache.line(p / LINE_WORDS), p % LINE_WORDS)
+            }
+            SBUF_ADDR => self.sbuf.addr,
+            SBUF_DATA => self.sbuf.data,
+            SBUF_VALID => u32::from(self.sbuf.valid),
+            FBUF_ADDR => self.fbuf.addr,
+            FBUF_DATA => self.fbuf.data,
+            FBUF_PARITY => u32::from(self.fbuf.parity),
+            FBUF_VALID => u32::from(self.fbuf.valid),
+            EDAC => u32::from(self.edac_syndrome),
+            PORTS_OUT..PORTS_IN => self.ports_out[pos - PORTS_OUT],
+            PORTS_IN..PARITY => self.ports_in[pos - PORTS_IN],
+            PARITY => u32::from(self.parity_cache),
+            _ => {
+                let p = pos - SHADOW;
+                line(&self.shadow[p / LINE_WORDS], p % LINE_WORDS)
+            }
+        }
+    }
+
     /// Writes word `pos` of [`Core::words`]: the inverse of reading it.
     fn set_word(&mut self, pos: usize, v: u32) {
         fn line(l: &mut CacheLine, off: usize, v: u32) {
@@ -826,6 +879,16 @@ impl Machine {
                     }
                 }
             }
+        }
+    }
+
+    /// The word at position `pos` of [`Machine::sparse_diff`]'s position
+    /// space.
+    #[must_use]
+    pub fn word(&self, pos: u32) -> u32 {
+        match (pos as usize).checked_sub(CORE_WORDS) {
+            None => self.core.word(pos as usize),
+            Some(key) => self.mem.data_word(key),
         }
     }
 
@@ -2676,6 +2739,7 @@ mod tests {
             for v in [0, 1] {
                 core.set_word(pos, v);
                 assert_eq!(core.words()[pos], v, "position {pos}");
+                assert_eq!(core.word(pos), v, "position {pos} read alone");
             }
         }
         assert_eq!(word::SHADOW + NUM_LINES * word::LINE_WORDS, CORE_WORDS);

@@ -401,10 +401,10 @@ impl Machine {
     #[must_use]
     pub fn diff_is_latent(&self, diff: &[(u32, u32)]) -> bool {
         let masks = scan_masks();
-        let words = self.core.words();
-        diff.iter().any(|&(pos, v)| match masks.get(pos as usize) {
-            Some(mask) => (v ^ words[pos as usize]) & mask != 0,
-            None => v != self.memory().data_word(pos as usize - CORE_WORDS),
+        diff.iter().any(|&(pos, v)| {
+            // Every bit of a data word counts.
+            let mask = masks.get(pos as usize).copied().unwrap_or(u32::MAX);
+            (v ^ self.word(pos)) & mask != 0
         })
     }
 

@@ -6,6 +6,9 @@
 //!   replayed diff must equal the pair's sparse diff, and replay must
 //!   never process an instruction at or after the pair's first PC, output
 //!   or trap divergence.
+//!   Where the steady-delta rule lets a campaign's replay jump to golden's
+//!   last checkpoint, the lockstep replay jumps too, and the jumped diff
+//!   must equal the pair's there.
 //! * **Fallbacks.** One adversarial fault per fallback reason: the reason
 //!   must fire, and the campaign record must equal the reference
 //!   configuration's (no checkpoints, no pruning, interpreter only).
@@ -14,9 +17,10 @@ use bera_goofi::campaign::{run_fault_list, run_fault_list_observed, CampaignConf
 use bera_goofi::experiment::{golden_run, FaultModel, FaultSpec, GoldenRun, LoopConfig};
 use bera_goofi::observer::CampaignObserver;
 use bera_goofi::planner::records_equivalent;
+use bera_goofi::steady::Steady;
 use bera_goofi::workload::Workload;
 use bera_tcpu::access::{AccessKind, TraceUnit, STEP_FILL, STEP_WRITEBACK};
-use bera_tcpu::diff::{DiffReplay, FallbackReason, ReplayScratch};
+use bera_tcpu::diff::{DiffReplay, FallbackReason, ReplayScratch, LATCHES};
 use bera_tcpu::isa::{self, Decoded, Opcode};
 use bera_tcpu::machine::{Machine, StepEvent, PORT_R, PORT_U, PORT_Y};
 use bera_tcpu::mem::ROM_BASE;
@@ -112,6 +116,8 @@ struct Trail {
     boundaries: Vec<Boundary>,
     /// The fallback's instant, with the diff there and the events by then.
     fallback: Option<Boundary>,
+    /// The checkpoints replay jumped from to golden's last one.
+    jumps: Vec<u64>,
     /// The most entries the diff held after any event or at any boundary.
     widest: usize,
 }
@@ -157,14 +163,6 @@ fn lockstep_with(
         initial: pair.diff(),
         ..Trail::default()
     };
-    let mut scratch = ReplayScratch::default();
-    let mut r = DiffReplay::new(
-        &golden.trace,
-        &golden.end_machine,
-        &mut scratch,
-        inject_at,
-        trail.initial.clone(),
-    );
     let mut stops: Vec<u64> = golden
         .checkpoints
         .iter()
@@ -175,49 +173,77 @@ fn lockstep_with(
         .collect();
     stops.sort_unstable();
     stops.dedup();
-    'replay: for until in stops {
-        loop {
-            match r.step(until) {
-                Ok(Some(t)) => {
-                    pair.run_to(t + 1);
-                    let diff = r.diff().to_vec();
-                    assert_eq!(diff, pair.diff(), "diff after the event at {t}");
-                    trail.widest = trail.widest.max(diff.len());
-                    if trail.first_events.len() < 8 {
-                        trail.first_events.push((t, diff));
+    let mut scratch = ReplayScratch::default();
+    // Each segment replays from `from`: injection, or a steady-delta jump.
+    let (mut from, mut carried, mut before) = (inject_at, trail.initial.clone(), 0);
+    'segments: loop {
+        let mut r = DiffReplay::new(
+            &golden.trace,
+            &golden.end_machine,
+            &mut scratch,
+            from,
+            carried,
+        );
+        let mut steady = Steady::new(golden);
+        for &until in stops.iter().filter(|&&n| n > from) {
+            loop {
+                match r.step(until) {
+                    Ok(Some(t)) => {
+                        pair.run_to(t + 1);
+                        let diff = r.diff().to_vec();
+                        assert_eq!(diff, pair.diff(), "diff after the event at {t}");
+                        trail.widest = trail.widest.max(diff.len());
+                        if trail.first_events.len() < 8 {
+                            trail.first_events.push((t, diff));
+                        }
                     }
-                }
-                Ok(None) => {
-                    pair.run_to(until);
-                    let diff = r.diff().to_vec();
-                    assert_eq!(diff, pair.diff(), "diff at boundary {until}");
-                    trail.widest = trail.widest.max(diff.len());
-                    trail.boundaries.push(Boundary {
-                        at: until,
-                        diff,
-                        events: r.events(),
-                    });
-                    break;
-                }
-                Err(fallback) => {
-                    pair.run_to(fallback.at);
-                    let diff = r.diff().to_vec();
-                    assert_eq!(diff, pair.diff(), "diff at the fallback");
-                    trail.ending = fallback.reason.label().to_string();
-                    trail.fallback = Some(Boundary {
-                        at: fallback.at,
-                        diff,
-                        events: r.events(),
-                    });
-                    break 'replay;
+                    Ok(None) => {
+                        pair.run_to(until);
+                        let (diff, jump) = match checkpoint_at(golden, until) {
+                            Some(c) => steady.at_checkpoint(c, &mut r),
+                            None => (r.diff(), None),
+                        };
+                        let diff = diff.to_vec();
+                        assert_eq!(diff, pair.diff(), "diff at boundary {until}");
+                        trail.widest = trail.widest.max(diff.len());
+                        trail.boundaries.push(Boundary {
+                            at: until,
+                            diff,
+                            events: before + r.events(),
+                        });
+                        if let Some(jumped) = jump {
+                            let last = last_checkpoint(golden);
+                            pair.run_to(last);
+                            assert_eq!(jumped, pair.diff(), "the jump from {until}");
+                            trail.jumps.push(until);
+                            before += r.events();
+                            (from, carried) = (last, jumped);
+                            continue 'segments;
+                        }
+                        break;
+                    }
+                    Err(fallback) => {
+                        pair.run_to(fallback.at);
+                        let diff = r.diff().to_vec();
+                        assert_eq!(diff, pair.diff(), "diff at the fallback");
+                        trail.ending = fallback.reason.label().to_string();
+                        trail.fallback = Some(Boundary {
+                            at: fallback.at,
+                            diff,
+                            events: before + r.events(),
+                        });
+                        break 'segments;
+                    }
                 }
             }
         }
-    }
-    if trail.fallback.is_none() {
         trail.ending = "completed".to_string();
+        trail.events = before + r.events();
+        break;
     }
-    trail.events = r.events();
+    if let Some(b) = &trail.fallback {
+        trail.events = b.events;
+    }
     quietly(golden, inject_at, &trail);
     trail
 }
@@ -225,46 +251,77 @@ fn lockstep_with(
 /// Replays `trail`'s fault again from `inject_at`, reading the diff only at
 /// golden's checkpoints, the run's end and the fallback, as a campaign
 /// does: nothing in between ends a pending xor chain. Each of those reads
-/// must see what the lockstep replay saw there, after as many events.
+/// must see what the lockstep replay saw there, after as many events, and
+/// the steady-delta jumps must be the same.
 fn quietly(golden: &GoldenRun, inject_at: u64, trail: &Trail) {
     let mut scratch = ReplayScratch::default();
-    let mut r = DiffReplay::new(
-        &golden.trace,
-        &golden.end_machine,
-        &mut scratch,
-        inject_at,
-        trail.initial.clone(),
-    );
-    let checkpoint = |n: u64| {
-        n == golden.total_instructions
-            || golden
-                .checkpoints
-                .iter()
-                .any(|c| c.machine.instr_count() == n)
-    };
-    for b in trail.boundaries.iter().filter(|b| checkpoint(b.at)) {
-        r.advance(b.at).expect("the lockstep replay got past it");
-        assert_eq!(r.diff(), b.diff, "quiet diff at boundary {}", b.at);
-        assert_eq!(r.events(), b.events, "quiet events by boundary {}", b.at);
+    let (mut from, mut diff, mut before) = (inject_at, trail.initial.clone(), 0);
+    let mut jumps = Vec::new();
+    let checkpoint = |n: u64| n == golden.total_instructions || checkpoint_at(golden, n).is_some();
+    loop {
+        let mut r = DiffReplay::new(&golden.trace, &golden.end_machine, &mut scratch, from, diff);
+        let mut steady = Steady::new(golden);
+        let mut jumped = None;
+        for b in trail
+            .boundaries
+            .iter()
+            .filter(|b| b.at > from && checkpoint(b.at))
+        {
+            r.advance(b.at).expect("the lockstep replay got past it");
+            let (diff, jump) = match checkpoint_at(golden, b.at) {
+                Some(c) => steady.at_checkpoint(c, &mut r),
+                None => (r.diff(), None),
+            };
+            assert_eq!(diff, b.diff, "quiet diff at boundary {}", b.at);
+            assert_eq!(
+                before + r.events(),
+                b.events,
+                "quiet events by boundary {}",
+                b.at
+            );
+            if let Some(j) = jump {
+                jumps.push(b.at);
+                jumped = Some(j);
+                break;
+            }
+        }
+        if let Some(j) = jumped {
+            (from, diff, before) = (last_checkpoint(golden), j, before + r.events());
+            continue;
+        }
+        if let Some(b) = &trail.fallback {
+            let fallback = r
+                .advance(u64::MAX)
+                .expect_err("the lockstep replay fell back");
+            assert_eq!(fallback.at, b.at, "quiet fallback");
+            assert_eq!(r.diff(), b.diff, "quiet diff at the fallback");
+            assert_eq!(
+                before + r.events(),
+                b.events,
+                "quiet events by the fallback"
+            );
+        }
+        break;
     }
-    if let Some(b) = &trail.fallback {
-        let fallback = r
-            .advance(u64::MAX)
-            .expect_err("the lockstep replay fell back");
-        assert_eq!(fallback.at, b.at, "quiet fallback");
-        assert_eq!(r.diff(), b.diff, "quiet diff at the fallback");
-        assert_eq!(r.events(), b.events, "quiet events by the fallback");
-    }
+    assert_eq!(jumps, trail.jumps, "quiet jumps");
 }
 
-/// Replays `fault` alongside a lockstep pair; returns how it ended and
-/// after how many events.
-fn lockstep(
-    golden: &GoldenRun,
-    cfg: &LoopConfig,
-    model: FaultModel,
-    fault: FaultSpec,
-) -> (String, u64) {
+/// The index of the golden checkpoint at instant `n`, if any.
+fn checkpoint_at(golden: &GoldenRun, n: u64) -> Option<usize> {
+    golden
+        .checkpoints
+        .iter()
+        .position(|c| c.machine.instr_count() == n)
+}
+
+/// The instant of golden's last checkpoint, where a steady-delta jump goes.
+fn last_checkpoint(golden: &GoldenRun) -> u64 {
+    let last = golden.checkpoints.last().expect("golden checkpoints");
+    last.machine.instr_count()
+}
+
+/// Replays `fault` alongside a lockstep pair.
+fn lockstep(golden: &GoldenRun, cfg: &LoopConfig, model: FaultModel, fault: FaultSpec) -> Trail {
     let locations: Vec<BitLocation> = model
         .locations(fault.location_index)
         .into_iter()
@@ -274,7 +331,7 @@ fn lockstep(
     let corrupt = |m: &mut Machine| flipped = m.flip_diff(&locations);
     let trail = lockstep_with(golden, cfg, fault.inject_at, corrupt, &[]);
     assert_eq!(trail.initial, flipped, "replay starts from flip_diff");
-    (trail.ending, trail.events)
+    trail
 }
 
 fn lockstep_campaign(workload: &Workload, model: FaultModel, seed: u64, faults: usize) {
@@ -282,7 +339,8 @@ fn lockstep_campaign(workload: &Workload, model: FaultModel, seed: u64, faults: 
     let golden = golden_for(workload, &cfg);
     let mut endings = Vec::new();
     for fault in FaultList::sample(faults, seed, golden.total_instructions).faults {
-        endings.push(lockstep(golden, &cfg, model, fault));
+        let trail = lockstep(golden, &cfg, model, fault);
+        endings.push((trail.ending, trail.events));
     }
     assert!(
         endings.iter().any(|(e, n)| e == "completed" && *n > 0),
@@ -713,6 +771,223 @@ fn a_chain_that_ends_in_a_death_leaves_its_last_read_in_the_latch() {
     let after = trail.at_boundary(death + 1);
     assert_eq!(positions(&after.diff), [IDEX_A], "{after:?}");
     assert_eq!(after.events, 0, "a chain and a death are no events");
+}
+
+/// Fault `index` of the paper's Algorithm I campaign (9290 single-bit
+/// faults at seed 20010701), checked against its pinned location and
+/// instant.
+fn paper_fault(index: usize, location_index: usize, inject_at: u64) -> FaultSpec {
+    let golden = golden_paper();
+    let list = FaultList::sample(9290, 20_010_701, golden.total_instructions);
+    let pinned = FaultSpec {
+        location_index,
+        inject_at,
+    };
+    assert_eq!(list.faults[index], pinned, "paper fault {index}");
+    pinned
+}
+
+/// The delta list (faulty ⊕ golden, word by word, latches left out) at
+/// every golden checkpoint `trail` stopped at, by checkpoint index.
+fn checkpoint_deltas(golden: &GoldenRun, trail: &Trail) -> Vec<(usize, Vec<(u32, u32)>)> {
+    let deltas = |b: &Boundary| {
+        let c = checkpoint_at(golden, b.at)?;
+        let m = &golden.checkpoints[c].machine;
+        let d = b.diff.iter().filter(|(p, _)| !LATCHES.contains(p));
+        Some((c, d.map(|&(p, v)| (p, v ^ m.word(p))).collect()))
+    };
+    trail.boundaries.iter().filter_map(deltas).collect()
+}
+
+/// The checkpoint replay jumped from, and the one the delta list it
+/// jumped with first held at: the streak's start.
+fn jump_and_streak(golden: &GoldenRun, trail: &Trail) -> (usize, usize) {
+    let [from] = trail.jumps[..] else {
+        panic!("one jump: {:?}", trail.jumps)
+    };
+    let c = checkpoint_at(golden, from).expect("jumps leave from checkpoints");
+    let deltas = checkpoint_deltas(golden, trail);
+    let held = |k: usize| deltas.iter().find(|(j, _)| *j == k).map(|(_, d)| d);
+    let mut s = c;
+    while s > 0 && held(s - 1).is_some() && held(s - 1) == held(c) {
+        s -= 1;
+    }
+    (c, s)
+}
+
+/// Golden's accesses to `unit` in checkpoint interval `j`: offset from the
+/// interval's start, kind, and step word.
+fn interval_accesses(golden: &GoldenRun, unit: TraceUnit, j: usize) -> Vec<(u64, AccessKind, u32)> {
+    let [start, end] = [j, j + 1].map(|k| golden.checkpoints[k].machine.instr_count());
+    golden
+        .trace
+        .recorded(unit)
+        .iter()
+        .filter(|a| (start..end).contains(&a.at()))
+        .map(|a| (a.at() - start, a.kind(), golden.trace.step(a.at())))
+        .collect()
+}
+
+/// The cache word the scrub's checksum is stored to.
+fn checksum_word(golden: &GoldenRun) -> (TraceUnit, u32) {
+    let pass = scrub_pass(golden, golden.total_instructions / 2);
+    let addr = address_at(golden, pass[pass.len() - 1] + 4);
+    let (line, word) = (
+        bera_tcpu::cache::index_of(addr),
+        bera_tcpu::cache::word_of(addr),
+    );
+    // Diff positions: 33 `Core` words, then six per cache line (tag,
+    // flags, four data words).
+    let pos = 33 + 6 * line + 2 + word;
+    (TraceUnit::CacheWord { line, word }, pos as u32)
+}
+
+#[test]
+fn a_scrubbed_ring_word_jumps_to_the_last_checkpoint() {
+    // A flipped ring word in the cache: every scrub pass xors its delta
+    // into r10 and stores r10 to the checksum, so from pass to pass the
+    // delta list holds the ring word, r10 and the checksum. Replay jumps
+    // from the checkpoint that proves it steady to golden's last one, where
+    // the harness checks the jumped diff against the interpreter pair, and
+    // replays only the last iterations.
+    let golden = golden_paper();
+    let cfg = LoopConfig::paper();
+    let trail = lockstep(
+        golden,
+        &cfg,
+        FaultModel::SingleBit,
+        paper_fault(41, 793, 30_090),
+    );
+    assert_eq!(trail.ending, "completed");
+    let (c, _) = jump_and_streak(golden, &trail);
+    let at_jump = checkpoint_deltas(golden, &trail)
+        .into_iter()
+        .find(|(k, _)| *k == c)
+        .map(|(_, d)| positions(&d))
+        .expect("the jump's checkpoint");
+    let ring = trail.initial[0].0;
+    let (_, cksum) = checksum_word(golden);
+    for pos in [ring, 10, cksum] {
+        assert!(at_jump.contains(&pos), "{pos} in {at_jump:?}");
+    }
+    // Nothing between the jump and golden's last checkpoint was replayed.
+    let last = last_checkpoint(golden);
+    let after: Vec<u64> = trail
+        .boundaries
+        .iter()
+        .map(|b| b.at)
+        .filter(|&n| n > trail.jumps[0])
+        .collect();
+    assert_eq!(after, [golden.total_instructions], "{c} → {last}");
+}
+
+#[test]
+fn a_checksum_run_jumps_once_its_streak_covers_both_alternating_classes() {
+    // Golden's accesses to the checksum's cache word differ between
+    // consecutive checkpoint intervals, so a delta in the checksum is not
+    // proved steady by one interval: the next repeats none it verified.
+    // Replay jumps only after the streak has verified both.
+    let golden = golden_paper();
+    let cfg = LoopConfig::paper();
+    let trail = lockstep(
+        golden,
+        &cfg,
+        FaultModel::SingleBit,
+        paper_fault(42, 841, 125_690),
+    );
+    let (c, s) = jump_and_streak(golden, &trail);
+    let (unit, cksum) = checksum_word(golden);
+    let held = checkpoint_deltas(golden, &trail);
+    assert!(held
+        .iter()
+        .any(|(k, d)| *k == c && positions(d).contains(&cksum)));
+    for j in s..c - 1 {
+        assert_ne!(
+            interval_accesses(golden, unit, j),
+            interval_accesses(golden, unit, j + 1),
+            "the checksum's intervals {j} and {} alternate",
+            j + 1
+        );
+    }
+    assert!(
+        c >= s + 2,
+        "the streak from {s} covers both classes before {c}"
+    );
+}
+
+#[test]
+fn a_delta_that_changes_later_is_never_jumped_over() {
+    // The delta list holds over a checkpoint interval, but a later interval
+    // does not repeat it on the units it touched, and there the delta
+    // changes, through an event that depends on golden's values. Replay
+    // must not jump over the change.
+    let golden = golden_paper();
+    let cfg = LoopConfig::paper();
+    let trail = lockstep(
+        golden,
+        &cfg,
+        FaultModel::SingleBit,
+        paper_fault(341, 701, 4_550),
+    );
+    let held = checkpoint_deltas(golden, &trail);
+    let steady = held
+        .windows(2)
+        .position(|w| !w[0].1.is_empty() && w[0].1 == w[1].1)
+        .expect("a steady interval");
+    let changed = held[steady..]
+        .windows(2)
+        .rposition(|w| w[0].1 != w[1].1)
+        .map(|i| held[steady + i + 1].0)
+        .expect("a later change");
+    for &from in &trail.jumps {
+        let c = checkpoint_at(golden, from).expect("jumps leave from checkpoints");
+        assert!(c >= changed, "jumped from {c} over the change at {changed}");
+    }
+}
+
+/// A counter incremented by `addi` once per iteration, with the latches
+/// refilled from an untouched register before each `yield`.
+const COUNTER: &str = "
+    .data 0x10000
+    counter: .word 0
+    .text
+start:
+    nop
+loop:
+    li   r1, 0x10000
+    ld   r2, [r1+0]
+    addi r2, r2, 1
+    st   r2, [r1+0]
+    li   r2, 0
+    li   r3, 0
+    out  r3, 2
+    yield
+    jmp  loop
+";
+
+#[test]
+fn an_add_that_keeps_the_delta_for_an_interval_starts_no_streak() {
+    // Bit 3 of the counter flipped: the faulty counter stays 8 off golden's,
+    // so its XOR delta is 8 over some checkpoint intervals and changes over
+    // others, as carries reach bit 3. Every interval repeats the one before
+    // on the units the delta touches, so only the `addi`, which is not
+    // delta-determined, keeps replay from jumping after an interval whose
+    // delta held.
+    let workload = Workload::from_source("counter", COUNTER).expect("assembles");
+    let cfg = LoopConfig::paper();
+    let golden = golden_run(&workload, &cfg);
+    let (t, _) = find(
+        &golden,
+        golden.checkpoints[2].machine.instr_count(),
+        |d, _| d.op == Opcode::Addi,
+    );
+    let flip = |m: &mut Machine| m.scan_flip(BitLocation::Reg { index: 2, bit: 3 });
+    let trail = lockstep_with(&golden, &cfg, t, flip, &[]);
+    assert_eq!(trail.ending, "completed");
+    let held = checkpoint_deltas(&golden, &trail);
+    assert!(held.windows(2).any(|w| w[0].1 == w[1].1), "a delta held");
+    assert!(held.windows(2).any(|w| w[0].1 != w[1].1), "and changed");
+    assert_eq!(trail.jumps, [], "no streak");
 }
 
 /// Every replay fallback a campaign reports.
