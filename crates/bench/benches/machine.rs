@@ -56,9 +56,11 @@ fn bench_machine(c: &mut Criterion) {
         b.iter(|| m.load_program(black_box(w.program())));
     });
 
-    group.bench_function("scan_snapshot", |b| {
-        let m = Machine::new();
-        b.iter(|| black_box(m.scan_snapshot()));
+    group.bench_function("scan_diff_count", |b| {
+        let golden = Machine::new();
+        let mut m = golden.clone();
+        m.scan_flip(scan::catalog()[0]);
+        b.iter(|| black_box(m.scan_diff_count(black_box(&golden))));
     });
 
     group.bench_function("scan_flip_all_locations", |b| {

@@ -196,12 +196,6 @@ impl MimoController {
     pub fn system(&self) -> &StateSpace {
         &self.sys
     }
-
-    /// Per-output saturation limits.
-    #[must_use]
-    pub fn output_limits(&self) -> &[Limits] {
-        &self.limits
-    }
 }
 
 impl StateController for MimoController {

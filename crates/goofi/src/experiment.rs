@@ -9,7 +9,7 @@ use crate::workload::Workload;
 use bera_plant::{Engine, Profiles};
 use bera_tcpu::access::AccessTrace;
 use bera_tcpu::machine::{Machine, RunExit, PORT_R, PORT_U, PORT_Y};
-use bera_tcpu::scan::{self, BitLocation, CpuPart, ScanSnapshot};
+use bera_tcpu::scan::{self, BitLocation, CpuPart};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
@@ -250,9 +250,8 @@ pub struct GoldenRun {
     pub speeds: Vec<f64>,
     /// Total dynamic instructions executed.
     pub total_instructions: u64,
-    /// Scan-chain state at the end of the run.
-    pub end_scan: ScanSnapshot,
-    /// The machine at the end of the run (for memory comparison).
+    /// The machine at the end of the run (the latent test compares
+    /// against its scan-chain bits and memory).
     pub end_machine: Machine,
     /// Periodic snapshots of the whole loop (see [`Checkpoint`]); one per
     /// [`LoopConfig::checkpoint_stride`] iterations, starting at iteration
@@ -978,7 +977,6 @@ pub fn golden_run(workload: &Workload, cfg: &LoopConfig) -> GoldenRun {
         outputs: result.outputs,
         speeds,
         total_instructions: machine.instr_count(),
-        end_scan: machine.scan_snapshot(),
         end_machine: machine,
         checkpoints,
         trace,
@@ -1275,7 +1273,7 @@ pub(crate) fn run_from(
             let seen = from == 0 || recall.as_ref().is_some_and(|m| m.files_from(from));
             let latent = seen
                 && latent.unwrap_or_else(|| {
-                    machine.scan_snapshot().diff_count(&golden.end_scan) != 0
+                    machine.scan_diff_count(&golden.end_machine) != 0
                         || !machine.memory().data_equals(golden.end_machine.memory())
                 });
             Some(Ending::Completed { latent })
@@ -1433,7 +1431,7 @@ mod tests {
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.total_instructions, b.total_instructions);
         assert_eq!(a.outputs.len(), 50);
-        assert_eq!(a.end_scan.diff_count(&b.end_scan), 0);
+        assert_eq!(a.end_machine.scan_diff_count(&b.end_machine), 0);
         assert_eq!(a.trace, b.trace);
         // The one recorder holds def/use events, visibility events and
         // the operand-latch shift instants of the same run.

@@ -615,13 +615,6 @@ impl TelemetrySnapshot {
             .saturating_sub(self.replicated)
     }
 
-    /// Fraction of this process's records that skipped simulation
-    /// entirely (analytic plus replicated) — the def/use pruning rate.
-    #[must_use]
-    pub fn defuse_prune_rate(&self) -> f64 {
-        (self.analytic + self.replicated) as f64 / (self.completed.max(1)) as f64
-    }
-
     /// Fraction of resolved faults that are live (the rest were settled
     /// analytically).
     #[must_use]

@@ -131,10 +131,7 @@ pub fn analyze(
     }
 
     faulty.machine.scan_flip(location);
-    let initial_diff = faulty
-        .machine
-        .scan_snapshot()
-        .diff_count(&golden.machine.scan_snapshot());
+    let initial_diff = faulty.machine.scan_diff_count(&golden.machine);
 
     let mut spread_at = None;
     let mut output_diverged_at = None;
@@ -154,10 +151,7 @@ pub fn analyze(
             }
         }
         steps += 1;
-        let diff = faulty
-            .machine
-            .scan_snapshot()
-            .diff_count(&golden.machine.scan_snapshot());
+        let diff = faulty.machine.scan_diff_count(&golden.machine);
         final_diff = diff;
         if spread_at.is_none() && diff > initial_diff {
             spread_at = Some(idx);

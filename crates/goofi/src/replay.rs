@@ -79,12 +79,9 @@ pub(crate) fn drive(
         .into_iter()
         .map(|i| scan::catalog()[i])
         .collect();
+    // Until replay first falls back, the machine holds golden's state at
+    // the injection point.
     let mut diff = machine.flip_diff(&locations);
-    // Undone at once: until replay first falls back, the machine holds
-    // golden's state at the injection point.
-    for &loc in &locations {
-        machine.scan_flip(loc);
-    }
     let mut golden_here = Some(position);
     run.observer.fault_injected(run.index, run.fault);
     run.observer.replay_started(run.index);
@@ -320,8 +317,7 @@ fn replay_checkpoints(
     debug_assert_eq!(latent, {
         let mut faulty = end.clone();
         faulty.apply_diff(r.diff());
-        faulty.scan_snapshot().diff_count(&golden.end_scan) != 0
-            || !faulty.memory().data_equals(end.memory())
+        faulty.scan_diff_count(end) != 0 || !faulty.memory().data_equals(end.memory())
     });
     Ok(Walk::End(DriveEnd::Completed {
         latent: Some(latent),

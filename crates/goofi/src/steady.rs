@@ -13,7 +13,7 @@
 //! * (b) the delta list was non-empty and the same at both ends of each
 //!   streak interval;
 //! * (c) every interval after `c` has, on every unit the streak touched,
-//!   the classes ([`IntervalClasses`]) some streak interval has.
+//!   the classes (`IntervalClasses`) some streak interval has.
 //!
 //! By induction over the later intervals, each replays event for event as
 //! the streak interval it repeats did, so the delta holds at every later

@@ -58,17 +58,6 @@ pub struct SupervisorConfig {
     pub chaos: Option<Arc<ChaosHarness>>,
 }
 
-impl SupervisorConfig {
-    /// Supervision with a per-attempt wall-clock deadline.
-    #[must_use]
-    pub fn with_deadline(deadline: Duration) -> Self {
-        SupervisorConfig {
-            deadline: Some(deadline),
-            ..SupervisorConfig::default()
-        }
-    }
-}
-
 /// Deliberately sabotages chosen experiments, from *inside* the
 /// supervisor's containment boundary. Purely a test fixture: it lets the
 /// quarantine suite prove that a campaign containing panicking and

@@ -384,13 +384,6 @@ impl AccessTrace {
         self.shifts.get(first + n).map(Shift::at)
     }
 
-    /// Total number of recorded accesses, across all units (shifts
-    /// excluded).
-    #[must_use]
-    pub fn total_accesses(&self) -> usize {
-        self.units.iter().map(Vec::len).sum()
-    }
-
     /// Mutates the trace (for adversarial tests): inserts `access`, with
     /// value 0, into `unit`'s slot at its sorted position.
     pub fn insert_for_test(&mut self, unit: TraceUnit, access: Access) {
@@ -404,12 +397,6 @@ impl AccessTrace {
     pub fn set_kind_for_test(&mut self, unit: TraceUnit, i: usize, kind: AccessKind) {
         let a = &mut self.units[unit.index()][i];
         *a = Recorded::new(a.at(), kind, a.value);
-    }
-
-    /// Removes the access at position `i` of `unit`'s slot (for
-    /// adversarial tests — deleting a boundary shrinks a window).
-    pub fn remove_for_test(&mut self, unit: TraceUnit, i: usize) {
-        self.units[unit.index()].remove(i);
     }
 }
 

@@ -67,5 +67,5 @@ pub use asm::{assemble, AsmError, Program};
 pub use digest::Fnv64;
 pub use edm::ErrorMechanism;
 pub use machine::{Machine, RunExit};
-pub use scan::{BitLocation, CpuPart, ScanSnapshot};
+pub use scan::{BitLocation, CpuPart};
 pub use vis::VisUnit;

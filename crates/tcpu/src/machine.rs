@@ -386,7 +386,7 @@ impl Core {
     }
 
     /// Word `pos` of [`Core::words`], read alone.
-    fn word(&self, pos: usize) -> u32 {
+    pub(crate) fn word(&self, pos: usize) -> u32 {
         fn line(l: &CacheLine, off: usize) -> u32 {
             match off {
                 0 => l.tag,
@@ -439,7 +439,7 @@ impl Core {
     }
 
     /// Writes word `pos` of [`Core::words`]: the inverse of reading it.
-    fn set_word(&mut self, pos: usize, v: u32) {
+    pub(crate) fn set_word(&mut self, pos: usize, v: u32) {
         fn line(l: &mut CacheLine, off: usize, v: u32) {
             match off {
                 0 => l.tag = v,
@@ -531,10 +531,8 @@ pub(crate) mod word {
     pub const SHADOW: usize = PARITY + 1;
 }
 
-/// Length of [`Core::words`]: the scalar fields, plus tag, flags and data
-/// words for every cache and shadow line.
-pub(crate) const CORE_WORDS: usize =
-    isa::NUM_REGS + 26 + NUM_OUT_PORTS + NUM_IN_PORTS + 2 * NUM_LINES * (2 + WORDS_PER_LINE);
+/// Length of [`Core::words`]: the shadow lines come last.
+pub(crate) const CORE_WORDS: usize = word::SHADOW + NUM_LINES * word::LINE_WORDS;
 
 /// The Thor-like processor: its architectural state (`Core` and memory),
 /// the retirement counter and trap latch, and per-machine bookkeeping that
@@ -892,19 +890,21 @@ impl Machine {
         }
     }
 
-    /// Flips `locations` and returns what the flips changed, in
-    /// [`Machine::sparse_diff`]'s position space: the flipped machine's
-    /// value at every `Core` word that differs from before (scan flips
-    /// never reach data memory).
-    pub fn flip_diff(&mut self, locations: &[crate::scan::BitLocation]) -> Vec<(u32, u32)> {
-        let before = self.core.words();
-        for &loc in locations {
-            self.scan_flip(loc);
+    /// What flipping `locations` would change, in
+    /// [`Machine::sparse_diff`]'s position space: the flipped value of every
+    /// `Core` word they touch, sorted by position (scan flips never reach
+    /// data memory). The machine itself is left as it is.
+    #[must_use]
+    pub fn flip_diff(&self, locations: &[crate::scan::BitLocation]) -> Vec<(u32, u32)> {
+        let mut masks = std::collections::BTreeMap::new();
+        for loc in locations {
+            let (pos, mask) = loc.word_bit();
+            *masks.entry(pos).or_insert(0) ^= mask;
         }
-        let after = self.core.words();
-        (0..CORE_WORDS)
-            .filter(|&i| after[i] != before[i])
-            .map(|i| (i as u32, after[i]))
+        masks
+            .into_iter()
+            .filter(|&(_, mask)| mask != 0)
+            .map(|(pos, mask)| (pos as u32, self.core.word(pos) ^ mask))
             .collect()
     }
 
@@ -943,15 +943,6 @@ impl Machine {
         self.core == other.core && self.mem == other.mem
     }
 
-    /// Host-side write of a data word (campaign initialisation).
-    pub fn poke_data(&mut self, addr: u32, word: u32) -> bool {
-        let ok = self.mem.poke(addr, word);
-        if ok {
-            self.note_data_write(addr);
-        }
-        ok
-    }
-
     /// The address and word of the instruction about to execute (from the
     /// fetch latch when it is primed, else from memory at the PC). Used by
     /// the detail-mode tracer; a word of `0xFFFF_FFFF` is reported when the
@@ -966,35 +957,6 @@ impl Machine {
                 self.mem.fetch(self.core.pc).unwrap_or(0xFFFF_FFFF),
             )
         }
-    }
-
-    /// Reads a data word as the CPU would see it: from the cache when the
-    /// address hits, otherwise from memory. Used by detail-mode logging.
-    #[must_use]
-    pub fn peek_data(&self, addr: u32) -> Option<u32> {
-        if self.core.cache.hits(addr) {
-            Some(self.core.cache.read_word(addr))
-        } else {
-            self.mem.read_word(addr).map(|(w, _)| w)
-        }
-    }
-
-    /// Configures the guarded stack window (supervisor operation, performed
-    /// by the host before the workload starts).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lo < hi` and both lie in the stack segment.
-    pub fn set_stack_window(&mut self, lo: u32, hi: u32) {
-        assert!(lo < hi, "empty stack window");
-        assert_eq!(mem::region(lo), Region::Stack, "lo outside stack segment");
-        assert_eq!(
-            mem::region(hi - 4),
-            Region::Stack,
-            "hi outside stack segment"
-        );
-        self.core.stack_lo = lo;
-        self.core.stack_hi = hi;
     }
 
     /// Executes at most `budget` instructions, returning early on a `yield`
@@ -2738,11 +2700,16 @@ mod tests {
         for pos in 0..CORE_WORDS {
             for v in [0, 1] {
                 core.set_word(pos, v);
-                assert_eq!(core.words()[pos], v, "position {pos}");
-                assert_eq!(core.word(pos), v, "position {pos} read alone");
+                assert_eq!(core.word(pos), v, "position {pos}");
             }
         }
-        assert_eq!(word::SHADOW + NUM_LINES * word::LINE_WORDS, CORE_WORDS);
+        // `words` is written out field by field for speed; it must read
+        // what `word` reads at every position.
+        let mut m = machine_with(REPLAY_SRC);
+        assert_eq!(m.run(10_000), RunExit::Yield);
+        for (pos, &w) in m.core.words().iter().enumerate() {
+            assert_eq!(w, m.core.word(pos), "position {pos}");
+        }
     }
 
     #[test]
@@ -2755,6 +2722,9 @@ mod tests {
         let flips = [crate::scan::catalog()[3], crate::scan::catalog()[1500]];
         let flipped = m.flip_diff(&flips);
         assert!(!flipped.is_empty());
+        for &loc in &flips {
+            m.scan_flip(loc);
+        }
         let _ = m.run(500);
         let mut diff = Vec::new();
         m.sparse_diff(&base, &[], &mut diff);

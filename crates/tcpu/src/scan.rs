@@ -6,7 +6,9 @@
 //! locations. This module enumerates the simulator's state elements the same
 //! way: [`catalog`] lists every scannable bit as a [`BitLocation`], each
 //! attributed to a [`CpuPart`] matching the Cache/Registers split of
-//! Tables 2 and 3, and the machine can read, flip and snapshot them.
+//! Tables 2 and 3. Each bit is one bit of a `Core` word
+//! ([`BitLocation::word_bit`]), through which the machine reads and flips
+//! it and counts the bits in which two machines differ.
 
 use crate::cache::{LINE_BYTES, NUM_LINES, TAG_BITS};
 use crate::machine::{Machine, CORE_WORDS, NUM_OUT_PORTS};
@@ -71,24 +73,63 @@ pub enum BitLocation {
 }
 
 impl BitLocation {
-    /// The part of the CPU this bit belongs to.
+    /// The `Core` word this bit lives in and its one-bit mask there, in
+    /// [`Machine::sparse_diff`]'s position space: the scan chain's one map
+    /// onto the machine state. Reading, flipping, the latent test and flip
+    /// diffs all go through it.
+    #[must_use]
+    pub fn word_bit(&self) -> (usize, u32) {
+        use crate::machine::word::*;
+        use BitLocation::*;
+        let line = |l: u8, off: usize| LINES + usize::from(l) * LINE_WORDS + off;
+        let (pos, bit) = match *self {
+            CacheData { line: l, bit } => (
+                line(l, 2 + crate::cache::word_of_data_bit(usize::from(bit))),
+                bit % 32,
+            ),
+            CacheTag { line: l, bit } => (line(l, 0), bit),
+            CacheValid { line: l } => (line(l, 1), 0),
+            CacheDirty { line: l } => (line(l, 1), 1),
+            StoreBufAddr { bit } => (SBUF_ADDR, bit),
+            StoreBufData { bit } => (SBUF_DATA, bit),
+            StoreBufValid => (SBUF_VALID, 0),
+            FillBufAddr { bit } => (FBUF_ADDR, bit),
+            FillBufData { bit } => (FBUF_DATA, bit),
+            FillBufParity => (FBUF_PARITY, 0),
+            FillBufValid => (FBUF_VALID, 0),
+            EdacSyndrome { bit } => (EDAC, bit),
+            Reg { index, bit } => (usize::from(index), bit),
+            Pc { bit } => (PC, bit),
+            Psr { bit } => (PSR, bit),
+            SigReg { bit } => (SIG, bit),
+            StackLo { bit } => (STACK_LO, bit),
+            StackHi { bit } => (STACK_HI, bit),
+            Epc { bit } => (EPC, bit),
+            Cause { bit } => (CAUSE, bit),
+            Save { index, bit } => (SAVE + usize::from(index), bit),
+            FetchWord { bit } => (FETCH_WORD, bit),
+            FetchPc { bit } => (FETCH_PC, bit),
+            FetchValid => (FETCH_VALID, 0),
+            OperandA { bit } => (IDEX_A, bit),
+            OperandB { bit } => (IDEX_B, bit),
+            ResultValue { bit } => (EXWB_VALUE, bit),
+            ResultRd { bit } => (EXWB_RD, bit),
+            ResultWe => (EXWB_WE, 0),
+            PortOut { port, bit } => (PORTS_OUT + usize::from(port), bit),
+        };
+        (pos, 1 << bit)
+    }
+
+    /// The part of the CPU this bit belongs to: the cache lines, the
+    /// store and fill buffers and the EDAC syndrome sit together in the
+    /// word map.
     #[must_use]
     pub fn part(&self) -> CpuPart {
-        use BitLocation::*;
-        match self {
-            CacheData { .. }
-            | CacheTag { .. }
-            | CacheValid { .. }
-            | CacheDirty { .. }
-            | StoreBufAddr { .. }
-            | StoreBufData { .. }
-            | StoreBufValid
-            | FillBufAddr { .. }
-            | FillBufData { .. }
-            | FillBufParity
-            | FillBufValid
-            | EdacSyndrome { .. } => CpuPart::Cache,
-            _ => CpuPart::Registers,
+        use crate::machine::word::{LINES, PORTS_OUT};
+        if (LINES..PORTS_OUT).contains(&self.word_bit().0) {
+            CpuPart::Cache
+        } else {
+            CpuPart::Registers
         }
     }
 
@@ -127,66 +168,17 @@ impl BitLocation {
 }
 
 /// Per `Core` word (see [`Machine::sparse_diff`]), the bits the scan chain
-/// reaches: each catalog location flips exactly one of them.
+/// reaches: the union of the catalog's [`BitLocation::word_bit`] masks.
 fn scan_masks() -> &'static [u32; CORE_WORDS] {
     static MASKS: OnceLock<[u32; CORE_WORDS]> = OnceLock::new();
     MASKS.get_or_init(|| {
-        let mut m = Machine::new();
-        let before = m.core.words();
         let mut masks = [0; CORE_WORDS];
-        for &loc in catalog() {
-            m.scan_flip(loc);
-            for (mask, (a, b)) in masks.iter_mut().zip(m.core.words().into_iter().zip(before)) {
-                *mask |= a ^ b;
-            }
-            m.scan_flip(loc);
+        for loc in catalog() {
+            let (pos, mask) = loc.word_bit();
+            masks[pos] |= mask;
         }
         masks
     })
-}
-
-/// An immutable capture of every scannable bit, used to diff the end state
-/// of an experiment against the golden run (latent-error detection).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScanSnapshot {
-    bits: Vec<bool>,
-}
-
-impl ScanSnapshot {
-    /// Number of captured bits.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// `true` when the snapshot holds no bits.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Number of differing bits between two snapshots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshots have different lengths.
-    #[must_use]
-    pub fn diff_count(&self, other: &ScanSnapshot) -> usize {
-        assert_eq!(self.len(), other.len(), "snapshots of different machines");
-        self.bits
-            .iter()
-            .zip(other.bits.iter())
-            .filter(|(a, b)| a != b)
-            .count()
-    }
-}
-
-fn bit_of_u32(v: u32, bit: u8) -> bool {
-    (v >> bit) & 1 == 1
-}
-
-fn flip_u32(v: &mut u32, bit: u8) {
-    *v ^= 1 << bit;
 }
 
 /// Builds the complete, ordered list of scannable bits.
@@ -289,92 +281,16 @@ impl Machine {
     /// Reads one scannable bit.
     #[must_use]
     pub fn scan_read(&self, loc: BitLocation) -> bool {
-        use BitLocation::*;
-        match loc {
-            CacheData { line, bit } => {
-                let l = self.core.cache.line(line as usize);
-                l.data[(bit / 8) as usize] >> (bit % 8) & 1 == 1
-            }
-            CacheTag { line, bit } => bit_of_u32(self.core.cache.line(line as usize).tag, bit),
-            CacheValid { line } => self.core.cache.line(line as usize).valid,
-            CacheDirty { line } => self.core.cache.line(line as usize).dirty,
-            StoreBufAddr { bit } => bit_of_u32(self.core.sbuf.addr, bit),
-            StoreBufData { bit } => bit_of_u32(self.core.sbuf.data, bit),
-            StoreBufValid => self.core.sbuf.valid,
-            FillBufAddr { bit } => bit_of_u32(self.core.fbuf.addr, bit),
-            FillBufData { bit } => bit_of_u32(self.core.fbuf.data, bit),
-            FillBufParity => self.core.fbuf.parity,
-            FillBufValid => self.core.fbuf.valid,
-            EdacSyndrome { bit } => self.core.edac_syndrome >> bit & 1 == 1,
-            Reg { index, bit } => bit_of_u32(self.core.regs[index as usize], bit),
-            Pc { bit } => bit_of_u32(self.core.pc, bit),
-            Psr { bit } => self.core.psr >> bit & 1 == 1,
-            SigReg { bit } => self.core.sig >> bit & 1 == 1,
-            StackLo { bit } => bit_of_u32(self.core.stack_lo, bit),
-            StackHi { bit } => bit_of_u32(self.core.stack_hi, bit),
-            Epc { bit } => bit_of_u32(self.core.epc, bit),
-            Cause { bit } => self.core.cause >> bit & 1 == 1,
-            Save { index, bit } => bit_of_u32(self.core.save[index as usize], bit),
-            FetchWord { bit } => bit_of_u32(self.core.fetch.word, bit),
-            FetchPc { bit } => bit_of_u32(self.core.fetch.pc, bit),
-            FetchValid => self.core.fetch.valid,
-            OperandA { bit } => bit_of_u32(self.core.idex.a, bit),
-            OperandB { bit } => bit_of_u32(self.core.idex.b, bit),
-            ResultValue { bit } => bit_of_u32(self.core.exwb.value, bit),
-            ResultRd { bit } => self.core.exwb.rd >> bit & 1 == 1,
-            ResultWe => self.core.exwb.we,
-            PortOut { port, bit } => bit_of_u32(self.core.ports_out[port as usize], bit),
-        }
+        let (pos, mask) = loc.word_bit();
+        self.core.word(pos) & mask != 0
     }
 
     /// Flips one scannable bit — the single-bit-flip fault model of the
     /// paper, injected exactly as SCIFI does: read the scan chain, invert
     /// the bit, write it back.
     pub fn scan_flip(&mut self, loc: BitLocation) {
-        use BitLocation::*;
-        match loc {
-            CacheData { line, bit } => {
-                let l = self.core.cache.line_mut(line as usize);
-                l.data[(bit / 8) as usize] ^= 1 << (bit % 8);
-            }
-            CacheTag { line, bit } => {
-                flip_u32(&mut self.core.cache.line_mut(line as usize).tag, bit)
-            }
-            CacheValid { line } => {
-                let l = self.core.cache.line_mut(line as usize);
-                l.valid = !l.valid;
-            }
-            CacheDirty { line } => {
-                let l = self.core.cache.line_mut(line as usize);
-                l.dirty = !l.dirty;
-            }
-            StoreBufAddr { bit } => flip_u32(&mut self.core.sbuf.addr, bit),
-            StoreBufData { bit } => flip_u32(&mut self.core.sbuf.data, bit),
-            StoreBufValid => self.core.sbuf.valid = !self.core.sbuf.valid,
-            FillBufAddr { bit } => flip_u32(&mut self.core.fbuf.addr, bit),
-            FillBufData { bit } => flip_u32(&mut self.core.fbuf.data, bit),
-            FillBufParity => self.core.fbuf.parity = !self.core.fbuf.parity,
-            FillBufValid => self.core.fbuf.valid = !self.core.fbuf.valid,
-            EdacSyndrome { bit } => self.core.edac_syndrome ^= 1 << bit,
-            Reg { index, bit } => flip_u32(&mut self.core.regs[index as usize], bit),
-            Pc { bit } => flip_u32(&mut self.core.pc, bit),
-            Psr { bit } => self.core.psr ^= 1 << bit,
-            SigReg { bit } => self.core.sig ^= 1 << bit,
-            StackLo { bit } => flip_u32(&mut self.core.stack_lo, bit),
-            StackHi { bit } => flip_u32(&mut self.core.stack_hi, bit),
-            Epc { bit } => flip_u32(&mut self.core.epc, bit),
-            Cause { bit } => self.core.cause ^= 1 << bit,
-            Save { index, bit } => flip_u32(&mut self.core.save[index as usize], bit),
-            FetchWord { bit } => flip_u32(&mut self.core.fetch.word, bit),
-            FetchPc { bit } => flip_u32(&mut self.core.fetch.pc, bit),
-            FetchValid => self.core.fetch.valid = !self.core.fetch.valid,
-            OperandA { bit } => flip_u32(&mut self.core.idex.a, bit),
-            OperandB { bit } => flip_u32(&mut self.core.idex.b, bit),
-            ResultValue { bit } => flip_u32(&mut self.core.exwb.value, bit),
-            ResultRd { bit } => self.core.exwb.rd ^= 1 << bit,
-            ResultWe => self.core.exwb.we = !self.core.exwb.we,
-            PortOut { port, bit } => flip_u32(&mut self.core.ports_out[port as usize], bit),
-        }
+        let (pos, mask) = loc.word_bit();
+        self.core.set_word(pos, self.core.word(pos) ^ mask);
     }
 
     /// Forces one scannable bit to `value` — the stuck-at fault model:
@@ -386,12 +302,16 @@ impl Machine {
         }
     }
 
-    /// Captures every scannable bit.
+    /// Number of scannable bits in which `self` and `other` differ.
     #[must_use]
-    pub fn scan_snapshot(&self) -> ScanSnapshot {
-        ScanSnapshot {
-            bits: catalog().iter().map(|&loc| self.scan_read(loc)).collect(),
-        }
+    pub fn scan_diff_count(&self, other: &Machine) -> usize {
+        scan_masks()
+            .iter()
+            .enumerate()
+            .map(|(pos, &mask)| {
+                ((self.core.word(pos) ^ other.core.word(pos)) & mask).count_ones() as usize
+            })
+            .sum()
     }
 
     /// `true` when this machine with `diff` applied (in
@@ -446,9 +366,8 @@ mod tests {
     }
 
     #[test]
-    fn diff_is_latent_matches_the_snapshot_test_at_every_core_position() {
+    fn diff_is_latent_matches_scan_diff_count_at_every_core_position() {
         let golden = Machine::new();
-        let scan = golden.scan_snapshot();
         let words = golden.core.words();
         let applied = |diff: &[(u32, u32)]| {
             let mut m = golden.clone();
@@ -460,10 +379,10 @@ mod tests {
             for bit in 0..32 {
                 let diff = [(pos as u32, word ^ 1 << bit)];
                 let m = applied(&diff);
-                if m.core.words()[pos] != diff[0].1 {
+                if m.core.word(pos) != diff[0].1 {
                     continue; // wider than the field: no state holds it
                 }
-                let latent = m.scan_snapshot().diff_count(&scan) != 0;
+                let latent = m.scan_diff_count(&golden) != 0;
                 assert_eq!(
                     golden.diff_is_latent(&diff),
                     latent,
@@ -476,6 +395,35 @@ mod tests {
         let data = [(CORE_WORDS as u32 + 5, golden.memory().data_word(5) ^ 1)];
         assert!(!applied(&data).memory().data_equals(golden.memory()));
         assert!(golden.diff_is_latent(&data));
+    }
+
+    #[test]
+    fn every_scan_bit_is_one_distinct_word_bit() {
+        let mut m = Machine::new();
+        let mut seen = std::collections::HashSet::new();
+        for &loc in catalog() {
+            let before = m.core.words();
+            m.scan_flip(loc);
+            let after = m.core.words();
+            let changed: Vec<(usize, u32)> = (0..CORE_WORDS)
+                .filter(|&p| after[p] != before[p])
+                .map(|p| (p, after[p] ^ before[p]))
+                .collect();
+            let [(pos, mask)] = changed[..] else {
+                panic!("{loc:?} changed words {changed:?}");
+            };
+            assert_eq!(mask.count_ones(), 1, "{loc:?}");
+            assert!(seen.insert((pos, mask)), "{loc:?} shares its bit");
+            assert_eq!(loc.word_bit(), (pos, mask), "{loc:?}");
+            assert!(m.scan_read(loc) == (after[pos] & mask != 0), "{loc:?}");
+            m.scan_flip(loc);
+            assert!(m.scan_read(loc) == (before[pos] & mask != 0), "{loc:?}");
+        }
+        let ones: u32 = scan_masks().iter().map(|m| m.count_ones()).sum();
+        assert_eq!(ones as usize, catalog().len());
+        let count = |part| catalog().iter().filter(|l| l.part() == part).count();
+        assert_eq!(count(CpuPart::Cache), 1379);
+        assert_eq!(count(CpuPart::Registers), 1030);
     }
 
     #[test]
@@ -496,39 +444,39 @@ mod tests {
 
     #[test]
     fn flip_is_involutive_everywhere() {
-        let mut m = Machine::new();
-        let before = m.scan_snapshot();
+        let before = Machine::new();
+        let mut m = before.clone();
         for &loc in catalog() {
             m.scan_flip(loc);
             m.scan_flip(loc);
         }
-        assert_eq!(m.scan_snapshot().diff_count(&before), 0);
+        assert_eq!(m.scan_diff_count(&before), 0);
     }
 
     #[test]
     fn single_flip_changes_exactly_one_bit() {
-        let mut m = Machine::new();
-        let before = m.scan_snapshot();
+        let before = Machine::new();
+        let mut m = before.clone();
         m.scan_flip(BitLocation::Reg { index: 3, bit: 17 });
-        assert_eq!(m.scan_snapshot().diff_count(&before), 1);
+        assert_eq!(m.scan_diff_count(&before), 1);
         assert_eq!(m.reg(3), 1 << 17);
     }
 
     #[test]
     fn scan_set_forces_and_is_idempotent() {
-        let mut m = Machine::new();
+        let before = Machine::new();
+        let mut m = before.clone();
         let loc = BitLocation::Reg { index: 4, bit: 9 };
-        let before = m.scan_snapshot();
         // Forcing the current value is a no-op.
         m.scan_set(loc, false);
-        assert_eq!(m.scan_snapshot().diff_count(&before), 0);
+        assert_eq!(m.scan_diff_count(&before), 0);
         // Forcing the opposite value flips exactly that bit; re-applying
         // the same stuck-at changes nothing further.
         m.scan_set(loc, true);
-        assert_eq!(m.scan_snapshot().diff_count(&before), 1);
+        assert_eq!(m.scan_diff_count(&before), 1);
         assert!(m.scan_read(loc));
         m.scan_set(loc, true);
-        assert_eq!(m.scan_snapshot().diff_count(&before), 1);
+        assert_eq!(m.scan_diff_count(&before), 1);
         assert_eq!(m.reg(4), 1 << 9);
     }
 
@@ -722,11 +670,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_diff_detects_state_divergence() {
+    fn scan_diff_count_detects_state_divergence() {
         let mut a = Machine::new();
         let b = Machine::new();
-        assert_eq!(a.scan_snapshot().diff_count(&b.scan_snapshot()), 0);
+        assert_eq!(a.scan_diff_count(&b), 0);
         a.scan_flip(BitLocation::Save { index: 1, bit: 0 });
-        assert_eq!(a.scan_snapshot().diff_count(&b.scan_snapshot()), 1);
+        assert_eq!(a.scan_diff_count(&b), 1);
     }
 }

@@ -237,45 +237,7 @@ fn report_telemetry_sidecar(store_path: &str) {
         return;
     };
     match serde_json::from_str::<TelemetrySnapshot>(&json) {
-        Ok(snap) => {
-            eprintln!("{store_path}: run as {snap}");
-            if snap.batch_members > 0 || snap.batch_untraceable > 0 {
-                eprintln!(
-                    "{store_path}: fate resolver: {} faults resolved from the golden \
-                     traces ({} live, one simulation per class; {} via visibility \
-                     windows), {} opaque",
-                    snap.batch_members,
-                    snap.split_offs,
-                    snap.batch_vis_admitted,
-                    snap.batch_untraceable,
-                );
-            }
-            if snap.vis_analytic() > 0 || snap.vis_replicated > 0 {
-                eprintln!(
-                    "{store_path}: EDM-visibility analysis: {} latent, {} overwritten, \
-                     {} signature write-first, {} value-resolved, {} replicated \
-                     (planned in {} µs)",
-                    snap.vis_latent,
-                    snap.vis_overwritten,
-                    snap.sig_overwritten,
-                    snap.value_resolved,
-                    snap.vis_replicated,
-                    snap.plan_micros,
-                );
-            }
-            if snap.sim_instructions > 0 {
-                eprintln!(
-                    "{store_path}: fast replay: {:.0}% of {} simulated instructions \
-                     via predecoded blocks; {} arena restores, mean {:.0} dirty words \
-                     ({} full clones)",
-                    100.0 * snap.block_hit_rate(),
-                    snap.sim_instructions,
-                    snap.arena_restores,
-                    snap.mean_dirty_words(),
-                    snap.arena_full_clones,
-                );
-            }
-        }
+        Ok(snap) => eprintln!("{store_path}: run as {snap}"),
         Err(e) => eprintln!("note: {side} is unreadable ({e}); ignoring"),
     }
 }

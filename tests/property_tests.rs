@@ -226,15 +226,22 @@ proptest! {
     #[test]
     fn scan_flip_involutive_on_random_locations(indices in prop::collection::vec(0usize..2400, 1..20)) {
         let catalog = scan::catalog();
-        let mut m = Machine::new();
-        let before = m.scan_snapshot();
+        let before = Machine::new();
+        let mut m = before.clone();
         for &i in &indices {
             m.scan_flip(catalog[i % catalog.len()]);
         }
         for &i in indices.iter().rev() {
             m.scan_flip(catalog[i % catalog.len()]);
         }
-        prop_assert_eq!(m.scan_snapshot().diff_count(&before), 0);
+        prop_assert_eq!(m.scan_diff_count(&before), 0);
+        // k distinct bits flipped once each differ in exactly k bits.
+        let distinct: std::collections::BTreeSet<usize> =
+            indices.iter().map(|&i| i % catalog.len()).collect();
+        for &i in &distinct {
+            m.scan_flip(catalog[i]);
+        }
+        prop_assert_eq!(m.scan_diff_count(&before), distinct.len());
     }
 
     #[test]

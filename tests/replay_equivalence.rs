@@ -328,7 +328,10 @@ fn lockstep(golden: &GoldenRun, cfg: &LoopConfig, model: FaultModel, fault: Faul
         .map(|i| scan::catalog()[i])
         .collect();
     let mut flipped = Vec::new();
-    let corrupt = |m: &mut Machine| flipped = m.flip_diff(&locations);
+    let corrupt = |m: &mut Machine| {
+        flipped = m.flip_diff(&locations);
+        locations.iter().for_each(|&loc| m.scan_flip(loc));
+    };
     let trail = lockstep_with(golden, cfg, fault.inject_at, corrupt, &[]);
     assert_eq!(trail.initial, flipped, "replay starts from flip_diff");
     trail
