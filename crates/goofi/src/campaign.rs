@@ -3,13 +3,13 @@
 
 use crate::classify::Outcome;
 use crate::experiment::{
-    golden_run, interpreted_end_diff, run_experiment_with_model, run_from, ExperimentRecord,
-    FaultModel, FaultSpec, GoldenRun, LoopConfig, Provenance, Start,
+    golden_run, interpreted_end_diff, run_from, ExperimentRecord, FaultModel, FaultSpec, GoldenRun,
+    LoopConfig, Provenance, Start,
 };
 use crate::observer::{CampaignObserver, NullObserver, ObserverSet};
 use crate::planner::{
     analytic_record, paranoid_members, plan_campaign, prune_eligible, records_equivalent,
-    replicated_record, PlanAction,
+    PlanAction,
 };
 use crate::supervisor::{run_supervised, SupervisorConfig};
 use crate::workload::Workload;
@@ -42,8 +42,7 @@ pub struct CampaignConfig {
     pub supervisor: Option<SupervisorConfig>,
     /// Fault-space pruning by the fate resolver (see [`crate::planner`]):
     /// classify faults whose outcome follows from the golden traces
-    /// without simulating them, and simulate one representative per
-    /// equivalence class of provably identical runs, carried by diff
+    /// without simulating them, and simulate the rest carried by diff
     /// replay from injection (DESIGN.md §8l). On by default; outcomes are
     /// bit-identical either way (`tests/prune_equivalence.rs`), so this
     /// only trades a planning pass for campaign wall-clock. `false` is the
@@ -51,12 +50,11 @@ pub struct CampaignConfig {
     /// Automatically bypassed for the re-asserting fault models
     /// (intermittent, stuck-at) and parity-cache runs.
     pub prune: bool,
-    /// Paranoid cross-check: re-simulate up to this many members of every
-    /// equivalence class and panic if any simulated outcome disagrees with
-    /// its replicated record; and re-run up to this many diff-replayed
-    /// experiments on the interpreter alone and panic on any record
-    /// mismatch. `0` (the default) disables the checks; they exist to
-    /// audit the pruning and replay soundness arguments on live campaigns.
+    /// Paranoid audit: re-run up to this many diff-replayed experiments on
+    /// the interpreter alone and panic on any record mismatch, and compare
+    /// up to this many steady-delta jumped runs' end diffs with the
+    /// interpreter's. `0` (the default) disables the audits; they exist to
+    /// check the replay soundness arguments on live campaigns.
     pub paranoid: usize,
 }
 
@@ -208,14 +206,10 @@ impl PreparedCampaign<'_> {
     /// single-process run would produce for those indices — including
     /// their provenance tags.
     ///
-    /// The plan is computed over the *full* fault list (it is a pure
-    /// function of the campaign, so every worker recomputes the identical
-    /// plan and equivalence classes match a fresh single-process run
-    /// exactly). Only in-shard indices are executed, emitted to `observer`
-    /// and returned; an in-shard class member whose representative lives
-    /// in another shard derives its record from a locally re-simulated
-    /// *shadow* of that representative (deterministic, observer-silent,
-    /// never stored).
+    /// Every record is a function of its own fault and the golden run, so
+    /// the shard plans, executes and reports only its own range, preloaded
+    /// indices included in the plan: the planning counters `observer`
+    /// sees are exactly the range's.
     ///
     /// `completed` follows the [`PreparedCampaign::run_resumed`] contract
     /// (empty, or one slot per fault of the whole campaign); out-of-shard
@@ -357,11 +351,9 @@ pub fn run_fault_list_observed(
 /// `observer`; pre-completed records are adopted without re-execution.
 ///
 /// Execution is plan-driven ([`plan_campaign`]): analytically classified
-/// faults are emitted up front without touching the simulator, only
+/// faults are emitted up front without touching the simulator, and
 /// plan-`Simulate` indices go through the (possibly parallel) experiment
-/// scheduler, and equivalence-class members are replicated from their
-/// simulated representatives afterwards. The plan is deterministic, so
-/// resumes recompute identical representatives.
+/// scheduler.
 fn run_fault_list_resumed(
     workload: &Workload,
     cfg: &CampaignConfig,
@@ -417,11 +409,8 @@ fn run_planned(
 }
 
 /// The scoped engine behind [`run_fault_list_resumed`] (full scope) and
-/// [`PreparedCampaign::run_shard`] (a farm worker's slice). The plan
-/// always covers the *full* fault list so that equivalence classes and
-/// therefore record provenance are identical whichever process runs
-/// which slice; only in-scope indices execute experiments, emit observer
-/// events and fill slots.
+/// [`PreparedCampaign::run_shard`] (a farm worker's slice). Only the
+/// in-scope indices are planned, executed, reported and filled.
 fn run_fault_list_scoped(
     workload: &Workload,
     cfg: &CampaignConfig,
@@ -445,16 +434,19 @@ fn run_fault_list_scoped(
     audited.push(observer);
     audited.push(&steady);
     let observer: &dyn CampaignObserver = if cfg.paranoid > 0 { &audited } else { observer };
-    let in_scope = |i: usize| scope.contains(&i);
-    let plan = plan_campaign(faults, cfg, golden);
+    let plan = plan_campaign(&faults[scope.clone()], cfg, golden);
     let stats = plan.stats();
     observer.plan_computed(&stats);
     observer.batch_admission(stats.opaque, stats.vis_resolved());
+    // Plan-`Simulate` in-scope indices.
+    let simulate = |i: usize| {
+        scope.contains(&i) && matches!(plan.action(i - scope.start), PlanAction::Simulate)
+    };
 
     // Analytic records first: they cost nothing and keep the simulation
     // scheduler's claim loop dense in real work.
-    for (i, action) in plan.actions().iter().enumerate() {
-        if !in_scope(i) || slots[i].is_some() {
+    for (i, action) in scope.clone().zip(plan.actions()) {
+        if slots[i].is_some() {
             continue;
         }
         if let PlanAction::Analytic(outcome) = *action {
@@ -465,15 +457,11 @@ fn run_fault_list_scoped(
     }
 
     // The simulation pass skips out-of-scope indices, preloaded indices
-    // and everything the plan resolves without the simulator: analytic
-    // records above, replicated members filled in below.
+    // and the analytic records above.
     let done: Vec<bool> = slots
         .iter()
-        .zip(plan.actions())
         .enumerate()
-        .map(|(i, (slot, action))| {
-            !in_scope(i) || slot.is_some() || !matches!(action, PlanAction::Simulate)
-        })
+        .map(|(i, slot)| slot.is_some() || !simulate(i))
         .collect();
     let run_index = |i: usize| run_planned(i, workload, cfg, golden, faults, observer);
     let threads = if cfg.threads == 0 {
@@ -559,46 +547,14 @@ fn run_fault_list_scoped(
         }
     }
 
-    // Replication pass: every in-scope representative has a record by now
-    // (reps are plan-`Simulate` and always precede their members in the
-    // fault list); a representative another shard owns is re-simulated
-    // locally as an observer-silent shadow, memoized but never stored.
-    let mut shadow: HashMap<usize, ExperimentRecord> = HashMap::new();
-    for i in scope.clone() {
-        if slots[i].is_some() {
-            continue;
-        }
-        if let PlanAction::Replicate { representative } = plan.action(i) {
-            let rep = match slots[representative].as_ref() {
-                Some(r) => r,
-                None => shadow.entry(representative).or_insert_with(|| {
-                    run_planned(representative, workload, cfg, golden, faults, &NullObserver)
-                }),
-            };
-            let record = if matches!(rep.outcome, Outcome::HarnessFailure(_)) {
-                // A quarantined representative proves nothing about its
-                // class: fall back to simulating the member itself.
-                run_planned(i, workload, cfg, golden, faults, observer)
-            } else {
-                let r = replicated_record(faults[i], rep);
-                observer.experiment_classified(i, &r);
-                r
-            };
-            slots[i] = Some(record);
-        }
-    }
-
-    // Paranoid cross-check: re-simulate sampled class members and demand
-    // semantic equality with their replicated records, and re-run sampled
-    // replayed experiments on the interpreter alone and demand the same
-    // record. Observer-silent — the checks are audits, not campaign work.
+    // Paranoid audit: re-run sampled replayed experiments on the
+    // interpreter alone and demand the same record. Observer-silent — the
+    // checks are audits, not campaign work.
     if cfg.paranoid > 0 && prune_eligible(cfg) {
         let golden_digest = golden.digest();
-        let simulated: Vec<usize> = (0..faults.len())
-            .filter(|&i| matches!(plan.action(i), PlanAction::Simulate))
-            .collect();
+        let simulated: Vec<usize> = scope.clone().filter(|&i| simulate(i)).collect();
         // Anchored on the fault list's first fault, so the choice is a
-        // function of the campaign's content alone.
+        // function of the campaign's content and the scope alone.
         let anchor = faults.first().copied().unwrap_or(FaultSpec {
             location_index: 0,
             inject_at: 0,
@@ -608,7 +564,7 @@ fn run_fault_list_scoped(
                 r.provenance == Provenance::Simulated
                     && !matches!(r.outcome, Outcome::HarnessFailure(_))
             }) else {
-                continue; // another shard's, preloaded or quarantined
+                continue; // preloaded or quarantined
             };
             let interpreted = run_from(
                 workload,
@@ -643,31 +599,6 @@ fn run_fault_list_scoped(
                  interpreter ends {interpreted:?}, the jumped replay {:?}",
                 ends[&i]
             );
-        }
-        for (rep, members) in plan.classes() {
-            for m in paranoid_members(&members, cfg.paranoid, cfg.seed, golden_digest, faults[rep])
-            {
-                let Some(replicated) = slots[m].as_ref() else {
-                    continue; // another shard's member: not ours to audit
-                };
-                if replicated.provenance != Provenance::Replicated {
-                    continue; // preloaded or fallback-simulated: nothing to audit
-                }
-                let fresh = run_experiment_with_model(
-                    workload,
-                    &cfg.loop_cfg,
-                    golden,
-                    faults[m],
-                    cfg.fault_model,
-                    cfg.detail,
-                );
-                assert!(
-                    records_equivalent(&fresh, replicated),
-                    "paranoid cross-check failed at fault index {m} \
-                     (class representative {rep}): simulated {fresh:?} \
-                     disagrees with replicated {replicated:?}"
-                );
-            }
         }
     }
 

@@ -365,9 +365,10 @@ pub enum Provenance {
     /// post-injection access to the faulted unit was a full-width write,
     /// or the unit was never accessed again); no faulty run was executed.
     Analytic,
-    /// Copied from the simulated representative of this fault's def/use
-    /// equivalence class (same unit, same first post-injection read), with
-    /// the detection latency re-based to this fault's injection time.
+    /// Copied from another simulated fault on the same bit that went live
+    /// at the same instant, with the detection latency re-based to this
+    /// fault's injection time. Earlier builds wrote it; stores holding it
+    /// still load, but no campaign produces it now.
     Replicated,
 }
 
@@ -411,10 +412,10 @@ pub struct ExperimentRecord {
     /// to its natural termination). Metadata only: the classification is
     /// unaffected by pruning.
     pub pruned_at: Option<usize>,
-    /// How this classification was obtained: simulated directly, derived
-    /// analytically from the golden access trace, or replicated from an
-    /// equivalence-class representative. Metadata only (see
-    /// [`Provenance`]).
+    /// How this classification was obtained: simulated directly or
+    /// derived analytically from the golden access trace (stores of
+    /// earlier builds may also hold replicated records). Metadata only
+    /// (see [`Provenance`]).
     pub provenance: Provenance,
     /// Human-readable detail when `outcome` is
     /// [`Outcome::HarnessFailure`]: the caught panic payload or the

@@ -16,10 +16,10 @@
 //! the coordinator's tend loop) reclaims the shard, torn-tail-recovers
 //! the partial segment exactly as `--resume` would, and re-runs only the
 //! missing faults. Byte-identity of the merged result rests on
-//! [`crate::campaign::PreparedCampaign::run_shard`]: every worker
-//! recomputes the identical global plan from the manifest's
-//! configuration, so a record is the same bytes (outcome, deviation,
-//! *and* provenance) no matter which process produced it.
+//! [`crate::campaign::PreparedCampaign::run_shard`]: every record is a
+//! function of its own fault and the golden run alone, so it is the same
+//! bytes (outcome, deviation, *and* provenance) no matter which process
+//! produced it.
 //!
 //! Single ownership is enforced by the lease protocol: a claim is an
 //! `O_CREAT|O_EXCL` lease-file creation (atomic on every filesystem we

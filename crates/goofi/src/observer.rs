@@ -260,9 +260,9 @@ impl CampaignObserver for ObserverSet<'_> {
 }
 
 /// Exponentially-smoothed completion interval shared by the worker
-/// threads. The interval is smoothed, not its inverse: analytic and
-/// replicated records complete microseconds apart, and averaging `1/dt`
-/// over such bursts reports rates hundreds of times the real one.
+/// threads. The interval is smoothed, not its inverse: analytic records
+/// complete microseconds apart, and averaging `1/dt` over such bursts
+/// reports rates hundreds of times the real one.
 struct RateState {
     last_completion: Option<Instant>,
     interval: Ewma,
@@ -391,7 +391,6 @@ impl CampaignObserver for Telemetry {
             c.vis_overwritten += stats.vis_overwritten;
             c.sig_overwritten += stats.sig_overwritten;
             c.value_resolved += stats.value_resolved;
-            c.vis_replicated += stats.vis_replicated;
             c.batch_members += stats.resolved();
             c.split_offs += stats.live;
             c.batch_untraceable += stats.opaque;
@@ -423,7 +422,6 @@ impl CampaignObserver for Telemetry {
                 FallbackReason::Branch => &mut c.fallback_branch,
                 FallbackReason::Trap => &mut c.fallback_trap,
                 FallbackReason::Output => &mut c.fallback_output,
-                FallbackReason::Dense => &mut c.fallback_dense,
             } += 1;
         });
     }
@@ -447,11 +445,7 @@ impl CampaignObserver for Telemetry {
         let now = Instant::now();
         let mut state = self.state();
         let c = &mut state.counts;
-        match record.provenance {
-            Provenance::Simulated => {}
-            Provenance::Analytic => c.analytic += 1,
-            Provenance::Replicated => c.replicated += 1,
-        }
+        c.analytic += usize::from(record.provenance == Provenance::Analytic);
         *match record.outcome {
             Outcome::Detected(_) => &mut c.detected,
             Outcome::Hang => &mut c.hangs,
@@ -516,13 +510,10 @@ pub struct TelemetrySnapshot {
     /// Records classified analytically from the golden access trace (no
     /// simulation executed).
     pub analytic: usize,
-    /// Records replicated from a def/use equivalence-class representative.
-    pub replicated: usize,
     /// Faults the fate resolver settled or placed from the golden traces
     /// (every fate but opaque).
     pub batch_members: usize,
-    /// Of those, the live faults: class representatives simulate, members
-    /// replicate.
+    /// Of those, the live faults, which simulate.
     pub split_offs: usize,
     /// Wall-clock microseconds the planner spent classifying the fault
     /// list (def/use + visibility + value rules).
@@ -535,8 +526,6 @@ pub struct TelemetrySnapshot {
     pub sig_overwritten: usize,
     /// Operand-latch faults resolved by the value-level shift rule.
     pub value_resolved: usize,
-    /// Live faults merged into a class via a visibility window.
-    pub vis_replicated: usize,
     /// Flip-model faults opaque to the golden traces (the
     /// untraceable-must-simulate residue).
     pub batch_untraceable: usize,
@@ -581,8 +570,6 @@ pub struct TelemetrySnapshot {
     pub fallback_trap: usize,
     /// ... because the harness sampled a diffed output port.
     pub fallback_output: usize,
-    /// ... because events came faster than interpreting costs.
-    pub fallback_dense: usize,
 }
 
 impl TelemetrySnapshot {
@@ -593,8 +580,8 @@ impl TelemetrySnapshot {
     }
 
     /// Fraction of simulated experiments that fast-forwarded from a
-    /// golden checkpoint beyond iteration 0 (analytic and replicated
-    /// records never touch the simulator, so they are excluded).
+    /// golden checkpoint beyond iteration 0 (analytic records never touch
+    /// the simulator, so they are excluded).
     #[must_use]
     pub fn checkpoint_hit_rate(&self) -> f64 {
         self.fast_forwarded as f64 / (self.simulated().max(1)) as f64
@@ -607,12 +594,10 @@ impl TelemetrySnapshot {
     }
 
     /// Records classified by actually running the simulator in this
-    /// process (`completed` minus the analytic and replicated records).
+    /// process (`completed` minus the analytic records).
     #[must_use]
     pub fn simulated(&self) -> usize {
-        self.completed
-            .saturating_sub(self.analytic)
-            .saturating_sub(self.replicated)
+        self.completed.saturating_sub(self.analytic)
     }
 
     /// Fraction of resolved faults that are live (the rest were settled
@@ -638,7 +623,7 @@ impl TelemetrySnapshot {
 
     /// Replay fallbacks by reason, in [`FallbackReason::ALL`] order.
     #[must_use]
-    pub fn fallbacks(&self) -> [(FallbackReason, usize); 7] {
+    pub fn fallbacks(&self) -> [(FallbackReason, usize); 6] {
         let n = [
             self.fallback_control_state,
             self.fallback_address,
@@ -646,7 +631,6 @@ impl TelemetrySnapshot {
             self.fallback_branch,
             self.fallback_trap,
             self.fallback_output,
-            self.fallback_dense,
         ];
         std::array::from_fn(|i| (FallbackReason::ALL[i], n[i]))
     }
@@ -667,17 +651,10 @@ impl TelemetrySnapshot {
     /// Each shard's *final* sidecar is written by the worker that finished
     /// it, so summing one sidecar per shard counts every fault exactly
     /// once: records a crashed worker persisted before dying appear in the
-    /// finishing worker's `preloaded` tally.
-    ///
-    /// Planning counters (`vis_latent`, `vis_overwritten`,
-    /// `sig_overwritten`, `value_resolved`, `vis_replicated` and the
-    /// resolver's `batch_members`, `split_offs`, `batch_untraceable`,
-    /// `batch_vis_admitted`) are **not** summed: every worker plans the
-    /// same full fault list deterministically, so each shard's counters
-    /// already equal the exact global counts and the merge takes the
-    /// maximum instead (shards that resumed fully-preloaded report
-    /// zeros). `plan_micros` stays a sum —
-    /// it measures real aggregate planning CPU, which every worker spends.
+    /// finishing worker's `preloaded` tally, and every
+    /// [`run_shard`](crate::campaign::PreparedCampaign::run_shard) call
+    /// plans its whole range, preloaded indices included, so the planning
+    /// counters are the range's too.
     pub fn accumulate(&mut self, other: &TelemetrySnapshot) {
         self.total += other.total;
         self.preloaded += other.preloaded;
@@ -698,17 +675,15 @@ impl TelemetrySnapshot {
         self.recalled += other.recalled;
         self.fast_forwarded += other.fast_forwarded;
         self.analytic += other.analytic;
-        self.replicated += other.replicated;
         self.plan_micros += other.plan_micros;
-        self.vis_latent = self.vis_latent.max(other.vis_latent);
-        self.vis_overwritten = self.vis_overwritten.max(other.vis_overwritten);
-        self.sig_overwritten = self.sig_overwritten.max(other.sig_overwritten);
-        self.value_resolved = self.value_resolved.max(other.value_resolved);
-        self.vis_replicated = self.vis_replicated.max(other.vis_replicated);
-        self.batch_members = self.batch_members.max(other.batch_members);
-        self.split_offs = self.split_offs.max(other.split_offs);
-        self.batch_untraceable = self.batch_untraceable.max(other.batch_untraceable);
-        self.batch_vis_admitted = self.batch_vis_admitted.max(other.batch_vis_admitted);
+        self.vis_latent += other.vis_latent;
+        self.vis_overwritten += other.vis_overwritten;
+        self.sig_overwritten += other.sig_overwritten;
+        self.value_resolved += other.value_resolved;
+        self.batch_members += other.batch_members;
+        self.split_offs += other.split_offs;
+        self.batch_untraceable += other.batch_untraceable;
+        self.batch_vis_admitted += other.batch_vis_admitted;
         self.sim_instructions += other.sim_instructions;
         self.block_instructions += other.block_instructions;
         self.arena_restores += other.arena_restores;
@@ -723,7 +698,6 @@ impl TelemetrySnapshot {
         self.fallback_branch += other.fallback_branch;
         self.fallback_trap += other.fallback_trap;
         self.fallback_output += other.fallback_output;
-        self.fallback_dense += other.fallback_dense;
     }
 }
 
@@ -765,14 +739,8 @@ impl fmt::Display for TelemetrySnapshot {
             100.0 * self.prune_rate(),
             self.recalled
         )?;
-        if self.analytic > 0 || self.replicated > 0 {
-            write!(
-                f,
-                " | sim {} an {} rep {}",
-                self.simulated(),
-                self.analytic,
-                self.replicated
-            )?;
+        if self.analytic > 0 {
+            write!(f, " | sim {} an {}", self.simulated(), self.analytic)?;
         }
         if self.batch_members > 0 {
             write!(
@@ -782,15 +750,14 @@ impl fmt::Display for TelemetrySnapshot {
                 100.0 * self.split_off_rate()
             )?;
         }
-        if self.vis_analytic() > 0 || self.vis_replicated > 0 || self.batch_vis_admitted > 0 {
+        if self.vis_analytic() > 0 || self.batch_vis_admitted > 0 {
             write!(
                 f,
-                " | vis lat {} ovw {} sig {} val {} rep {} adm {} opq {}",
+                " | vis lat {} ovw {} sig {} val {} adm {} opq {}",
                 self.vis_latent,
                 self.vis_overwritten,
                 self.sig_overwritten,
                 self.value_resolved,
-                self.vis_replicated,
                 self.batch_vis_admitted,
                 self.batch_untraceable
             )?;
@@ -840,9 +807,8 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// The counters [`Telemetry`] derives from the records alone: the
-    /// seven outcome buckets, `analytic`, `replicated`, `pruned` and
-    /// `completed`.
-    fn record_counters(s: &TelemetrySnapshot) -> [usize; 11] {
+    /// seven outcome buckets, `analytic`, `pruned` and `completed`.
+    fn record_counters(s: &TelemetrySnapshot) -> [usize; 10] {
         [
             s.detected,
             s.hangs,
@@ -852,14 +818,13 @@ mod tests {
             s.overwritten,
             s.harness_failures,
             s.analytic,
-            s.replicated,
             s.pruned,
             s.completed,
         ]
     }
 
     /// [`record_counters`], recounted from `records`.
-    fn recount(records: &[ExperimentRecord]) -> [usize; 11] {
+    fn recount(records: &[ExperimentRecord]) -> [usize; 10] {
         let n = |f: &dyn Fn(&ExperimentRecord) -> bool| records.iter().filter(|r| f(r)).count();
         [
             n(&|r| matches!(r.outcome, Outcome::Detected(_))),
@@ -870,7 +835,6 @@ mod tests {
             n(&|r| r.outcome == Outcome::Overwritten),
             n(&|r| r.outcome.is_harness_failure()),
             n(&|r| r.provenance == Provenance::Analytic),
-            n(&|r| r.provenance == Provenance::Replicated),
             n(&|r| r.pruned_at.is_some()),
             records.len(),
         ]
@@ -910,7 +874,7 @@ mod tests {
                     "{model}: some replays end by the steady-delta jump"
                 );
             } else {
-                assert_eq!(snap.analytic + snap.replicated + snap.pruned, 0, "{model}");
+                assert_eq!(snap.analytic + snap.pruned, 0, "{model}");
             }
             assert!(snap.throughput > 0.0);
             assert!(snap.eta_seconds.is_some());
@@ -981,6 +945,12 @@ mod tests {
         assert_ne!(older, json, "{json}");
         let back: TelemetrySnapshot = serde_json::from_str(&older).unwrap();
         assert_eq!(back.replay_events, 0);
+        // Sidecars of builds that replicated class members and fell back
+        // on dense events carry three counters no build writes now.
+        let oldest = json.replacen('{', "{\"replicated\":2,\"vis_replicated\":1,", 1);
+        let oldest = oldest.replacen('}', ",\"fallback_dense\":1}", 1);
+        let back: TelemetrySnapshot = serde_json::from_str(&oldest).unwrap();
+        assert_eq!(back, serde_json::from_str(&json).unwrap());
     }
 
     #[test]
@@ -1051,7 +1021,7 @@ mod tests {
         let result = run_scifi_campaign_observed(&w, &cfg, &telemetry);
         let snap = telemetry.snapshot();
         assert_eq!(snap.completed, 40, "every fault gets a classified record");
-        assert_eq!(snap.simulated() + snap.analytic + snap.replicated, 40);
+        assert_eq!(snap.simulated() + snap.analytic, 40);
         assert!(
             snap.analytic > 0,
             "a uniform scan-chain sample always hits overwritten/unused state"
@@ -1063,7 +1033,8 @@ mod tests {
                     matches!(r.outcome, Outcome::Overwritten | Outcome::Latent),
                     "analytic classification only ever emits overwritten/latent"
                 ),
-                Provenance::Simulated | Provenance::Replicated => {}
+                Provenance::Simulated => {}
+                Provenance::Replicated => panic!("no run classifies a replicated record"),
             }
         }
         let analytic = result
@@ -1071,12 +1042,6 @@ mod tests {
             .iter()
             .filter(|r| r.provenance == crate::experiment::Provenance::Analytic)
             .count();
-        let replicated = result
-            .records
-            .iter()
-            .filter(|r| r.provenance == crate::experiment::Provenance::Replicated)
-            .count();
         assert_eq!(snap.analytic, analytic);
-        assert_eq!(snap.replicated, replicated);
     }
 }

@@ -19,11 +19,9 @@
 //!   [`Fate::Latent`], emitted analytically as [`Outcome::Latent`];
 //! * **a flipped unit is read first** (or partially written) — the fault
 //!   is [`Fate::Live`] at that instant. The machine state there is exactly
-//!   the golden state plus the surviving flips, so every fault with the
-//!   same scan bit, live instant and surviving units shares its faulty
-//!   trajectory: one simulation stands for the whole class (diff replay,
-//!   DESIGN.md §8l, carries the representative to that instant without
-//!   executing anything);
+//!   the golden state plus the surviving flips; the fault is simulated,
+//!   and diff replay (DESIGN.md §8l) carries it to that instant without
+//!   executing anything;
 //! * **no trace covers the flips** — [`Fate::Opaque`]: simulate.
 //!
 //! Resolution applies only where the trace argument is sound: one-shot
@@ -34,18 +32,15 @@
 //! access without being part of the trace). Soundness arguments are in
 //! DESIGN.md § 8e.
 //!
+//! Every record is a function of its own fault and the golden run alone.
 //! The planned campaign is provably outcome-equivalent to the unplanned
-//! (`prune: false`) one (`tests/prune_equivalence.rs`), and `--paranoid N`
-//! re-simulates `N` members per equivalence class at run time as a
-//! continuous cross-check.
+//! (`prune: false`) one (`tests/prune_equivalence.rs`).
 
 use crate::campaign::CampaignConfig;
 use crate::classify::Outcome;
 use crate::experiment::{ExperimentRecord, FaultModel, FaultSpec, GoldenRun, Provenance};
 use bera_tcpu::scan::{self, BitLocation};
 use bera_tcpu::{Access, AccessTrace, Fnv64, TraceUnit, VisUnit};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// What the golden traces prove about one set of one-shot flips injected
 /// at one instruction boundary.
@@ -171,16 +166,17 @@ pub fn resolve(flips: &[BitLocation], inject_at: u64, trace: &AccessTrace) -> Fa
 /// The planner's decision for one fault-list index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanAction {
-    /// Inject and run this fault on the simulator (it is either a live
-    /// equivalence-class representative or opaque to the traces).
+    /// Inject and run this fault on the simulator (it is either live or
+    /// opaque to the traces).
     Simulate,
     /// Emit the record analytically: the outcome follows from the golden
     /// traces alone.
     Analytic(Outcome),
-    /// Copy the outcome of the simulated representative at fault-list
-    /// index `representative` (always a lower index than this fault's).
+    /// Never planned. The campaign benchmark (`campaign-bench`) still
+    /// counts this action as `planner.replicated`; the variant goes with
+    /// that counter (ROADMAP.md).
     Replicate {
-        /// Fault-list index of this class's simulated representative.
+        /// Fault-list index of a simulated fault.
         representative: usize,
     },
 }
@@ -206,14 +202,11 @@ pub struct PlanStats {
     /// Operand-latch faults resolved by the value-level shift rule
     /// (either displaced off the latch or migrated bit-identically).
     pub value_resolved: usize,
-    /// [`Fate::Live`] faults (class representatives and members).
+    /// [`Fate::Live`] faults.
     pub live: usize,
     /// Of [`live`](Self::live), those carrying a flip outside the def/use
     /// units (resolved through a visibility window).
     pub vis_live: usize,
-    /// Live class members (not representatives) carrying a flip outside
-    /// the def/use units.
-    pub vis_replicated: usize,
     /// [`Fate::Opaque`] faults: no trace covers them, so they simulate
     /// from injection.
     pub opaque: usize,
@@ -287,8 +280,7 @@ fn needs_vis(flips: &[BitLocation]) -> bool {
     })
 }
 
-/// One action per fault-list index, which carries the class structure
-/// needed for replication and paranoid cross-checking.
+/// One action per fault-list index.
 #[derive(Debug, Clone)]
 pub struct CampaignPlan {
     actions: Vec<PlanAction>,
@@ -340,29 +332,8 @@ impl CampaignPlan {
         self.count(|a| matches!(a, PlanAction::Analytic(_)))
     }
 
-    /// Number of faults replicated from a class representative.
-    #[must_use]
-    pub fn replicated(&self) -> usize {
-        self.count(|a| matches!(a, PlanAction::Replicate { .. }))
-    }
-
     fn count(&self, pred: impl Fn(&PlanAction) -> bool) -> usize {
         self.actions.iter().filter(|a| pred(a)).count()
-    }
-
-    /// The equivalence classes with at least one replicated member:
-    /// `(representative index, member indices)`, ordered by representative.
-    #[must_use]
-    pub fn classes(&self) -> Vec<(usize, Vec<usize>)> {
-        let mut by_rep: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (i, a) in self.actions.iter().enumerate() {
-            if let PlanAction::Replicate { representative } = *a {
-                by_rep.entry(representative).or_default().push(i);
-            }
-        }
-        let mut classes: Vec<_> = by_rep.into_iter().collect();
-        classes.sort_unstable_by_key(|(rep, _)| *rep);
-        classes
     }
 }
 
@@ -381,12 +352,9 @@ pub fn prune_eligible(cfg: &CampaignConfig) -> bool {
 }
 
 /// Plans the campaign: one [`PlanAction`] per fault of `faults`, from the
-/// [`resolve`]d fate of each. Live faults form equivalence classes keyed
-/// on `(scan-catalog index, live instant, surviving flips)`; the lowest
-/// fault index of a class is its representative. The plan is a pure
-/// function of the fault list, the configuration and the golden run, so
-/// resumed and sharded campaigns recompute the identical plan (and hence
-/// identical representatives).
+/// [`resolve`]d fate of each alone. Latent and overwritten faults are
+/// analytic; live and opaque ones simulate. Faults whose runs meet share
+/// the work through trajectory recall (DESIGN.md §8k), not the plan.
 ///
 /// # Panics
 ///
@@ -403,11 +371,9 @@ pub fn plan_campaign(
     let started = std::time::Instant::now();
     let catalog = scan::catalog();
     let mut stats = PlanStats::default();
-    let mut class_reps: HashMap<(usize, u64, u64), usize> = HashMap::new();
     let actions = faults
         .iter()
-        .enumerate()
-        .map(|(i, fault)| {
+        .map(|fault| {
             let flips: Vec<BitLocation> = cfg
                 .fault_model
                 .locations(fault.location_index)
@@ -424,25 +390,9 @@ pub fn plan_campaign(
             };
             stats.tally(fate, &flips);
             match fate {
-                Fate::Opaque => PlanAction::Simulate,
+                Fate::Opaque | Fate::Live { .. } => PlanAction::Simulate,
                 Fate::Latent => PlanAction::Analytic(Outcome::Latent),
                 Fate::Overwritten { .. } => PlanAction::Analytic(Outcome::Overwritten),
-                Fate::Live { at, surviving } => {
-                    match class_reps.entry((fault.location_index, at, surviving)) {
-                        Entry::Occupied(e) => {
-                            if needs_vis(&flips) {
-                                stats.vis_replicated += 1;
-                            }
-                            PlanAction::Replicate {
-                                representative: *e.get(),
-                            }
-                        }
-                        Entry::Vacant(e) => {
-                            e.insert(i);
-                            PlanAction::Simulate
-                        }
-                    }
-                }
             }
         })
         .collect();
@@ -481,36 +431,6 @@ pub fn analytic_record(
     }
 }
 
-/// Builds the record of a replicated class member from its simulated
-/// representative. Everything outcome-determined is copied verbatim (the
-/// trajectories are identical); the detection latency is re-based from
-/// the representative's injection time to the member's — both faults
-/// become visible at the same first read, and any trap fires at the same
-/// absolute instruction.
-#[must_use]
-pub fn replicated_record(fault: FaultSpec, rep: &ExperimentRecord) -> ExperimentRecord {
-    debug_assert_eq!(
-        fault.location_index, rep.fault.location_index,
-        "replication across different scan bits is unsound"
-    );
-    let detection_latency = rep
-        .detection_latency
-        .map(|l| rep.fault.inject_at + l - fault.inject_at);
-    ExperimentRecord {
-        fault,
-        part: rep.part,
-        location: rep.location,
-        outcome: rep.outcome,
-        max_deviation: rep.max_deviation,
-        first_strong_iteration: rep.first_strong_iteration,
-        detection_latency,
-        outputs: rep.outputs.clone(),
-        pruned_at: None,
-        provenance: Provenance::Replicated,
-        harness_error: None,
-    }
-}
-
 /// Semantic equality of two records of the *same fault*: everything the
 /// simulation determines (outcome, deviation, first strong iteration,
 /// detection latency, outputs) must agree bit-for-bit; provenance
@@ -530,20 +450,20 @@ pub fn records_equivalent(a: &ExperimentRecord, b: &ExperimentRecord) -> bool {
         && a.outputs == b.outputs
 }
 
-/// Deterministically picks up to `n` members of an equivalence class for
-/// paranoid re-simulation. The choice is *content-addressed*: keyed on
-/// the campaign seed, the store's golden digest and the representative's
-/// fault spec (never its fault-list position), over a sorted member
-/// pool — so two runs of the same campaign, a resumed run, and a CI
-/// cross-check all re-simulate exactly the same members regardless of
-/// the order in which the class structure was assembled.
+/// Deterministically picks up to `n` of the fault indices `members` for
+/// a paranoid audit. The choice is *content-addressed*: keyed on the
+/// campaign seed, the store's golden digest and the `anchor` fault spec
+/// (never a fault-list position), over a sorted member pool — so two
+/// runs of the same campaign, a resumed run, and a CI cross-check all
+/// audit exactly the same faults regardless of the order in which the
+/// pool was assembled.
 #[must_use]
 pub fn paranoid_members(
     members: &[usize],
     n: usize,
     seed: u64,
     golden_digest: u64,
-    representative: FaultSpec,
+    anchor: FaultSpec,
 ) -> Vec<usize> {
     if n == 0 || members.is_empty() {
         return Vec::new();
@@ -552,8 +472,8 @@ pub fn paranoid_members(
     let mut h = Fnv64::new();
     h.write_u64(seed);
     h.write_u64(golden_digest);
-    h.write_u64(representative.location_index as u64);
-    h.write_u64(representative.inject_at);
+    h.write_u64(anchor.location_index as u64);
+    h.write_u64(anchor.inject_at);
     let mut state = h.finish();
     let mut pool: Vec<usize> = members.to_vec();
     pool.sort_unstable();
@@ -586,15 +506,23 @@ mod tests {
         (cfg, golden, faults)
     }
 
+    /// `fault`'s fate under `cfg`'s fault model.
+    fn fate(cfg: &CampaignConfig, golden: &GoldenRun, fault: FaultSpec) -> Fate {
+        let flips: Vec<BitLocation> = cfg
+            .fault_model
+            .locations(fault.location_index)
+            .into_iter()
+            .map(|j| scan::catalog()[j])
+            .collect();
+        resolve(&flips, fault.inject_at, &golden.trace)
+    }
+
     #[test]
     fn plan_partitions_the_fault_list() {
         let (cfg, golden, faults) = quick_plan_inputs();
         let plan = plan_campaign(&faults, &cfg, &golden);
         assert_eq!(plan.actions().len(), faults.len());
-        assert_eq!(
-            plan.simulated() + plan.analytic() + plan.replicated(),
-            faults.len()
-        );
+        assert_eq!(plan.simulated() + plan.analytic(), faults.len());
         assert!(
             plan.analytic() > 0,
             "a uniform sample over the scan chain always hits state that \
@@ -603,21 +531,14 @@ mod tests {
     }
 
     #[test]
-    fn representatives_precede_their_members() {
+    fn a_fault_is_planned_alike_alone_and_in_its_list() {
+        // A farm shard plans only its own range: no action may depend on
+        // another fault of the list.
         let (cfg, golden, faults) = quick_plan_inputs();
         let plan = plan_campaign(&faults, &cfg, &golden);
-        for (i, a) in plan.actions().iter().enumerate() {
-            if let PlanAction::Replicate { representative } = *a {
-                assert!(
-                    representative < i,
-                    "member {i} precedes rep {representative}"
-                );
-                assert_eq!(plan.action(representative), PlanAction::Simulate);
-                assert_eq!(
-                    faults[representative].location_index, faults[i].location_index,
-                    "a class never spans scan bits"
-                );
-            }
+        for (i, &fault) in faults.iter().enumerate() {
+            let alone = plan_campaign(&[fault], &cfg, &golden);
+            assert_eq!(alone.action(0), plan.action(i), "fault index {i}");
         }
     }
 
@@ -699,9 +620,13 @@ mod tests {
         ];
         let plan = plan_campaign(&faults, &cfg, &golden);
         assert_eq!(plan.action(0), PlanAction::Simulate);
-        assert_eq!(plan.action(1), PlanAction::Replicate { representative: 0 });
+        assert_eq!(plan.action(1), PlanAction::Simulate);
+        assert_eq!(
+            fate(&cfg, &golden, faults[0]),
+            fate(&cfg, &golden, faults[1])
+        );
 
-        // A read between the two injection times splits the class: the
+        // A read between the two injection times splits the fates: the
         // earlier fault is now first observed by a different access.
         golden.trace.insert_for_test(
             unit,
@@ -712,7 +637,15 @@ mod tests {
         );
         let plan = plan_campaign(&faults, &cfg, &golden);
         assert_eq!(plan.action(0), PlanAction::Simulate);
-        assert_eq!(plan.action(1), PlanAction::Simulate, "class must split");
+        assert_eq!(plan.action(1), PlanAction::Simulate);
+        assert!(matches!(
+            fate(&cfg, &golden, faults[0]),
+            Fate::Live { at: 100, .. }
+        ));
+        assert!(matches!(
+            fate(&cfg, &golden, faults[1]),
+            Fate::Live { at: 200, .. }
+        ));
     }
 
     #[test]
@@ -899,7 +832,7 @@ mod tests {
         let psr0 = catalog_index(|l| matches!(l, BitLocation::Psr { bit: 0 }));
         // Synthetic windows: a cmp deposits the EQ flag at 100, a branch
         // consults it at 200. Two flips landing inside (100, 200] are
-        // first observed by the same consult — one class; a flip before
+        // first observed by the same consult — one fate; a flip before
         // the deposit is erased by it.
         let psr0_unit = TraceUnit::Vis(VisUnit::Psr(0));
         golden.trace = AccessTrace::new();
@@ -921,13 +854,24 @@ mod tests {
         ];
         let plan = plan_campaign(&faults, &cfg, &golden);
         assert_eq!(plan.action(0), PlanAction::Simulate);
-        assert_eq!(plan.action(1), PlanAction::Replicate { representative: 0 });
+        assert_eq!(plan.action(1), PlanAction::Simulate);
         assert_eq!(plan.action(2), PlanAction::Analytic(Outcome::Overwritten));
-        assert_eq!(plan.stats().vis_replicated, 1);
+        assert_eq!(
+            fate(&cfg, &golden, faults[0]),
+            Fate::Live {
+                at: 200,
+                surviving: 0b1
+            }
+        );
+        assert_eq!(
+            fate(&cfg, &golden, faults[1]),
+            fate(&cfg, &golden, faults[0])
+        );
+        assert_eq!(plan.stats().vis_live, 2);
         assert_eq!(plan.stats().vis_overwritten, 1);
 
         // Adversarial: one extra EDM sample inside the window splits the
-        // class — the earlier fault is now observed by a different read.
+        // fates — the earlier fault is now observed by a different read.
         golden.trace.insert_for_test(
             psr0_unit,
             Access {
@@ -937,7 +881,15 @@ mod tests {
         );
         let plan = plan_campaign(&faults, &cfg, &golden);
         assert_eq!(plan.action(0), PlanAction::Simulate);
-        assert_eq!(plan.action(1), PlanAction::Simulate, "class must split");
+        assert_eq!(plan.action(1), PlanAction::Simulate);
+        assert!(matches!(
+            fate(&cfg, &golden, faults[0]),
+            Fate::Live { at: 170, .. }
+        ));
+        assert!(matches!(
+            fate(&cfg, &golden, faults[1]),
+            Fate::Live { at: 200, .. }
+        ));
     }
 
     // ---------------------------------------------------------------------
@@ -1122,42 +1074,24 @@ mod tests {
         let faults = crate::campaign::FaultList::sample(2000, 9, golden.total_instructions).faults;
         let plan = plan_campaign(&faults, &cfg, &golden);
         assert!(plan.analytic() > 0, "double flips resolve analytically too");
-        let fate = |i: usize| {
-            let flips: Vec<BitLocation> = cfg
-                .fault_model
-                .locations(faults[i].location_index)
-                .into_iter()
-                .map(|j| scan::catalog()[j])
-                .collect();
-            resolve(&flips, faults[i].inject_at, &golden.trace)
-        };
-        let classes = plan.classes();
-        assert!(!classes.is_empty(), "the sample holds a replicated class");
-        for (rep, members) in classes {
-            assert_eq!(plan.action(rep), PlanAction::Simulate);
-            assert!(matches!(fate(rep), Fate::Live { .. }), "a rep is live");
-            for m in members {
-                assert!(rep < m);
-                assert_eq!(faults[rep].location_index, faults[m].location_index);
-                assert_eq!(
-                    fate(m),
-                    fate(rep),
-                    "a class shares its instant and survivors"
-                );
-            }
-        }
-        for (i, a) in plan.actions().iter().enumerate() {
-            if faults[i].inject_at >= golden.total_instructions {
+        // (scan bit, live instant, survivors) of every live fault.
+        let mut live: Vec<(usize, u64, u64)> = Vec::new();
+        for (i, &fault) in faults.iter().enumerate() {
+            if fault.inject_at >= golden.total_instructions {
                 continue; // never injected: the plan simulates it unresolved
             }
-            if let Fate::Live { at, surviving } = fate(i) {
-                assert!(matches!(
-                    a,
-                    PlanAction::Simulate | PlanAction::Replicate { .. }
-                ));
-                assert!(at >= faults[i].inject_at);
+            if let Fate::Live { at, surviving } = fate(&cfg, &golden, fault) {
+                assert_eq!(plan.action(i), PlanAction::Simulate);
+                assert!(at >= fault.inject_at);
                 assert!(surviving != 0 && surviving.count_ones() <= 2);
+                live.push((fault.location_index, at, surviving));
             }
         }
+        // Two faults on one bit share a fate, and each still simulates.
+        live.sort_unstable();
+        assert!(
+            live.windows(2).any(|w| w[0] == w[1]),
+            "the sample holds two live faults with one fate"
+        );
     }
 }

@@ -22,7 +22,7 @@ use crate::observer::CampaignObserver;
 use crate::recall::{TrajectoryMemo, RECALL_EVERY};
 use crate::steady::Steady;
 use bera_plant::Engine;
-use bera_tcpu::diff::{DiffReplay, Fallback, FallbackReason, ReplayScratch};
+use bera_tcpu::diff::{DiffReplay, Fallback, ReplayScratch};
 use bera_tcpu::machine::{Machine, RunExit, PORT_U};
 use bera_tcpu::scan::{self, BitLocation};
 use std::cell::RefCell;
@@ -39,15 +39,6 @@ pub(crate) struct Run<'a> {
     pub(crate) cap: u64,
     pub(crate) deadline: Option<Instant>,
 }
-
-/// A checkpoint interval with more than one event per this many
-/// instructions falls back to the interpreter for the rest of the run
-/// (DESIGN.md §8l). With XOR chains skipped, an event (the walks it
-/// starts included) costs about two dozen interpreted instructions, but a
-/// dense fallback is never handed back: priced at those costs, the paper
-/// campaigns' event and instruction counts are least at 3, 4 and 6, which
-/// differ by less than 0.02 ms.
-const DENSE: u64 = 4;
 
 thread_local! {
     /// This worker's replay scratch, taken out for the length of a replay:
@@ -155,10 +146,9 @@ pub(crate) fn drive(
                 golden,
                 resident,
                 recall: Some(&mut *memo),
-                // Back to replay later, unless it ran too dense, or a
-                // re-entry failed before its first checkpoint.
-                reenter: fallback.reason != FallbackReason::Dense
-                    && (from == run.fault.inject_at || c > after),
+                // Back to replay later, unless a re-entry failed before
+                // its first checkpoint.
+                reenter: from == run.fault.inject_at || c > after,
             },
             mid_iteration,
             &mut || {},
@@ -227,7 +217,7 @@ fn replay(
     let (mut events, mut jumped) = (0, false);
     loop {
         let mut r = DiffReplay::new(&golden.trace, &golden.end_machine, scratch, from, diff);
-        let walked = replay_checkpoints(run, &mut r, from, after, memo);
+        let walked = replay_checkpoints(run, &mut r, after, memo);
         events += r.events();
         let end = match walked {
             Ok(Walk::Jump(last, at_last)) => {
@@ -263,13 +253,11 @@ enum Walk {
 fn replay_checkpoints(
     run: &Run<'_>,
     r: &mut DiffReplay<'_>,
-    from: u64,
     after: usize,
     memo: &mut TrajectoryMemo,
 ) -> Result<Walk, Fallback> {
     let golden = run.golden;
     let mut steady = Steady::new(golden);
-    let (mut events, mut since) = (0, from);
     for (c, ckpt) in golden.checkpoints.iter().enumerate().skip(after + 1) {
         r.advance(ckpt.machine.instr_count())?;
         if run.deadline.is_some_and(|d| Instant::now() >= d) {
@@ -284,15 +272,6 @@ fn replay_checkpoints(
             if let Some(tail) = memo.probe(diff, c, iteration, 0) {
                 return Ok(Walk::End(DriveEnd::Recalled { iteration, tail }));
             }
-        }
-        // Past one event per DENSE instructions, the interpreter carries
-        // the rest of the run.
-        let at = ckpt.machine.instr_count();
-        if (r.events() - events) * DENSE > at - since {
-            return Err(Fallback {
-                at,
-                reason: FallbackReason::Dense,
-            });
         }
         if let Some(at_last) = jump {
             // The state at every checkpoint jumped over is known: recall
@@ -309,7 +288,6 @@ fn replay_checkpoints(
             }
             return Ok(Walk::Jump(last, at_last));
         }
-        (events, since) = (r.events(), at);
     }
     r.advance(golden.total_instructions)?;
     let end = &golden.end_machine;

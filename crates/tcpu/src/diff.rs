@@ -62,20 +62,17 @@ pub enum FallbackReason {
     Trap,
     /// The harness samples a diffed output port: the plant input diverges.
     Output,
-    /// Events came so densely that interpreting is cheaper.
-    Dense,
 }
 
 impl FallbackReason {
     /// Every reason, in a fixed order.
-    pub const ALL: [FallbackReason; 7] = [
+    pub const ALL: [FallbackReason; 6] = [
         FallbackReason::ControlState,
         FallbackReason::Address,
         FallbackReason::CacheControl,
         FallbackReason::Branch,
         FallbackReason::Trap,
         FallbackReason::Output,
-        FallbackReason::Dense,
     ];
 
     /// Stable lower-case label for telemetry and reports.
@@ -88,7 +85,6 @@ impl FallbackReason {
             FallbackReason::Branch => "branch",
             FallbackReason::Trap => "trap",
             FallbackReason::Output => "output",
-            FallbackReason::Dense => "dense",
         }
     }
 }

@@ -330,9 +330,8 @@ pub fn check(campaign: &Campaign, points: &[Point]) -> Vec<Run> {
                 "{at}: an analytic record claims an outcome the trace cannot prove"
             );
         } else {
-            let derived = analytic + run.count(Provenance::Replicated);
             assert_eq!(
-                derived, 0,
+                analytic, 0,
                 "{at}: a bypassed campaign simulates every fault"
             );
         }

@@ -7,15 +7,15 @@
 //! obtained. These tests check it through the differential oracle
 //! (`tests/oracle`) against the plain reference, which interprets every
 //! fault from reset: fixed-seed 500- and 2 000-fault campaigns (the
-//! latter large enough for replication), every fault model (the
+//! latter large enough for faults that share a fate), every fault model (the
 //! re-asserting ones and parity-cache runs bypass the resolver and stay
 //! byte-identical to `prune: false`), pinned untraceable and replay-edge
 //! lists, random seeds, the paper's 650 iterations, and `paranoid` audits,
 //! whose clean completion is itself the assertion.
 //!
 //! Property tests show the planner's analysis is *load-bearing*: a
-//! perturbed golden trace (an extra read between two class members, a
-//! full write narrowed to a partial one) changes the plan. The full
+//! perturbed golden trace (an extra read between two faults that share a
+//! fate, a full write narrowed to a partial one) changes the fates. The full
 //! lattice of engine configurations is one ignored sweep:
 //! `cargo test --release --test prune_equivalence -- --ignored`.
 
@@ -26,7 +26,7 @@ use bera_goofi::campaign::{
 };
 use bera_goofi::experiment::{golden_run, FaultModel, FaultSpec, GoldenRun, Provenance};
 use bera_goofi::observer::Telemetry;
-use bera_goofi::planner::{plan_campaign, PlanAction};
+use bera_goofi::planner::{plan_campaign, resolve, Fate, PlanAction};
 use bera_goofi::workload::Workload;
 use bera_tcpu::access::{Access, AccessKind, TraceUnit};
 use bera_tcpu::scan;
@@ -51,15 +51,38 @@ fn pruned_algorithm_two_is_record_for_record_identical_to_unpruned() {
 }
 
 #[test]
-fn replication_fires_at_scale_and_stays_bit_identical() {
-    // Equivalence classes need two sampled faults on the *same scan bit*
-    // whose injection times fall in the same first-read window — rare
-    // below ~1000 faults. At 2000 faults the replication pass runs for
-    // real, and every replicated record (its detection latency rebased
-    // to its own injection time) must match the reference.
+fn faults_sharing_a_fate_simulate_alike_and_stay_bit_identical() {
+    // Two sampled faults on the *same scan bit* whose injection times
+    // fall in the same first-read window share a fate — rare below ~1000
+    // faults. Each simulates by itself, matches the reference, and
+    // carries a detection latency measured from its own injection.
     let campaign = Campaign::sampled(Workload::algorithm_one(), FaultModel::SingleBit, 2000, 21);
     let runs = check(&campaign, &[Point::DEFAULT.threads(2)]);
-    assert!(runs[0].count(Provenance::Replicated) > 0, "no class merged");
+    let prepared = prepare_campaign(&campaign.workload, &CampaignConfig::quick(2000, 21));
+    let (golden, faults) = (prepared.golden(), prepared.faults());
+    let mut live = live_faults(golden, faults);
+    live.sort_unstable();
+    let pairs: Vec<(usize, usize)> = live
+        .windows(2)
+        .filter(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
+        .map(|w| (w[0].3, w[1].3))
+        .collect();
+    assert!(!pairs.is_empty(), "no two faults share a fate");
+    let records = &runs[0].result.records;
+    for (i, j) in pairs {
+        let (a, b) = (&records[i], &records[j]);
+        assert_eq!(a.provenance, Provenance::Simulated, "fault index {i}");
+        assert_eq!(b.provenance, Provenance::Simulated, "fault index {j}");
+        // One trajectory from the live instant on: one outcome, and any
+        // trap at one absolute instant.
+        assert_eq!(a.outcome, b.outcome, "fault indices {i} and {j}");
+        assert_eq!(a.outputs, b.outputs, "fault indices {i} and {j}");
+        assert_eq!(
+            a.detection_latency.map(|l| faults[i].inject_at + l),
+            b.detection_latency.map(|l| faults[j].inject_at + l),
+            "fault indices {i} and {j}"
+        );
+    }
 }
 
 #[test]
@@ -88,16 +111,18 @@ fn parity_cache_campaigns_bypass_the_pruner() {
 }
 
 #[test]
-fn paranoid_mode_cross_checks_class_members_in_campaign() {
-    // `paranoid` re-simulates members of every equivalence class and
-    // panics inside the campaign on any disagreement with the replicated
-    // record, so a clean completion *is* the soundness check. The records
-    // themselves must be untouched by the auditing: byte-identical.
+fn paranoid_mode_audits_replayed_runs_in_campaign() {
+    // `paranoid` re-runs sampled diff-replayed experiments on the
+    // interpreter alone and panics inside the campaign on any
+    // disagreement with the replayed record, so a clean completion *is*
+    // the soundness check. The records themselves must be untouched by
+    // the auditing: byte-identical.
     let campaign = Campaign::sampled(Workload::algorithm_one(), FaultModel::SingleBit, 2000, 21);
     let audited = Point::DEFAULT.threads(2).paranoid(2);
     let runs = check(&campaign, &[audited, Point::DEFAULT.threads(2)]);
-    let replicated = runs[0].count(Provenance::Replicated);
-    assert!(replicated > 0, "nothing to audit");
+    assert!(runs[0].telemetry.replayed > 0, "nothing replayed");
+    let replayed = runs[0].count(Provenance::Simulated);
+    assert!(replayed > 0, "nothing to audit");
 }
 
 /// The default engine against the plain reference at the paper's run
@@ -194,6 +219,27 @@ fn vis_unit(location_index: usize) -> Option<TraceUnit> {
         .filter(|u| matches!(u, TraceUnit::Vis(_)))
 }
 
+/// A single-bit fault's fate.
+fn fate(golden: &GoldenRun, f: FaultSpec) -> Fate {
+    resolve(
+        &[scan::catalog()[f.location_index]],
+        f.inject_at,
+        &golden.trace,
+    )
+}
+
+/// `(scan bit, live instant, injection instant, fault index)` of every
+/// single-bit fault of `faults` that goes live.
+fn live_faults(golden: &GoldenRun, faults: &[FaultSpec]) -> Vec<(usize, u64, u64, usize)> {
+    (0..faults.len())
+        .filter(|&i| faults[i].inject_at < golden.total_instructions)
+        .filter_map(|i| match fate(golden, faults[i]) {
+            Fate::Live { at, .. } => Some((faults[i].location_index, at, faults[i].inject_at, i)),
+            _ => None,
+        })
+        .collect()
+}
+
 fn sample_faults(seed: u64) -> Vec<FaultSpec> {
     let (golden, cfg) = shared_golden();
     FaultList::sample(cfg.faults, seed, golden.total_instructions).faults
@@ -233,52 +279,41 @@ proptest! {
         check(&campaign, &[Point::DEFAULT]);
     }
 
-    /// An extra read landing between two class members' injection times is
-    /// visible to one but not the other: the pruner must stop merging them.
+    /// An extra read landing between the injection times of two faults
+    /// that share a fate is visible to the earlier one only: it moves the
+    /// earlier fault's live instant and leaves the later one's.
     #[test]
-    fn an_extra_read_between_members_defeats_class_merging(seed in 0u64..1_000) {
-        let (golden, cfg) = shared_golden();
+    fn an_extra_read_moves_only_the_earlier_live_instant(seed in 0u64..1_000) {
+        let (golden, _) = shared_golden();
         let faults = sample_faults(seed);
-        let plan = plan_campaign(&faults, cfg, golden);
 
-        // Find a replicated member whose injection time differs from its
-        // representative's (most seeds have one; skip the case otherwise).
-        let Some((member, rep)) = plan.actions().iter().enumerate().find_map(|(i, a)| {
-            match a {
-                PlanAction::Replicate { representative }
-                    if faults[i].inject_at != faults[*representative].inject_at
-                        && scan::catalog()[faults[i].location_index]
-                            .trace_unit()
-                            .is_some() =>
-                {
-                    Some((i, *representative))
-                }
-                _ => None,
-            }
-        }) else {
+        // Two faults on one traceable bit, injected at different times,
+        // live at one instant (most seeds have a pair; skip otherwise).
+        let mut live = live_faults(golden, &faults);
+        live.retain(|&(location, ..)| scan::catalog()[location].trace_unit().is_some());
+        live.sort_unstable();
+        let Some((early, late)) = live
+            .windows(2)
+            .find(|w| w[0].0 == w[1].0 && w[0].1 == w[1].1 && w[0].2 < w[1].2)
+            .map(|w| (faults[w[0].3], faults[w[1].3]))
+        else {
             return Ok(());
         };
 
-        let unit = scan::catalog()[faults[member].location_index]
+        let unit = scan::catalog()[early.location_index]
             .trace_unit()
             .expect("filtered to traceable units above");
-        let lo = faults[member].inject_at.min(faults[rep].inject_at);
-        let hi = faults[member].inject_at.max(faults[rep].inject_at);
+        let (lo, hi) = (early.inject_at, late.inject_at);
         // Visible to the earlier injection only: `lo <= at < hi`.
         let mut perturbed = golden.clone();
         perturbed.trace.insert_for_test(unit, Access { at: hi - 1, kind: AccessKind::Read });
         prop_assert!(lo < hi);
 
-        let replanned = plan_campaign(&faults, cfg, &perturbed);
-        let same_class = replanned.classes().iter().any(|(r, members)| {
-            let all: Vec<usize> = std::iter::once(*r).chain(members.iter().copied()).collect();
-            all.contains(&member) && all.contains(&rep)
-        });
         prop_assert!(
-            !same_class,
-            "faults {} and {} still share a class after the trace diverged",
-            member, rep
+            matches!(fate(&perturbed, early), Fate::Live { at, .. } if at == hi - 1),
+            "the earlier fault {:?} must go live at the inserted read", early
         );
+        prop_assert_eq!(fate(&perturbed, late), fate(golden, late));
     }
 
     /// Narrowing an overwriting full-width write to a partial write must
@@ -318,8 +353,8 @@ proptest! {
     /// EDM-visibility soundness, half one: a `Latent` claim on an
     /// untraceable bit rests on *no* asynchronous observer sampling its
     /// unit after injection. Adding one extra EDM sample inside that
-    /// window must defeat the claim and force simulation (or, at most,
-    /// position-keyed replication — never an analytic verdict).
+    /// window must defeat the claim and force simulation — never an
+    /// analytic verdict.
     #[test]
     fn an_extra_edm_sample_defeats_the_vis_latent_claim(seed in 0u64..1_000) {
         let (golden, cfg) = shared_golden();
@@ -443,9 +478,8 @@ fn resolver_telemetry_counts_are_coherent() {
     assert!(snap.split_offs <= snap.batch_members);
     assert!((0.0..=1.0).contains(&snap.split_off_rate()));
     let count = |p: Provenance| result.records.iter().filter(|r| r.provenance == p).count();
-    let (analytic, replicated) = (count(Provenance::Analytic), count(Provenance::Replicated));
+    let analytic = count(Provenance::Analytic);
     assert_eq!(snap.analytic, analytic);
-    assert_eq!(snap.replicated, replicated);
     assert_eq!(analytic + snap.split_offs, snap.batch_members);
     assert_eq!(
         snap.pruned,

@@ -54,8 +54,7 @@ fn sabotaged_campaign_completes_with_quarantine_records() {
     let mut cfg = CampaignConfig::quick(16, 7);
     // Chaos sabotage keys on fault-list indices and only fires inside the
     // containment boundary of an *executed* experiment; the planner would
-    // classify some target indices analytically, or replicate them from a
-    // class representative, and dodge the trap.
+    // classify some target indices analytically and dodge the trap.
     cfg.prune = false;
     cfg.supervisor = Some(SupervisorConfig {
         // Generous for a healthy short(60) experiment (sub-millisecond),
@@ -201,18 +200,16 @@ fn parallel_sabotaged_campaign_matches_serial() {
 
 #[test]
 fn sabotaged_live_representative_is_retried_from_reset() {
-    // Pruning on: the target is a live class representative, which runs
-    // under diff replay from its injection. That run must stay inside the
-    // same containment boundary as every other experiment.
+    // Pruning on: the target is a live fault, which runs under diff
+    // replay from its injection. That run must stay inside the same
+    // containment boundary as every other experiment.
     let workload = Workload::algorithm_one();
     let cfg = CampaignConfig::quick(60, 7);
     let prepared = prepare_campaign(&workload, &cfg);
     let (golden, faults) = (prepared.golden(), prepared.faults());
     let plan = plan_campaign(faults, &cfg, golden);
-    let reps_with_members: BTreeSet<usize> =
-        plan.classes().into_iter().map(|(rep, _)| rep).collect();
-    // A simulated fault the resolver finds live, with no replicated
-    // members, so every other record stays bit-identical to the baseline.
+    // A simulated fault the resolver finds live; every other record stays
+    // bit-identical to the baseline.
     let target = (0..faults.len())
         .find(|&i| {
             let flips: Vec<_> = cfg
@@ -222,13 +219,12 @@ fn sabotaged_live_representative_is_retried_from_reset() {
                 .map(|j| scan::catalog()[j])
                 .collect();
             plan.action(i) == PlanAction::Simulate
-                && !reps_with_members.contains(&i)
                 && matches!(
                     resolve(&flips, faults[i].inject_at, &golden.trace),
                     Fate::Live { .. }
                 )
         })
-        .expect("the campaign has a memberless live representative");
+        .expect("the campaign has a live fault");
     let reference = baseline(&workload, &cfg);
     let sabotaged = |chaos: ChaosHarness| {
         let mut cfg = cfg.clone();
