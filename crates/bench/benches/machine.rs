@@ -2,6 +2,7 @@
 //! the two workloads, assembler speed, and scan-chain operations — the
 //! quantities that determine how long a 9290-fault campaign takes.
 
+use bera_goofi::experiment::{golden_run, LoopConfig};
 use bera_goofi::workload::Workload;
 use bera_plant::{Engine, Profiles};
 use bera_tcpu::asm::assemble;
@@ -21,6 +22,22 @@ fn run_iterations(workload: &Workload, iterations: usize) -> u64 {
         m.set_port_f32(PORT_Y, engine.speed_rpm() as f32);
         assert_eq!(m.run(1_000_000), RunExit::Yield);
         engine.advance(f64::from(m.port_out_f32(2)), profiles.load(t), 0.0154);
+    }
+    m.instr_count()
+}
+
+/// Re-executes a golden run on an untraced machine from its recorded
+/// inputs (the reference profile and the logged plant speed), without
+/// advancing the plant: the interpreter's cost alone.
+fn interpret_golden(workload: &Workload, cfg: &LoopConfig, speeds: &[f64]) -> u64 {
+    let mut m = Machine::new();
+    m.load_program(workload.program());
+    m.set_cache_parity(cfg.parity_cache);
+    for (k, &speed) in speeds.iter().enumerate() {
+        let t = k as f64 * cfg.sample_interval;
+        m.set_port_f32(PORT_R, cfg.profiles.reference(t) as f32);
+        m.set_port_f32(PORT_Y, speed as f32);
+        assert_eq!(m.run(1_000_000), RunExit::Yield);
     }
     m.instr_count()
 }
@@ -81,6 +98,21 @@ fn bench_machine(c: &mut Criterion) {
         let twin = m.clone();
         b.iter(|| black_box(m.state_equals(&twin)));
     });
+
+    // Instructions per second of the interpreter alone, plant excluded.
+    let cfg = LoopConfig::paper();
+    for w in [Workload::algorithm_one(), Workload::algorithm_two()] {
+        let golden = golden_run(&w, &cfg);
+        let n = interpret_golden(&w, &cfg, &golden.speeds);
+        assert_eq!(
+            n, golden.total_instructions,
+            "the replay must retrace golden"
+        );
+        group.throughput(Throughput::Elements(n));
+        group.bench_function(format!("interpret_{}", w.name().replace(' ', "_")), |b| {
+            b.iter(|| interpret_golden(black_box(&w), &cfg, &golden.speeds));
+        });
+    }
 
     group.finish();
 }

@@ -443,8 +443,8 @@ fn run_fault_list_scoped(
         scope.contains(&i) && matches!(plan.action(i - scope.start), PlanAction::Simulate)
     };
 
-    // Analytic records first: they cost nothing and keep the simulation
-    // scheduler's claim loop dense in real work.
+    // Analytic records first: they cost nothing and leave the work list
+    // below with simulations only.
     for (i, action) in scope.clone().zip(plan.actions()) {
         if slots[i].is_some() {
             continue;
@@ -456,25 +456,24 @@ fn run_fault_list_scoped(
         }
     }
 
-    // The simulation pass skips out-of-scope indices, preloaded indices
-    // and the analytic records above.
-    let done: Vec<bool> = slots
-        .iter()
-        .enumerate()
-        .map(|(i, slot)| slot.is_some() || !simulate(i))
+    // The simulated residue in golden-time order: consecutive runs restore
+    // from the same or the next checkpoint, so the arena machine copies
+    // only the words golden changed in between, and diff replay's trace
+    // cursors move forward a short way. Records land in their index slots,
+    // so the order shows only in a one-thread store's line order.
+    let mut order: Vec<usize> = scope
+        .clone()
+        .filter(|&i| slots[i].is_none() && simulate(i))
         .collect();
+    order.sort_unstable_by_key(|&i| (faults[i].inject_at, i));
     let run_index = |i: usize| run_planned(i, workload, cfg, golden, faults, observer);
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
         cfg.threads
     };
-    let remaining = done.iter().filter(|&&d| !d).count();
-    if threads <= 1 || remaining < 2 {
-        for i in 0..faults.len() {
-            if done[i] {
-                continue;
-            }
+    if threads <= 1 || order.len() < 2 {
+        for &i in &order {
             crate::fp_nofail!("campaign.claim");
             slots[i] = Some(run_index(i));
         }
@@ -483,27 +482,20 @@ fn run_fault_list_scoped(
         // magnitude (a detected fault traps within microseconds, a hang burns
         // the whole instruction cap), so static chunking leaves threads idle
         // behind the slowest chunk. Each worker instead claims the next
-        // unclaimed fault index from a shared atomic counter and records the
-        // index with its result, so the merged record order is exactly the
-        // fault-list order regardless of which worker ran what. Pre-completed
-        // indices (a resume) are skipped by the claim loop.
+        // entry of the work list from a shared atomic counter and records
+        // the index with its result, so the merged record order is exactly
+        // the fault-list order regardless of which worker ran what. Each
+        // worker's own runs still start in golden-time order.
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     let next = &next;
-                    let done = &done;
+                    let order = &order;
                     let run_index = &run_index;
                     scope.spawn(move || {
                         let mut ran = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= faults.len() {
-                                break;
-                            }
-                            if done[i] {
-                                continue;
-                            }
+                        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
                             // A `panic` here kills the worker with claims
                             // in flight (the self-heal path); a `crash`
                             // kills the process mid-campaign.
@@ -539,8 +531,8 @@ fn run_fault_list_scoped(
             // their lost claims were re-run: the store keeps every record
             // that classified, and the claims stay a resumable gap.
             crate::fp_nofail!("campaign.self-heal");
-            for i in 0..faults.len() {
-                if slots[i].is_none() && !done[i] {
+            for &i in &order {
+                if slots[i].is_none() {
                     slots[i] = Some(run_index(i));
                 }
             }
@@ -652,17 +644,54 @@ mod tests {
         assert!(overwritten < 40);
     }
 
+    /// Records `(thread, index, inject_at)` of every simulated run's start.
+    #[derive(Default)]
+    struct Starts(Mutex<Vec<(std::thread::ThreadId, usize, u64)>>);
+
+    impl CampaignObserver for Starts {
+        fn experiment_started(&self, index: usize, fault: FaultSpec, _: Option<usize>) {
+            let me = std::thread::current().id();
+            self.0.lock().unwrap().push((me, index, fault.inject_at));
+        }
+    }
+
+    impl Starts {
+        /// Asserts every thread started its runs in golden-time order, and
+        /// returns how many runs started.
+        fn assert_time_ordered(self) -> usize {
+            let starts = self.0.into_inner().unwrap();
+            let mut by_thread: HashMap<_, Vec<_>> = HashMap::new();
+            for (thread, index, at) in &starts {
+                by_thread.entry(thread).or_default().push((at, index));
+            }
+            for runs in by_thread.values() {
+                assert!(
+                    runs.windows(2).all(|w| w[0] <= w[1]),
+                    "runs must start in golden-time order: {runs:?}"
+                );
+            }
+            starts.len()
+        }
+    }
+
     #[test]
     fn parallel_and_serial_agree() {
         let w = Workload::algorithm_one();
         let mut cfg = CampaignConfig::quick(24, 3);
         cfg.threads = 1;
-        let serial = run_scifi_campaign(&w, &cfg);
+        let starts = Starts::default();
+        let serial = run_scifi_campaign_observed(&w, &cfg, &starts);
+        let simulated = starts.assert_time_ordered();
         cfg.threads = 4;
-        let parallel = run_scifi_campaign(&w, &cfg);
-        let so: Vec<_> = serial.records.iter().map(|r| r.outcome).collect();
-        let po: Vec<_> = parallel.records.iter().map(|r| r.outcome).collect();
-        assert_eq!(so, po, "sharding must not change results");
+        let starts = Starts::default();
+        let parallel = run_scifi_campaign_observed(&w, &cfg, &starts);
+        assert_eq!(starts.assert_time_ordered(), simulated);
+        assert!(simulated >= 2, "the order check needs simulated runs");
+        assert_eq!(
+            serde_json::to_string(&serial.records).unwrap(),
+            serde_json::to_string(&parallel.records).unwrap(),
+            "sharding must not change results"
+        );
     }
 
     #[test]
