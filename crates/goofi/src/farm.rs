@@ -41,7 +41,7 @@ use std::time::{Duration, SystemTime};
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::{prepare_campaign, CampaignConfig};
-use crate::experiment::{ExperimentRecord, FaultModel, LoopConfig};
+use crate::experiment::ExperimentRecord;
 use crate::observer::{CampaignObserver, ObserverSet, Telemetry, TelemetrySnapshot};
 use crate::store::{
     headerless_remnant, load_store, telemetry_sidecar_path, write_telemetry_sidecar, JsonlStore,
@@ -141,10 +141,12 @@ impl ShardSpec {
 }
 
 /// The farm's identity document, published once by the coordinator at
-/// init and read-only thereafter. It carries everything a worker needs to
-/// reconstruct the exact campaign (so every worker computes the same
-/// plan, the same fault list, the same records) plus the precomputed
-/// store header each segment must match field-by-field.
+/// init and read-only thereafter. The campaign's identity is the embedded
+/// [`StoreHeader`]: every worker rebuilds its configuration from it (so
+/// every worker computes the same plan, the same fault list, the same
+/// records), and every segment must carry it field for field. The
+/// manifest adds only what the header lacks: the workload key, the
+/// checkpoint stride, the lease timing and the shard partition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FarmManifest {
     /// Always [`FARM_MAGIC`].
@@ -153,25 +155,15 @@ pub struct FarmManifest {
     pub version: u32,
     /// CLI workload key (`alg1` … `alg3`); see [`Workload::by_key`].
     pub workload_key: String,
-    /// Campaign size.
-    pub faults: usize,
-    /// Fault-list RNG seed.
-    pub seed: u64,
-    /// Closed-loop iterations per experiment.
-    pub iterations: usize,
-    /// Whether the data cache runs parity-protected.
-    pub parity_cache: bool,
     /// Golden checkpoint stride.
     pub checkpoint_stride: usize,
-    /// The campaign's fault model.
-    pub fault_model: FaultModel,
-    /// Fate-resolver pruning enabled.
-    pub prune: bool,
     /// Lease timing for this farm.
     pub lease: LeasePolicy,
-    /// The store header every segment (and the merged store) must carry.
+    /// The campaign's identity, and the store header every segment (and
+    /// the merged store) must carry.
     pub header: StoreHeader,
-    /// The shard partition, in index order, covering `0..faults` exactly.
+    /// The shard partition, in index order, covering `0..header.faults`
+    /// exactly.
     pub shards: Vec<ShardSpec>,
 }
 
@@ -181,16 +173,9 @@ impl FarmManifest {
     /// identity), so the caller chooses it.
     #[must_use]
     pub fn campaign_config(&self, threads: usize) -> CampaignConfig {
-        let mut cfg = CampaignConfig::paper(self.faults, self.seed);
-        cfg.loop_cfg = LoopConfig {
-            iterations: self.iterations,
-            parity_cache: self.parity_cache,
-            checkpoint_stride: self.checkpoint_stride,
-            ..LoopConfig::paper()
-        };
+        let mut cfg = self.header.campaign_config();
+        cfg.loop_cfg.checkpoint_stride = self.checkpoint_stride;
         cfg.threads = threads;
-        cfg.fault_model = self.fault_model;
-        cfg.prune = self.prune;
         cfg
     }
 
@@ -386,13 +371,7 @@ pub fn init_farm(
         magic: FARM_MAGIC.to_string(),
         version: FARM_VERSION,
         workload_key: workload_key.to_string(),
-        faults: cfg.faults,
-        seed: cfg.seed,
-        iterations: cfg.loop_cfg.iterations,
-        parity_cache: cfg.loop_cfg.parity_cache,
         checkpoint_stride: cfg.loop_cfg.checkpoint_stride,
-        fault_model: cfg.fault_model,
-        prune: cfg.prune,
         lease,
         header,
         shards,
@@ -439,9 +418,10 @@ pub fn read_manifest(root: &Path) -> Result<FarmManifest, FarmError> {
     }
     manifest.lease.validate()?;
     // The partition must tile 0..faults exactly, in order.
+    let faults = manifest.header.faults;
     let mut expect = 0;
     for (i, s) in manifest.shards.iter().enumerate() {
-        if s.index != i || s.start != expect || s.end <= s.start || s.end > manifest.faults {
+        if s.index != i || s.start != expect || s.end <= s.start || s.end > faults {
             return Err(FarmError::Manifest(format!(
                 "shard table is not a contiguous partition at shard {i} ({}..{})",
                 s.start, s.end
@@ -449,10 +429,9 @@ pub fn read_manifest(root: &Path) -> Result<FarmManifest, FarmError> {
         }
         expect = s.end;
     }
-    if expect != manifest.faults {
+    if expect != faults {
         return Err(FarmError::Manifest(format!(
-            "shard table covers {expect} faults but the campaign has {}",
-            manifest.faults
+            "shard table covers {expect} faults but the campaign has {faults}"
         )));
     }
     Ok(manifest)
@@ -734,7 +713,7 @@ fn run_claimed_shard(
     // Attach the segment store exactly like the single-process `--resume`
     // path, refusing a segment that holds another shard's record.
     let (store, attached) = JsonlStore::reattach(&seg, &manifest.header)?;
-    let mut preloaded = vec![None; manifest.faults];
+    let mut preloaded = vec![None; manifest.header.faults];
     if let Reattached::Resumed(loaded) = attached {
         for (i, slot) in loaded.records.iter().enumerate() {
             if slot.is_some() && !shard.contains(i) {
@@ -916,7 +895,7 @@ impl FarmAssembly {
 pub fn assemble_farm(root: &Path) -> Result<FarmAssembly, FarmError> {
     let manifest = read_manifest(root)?;
     let expiry = Duration::from_millis(manifest.lease.expiry_ms);
-    let mut records: Vec<Option<ExperimentRecord>> = vec![None; manifest.faults];
+    let mut records: Vec<Option<ExperimentRecord>> = vec![None; manifest.header.faults];
     let mut shards = Vec::with_capacity(manifest.shards.len());
     for shard in &manifest.shards {
         crate::fp!("farm.merge.segment");
@@ -1071,6 +1050,7 @@ pub fn tend_once(root: &Path, manifest: &FarmManifest) -> Result<usize, FarmErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::FaultModel;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -1104,21 +1084,59 @@ mod tests {
 
     #[test]
     fn a_manifest_with_a_retired_batch_width_still_loads() {
-        // Manifests written before the lockstep batch engine was retired
-        // carry a `batch_width` field. It was never part of the campaign
-        // identity, so such a farm must still load to the same campaign.
+        // Older manifests repeat six header fields at the top level, and
+        // those written before the lockstep batch engine was retired also
+        // carry a `batch_width`. None of these is read any more (the
+        // identity is the embedded header), so such a farm must still
+        // load to the same campaign.
         let root = scratch("batch-width");
-        let m = init_farm(&root, "alg1", &quick_cfg(10), 2, LeasePolicy::default()).unwrap();
+        let mut cfg = quick_cfg(10);
+        cfg.fault_model = FaultModel::AdjacentDoubleBit;
+        cfg.loop_cfg.checkpoint_stride = 3;
+        let m = init_farm(&root, "alg1", &cfg, 2, LeasePolicy::default()).unwrap();
         let path = manifest_path(&root);
         let text = fs::read_to_string(&path).unwrap();
-        let legacy = text.replacen("\"prune\":", "\"batch_width\": 32,\n  \"prune\":", 1);
-        assert_ne!(legacy, text, "the fixture must carry the retired field");
+        let h = &m.header;
+        let legacy = text
+            .replacen(
+                "\"checkpoint_stride\":",
+                &format!(
+                    "\"faults\": {},\n  \"seed\": {},\n  \"iterations\": {},\n  \
+                     \"parity_cache\": {},\n  \"checkpoint_stride\":",
+                    h.faults, h.seed, h.iterations, h.parity_cache
+                ),
+                1,
+            )
+            .replacen(
+                "\"lease\":",
+                &format!(
+                    "\"fault_model\": {},\n  \"batch_width\": 32,\n  \"prune\": {},\n  \"lease\":",
+                    serde_json::to_string(&h.fault_model).unwrap(),
+                    h.prune
+                ),
+                1,
+            );
+        for key in [
+            "faults",
+            "seed",
+            "iterations",
+            "parity_cache",
+            "fault_model",
+            "batch_width",
+            "prune",
+        ] {
+            assert!(
+                legacy.contains(&format!("\n  \"{key}\": ")),
+                "the fixture must carry the retired top-level `{key}`: {legacy}"
+            );
+        }
         fs::write(&path, legacy).unwrap();
         let read = read_manifest(&root).unwrap();
         assert_eq!(read, m);
         assert_eq!(
-            format!("{:?}", read.campaign_config(1)),
-            format!("{:?}", m.campaign_config(1))
+            format!("{:?}", read.campaign_config(cfg.threads)),
+            format!("{cfg:?}"),
+            "the manifest rebuilds the configuration it was initialized with"
         );
     }
 

@@ -11,13 +11,19 @@
 //! the line being written — and a torn final line is detected by parse or
 //! checksum failure and simply re-run on resume.
 //!
+//! The header is the one place a campaign's identity is written down.
+//! [`StoreHeader::new`] maps a [`CampaignConfig`] to it and
+//! [`StoreHeader::campaign_config`] maps it back; the farm manifest embeds
+//! it rather than repeating its fields ([`crate::farm`]).
+//!
 //! Resume contract: [`JsonlStore::reattach`] starts a missing store or a
 //! headerless remnant afresh and hands an existing one to
 //! [`JsonlStore::open_resume`], which validates the stored header
 //! against the header of the *current* configuration
-//! ([`StoreHeader::validate_against`]) and refuses to mix campaigns that
-//! differ in workload, fault count, seed, fault model, loop shape or
-//! golden digest. The checkpoint stride is deliberately *not* validated:
+//! ([`StoreHeader::validate_against`], over every serialized field) and
+//! refuses to mix campaigns that differ in workload, fault count, seed,
+//! fault model, loop shape or golden run. The checkpoint stride is
+//! deliberately *not* in the header, so it is not validated:
 //! checkpointing is a pure optimisation with bit-identical outcomes
 //! (proven by `tests/checkpoint_equivalence.rs`), so a resume may use a
 //! different stride than the interrupted run.
@@ -31,7 +37,7 @@ use crate::campaign::{CampaignConfig, CampaignResult};
 use crate::experiment::{ExperimentRecord, FaultModel, GoldenRun};
 use crate::observer::{CampaignObserver, TelemetrySnapshot};
 use bera_tcpu::Fnv64;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -113,57 +119,43 @@ impl StoreHeader {
         }
     }
 
+    /// The campaign configuration this header describes: the inverse of
+    /// [`StoreHeader::new`] on the campaign's identity. Execution knobs the
+    /// header does not carry (checkpoint stride, threads, supervision,
+    /// paranoid audits) take [`CampaignConfig::paper`]'s values, for the
+    /// caller to set.
+    #[must_use]
+    pub fn campaign_config(&self) -> CampaignConfig {
+        let mut cfg = CampaignConfig::paper(self.faults, self.seed);
+        cfg.fault_model = self.fault_model;
+        cfg.prune = self.prune;
+        cfg.loop_cfg.iterations = self.iterations;
+        cfg.loop_cfg.parity_cache = self.parity_cache;
+        cfg
+    }
+
     /// Checks that a stored header describes the same campaign as
     /// `current` (the header freshly computed from the configuration a
-    /// resume is about to run).
+    /// resume is about to run). Every serialized field is compared, in
+    /// declaration order, so a field added to the header is validated
+    /// without being named here.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::HeaderMismatch`] naming the first differing
     /// field — resuming must never silently mix two campaigns.
     pub fn validate_against(&self, current: &StoreHeader) -> Result<(), StoreError> {
-        fn check<T: PartialEq + fmt::Debug>(
-            field: &'static str,
-            stored: &T,
-            current: &T,
-        ) -> Result<(), StoreError> {
-            if stored == current {
-                Ok(())
-            } else {
-                Err(StoreError::HeaderMismatch {
-                    field,
-                    stored: format!("{stored:?}"),
-                    current: format!("{current:?}"),
-                })
-            }
+        let (Value::Map(stored), Value::Map(now)) = (self.to_value(), current.to_value()) else {
+            unreachable!("a struct serializes as a map")
+        };
+        match stored.into_iter().zip(now).find(|((_, s), (_, c))| s != c) {
+            None => Ok(()),
+            Some(((field, stored), (_, current))) => Err(StoreError::HeaderMismatch {
+                field,
+                stored: to_json(&stored),
+                current: to_json(&current),
+            }),
         }
-        check("magic", &self.magic, &current.magic)?;
-        check("version", &self.version, &current.version)?;
-        check("workload", &self.workload, &current.workload)?;
-        check("faults", &self.faults, &current.faults)?;
-        check("seed", &self.seed, &current.seed)?;
-        check("fault_model", &self.fault_model, &current.fault_model)?;
-        check("prune", &self.prune, &current.prune)?;
-        check("iterations", &self.iterations, &current.iterations)?;
-        check("parity_cache", &self.parity_cache, &current.parity_cache)?;
-        check(
-            "total_locations",
-            &self.total_locations,
-            &current.total_locations,
-        )?;
-        check(
-            "total_instructions",
-            &self.total_instructions,
-            &current.total_instructions,
-        )?;
-        check("golden_digest", &self.golden_digest, &current.golden_digest)?;
-        check(
-            "golden_outputs",
-            &self.golden_outputs,
-            &current.golden_outputs,
-        )?;
-        check("golden_speeds", &self.golden_speeds, &current.golden_speeds)?;
-        Ok(())
     }
 }
 
@@ -184,7 +176,7 @@ pub enum StoreError {
     /// resumed or reported on.
     HeaderMismatch {
         /// The first differing header field.
-        field: &'static str,
+        field: String,
         /// Value found in the store file.
         stored: String,
         /// Value of the campaign being run now.
@@ -400,20 +392,28 @@ fn load(path: &Path) -> Result<(LoadedCampaign, u64), StoreError> {
         })?;
     if header.magic != STORE_MAGIC {
         return Err(StoreError::HeaderMismatch {
-            field: "magic",
+            field: "magic".to_string(),
             stored: header.magic.clone(),
             current: STORE_MAGIC.to_string(),
         });
     }
     if header.version != STORE_VERSION {
         return Err(StoreError::HeaderMismatch {
-            field: "version",
+            field: "version".to_string(),
             stored: header.version.to_string(),
             current: STORE_VERSION.to_string(),
         });
     }
 
+    // The fault count sizes the record slots; a count no allocation can
+    // hold is a corrupt header, not a reason to panic.
     let mut records: Vec<Option<ExperimentRecord>> = Vec::new();
+    records
+        .try_reserve_exact(header.faults)
+        .map_err(|e| StoreError::Corrupt {
+            line: 1,
+            message: format!("{} faults: {e}", header.faults),
+        })?;
     records.resize_with(header.faults, || None);
     let mut torn_tail = false;
     for (i, chunk) in chunks.iter().enumerate().skip(1) {

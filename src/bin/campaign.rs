@@ -45,7 +45,7 @@
 //! (`ASSURANCE.md`, `tests/crash_recovery.rs`).
 
 use bera::goofi::campaign::{prepare_campaign, CampaignConfig};
-use bera::goofi::experiment::{ExperimentRecord, FaultModel, LoopConfig};
+use bera::goofi::experiment::ExperimentRecord;
 use bera::goofi::failpoints;
 use bera::goofi::farm;
 use bera::goofi::observer::{CampaignObserver, ObserverSet, Telemetry};
@@ -55,149 +55,93 @@ use bera::goofi::table::tabulate;
 use bera::goofi::workload::Workload;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+/// The parsed command line: the campaign it describes plus the mode and
+/// I/O flags around it.
 struct Args {
     workload: Workload,
-    faults: usize,
-    seed: u64,
-    iterations: usize,
-    threads: usize,
-    parity_cache: bool,
-    checkpoint_stride: usize,
-    fault_model: FaultModel,
-    deadline: Option<f64>,
-    unsupervised: bool,
-    no_prune: bool,
-    paranoid: usize,
+    workload_key: String,
+    cfg: CampaignConfig,
     json: Option<String>,
     out: Option<String>,
     resume: bool,
     progress: bool,
-    failpoints: Vec<String>,
     farm_init: Option<String>,
     shards: usize,
-    lease_heartbeat_ms: u64,
-    lease_expiry_ms: u64,
+    lease: farm::LeasePolicy,
     worker: Option<String>,
     worker_id: Option<String>,
     farm_merge: Option<String>,
     farm_tend: Option<String>,
-    workload_key: String,
 }
 
+/// Parses the command line. Flags that set campaign values write into
+/// `Args::cfg` as they are read; combinations that can only be judged
+/// against the whole command line are refused at the end.
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workload: Workload::algorithm_one(),
-        faults: 2000,
-        seed: 1,
-        iterations: 650,
-        threads: 0,
-        parity_cache: false,
-        checkpoint_stride: LoopConfig::paper().checkpoint_stride,
-        fault_model: FaultModel::SingleBit,
-        deadline: None,
-        unsupervised: false,
-        no_prune: false,
-        paranoid: 0,
+        workload_key: "alg1".to_string(),
+        cfg: CampaignConfig::paper(2000, 1),
         json: None,
         out: None,
         resume: false,
         progress: false,
-        failpoints: Vec::new(),
         farm_init: None,
         shards: 4,
-        lease_heartbeat_ms: farm::LeasePolicy::default().heartbeat_ms,
-        lease_expiry_ms: farm::LeasePolicy::default().expiry_ms,
+        lease: farm::LeasePolicy::default(),
         worker: None,
         worker_id: None,
         farm_merge: None,
         farm_tend: None,
-        workload_key: "alg1".to_string(),
     };
+    let cfg = &mut args.cfg;
+    let mut deadline = None;
+    let mut unsupervised = false;
+    let mut failpoint_specs: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
+        let it = &mut it;
         match flag.as_str() {
             "--workload" => {
-                let key = value("--workload")?;
+                let key: String = value(it, &flag)?;
                 args.workload = Workload::by_key(&key)
                     .ok_or_else(|| format!("--workload: unknown workload `{key}`"))?;
                 args.workload_key = key;
             }
-            "--faults" => {
-                args.faults = value("--faults")?
-                    .parse()
-                    .map_err(|e| format!("--faults: {e}"))?;
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--iterations" => {
-                args.iterations = value("--iterations")?
-                    .parse()
-                    .map_err(|e| format!("--iterations: {e}"))?;
-            }
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--parity-cache" => args.parity_cache = true,
-            "--checkpoint-stride" => {
-                args.checkpoint_stride = value("--checkpoint-stride")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-stride: {e}"))?;
-            }
-            "--fault-model" => {
-                args.fault_model = value("--fault-model")?
-                    .parse()
-                    .map_err(|e| format!("--fault-model: {e}"))?;
-            }
+            "--faults" => cfg.faults = value(it, &flag)?,
+            "--seed" => cfg.seed = value(it, &flag)?,
+            "--iterations" => cfg.loop_cfg.iterations = value(it, &flag)?,
+            "--threads" => cfg.threads = value(it, &flag)?,
+            "--parity-cache" => cfg.loop_cfg.parity_cache = true,
+            "--checkpoint-stride" => cfg.loop_cfg.checkpoint_stride = value(it, &flag)?,
+            "--fault-model" => cfg.fault_model = value(it, &flag)?,
             "--deadline" => {
-                let secs: f64 = value("--deadline")?
-                    .parse()
-                    .map_err(|e| format!("--deadline: {e}"))?;
+                let secs: f64 = value(it, &flag)?;
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err("--deadline expects a positive number of seconds".to_string());
                 }
-                args.deadline = Some(secs);
+                deadline = Some(Duration::from_secs_f64(secs));
             }
-            "--unsupervised" => args.unsupervised = true,
-            "--no-prune" => args.no_prune = true,
-            "--paranoid" => {
-                args.paranoid = value("--paranoid")?
-                    .parse()
-                    .map_err(|e| format!("--paranoid: {e}"))?;
-            }
-            "--json" => args.json = Some(value("--json")?),
-            "--out" => args.out = Some(value("--out")?),
+            "--unsupervised" => unsupervised = true,
+            "--no-prune" => cfg.prune = false,
+            "--paranoid" => cfg.paranoid = value(it, &flag)?,
+            "--json" => args.json = Some(value(it, &flag)?),
+            "--out" => args.out = Some(value(it, &flag)?),
             "--resume" => args.resume = true,
             "--progress" => args.progress = true,
-            "--failpoint" => args.failpoints.push(value("--failpoint")?),
-            "--farm-init" => args.farm_init = Some(value("--farm-init")?),
-            "--shards" => {
-                args.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-            }
-            "--lease-heartbeat-ms" => {
-                args.lease_heartbeat_ms = value("--lease-heartbeat-ms")?
-                    .parse()
-                    .map_err(|e| format!("--lease-heartbeat-ms: {e}"))?;
-            }
-            "--lease-expiry-ms" => {
-                args.lease_expiry_ms = value("--lease-expiry-ms")?
-                    .parse()
-                    .map_err(|e| format!("--lease-expiry-ms: {e}"))?;
-            }
-            "--worker" => args.worker = Some(value("--worker")?),
-            "--worker-id" => args.worker_id = Some(value("--worker-id")?),
-            "--farm-merge" => args.farm_merge = Some(value("--farm-merge")?),
-            "--farm-tend" => args.farm_tend = Some(value("--farm-tend")?),
+            "--failpoint" => failpoint_specs.push(value(it, &flag)?),
+            "--farm-init" => args.farm_init = Some(value(it, &flag)?),
+            "--shards" => args.shards = value(it, &flag)?,
+            "--lease-heartbeat-ms" => args.lease.heartbeat_ms = value(it, &flag)?,
+            "--lease-expiry-ms" => args.lease.expiry_ms = value(it, &flag)?,
+            "--worker" => args.worker = Some(value(it, &flag)?),
+            "--worker-id" => args.worker_id = Some(value(it, &flag)?),
+            "--farm-merge" => args.farm_merge = Some(value(it, &flag)?),
+            "--farm-tend" => args.farm_tend = Some(value(it, &flag)?),
             "--help" | "-h" => {
                 return Err(String::new()); // triggers usage
             }
@@ -233,23 +177,50 @@ fn parse_args() -> Result<Args, String> {
     if args.resume && args.out.is_none() {
         return Err("--resume requires --out FILE (the store to resume from)".to_string());
     }
-    if args.unsupervised && args.deadline.is_some() {
+    if unsupervised && deadline.is_some() {
         return Err("--deadline requires supervision; drop --unsupervised".to_string());
     }
-    if args.no_prune && args.paranoid > 0 {
+    if !cfg.prune && cfg.paranoid > 0 {
         return Err("--paranoid cross-checks the pruner; drop --no-prune".to_string());
     }
-    if !args.failpoints.is_empty() && !failpoints::ENABLED {
+    if !failpoint_specs.is_empty() && !failpoints::ENABLED {
         return Err(
             "--failpoint requires a build with the `failpoints` feature \
              (cargo run --features failpoints --bin campaign ...)"
                 .to_string(),
         );
     }
-    for spec in &args.failpoints {
+    for spec in &failpoint_specs {
         failpoints::configure(spec).map_err(|e| format!("--failpoint: {e}"))?;
     }
+    cfg.supervisor = if unsupervised {
+        None
+    } else {
+        Some(bera::goofi::supervisor::SupervisorConfig {
+            deadline,
+            ..Default::default()
+        })
+    };
+    if cfg.paranoid > 0 && !prune_eligible(cfg) {
+        let bypass = if cfg.loop_cfg.parity_cache {
+            "--parity-cache".to_string()
+        } else {
+            format!("--fault-model {}", cfg.fault_model)
+        };
+        return Err(format!(
+            "--paranoid cross-checks the pruner, which {bypass} bypasses; drop --paranoid"
+        ));
+    }
     Ok(args)
+}
+
+/// The next argument, parsed as the value of `flag`.
+fn value<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let text = it.next().ok_or_else(|| format!("{flag} expects a value"))?;
+    text.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn usage() {
@@ -332,45 +303,9 @@ impl CampaignObserver for ProgressPrinter<'_> {
     }
 }
 
-/// The campaign configuration the parsed flags describe. Refuses flag
-/// combinations that can only be judged against the built config.
-fn campaign_config(args: &Args) -> Result<CampaignConfig, String> {
-    let mut cfg = CampaignConfig::paper(args.faults, args.seed);
-    cfg.loop_cfg = LoopConfig {
-        iterations: args.iterations,
-        parity_cache: args.parity_cache,
-        checkpoint_stride: args.checkpoint_stride,
-        ..LoopConfig::paper()
-    };
-    cfg.threads = args.threads;
-    cfg.fault_model = args.fault_model;
-    cfg.prune = !args.no_prune;
-    cfg.paranoid = args.paranoid;
-    cfg.supervisor = if args.unsupervised {
-        None
-    } else {
-        Some(bera::goofi::supervisor::SupervisorConfig {
-            deadline: args.deadline.map(Duration::from_secs_f64),
-            ..Default::default()
-        })
-    };
-    if cfg.paranoid > 0 && !prune_eligible(&cfg) {
-        let bypass = if cfg.loop_cfg.parity_cache {
-            "--parity-cache".to_string()
-        } else {
-            format!("--fault-model {}", cfg.fault_model)
-        };
-        return Err(format!(
-            "--paranoid cross-checks the pruner, which {bypass} bypasses; drop --paranoid"
-        ));
-    }
-    Ok(cfg)
-}
-
 fn main() -> ExitCode {
-    let parsed = parse_args().and_then(|args| Ok((campaign_config(&args)?, args)));
-    let (cfg, args) = match parsed {
-        Ok(parsed) => parsed,
+    let args = match parse_args() {
+        Ok(args) => args,
         Err(msg) => {
             if !msg.is_empty() {
                 eprintln!("error: {msg}");
@@ -381,7 +316,7 @@ fn main() -> ExitCode {
     };
 
     if let Some(dir) = args.farm_init.clone() {
-        return farm_init_main(&args, &cfg, Path::new(&dir));
+        return farm_init_main(&args, Path::new(&dir));
     }
     if let Some(dir) = args.worker.clone() {
         return farm_worker_main(&args, Path::new(&dir));
@@ -393,16 +328,17 @@ fn main() -> ExitCode {
         return farm_tend_main(Path::new(&dir));
     }
 
+    let cfg = &args.cfg;
     eprintln!(
         "running {} faults into `{}` ({} iterations, seed {}, checkpoint stride {})...",
-        args.faults,
+        cfg.faults,
         args.workload.name(),
-        args.iterations,
-        args.seed,
-        args.checkpoint_stride,
+        cfg.loop_cfg.iterations,
+        cfg.seed,
+        cfg.loop_cfg.checkpoint_stride,
     );
     let started = std::time::Instant::now();
-    let prepared = prepare_campaign(&args.workload, &cfg);
+    let prepared = prepare_campaign(&args.workload, cfg);
 
     // Attach the streaming store (fresh or resumed) before any experiment
     // runs, so every classified record is durable the moment it exists.
@@ -410,7 +346,7 @@ fn main() -> ExitCode {
     let store = match &args.out {
         Some(path) => {
             let path = Path::new(path);
-            let header = StoreHeader::new(args.workload.name(), &cfg, prepared.golden());
+            let header = StoreHeader::new(args.workload.name(), cfg, prepared.golden());
             let attached = if args.resume {
                 JsonlStore::reattach(path, &header)
             } else {
@@ -437,7 +373,7 @@ fn main() -> ExitCode {
                         "resuming {}: {}/{} records already complete",
                         path.display(),
                         loaded.done(),
-                        args.faults
+                        cfg.faults
                     );
                     preloaded = loaded.records;
                     store
@@ -451,7 +387,7 @@ fn main() -> ExitCode {
         }
         None => {
             // No store: run purely in memory as before.
-            let telemetry = Telemetry::new(args.faults);
+            let telemetry = Telemetry::new(cfg.faults);
             let printer = ProgressPrinter::new(&telemetry, Duration::from_millis(500));
             let mut observers = ObserverSet::new();
             observers.push(&telemetry);
@@ -463,7 +399,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let telemetry = Telemetry::new(args.faults);
+    let telemetry = Telemetry::new(cfg.faults);
     telemetry.note_preloaded(preloaded.iter().filter(|r| r.is_some()).count());
     let printer = ProgressPrinter::new(&telemetry, Duration::from_millis(500));
     let mut observers = ObserverSet::new();
@@ -535,19 +471,14 @@ fn finish(
 }
 
 /// `--farm-init DIR`: publish a farm manifest for this campaign.
-fn farm_init_main(args: &Args, cfg: &CampaignConfig, root: &Path) -> ExitCode {
-    let lease = farm::LeasePolicy {
-        heartbeat_ms: args.lease_heartbeat_ms,
-        expiry_ms: args.lease_expiry_ms,
-        ..farm::LeasePolicy::default()
-    };
-    match farm::init_farm(root, &args.workload_key, cfg, args.shards, lease) {
+fn farm_init_main(args: &Args, root: &Path) -> ExitCode {
+    match farm::init_farm(root, &args.workload_key, &args.cfg, args.shards, args.lease) {
         Ok(manifest) => {
             eprintln!(
                 "farm initialized at {}: {} faults across {} shard(s), \
                  heartbeat {} ms / expiry {} ms",
                 root.display(),
-                manifest.faults,
+                manifest.header.faults,
                 manifest.shards.len(),
                 manifest.lease.heartbeat_ms,
                 manifest.lease.expiry_ms,
@@ -571,7 +502,7 @@ fn farm_worker_main(args: &Args, root: &Path) -> ExitCode {
         .worker_id
         .clone()
         .unwrap_or_else(|| format!("worker-{}", std::process::id()));
-    match farm::run_worker(root, &worker_id, args.threads, &mut |line| {
+    match farm::run_worker(root, &worker_id, args.cfg.threads, &mut |line| {
         eprintln!("{line}");
     }) {
         Ok(summary) => {
@@ -652,7 +583,7 @@ fn farm_tend_main(root: &Path) -> ExitCode {
             done_shards,
             assembly.shards.len(),
             assembly.done(),
-            assembly.manifest.faults
+            assembly.manifest.header.faults
         );
         if assembly.shards.iter().all(|s| s.done) {
             break;

@@ -204,7 +204,7 @@ fn load_farm(root: &Path, partial: bool) -> Result<CampaignResult, String> {
             .map_err(|e| format!("{}: {e}", merged.display()));
     }
     let done = assembly.done();
-    let total = assembly.manifest.faults;
+    let total = assembly.manifest.header.faults;
     if assembly.is_complete() {
         eprintln!(
             "{label}: all shards complete but unmerged; tabulating assembled \

@@ -12,15 +12,20 @@
 //! 3. **Torn-tail recovery** — a segment truncated mid final line loses
 //!    exactly that one record, and a resuming worker re-runs exactly the
 //!    gap, converging to the identical canonical merge.
+//!
+//! Around them: the farm's header refusals (a worker and a merge each
+//! refuse a header that is not the manifest's, naming the field), and
+//! `read_manifest` returns a value or an error, never a panic, for any
+//! bytes in `manifest.json`.
 
 use bera_goofi::campaign::{run_scifi_campaign, run_scifi_campaign_observed, CampaignConfig};
 use bera_goofi::experiment::ExperimentRecord;
 use bera_goofi::farm::{
-    assemble_farm, done_path, init_farm, manifest_path, merge_farm, merged_path, read_manifest,
-    run_worker, segment_path, FarmError, FarmManifest, LeasePolicy, FARM_VERSION,
+    assemble_farm, done_path, init_farm, lease_path, manifest_path, merge_farm, merged_path,
+    read_manifest, run_worker, segment_path, FarmError, FarmManifest, LeasePolicy, FARM_VERSION,
 };
 use bera_goofi::observer::{Telemetry, TelemetrySnapshot};
-use bera_goofi::store::{encode_record, load_store, JsonlStore};
+use bera_goofi::store::{encode_record, load_store, JsonlStore, StoreError};
 use bera_goofi::workload::Workload;
 use proptest::prelude::*;
 use std::fs;
@@ -347,5 +352,112 @@ fn done_marker_on_a_torn_segment_is_refused_by_shard() {
             !merged_path(&root).exists(),
             "a refused merge publishes nothing"
         );
+    }
+}
+
+/// A worker whose build computes another campaign than the manifest's
+/// embedded header describes refuses before it claims a shard, naming the
+/// first differing header field.
+#[test]
+fn a_worker_refuses_a_manifest_header_its_build_does_not_compute() {
+    let fx = fixture();
+    let root = scratch("worker-header");
+    fs::create_dir_all(root.join("shards")).expect("create shards dir");
+    let mut tampered = fx.manifest.clone();
+    tampered.header.golden_digest ^= 1;
+    let json = serde_json::to_string_pretty(&tampered).expect("manifest serializes");
+    fs::write(manifest_path(&root), json).expect("write manifest");
+
+    let err = run_worker(&root, "w", 1, &mut |_| {}).expect_err("a foreign header is refused");
+    assert!(
+        matches!(
+            &err,
+            FarmError::Store(StoreError::HeaderMismatch { field, .. }) if *field == "golden_digest"
+        ),
+        "the refusal names the tampered field: {err}"
+    );
+    assert!(err.to_string().contains("`golden_digest`"), "{err}");
+    for shard in &tampered.shards {
+        assert!(
+            !lease_path(&root, shard.index).exists(),
+            "a refusing worker claims no shard"
+        );
+    }
+}
+
+/// A segment whose header differs from the manifest's is refused by the
+/// merge, naming the first differing field, and nothing is published.
+#[test]
+fn merge_refuses_a_segment_header_that_is_not_the_manifests() {
+    let fx = fixture();
+    let root = forge_farm("segment-header", &(0..FAULTS).collect::<Vec<_>>());
+    let seg = segment_path(&root, 1);
+    let text = fs::read_to_string(&seg).expect("read segment");
+    let (_, records) = text.split_once('\n').expect("segment has a header line");
+    let mut header = fx.manifest.header.clone();
+    header.seed += 1;
+    let header = serde_json::to_string(&header).expect("header serializes");
+    fs::write(&seg, format!("{header}\n{records}")).expect("rewrite segment");
+
+    let err = merge_farm(&root).expect_err("a foreign segment header is refused");
+    assert!(
+        matches!(
+            &err,
+            FarmError::Store(StoreError::HeaderMismatch { field, .. }) if *field == "seed"
+        ),
+        "the refusal names the tampered field: {err}"
+    );
+    assert!(err.to_string().contains("`seed`"), "{err}");
+    assert!(
+        !merged_path(&root).exists(),
+        "a refused merge publishes nothing"
+    );
+}
+
+/// Writes `bytes` as a farm's `manifest.json` and reads it back.
+fn read_manifest_bytes(bytes: &[u8]) -> Result<FarmManifest, FarmError> {
+    let root = scratch("parse");
+    fs::create_dir_all(&root).expect("create farm dir");
+    fs::write(manifest_path(&root), bytes).expect("write manifest");
+    let read = read_manifest(&root);
+    let _ = fs::remove_dir_all(&root);
+    read
+}
+
+/// The fixture's `manifest.json`, as its coordinator wrote it.
+fn manifest_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| fs::read(manifest_path(&fixture().root)).expect("read manifest"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, alone or after a valid manifest's prefix, are
+    /// read as a manifest or refused; the reader never panics.
+    #[test]
+    fn read_manifest_survives_arbitrary_bytes(
+        cut in any::<usize>(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let _ = read_manifest_bytes(&bytes);
+        let valid = manifest_bytes();
+        let mut spliced = valid[..cut % (valid.len() + 1)].to_vec();
+        spliced.extend_from_slice(&bytes);
+        let _ = read_manifest_bytes(&spliced);
+    }
+
+    /// Any one byte of a valid manifest changed: read or refused, never a
+    /// panic, and an unchanged manifest reads back as itself.
+    #[test]
+    fn read_manifest_survives_a_single_byte_mutation(at in any::<usize>(), byte in any::<u8>()) {
+        let mut bytes = manifest_bytes().to_vec();
+        let at = at % bytes.len();
+        let unchanged = bytes[at] == byte;
+        bytes[at] = byte;
+        let read = read_manifest_bytes(&bytes);
+        if unchanged {
+            prop_assert_eq!(read.ok(), Some(fixture().manifest.clone()));
+        }
     }
 }

@@ -153,7 +153,7 @@ fn table4_from_resumed_stores_is_bit_identical() {
 // Guard-rails: resuming the wrong store must fail loudly.
 // ---------------------------------------------------------------------------
 
-fn mismatch_field(stored_cfg: &CampaignConfig, current: &StoreHeader, tag: &str) -> &'static str {
+fn mismatch_field(stored_cfg: &CampaignConfig, current: &StoreHeader, tag: &str) -> String {
     let workload = Workload::algorithm_one();
     let path = temp_path(tag);
     let prepared = prepare_campaign(&workload, stored_cfg);
@@ -243,10 +243,7 @@ fn resume_rejects_mismatched_vis() {
     assert!(
         matches!(
             err,
-            StoreError::HeaderMismatch {
-                field: "version",
-                ..
-            }
+            StoreError::HeaderMismatch { ref field, .. } if field == "version"
         ),
         "expected a version mismatch, got {err}"
     );

@@ -12,11 +12,16 @@
 //!    line makes it fail to decode (structure breaks or the checksum
 //!    catches it), and a store file truncated at an arbitrary byte inside
 //!    its final line loads with exactly that record dropped and flagged.
+//!
+//! Around them, the loader is fuzzed: arbitrary bytes and single-byte
+//! mutations of a valid header line load or are refused, never panic.
 
 use bera_goofi::campaign::{prepare_campaign, CampaignConfig};
 use bera_goofi::classify::{HarnessCause, Outcome, Severity};
 use bera_goofi::experiment::{ExperimentRecord, FaultSpec, Provenance};
-use bera_goofi::store::{decode_record, encode_record, load_store, JsonlStore, StoreHeader};
+use bera_goofi::store::{
+    decode_record, encode_record, load_store, JsonlStore, LoadedCampaign, StoreError, StoreHeader,
+};
 use bera_goofi::table::TABLE_MECHANISMS;
 use bera_goofi::workload::Workload;
 use bera_tcpu::scan;
@@ -353,4 +358,60 @@ fn untorn_reference_store_is_complete() {
     assert!(!loaded.torn_tail);
     assert_eq!(loaded.done(), 6);
     assert!(loaded.is_complete());
+}
+
+/// Writes `bytes` as a store file and loads it.
+fn load_bytes(bytes: &[u8]) -> Result<LoadedCampaign, StoreError> {
+    let path = temp_path("fuzz");
+    std::fs::write(&path, bytes).expect("write store");
+    let loaded = load_store(&path);
+    let _ = std::fs::remove_file(&path);
+    loaded
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, alone or after a valid store's prefix, load or are
+    /// refused; the loader never panics.
+    #[test]
+    fn load_store_survives_arbitrary_bytes(
+        cut in any::<usize>(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let _ = load_bytes(&bytes);
+        let valid = reference_store_text().as_bytes();
+        let mut spliced = valid[..cut % (valid.len() + 1)].to_vec();
+        spliced.extend_from_slice(&bytes);
+        let _ = load_bytes(&spliced);
+    }
+
+    /// Any one byte of the header line changed: the store loads or is
+    /// refused, never a panic, and an unchanged store loads complete.
+    #[test]
+    fn load_store_survives_a_single_byte_header_mutation(at in any::<usize>(), byte in any::<u8>()) {
+        let text = reference_store_text();
+        let header_len = text.find('\n').expect("store has a header line");
+        let mut bytes = text.as_bytes().to_vec();
+        let at = at % header_len;
+        let unchanged = bytes[at] == byte;
+        bytes[at] = byte;
+        let loaded = load_bytes(&bytes);
+        if unchanged {
+            prop_assert!(loaded.is_ok_and(|l| l.is_complete()));
+        }
+    }
+}
+
+/// A header whose fault count no allocation can hold is refused as a
+/// corrupt header line rather than panicking while sizing the records.
+#[test]
+fn an_unallocatable_fault_count_is_a_corrupt_header() {
+    let text = reference_store_text();
+    let huge = text.replacen("\"faults\":6,", &format!("\"faults\":{},", u64::MAX), 1);
+    assert_ne!(huge, text, "the fixture must carry the huge count");
+    assert!(matches!(
+        load_bytes(huge.as_bytes()),
+        Err(StoreError::Corrupt { line: 1, .. })
+    ));
 }
