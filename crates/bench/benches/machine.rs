@@ -11,9 +11,18 @@ use bera_tcpu::scan;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-fn run_iterations(workload: &Workload, iterations: usize) -> u64 {
+/// A machine with `workload` loaded and the cache parity `cfg` asks for.
+/// The benches below start every sample from a clone of it, so they time
+/// execution, not `load_program` and its predecoded ROM table.
+fn loaded(workload: &Workload, cfg: &LoopConfig) -> Machine {
     let mut m = Machine::new();
     m.load_program(workload.program());
+    m.set_cache_parity(cfg.parity_cache);
+    m
+}
+
+fn run_iterations(loaded: &Machine, iterations: usize) -> u64 {
+    let mut m = loaded.clone();
     let mut engine = Engine::paper();
     let profiles = Profiles::paper();
     for k in 0..iterations {
@@ -29,10 +38,8 @@ fn run_iterations(workload: &Workload, iterations: usize) -> u64 {
 /// Re-executes a golden run on an untraced machine from its recorded
 /// inputs (the reference profile and the logged plant speed), without
 /// advancing the plant: the interpreter's cost alone.
-fn interpret_golden(workload: &Workload, cfg: &LoopConfig, speeds: &[f64]) -> u64 {
-    let mut m = Machine::new();
-    m.load_program(workload.program());
-    m.set_cache_parity(cfg.parity_cache);
+fn interpret_golden(loaded: &Machine, cfg: &LoopConfig, speeds: &[f64]) -> u64 {
+    let mut m = loaded.clone();
     for (k, &speed) in speeds.iter().enumerate() {
         let t = k as f64 * cfg.sample_interval;
         m.set_port_f32(PORT_R, cfg.profiles.reference(t) as f32);
@@ -90,25 +97,27 @@ fn bench_machine(c: &mut Criterion) {
 
     // Instructions per second of 50 closed-loop iterations, plant included,
     // each counted in its own workload's instructions.
+    let cfg = LoopConfig::paper();
     for w in [Workload::algorithm_one(), Workload::algorithm_two()] {
-        group.throughput(Throughput::Elements(run_iterations(&w, 50)));
+        let m = loaded(&w, &cfg);
+        group.throughput(Throughput::Elements(run_iterations(&m, 50)));
         group.bench_function(format!("execute_{}", w.name().replace(' ', "_")), |b| {
-            b.iter(|| run_iterations(black_box(&w), 50));
+            b.iter(|| run_iterations(black_box(&m), 50));
         });
     }
 
     // Instructions per second of the interpreter alone, plant excluded.
-    let cfg = LoopConfig::paper();
     for w in [Workload::algorithm_one(), Workload::algorithm_two()] {
         let golden = golden_run(&w, &cfg);
-        let n = interpret_golden(&w, &cfg, &golden.speeds);
+        let m = loaded(&w, &cfg);
+        let n = interpret_golden(&m, &cfg, &golden.speeds);
         assert_eq!(
             n, golden.total_instructions,
             "the replay must retrace golden"
         );
         group.throughput(Throughput::Elements(n));
         group.bench_function(format!("interpret_{}", w.name().replace(' ', "_")), |b| {
-            b.iter(|| interpret_golden(black_box(&w), &cfg, &golden.speeds));
+            b.iter(|| interpret_golden(black_box(&m), &cfg, &golden.speeds));
         });
     }
 

@@ -326,7 +326,7 @@ mod tests {
     fn classes_number_interval_access_patterns_by_first_appearance() {
         let mut trace = AccessTrace::new();
         for t in 0..50 {
-            trace.record_step(t, (t % 10) as u32);
+            trace.record_step(t, (t % 10) as u32, false);
         }
         let unit = TraceUnit::Reg(3);
         // A read at offset 2, the same read again (its value does not

@@ -20,6 +20,23 @@
 //! register read), for the planner's value-level rule on that shift
 //! register.
 //!
+//! Three visibility units are *derived*, not recorded: the PC and the two
+//! fetch-latch words ([`TraceUnit::is_derived`]). Their events follow from
+//! one bit per instant, R(t): instruction `t` found the fetch latch empty
+//! and fetched its own word. In a golden run (which never traps, and whose
+//! prefetches all succeed) the latch is empty after instruction `t`
+//! exactly when `t` transferred control, so X(t) = R(t + 1), and
+//! instruction `t` emits, in order:
+//!
+//! * if R(t), the refill: PC read, latch word and address written, PC
+//!   written (incremented);
+//! * the fetch: latch word and address read;
+//! * if X(t), the transfer's PC write; otherwise the prefetch, a refill
+//!   like the first.
+//!
+//! So the first event at `t` is a write for the latch units iff R(t), and
+//! for the PC iff X(t) and not R(t); every other first event is a read.
+//!
 //! A campaign planner can then classify most transient faults without
 //! simulating them:
 //!
@@ -220,15 +237,31 @@ const CPU_UNITS: usize = 16 + cache::NUM_LINES * cache::WORDS_PER_LINE + 4 + 2;
 /// Number of def/use units: the CPU units plus every RAM and stack word.
 const DEFUSE_UNITS: usize = CPU_UNITS + mem::NUM_DATA_WORDS;
 
+/// The derived units' indices (see [`TraceUnit::is_derived`]).
+const DERIVED: [usize; 3] = [
+    TraceUnit::Vis(VisUnit::Pc).index(),
+    TraceUnit::Vis(VisUnit::FetchWord).index(),
+    TraceUnit::Vis(VisUnit::FetchPc).index(),
+];
+
 impl TraceUnit {
     /// Total number of traceable units (def/use units, then the
     /// visibility units).
     pub const COUNT: usize = DEFUSE_UNITS + VisUnit::COUNT;
 
+    /// `true` for the PC and the two fetch-latch words, whose events the
+    /// trace derives from its refetch bits instead of recording them (see
+    /// the module docs).
+    #[must_use]
+    #[inline]
+    pub fn is_derived(&self) -> bool {
+        DERIVED.contains(&self.index())
+    }
+
     /// Dense index of this unit in `0..TraceUnit::COUNT`.
     #[must_use]
     #[inline]
-    pub fn index(&self) -> usize {
+    pub const fn index(&self) -> usize {
         match *self {
             TraceUnit::Reg(r) => r as usize,
             TraceUnit::CacheWord { line, word } => 16 + line * cache::WORDS_PER_LINE + word,
@@ -241,14 +274,19 @@ impl TraceUnit {
 }
 
 /// The full per-unit access trace of one golden run, plus the operand-latch
-/// shifts and one step word per executed instruction.
+/// shifts, one step word per executed instruction, and the refetch bits
+/// the derived units' events follow from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AccessTrace {
+    /// Per recorded unit, its accesses; a derived unit's list stays empty.
     units: Vec<Vec<Recorded>>,
     shifts: Vec<Shift>,
     /// Per instruction: the step word (see [`AccessTrace::step`]) and the
     /// index of its first operand-latch shift.
     steps: Vec<[u32; 2]>,
+    /// Bit `t`: R(t), instruction `t` found the fetch latch empty; bit
+    /// `steps.len()`: the latch is empty after the last one.
+    refetch: Vec<u64>,
 }
 
 impl Default for AccessTrace {
@@ -265,7 +303,33 @@ impl AccessTrace {
             units: vec![Vec::new(); TraceUnit::COUNT],
             shifts: Vec::new(),
             steps: Vec::new(),
+            refetch: Vec::new(),
         }
+    }
+
+    /// Panics naming `index` when it is a derived unit's: its events are
+    /// not recorded, so no list of them can be stored or handed out.
+    #[inline]
+    fn refuse_derived(index: usize) {
+        // The panic stays out of line: `recorded_at` sits on diff replay's
+        // cursor path.
+        #[cold]
+        #[inline(never)]
+        fn refuse(index: usize) -> ! {
+            panic!("trace unit {index} (PC or fetch latch) is derived from the refetch bits, not recorded")
+        }
+        if DERIVED.contains(&index) {
+            refuse(index);
+        }
+    }
+
+    /// Recorded `unit`'s list, for appending or mutating. Always inlined:
+    /// most of the golden run's `record` calls name a constant unit, so
+    /// its index and the refusal fold away.
+    #[inline(always)]
+    fn slot_mut(&mut self, unit: TraceUnit) -> &mut Vec<Recorded> {
+        Self::refuse_derived(unit.index());
+        &mut self.units[unit.index()]
     }
 
     /// Appends an access with the value it read or deposited: the word
@@ -278,10 +342,11 @@ impl AccessTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `at` exceeds [`MAX_INSTANT`].
+    /// Panics if `at` exceeds [`MAX_INSTANT`], or if `unit` is derived
+    /// ([`TraceUnit::is_derived`]).
     #[inline]
     pub fn record(&mut self, unit: TraceUnit, at: u64, kind: AccessKind, value: u32) {
-        let slot = &mut self.units[unit.index()];
+        let slot = self.slot_mut(unit);
         debug_assert!(slot.last().is_none_or(|a| a.at() <= at), "trace not sorted");
         slot.push(Recorded::new(at, kind, value));
     }
@@ -304,11 +369,55 @@ impl AccessTrace {
         });
     }
 
-    /// Opens instruction `at`'s step word with its ROM slot. Steps arrive
-    /// one per instruction, in order, before the instruction's shifts.
-    pub fn record_step(&mut self, at: u64, slot: u32) {
+    /// Opens instruction `at`'s step word with its ROM slot, and records
+    /// R(at): whether it found the fetch latch empty. Steps arrive one per
+    /// instruction, in order, before the instruction's shifts.
+    pub fn record_step(&mut self, at: u64, slot: u32, refetch: bool) {
         debug_assert_eq!(self.steps.len() as u64, at, "one step per instruction");
         self.steps.push([slot, self.shifts.len() as u32]);
+        *self.refetch_word(at) |= u64::from(refetch) << (at % 64);
+    }
+
+    /// Records whether the fetch latch is empty after the last
+    /// instruction: X of the last instruction (see the module docs).
+    pub fn record_end(&mut self, refetch: bool) {
+        let end = self.steps.len() as u64;
+        *self.refetch_word(end) |= u64::from(refetch) << (end % 64);
+    }
+
+    /// The word of the refetch bits that holds bit `t`, grown to it.
+    fn refetch_word(&mut self, t: u64) -> &mut u64 {
+        let word = (t / 64) as usize;
+        if self.refetch.len() <= word {
+            self.refetch.resize(word + 1, 0);
+        }
+        &mut self.refetch[word]
+    }
+
+    /// R(t): instruction `t` found the fetch latch empty (for `t` one past
+    /// the last instruction, the latch is empty at the end).
+    #[inline]
+    fn refetched(&self, t: u64) -> bool {
+        self.refetch
+            .get((t / 64) as usize)
+            .is_some_and(|w| w >> (t % 64) & 1 != 0)
+    }
+
+    /// The kinds of derived `unit`'s events during instruction `t`, in
+    /// order (see the module docs). Every instruction fetches, so the list
+    /// is never empty.
+    fn derived_events(&self, unit: TraceUnit, t: u64) -> impl Iterator<Item = AccessKind> {
+        use AccessKind::{Read, Write};
+        let pc = unit == TraceUnit::Vis(VisUnit::Pc);
+        let refill: &[AccessKind] = if pc { &[Read, Write] } else { &[Write] };
+        let start = if self.refetched(t) { refill } else { &[] };
+        let fetch: &[AccessKind] = if pc { &[] } else { &[Read] };
+        let end = match (self.refetched(t + 1), pc) {
+            (true, true) => &[Write][..],
+            (true, false) => &[],
+            (false, _) => refill,
+        };
+        start.iter().chain(fetch).chain(end).copied()
     }
 
     /// Sets `flag` ([`STEP_FILL`], [`STEP_WRITEBACK`]) on the step word of
@@ -338,25 +447,56 @@ impl AccessTrace {
             .map_or(self.shifts.len(), |s| s[1] as usize)
     }
 
-    /// All accesses to `unit`, in execution order, unpacked.
+    /// All accesses to `unit`, in execution order, unpacked; a derived
+    /// unit's are rebuilt from the refetch bits.
     #[must_use]
     pub fn accesses(&self, unit: TraceUnit) -> Vec<Access> {
+        if unit.is_derived() {
+            return (0..self.steps.len() as u64)
+                .flat_map(|at| {
+                    self.derived_events(unit, at)
+                        .map(move |kind| Access { at, kind })
+                })
+                .collect();
+        }
         self.recorded(unit).iter().map(Recorded::access).collect()
     }
 
     /// All accesses to `unit` as stored, with their values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unit` is derived: its accesses are not stored.
     #[must_use]
     #[inline]
     pub fn recorded(&self, unit: TraceUnit) -> &[Recorded] {
-        &self.units[unit.index()]
+        self.recorded_at(unit.index())
     }
 
     /// All accesses to the unit of index `index` (see
     /// [`TraceUnit::index`]), as stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the unit is derived: its accesses are not stored.
     #[must_use]
     #[inline]
     pub fn recorded_at(&self, index: usize) -> &[Recorded] {
-        &self.units[index]
+        let list = &self.units[index];
+        // A derived unit's list is always empty: checking only empty lists
+        // refuses every derived lookup and keeps the check off the diff
+        // replay cursors' path to the lists that hold entries.
+        if list.is_empty() {
+            Self::refuse_derived(index);
+        }
+        list
+    }
+
+    /// The number of recorded entries over every unit: the size of the
+    /// trace's largest part.
+    #[must_use]
+    pub fn recorded_entries(&self) -> usize {
+        self.units.iter().map(Vec::len).sum()
     }
 
     /// Every operand-latch shift, in execution order.
@@ -368,8 +508,19 @@ impl AccessTrace {
     /// The first access to `unit` visible to a fault injected at
     /// instruction boundary `inject_at`, i.e. the first entry with
     /// `at >= inject_at`; `None` when the unit is never touched again.
+    /// For a derived unit this is one lookup of two refetch bits: every
+    /// instruction accesses it.
     #[must_use]
     pub fn first_at_or_after(&self, unit: TraceUnit, inject_at: u64) -> Option<Access> {
+        if unit.is_derived() {
+            return (inject_at < self.steps.len() as u64).then(|| Access {
+                at: inject_at,
+                kind: self
+                    .derived_events(unit, inject_at)
+                    .next()
+                    .expect("every instruction fetches"),
+            });
+        }
         let slot = self.recorded(unit);
         let i = slot.partition_point(|a| a.at() < inject_at);
         slot.get(i).map(Recorded::access)
@@ -385,9 +536,9 @@ impl AccessTrace {
     }
 
     /// Mutates the trace (for adversarial tests): inserts `access`, with
-    /// value 0, into `unit`'s slot at its sorted position.
+    /// value 0, into recorded `unit`'s slot at its sorted position.
     pub fn insert_for_test(&mut self, unit: TraceUnit, access: Access) {
-        let slot = &mut self.units[unit.index()];
+        let slot = self.slot_mut(unit);
         let i = slot.partition_point(|a| a.at() <= access.at);
         slot.insert(i, Recorded::new(access.at, access.kind, 0));
     }
@@ -395,8 +546,15 @@ impl AccessTrace {
     /// Mutates the kind of the access at position `i` of `unit`'s slot
     /// (for adversarial tests).
     pub fn set_kind_for_test(&mut self, unit: TraceUnit, i: usize, kind: AccessKind) {
-        let a = &mut self.units[unit.index()][i];
+        let a = &mut self.slot_mut(unit)[i];
         *a = Recorded::new(a.at(), kind, a.value);
+    }
+
+    /// Mutates the trace (for adversarial tests): flips R(t), which is
+    /// X(t − 1) for `t > 0`, and with it the derived units' events at
+    /// `t − 1` and `t`.
+    pub fn flip_refetch_for_test(&mut self, t: u64) {
+        *self.refetch_word(t) ^= 1 << (t % 64);
     }
 }
 

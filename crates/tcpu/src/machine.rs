@@ -592,7 +592,9 @@ impl Machine {
 
     /// Stops tracing and returns the recorded trace, if one was started.
     pub fn take_access_trace(&mut self) -> Option<AccessTrace> {
-        self.trace.0.take().map(|b| *b)
+        let mut trace = *self.trace.0.take()?;
+        trace.record_end(!self.core.fetch.valid);
+        Some(trace)
     }
 
     /// Records the harness's read of an output port at a `yield` boundary
@@ -1265,18 +1267,18 @@ impl Machine {
     fn step_inner<const TRACING: bool>(&mut self) -> Result<StepEvent, (Edm, u32)> {
         // Consume the prefetched instruction (fetch now if the latch was
         // invalidated by a control transfer or a failed prefetch).
-        if !self.core.fetch.valid {
-            self.fill_latch::<TRACING>()
-                .map_err(|m| (m, self.core.pc))?;
+        let refetch = !self.core.fetch.valid;
+        if refetch {
+            self.fill_latch().map_err(|m| (m, self.core.pc))?;
         }
         let word = self.core.fetch.word;
         let ipc = self.core.fetch.pc;
         if TRACING {
-            self.trace(VisUnit::FetchWord, AccessKind::Read, word);
-            self.trace(VisUnit::FetchPc, AccessKind::Read, ipc);
+            // The PC and fetch-latch events are not traced: the trace
+            // derives them from `refetch` (see `access`).
             let at = self.instr_count;
             if let Some(t) = self.trace.0.as_mut() {
-                t.record_step(at, (ipc.wrapping_sub(mem::ROM_BASE) >> 2) & 0xFFFF);
+                t.record_step(at, (ipc.wrapping_sub(mem::ROM_BASE) >> 2) & 0xFFFF, refetch);
             }
         }
         self.core.fetch.valid = false;
@@ -1598,11 +1600,10 @@ impl Machine {
             return Err(Edm::JumpError);
         }
         if TRACING {
-            // Both deposits are value-independent of the old contents:
-            // the PC is replaced by the (clean-input) target and the
-            // signature register is zeroed unconditionally — the only
-            // sound kill for signature flips.
-            self.trace(VisUnit::Pc, AccessKind::Write, target);
+            // The signature register is zeroed unconditionally, a
+            // value-independent deposit: the only sound kill for signature
+            // flips. (The PC's write here is derived: the latch is left
+            // empty.)
             self.trace(VisUnit::Sig, AccessKind::Write, 0);
         }
         self.core.pc = target;
@@ -1620,23 +1621,13 @@ impl Machine {
         }
     }
 
-    fn fill_latch<const TRACING: bool>(&mut self) -> Result<(), Edm> {
-        if TRACING {
-            // The fetch address samples the PC. The subsequent deposits
-            // (latch refill, PC increment) happen at the same instant and
-            // *after* the read in per-unit order, so a pending PC flip is
-            // observed here, never killed — the increment derives from
-            // the flipped value.
-            self.trace(VisUnit::Pc, AccessKind::Read, self.core.pc);
-        }
+    /// Refills the fetch latch from the PC and increments the PC. The
+    /// fetch address samples the PC before the deposits, so a pending PC
+    /// flip is observed here, never killed: the traced golden's derived PC
+    /// events (see `access`) keep that read first.
+    fn fill_latch(&mut self) -> Result<(), Edm> {
         match self.mem.fetch(self.core.pc) {
             Some(word) => {
-                if TRACING {
-                    let pc = self.core.pc;
-                    self.trace(VisUnit::FetchWord, AccessKind::Write, word);
-                    self.trace(VisUnit::FetchPc, AccessKind::Write, pc);
-                    self.trace(VisUnit::Pc, AccessKind::Write, pc.wrapping_add(4));
-                }
                 self.core.fetch = FetchLatch {
                     word,
                     pc: self.core.pc,
@@ -1652,8 +1643,18 @@ impl Machine {
     /// Prefetch at the end of a straight-line instruction; on failure the
     /// latch stays invalid and the fault is raised when the instruction is
     /// actually needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a traced prefetch fails: the trace derives the fetch
+    /// units' events on the rule that every golden prefetch succeeds.
     fn try_prefetch<const TRACING: bool>(&mut self) {
-        let _ = self.fill_latch::<TRACING>();
+        let fetched = self.fill_latch().is_ok();
+        assert!(
+            !TRACING || fetched,
+            "a traced prefetch failed at {:#x}",
+            self.core.pc
+        );
     }
 
     fn data_access<const TRACING: bool>(

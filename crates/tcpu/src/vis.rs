@@ -13,13 +13,15 @@
 //! hooks live at the (few, enumerable) consult sites:
 //!
 //! * the fetch path: `fill_latch` reads the PC and deposits a whole new
-//!   fetch latch; every instruction consumes the latch word and PC;
+//!   fetch latch; every instruction consumes the latch word and PC. These
+//!   three units' events are derived from the step log rather than
+//!   recorded (see [`crate::access`]);
 //! * branches read exactly the PSR flag(s) their condition consults
 //!   (`beq`/`bne` the EQ bit, `blt`/`bge` the LT bit, `bgt`/`ble` both),
 //!   and `cmp`/`fcmp` deposit both flags full-width;
-//! * a control transfer overwrites the PC and zeroes the signature
-//!   register **unconditionally** — a value-independent full write, the
-//!   one sound kill for signature flips (the per-instruction
+//! * a control transfer overwrites the PC (derived too) and zeroes the
+//!   signature register **unconditionally** — a value-independent full
+//!   write, the one sound kill for signature flips (the per-instruction
 //!   `signature_step` folding is a read-modify-write that *morphs* a
 //!   flip rather than observing or clearing it, so it is deliberately
 //!   not an event: a signature fault is only ever claimed `Overwritten`
@@ -109,7 +111,7 @@ impl VisUnit {
     /// Dense index of this unit in `0..VisUnit::COUNT`.
     #[must_use]
     #[inline]
-    pub fn index(&self) -> usize {
+    pub const fn index(&self) -> usize {
         match *self {
             VisUnit::Pc => 0,
             VisUnit::Psr(b) => 1 + b as usize,
@@ -238,26 +240,44 @@ pub(crate) mod tests {
 
     #[test]
     fn first_at_or_after_and_shift_counts() {
-        let pc = TraceUnit::Vis(VisUnit::Pc);
+        let exwb = TraceUnit::Vis(VisUnit::Exwb);
         let mut t = AccessTrace::new();
-        t.record(pc, 5, AccessKind::Read, 0);
-        t.record(pc, 9, AccessKind::Write, 0);
+        t.record(exwb, 5, AccessKind::Read, 0);
+        t.record(exwb, 9, AccessKind::Write, 0);
         t.record_shift(3, 0, 0);
         t.record_shift(7, 0, 0);
         t.record_shift(7, 0, 0);
         assert_eq!(
-            t.first_at_or_after(pc, 6),
+            t.first_at_or_after(exwb, 6),
             Some(Access {
                 at: 9,
                 kind: AccessKind::Write
             })
         );
-        assert_eq!(t.first_at_or_after(pc, 10), None);
+        assert_eq!(t.first_at_or_after(exwb, 10), None);
         assert_eq!(t.first_at_or_after(TraceUnit::Vis(VisUnit::Sig), 0), None);
         assert_eq!(t.nth_shift_at_or_after(0, 0), Some(3));
         assert_eq!(t.nth_shift_at_or_after(0, 2), Some(7));
         assert_eq!(t.nth_shift_at_or_after(4, 1), Some(7));
         assert_eq!(t.nth_shift_at_or_after(4, 2), None);
         assert_eq!(t.nth_shift_at_or_after(8, 0), None);
+
+        // The PC is derived: instruction 0 fetches its own word and
+        // prefetches (its first PC event reads), instruction 1 transfers
+        // control (writes), and the run ends there.
+        let pc = TraceUnit::Vis(VisUnit::Pc);
+        t.record_step(0, 0, true);
+        t.record_step(1, 0, false);
+        t.record_end(true);
+        let first = |at| t.first_at_or_after(pc, at).map(|a| a.kind);
+        assert_eq!(first(0), Some(AccessKind::Read));
+        assert_eq!(first(1), Some(AccessKind::Write));
+        assert_eq!(first(2), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "derived from the refetch bits")]
+    fn derived_units_are_not_recorded() {
+        AccessTrace::new().record(TraceUnit::Vis(VisUnit::Pc), 0, AccessKind::Read, 0);
     }
 }

@@ -15,8 +15,9 @@
 //!
 //! Property tests show the planner's analysis is *load-bearing*: a
 //! perturbed golden trace (an extra read between two faults that share a
-//! fate, a full write narrowed to a partial one) changes the fates. The full
-//! lattice of engine configurations is one ignored sweep:
+//! fate, a full write narrowed to a partial one, a derived unit's write
+//! undone by flipping the refetch bit it follows from) changes the fates.
+//! The full lattice of engine configurations is one ignored sweep:
 //! `cargo test --release --test prune_equivalence -- --ignored`.
 
 mod oracle;
@@ -28,8 +29,9 @@ use bera_goofi::experiment::{golden_run, FaultModel, FaultSpec, GoldenRun, Prove
 use bera_goofi::observer::Telemetry;
 use bera_goofi::planner::{plan_campaign, resolve, Fate, PlanAction};
 use bera_goofi::workload::Workload;
-use bera_tcpu::access::{Access, AccessKind, TraceUnit};
+use bera_tcpu::access::{Access, AccessKind, AccessTrace, TraceUnit};
 use bera_tcpu::scan;
+use bera_tcpu::vis::VisUnit;
 use oracle::{check, Campaign, Point, MODELS};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -240,6 +242,61 @@ fn live_faults(golden: &GoldenRun, faults: &[FaultSpec]) -> Vec<(usize, u64, u64
         .collect()
 }
 
+/// Undoes the full write that gave a single-bit fault in `unit`,
+/// injected at `inject_at`, its `Overwritten` verdict. A recorded unit's
+/// first access at or after injection is narrowed to a partial write. A
+/// derived unit (PC, fetch latch) is accessed at every instant, so the
+/// write is at `inject_at` and follows from a refetch bit: R(t) for the
+/// latch, X(t) = R(t + 1) for the PC. Flipping that bit makes the first
+/// event a read.
+fn demote_killing_write(trace: &mut AccessTrace, unit: TraceUnit, inject_at: u64) {
+    if unit.is_derived() {
+        let pc = unit == TraceUnit::Vis(VisUnit::Pc);
+        trace.flip_refetch_for_test(inject_at + u64::from(pc));
+        return;
+    }
+    let first = trace.accesses(unit).partition_point(|a| a.at < inject_at);
+    trace.set_kind_for_test(unit, first, AccessKind::PartialWrite);
+}
+
+/// The pinned twin of the two narrowing properties below on the derived
+/// units, which a sampled victim rarely lands on: for each of the PC and
+/// the two fetch-latch words, every `Overwritten` fault over a spread of
+/// instants loses its analytic verdict once its killing write is undone.
+#[test]
+fn undoing_a_derived_write_revokes_the_overwritten_verdict() {
+    let (golden, cfg) = shared_golden();
+    for vis in [VisUnit::Pc, VisUnit::FetchWord, VisUnit::FetchPc] {
+        let unit = TraceUnit::Vis(vis);
+        let location_index = scan::catalog()
+            .iter()
+            .position(|l| l.trace_unit() == Some(unit))
+            .expect("a scan bit lives in each derived unit");
+        let faults: Vec<FaultSpec> = (0..golden.total_instructions)
+            .step_by(97)
+            .map(|inject_at| FaultSpec {
+                location_index,
+                inject_at,
+            })
+            .collect();
+        let plan = plan_campaign(&faults, cfg, golden);
+        let victims: Vec<usize> = (0..faults.len())
+            .filter(|&i| plan.action(i) == PlanAction::Analytic(bera_goofi::Outcome::Overwritten))
+            .collect();
+        assert!(!victims.is_empty(), "{vis:?} is overwritten somewhere");
+        for i in victims {
+            let mut perturbed = golden.clone();
+            demote_killing_write(&mut perturbed.trace, unit, faults[i].inject_at);
+            let replanned = plan_campaign(&faults[i..=i], cfg, &perturbed);
+            assert!(
+                !matches!(replanned.action(0), PlanAction::Analytic(_)),
+                "{vis:?} at {}: an undone write must not keep the verdict",
+                faults[i].inject_at
+            );
+        }
+    }
+}
+
 fn sample_faults(seed: u64) -> Vec<FaultSpec> {
     let (golden, cfg) = shared_golden();
     FaultList::sample(cfg.faults, seed, golden.total_instructions).faults
@@ -337,11 +394,7 @@ proptest! {
         // The verdict came from the first access at-or-after injection
         // being a full write; narrow exactly that one.
         let mut perturbed = golden.clone();
-        let first = perturbed
-            .trace
-            .accesses(unit)
-            .partition_point(|a| a.at < faults[victim].inject_at);
-        perturbed.trace.set_kind_for_test(unit, first, AccessKind::PartialWrite);
+        demote_killing_write(&mut perturbed.trace, unit, faults[victim].inject_at);
 
         let replanned = plan_campaign(&faults, cfg, &perturbed);
         prop_assert!(
@@ -409,11 +462,7 @@ proptest! {
         // The verdict came from the first window event at-or-after
         // injection being a whole-unit deposit; demote exactly that one.
         let mut perturbed = golden.clone();
-        let first = perturbed
-            .trace
-            .accesses(unit)
-            .partition_point(|a| a.at < faults[victim].inject_at);
-        perturbed.trace.set_kind_for_test(unit, first, AccessKind::PartialWrite);
+        demote_killing_write(&mut perturbed.trace, unit, faults[victim].inject_at);
 
         let replanned = plan_campaign(&faults, cfg, &perturbed);
         prop_assert!(

@@ -14,13 +14,18 @@
 //!    its final line loads with exactly that record dropped and flagged.
 //!
 //! Around them, the loader is fuzzed: arbitrary bytes and single-byte
-//! mutations of a valid header line load or are refused, never panic.
+//! mutations of a valid header line load or are refused, never panic. So
+//! is the telemetry sidecar's parser: arbitrary bytes, arbitrary bytes
+//! after a valid sidecar's prefix, and single-byte mutations of a written
+//! sidecar parse or return an error.
 
 use bera_goofi::campaign::{prepare_campaign, CampaignConfig};
 use bera_goofi::classify::{HarnessCause, Outcome, Severity};
 use bera_goofi::experiment::{ExperimentRecord, FaultSpec, Provenance};
+use bera_goofi::observer::{Telemetry, TelemetrySnapshot};
 use bera_goofi::store::{
-    decode_record, encode_record, load_store, JsonlStore, LoadedCampaign, StoreError, StoreHeader,
+    decode_record, encode_record, load_store, write_telemetry_sidecar, JsonlStore, LoadedCampaign,
+    StoreError, StoreHeader,
 };
 use bera_goofi::table::TABLE_MECHANISMS;
 use bera_goofi::workload::Workload;
@@ -414,4 +419,67 @@ fn an_unallocatable_fault_count_is_a_corrupt_header() {
         load_bytes(huge.as_bytes()),
         Err(StoreError::Corrupt { line: 1, .. })
     ));
+}
+
+/// The sidecar `campaign --out` writes beside a small real campaign's
+/// store, rendered once and shared, with the snapshot it holds.
+fn reference_sidecar() -> &'static (String, TelemetrySnapshot) {
+    static SIDECAR: OnceLock<(String, TelemetrySnapshot)> = OnceLock::new();
+    SIDECAR.get_or_init(|| {
+        let cfg = CampaignConfig::quick(6, 3);
+        let telemetry = Telemetry::new(cfg.faults);
+        let _ = prepare_campaign(&Workload::algorithm_one(), &cfg).run(&telemetry);
+        let snapshot = telemetry.snapshot();
+        let store = temp_path("sidecar");
+        let side = write_telemetry_sidecar(&store, &snapshot).expect("write sidecar");
+        let text = std::fs::read_to_string(&side).expect("read sidecar back");
+        let _ = std::fs::remove_file(&side);
+        (text, snapshot)
+    })
+}
+
+/// Parses sidecar bytes as `report` does, which reads them as text: bytes
+/// that are not UTF-8 are decoded lossily first.
+fn parse_sidecar(bytes: &[u8]) -> Result<TelemetrySnapshot, serde_json::Error> {
+    serde_json::from_str::<TelemetrySnapshot>(&String::from_utf8_lossy(bytes))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes parse or are refused; the parser never panics.
+    #[test]
+    fn sidecar_parser_survives_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let _ = parse_sidecar(&bytes);
+    }
+
+    /// Arbitrary bytes after a valid sidecar's prefix parse or are
+    /// refused; the parser never panics.
+    #[test]
+    fn sidecar_parser_survives_arbitrary_bytes_after_a_valid_prefix(
+        cut in any::<usize>(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let valid = reference_sidecar().0.as_bytes();
+        let mut spliced = valid[..cut % (valid.len() + 1)].to_vec();
+        spliced.extend_from_slice(&bytes);
+        let _ = parse_sidecar(&spliced);
+    }
+
+    /// Any one byte of a written sidecar changed: it parses or is refused,
+    /// never a panic, and an unchanged sidecar parses back to its snapshot.
+    #[test]
+    fn sidecar_parser_survives_a_single_byte_mutation(at in any::<usize>(), byte in any::<u8>()) {
+        let (text, snapshot) = reference_sidecar();
+        let mut bytes = text.as_bytes().to_vec();
+        let at = at % bytes.len();
+        let unchanged = bytes[at] == byte;
+        bytes[at] = byte;
+        let parsed = parse_sidecar(&bytes);
+        if unchanged {
+            prop_assert_eq!(parsed.ok(), Some(*snapshot));
+        }
+    }
 }
