@@ -9,6 +9,8 @@
 //! Address split (byte address): `offset = addr[3:0]`, `index = addr[6:4]`,
 //! `tag = addr[31:7]` (25 bits stored per line).
 
+use crate::machine::Words;
+
 /// Number of cache lines.
 pub const NUM_LINES: usize = 8;
 /// Bytes per cache line.
@@ -79,10 +81,58 @@ impl Default for CacheLine {
     }
 }
 
+/// Tag, flags (valid | dirty << 1), then the data words.
+impl Words for CacheLine {
+    const WIDTH: usize = 2 + WORDS_PER_LINE;
+
+    #[inline]
+    fn get(&self, off: usize) -> u32 {
+        match off {
+            0 => self.tag,
+            1 => u32::from(self.valid) | u32::from(self.dirty) << 1,
+            w => {
+                let b = &self.data[(w - 2) * 4..(w - 1) * 4];
+                u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+            }
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, off: usize, v: u32) {
+        match off {
+            0 => self.tag = v,
+            1 => {
+                self.valid = v & 1 != 0;
+                self.dirty = v & 2 != 0;
+            }
+            w => self.data[(w - 2) * 4..(w - 1) * 4].copy_from_slice(&v.to_le_bytes()),
+        }
+    }
+}
+
 /// The direct-mapped write-back data cache.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DataCache {
     lines: [CacheLine; NUM_LINES],
+}
+
+/// Its lines in index order.
+impl Words for DataCache {
+    const WIDTH: usize = NUM_LINES * CacheLine::WIDTH;
+
+    #[inline]
+    fn get(&self, off: usize) -> u32 {
+        self.lines.get(off)
+    }
+
+    #[inline]
+    fn set(&mut self, off: usize, v: u32) {
+        self.lines.set(off, v);
+    }
+
+    fn put(&self, w: &mut [u32]) {
+        self.lines.put(w);
+    }
 }
 
 impl DataCache {

@@ -156,46 +156,6 @@ pub const DEFAULT_STACK_LO: u32 = mem::STACK_BASE + mem::STACK_SIZE - 0x400;
 /// One past the last valid stack address.
 pub const DEFAULT_STACK_HI: u32 = mem::STACK_BASE + mem::STACK_SIZE;
 
-/// The prefetched-instruction latch (IF/ID pipeline register).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct FetchLatch {
-    pub word: u32,
-    pub pc: u32,
-    pub valid: bool,
-}
-
-/// Last consumed operand pair (ID/EX pipeline register).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct OperandLatch {
-    pub a: u32,
-    pub b: u32,
-}
-
-/// Last committed result (EX/WB pipeline register).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct ResultLatch {
-    pub value: u32,
-    pub rd: u8,
-    pub we: bool,
-}
-
-/// Last store accepted by the memory interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct StoreBuffer {
-    pub addr: u32,
-    pub data: u32,
-    pub valid: bool,
-}
-
-/// Last word transferred by a cache-line fill, with its parity bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct FillBuffer {
-    pub addr: u32,
-    pub data: u32,
-    pub parity: bool,
-    pub valid: bool,
-}
-
 /// The outcome of one [`Machine::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepEvent {
@@ -230,69 +190,247 @@ pub enum RunExit {
     Budget,
 }
 
-/// Thor's architectural state: every element the scan chain reaches, plus
-/// the input ports, the parity switch and the parity model's shadow lines —
-/// everything that determines future behaviour apart from memory. Restore,
-/// both state equalities and the digest derive from this one declaration;
-/// the field order is the comparison's short-circuit order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Core {
-    pub(crate) regs: [u32; isa::NUM_REGS],
-    pub(crate) pc: u32,
-    pub(crate) psr: u8,
-    pub(crate) sig: u16,
-    pub(crate) stack_lo: u32,
-    pub(crate) stack_hi: u32,
-    pub(crate) epc: u32,
-    pub(crate) cause: u8,
-    pub(crate) save: [u32; 2],
-    pub(crate) fetch: FetchLatch,
-    pub(crate) idex: OperandLatch,
-    pub(crate) exwb: ResultLatch,
-    pub(crate) cache: DataCache,
-    pub(crate) sbuf: StoreBuffer,
-    pub(crate) fbuf: FillBuffer,
-    pub(crate) edac_syndrome: u8,
-    pub(crate) ports_out: [u32; NUM_OUT_PORTS],
-    ports_in: [u32; NUM_IN_PORTS],
-    /// Parity protection over the data cache (the custom-hardware
-    /// alternative the paper rejects on cost grounds; modelled for the
-    /// ablation study). When enabled, any cache state that was not written
-    /// by the cache controller itself is detected on the next access.
-    parity_cache: bool,
-    /// The legitimate cache state the parity model checks against.
-    shadow: [CacheLine; NUM_LINES],
+/// A `Core` element as [`Words::WIDTH`] consecutive words of
+/// [`Core::words`]: a narrow field widens to one word, an array lays out
+/// element by element, a cache line as tag, flags, then its data words.
+pub(crate) trait Words {
+    /// Number of words the element occupies.
+    const WIDTH: usize;
+
+    /// Word `off` of the element, read alone.
+    fn get(&self, off: usize) -> u32;
+
+    /// Writes word `off` of the element: the inverse of reading it.
+    fn set(&mut self, off: usize, v: u32);
+
+    /// Writes the element's `WIDTH` words into `w`.
+    fn put(&self, w: &mut [u32]) {
+        for (off, w) in w.iter_mut().enumerate() {
+            *w = self.get(off);
+        }
+    }
+}
+
+/// One-word elements: widened on read, truncated on write.
+macro_rules! scalar_words {
+    ($($t:ty: $v:ident => $from:expr),*) => {$(
+        impl Words for $t {
+            const WIDTH: usize = 1;
+
+            fn get(&self, _: usize) -> u32 {
+                u32::from(*self)
+            }
+
+            fn set(&mut self, _: usize, $v: u32) {
+                *self = $from;
+            }
+        }
+    )*};
+}
+
+scalar_words!(u32: v => v, u16: v => v as u16, u8: v => v as u8, bool: v => v != 0);
+
+impl<T: Words, const N: usize> Words for [T; N] {
+    const WIDTH: usize = N * T::WIDTH;
+
+    #[inline]
+    fn get(&self, off: usize) -> u32 {
+        self[off / T::WIDTH].get(off % T::WIDTH)
+    }
+
+    #[inline]
+    fn set(&mut self, off: usize, v: u32) {
+        self[off / T::WIDTH].set(off % T::WIDTH, v);
+    }
+
+    fn put(&self, w: &mut [u32]) {
+        for (x, w) in self.iter().zip(w.chunks_exact_mut(T::WIDTH)) {
+            x.put(w);
+        }
+    }
+}
+
+/// Declares `Core` from one table, one row per field: type, reset value
+/// and the name of its position in [`Core::words`], with `[..]` after a
+/// field of several words. A latch row declares its struct inline, one
+/// position per sub-field, and resets to zeros. From the table come the
+/// latch structs, the struct, `new`, `words`, `word`, `set_word`, and the
+/// positions in `mod word`. `word` and `set_word` are one `match` each,
+/// with a constant arm per one-word row, a range per other row and the
+/// last row as the wildcard, so they compile to a jump table.
+macro_rules! core_table {
+    ($(#[$sm:meta])* $svis:vis struct $name:ident { $($rows:tt)* }) => {
+        core_table!(@rows {[$(#[$sm])* $svis struct $name] $name} [] [] [] [] $($rows)*);
+    };
+    // A latch row: its struct, one field of it, and a leaf per sub-field.
+    (@rows $cfg:tt [$($fields:tt)*] [$($inits:tt)*] [$($leaves:tt)*] [$($latches:tt)*]
+        $(#[$m:meta])* $vis:vis $f:ident: $t:ident { $($sf:ident: $st:ty => $sp:ident),* $(,)? },
+        $($rest:tt)*
+    ) => {
+        core_table!(@rows $cfg
+            [$($fields)* $vis $f: $t,]
+            [$($inits)* $f: $t::default(),]
+            [$($leaves)* $(($sp [$f.$sf] $st []))*]
+            [$($latches)*
+                $(#[$m])*
+                #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+                pub(crate) struct $t { $(pub $sf: $st,)* }
+            ]
+            $($rest)*);
+    };
+    // A plain row: one field, one leaf (matched as a range if `[..]`).
+    (@rows $cfg:tt [$($fields:tt)*] [$($inits:tt)*] [$($leaves:tt)*] $latches:tt
+        $(#[$m:meta])* $vis:vis $f:ident: $t:ty = $init:expr => $p:ident $([$r:tt])?,
+        $($rest:tt)*
+    ) => {
+        core_table!(@rows $cfg
+            [$($fields)* $(#[$m])* $vis $f: $t,]
+            [$($inits)* $f: $init,]
+            [$($leaves)* ($p [$f] $t [$($r)?])]
+            $latches
+            $($rest)*);
+    };
+    // Every row read: walk the leaves, each ending where the next begins,
+    // into positions, stores and match arms; the last leaf ends at
+    // `CORE_WORDS` and takes the wildcard arm.
+    (@rows $cfg:tt $fields:tt $inits:tt [($first:ident $($l0:tt)*) $($l:tt)*] $latches:tt) => {
+        core_table!(@leaves [$cfg $fields $inits $latches $first] [] ($first $($l0)*) $($l)*);
+    };
+    (@leaves $all:tt [$($acc:tt)*] ($p:ident $pl:tt $t:ty [$($r:tt)?]) ($q:ident $($ql:tt)*)
+        $($rest:tt)*
+    ) => {
+        core_table!(@leaves $all [$($acc)* ($p $q $pl $t [$p $($r $q)?])] ($q $($ql)*) $($rest)*);
+    };
+    (@leaves $all:tt [$($acc:tt)*] ($p:ident $pl:tt $t:ty [$($r:tt)?])) => {
+        core_table!(@emit $all [$($acc)* ($p CORE_WORDS $pl $t [_])]);
+    };
+    (@emit [{[$($head:tt)*] $name:ident} [$($fields:tt)*] [$($inits:tt)*] [$($latches:tt)*]
+        $first:ident]
+        [$(($pos:ident $next:ident [$($place:tt)*] $ty:ty [$($pat:tt)*]))*]
+    ) => {
+        $($latches)*
+
+        $($head)* { $($fields)* }
+
+        /// Positions of [`Core::words`], which are also the `Core` positions
+        /// of [`Machine::sparse_diff`].
+        pub(crate) mod word {
+            use super::*;
+            /// Cache line `l` occupies `LINES + l * LINE_WORDS ..` (its
+            /// shadow `SHADOW + l * LINE_WORDS ..`): tag, flags (valid |
+            /// dirty << 1), then its data words.
+            pub const LINE_WORDS: usize = <CacheLine as Words>::WIDTH;
+            pub const $first: usize = 0;
+            $(pub const $next: usize = $pos + <$ty as Words>::WIDTH;)*
+        }
+
+        pub(crate) use word::CORE_WORDS;
+
+        impl $name {
+            fn new() -> Self {
+                $name { $($inits)* }
+            }
+
+            /// The state as [`CORE_WORDS`] words, row by row. Injective: two
+            /// cores are equal iff their words are, which is what lets
+            /// [`Machine::sparse_diff`] stand in for equality.
+            pub(crate) fn words(&self) -> [u32; CORE_WORDS] {
+                use word::*;
+                let mut w = [0; CORE_WORDS];
+                $(Words::put(&self.$($place)*, &mut w[$pos..$next]);)*
+                w
+            }
+
+            /// Word `pos` of [`Core::words`], read alone.
+            pub(crate) fn word(&self, pos: usize) -> u32 {
+                use word::*;
+                match pos {
+                    $($($pat)* => Words::get(&self.$($place)*, pos - $pos),)*
+                }
+            }
+
+            /// Writes word `pos` of [`Core::words`]: the inverse of reading it.
+            pub(crate) fn set_word(&mut self, pos: usize, v: u32) {
+                use word::*;
+                match pos {
+                    $($($pat)* => Words::set(&mut self.$($place)*, pos - $pos, v),)*
+                }
+            }
+        }
+    };
+}
+
+core_table! {
+    /// Thor's architectural state: every element the scan chain reaches,
+    /// plus the input ports, the parity switch and the parity model's
+    /// shadow lines — everything that determines future behaviour apart
+    /// from memory. Restore and both state equalities derive from the
+    /// struct, the word map from the table; the row order is the
+    /// comparison's short-circuit order and the order of [`Core::words`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct Core {
+        pub(crate) regs: [u32; isa::NUM_REGS] = [0; isa::NUM_REGS] => REGS[..],
+        pub(crate) pc: u32 = mem::ROM_BASE => PC,
+        pub(crate) psr: u8 = 0 => PSR,
+        pub(crate) sig: u16 = 0 => SIG,
+        pub(crate) stack_lo: u32 = DEFAULT_STACK_LO => STACK_LO,
+        pub(crate) stack_hi: u32 = DEFAULT_STACK_HI => STACK_HI,
+        pub(crate) epc: u32 = 0 => EPC,
+        pub(crate) cause: u8 = 0 => CAUSE,
+        pub(crate) save: [u32; 2] = [0; 2] => SAVE[..],
+        /// The prefetched-instruction latch (IF/ID pipeline register).
+        pub(crate) fetch: FetchLatch {
+            word: u32 => FETCH_WORD,
+            pc: u32 => FETCH_PC,
+            valid: bool => FETCH_VALID,
+        },
+        /// Last consumed operand pair (ID/EX pipeline register).
+        pub(crate) idex: OperandLatch {
+            a: u32 => IDEX_A,
+            b: u32 => IDEX_B,
+        },
+        /// Last committed result (EX/WB pipeline register).
+        pub(crate) exwb: ResultLatch {
+            value: u32 => EXWB_VALUE,
+            rd: u8 => EXWB_RD,
+            we: bool => EXWB_WE,
+        },
+        pub(crate) cache: DataCache = DataCache::new() => LINES[..],
+        /// Last store accepted by the memory interface.
+        pub(crate) sbuf: StoreBuffer {
+            addr: u32 => SBUF_ADDR,
+            data: u32 => SBUF_DATA,
+            valid: bool => SBUF_VALID,
+        },
+        /// Last word transferred by a cache-line fill, with its parity bit.
+        pub(crate) fbuf: FillBuffer {
+            addr: u32 => FBUF_ADDR,
+            data: u32 => FBUF_DATA,
+            parity: bool => FBUF_PARITY,
+            valid: bool => FBUF_VALID,
+        },
+        pub(crate) edac_syndrome: u8 = 0 => EDAC,
+        pub(crate) ports_out: [u32; NUM_OUT_PORTS] = [0; NUM_OUT_PORTS] => PORTS_OUT[..],
+        ports_in: [u32; NUM_IN_PORTS] = [0; NUM_IN_PORTS] => PORTS_IN[..],
+        /// Parity protection over the data cache (the custom-hardware
+        /// alternative the paper rejects on cost grounds; modelled for the
+        /// ablation study). When enabled, any cache state that was not
+        /// written by the cache controller itself is detected on the next
+        /// access.
+        parity_cache: bool = false => PARITY,
+        /// The legitimate cache state the parity model checks against.
+        shadow: [CacheLine; NUM_LINES] = [CacheLine::default(); NUM_LINES] => SHADOW[..],
+    }
 }
 
 impl Core {
-    fn new() -> Self {
-        Core {
-            regs: [0; isa::NUM_REGS],
-            pc: mem::ROM_BASE,
-            psr: 0,
-            sig: 0,
-            stack_lo: DEFAULT_STACK_LO,
-            stack_hi: DEFAULT_STACK_HI,
-            epc: 0,
-            cause: 0,
-            save: [0; 2],
-            fetch: FetchLatch::default(),
-            idex: OperandLatch::default(),
-            exwb: ResultLatch::default(),
-            cache: DataCache::new(),
-            sbuf: StoreBuffer::default(),
-            fbuf: FillBuffer::default(),
-            edac_syndrome: 0,
-            ports_out: [0; NUM_OUT_PORTS],
-            ports_in: [0; NUM_IN_PORTS],
-            parity_cache: false,
-            shadow: [CacheLine::default(); NUM_LINES],
-        }
-    }
-
     /// Absorbs the state into `h` in declaration order, except that each
-    /// cache line is followed by its shadow line. The order is a persisted
-    /// format (see [`Machine::state_digest`]).
+    /// cache line is followed by its shadow line. The bytes and their order
+    /// are a persisted format (see [`Machine::state_digest`]), which the
+    /// table's word map cannot reproduce: `psr`, `cause` and the flags stay
+    /// one byte wide here while `sig` widens to four, and the shadow lines
+    /// are interleaved. So this list is written out, and a new row enters
+    /// the digest only when added here, moving every stored `golden_digest`.
     fn digest_into(&self, h: &mut crate::digest::Fnv64) {
         h.write_u32_slice(&self.regs);
         h.write_u32(self.pc);
@@ -331,208 +469,7 @@ impl Core {
         h.write_u32_slice(&self.ports_in);
         h.write_bool(self.parity_cache);
     }
-
-    /// The state as [`CORE_WORDS`] words, in declaration order with each
-    /// narrow field widened to one word and each cache line as tag, flags,
-    /// then its data words. Injective: two cores are equal iff their words
-    /// are, which is what lets [`Machine::sparse_diff`] stand in for
-    /// equality.
-    pub(crate) fn words(&self) -> [u32; CORE_WORDS] {
-        let mut w = [0; CORE_WORDS];
-        let mut n = 0;
-        let mut put = |v: u32| {
-            w[n] = v;
-            n += 1;
-        };
-        let line = |put: &mut dyn FnMut(u32), l: &CacheLine| {
-            put(l.tag);
-            put(u32::from(l.valid) | u32::from(l.dirty) << 1);
-            for word in l.data.chunks_exact(4) {
-                put(u32::from_le_bytes([word[0], word[1], word[2], word[3]]));
-            }
-        };
-        self.regs.iter().for_each(|&r| put(r));
-        put(self.pc);
-        put(u32::from(self.psr));
-        put(u32::from(self.sig));
-        put(self.stack_lo);
-        put(self.stack_hi);
-        put(self.epc);
-        put(u32::from(self.cause));
-        self.save.iter().for_each(|&s| put(s));
-        put(self.fetch.word);
-        put(self.fetch.pc);
-        put(u32::from(self.fetch.valid));
-        put(self.idex.a);
-        put(self.idex.b);
-        put(self.exwb.value);
-        put(u32::from(self.exwb.rd));
-        put(u32::from(self.exwb.we));
-        (0..NUM_LINES).for_each(|i| line(&mut put, self.cache.line(i)));
-        put(self.sbuf.addr);
-        put(self.sbuf.data);
-        put(u32::from(self.sbuf.valid));
-        put(self.fbuf.addr);
-        put(self.fbuf.data);
-        put(u32::from(self.fbuf.parity));
-        put(u32::from(self.fbuf.valid));
-        put(u32::from(self.edac_syndrome));
-        self.ports_out.iter().for_each(|&p| put(p));
-        self.ports_in.iter().for_each(|&p| put(p));
-        put(u32::from(self.parity_cache));
-        self.shadow.iter().for_each(|l| line(&mut put, l));
-        debug_assert_eq!(n, CORE_WORDS);
-        w
-    }
-
-    /// Word `pos` of [`Core::words`], read alone.
-    pub(crate) fn word(&self, pos: usize) -> u32 {
-        fn line(l: &CacheLine, off: usize) -> u32 {
-            match off {
-                0 => l.tag,
-                1 => u32::from(l.valid) | u32::from(l.dirty) << 1,
-                w => {
-                    let b = &l.data[(w - 2) * 4..(w - 1) * 4];
-                    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-                }
-            }
-        }
-        use word::*;
-        match pos {
-            0..PC => self.regs[pos],
-            PC => self.pc,
-            PSR => u32::from(self.psr),
-            SIG => u32::from(self.sig),
-            STACK_LO => self.stack_lo,
-            STACK_HI => self.stack_hi,
-            EPC => self.epc,
-            CAUSE => u32::from(self.cause),
-            SAVE..FETCH_WORD => self.save[pos - SAVE],
-            FETCH_WORD => self.fetch.word,
-            FETCH_PC => self.fetch.pc,
-            FETCH_VALID => u32::from(self.fetch.valid),
-            IDEX_A => self.idex.a,
-            IDEX_B => self.idex.b,
-            EXWB_VALUE => self.exwb.value,
-            EXWB_RD => u32::from(self.exwb.rd),
-            EXWB_WE => u32::from(self.exwb.we),
-            LINES..SBUF_ADDR => {
-                let p = pos - LINES;
-                line(self.cache.line(p / LINE_WORDS), p % LINE_WORDS)
-            }
-            SBUF_ADDR => self.sbuf.addr,
-            SBUF_DATA => self.sbuf.data,
-            SBUF_VALID => u32::from(self.sbuf.valid),
-            FBUF_ADDR => self.fbuf.addr,
-            FBUF_DATA => self.fbuf.data,
-            FBUF_PARITY => u32::from(self.fbuf.parity),
-            FBUF_VALID => u32::from(self.fbuf.valid),
-            EDAC => u32::from(self.edac_syndrome),
-            PORTS_OUT..PORTS_IN => self.ports_out[pos - PORTS_OUT],
-            PORTS_IN..PARITY => self.ports_in[pos - PORTS_IN],
-            PARITY => u32::from(self.parity_cache),
-            _ => {
-                let p = pos - SHADOW;
-                line(&self.shadow[p / LINE_WORDS], p % LINE_WORDS)
-            }
-        }
-    }
-
-    /// Writes word `pos` of [`Core::words`]: the inverse of reading it.
-    pub(crate) fn set_word(&mut self, pos: usize, v: u32) {
-        fn line(l: &mut CacheLine, off: usize, v: u32) {
-            match off {
-                0 => l.tag = v,
-                1 => {
-                    l.valid = v & 1 != 0;
-                    l.dirty = v & 2 != 0;
-                }
-                w => l.data[(w - 2) * 4..(w - 1) * 4].copy_from_slice(&v.to_le_bytes()),
-            }
-        }
-        use word::*;
-        match pos {
-            0..PC => self.regs[pos] = v,
-            PC => self.pc = v,
-            PSR => self.psr = v as u8,
-            SIG => self.sig = v as u16,
-            STACK_LO => self.stack_lo = v,
-            STACK_HI => self.stack_hi = v,
-            EPC => self.epc = v,
-            CAUSE => self.cause = v as u8,
-            SAVE..FETCH_WORD => self.save[pos - SAVE] = v,
-            FETCH_WORD => self.fetch.word = v,
-            FETCH_PC => self.fetch.pc = v,
-            FETCH_VALID => self.fetch.valid = v != 0,
-            IDEX_A => self.idex.a = v,
-            IDEX_B => self.idex.b = v,
-            EXWB_VALUE => self.exwb.value = v,
-            EXWB_RD => self.exwb.rd = v as u8,
-            EXWB_WE => self.exwb.we = v != 0,
-            LINES..SBUF_ADDR => {
-                let p = pos - LINES;
-                line(self.cache.line_mut(p / LINE_WORDS), p % LINE_WORDS, v);
-            }
-            SBUF_ADDR => self.sbuf.addr = v,
-            SBUF_DATA => self.sbuf.data = v,
-            SBUF_VALID => self.sbuf.valid = v != 0,
-            FBUF_ADDR => self.fbuf.addr = v,
-            FBUF_DATA => self.fbuf.data = v,
-            FBUF_PARITY => self.fbuf.parity = v != 0,
-            FBUF_VALID => self.fbuf.valid = v != 0,
-            EDAC => self.edac_syndrome = v as u8,
-            PORTS_OUT..PORTS_IN => self.ports_out[pos - PORTS_OUT] = v,
-            PORTS_IN..PARITY => self.ports_in[pos - PORTS_IN] = v,
-            PARITY => self.parity_cache = v != 0,
-            _ => {
-                let p = pos - SHADOW;
-                line(&mut self.shadow[p / LINE_WORDS], p % LINE_WORDS, v);
-            }
-        }
-    }
 }
-
-/// Positions of [`Core::words`], which are also the `Core` positions of
-/// [`Machine::sparse_diff`].
-pub(crate) mod word {
-    use super::{NUM_LINES, NUM_OUT_PORTS, WORDS_PER_LINE};
-
-    pub const PC: usize = 16;
-    pub const PSR: usize = 17;
-    pub const SIG: usize = 18;
-    pub const STACK_LO: usize = 19;
-    pub const STACK_HI: usize = 20;
-    pub const EPC: usize = 21;
-    pub const CAUSE: usize = 22;
-    pub const SAVE: usize = 23;
-    pub const FETCH_WORD: usize = 25;
-    pub const FETCH_PC: usize = 26;
-    pub const FETCH_VALID: usize = 27;
-    pub const IDEX_A: usize = 28;
-    pub const IDEX_B: usize = 29;
-    pub const EXWB_VALUE: usize = 30;
-    pub const EXWB_RD: usize = 31;
-    pub const EXWB_WE: usize = 32;
-    /// Cache line `l` occupies `LINES + l * LINE_WORDS ..`: tag, flags
-    /// (valid | dirty << 1), then its data words.
-    pub const LINES: usize = 33;
-    pub const LINE_WORDS: usize = 2 + WORDS_PER_LINE;
-    pub const SBUF_ADDR: usize = LINES + NUM_LINES * LINE_WORDS;
-    pub const SBUF_DATA: usize = SBUF_ADDR + 1;
-    pub const SBUF_VALID: usize = SBUF_ADDR + 2;
-    pub const FBUF_ADDR: usize = SBUF_ADDR + 3;
-    pub const FBUF_DATA: usize = SBUF_ADDR + 4;
-    pub const FBUF_PARITY: usize = SBUF_ADDR + 5;
-    pub const FBUF_VALID: usize = SBUF_ADDR + 6;
-    pub const EDAC: usize = SBUF_ADDR + 7;
-    pub const PORTS_OUT: usize = EDAC + 1;
-    pub const PORTS_IN: usize = PORTS_OUT + NUM_OUT_PORTS;
-    pub const PARITY: usize = PORTS_IN + super::NUM_IN_PORTS;
-    pub const SHADOW: usize = PARITY + 1;
-}
-
-/// Length of [`Core::words`]: the shadow lines come last.
-pub(crate) const CORE_WORDS: usize = word::SHADOW + NUM_LINES * word::LINE_WORDS;
 
 /// The Thor-like processor: its architectural state (`Core` and memory),
 /// the retirement counter and trap latch, and per-machine bookkeeping that
@@ -2710,6 +2647,44 @@ mod tests {
         assert_eq!(m.run(10_000), RunExit::Yield);
         for (pos, &w) in m.core.words().iter().enumerate() {
             assert_eq!(w, m.core.word(pos), "position {pos}");
+        }
+    }
+
+    /// The word layout is the position space of every sparse diff, the
+    /// steady-delta table and the scan chain's word map; a new `Core` field
+    /// shows up here as the positions it moves.
+    #[test]
+    fn word_layout_is_pinned() {
+        use word::*;
+        let layout = [
+            ("PC", PC, 16),
+            ("PSR", PSR, 17),
+            ("SIG", SIG, 18),
+            ("STACK_LO", STACK_LO, 19),
+            ("STACK_HI", STACK_HI, 20),
+            ("EPC", EPC, 21),
+            ("CAUSE", CAUSE, 22),
+            ("SAVE", SAVE, 23),
+            ("FETCH_WORD", FETCH_WORD, 25),
+            ("FETCH_PC", FETCH_PC, 26),
+            ("FETCH_VALID", FETCH_VALID, 27),
+            ("IDEX_A", IDEX_A, 28),
+            ("IDEX_B", IDEX_B, 29),
+            ("EXWB_VALUE", EXWB_VALUE, 30),
+            ("EXWB_RD", EXWB_RD, 31),
+            ("EXWB_WE", EXWB_WE, 32),
+            ("LINES", LINES, 33),
+            ("LINE_WORDS", LINE_WORDS, 6),
+            ("SBUF_ADDR", SBUF_ADDR, 81),
+            ("EDAC", EDAC, 88),
+            ("PORTS_OUT", PORTS_OUT, 89),
+            ("PORTS_IN", PORTS_IN, 93),
+            ("PARITY", PARITY, 97),
+            ("SHADOW", SHADOW, 98),
+            ("CORE_WORDS", CORE_WORDS, 146),
+        ];
+        for (name, at, want) in layout {
+            assert_eq!(at, want, "{name}");
         }
     }
 

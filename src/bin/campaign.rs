@@ -78,10 +78,10 @@ struct Args {
     farm_tend: Option<String>,
 }
 
-/// Parses the command line. Flags that set campaign values write into
-/// `Args::cfg` as they are read; combinations that can only be judged
-/// against the whole command line are refused at the end.
-fn parse_args() -> Result<Args, String> {
+/// Parses the arguments after the program name. Flags that set campaign
+/// values write into `Args::cfg` as they are read; combinations that can
+/// only be judged against the whole command line are refused at the end.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         workload: Workload::algorithm_one(),
         workload_key: "alg1".to_string(),
@@ -102,7 +102,7 @@ fn parse_args() -> Result<Args, String> {
     let mut deadline = None;
     let mut unsupervised = false;
     let mut failpoint_specs: Vec<String> = Vec::new();
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let it = &mut it;
         match flag.as_str() {
@@ -114,17 +114,20 @@ fn parse_args() -> Result<Args, String> {
             }
             "--faults" => cfg.faults = value(it, &flag)?,
             "--seed" => cfg.seed = value(it, &flag)?,
-            "--iterations" => cfg.loop_cfg.iterations = value(it, &flag)?,
+            "--iterations" => match value(it, &flag)? {
+                0 => Err("--iterations expects at least one iteration")?,
+                n => cfg.loop_cfg.iterations = n,
+            },
             "--threads" => cfg.threads = value(it, &flag)?,
             "--parity-cache" => cfg.loop_cfg.parity_cache = true,
             "--checkpoint-stride" => cfg.loop_cfg.checkpoint_stride = value(it, &flag)?,
             "--fault-model" => cfg.fault_model = value(it, &flag)?,
             "--deadline" => {
                 let secs: f64 = value(it, &flag)?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--deadline expects a positive number of seconds".to_string());
+                match Duration::try_from_secs_f64(secs) {
+                    Ok(d) if secs > 0.0 => deadline = Some(d),
+                    _ => Err("--deadline expects a positive number of seconds < 2^64")?,
                 }
-                deadline = Some(Duration::from_secs_f64(secs));
             }
             "--unsupervised" => unsupervised = true,
             "--no-prune" => cfg.prune = false,
@@ -304,7 +307,7 @@ impl CampaignObserver for ProgressPrinter<'_> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(msg) => {
             if !msg.is_empty() {
@@ -591,4 +594,135 @@ fn farm_tend_main(root: &Path) -> ExitCode {
         std::thread::sleep(sweep);
     }
     farm_merge_main(root)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+    use proptest::prelude::*;
+    use proptest::strategy::Just;
+
+    /// Every flag `parse_args` knows.
+    const FLAGS: [&str; 27] = [
+        "--workload",
+        "--faults",
+        "--seed",
+        "--iterations",
+        "--threads",
+        "--parity-cache",
+        "--checkpoint-stride",
+        "--fault-model",
+        "--deadline",
+        "--unsupervised",
+        "--no-prune",
+        "--paranoid",
+        "--json",
+        "--out",
+        "--resume",
+        "--progress",
+        "--failpoint",
+        "--farm-init",
+        "--shards",
+        "--lease-heartbeat-ms",
+        "--lease-expiry-ms",
+        "--worker",
+        "--worker-id",
+        "--farm-merge",
+        "--farm-tend",
+        "--help",
+        "-h",
+    ];
+
+    /// A flag's value: one some flag accepts, one out of every flag's
+    /// range, or arbitrary text or numbers.
+    fn value() -> impl Strategy<Value = String> {
+        const VALID: [&str; 10] = [
+            "alg2",
+            "alg3",
+            "single",
+            "double",
+            "burst:3",
+            "intermittent:2",
+            "0",
+            "7",
+            "2000",
+            "0.5",
+        ];
+        const OUT_OF_RANGE: [&str; 11] = [
+            "-1",
+            "1e300",
+            "NaN",
+            "inf",
+            "-0",
+            "18446744073709551616",
+            "burst:0",
+            "intermittent:x",
+            "alg9",
+            "",
+            "x=panic@0",
+        ];
+        prop_oneof![
+            (0..VALID.len()).prop_map(|i| VALID[i].to_string()),
+            (0..OUT_OF_RANGE.len()).prop_map(|i| OUT_OF_RANGE[i].to_string()),
+            "[a-z0-9:.=@-]{0,12}",
+            any::<u64>().prop_map(|n| n.to_string()),
+            any::<f64>().prop_map(|x| x.to_string()),
+        ]
+    }
+
+    /// A stretch of command line: a flag and a value, a flag alone, or an
+    /// arbitrary token.
+    fn words() -> impl Strategy<Value = Vec<String>> {
+        let flag = || (0..FLAGS.len()).prop_map(|i| FLAGS[i].to_string());
+        let pair = move || (flag(), value()).prop_map(|(f, v)| vec![f, v]);
+        prop_oneof![
+            pair(),
+            pair(),
+            pair(),
+            flag().prop_map(|f| vec![f]),
+            value().prop_map(|v| vec![v]),
+            Just(Vec::new()),
+        ]
+    }
+
+    /// Values the parser once let through to a panic: a finite deadline
+    /// too long for a `Duration` (found by the fuzz below), and zero
+    /// iterations, which left fault sampling an empty time range.
+    #[test]
+    fn values_that_once_panicked_are_refused_by_name() {
+        for (flag, v) in [
+            ("--deadline", "1e300"),
+            ("--deadline", "18446744073709551616"),
+            ("--iterations", "0"),
+        ] {
+            let msg = parse_args([flag, v].map(String::from))
+                .err()
+                .unwrap_or_default();
+            assert!(msg.starts_with(flag), "{flag} {v}: `{msg}`");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `parse_args` never panics, and every refusal but the empty one
+        /// (`--help`) names a flag of the command line or quotes the token
+        /// it could not place.
+        #[test]
+        fn parse_args_accepts_or_refuses_by_name(
+            words in prop::collection::vec(words(), 0..12),
+        ) {
+            let argv: Vec<String> = words.into_iter().flatten().collect();
+            if let Err(msg) = parse_args(argv.clone()) {
+                let names_flag = FLAGS
+                    .iter()
+                    .any(|f| argv.iter().any(|t| t == f) && msg.contains(f));
+                let quotes_token = argv.iter().any(|t| msg.contains(&format!("`{t}`")));
+                prop_assert!(
+                    msg.is_empty() || names_flag || quotes_token,
+                    "`{msg}` names nothing of {argv:?}"
+                );
+            }
+        }
+    }
 }
