@@ -2,11 +2,10 @@
 //! the two workloads, assembler speed, and scan-chain operations — the
 //! quantities that determine how long a 9290-fault campaign takes.
 
-use bera_goofi::experiment::{golden_run, LoopConfig};
+use bera_goofi::experiment::{exchange, golden_run, set_ports, start_loop, LoopConfig};
 use bera_goofi::workload::Workload;
-use bera_plant::{Engine, Profiles};
 use bera_tcpu::asm::assemble;
-use bera_tcpu::machine::{Machine, RunExit, PORT_R, PORT_Y};
+use bera_tcpu::machine::{Machine, RunExit};
 use bera_tcpu::scan;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -21,16 +20,12 @@ fn loaded(workload: &Workload, cfg: &LoopConfig) -> Machine {
     m
 }
 
-fn run_iterations(loaded: &Machine, iterations: usize) -> u64 {
+fn run_iterations(loaded: &Machine, cfg: &LoopConfig) -> u64 {
     let mut m = loaded.clone();
-    let mut engine = Engine::paper();
-    let profiles = Profiles::paper();
-    for k in 0..iterations {
-        let t = k as f64 * 0.0154;
-        m.set_port_f32(PORT_R, profiles.reference(t) as f32);
-        m.set_port_f32(PORT_Y, engine.speed_rpm() as f32);
+    let mut env = start_loop(&mut m, cfg);
+    while env.iteration() < cfg.iterations {
         assert_eq!(m.run(1_000_000), RunExit::Yield);
-        engine.advance(f64::from(m.port_out_f32(2)), profiles.load(t), 0.0154);
+        exchange(&mut m, cfg, &mut env);
     }
     m.instr_count()
 }
@@ -41,9 +36,7 @@ fn run_iterations(loaded: &Machine, iterations: usize) -> u64 {
 fn interpret_golden(loaded: &Machine, cfg: &LoopConfig, speeds: &[f64]) -> u64 {
     let mut m = loaded.clone();
     for (k, &speed) in speeds.iter().enumerate() {
-        let t = k as f64 * cfg.sample_interval;
-        m.set_port_f32(PORT_R, cfg.profiles.reference(t) as f32);
-        m.set_port_f32(PORT_Y, speed as f32);
+        set_ports(&mut m, cfg, k, speed);
         assert_eq!(m.run(1_000_000), RunExit::Yield);
     }
     m.instr_count()
@@ -98,11 +91,12 @@ fn bench_machine(c: &mut Criterion) {
     // Instructions per second of 50 closed-loop iterations, plant included,
     // each counted in its own workload's instructions.
     let cfg = LoopConfig::paper();
+    let fifty = LoopConfig::short(50);
     for w in [Workload::algorithm_one(), Workload::algorithm_two()] {
-        let m = loaded(&w, &cfg);
-        group.throughput(Throughput::Elements(run_iterations(&m, 50)));
+        let m = loaded(&w, &fifty);
+        group.throughput(Throughput::Elements(run_iterations(&m, &fifty)));
         group.bench_function(format!("execute_{}", w.name().replace(' ', "_")), |b| {
-            b.iter(|| run_iterations(black_box(&m), 50));
+            b.iter(|| run_iterations(black_box(&m), &fifty));
         });
     }
 

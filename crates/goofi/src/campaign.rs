@@ -164,6 +164,11 @@ pub struct PreparedCampaign<'w> {
 
 /// Executes the campaign's set-up phase: golden reference run plus
 /// fault-list sampling.
+///
+/// # Panics
+///
+/// Panics as [`golden_run`] does, naming [`LoopConfig::iterations`] when
+/// it is 0.
 #[must_use]
 pub fn prepare_campaign<'w>(workload: &'w Workload, cfg: &CampaignConfig) -> PreparedCampaign<'w> {
     let golden = golden_run(workload, &cfg.loop_cfg);
@@ -613,6 +618,16 @@ impl CampaignObserver for SteadyEnds {
 mod tests {
     use super::*;
     use crate::classify::Outcome;
+
+    #[test]
+    #[should_panic(expected = "LoopConfig::iterations must be at least 1")]
+    fn zero_iterations_are_refused_by_name() {
+        let cfg = CampaignConfig {
+            loop_cfg: LoopConfig::short(0),
+            ..CampaignConfig::paper(10, 1)
+        };
+        let _ = prepare_campaign(&Workload::algorithm_one(), &cfg);
+    }
 
     #[test]
     fn fault_list_is_reproducible() {

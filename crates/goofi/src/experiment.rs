@@ -6,7 +6,8 @@ use crate::observer::{CampaignObserver, NullObserver};
 use crate::recall::{Tail, TrajectoryMemo, RECALL_EVERY};
 use crate::steady::IntervalClasses;
 use crate::workload::Workload;
-use bera_plant::{Engine, Profiles};
+use bera_plant::closed_loop::sample_instant;
+use bera_plant::{Engine, Environment, Profiles};
 use bera_tcpu::access::AccessTrace;
 use bera_tcpu::machine::{Machine, RunExit, PORT_R, PORT_U, PORT_Y};
 use bera_tcpu::scan::{self, BitLocation, CpuPart};
@@ -333,23 +334,12 @@ impl GoldenRun {
 /// and plant.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Iteration index `k`: when this state is live, the golden run has
-    /// logged `outputs[..k]` and `speeds[..=k]`.
-    pub iteration: usize,
-    /// Machine state, with `set_ports` for iteration `k` already applied.
+    /// Machine state, with [`set_ports`] for iteration `k` already applied.
     pub machine: Machine,
-    /// Plant state after `k` control intervals.
-    pub engine: Engine,
-}
-
-impl Checkpoint {
-    fn capture(iteration: usize, machine: &Machine, engine: &Engine) -> Self {
-        Checkpoint {
-            iteration,
-            machine: machine.clone(),
-            engine: engine.clone(),
-        }
-    }
+    /// The plant at iteration `k`, after `k` control intervals: when this
+    /// state is live, the golden run has logged `outputs[..k]` and
+    /// `speeds[..=k]`.
+    pub env: Environment,
 }
 
 /// How an [`ExperimentRecord`]'s classification was obtained. Provenance
@@ -657,22 +647,38 @@ pub fn instruction_cap(expected_instructions: u64) -> u64 {
     expected_instructions * 2 + 20_000
 }
 
-pub(crate) fn set_ports(machine: &mut Machine, cfg: &LoopConfig, k: usize, engine: &Engine) {
-    let t = k as f64 * cfg.sample_interval;
-    machine.set_port_f32(PORT_R, cfg.profiles.reference(t) as f32);
-    machine.set_port_f32(PORT_Y, engine.speed_rpm() as f32);
+/// The port map: loads iteration `k`'s inputs into the machine, the
+/// reference at [`sample_instant`]`(k)` into `PORT_R` and the plant speed
+/// `y` (rpm) into `PORT_Y`, each quantised to the `f32` the port holds.
+pub fn set_ports(machine: &mut Machine, cfg: &LoopConfig, k: usize, y: f64) {
+    let r = cfg
+        .profiles
+        .reference(sample_instant(k, cfg.sample_interval));
+    machine.set_port_f32(PORT_R, r as f32);
+    machine.set_port_f32(PORT_Y, y as f32);
 }
 
-/// Converts a (possibly corrupted) actuator word into the physical throttle
-/// angle: the actuator hardware saturates at its mechanical limits and
-/// rejects non-finite bit patterns at the lower stop.
-pub(crate) fn actuate(u: f32) -> f64 {
-    let u = f64::from(u);
-    if u.is_finite() {
-        u.clamp(0.0, 70.0)
-    } else {
-        0.0
+/// Starts the closed loop on `machine`: the plant in `cfg`'s initial
+/// state at iteration 0, with that iteration's inputs in the ports.
+pub fn start_loop(machine: &mut Machine, cfg: &LoopConfig) -> Environment {
+    let env = Environment::new(cfg.engine.clone());
+    set_ports(machine, cfg, 0, env.engine().speed_rpm());
+    env
+}
+
+/// The host's side of a `yield`, which ends iteration `env`'s `k`: reads
+/// u_lim from `PORT_U`, records that read in the golden trace (a no-op on
+/// a machine that is not tracing), steps the plant under the command and
+/// loads iteration `k + 1`'s ports, unless `k` was the last. Returns the
+/// u_lim the harness read.
+pub fn exchange(machine: &mut Machine, cfg: &LoopConfig, env: &mut Environment) -> f32 {
+    machine.trace_harness_port_read(PORT_U);
+    let u = machine.port_out_f32(PORT_U);
+    env.step(f64::from(u), &cfg.profiles, cfg.sample_interval);
+    if env.iteration() < cfg.iterations {
+        set_ports(machine, cfg, env.iteration(), env.engine().speed_rpm());
     }
+    u
 }
 
 /// Proven convergence test at an iteration boundary whose plant equals
@@ -755,18 +761,19 @@ impl GoldenDeltas {
 /// convergence, at every [`RECALL_EVERY`]-th checkpoint keys the trajectory
 /// memo, and with `reenter` hands a state diff replay can carry back to it.
 fn prune_at(
-    (machine, engine, k, c, instr_cap): (&Machine, &Engine, usize, usize, u64),
+    (machine, env, c, instr_cap): (&Machine, &Environment, usize, u64),
     golden: &GoldenRun,
     (memo, reenter): (Option<&mut TrajectoryMemo>, bool),
     deltas: &mut GoldenDeltas,
     diff: &mut Vec<(u32, u32)>,
 ) -> Option<DriveEnd> {
+    let k = env.iteration();
     let ckpt = golden
         .checkpoints
         .get(c)
-        .filter(|ckpt| ckpt.iteration == k)?;
+        .filter(|ckpt| ckpt.env.iteration() == k)?;
     deltas.extend_to(golden, c);
-    if *engine != ckpt.engine {
+    if *env != ckpt.env {
         return None;
     }
     machine.sparse_diff(&ckpt.machine, &deltas.keys, diff);
@@ -786,10 +793,10 @@ fn prune_at(
 }
 
 /// Drives the machine in closed loop from the state the caller prepared:
-/// iteration index `k` with `set_ports(k)` already applied and `outputs`
-/// holding the first `k` logged outputs. The machine sits at the start
-/// of iteration `k`, or inside it when `mid_iteration` is set (the
-/// boundary is then past). `injector` perturbs scan-chain bits when the
+/// `env` in iteration `k`, with `set_ports(k)` already applied, and
+/// `outputs` holding the first `k` logged outputs. The machine sits at
+/// the start of iteration `k`, or inside it when `mid_iteration` is set
+/// (the boundary is then past). Every `yield` is one [`exchange`]. `injector` perturbs scan-chain bits when the
 /// dynamic instruction count reaches its injection point (and re-asserts
 /// at later iteration boundaries for intermittent/stuck-at models);
 /// `instr_cap` bounds the total instruction count to detect hangs;
@@ -801,8 +808,7 @@ fn prune_at(
 pub(crate) fn drive_from(
     machine: &mut Machine,
     cfg: &LoopConfig,
-    mut engine: Engine,
-    mut k: usize,
+    mut env: Environment,
     mut outputs: Vec<u32>,
     mut injector: Option<FaultInjector>,
     instr_cap: u64,
@@ -825,8 +831,9 @@ pub(crate) fn drive_from(
     // and after every completed iteration); cleared once the boundary has
     // been processed so mid-iteration injection resumes don't repeat it.
     let mut at_boundary = !mid_iteration;
-    while k < cfg.iterations {
+    while env.iteration() < cfg.iterations {
         if at_boundary {
+            let k = env.iteration();
             at_boundary = false;
             // Re-assert the fault first so checkpoint capture/pruning below
             // observes the boundary state a from-reset run would have.
@@ -845,7 +852,8 @@ pub(crate) fn drive_from(
                 match &mut mode {
                     DriveMode::Plain => {}
                     DriveMode::Capture { checkpoints, .. } => {
-                        checkpoints.push(Checkpoint::capture(k, machine, &engine));
+                        let (machine, env) = (machine.clone(), env.clone());
+                        checkpoints.push(Checkpoint { machine, env });
                     }
                     DriveMode::Prune {
                         golden,
@@ -859,7 +867,7 @@ pub(crate) fn drive_from(
                         // pending the state can still diverge again.
                         if injector.as_ref().is_some_and(FaultInjector::quiescent) {
                             let memo = recall.as_deref_mut();
-                            let at = (&*machine, &engine, k, k / stride, instr_cap);
+                            let at = (&*machine, &env, k / stride, instr_cap);
                             let checks = (memo, *reenter);
                             if let Some(end) = prune_at(at, golden, checks, &mut deltas, &mut diff)
                             {
@@ -875,20 +883,11 @@ pub(crate) fn drive_from(
             .map_or(instr_cap, |inj| inj.stop_at(instr_cap));
         match machine.run_until(stop) {
             RunExit::Yield => {
-                // The harness observing the actuator port is a semantic
-                // read of that port: record it in the access trace (a
-                // no-op unless this machine is the tracing golden run).
-                machine.trace_harness_port_read(PORT_U);
-                let u = machine.port_out_f32(PORT_U);
-                outputs.push(u.to_bits());
-                let t = k as f64 * cfg.sample_interval;
-                engine.advance(actuate(u), cfg.profiles.load(t), cfg.sample_interval);
-                k += 1;
-                if k < cfg.iterations {
-                    if let DriveMode::Capture { speeds, .. } = &mut mode {
-                        speeds.push(engine.speed_rpm());
+                outputs.push(exchange(machine, cfg, &mut env).to_bits());
+                if let DriveMode::Capture { speeds, .. } = &mut mode {
+                    if env.iteration() < cfg.iterations {
+                        speeds.push(env.engine().speed_rpm());
                     }
-                    set_ports(machine, cfg, k, &engine);
                 }
                 at_boundary = true;
             }
@@ -922,18 +921,23 @@ pub(crate) fn drive_from(
 ///
 /// # Panics
 ///
-/// Panics if the workload traps or hangs without any fault injected —
-/// that would be a workload bug, not an experiment outcome.
+/// Panics if `cfg` asks for no iterations ([`LoopConfig::iterations`] is
+/// 0: there is no run to log), or if the workload traps or hangs without
+/// any fault injected — that would be a workload bug, not an experiment
+/// outcome.
 #[must_use]
 pub fn golden_run(workload: &Workload, cfg: &LoopConfig) -> GoldenRun {
+    assert!(
+        cfg.iterations > 0,
+        "LoopConfig::iterations must be at least 1"
+    );
     let mut machine = Machine::new();
     machine.load_program(workload.program());
     machine.set_cache_parity(cfg.parity_cache);
     machine.start_access_trace();
-    let engine = cfg.engine.clone();
+    let env = start_loop(&mut machine, cfg);
     let mut speeds = Vec::with_capacity(cfg.iterations);
-    speeds.push(engine.speed_rpm());
-    set_ports(&mut machine, cfg, 0, &engine);
+    speeds.push(env.engine().speed_rpm());
     let cap = instruction_cap(cfg.iterations as u64 * WORST_CASE_ITERATION_INSTRUCTIONS);
     let mut checkpoints = Vec::new();
     let mode = DriveMode::Capture {
@@ -943,8 +947,7 @@ pub fn golden_run(workload: &Workload, cfg: &LoopConfig) -> GoldenRun {
     let result = drive_from(
         &mut machine,
         cfg,
-        engine,
-        0,
+        env,
         Vec::with_capacity(cfg.iterations),
         None,
         cap,
@@ -1167,7 +1170,7 @@ pub(crate) fn run_from(
         Start::Replay | Start::Injection => golden.checkpoint_index_before(fault.inject_at),
         Start::Reset => None,
     };
-    let (mut machine, mut recall, engine, start_k, prefix_outputs) = match ckpt_index {
+    let (mut machine, mut recall, env, prefix_outputs) = match ckpt_index {
         Some(ci) => {
             let ckpt = &golden.checkpoints[ci];
             let (machine, recall, copied, full_clone) = arena_checkout(golden, ci);
@@ -1175,22 +1178,15 @@ pub(crate) fn run_from(
             // Size the log for the whole drive up front so the per-
             // iteration pushes never reallocate.
             let mut prefix_outputs = Vec::with_capacity(cfg.iterations);
-            prefix_outputs.extend_from_slice(&golden.outputs[..ckpt.iteration]);
-            (
-                machine,
-                Some(recall),
-                ckpt.engine.clone(),
-                ckpt.iteration,
-                prefix_outputs,
-            )
+            prefix_outputs.extend_from_slice(&golden.outputs[..ckpt.env.iteration()]);
+            (machine, Some(recall), ckpt.env.clone(), prefix_outputs)
         }
         None => {
             let mut machine = Machine::new();
             machine.load_program(workload.program());
             machine.set_cache_parity(cfg.parity_cache);
-            let engine = cfg.engine.clone();
-            set_ports(&mut machine, cfg, 0, &engine);
-            (machine, None, engine, 0, Vec::with_capacity(cfg.iterations))
+            let env = start_loop(&mut machine, cfg);
+            (machine, None, env, Vec::with_capacity(cfg.iterations))
         }
     };
     if !cfg.fast_replay {
@@ -1199,7 +1195,7 @@ pub(crate) fn run_from(
     observer.experiment_started(
         index,
         fault,
-        ckpt_index.map(|ci| golden.checkpoints[ci].iteration),
+        ckpt_index.map(|ci| golden.checkpoints[ci].env.iteration()),
     );
 
     let start_block_instructions = machine.block_instructions();
@@ -1232,8 +1228,7 @@ pub(crate) fn run_from(
             let result = drive_from(
                 &mut machine,
                 cfg,
-                engine,
-                start_k,
+                env,
                 prefix_outputs,
                 Some(FaultInjector::new(model, fault)),
                 cap,
@@ -1305,12 +1300,11 @@ pub(crate) fn interpreted_end_diff(
     let ckpt = golden.checkpoint_before(fault.inject_at)?;
     let mut machine = ckpt.machine.clone();
     let mut outputs = Vec::with_capacity(cfg.iterations);
-    outputs.extend_from_slice(&golden.outputs[..ckpt.iteration]);
+    outputs.extend_from_slice(&golden.outputs[..ckpt.env.iteration()]);
     let result = drive_from(
         &mut machine,
         cfg,
-        ckpt.engine.clone(),
-        ckpt.iteration,
+        ckpt.env.clone(),
         outputs,
         Some(FaultInjector::new(model, fault)),
         instruction_cap(golden.total_instructions),

@@ -7,11 +7,11 @@
 //! spreads through the processor state, when it first reaches an output,
 //! and whether a detection mechanism ends the experiment.
 
-use crate::experiment::{FaultSpec, LoopConfig};
+use crate::experiment::{exchange, start_loop, FaultSpec, LoopConfig};
 use crate::workload::Workload;
-use bera_plant::Engine;
+use bera_plant::Environment;
 use bera_tcpu::edm::Trap;
-use bera_tcpu::machine::{Machine, RunExit, StepEvent, PORT_R, PORT_U, PORT_Y};
+use bera_tcpu::machine::{Machine, RunExit, StepEvent, PORT_U};
 use bera_tcpu::scan::{self, BitLocation};
 use serde::{Deserialize, Serialize};
 
@@ -49,8 +49,7 @@ impl PropagationReport {
 /// One machine plus its own plant, advanced instruction by instruction.
 struct Lockstep {
     machine: Machine,
-    engine: Engine,
-    iteration: usize,
+    env: Environment,
 }
 
 impl Lockstep {
@@ -58,43 +57,15 @@ impl Lockstep {
         let mut machine = Machine::new();
         machine.load_program(workload.program());
         machine.set_cache_parity(cfg.parity_cache);
-        let engine = cfg.engine.clone();
-        let mut this = Lockstep {
-            machine,
-            engine,
-            iteration: 0,
-        };
-        this.set_ports(cfg);
-        this
-    }
-
-    fn set_ports(&mut self, cfg: &LoopConfig) {
-        let t = self.iteration as f64 * cfg.sample_interval;
-        self.machine
-            .set_port_f32(PORT_R, cfg.profiles.reference(t) as f32);
-        self.machine
-            .set_port_f32(PORT_Y, self.engine.speed_rpm() as f32);
+        let env = start_loop(&mut machine, cfg);
+        Lockstep { machine, env }
     }
 
     fn step(&mut self, cfg: &LoopConfig) -> Result<(), Trap> {
-        match self.machine.step() {
-            Ok(StepEvent::Yield) => {
-                let u = f64::from(self.machine.port_out_f32(PORT_U));
-                let t = self.iteration as f64 * cfg.sample_interval;
-                let act = if u.is_finite() {
-                    u.clamp(0.0, 70.0)
-                } else {
-                    0.0
-                };
-                self.engine
-                    .advance(act, cfg.profiles.load(t), cfg.sample_interval);
-                self.iteration += 1;
-                self.set_ports(cfg);
-                Ok(())
-            }
-            Ok(StepEvent::Normal) => Ok(()),
-            Err(trap) => Err(trap),
+        if self.machine.step()? == StepEvent::Yield {
+            exchange(&mut self.machine, cfg, &mut self.env);
         }
+        Ok(())
     }
 }
 

@@ -200,7 +200,7 @@ mod tests {
         let golden = golden_run(&Workload::algorithm_one(), &LoopConfig::short(40));
         let c = 8;
         let ckpt = &golden.checkpoints[c];
-        let k = ckpt.iteration;
+        let k = ckpt.env.iteration();
         let mut faulty = ckpt.machine.clone();
         faulty.begin_dirty_log();
         assert!(faulty.poke_word(RAM_BASE + 0x400, 5));

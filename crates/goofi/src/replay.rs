@@ -15,15 +15,15 @@
 //! equals the interpreter's.
 
 use crate::experiment::{
-    actuate, drive_from, set_ports, DriveEnd, DriveMode, DriveResult, FaultInjector, FaultModel,
-    FaultSpec, GoldenRun, LoopConfig,
+    drive_from, exchange, DriveEnd, DriveMode, DriveResult, FaultInjector, FaultModel, FaultSpec,
+    GoldenRun, LoopConfig,
 };
 use crate::observer::CampaignObserver;
 use crate::recall::{TrajectoryMemo, RECALL_EVERY};
 use crate::steady::Steady;
-use bera_plant::Engine;
+use bera_plant::Environment;
 use bera_tcpu::diff::{DiffReplay, Fallback, ReplayScratch};
-use bera_tcpu::machine::{Machine, RunExit, PORT_U};
+use bera_tcpu::machine::{Machine, RunExit};
 use bera_tcpu::scan::{self, BitLocation};
 use std::cell::RefCell;
 use std::time::Instant;
@@ -59,11 +59,8 @@ pub(crate) fn drive(
     let golden = run.golden;
     let ckpt = &golden.checkpoints[resident];
     let start = machine.instr_count();
-    let mut position = Position {
-        k: ckpt.iteration,
-        engine: ckpt.engine.clone(),
-    };
-    position.advance(run.cfg, machine, run.fault.inject_at);
+    let mut position = ckpt.env.clone();
+    advance(&mut position, run.cfg, machine, run.fault.inject_at);
     let locations: Vec<BitLocation> = run
         .model
         .locations(run.fault.location_index)
@@ -120,24 +117,20 @@ pub(crate) fn drive(
                     machine.set_fast_replay(false);
                 }
                 resident = c;
-                Position {
-                    k: ckpt.iteration,
-                    engine: ckpt.engine.clone(),
-                }
+                ckpt.env.clone()
             }
         };
         // Outputs before the restored iteration are golden's or were
         // logged by an earlier interpreted stretch.
         let mut outputs = Vec::with_capacity(run.cfg.iterations);
-        outputs.extend_from_slice(&logged[..at.k.min(logged.len())]);
+        outputs.extend_from_slice(&logged[..at.iteration().min(logged.len())]);
         let k = outputs.len();
-        outputs.extend_from_slice(&golden.outputs[k..at.k]);
+        outputs.extend_from_slice(&golden.outputs[k..at.iteration()]);
         let count = machine.instr_count();
         let result = drive_from(
             machine,
             run.cfg,
-            at.engine,
-            at.k,
+            at,
             outputs,
             Some(FaultInjector::diff(fallback.at, at_fallback)),
             run.cap,
@@ -171,31 +164,16 @@ pub(crate) fn drive(
     }
 }
 
-/// Where the golden loop stands: in iteration `k`, with the plant's state.
-struct Position {
-    k: usize,
-    engine: Engine,
-}
-
-impl Position {
-    /// Runs the golden machine from here to boundary `stop_at`, closing the
-    /// loop at each `yield` as [`drive_from`] does.
-    fn advance(&mut self, cfg: &LoopConfig, machine: &mut Machine, stop_at: u64) {
-        while machine.instr_count() < stop_at {
-            match machine.run_until(stop_at) {
-                RunExit::Yield => {
-                    let u = machine.port_out_f32(PORT_U);
-                    let t = self.k as f64 * cfg.sample_interval;
-                    self.engine
-                        .advance(actuate(u), cfg.profiles.load(t), cfg.sample_interval);
-                    self.k += 1;
-                    if self.k < cfg.iterations {
-                        set_ports(machine, cfg, self.k, &self.engine);
-                    }
-                }
-                RunExit::Budget => {}
-                RunExit::Trap(trap) => unreachable!("the golden prefix trapped: {trap:?}"),
+/// Runs the golden machine, with the loop at `env`, to boundary `stop_at`,
+/// closing the loop at each `yield` as [`drive_from`] does.
+fn advance(env: &mut Environment, cfg: &LoopConfig, machine: &mut Machine, stop_at: u64) {
+    while machine.instr_count() < stop_at {
+        match machine.run_until(stop_at) {
+            RunExit::Yield => {
+                exchange(machine, cfg, env);
             }
+            RunExit::Budget => {}
+            RunExit::Trap(trap) => unreachable!("the golden prefix trapped: {trap:?}"),
         }
     }
 }
@@ -263,7 +241,7 @@ fn replay_checkpoints(
         if run.deadline.is_some_and(|d| Instant::now() >= d) {
             return Ok(Walk::End(DriveEnd::DeadlineExceeded));
         }
-        let iteration = ckpt.iteration;
+        let iteration = ckpt.env.iteration();
         let (diff, jump) = steady.at_checkpoint(c, r);
         if diff.is_empty() {
             return Ok(Walk::End(DriveEnd::Converged { iteration }));
@@ -281,7 +259,7 @@ fn replay_checkpoints(
                 let Some(at_j) = steady.diff_at(j) else {
                     continue;
                 };
-                let iteration = golden.checkpoints[j].iteration;
+                let iteration = golden.checkpoints[j].env.iteration();
                 if let Some(tail) = memo.probe(&at_j, j, iteration, 0) {
                     return Ok(Walk::End(DriveEnd::Recalled { iteration, tail }));
                 }

@@ -10,10 +10,10 @@
 //! of Algorithm II help?*
 
 use crate::classify::{Classifier, Severity};
-use crate::experiment::FaultModel;
+use crate::experiment::{FaultModel, LoopConfig};
 use bera_core::bitflip::flip_bit_f64;
 use bera_core::Controller;
-use bera_plant::{Engine, Profiles};
+use bera_plant::ClosedLoop;
 use bera_stats::sampling::UniformSampler;
 use serde::{Deserialize, Serialize};
 
@@ -137,15 +137,23 @@ impl SwifiResult {
     }
 }
 
-fn run_loop<C: Controller>(ctrl: &mut C, cfg: &SwifiConfig, fault: Option<SwifiFault>) -> Vec<f64> {
-    let mut engine = Engine::paper();
-    let profiles = Profiles::paper();
-    let dt = 0.0154;
+/// Runs `ctrl` in closed loop against `plant`'s engine, profiles and
+/// sample interval for `cfg.iterations` and returns its commands,
+/// corrupting its state through [`ClosedLoop::controller_mut`] as `fault`
+/// says.
+fn run_loop<C: Controller>(
+    ctrl: C,
+    plant: &LoopConfig,
+    cfg: &SwifiConfig,
+    fault: Option<SwifiFault>,
+) -> Vec<f64> {
+    let mut cl = ClosedLoop::with_interval(plant.engine.clone(), ctrl, plant.sample_interval);
     let mut outputs = Vec::with_capacity(cfg.iterations);
     let mut injected = false;
     let mut reasserts_left = 0usize;
     for k in 0..cfg.iterations {
         if let Some(f) = fault {
+            let ctrl = cl.controller_mut();
             if !injected && f.iteration == k {
                 let states = ctrl.state();
                 ctrl.set_state(f.state_index, perturb(states[f.state_index], &f));
@@ -160,19 +168,7 @@ fn run_loop<C: Controller>(ctrl: &mut C, cfg: &SwifiConfig, fault: Option<SwifiF
                 ctrl.set_state(f.state_index, perturb(states[f.state_index], &f));
             }
         }
-        let t = k as f64 * dt;
-        let r = profiles.reference(t);
-        let y = engine.speed_rpm();
-        let u = ctrl.step(r, y);
-        outputs.push(u);
-        // The actuator saturates mechanically; non-finite commands fall to
-        // the lower stop (same convention as the SCIFI driver).
-        let act = if u.is_finite() {
-            u.clamp(0.0, 70.0)
-        } else {
-            0.0
-        };
-        engine.advance(act, profiles.load(t), dt);
+        outputs.push(cl.step(&plant.profiles).u);
     }
     outputs
 }
@@ -182,8 +178,8 @@ fn run_loop<C: Controller>(ctrl: &mut C, cfg: &SwifiConfig, fault: Option<SwifiF
 #[must_use]
 pub fn run_swifi<C: Controller, F: Fn() -> C>(make: F, cfg: &SwifiConfig) -> SwifiResult {
     let classifier = Classifier::paper();
-    let mut golden_ctrl = make();
-    let golden = run_loop(&mut golden_ctrl, cfg, None);
+    let plant = LoopConfig::paper();
+    let golden = run_loop(make(), &plant, cfg, None);
     let num_states = make().state().len();
     assert!(num_states > 0, "controller must expose state for SWIFI");
 
@@ -196,8 +192,7 @@ pub fn run_swifi<C: Controller, F: Fn() -> C>(make: F, cfg: &SwifiConfig) -> Swi
             iteration: sampler.draw_index(cfg.iterations),
             model: cfg.model,
         };
-        let mut ctrl = make();
-        let observed = run_loop(&mut ctrl, cfg, Some(fault));
+        let observed = run_loop(make(), &plant, cfg, Some(fault));
         let max_deviation = golden
             .iter()
             .zip(observed.iter())
@@ -349,7 +344,12 @@ mod tests {
             iteration: at,
             model,
         };
-        run_loop(&mut ProbeController { x: 1.0 }, &cfg, Some(fault))
+        run_loop(
+            ProbeController { x: 1.0 },
+            &LoopConfig::paper(),
+            &cfg,
+            Some(fault),
+        )
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! cross-validate the assembly against the native Rust controllers of
 //! [`bera_core`] in a fault-free closed loop.
 
-use bera_plant::{Engine, Profiles};
+use crate::experiment::{exchange, start_loop, LoopConfig};
 use bera_tcpu::asm::{assemble, Program};
-use bera_tcpu::machine::{Machine, RunExit, PORT_R, PORT_U, PORT_Y};
+use bera_tcpu::machine::{Machine, RunExit};
 use std::fmt;
 
 /// A workload failed outside any fault-injection experiment: either its
@@ -248,39 +248,33 @@ impl Workload {
             .expect("workload must define x_state")
     }
 
-    /// Drives the workload fault-free in the paper's closed loop for
-    /// `iterations` samples and returns the controller outputs. A trap or
-    /// budget exhaustion is a reportable [`WorkloadError`], not a panic —
-    /// a workload bug must not take a harness down with it.
+    /// Drives the workload fault-free in closed loop under `cfg` and
+    /// returns the controller outputs, the same ones
+    /// [`golden_run`](crate::experiment::golden_run) logs. A trap or budget
+    /// exhaustion is a reportable [`WorkloadError`], not a panic — a
+    /// workload bug must not take a harness down with it.
     ///
     /// # Errors
     ///
     /// Returns [`WorkloadError::Run`] if any iteration ends in anything
     /// but a clean yield.
-    pub fn run_closed_loop(&self, iterations: usize) -> Result<Vec<f64>, WorkloadError> {
+    pub fn run_closed_loop(&self, cfg: &LoopConfig) -> Result<Vec<f64>, WorkloadError> {
         let mut m = Machine::new();
         m.load_program(self.program());
-        let mut engine = Engine::paper();
-        let profiles = Profiles::paper();
-        let dt = 0.0154;
-        let mut outputs = Vec::new();
-        for k in 0..iterations {
-            let t = k as f64 * dt;
-            m.set_port_f32(PORT_R, profiles.reference(t) as f32);
-            m.set_port_f32(PORT_Y, engine.speed_rpm() as f32);
+        m.set_cache_parity(cfg.parity_cache);
+        let mut env = start_loop(&mut m, cfg);
+        let mut outputs = Vec::with_capacity(cfg.iterations);
+        while env.iteration() < cfg.iterations {
             match m.run(1_000_000) {
-                RunExit::Yield => {}
+                RunExit::Yield => outputs.push(f64::from(exchange(&mut m, cfg, &mut env))),
                 other => {
                     return Err(WorkloadError::Run {
                         name: self.name.to_string(),
-                        iteration: k,
+                        iteration: env.iteration(),
                         detail: format!("{other:?}"),
                     })
                 }
             }
-            let u = f64::from(m.port_out_f32(PORT_U));
-            outputs.push(u);
-            engine.advance(u, profiles.load(t), dt);
         }
         Ok(outputs)
     }
@@ -290,27 +284,23 @@ impl Workload {
 mod tests {
     use super::*;
     use bera_core::{Controller, PiController, ProtectedPiController};
+    use bera_plant::{ClosedLoop, FnController};
 
     fn run_closed_loop_tcpu(workload: &Workload, iterations: usize) -> Vec<f64> {
         workload
-            .run_closed_loop(iterations)
+            .run_closed_loop(&LoopConfig::short(iterations))
             .expect("fault-free reference run must succeed")
     }
 
+    /// `ctrl` in the same closed loop, its inputs quantised through `f32`
+    /// as the tcpu ports quantise them.
     fn run_closed_loop_native<C: Controller>(mut ctrl: C, iterations: usize) -> Vec<f64> {
-        let mut engine = Engine::paper();
-        let profiles = Profiles::paper();
-        let dt = 0.0154;
-        let mut outputs = Vec::new();
-        for k in 0..iterations {
-            let t = k as f64 * dt;
-            let r = f64::from(profiles.reference(t) as f32);
-            let y = f64::from(engine.speed_rpm() as f32);
-            let u = ctrl.step(r, y);
-            outputs.push(u);
-            engine.advance(u, profiles.load(t), dt);
-        }
-        outputs
+        let cfg = LoopConfig::short(iterations);
+        let quantised =
+            FnController::new(move |r, y| ctrl.step(f64::from(r as f32), f64::from(y as f32)));
+        ClosedLoop::with_interval(cfg.engine.clone(), quantised, cfg.sample_interval)
+            .run(&cfg.profiles, iterations)
+            .outputs()
     }
 
     #[test]
@@ -333,7 +323,9 @@ mod tests {
         // must surface as a reportable error, not a panic.
         let w = Workload::from_source("Spinner", "spin:\n    jmp spin\n")
             .expect("the spinner assembles");
-        let err = w.run_closed_loop(3).expect_err("spinner never yields");
+        let err = w
+            .run_closed_loop(&LoopConfig::short(3))
+            .expect_err("spinner never yields");
         match &err {
             WorkloadError::Run {
                 name,
@@ -452,6 +444,30 @@ mod tests {
             bera_tcpu::cache::index_of(w.x_address()),
             bera_tcpu::cache::index_of(x_old)
         );
+    }
+
+    #[test]
+    fn run_closed_loop_equals_the_golden_outputs() {
+        let cfg = LoopConfig::paper();
+        for w in [
+            Workload::algorithm_one(),
+            Workload::algorithm_two(),
+            Workload::algorithm_three(),
+        ] {
+            let golden = crate::experiment::golden_run(&w, &cfg);
+            let outputs: Vec<u64> = w
+                .run_closed_loop(&cfg)
+                .expect("fault-free reference run must succeed")
+                .iter()
+                .map(|u| u.to_bits())
+                .collect();
+            let expect: Vec<u64> = golden
+                .outputs
+                .iter()
+                .map(|&b| f64::from(f32::from_bits(b)).to_bits())
+                .collect();
+            assert_eq!(outputs, expect, "{}", w.name());
+        }
     }
 
     #[test]

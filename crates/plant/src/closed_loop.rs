@@ -2,13 +2,79 @@
 //!
 //! This mirrors the paper's experimental setup, where the environment
 //! simulator on the host exchanges data with the target system at the end
-//! of every loop iteration.
+//! of every loop iteration. [`Environment`] is the host's side of that
+//! exchange, declared once: the sample instant `k·dt`, the actuator law
+//! and the plant step.
 
 use crate::engine::Engine;
 use crate::profiles::Profiles;
 use crate::trace::{Sample, Trace};
 use bera_core::controller::{Controller, Limits};
 use bera_core::PiGains;
+
+/// The sample instant of iteration `k`, `t = k·dt`. Computed from the
+/// count rather than accumulated, so no rounding builds up over a run.
+#[must_use]
+pub fn sample_instant(k: usize, dt: f64) -> f64 {
+    k as f64 * dt
+}
+
+/// The actuator law: the throttle saturates at its mechanical stops, so a
+/// finite command is clamped to [`Limits::throttle`], and a non-finite
+/// one (a corrupted command word) falls to the lower stop. Unlike
+/// [`Limits::clamp`], `+∞` goes to 0, not 70.
+#[must_use]
+pub fn actuate(u: f64) -> f64 {
+    let Limits { lo, hi } = Limits::throttle();
+    if u.is_finite() {
+        u.clamp(lo, hi)
+    } else {
+        lo
+    }
+}
+
+/// The host's side of the loop, the paper's environment simulator: the
+/// engine at the start of control iteration `k`. Every driver, native
+/// ([`ClosedLoop`]) or Thor, ends an iteration with [`Environment::step`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Environment {
+    engine: Engine,
+    iteration: usize,
+}
+
+impl Environment {
+    /// The environment at iteration 0, with the engine in `engine`'s state.
+    #[must_use]
+    pub fn new(engine: Engine) -> Self {
+        Environment {
+            engine,
+            iteration: 0,
+        }
+    }
+
+    /// The iteration `k` the environment is in.
+    #[must_use]
+    pub fn iteration(&self) -> usize {
+        self.iteration
+    }
+
+    /// The engine (plant) state; its speed is iteration `k`'s measurement.
+    #[must_use]
+    pub fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    /// Ends iteration `k` under command `u`: the engine advances by `dt`
+    /// with the throttle at [`actuate`]`(u)` against the load at
+    /// [`sample_instant`]`(k, dt)`, and the environment moves to
+    /// iteration `k + 1`. Returns the load torque applied.
+    pub fn step(&mut self, u: f64, profiles: &Profiles, dt: f64) -> f64 {
+        let load = profiles.load(sample_instant(self.iteration, dt));
+        self.engine.advance(actuate(u), load, dt);
+        self.iteration += 1;
+        load
+    }
+}
 
 /// Runs a [`Controller`] against an [`Engine`] under given [`Profiles`].
 ///
@@ -23,11 +89,9 @@ use bera_core::PiGains;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClosedLoop<C> {
-    engine: Engine,
+    env: Environment,
     controller: C,
     sample_interval: f64,
-    elapsed: f64,
-    iteration: u64,
 }
 
 impl<C: Controller> ClosedLoop<C> {
@@ -49,18 +113,16 @@ impl<C: Controller> ClosedLoop<C> {
             "sample interval must be positive"
         );
         ClosedLoop {
-            engine,
+            env: Environment::new(engine),
             controller,
             sample_interval,
-            elapsed: 0.0,
-            iteration: 0,
         }
     }
 
     /// The engine (plant) state.
     #[must_use]
     pub fn engine(&self) -> &Engine {
-        &self.engine
+        self.env.engine()
     }
 
     /// The controller.
@@ -75,23 +137,22 @@ impl<C: Controller> ClosedLoop<C> {
         &mut self.controller
     }
 
-    /// Elapsed simulated time (s).
+    /// Elapsed simulated time (s): the sample instant of the next
+    /// iteration.
     #[must_use]
     pub fn elapsed(&self) -> f64 {
-        self.elapsed
+        sample_instant(self.env.iteration(), self.sample_interval)
     }
 
     /// Executes one control iteration: sample the profiles, run the
     /// controller, actuate the engine, and return the recorded sample.
+    /// The sample's `u` is the controller's command, before [`actuate`].
     pub fn step(&mut self, profiles: &Profiles) -> Sample {
-        let t = self.elapsed;
+        let t = self.elapsed();
         let r = profiles.reference(t);
-        let load = profiles.load(t);
-        let y = self.engine.speed_rpm();
+        let y = self.env.engine().speed_rpm();
         let u = self.controller.step(r, y);
-        self.engine.advance(u, load, self.sample_interval);
-        self.elapsed += self.sample_interval;
-        self.iteration += 1;
+        let load = self.env.step(u, profiles, self.sample_interval);
         Sample { t, r, y, u, load }
     }
 
@@ -101,9 +162,8 @@ impl<C: Controller> ClosedLoop<C> {
     }
 }
 
-/// Adapts a closure `(r, y) -> u_lim` into a [`Controller`], so external
-/// controllers — e.g. the Thor-like CPU simulator executing the compiled
-/// workload — can be driven by [`ClosedLoop`].
+/// Adapts a closure `(r, y) -> u_lim` into a [`Controller`], so a control
+/// law with no state of its own can be driven by [`ClosedLoop`].
 ///
 /// # Example
 ///
@@ -128,12 +188,6 @@ impl<F: FnMut(f64, f64) -> f64> FnController<F> {
             f,
             limits: Limits::throttle(),
         }
-    }
-
-    /// Wraps the closure with explicit limits.
-    #[must_use]
-    pub fn with_limits(f: F, limits: Limits) -> Self {
-        FnController { f, limits }
     }
 }
 
@@ -262,6 +316,34 @@ mod tests {
         let mut cl = ClosedLoop::new(Engine::paper(), ctrl);
         let trace = cl.run(&Profiles::constant(2200.0), 200);
         assert_eq!(trace.len(), 200);
+    }
+
+    #[test]
+    fn actuator_law() {
+        for (u, want) in [
+            (-1.0, 0.0),
+            (35.0, 35.0),
+            (100.0, 70.0),
+            (f64::NAN, 0.0),
+            (f64::INFINITY, 0.0),
+            (f64::NEG_INFINITY, 0.0),
+        ] {
+            assert_eq!(actuate(u).to_bits(), f64::to_bits(want), "{u}");
+        }
+        // The difference from the controller's own output limit.
+        assert_eq!(Limits::throttle().clamp(f64::INFINITY), 70.0);
+    }
+
+    #[test]
+    fn the_loop_saturates_what_it_records_unsaturated() {
+        let ctrl = FnController::new(|_, _| 1.0e6);
+        let mut cl = ClosedLoop::new(Engine::paper(), ctrl);
+        let profiles = Profiles::constant(2000.0);
+        let sample = cl.step(&profiles);
+        let mut saturated = Engine::paper();
+        saturated.advance(70.0, sample.load, PiGains::PAPER_SAMPLE_INTERVAL);
+        assert_eq!(sample.u, 1.0e6);
+        assert_eq!(cl.engine(), &saturated);
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //! * [`Profiles`] — the workload profiles of Figures 3 and 4: a reference
 //!   speed step from 2000 to 3000 rpm at t = 5 s and load-torque
 //!   disturbances in 3 s < t < 4 s and 7 s < t < 8 s;
+//! * [`Environment`] — the host's side of one control iteration: the
+//!   sample instant, the actuator law and the plant step;
 //! * [`ClosedLoop`] — drives any [`bera_core::Controller`] against the
-//!   engine for the paper's 650 iterations of 15.4 ms;
+//!   engine through the [`Environment`] for the paper's 650 iterations of
+//!   15.4 ms;
 //! * [`blocks`] — a small Simulink-like block library (gain, sum,
 //!   integrator, saturation, unit delay, first-order lag, lookup table,
 //!   rate limiter) from which the same plant can be composed;
@@ -43,7 +46,7 @@ pub mod profiles;
 pub mod trace;
 pub mod turbojet;
 
-pub use closed_loop::{ClosedLoop, FnController};
+pub use closed_loop::{ClosedLoop, Environment, FnController};
 pub use engine::Engine;
 pub use profiles::Profiles;
 pub use trace::{Sample, Trace};

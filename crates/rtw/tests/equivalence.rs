@@ -2,30 +2,37 @@
 //! hand-written workloads: same model, same arithmetic order, same
 //! closed-loop trajectory.
 
+use bera_goofi::experiment::{exchange, start_loop, LoopConfig};
 use bera_goofi::workload::Workload;
-use bera_plant::{Engine, Profiles};
 use bera_rtw::codegen::{compile_with, CodegenOptions};
 use bera_rtw::{algorithm_one_model, algorithm_two_model};
 use bera_tcpu::asm::Program;
-use bera_tcpu::machine::{Machine, RunExit, PORT_R, PORT_U, PORT_Y};
+use bera_tcpu::machine::{Machine, RunExit};
 
-fn run_closed_loop(program: &Program, iterations: usize) -> Vec<u32> {
+/// Drives `program` in the closed loop of `cfg` and returns its outputs;
+/// `before(k, machine)` runs at the start of every iteration `k`.
+fn drive(
+    program: &Program,
+    cfg: &LoopConfig,
+    mut before: impl FnMut(usize, &mut Machine),
+) -> Vec<f32> {
     let mut m = Machine::new();
     m.load_program(program);
-    let mut engine = Engine::paper();
-    let profiles = Profiles::paper();
-    let dt = 0.0154;
-    let mut outputs = Vec::new();
-    for k in 0..iterations {
-        let t = k as f64 * dt;
-        m.set_port_f32(PORT_R, profiles.reference(t) as f32);
-        m.set_port_f32(PORT_Y, engine.speed_rpm() as f32);
-        assert_eq!(m.run(1_000_000), RunExit::Yield, "iteration {k}");
-        let u = m.port_out_f32(PORT_U);
-        outputs.push(u.to_bits());
-        engine.advance(f64::from(u).clamp(0.0, 70.0), profiles.load(t), dt);
-    }
-    outputs
+    let mut env = start_loop(&mut m, cfg);
+    (0..cfg.iterations)
+        .map(|k| {
+            before(k, &mut m);
+            assert_eq!(m.run(1_000_000), RunExit::Yield, "iteration {k}");
+            exchange(&mut m, cfg, &mut env)
+        })
+        .collect()
+}
+
+fn run_closed_loop(program: &Program, iterations: usize) -> Vec<u32> {
+    drive(program, &LoopConfig::short(iterations), |_, _| {})
+        .iter()
+        .map(|u| u.to_bits())
+        .collect()
 }
 
 fn options() -> CodegenOptions {
@@ -55,24 +62,13 @@ fn generated_algorithm_two_is_bit_identical_to_handwritten() {
 fn generated_algorithm_two_recovers_corrupted_state() {
     let generated = compile_with(&algorithm_two_model(), &options()).unwrap();
     let x_addr = generated.layout.address_of("x").unwrap();
-    let mut m = Machine::new();
-    m.load_program(&generated.program);
-    let mut engine = Engine::paper();
-    let profiles = Profiles::paper();
-    let dt = 0.0154;
-    for k in 0..300 {
+    let outputs = drive(&generated.program, &LoopConfig::short(300), |k, m| {
         if k == 150 {
             assert!(m.scan_write_cached(x_addr, 5.0e8f32.to_bits()));
         }
-        let t = k as f64 * dt;
-        m.set_port_f32(PORT_R, profiles.reference(t) as f32);
-        m.set_port_f32(PORT_Y, engine.speed_rpm() as f32);
-        assert_eq!(m.run(1_000_000), RunExit::Yield);
-        let u = f64::from(m.port_out_f32(PORT_U));
-        if k > 152 {
-            assert!(u < 70.0, "no lock-up after recovery (iteration {k})");
-        }
-        engine.advance(u.clamp(0.0, 70.0), profiles.load(t), dt);
+    });
+    for (k, &u) in outputs.iter().enumerate().skip(153) {
+        assert!(u < 70.0, "no lock-up after recovery (iteration {k})");
     }
 }
 
@@ -90,26 +86,19 @@ fn generated_algorithm_three_catches_in_range_jump() {
     // impossible value; the generated rate assertion recovers it.
     let generated = compile_with(&bera_rtw::algorithm_three_model(), &options()).unwrap();
     let x_addr = generated.layout.address_of("x").unwrap();
-    let mut m = Machine::new();
-    m.load_program(&generated.program);
-    let mut engine = Engine::paper();
-    let profiles = Profiles::paper();
-    let mut max_dev_after = 0.0f64;
-    let golden = run_closed_loop(&generated.program, 650);
-    for (k, &golden_u) in golden.iter().enumerate() {
+    let cfg = LoopConfig::paper();
+    let golden = drive(&generated.program, &cfg, |_, _| {});
+    let faulty = drive(&generated.program, &cfg, |k, m| {
         if k == 390 {
             assert!(m.scan_write_cached(x_addr, 69.0f32.to_bits()));
         }
-        let t = k as f64 * 0.0154;
-        m.set_port_f32(PORT_R, profiles.reference(t) as f32);
-        m.set_port_f32(PORT_Y, engine.speed_rpm() as f32);
-        assert_eq!(m.run(1_000_000), RunExit::Yield);
-        let u = f64::from(m.port_out_f32(PORT_U));
-        if k > 392 {
-            max_dev_after = max_dev_after.max((u - f64::from(f32::from_bits(golden_u))).abs());
-        }
-        engine.advance(u.clamp(0.0, 70.0), profiles.load(t), 0.0154);
-    }
+    });
+    let max_dev_after = golden
+        .iter()
+        .zip(&faulty)
+        .skip(393)
+        .map(|(&g, &u)| (f64::from(u) - f64::from(g)).abs())
+        .fold(0.0f64, f64::max);
     assert!(
         max_dev_after < 1.0,
         "rate assertion must confine the figure-10 jump, got {max_dev_after}"

@@ -10,10 +10,10 @@
 //! behaves exactly like the hand-written Algorithm II workload — first
 //! fault-free, then under a state corruption.
 
-use bera::plant::{Engine, Profiles};
+use bera::goofi::experiment::{exchange, start_loop, LoopConfig};
 use bera::rtw::algorithm_two_model;
 use bera::rtw::codegen::{compile_with, CodegenOptions};
-use bera::tcpu::machine::{Machine, RunExit, PORT_R, PORT_U, PORT_Y};
+use bera::tcpu::machine::{Machine, RunExit};
 
 fn main() {
     let model = algorithm_two_model();
@@ -44,26 +44,23 @@ fn main() {
     }
 
     // Drive the generated controller in closed loop and corrupt its state.
+    let cfg = LoopConfig::paper();
     let mut m = Machine::new();
     m.load_program(&generated.program);
-    let mut engine = Engine::paper();
-    let profiles = Profiles::paper();
+    let mut env = start_loop(&mut m, &cfg);
     let x_addr = generated.layout.address_of("x").unwrap();
     let mut worst_after_recovery = 0.0f64;
-    for k in 0..650 {
+    while env.iteration() < cfg.iterations {
+        let k = env.iteration();
         if k == 325 {
             m.scan_write_cached(x_addr, 1.0e9f32.to_bits());
             println!("\niteration {k}: cached x corrupted to 1e9");
         }
-        let t = k as f64 * 0.0154;
-        m.set_port_f32(PORT_R, profiles.reference(t) as f32);
-        m.set_port_f32(PORT_Y, engine.speed_rpm() as f32);
         assert_eq!(m.run(1_000_000), RunExit::Yield);
-        let u = f64::from(m.port_out_f32(PORT_U));
+        let u = f64::from(exchange(&mut m, &cfg, &mut env));
         if k > 326 {
             worst_after_recovery = worst_after_recovery.max(u);
         }
-        engine.advance(u.clamp(0.0, 70.0), profiles.load(t), 0.0154);
     }
     println!(
         "after recovery the output never exceeded {worst_after_recovery:.1}° — \

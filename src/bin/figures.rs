@@ -12,10 +12,13 @@
 
 use bera::goofi::campaign::{run_fault_list, CampaignConfig, FaultList};
 use bera::goofi::classify::{Outcome, Severity};
-use bera::goofi::experiment::{golden_run, run_experiment, FaultSpec, LoopConfig};
+use bera::goofi::experiment::{
+    exchange, golden_run, run_experiment, start_loop, FaultSpec, LoopConfig,
+};
 use bera::goofi::workload::Workload;
+use bera::plant::closed_loop::sample_instant;
 use bera::repro;
-use bera::tcpu::machine::{Machine, RunExit, PORT_R, PORT_U, PORT_Y};
+use bera::tcpu::machine::{Machine, RunExit};
 
 fn main() {
     let cfg = LoopConfig::paper();
@@ -24,7 +27,7 @@ fn main() {
     let golden1 = golden_run(&alg1, &cfg);
     let golden2 = golden_run(&alg2, &cfg);
     let t: Vec<f64> = (0..cfg.iterations)
-        .map(|k| k as f64 * cfg.sample_interval)
+        .map(|k| sample_instant(k, cfg.sample_interval))
         .collect();
 
     // ---- Figures 3, 4, 5: the fault-free workload ----
@@ -104,30 +107,20 @@ fn main() {
 fn figure10(workload: &Workload, cfg: &LoopConfig) -> Vec<u32> {
     let mut machine = Machine::new();
     machine.load_program(workload.program());
-    let mut engine = cfg.engine.clone();
+    let mut env = start_loop(&mut machine, cfg);
     let x_addr = workload.x_address();
     let mut outputs = Vec::with_capacity(cfg.iterations);
-    for k in 0..cfg.iterations {
-        if k == 390 {
+    while env.iteration() < cfg.iterations {
+        if env.iteration() == 390 {
             assert!(
                 machine.scan_write_cached(x_addr, 69.0f32.to_bits()),
                 "x must be cache-resident for the figure-10 scenario"
             );
         }
-        let t = k as f64 * cfg.sample_interval;
-        machine.set_port_f32(PORT_R, cfg.profiles.reference(t) as f32);
-        machine.set_port_f32(PORT_Y, engine.speed_rpm() as f32);
         match machine.run(1_000_000) {
-            RunExit::Yield => {}
+            RunExit::Yield => outputs.push(exchange(&mut machine, cfg, &mut env).to_bits()),
             other => panic!("figure-10 run must not trap: {other:?}"),
         }
-        let u = machine.port_out_f32(PORT_U);
-        outputs.push(u.to_bits());
-        engine.advance(
-            f64::from(u).clamp(0.0, 70.0),
-            cfg.profiles.load(t),
-            cfg.sample_interval,
-        );
     }
     outputs
 }

@@ -4,6 +4,7 @@
 
 use bera_goofi::campaign::{run_scifi_campaign, CampaignConfig, CampaignResult};
 use bera_goofi::workload::Workload;
+use bera_plant::closed_loop::sample_instant;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -75,7 +76,7 @@ pub fn csv_compare(golden: &[u32], faulty: &[u32], sample_interval: f64) -> Stri
     for (k, (g, f)) in golden.iter().zip(faulty.iter()).enumerate() {
         out.push_str(&format!(
             "{:.4},{:.5},{:.5}\n",
-            k as f64 * sample_interval,
+            sample_instant(k, sample_interval),
             f32::from_bits(*g),
             f32::from_bits(*f)
         ));

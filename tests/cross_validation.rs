@@ -4,43 +4,28 @@
 
 use bera::core::controller::Limits;
 use bera::core::{Controller, PiController, Protected, ProtectedPiController, Siso};
-use bera::plant::{Engine, Profiles};
-use bera::tcpu::machine::{Machine, RunExit, PORT_R, PORT_U, PORT_Y};
+use bera::goofi::experiment::{exchange, start_loop, LoopConfig};
+use bera::plant::{ClosedLoop, FnController};
+use bera::tcpu::machine::{Machine, RunExit};
 
-const DT: f64 = 0.0154;
+fn native_loop<C: Controller>(ctrl: C, cfg: &LoopConfig) -> ClosedLoop<C> {
+    ClosedLoop::with_interval(cfg.engine.clone(), ctrl, cfg.sample_interval)
+}
 
 fn run_native<C: Controller>(mut ctrl: C, iterations: usize) -> Vec<f64> {
-    let mut engine = Engine::paper();
-    let profiles = Profiles::paper();
-    let mut outputs = Vec::new();
-    for k in 0..iterations {
-        let t = k as f64 * DT;
-        // Quantise through f32 exactly as the tcpu I/O ports do.
-        let r = f64::from(profiles.reference(t) as f32);
-        let y = f64::from(engine.speed_rpm() as f32);
-        let u = ctrl.step(r, y);
-        outputs.push(u);
-        engine.advance(u, profiles.load(t), DT);
-    }
-    outputs
+    let cfg = LoopConfig::short(iterations);
+    // Quantise through f32 exactly as the tcpu I/O ports do.
+    let quantised =
+        FnController::new(move |r, y| ctrl.step(f64::from(r as f32), f64::from(y as f32)));
+    native_loop(quantised, &cfg)
+        .run(&cfg.profiles, iterations)
+        .outputs()
 }
 
 fn run_tcpu(workload: &bera::goofi::Workload, iterations: usize) -> Vec<f64> {
-    let mut m = Machine::new();
-    m.load_program(workload.program());
-    let mut engine = Engine::paper();
-    let profiles = Profiles::paper();
-    let mut outputs = Vec::new();
-    for k in 0..iterations {
-        let t = k as f64 * DT;
-        m.set_port_f32(PORT_R, profiles.reference(t) as f32);
-        m.set_port_f32(PORT_Y, engine.speed_rpm() as f32);
-        assert_eq!(m.run(1_000_000), RunExit::Yield, "iteration {k}");
-        let u = f64::from(m.port_out_f32(PORT_U));
-        outputs.push(u);
-        engine.advance(u, profiles.load(t), DT);
-    }
-    outputs
+    workload
+        .run_closed_loop(&LoopConfig::short(iterations))
+        .expect("the fault-free loop yields every iteration")
 }
 
 fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
@@ -88,47 +73,34 @@ fn corrupted_state_recovery_agrees_between_native_and_tcpu() {
     // Force the same out-of-range state corruption into the native
     // controller and the cache-resident x of the tcpu workload; both
     // Algorithm II implementations must avoid a permanent lock-up.
-    let n = 300;
+    let cfg = LoopConfig::short(300);
     let kick = 200; // iteration of the corruption
 
     // Native.
-    let mut native_out = Vec::new();
-    {
-        let mut ctrl = ProtectedPiController::paper();
-        let mut engine = Engine::paper();
-        let profiles = Profiles::paper();
-        for k in 0..n {
+    let mut native = native_loop(ProtectedPiController::paper(), &cfg);
+    let native_out: Vec<f64> = (0..cfg.iterations)
+        .map(|k| {
             if k == kick {
-                ctrl.set_state(0, 2.0e9);
+                native.controller_mut().set_state(0, 2.0e9);
             }
-            let t = k as f64 * DT;
-            let u = ctrl.step(profiles.reference(t), engine.speed_rpm());
-            native_out.push(u);
-            engine.advance(u, profiles.load(t), DT);
-        }
-    }
+            native.step(&cfg.profiles).u
+        })
+        .collect();
 
     // tcpu.
     let workload = bera::goofi::Workload::algorithm_two();
-    let mut tcpu_out = Vec::new();
-    {
-        let mut m = Machine::new();
-        m.load_program(workload.program());
-        let mut engine = Engine::paper();
-        let profiles = Profiles::paper();
-        for k in 0..n {
+    let mut m = Machine::new();
+    m.load_program(workload.program());
+    let mut env = start_loop(&mut m, &cfg);
+    let tcpu_out: Vec<f64> = (0..cfg.iterations)
+        .map(|k| {
             if k == kick {
                 assert!(m.scan_write_cached(workload.x_address(), 2.0e9f32.to_bits()));
             }
-            let t = k as f64 * DT;
-            m.set_port_f32(PORT_R, profiles.reference(t) as f32);
-            m.set_port_f32(PORT_Y, engine.speed_rpm() as f32);
             assert_eq!(m.run(1_000_000), RunExit::Yield);
-            let u = f64::from(m.port_out_f32(PORT_U));
-            tcpu_out.push(u);
-            engine.advance(u.clamp(0.0, 70.0), profiles.load(t), DT);
-        }
-    }
+            f64::from(exchange(&mut m, &cfg, &mut env))
+        })
+        .collect();
 
     for (label, out) in [("native", &native_out), ("tcpu", &tcpu_out)] {
         let locked = out[kick + 2..].iter().filter(|&&u| u >= 70.0).count();

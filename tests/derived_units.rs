@@ -13,10 +13,10 @@
 //! Each golden's count of recorded entries is pinned too, so a unit that
 //! starts recording again fails here by name.
 
-use bera_goofi::experiment::{golden_run, LoopConfig};
+use bera_goofi::experiment::{golden_run, set_ports, LoopConfig};
 use bera_goofi::workload::Workload;
 use bera_tcpu::access::{Access, AccessKind, TraceUnit};
-use bera_tcpu::machine::{Machine, StepEvent, PORT_R, PORT_Y};
+use bera_tcpu::machine::{Machine, StepEvent};
 use bera_tcpu::scan::BitLocation;
 use bera_tcpu::vis::VisUnit;
 
@@ -29,7 +29,7 @@ fn rebuilt(workload: &Workload, cfg: &LoopConfig) -> (Vec<Vec<Access>>, u64) {
     let golden = golden_run(workload, cfg);
     let mut m: Machine = golden.checkpoints[0].machine.clone();
     assert_eq!(m.instr_count(), 0);
-    let mut k = golden.checkpoints[0].iteration;
+    let mut k = golden.checkpoints[0].env.iteration();
     let valid_pos = m.flip_diff(&[BitLocation::FetchValid])[0].0;
     let valid = |m: &Machine| m.word(valid_pos) != 0;
     let mut lists = vec![Vec::new(); DERIVED.len()];
@@ -59,9 +59,7 @@ fn rebuilt(workload: &Workload, cfg: &LoopConfig) -> (Vec<Vec<Access>>, u64) {
         if event == StepEvent::Yield {
             k += 1;
             if k < cfg.iterations {
-                let t = k as f64 * cfg.sample_interval;
-                m.set_port_f32(PORT_R, cfg.profiles.reference(t) as f32);
-                m.set_port_f32(PORT_Y, golden.speeds[k] as f32);
+                set_ports(&mut m, cfg, k, golden.speeds[k]);
             }
         }
     }

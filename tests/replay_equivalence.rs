@@ -14,7 +14,7 @@
 //!   configuration's (no checkpoints, no pruning, interpreter only).
 
 use bera_goofi::campaign::{run_fault_list, run_fault_list_observed, CampaignConfig, FaultList};
-use bera_goofi::experiment::{golden_run, FaultModel, FaultSpec, GoldenRun, LoopConfig};
+use bera_goofi::experiment::{golden_run, set_ports, FaultModel, FaultSpec, GoldenRun, LoopConfig};
 use bera_goofi::observer::CampaignObserver;
 use bera_goofi::planner::records_equivalent;
 use bera_goofi::steady::Steady;
@@ -22,7 +22,7 @@ use bera_goofi::workload::Workload;
 use bera_tcpu::access::{AccessKind, TraceUnit, STEP_FILL, STEP_WRITEBACK};
 use bera_tcpu::diff::{DiffReplay, FallbackReason, ReplayScratch, LATCHES};
 use bera_tcpu::isa::{self, Decoded, Opcode};
-use bera_tcpu::machine::{Machine, StepEvent, PORT_R, PORT_U, PORT_Y};
+use bera_tcpu::machine::{Machine, StepEvent, PORT_U};
 use bera_tcpu::mem::ROM_BASE;
 use bera_tcpu::scan::{self, BitLocation};
 use bera_tcpu::vis::VisUnit;
@@ -74,10 +74,8 @@ impl Pair<'_> {
                 );
                 self.k += 1;
                 if self.k < self.cfg.iterations {
-                    let t = self.k as f64 * self.cfg.sample_interval;
                     for m in [&mut self.g, &mut self.f] {
-                        m.set_port_f32(PORT_R, self.cfg.profiles.reference(t) as f32);
-                        m.set_port_f32(PORT_Y, self.golden.speeds[self.k] as f32);
+                        set_ports(m, &self.cfg, self.k, self.golden.speeds[self.k]);
                     }
                 }
             }
@@ -152,7 +150,7 @@ fn lockstep_with(
         golden,
         f: g.clone(),
         g,
-        k: golden.checkpoints[c].iteration,
+        k: golden.checkpoints[c].env.iteration(),
     };
     // Golden's prefix on both; then corrupt the faulty one.
     pair.run_to(inject_at);
