@@ -335,15 +335,17 @@ mod tests {
     }
 
     #[test]
-    fn the_loop_saturates_what_it_records_unsaturated() {
-        let ctrl = FnController::new(|_, _| 1.0e6);
-        let mut cl = ClosedLoop::new(Engine::paper(), ctrl);
+    fn the_loop_actuates_what_it_records_unactuated() {
+        // The engine clamps a finite throttle itself; only the actuator
+        // law sends a non-finite command to the lower stop.
         let profiles = Profiles::constant(2000.0);
-        let sample = cl.step(&profiles);
-        let mut saturated = Engine::paper();
-        saturated.advance(70.0, sample.load, PiGains::PAPER_SAMPLE_INTERVAL);
-        assert_eq!(sample.u, 1.0e6);
-        assert_eq!(cl.engine(), &saturated);
+        let mut stopped = Environment::new(Engine::paper());
+        stopped.step(0.0, &profiles, PiGains::PAPER_SAMPLE_INTERVAL);
+        for u in [f64::INFINITY, f64::NAN] {
+            let mut cl = ClosedLoop::new(Engine::paper(), FnController::new(move |_, _| u));
+            assert_eq!(cl.step(&profiles).u.to_bits(), u.to_bits());
+            assert_eq!(cl.engine(), stopped.engine(), "{u}");
+        }
     }
 
     #[test]
