@@ -34,8 +34,8 @@ pub fn actuate(u: f64) -> f64 {
 }
 
 /// The host's side of the loop, the paper's environment simulator: the
-/// engine at the start of control iteration `k`. Every driver, native
-/// ([`ClosedLoop`]) or Thor, ends an iteration with [`Environment::step`].
+/// engine at the start of control iteration `k`. Every closed loop, native
+/// ([`ClosedLoop`]) or on Thor, ends an iteration with [`Environment::step`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Environment {
     engine: Engine,
