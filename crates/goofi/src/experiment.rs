@@ -612,20 +612,16 @@ pub(crate) enum DriveMode<'a> {
         checkpoints: &'a mut Vec<Checkpoint>,
         speeds: &'a mut Vec<f64>,
     },
-    /// Experiment: once the fault has been injected, take the sparse diff
-    /// against the golden checkpoint of the same iteration (whenever the
-    /// plant equals golden's) and stop early when it is empty. `resident`
-    /// is the index of the checkpoint the machine's dirty-word log was
-    /// started from, so the diff walks only the words the experiment or
-    /// the golden run touched since (see [`converged`]). With a `recall`
-    /// memo, every [`RECALL_EVERY`]-th checkpoint also stops on a state an
-    /// earlier run passed through, keyed by that diff, and notes the state
-    /// otherwise. With `reenter`, a state diff replay can carry, reached in
-    /// step with golden, ends the drive to hand the run back to replay.
+    /// Experiment: at each golden checkpoint's boundary, once the fault is
+    /// quiescent and while the plant equals golden's, take the machine's
+    /// sparse diff against the checkpoint and end the drive where
+    /// [`end_at_checkpoint`] decides, with `recall` as the memo and
+    /// `reenter` as its permission to re-enter. `resident` is the
+    /// checkpoint the machine's dirty-word log was started from.
     Prune {
         golden: &'a GoldenRun,
         resident: usize,
-        recall: Option<&'a mut TrajectoryMemo>,
+        recall: &'a mut TrajectoryMemo,
         reenter: bool,
     },
 }
@@ -681,48 +677,59 @@ pub fn exchange(machine: &mut Machine, cfg: &LoopConfig, env: &mut Environment) 
     u
 }
 
-/// Proven convergence test at an iteration boundary whose plant equals
-/// golden's: the machine's sparse `diff` against the checkpoint is empty,
-/// and the hang cap holds. `true` means a from-reset run of this
-/// experiment would finish by replaying the golden tail bit-for-bit, so
-/// executing the tail is unnecessary.
+/// The one decision at golden checkpoint `c`'s boundary, for a run whose
+/// fault is quiescent and whose plant equals golden's there. The
+/// interpreter ([`drive_from`]'s [`DriveMode::Prune`]) and diff replay
+/// ([`crate::replay`]) both end a run through it. `diff` is the run's
+/// sparse diff against the checkpoint ([`Machine::sparse_diff`]), and
+/// `instr_count` its dynamic instruction count, whose offset from
+/// golden's there keys recall and gates re-entry. In order:
 ///
-/// The diff walks memory only over the keys that can differ: outside the
-/// golden run's own writes since the machine's resident checkpoint and the
-/// experiment's dirty set, both images provably still equal the resident
-/// checkpoint. Debug builds cross-check a positive match against the
-/// machines' state digests.
-fn converged(
-    machine: &Machine,
-    diff: &[(u32, u32)],
-    ckpt: &Checkpoint,
+/// * **Converged**: the diff is empty, and the golden tail from here
+///   keeps the run within `instr_cap`. A from-reset run then replays the
+///   golden tail bit for bit; one that the tail would take past the cap
+///   executes on, so it hangs where the from-reset run does.
+/// * **Recalled**: at every [`RECALL_EVERY`]-th checkpoint, `memo` holds
+///   the state under the same checkpoint, offset and diff (DESIGN.md
+///   §8k). The run ends as the filed one did; on a miss the memo notes
+///   the state as passed.
+/// * **Re-enter**: with `reenter`, a state reached in step with golden
+///   (offset 0) whose diff replay can carry ([`bera_tcpu::diff::carries`])
+///   goes back to diff replay (DESIGN.md §8l).
+///
+/// `None`: the run goes on, with nothing allocated.
+pub(crate) fn end_at_checkpoint(
     golden: &GoldenRun,
     instr_cap: u64,
-) -> bool {
-    debug_assert_eq!(
-        diff.is_empty(),
-        machine.state_equals(&ckpt.machine),
-        "sparse convergence equality must agree with the full walk"
-    );
-    if !diff.is_empty() {
-        return false;
+    memo: &mut TrajectoryMemo,
+    c: usize,
+    diff: &[(u32, u32)],
+    instr_count: u64,
+    reenter: bool,
+) -> Option<DriveEnd> {
+    let ckpt = &golden.checkpoints[c];
+    let iteration = ckpt.env.iteration();
+    let rest = golden.total_instructions - ckpt.machine.instr_count();
+    if diff.is_empty() && instr_count + rest <= instr_cap {
+        return Some(DriveEnd::Converged { iteration });
     }
-    debug_assert_eq!(
-        machine.state_digest(),
-        ckpt.machine.state_digest(),
-        "equal states must agree on the state digest"
-    );
-    // The golden tail from this checkpoint executes a known number of
-    // further instructions. Prune only if the faulty run's counter stays
-    // under the hang cap for the whole tail; otherwise keep executing so a
-    // genuine from-reset Hang classification is reproduced exactly.
-    let tail = golden.total_instructions - ckpt.machine.instr_count();
-    machine.instr_count() + tail <= instr_cap
+    let offset = i128::from(instr_count) - i128::from(ckpt.machine.instr_count());
+    if c.is_multiple_of(RECALL_EVERY) {
+        if let Some(tail) = memo.probe(diff, c, iteration, offset) {
+            return Some(DriveEnd::Recalled { iteration, tail });
+        }
+    }
+    (reenter && offset == 0 && bera_tcpu::diff::carries(diff)).then(|| DriveEnd::Reenter {
+        checkpoint: c,
+        diff: diff.to_vec(),
+    })
 }
 
 /// Golden data-memory write keys from a machine's resident checkpoint up
 /// to the boundary under test, extended lazily from
-/// [`GoldenRun::ckpt_data_deltas`] as a drive advances (see [`converged`]).
+/// [`GoldenRun::ckpt_data_deltas`] as a drive advances. Outside these
+/// keys and the machine's own dirty set, both memory images still equal
+/// the resident checkpoint, so the sparse diff walks only them.
 /// The same hot words repeat in window after window, so a membership
 /// bitmap (lazily sized to the data-word universe) keeps the key list
 /// duplicate-free: the sparse diff then walks each distinct word once and
@@ -755,54 +762,18 @@ impl GoldenDeltas {
     }
 }
 
-/// The prune checks of a quiescent experiment at the start of iteration
-/// `k`, checkpoint `c`'s stride boundary: when golden's checkpoint sits
-/// there and the plant equals golden's, one sparse diff against it decides
-/// convergence, at every [`RECALL_EVERY`]-th checkpoint keys the trajectory
-/// memo, and with `reenter` hands a state diff replay can carry back to it.
-fn prune_at(
-    (machine, env, c, instr_cap): (&Machine, &Environment, usize, u64),
-    golden: &GoldenRun,
-    (memo, reenter): (Option<&mut TrajectoryMemo>, bool),
-    deltas: &mut GoldenDeltas,
-    diff: &mut Vec<(u32, u32)>,
-) -> Option<DriveEnd> {
-    let k = env.iteration();
-    let ckpt = golden
-        .checkpoints
-        .get(c)
-        .filter(|ckpt| ckpt.env.iteration() == k)?;
-    deltas.extend_to(golden, c);
-    if *env != ckpt.env {
-        return None;
-    }
-    machine.sparse_diff(&ckpt.machine, &deltas.keys, diff);
-    if converged(machine, diff, ckpt, golden, instr_cap) {
-        return Some(DriveEnd::Converged { iteration: k });
-    }
-    let offset = i128::from(machine.instr_count()) - i128::from(ckpt.machine.instr_count());
-    if let Some(memo) = memo.filter(|_| c.is_multiple_of(RECALL_EVERY)) {
-        if let Some(tail) = memo.probe(diff, c, k, offset) {
-            return Some(DriveEnd::Recalled { iteration: k, tail });
-        }
-    }
-    (reenter && offset == 0 && bera_tcpu::diff::carries(diff)).then(|| DriveEnd::Reenter {
-        checkpoint: c,
-        diff: diff.clone(),
-    })
-}
-
 /// Drives the machine in closed loop from the state the caller prepared:
 /// `env` in iteration `k`, with `set_ports(k)` already applied, and
 /// `outputs` holding the first `k` logged outputs. The machine sits at
 /// the start of iteration `k`, or inside it when `mid_iteration` is set
-/// (the boundary is then past). Every `yield` is one [`exchange`]. `injector` perturbs scan-chain bits when the
-/// dynamic instruction count reaches its injection point (and re-asserts
-/// at later iteration boundaries for intermittent/stuck-at models);
-/// `instr_cap` bounds the total instruction count to detect hangs;
-/// `deadline` is the wall-clock watchdog, checked at iteration boundaries
-/// only so target execution stays deterministic; `mode` selects the
-/// checkpoint behaviour at stride boundaries. `on_inject` fires once, at the moment the initial
+/// (the boundary is then past). Every `yield` is one [`exchange`].
+/// `injector` perturbs scan-chain bits when the dynamic instruction count
+/// reaches its injection point (and re-asserts at later iteration
+/// boundaries for intermittent/stuck-at models); `instr_cap` bounds the
+/// total instruction count to detect hangs; `deadline` is the wall-clock
+/// watchdog, checked at iteration boundaries only so target execution
+/// stays deterministic; `mode` selects the checkpoint behaviour at stride
+/// boundaries. `on_inject` fires once, at the moment the initial
 /// scan-chain perturbation lands (the observer's "fault injected" event).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_from(
@@ -861,15 +832,26 @@ pub(crate) fn drive_from(
                         reenter,
                         ..
                     } => {
-                        // Convergence is only meaningful once the fault has
-                        // been delivered in full: before injection the run
-                        // *is* the golden run, and while re-assertions are
-                        // pending the state can still diverge again.
-                        if injector.as_ref().is_some_and(FaultInjector::quiescent) {
-                            let memo = recall.as_deref_mut();
-                            let at = (&*machine, &env, k / stride, instr_cap);
-                            let checks = (memo, *reenter);
-                            if let Some(end) = prune_at(at, golden, checks, &mut deltas, &mut diff)
+                        // A decision needs the fault delivered in full
+                        // (before injection the run *is* golden's; while
+                        // re-assertions are pending it can diverge again)
+                        // and a plant equal to golden's checkpoint here,
+                        // without which there is no diff.
+                        let c = k / stride;
+                        let quiescent = injector.as_ref().is_some_and(FaultInjector::quiescent);
+                        let ckpt = golden.checkpoints.get(c);
+                        if let Some(ckpt) = ckpt.filter(|ckpt| quiescent && ckpt.env == env) {
+                            deltas.extend_to(golden, c);
+                            machine.sparse_diff(&ckpt.machine, &deltas.keys, &mut diff);
+                            debug_assert_eq!(
+                                diff.is_empty(),
+                                machine.state_equals(&ckpt.machine)
+                                    && machine.state_digest() == ckpt.machine.state_digest(),
+                                "the sparse diff, the full walk and the digest must agree"
+                            );
+                            let n = machine.instr_count();
+                            if let Some(end) =
+                                end_at_checkpoint(golden, instr_cap, recall, c, &diff, n, *reenter)
                             {
                                 return DriveResult { outputs, end };
                             }
@@ -1216,14 +1198,14 @@ pub(crate) fn run_from(
         }
         _ => {
             let start_instructions = machine.instr_count();
-            let mode = match start {
-                Start::Reset => DriveMode::Plain,
-                Start::Replay | Start::Injection => DriveMode::Prune {
+            let mode = match (ckpt_index, recall.as_mut()) {
+                (Some(resident), Some(recall)) => DriveMode::Prune {
                     golden,
-                    resident: ckpt_index.unwrap_or(0),
-                    recall: recall.as_mut(),
+                    resident,
+                    recall,
                     reenter: false,
                 },
+                _ => DriveMode::Plain,
             };
             let result = drive_from(
                 &mut machine,
@@ -1592,6 +1574,105 @@ mod tests {
         let b = run_experiment(&w, &cfg, &golden, f, false);
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.max_deviation, b.max_deviation);
+    }
+
+    /// A short golden run, a fresh memo, its hang cap, and a carriable
+    /// diff: one RAM word of checkpoint `c` changed.
+    fn boundary_fixture(c: usize) -> (GoldenRun, TrajectoryMemo, u64, Vec<(u32, u32)>) {
+        let golden = golden_run(&Workload::algorithm_one(), &LoopConfig::short(40));
+        let cap = instruction_cap(golden.total_instructions);
+        let ckpt = &golden.checkpoints[c].machine;
+        let mut faulty = ckpt.clone();
+        faulty.begin_dirty_log();
+        assert!(faulty.poke_word(bera_tcpu::mem::RAM_BASE + 0x400, 5));
+        let mut diff = Vec::new();
+        faulty.sparse_diff(ckpt, &[], &mut diff);
+        assert!(!diff.is_empty() && bera_tcpu::diff::carries(&diff));
+        (golden, TrajectoryMemo::default(), cap, diff)
+    }
+
+    #[test]
+    fn an_empty_diff_in_step_with_golden_converges() {
+        let c = 5;
+        let (golden, mut memo, cap, _) = boundary_fixture(c);
+        let n = golden.checkpoints[c].machine.instr_count();
+        let end = end_at_checkpoint(&golden, cap, &mut memo, c, &[], n, true);
+        assert!(matches!(end, Some(DriveEnd::Converged { iteration: 20 })));
+    }
+
+    #[test]
+    fn an_empty_diff_goes_on_where_the_golden_tail_would_cross_the_hang_cap() {
+        let c = 5;
+        let (golden, mut memo, cap, _) = boundary_fixture(c);
+        let tail = golden.total_instructions - golden.checkpoints[c].machine.instr_count();
+        // The tail ends exactly at the cap: converged.
+        let end = end_at_checkpoint(&golden, cap, &mut memo, c, &[], cap - tail, true);
+        assert!(matches!(end, Some(DriveEnd::Converged { .. })));
+        // One instruction later it would cross it: the run executes on.
+        let end = end_at_checkpoint(&golden, cap, &mut memo, c, &[], cap - tail + 1, true);
+        assert!(end.is_none());
+    }
+
+    #[test]
+    fn recall_probes_only_every_recall_every_th_checkpoint() {
+        let ended = |memo: &mut TrajectoryMemo, golden: &GoldenRun| {
+            let end = Ending::Completed { latent: true };
+            memo.finish(Some((&golden.outputs, &golden.outputs, end)));
+        };
+        for (c, probed) in [(8usize, true), (5, false)] {
+            assert_eq!(c.is_multiple_of(RECALL_EVERY), probed);
+            let (golden, mut memo, cap, diff) = boundary_fixture(c);
+            let n = golden.checkpoints[c].machine.instr_count();
+            // A first run passes the state and completes with golden's
+            // outputs; a second run reaches the same state.
+            assert!(end_at_checkpoint(&golden, cap, &mut memo, c, &diff, n, false).is_none());
+            ended(&mut memo, &golden);
+            let end = end_at_checkpoint(&golden, cap, &mut memo, c, &diff, n, false);
+            if probed {
+                let Some(DriveEnd::Recalled { iteration, tail }) = end else {
+                    panic!("checkpoint {c}'s state was not recalled");
+                };
+                assert_eq!(iteration, golden.checkpoints[c].env.iteration());
+                assert!(matches!(tail.ending, Ending::Completed { latent: true }));
+            } else {
+                assert!(end.is_none(), "checkpoint {c} probed the memo");
+            }
+        }
+    }
+
+    #[test]
+    fn a_carriable_diff_in_step_with_golden_reenters() {
+        let c = 5;
+        let (golden, mut memo, cap, diff) = boundary_fixture(c);
+        let n = golden.checkpoints[c].machine.instr_count();
+        let end = end_at_checkpoint(&golden, cap, &mut memo, c, &diff, n, true);
+        let Some(DriveEnd::Reenter {
+            checkpoint,
+            diff: carried,
+        }) = end
+        else {
+            panic!("the run did not re-enter");
+        };
+        assert_eq!((checkpoint, carried), (c, diff));
+    }
+
+    #[test]
+    fn reentry_is_refused_off_step_for_sig_and_when_not_allowed() {
+        let c = 5;
+        let (golden, mut memo, cap, diff) = boundary_fixture(c);
+        let n = golden.checkpoints[c].machine.instr_count();
+        let mut refused = |diff: &[(u32, u32)], n: u64, reenter: bool| {
+            end_at_checkpoint(&golden, cap, &mut memo, c, diff, n, reenter).is_none()
+        };
+        // A non-zero instruction offset.
+        assert!(refused(&diff, n + 1, true));
+        // A diff holding the signature register, which replay cannot carry.
+        let (sig, _) = BitLocation::SigReg { bit: 0 }.word_bit();
+        let sig_diff = [(sig as u32, 1)];
+        assert!(!bera_tcpu::diff::carries(&sig_diff));
+        assert!(refused(&sig_diff, n, true));
+        // Re-entry not allowed.
+        assert!(refused(&diff, n, false));
     }
 }
 

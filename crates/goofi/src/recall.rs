@@ -17,9 +17,10 @@ use crate::experiment::Ending;
 use std::collections::HashMap;
 
 /// A drive consults and feeds the memo at every this-many-th golden
-/// checkpoint. At every 4th, the paper's Algorithm I campaign interprets
-/// 28.70 M instructions instead of 28.71 M and replays 1.56 M events
-/// instead of 1.62 M, but files twice as many keys.
+/// checkpoint. At every 4th, the paper's Algorithm I campaign (`--threads
+/// 1`) interprets 28 702 247 instructions instead of 28 714 199 and
+/// replays 257 640 events instead of 285 664, but probes and files at
+/// twice as many boundaries.
 pub(crate) const RECALL_EVERY: usize = 8;
 
 /// How a filed trajectory ends, seen from any boundary it was filed at.

@@ -7,16 +7,16 @@
 //! The plant is never advanced while replaying: replay stops before the
 //! harness could sample a differing actuator word, so outputs, and with
 //! them the plant, are golden's. At every golden checkpoint the diff is
-//! also the whole state comparison: empty means the run converged there,
-//! and at every [`RECALL_EVERY`]-th checkpoint it is the trajectory memo's
-//! key. A run whose delta against golden is provably steady jumps to
+//! the whole state comparison that
+//! [`end_at_checkpoint`](crate::experiment::end_at_checkpoint) decides
+//! on. A run whose delta against golden is provably steady jumps to
 //! golden's last checkpoint ([`crate::steady`]). A run replayed to its end
 //! is classified from golden's end state plus the diff. Every record
 //! equals the interpreter's.
 
 use crate::experiment::{
-    drive_from, exchange, DriveEnd, DriveMode, DriveResult, FaultInjector, FaultModel, FaultSpec,
-    GoldenRun, LoopConfig,
+    drive_from, end_at_checkpoint, exchange, DriveEnd, DriveMode, DriveResult, FaultInjector,
+    FaultModel, FaultSpec, GoldenRun, LoopConfig,
 };
 use crate::observer::CampaignObserver;
 use crate::recall::{TrajectoryMemo, RECALL_EVERY};
@@ -138,7 +138,7 @@ pub(crate) fn drive(
             DriveMode::Prune {
                 golden,
                 resident,
-                recall: Some(&mut *memo),
+                recall: &mut *memo,
                 // Back to replay later, unless a re-entry failed before
                 // its first checkpoint.
                 reenter: from == run.fault.inject_at || c > after,
@@ -236,32 +236,28 @@ fn replay_checkpoints(
 ) -> Result<Walk, Fallback> {
     let golden = run.golden;
     let mut steady = Steady::new(golden);
+    // Replay runs in step with golden and never re-enters itself.
+    let mut end_at = |j: usize, diff: &[(u32, u32)]| {
+        let n = golden.checkpoints[j].machine.instr_count();
+        end_at_checkpoint(golden, run.cap, memo, j, diff, n, false)
+    };
     for (c, ckpt) in golden.checkpoints.iter().enumerate().skip(after + 1) {
         r.advance(ckpt.machine.instr_count())?;
         if run.deadline.is_some_and(|d| Instant::now() >= d) {
             return Ok(Walk::End(DriveEnd::DeadlineExceeded));
         }
-        let iteration = ckpt.env.iteration();
         let (diff, jump) = steady.at_checkpoint(c, r);
-        if diff.is_empty() {
-            return Ok(Walk::End(DriveEnd::Converged { iteration }));
-        }
-        if c.is_multiple_of(RECALL_EVERY) {
-            if let Some(tail) = memo.probe(diff, c, iteration, 0) {
-                return Ok(Walk::End(DriveEnd::Recalled { iteration, tail }));
-            }
+        if let Some(end) = end_at(c, diff) {
+            return Ok(Walk::End(end));
         }
         if let Some(at_last) = jump {
-            // The state at every checkpoint jumped over is known: recall
-            // probes it as if replay had passed it.
+            // The state at every checkpoint jumped over is known: the
+            // boundary decision takes it as if replay had passed it. The
+            // diff there is not empty, so only recall can end the run.
             let last = golden.checkpoints.len() - 1;
             for j in (c + 1..=last).filter(|j| j.is_multiple_of(RECALL_EVERY)) {
-                let Some(at_j) = steady.diff_at(j) else {
-                    continue;
-                };
-                let iteration = golden.checkpoints[j].env.iteration();
-                if let Some(tail) = memo.probe(&at_j, j, iteration, 0) {
-                    return Ok(Walk::End(DriveEnd::Recalled { iteration, tail }));
+                if let Some(end) = steady.diff_at(j).and_then(|at_j| end_at(j, &at_j)) {
+                    return Ok(Walk::End(end));
                 }
             }
             return Ok(Walk::Jump(last, at_last));

@@ -4,17 +4,16 @@
 //! * Figure 4 — engine load profile;
 //! * Figure 5 — fault-free controller output `u_lim`;
 //! * Figure 7 — a *permanent* severe value failure (output locked at a
-//!   limit), Algorithm I;
-//! * Figure 8 — a *semi-permanent* severe value failure, Algorithm I;
+//!   limit) from a flip in the cache word holding the state variable `x`,
+//!   Algorithm I;
+//! * Figure 8 — a *semi-permanent* severe value failure from a flip in
+//!   `x`'s cache word, Algorithm I;
 //! * Figure 9 — a *transient* minor value failure, Algorithm I;
 //! * Figure 10 — the in-range state corruption (x := 69° at t = 6 s) that
 //!   Algorithm II's range assertions cannot detect.
 
-use bera::goofi::campaign::{run_fault_list, CampaignConfig, FaultList};
-use bera::goofi::classify::{Outcome, Severity};
-use bera::goofi::experiment::{
-    exchange, golden_run, run_experiment, start_loop, FaultSpec, LoopConfig,
-};
+use bera::goofi::classify::Severity;
+use bera::goofi::experiment::{exchange, golden_run, run_experiment, start_loop, LoopConfig};
 use bera::goofi::workload::Workload;
 use bera::plant::closed_loop::sample_instant;
 use bera::repro;
@@ -48,34 +47,20 @@ fn main() {
         .collect();
     repro::write_artifact("fig5_output.csv", &repro::csv_two("t,u_lim", &t, &u));
 
-    // ---- Figures 7, 8, 9: exemplar failures found by a campaign sweep ----
+    // ---- Figures 7, 8, 9: exemplars picked from a campaign sweep by the
+    // paper's captions ----
     let sweep_faults = repro::fault_override(4000);
-    let campaign_cfg = CampaignConfig::paper(sweep_faults, repro::CAMPAIGN_SEED + 7);
-    let list = FaultList::sample(
-        sweep_faults,
-        repro::CAMPAIGN_SEED + 7,
-        golden1.total_instructions,
-    );
-    let records = run_fault_list(&alg1, &campaign_cfg, &golden1, &list.faults);
-
-    let mut exemplars: Vec<(Severity, &str, Option<FaultSpec>)> = vec![
-        (Severity::Permanent, "fig7_permanent.csv", None),
-        (Severity::SemiPermanent, "fig8_semi_permanent.csv", None),
-        (Severity::Transient, "fig9_transient.csv", None),
+    let records = repro::exemplar_sweep(&alg1, &golden1, sweep_faults);
+    let files = [
+        (Severity::Permanent, "fig7_permanent.csv"),
+        (Severity::SemiPermanent, "fig8_semi_permanent.csv"),
+        (Severity::Transient, "fig9_transient.csv"),
     ];
-    for rec in &records {
-        if let Outcome::ValueFailure(s) = rec.outcome {
-            for (sev, _, slot) in exemplars.iter_mut() {
-                if *sev == s && slot.is_none() {
-                    *slot = Some(rec.fault);
-                }
-            }
-        }
-    }
-    for (sev, file, slot) in &exemplars {
+    let chosen = repro::figure_exemplars(&records, alg1.x_address());
+    for ((sev, file), slot) in files.iter().zip(chosen) {
         match slot {
             Some(fault) => {
-                let rec = run_experiment(&alg1, &cfg, &golden1, *fault, true);
+                let rec = run_experiment(&alg1, &cfg, &golden1, fault, true);
                 let outputs = rec.outputs.expect("detail mode records outputs");
                 let csv = repro::csv_compare(&golden1.outputs, &outputs, cfg.sample_interval);
                 repro::write_artifact(file, &csv);
