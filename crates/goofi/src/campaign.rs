@@ -16,7 +16,7 @@ use crate::workload::Workload;
 use bera_stats::sampling::UniformSampler;
 use bera_tcpu::scan;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -51,10 +51,12 @@ pub struct CampaignConfig {
     /// (intermittent, stuck-at) and parity-cache runs.
     pub prune: bool,
     /// Paranoid audit: re-run up to this many diff-replayed experiments on
-    /// the interpreter alone and panic on any record mismatch, and compare
-    /// up to this many steady-delta jumped runs' end diffs with the
-    /// interpreter's. `0` (the default) disables the audits; they exist to
-    /// check the replay soundness arguments on live campaigns.
+    /// the interpreter alone and panic on any record mismatch, compare up
+    /// to this many steady-delta jumped runs' end diffs with the
+    /// interpreter's, and re-run up to this many runs with a plant-only
+    /// stretch and as many with a shifted re-entry from reset, with no
+    /// checkpoint decision at all. `0` (the default) disables the audits;
+    /// they exist to check the soundness arguments on live campaigns.
     pub paranoid: usize,
 }
 
@@ -433,11 +435,12 @@ fn run_fault_list_scoped(
         completed
     };
     // The paranoid audit also checks the end diffs of the runs diff replay
-    // ended by the steady-delta jump.
-    let steady = SteadyEnds::default();
+    // ended by the steady-delta jump, and the runs with a plant-only
+    // stretch or a shifted re-entry.
+    let pools = AuditPools::default();
     let mut audited = ObserverSet::new();
     audited.push(observer);
-    audited.push(&steady);
+    audited.push(&pools);
     let observer: &dyn CampaignObserver = if cfg.paranoid > 0 { &audited } else { observer };
     let plan = plan_campaign(&faults[scope.clone()], cfg, golden);
     let stats = plan.stats();
@@ -583,9 +586,47 @@ fn run_fault_list_scoped(
                  {interpreted:?} disagrees with replayed {replayed:?}"
             );
         }
+        let AuditPools {
+            steady,
+            plant_only,
+            shifted,
+        } = pools;
+        // The boundary decision's plant-only and shifted arms, against the
+        // interpreter alone: from reset, with no decision at all.
+        let arms = [("plant-only", plant_only), ("shifted re-entry", shifted)];
+        for (arm, pool) in arms {
+            let pool = pool.into_inner().expect("no audit observer panics");
+            let pool: Vec<usize> = pool.into_iter().collect();
+            for i in paranoid_members(&pool, cfg.paranoid, cfg.seed, golden_digest, anchor) {
+                let Some(decided) = slots[i]
+                    .as_ref()
+                    .filter(|r| !matches!(r.outcome, Outcome::HarnessFailure(_)))
+                else {
+                    continue; // quarantined
+                };
+                let interpreted = run_from(
+                    workload,
+                    &cfg.loop_cfg,
+                    golden,
+                    faults[i],
+                    cfg.fault_model,
+                    cfg.detail,
+                    i,
+                    &NullObserver,
+                    Start::Reset,
+                    None,
+                )
+                .expect("no deadline was set");
+                assert!(
+                    records_equivalent(&interpreted, decided),
+                    "paranoid {arm} audit failed at fault index {i}: interpreted \
+                     {interpreted:?} disagrees with {decided:?}"
+                );
+            }
+        }
         // A wrong delta that stays latent leaves the record as it was, so
         // the jumped runs' end diffs are audited themselves.
-        let ends = steady.0.into_inner().expect("no audit observer panics");
+        let ends = steady.into_inner().expect("no audit observer panics");
         let jumped: Vec<usize> = ends.keys().copied().collect();
         for i in paranoid_members(&jumped, cfg.paranoid, cfg.seed, golden_digest, anchor) {
             let interpreted =
@@ -602,15 +643,30 @@ fn run_fault_list_scoped(
     slots
 }
 
-/// The end diffs of the runs diff replay ended by the steady-delta jump,
-/// by fault index, for the paranoid audit.
+/// What the paranoid audit draws from, by fault index: the end diffs of
+/// the runs diff replay ended by the steady-delta jump, and the runs with
+/// a plant-only stretch or a shifted re-entry.
 #[derive(Default)]
-struct SteadyEnds(Mutex<HashMap<usize, Vec<(u32, u32)>>>);
+struct AuditPools {
+    steady: Mutex<HashMap<usize, Vec<(u32, u32)>>>,
+    plant_only: Mutex<BTreeSet<usize>>,
+    shifted: Mutex<BTreeSet<usize>>,
+}
 
-impl CampaignObserver for SteadyEnds {
+impl CampaignObserver for AuditPools {
     fn replay_steady(&self, index: usize, end: &[(u32, u32)]) {
-        let mut ends = self.0.lock().expect("no audit observer panics");
+        let mut ends = self.steady.lock().expect("no audit observer panics");
         ends.insert(index, end.to_vec());
+    }
+
+    fn plant_only(&self, index: usize, _iterations: usize) {
+        let mut runs = self.plant_only.lock().expect("no audit observer panics");
+        runs.insert(index);
+    }
+
+    fn shifted_reentry(&self, index: usize) {
+        let mut runs = self.shifted.lock().expect("no audit observer panics");
+        runs.insert(index);
     }
 }
 

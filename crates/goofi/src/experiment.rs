@@ -438,12 +438,13 @@ pub(crate) enum DriveEnd {
         iteration: usize,
         tail: Tail,
     },
-    /// At golden checkpoint `checkpoint`'s boundary, in step with golden,
-    /// the state differs from golden's by `diff`, which diff replay can
-    /// carry on (see [`crate::replay`]).
+    /// At golden checkpoint `checkpoint`'s boundary, `offset` instructions
+    /// after golden reached it, the state differs from golden's by `diff`,
+    /// which diff replay can carry on (see [`crate::replay`]).
     Reenter {
         checkpoint: usize,
         diff: Vec<(u32, u32)>,
+        offset: i64,
     },
 }
 
@@ -599,6 +600,11 @@ impl FaultInjector {
 pub(crate) struct DriveResult {
     pub(crate) outputs: Vec<u32>,
     pub(crate) end: DriveEnd,
+    /// Instructions the interpreter executed.
+    pub(crate) executed: u64,
+    /// Under [`DriveMode::Prune`], the golden checkpoint the machine's
+    /// dirty-word log is now relative to.
+    pub(crate) resident: Option<usize>,
 }
 
 /// What [`drive_from`] does at checkpoint-stride iteration boundaries.
@@ -613,16 +619,23 @@ pub(crate) enum DriveMode<'a> {
         speeds: &'a mut Vec<f64>,
     },
     /// Experiment: at each golden checkpoint's boundary, once the fault is
-    /// quiescent and while the plant equals golden's, take the machine's
-    /// sparse diff against the checkpoint and end the drive where
+    /// quiescent and while the plant or the machine equals golden's, take
+    /// the machine's sparse diff against the checkpoint and go on as
     /// [`end_at_checkpoint`] decides, with `recall` as the memo and
     /// `reenter` as its permission to re-enter. `resident` is the
-    /// checkpoint the machine's dirty-word log was started from.
+    /// checkpoint the machine's dirty-word log was started from; the run's
+    /// instruction count is the machine's plus `offset` (non-zero once the
+    /// machine was restored from a golden checkpoint the run reached off
+    /// golden's count). Plant-only stretches are reported to `observer`
+    /// as run `index`'s.
     Prune {
         golden: &'a GoldenRun,
         resident: usize,
+        offset: i64,
         recall: &'a mut TrajectoryMemo,
         reenter: bool,
+        observer: &'a dyn CampaignObserver,
+        index: usize,
     },
 }
 
@@ -677,52 +690,137 @@ pub fn exchange(machine: &mut Machine, cfg: &LoopConfig, env: &mut Environment) 
     u
 }
 
-/// The one decision at golden checkpoint `c`'s boundary, for a run whose
-/// fault is quiescent and whose plant equals golden's there. The
-/// interpreter ([`drive_from`]'s [`DriveMode::Prune`]) and diff replay
-/// ([`crate::replay`]) both end a run through it. `diff` is the run's
-/// sparse diff against the checkpoint ([`Machine::sparse_diff`]), and
-/// `instr_count` its dynamic instruction count, whose offset from
-/// golden's there keys recall and gates re-entry. In order:
+/// A run at golden checkpoint `c`'s boundary, with its fault quiescent:
+/// what [`end_at_checkpoint`] decides on.
+pub(crate) struct AtCheckpoint<'a> {
+    pub(crate) c: usize,
+    /// The machine's sparse diff against the checkpoint's
+    /// ([`Machine::sparse_diff`]).
+    pub(crate) diff: &'a [(u32, u32)],
+    /// The run's dynamic instruction count.
+    pub(crate) instr_count: u64,
+    /// The run's plant.
+    pub(crate) env: &'a Environment,
+}
+
+/// How a run goes on from a golden checkpoint's boundary, where
+/// [`end_at_checkpoint`] decides anything.
+pub(crate) enum Decision {
+    /// The drive ends here.
+    End(DriveEnd),
+    /// The plant-only arm: up to iteration `to` the run does golden's CPU
+    /// work under its own plant, which is `env` there. With `end`, the run
+    /// ends at `to`; without, it goes on from golden's checkpoint at `to`
+    /// with plant `env` and the instruction offset it has here.
+    PlantOnly {
+        to: usize,
+        env: Environment,
+        end: Option<DriveEnd>,
+    },
+}
+
+/// The word the speed port holds while the plant is in `env`.
+fn speed_port(env: &Environment) -> u32 {
+    (env.engine().speed_rpm() as f32).to_bits()
+}
+
+/// The one decision at golden checkpoint `at.c`'s boundary, for a run
+/// whose fault is quiescent. The interpreter ([`drive_from`]'s
+/// [`DriveMode::Prune`]) and diff replay ([`crate::replay`]) both go on
+/// through it. Execution never reads the instruction count, so a run in
+/// golden's state `δ` instructions off golden's count (`at.instr_count`
+/// against the checkpoint's) follows golden's trajectory with every
+/// instant shifted by `δ`; the golden tail from here keeps it within the
+/// hang cap `instr_cap` iff `golden.total_instructions + δ` does. In
+/// order:
 ///
-/// * **Converged**: the diff is empty, and the golden tail from here
-///   keeps the run within `instr_cap`. A from-reset run then replays the
-///   golden tail bit for bit; one that the tail would take past the cap
-///   executes on, so it hangs where the from-reset run does.
+/// * **Plant-only** (the plant is not golden's): the diff is empty and the
+///   tail keeps the run within the cap. While the plant's speed rounds to
+///   golden's `f32`, the run's next iteration is golden's CPU work, so
+///   only its plant is stepped, under golden's outputs: to the end of the
+///   run (it completes as golden does, not latent), to a checkpoint where
+///   the plant equals golden's (converged there), or to the first
+///   iteration `m` whose speed port differs. The run then goes on from
+///   golden's last checkpoint at or before `m`, later than this one.
+/// * **Converged**: the diff is empty and the tail keeps the run within
+///   the cap. A from-reset run then replays the golden tail bit for bit;
+///   one that the tail would take past the cap executes on, so it hangs
+///   where the from-reset run does.
 /// * **Recalled**: at every [`RECALL_EVERY`]-th checkpoint, `memo` holds
 ///   the state under the same checkpoint, offset and diff (DESIGN.md
 ///   §8k). The run ends as the filed one did; on a miss the memo notes
 ///   the state as passed.
-/// * **Re-enter**: with `reenter`, a state reached in step with golden
-///   (offset 0) whose diff replay can carry ([`bera_tcpu::diff::carries`])
-///   goes back to diff replay (DESIGN.md §8l).
+/// * **Re-enter**: with `reenter`, a state whose diff replay can carry
+///   ([`bera_tcpu::diff::carries`]) and whose tail keeps it within the
+///   cap goes back to diff replay at offset `δ` (DESIGN.md §8l).
 ///
 /// `None`: the run goes on, with nothing allocated.
 pub(crate) fn end_at_checkpoint(
     golden: &GoldenRun,
+    cfg: &LoopConfig,
     instr_cap: u64,
     memo: &mut TrajectoryMemo,
-    c: usize,
-    diff: &[(u32, u32)],
-    instr_count: u64,
+    at: &AtCheckpoint<'_>,
     reenter: bool,
-) -> Option<DriveEnd> {
-    let ckpt = &golden.checkpoints[c];
+) -> Option<Decision> {
+    let ckpt = &golden.checkpoints[at.c];
     let iteration = ckpt.env.iteration();
-    let rest = golden.total_instructions - ckpt.machine.instr_count();
-    if diff.is_empty() && instr_count + rest <= instr_cap {
-        return Some(DriveEnd::Converged { iteration });
+    let offset = i128::from(at.instr_count) - i128::from(ckpt.machine.instr_count());
+    let tail_fits = i128::from(golden.total_instructions) + offset <= i128::from(instr_cap);
+    if *at.env != ckpt.env {
+        return if at.diff.is_empty() && tail_fits {
+            plant_only(golden, cfg, at.env)
+        } else {
+            None
+        };
     }
-    let offset = i128::from(instr_count) - i128::from(ckpt.machine.instr_count());
-    if c.is_multiple_of(RECALL_EVERY) {
-        if let Some(tail) = memo.probe(diff, c, iteration, offset) {
-            return Some(DriveEnd::Recalled { iteration, tail });
+    if at.diff.is_empty() && tail_fits {
+        return Some(Decision::End(DriveEnd::Converged { iteration }));
+    }
+    if at.c.is_multiple_of(RECALL_EVERY) {
+        if let Some(tail) = memo.probe(at.diff, at.c, iteration, offset) {
+            return Some(Decision::End(DriveEnd::Recalled { iteration, tail }));
         }
     }
-    (reenter && offset == 0 && bera_tcpu::diff::carries(diff)).then(|| DriveEnd::Reenter {
-        checkpoint: c,
-        diff: diff.to_vec(),
+    let offset = i64::try_from(offset).ok()?;
+    (reenter && tail_fits && bera_tcpu::diff::carries(at.diff)).then(|| {
+        Decision::End(DriveEnd::Reenter {
+            checkpoint: at.c,
+            diff: at.diff.to_vec(),
+            offset,
+        })
     })
+}
+
+/// [`end_at_checkpoint`]'s plant-only arm from plant `env`, the machine
+/// being golden's.
+fn plant_only(golden: &GoldenRun, cfg: &LoopConfig, env: &Environment) -> Option<Decision> {
+    let stride = cfg.checkpoint_stride;
+    let mut env = env.clone();
+    let mut resume = None;
+    loop {
+        let u = f32::from_bits(golden.outputs[env.iteration()]);
+        env.step(f64::from(u), &cfg.profiles, cfg.sample_interval);
+        let k = env.iteration();
+        let end = if k == cfg.iterations {
+            Some(DriveEnd::Completed {
+                latent: Some(false),
+            })
+        } else if k.is_multiple_of(stride) && env == golden.checkpoints[k / stride].env {
+            Some(DriveEnd::Converged { iteration: k })
+        } else {
+            None
+        };
+        if end.is_some() {
+            return Some(Decision::PlantOnly { to: k, env, end });
+        }
+        if k.is_multiple_of(stride) {
+            resume = Some((k, env.clone()));
+        }
+        if speed_port(&env) != (golden.speeds[k] as f32).to_bits() {
+            return resume.map(|(to, env)| Decision::PlantOnly { to, env, end: None });
+        }
+    }
 }
 
 /// Golden data-memory write keys from a machine's resident checkpoint up
@@ -742,6 +840,15 @@ struct GoldenDeltas {
 }
 
 impl GoldenDeltas {
+    /// No keys yet, for a machine resident at checkpoint `resident`.
+    fn new(resident: usize) -> Self {
+        GoldenDeltas {
+            keys: Vec::new(),
+            seen: Vec::new(),
+            cursor: resident,
+        }
+    }
+
     /// Absorbs the windows up to checkpoint `c`.
     fn extend_to(&mut self, golden: &GoldenRun, c: usize) {
         while self.cursor < c {
@@ -767,13 +874,13 @@ impl GoldenDeltas {
 /// `outputs` holding the first `k` logged outputs. The machine sits at
 /// the start of iteration `k`, or inside it when `mid_iteration` is set
 /// (the boundary is then past). Every `yield` is one [`exchange`].
-/// `injector` perturbs scan-chain bits when the dynamic instruction count
-/// reaches its injection point (and re-asserts at later iteration
-/// boundaries for intermittent/stuck-at models); `instr_cap` bounds the
-/// total instruction count to detect hangs; `deadline` is the wall-clock
-/// watchdog, checked at iteration boundaries only so target execution
-/// stays deterministic; `mode` selects the checkpoint behaviour at stride
-/// boundaries. `on_inject` fires once, at the moment the initial
+/// `injector` perturbs scan-chain bits when the machine's dynamic
+/// instruction count reaches its injection point (and re-asserts at later
+/// iteration boundaries for intermittent/stuck-at models); `instr_cap`
+/// bounds the run's total instruction count to detect hangs; `deadline` is
+/// the wall-clock watchdog, checked at iteration boundaries only so target
+/// execution stays deterministic; `mode` selects the checkpoint behaviour
+/// at stride boundaries. `on_inject` fires once, at the moment the initial
 /// scan-chain perturbation lands (the observer's "fault injected" event).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_from(
@@ -789,20 +896,23 @@ pub(crate) fn drive_from(
     on_inject: &mut dyn FnMut(),
 ) -> DriveResult {
     let stride = cfg.checkpoint_stride;
-    let mut deltas = GoldenDeltas {
-        keys: Vec::new(),
-        seen: Vec::new(),
-        cursor: match &mode {
-            DriveMode::Prune { resident, .. } => *resident,
-            _ => 0,
-        },
+    let mut frame = match &mode {
+        DriveMode::Prune {
+            resident, offset, ..
+        } => Frame::new(machine, Some(*resident), *offset),
+        _ => Frame::new(machine, None, 0),
     };
     let mut diff: Vec<(u32, u32)> = Vec::new();
     // Set when execution sits at the start of iteration `k` (function entry
     // and after every completed iteration); cleared once the boundary has
     // been processed so mid-iteration injection resumes don't repeat it.
     let mut at_boundary = !mid_iteration;
-    while env.iteration() < cfg.iterations {
+    let end = loop {
+        // The hang cap in the machine's instruction count.
+        let cap = instr_cap.saturating_add_signed(-frame.offset);
+        if env.iteration() >= cfg.iterations {
+            break DriveEnd::Completed { latent: None };
+        }
         if at_boundary {
             let k = env.iteration();
             at_boundary = false;
@@ -811,13 +921,8 @@ pub(crate) fn drive_from(
             if let Some(inj) = injector.as_mut() {
                 inj.at_boundary(machine);
             }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return DriveResult {
-                        outputs,
-                        end: DriveEnd::DeadlineExceeded,
-                    };
-                }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                break DriveEnd::DeadlineExceeded;
             }
             if stride > 0 && k.is_multiple_of(stride) {
                 match &mut mode {
@@ -830,39 +935,97 @@ pub(crate) fn drive_from(
                         golden,
                         recall,
                         reenter,
+                        observer,
+                        index,
                         ..
                     } => {
                         // A decision needs the fault delivered in full
                         // (before injection the run *is* golden's; while
-                        // re-assertions are pending it can diverge again)
-                        // and a plant equal to golden's checkpoint here,
-                        // without which there is no diff.
+                        // re-assertions are pending it can diverge again).
+                        // Off golden's plant only an empty diff decides
+                        // anything, and the short-circuiting state compare
+                        // rules out most non-empty ones without building
+                        // the diff.
                         let c = k / stride;
                         let quiescent = injector.as_ref().is_some_and(FaultInjector::quiescent);
-                        let ckpt = golden.checkpoints.get(c);
-                        if let Some(ckpt) = ckpt.filter(|ckpt| quiescent && ckpt.env == env) {
-                            deltas.extend_to(golden, c);
-                            machine.sparse_diff(&ckpt.machine, &deltas.keys, &mut diff);
-                            debug_assert_eq!(
-                                diff.is_empty(),
-                                machine.state_equals(&ckpt.machine)
-                                    && machine.state_digest() == ckpt.machine.state_digest(),
-                                "the sparse diff, the full walk and the digest must agree"
+                        let Some(ckpt) = golden.checkpoints.get(c).filter(|ckpt| {
+                            quiescent
+                                && (ckpt.env == env
+                                    || speed_port(&ckpt.env) == speed_port(&env)
+                                        && machine.state_equals(&ckpt.machine))
+                        }) else {
+                            continue;
+                        };
+                        frame.deltas.extend_to(golden, c);
+                        machine.sparse_diff(&ckpt.machine, &frame.deltas.keys, &mut diff);
+                        debug_assert_eq!(
+                            diff.is_empty(),
+                            machine.state_equals(&ckpt.machine)
+                                && machine.state_digest() == ckpt.machine.state_digest(),
+                            "the sparse diff, the full walk and the digest must agree"
+                        );
+                        let count = machine.instr_count().saturating_add_signed(frame.offset);
+                        let at = AtCheckpoint {
+                            c,
+                            diff: &diff,
+                            instr_count: count,
+                            env: &env,
+                        };
+                        let Some(decision) =
+                            end_at_checkpoint(golden, cfg, instr_cap, recall, &at, *reenter)
+                        else {
+                            continue;
+                        };
+                        let (to, there, end) = match decision {
+                            Decision::End(end) => break end,
+                            Decision::PlantOnly { to, env, end } => (to, env, end),
+                        };
+                        observer.plant_only(*index, to - k);
+                        outputs.extend_from_slice(&golden.outputs[k..to]);
+                        // Debug builds interpret the stretch on a copy
+                        // and check where the arm takes the run against it.
+                        let witness = cfg!(debug_assertions).then(|| {
+                            let (m, e) = interpret_golden(machine, &env, cfg, golden, to, cap);
+                            (m.instr_count() - machine.instr_count(), m, e)
+                        });
+                        let reaches = |state: &Machine, plant: &Environment| {
+                            witness.as_ref().is_none_or(|(n, m, e)| {
+                                m.state_equals(state)
+                                    && e == plant
+                                    && *n == state.instr_count() - ckpt.machine.instr_count()
+                            })
+                        };
+                        if let Some(end) = end {
+                            let golden_at = match end {
+                                DriveEnd::Converged { .. } => {
+                                    &golden.checkpoints[to / stride].machine
+                                }
+                                _ => &golden.end_machine,
+                            };
+                            debug_assert!(
+                                reaches(golden_at, &there),
+                                "a plant-only stretch does not end in golden's state"
                             );
-                            let n = machine.instr_count();
-                            if let Some(end) =
-                                end_at_checkpoint(golden, instr_cap, recall, c, &diff, n, *reenter)
-                            {
-                                return DriveResult { outputs, end };
-                            }
+                            break end;
                         }
+                        // Golden's state at `to`, with the run's plant and
+                        // instruction offset.
+                        let offset = i128::from(count) - i128::from(ckpt.machine.instr_count());
+                        let offset = i64::try_from(offset).expect("an instruction offset fits i64");
+                        frame.restore(machine, golden, cfg, to / stride, offset);
+                        env = there;
+                        set_ports(machine, cfg, to, env.engine().speed_rpm());
+                        debug_assert!(
+                            reaches(machine, &env),
+                            "a plant-only stretch restores a state the run does not reach"
+                        );
+                        // The restored boundary's decision was this one.
+                        continue;
                     }
                 }
             }
         }
-        let stop = injector
-            .as_ref()
-            .map_or(instr_cap, |inj| inj.stop_at(instr_cap));
+        let stop = injector.as_ref().map_or(cap, |inj| inj.stop_at(cap));
         match machine.run_until(stop) {
             RunExit::Yield => {
                 outputs.push(exchange(machine, cfg, &mut env).to_bits());
@@ -873,30 +1036,104 @@ pub(crate) fn drive_from(
                 }
                 at_boundary = true;
             }
-            RunExit::Trap(trap) => {
-                return DriveResult {
-                    outputs,
-                    end: DriveEnd::Trapped(trap),
-                };
+            RunExit::Trap(mut trap) => {
+                trap.at_instruction = trap.at_instruction.saturating_add_signed(frame.offset);
+                break DriveEnd::Trapped(trap);
             }
             RunExit::Budget => match injector.as_mut() {
-                Some(inj) if !inj.injected && machine.instr_count() < instr_cap => {
+                Some(inj) if !inj.injected && machine.instr_count() < cap => {
                     inj.inject(machine);
                     on_inject();
                 }
-                _ => {
-                    return DriveResult {
-                        outputs,
-                        end: DriveEnd::Hang,
-                    };
-                }
+                _ => break DriveEnd::Hang,
             },
         }
-    }
+    };
     DriveResult {
         outputs,
-        end: DriveEnd::Completed { latent: None },
+        end,
+        executed: frame.executed + machine.instr_count() - frame.restored_at,
+        resident: frame.resident,
     }
+}
+
+/// Where a drive's machine stands against the golden run: the checkpoint
+/// its dirty-word log is relative to and the golden writes since, the
+/// run's instruction count as the machine's plus `offset`, and the
+/// instructions the machine executed before it was last restored (at
+/// count `restored_at`).
+struct Frame {
+    resident: Option<usize>,
+    deltas: GoldenDeltas,
+    offset: i64,
+    executed: u64,
+    restored_at: u64,
+}
+
+impl Frame {
+    fn new(machine: &Machine, resident: Option<usize>, offset: i64) -> Self {
+        Frame {
+            resident,
+            deltas: GoldenDeltas::new(resident.unwrap_or(0)),
+            offset,
+            executed: 0,
+            restored_at: machine.instr_count(),
+        }
+    }
+
+    /// Restores `machine` to golden checkpoint `r`, with the run `offset`
+    /// instructions off golden's count there.
+    fn restore(
+        &mut self,
+        machine: &mut Machine,
+        golden: &GoldenRun,
+        cfg: &LoopConfig,
+        r: usize,
+        offset: i64,
+    ) {
+        let from = self
+            .resident
+            .expect("a pruned drive has a resident checkpoint");
+        let (lo, hi) = (from.min(r), from.max(r));
+        let executed = self.executed + machine.instr_count() - self.restored_at;
+        let ckpt = &golden.checkpoints[r].machine;
+        machine.restore_delta_from(ckpt, &golden.ckpt_data_deltas[lo..hi]);
+        if !cfg.fast_replay {
+            machine.set_fast_replay(false);
+        }
+        *self = Frame {
+            executed,
+            ..Frame::new(machine, Some(r), offset)
+        };
+    }
+}
+
+/// Debug builds' lockstep check of a plant-only stretch: interprets a copy
+/// of `machine`, with plant `env`, up to the start of iteration `to` or
+/// the machine count `instr_cap`, demanding golden's output at every
+/// iteration; returns the copy and its plant.
+fn interpret_golden(
+    machine: &Machine,
+    env: &Environment,
+    cfg: &LoopConfig,
+    golden: &GoldenRun,
+    to: usize,
+    instr_cap: u64,
+) -> (Machine, Environment) {
+    let (mut m, mut e) = (machine.clone(), env.clone());
+    while e.iteration() < to {
+        let k = e.iteration();
+        assert!(
+            matches!(m.run_until(instr_cap), RunExit::Yield),
+            "a plant-only stretch skipped an iteration that does not yield"
+        );
+        assert_eq!(
+            exchange(&mut m, cfg, &mut e).to_bits(),
+            golden.outputs[k],
+            "a plant-only stretch skipped an output that is not golden's"
+        );
+    }
+    (m, e)
 }
 
 /// Executes the fault-free reference run and logs the golden state.
@@ -1182,7 +1419,7 @@ pub(crate) fn run_from(
 
     let start_block_instructions = machine.block_instructions();
     let replay = start == Start::Replay && ckpt_index.is_some();
-    let (result, instructions, resident) = match (replay, ckpt_index, recall.as_mut()) {
+    let result = match (replay, ckpt_index, recall.as_mut()) {
         (true, Some(ci), Some(memo)) => {
             let run = crate::replay::Run {
                 cfg,
@@ -1197,17 +1434,19 @@ pub(crate) fn run_from(
             crate::replay::drive(&run, &mut machine, ci, memo)
         }
         _ => {
-            let start_instructions = machine.instr_count();
             let mode = match (ckpt_index, recall.as_mut()) {
                 (Some(resident), Some(recall)) => DriveMode::Prune {
                     golden,
                     resident,
+                    offset: 0,
                     recall,
                     reenter: false,
+                    observer,
+                    index,
                 },
                 _ => DriveMode::Plain,
             };
-            let result = drive_from(
+            drive_from(
                 &mut machine,
                 cfg,
                 env,
@@ -1218,20 +1457,21 @@ pub(crate) fn run_from(
                 mode,
                 false,
                 &mut || observer.fault_injected(index, fault),
-            );
-            let executed = machine.instr_count().saturating_sub(start_instructions);
-            (result, executed, ckpt_index)
+            )
         }
     };
     observer.experiment_executed(
         index,
-        instructions,
+        result.executed,
         machine
             .block_instructions()
             .saturating_sub(start_block_instructions),
     );
     let DriveResult {
-        mut outputs, end, ..
+        mut outputs,
+        end,
+        resident,
+        ..
     } = result;
     let ending = match end {
         DriveEnd::DeadlineExceeded => None,
@@ -1576,63 +1816,157 @@ mod tests {
         assert_eq!(a.max_deviation, b.max_deviation);
     }
 
-    /// A short golden run, a fresh memo, its hang cap, and a carriable
-    /// diff: one RAM word of checkpoint `c` changed.
-    fn boundary_fixture(c: usize) -> (GoldenRun, TrajectoryMemo, u64, Vec<(u32, u32)>) {
-        let golden = golden_run(&Workload::algorithm_one(), &LoopConfig::short(40));
-        let cap = instruction_cap(golden.total_instructions);
-        let ckpt = &golden.checkpoints[c].machine;
-        let mut faulty = ckpt.clone();
-        faulty.begin_dirty_log();
-        assert!(faulty.poke_word(bera_tcpu::mem::RAM_BASE + 0x400, 5));
-        let mut diff = Vec::new();
-        faulty.sparse_diff(ckpt, &[], &mut diff);
-        assert!(!diff.is_empty() && bera_tcpu::diff::carries(&diff));
-        (golden, TrajectoryMemo::default(), cap, diff)
+    /// A run at a checkpoint of a short golden run: its fresh memo, hang
+    /// cap, and a carriable diff (one RAM word of the checkpoint changed).
+    struct Boundary {
+        cfg: LoopConfig,
+        golden: GoldenRun,
+        memo: TrajectoryMemo,
+        cap: u64,
+        c: usize,
+        diff: Vec<(u32, u32)>,
+    }
+
+    impl Boundary {
+        fn new(c: usize) -> Self {
+            Boundary::with_iterations(c, 40)
+        }
+
+        fn with_iterations(c: usize, iterations: usize) -> Self {
+            let cfg = LoopConfig::short(iterations);
+            let golden = golden_run(&Workload::algorithm_one(), &cfg);
+            let cap = instruction_cap(golden.total_instructions);
+            let ckpt = &golden.checkpoints[c].machine;
+            let mut faulty = ckpt.clone();
+            faulty.begin_dirty_log();
+            assert!(faulty.poke_word(bera_tcpu::mem::RAM_BASE + 0x400, 5));
+            let mut diff = Vec::new();
+            faulty.sparse_diff(ckpt, &[], &mut diff);
+            assert!(!diff.is_empty() && bera_tcpu::diff::carries(&diff));
+            let memo = TrajectoryMemo::default();
+            Boundary {
+                cfg,
+                golden,
+                memo,
+                cap,
+                c,
+                diff,
+            }
+        }
+
+        /// Golden's instruction count at the checkpoint.
+        fn n(&self) -> u64 {
+            self.golden.checkpoints[self.c].machine.instr_count()
+        }
+
+        /// The golden tail's instructions from the checkpoint.
+        fn tail(&self) -> u64 {
+            self.golden.total_instructions - self.n()
+        }
+
+        /// The decision for a run with `diff`, count `n` and plant `env`.
+        fn decide(
+            &mut self,
+            diff: &[(u32, u32)],
+            n: u64,
+            env: &Environment,
+            reenter: bool,
+        ) -> Option<Decision> {
+            let at = AtCheckpoint {
+                c: self.c,
+                diff,
+                instr_count: n,
+                env,
+            };
+            end_at_checkpoint(
+                &self.golden,
+                &self.cfg,
+                self.cap,
+                &mut self.memo,
+                &at,
+                reenter,
+            )
+        }
+
+        /// The decision for a run with golden's plant, which only ends a
+        /// drive or lets it go on.
+        fn end(&mut self, diff: &[(u32, u32)], n: u64, reenter: bool) -> Option<DriveEnd> {
+            let env = self.golden.checkpoints[self.c].env.clone();
+            self.decide(diff, n, &env, reenter).map(|d| match d {
+                Decision::End(end) => end,
+                Decision::PlantOnly { .. } => panic!("golden's plant took the plant-only arm"),
+            })
+        }
+
+        /// A plant off golden's at the checkpoint: golden's, with the
+        /// command of the iteration before changed by `du`.
+        fn plant_off_golden(&self, du: f32) -> Environment {
+            let mut env = self.golden.checkpoints[self.c - 1].env.clone();
+            let k = self.golden.checkpoints[self.c].env.iteration();
+            while env.iteration() < k {
+                let mut u = f32::from_bits(self.golden.outputs[env.iteration()]);
+                if env.iteration() + 1 == k {
+                    u += du;
+                }
+                env.step(f64::from(u), &self.cfg.profiles, self.cfg.sample_interval);
+            }
+            assert_ne!(env, self.golden.checkpoints[self.c].env);
+            env
+        }
+
+        /// The first iteration after the checkpoint at which `env`, stepped
+        /// under golden's outputs, puts a word other than golden's in the
+        /// speed port; `None` if none does.
+        fn first_port_off_golden(&self, env: &Environment) -> Option<usize> {
+            let mut env = env.clone();
+            while env.iteration() + 1 < self.cfg.iterations {
+                let u = f32::from_bits(self.golden.outputs[env.iteration()]);
+                env.step(f64::from(u), &self.cfg.profiles, self.cfg.sample_interval);
+                let k = env.iteration();
+                if speed_port(&env) != (self.golden.speeds[k] as f32).to_bits() {
+                    return Some(k);
+                }
+            }
+            None
+        }
     }
 
     #[test]
     fn an_empty_diff_in_step_with_golden_converges() {
-        let c = 5;
-        let (golden, mut memo, cap, _) = boundary_fixture(c);
-        let n = golden.checkpoints[c].machine.instr_count();
-        let end = end_at_checkpoint(&golden, cap, &mut memo, c, &[], n, true);
+        let mut b = Boundary::new(5);
+        let end = b.end(&[], b.n(), true);
         assert!(matches!(end, Some(DriveEnd::Converged { iteration: 20 })));
     }
 
     #[test]
     fn an_empty_diff_goes_on_where_the_golden_tail_would_cross_the_hang_cap() {
-        let c = 5;
-        let (golden, mut memo, cap, _) = boundary_fixture(c);
-        let tail = golden.total_instructions - golden.checkpoints[c].machine.instr_count();
+        let mut b = Boundary::new(5);
+        let (cap, tail) = (b.cap, b.tail());
         // The tail ends exactly at the cap: converged.
-        let end = end_at_checkpoint(&golden, cap, &mut memo, c, &[], cap - tail, true);
+        let end = b.end(&[], cap - tail, true);
         assert!(matches!(end, Some(DriveEnd::Converged { .. })));
         // One instruction later it would cross it: the run executes on.
-        let end = end_at_checkpoint(&golden, cap, &mut memo, c, &[], cap - tail + 1, true);
-        assert!(end.is_none());
+        assert!(b.end(&[], cap - tail + 1, true).is_none());
     }
 
     #[test]
     fn recall_probes_only_every_recall_every_th_checkpoint() {
-        let ended = |memo: &mut TrajectoryMemo, golden: &GoldenRun| {
-            let end = Ending::Completed { latent: true };
-            memo.finish(Some((&golden.outputs, &golden.outputs, end)));
-        };
         for (c, probed) in [(8usize, true), (5, false)] {
             assert_eq!(c.is_multiple_of(RECALL_EVERY), probed);
-            let (golden, mut memo, cap, diff) = boundary_fixture(c);
-            let n = golden.checkpoints[c].machine.instr_count();
+            let mut b = Boundary::new(c);
+            let (diff, n) = (b.diff.clone(), b.n());
             // A first run passes the state and completes with golden's
             // outputs; a second run reaches the same state.
-            assert!(end_at_checkpoint(&golden, cap, &mut memo, c, &diff, n, false).is_none());
-            ended(&mut memo, &golden);
-            let end = end_at_checkpoint(&golden, cap, &mut memo, c, &diff, n, false);
+            assert!(b.end(&diff, n, false).is_none());
+            let end = Ending::Completed { latent: true };
+            b.memo
+                .finish(Some((&b.golden.outputs, &b.golden.outputs, end)));
+            let end = b.end(&diff, n, false);
             if probed {
                 let Some(DriveEnd::Recalled { iteration, tail }) = end else {
                     panic!("checkpoint {c}'s state was not recalled");
                 };
-                assert_eq!(iteration, golden.checkpoints[c].env.iteration());
+                assert_eq!(iteration, b.golden.checkpoints[c].env.iteration());
                 assert!(matches!(tail.ending, Ending::Completed { latent: true }));
             } else {
                 assert!(end.is_none(), "checkpoint {c} probed the memo");
@@ -1641,38 +1975,144 @@ mod tests {
     }
 
     #[test]
-    fn a_carriable_diff_in_step_with_golden_reenters() {
-        let c = 5;
-        let (golden, mut memo, cap, diff) = boundary_fixture(c);
-        let n = golden.checkpoints[c].machine.instr_count();
-        let end = end_at_checkpoint(&golden, cap, &mut memo, c, &diff, n, true);
-        let Some(DriveEnd::Reenter {
-            checkpoint,
-            diff: carried,
-        }) = end
-        else {
-            panic!("the run did not re-enter");
+    fn recall_tells_states_apart_by_their_instruction_offset() {
+        // A run passes a state 3 instructions behind golden's count and
+        // traps later; a second run reaches the same state and diff in step
+        // with golden. Its trap, and with it its detection latency, would
+        // come 3 instructions earlier: it must not be recalled.
+        let mut b = Boundary::new(8);
+        let (diff, n) = (b.diff.clone(), b.n());
+        assert!(b.end(&diff, n + 3, false).is_none());
+        let trap = bera_tcpu::edm::Trap {
+            mechanism: bera_tcpu::edm::ErrorMechanism::AddressError,
+            at_instruction: n + 500,
+            pc: 0,
         };
-        assert_eq!((checkpoint, carried), (c, diff));
+        let outputs = &b.golden.outputs[..b.golden.checkpoints[8].env.iteration() + 2];
+        b.memo
+            .finish(Some((outputs, &b.golden.outputs, Ending::Trapped(trap))));
+        assert!(b.end(&diff, n, false).is_none(), "recalled across offsets");
+        let Some(DriveEnd::Recalled { tail, .. }) = b.end(&diff, n + 3, false) else {
+            panic!("the state was not recalled at its own offset");
+        };
+        assert!(matches!(tail.ending, Ending::Trapped(t) if t == trap));
     }
 
     #[test]
-    fn reentry_is_refused_off_step_for_sig_and_when_not_allowed() {
-        let c = 5;
-        let (golden, mut memo, cap, diff) = boundary_fixture(c);
-        let n = golden.checkpoints[c].machine.instr_count();
-        let mut refused = |diff: &[(u32, u32)], n: u64, reenter: bool| {
-            end_at_checkpoint(&golden, cap, &mut memo, c, diff, n, reenter).is_none()
+    fn a_carriable_diff_in_step_with_golden_reenters() {
+        let mut b = Boundary::new(5);
+        let (diff, n) = (b.diff.clone(), b.n());
+        let Some(DriveEnd::Reenter {
+            checkpoint,
+            diff: carried,
+            offset,
+        }) = b.end(&diff, n, true)
+        else {
+            panic!("the run did not re-enter");
         };
-        // A non-zero instruction offset.
-        assert!(refused(&diff, n + 1, true));
-        // A diff holding the signature register, which replay cannot carry.
+        assert_eq!((checkpoint, carried, offset), (5, diff, 0));
+    }
+
+    #[test]
+    fn a_carriable_diff_off_golden_count_reenters_with_its_offset() {
+        let mut b = Boundary::new(5);
+        let (diff, n) = (b.diff.clone(), b.n());
+        for delta in [3i64, -2] {
+            let Some(DriveEnd::Reenter {
+                checkpoint,
+                diff: carried,
+                offset,
+            }) = b.end(&diff, n.saturating_add_signed(delta), true)
+            else {
+                panic!("the run did not re-enter at offset {delta}");
+            };
+            assert_eq!((checkpoint, carried, offset), (5, diff.clone(), delta));
+        }
+    }
+
+    #[test]
+    fn reentry_is_refused_past_the_hang_cap_for_sig_and_when_not_allowed() {
+        let mut b = Boundary::new(5);
+        let (diff, n, cap, tail) = (b.diff.clone(), b.n(), b.cap, b.tail());
+        // An offset whose golden tail ends exactly at the cap re-enters;
+        // one more instruction and the tail would cross it.
+        let at_cap = i64::try_from(cap - b.golden.total_instructions).unwrap();
+        assert!(matches!(
+            b.end(&diff, cap - tail, true),
+            Some(DriveEnd::Reenter { offset, .. }) if offset == at_cap
+        ));
+        assert!(b.end(&diff, cap - tail + 1, true).is_none());
+        // A diff holding the signature register, which replay cannot
+        // carry, in step with golden or not.
         let (sig, _) = BitLocation::SigReg { bit: 0 }.word_bit();
         let sig_diff = [(sig as u32, 1)];
         assert!(!bera_tcpu::diff::carries(&sig_diff));
-        assert!(refused(&sig_diff, n, true));
+        assert!(b.end(&sig_diff, n, true).is_none());
+        assert!(b.end(&sig_diff, n + 3, true).is_none());
         // Re-entry not allowed.
-        assert!(refused(&diff, n, false));
+        assert!(b.end(&diff, n, false).is_none());
+        assert!(b.end(&diff, n + 3, false).is_none());
+    }
+
+    #[test]
+    fn a_plant_only_stretch_runs_to_the_end() {
+        let mut b = Boundary::with_iterations(5, 39);
+        // The last command off by a few ulp: the plant is not golden's,
+        // but its speed port stays golden's to the end of the run.
+        let env = b.plant_off_golden(5e-7);
+        assert_eq!(b.first_port_off_golden(&env), None);
+        let n = b.n() + 7;
+        let Some(Decision::PlantOnly {
+            to,
+            env: end_env,
+            end,
+        }) = b.decide(&[], n, &env, true)
+        else {
+            panic!("no plant-only stretch");
+        };
+        assert_eq!(to, 39);
+        assert_eq!(end_env.iteration(), 39);
+        assert!(matches!(
+            end,
+            Some(DriveEnd::Completed {
+                latent: Some(false)
+            })
+        ));
+        // Not with a machine diff, nor where golden's tail would take the
+        // run past the hang cap.
+        let (diff, cap, tail) = (b.diff.clone(), b.cap, b.tail());
+        assert!(b.decide(&diff, n, &env, true).is_none());
+        assert!(b.decide(&[], cap - tail + 1, &env, true).is_none());
+    }
+
+    #[test]
+    fn a_plant_only_stretch_ends_at_golden_checkpoint_at_or_before_the_first_port_off_golden() {
+        let mut b = Boundary::new(5);
+        let env = b.plant_off_golden(1e-5);
+        // The speed port is golden's at the checkpoint, so the machine can
+        // be, and leaves it at iteration m = 34.
+        assert_eq!(speed_port(&env), (b.golden.speeds[20] as f32).to_bits());
+        let m = b.first_port_off_golden(&env);
+        assert_eq!(m, Some(34));
+        let n = b.n() - 4;
+        let Some(Decision::PlantOnly {
+            to,
+            env: there,
+            end,
+        }) = b.decide(&[], n, &env, true)
+        else {
+            panic!("no plant-only stretch");
+        };
+        // Golden's checkpoint at iteration 32, where the run's plant is
+        // still not golden's.
+        assert_eq!((to, end.is_none()), (32, true));
+        let mut stepped = env.clone();
+        while stepped.iteration() < to {
+            let u = f32::from_bits(b.golden.outputs[stepped.iteration()]);
+            stepped.step(f64::from(u), &b.cfg.profiles, b.cfg.sample_interval);
+        }
+        assert_eq!(there, stepped);
+        assert_ne!(there, b.golden.checkpoints[8].env);
     }
 }
 

@@ -102,6 +102,22 @@ pub trait CampaignObserver: Sync {
         let _ = (index, end);
     }
 
+    /// The run's machine was golden's at a checkpoint while its plant was
+    /// not, and its next `iterations` iterations were golden's CPU work:
+    /// only the plant was stepped through them (DESIGN.md §8 "One boundary
+    /// decision"). The stretch either ended the run or handed it back to
+    /// the interpreter at a later golden checkpoint.
+    fn plant_only(&self, index: usize, iterations: usize) {
+        let _ = (index, iterations);
+    }
+
+    /// A run the interpreter carried went back to diff replay a non-zero
+    /// number of instructions off golden's count (DESIGN.md §8l): replay
+    /// follows golden's trace with every instant of the run shifted by it.
+    fn shifted_reentry(&self, index: usize) {
+        let _ = index;
+    }
+
     /// An experiment's drive finished executing: it ran `instructions`
     /// dynamic instructions in this process, of which `block_instructions`
     /// went through the predecoded fast-replay block engine rather than
@@ -225,6 +241,18 @@ impl CampaignObserver for ObserverSet<'_> {
     fn replay_steady(&self, index: usize, end: &[(u32, u32)]) {
         for o in &self.observers {
             o.replay_steady(index, end);
+        }
+    }
+
+    fn plant_only(&self, index: usize, iterations: usize) {
+        for o in &self.observers {
+            o.plant_only(index, iterations);
+        }
+    }
+
+    fn shifted_reentry(&self, index: usize) {
+        for o in &self.observers {
+            o.shifted_reentry(index);
         }
     }
 
@@ -434,6 +462,14 @@ impl CampaignObserver for Telemetry {
         self.fold(|c| c.steady += 1);
     }
 
+    fn plant_only(&self, _index: usize, iterations: usize) {
+        self.fold(|c| c.plant_only_iterations += iterations);
+    }
+
+    fn shifted_reentry(&self, _index: usize) {
+        self.fold(|c| c.shifted_reentries += 1);
+    }
+
     fn experiment_executed(&self, _index: usize, instructions: u64, block_instructions: u64) {
         self.fold(|c| {
             c.sim_instructions += instructions;
@@ -570,6 +606,15 @@ pub struct TelemetrySnapshot {
     pub fallback_trap: usize,
     /// ... because the harness sampled a diffed output port.
     pub fallback_output: usize,
+    /// Iterations whose CPU work was golden's while the plant was not, so
+    /// only the plant was stepped. Absent from sidecars written before it
+    /// existed.
+    #[serde(default)]
+    pub plant_only_iterations: usize,
+    /// Re-entries into diff replay at a non-zero instruction offset from
+    /// golden's. Absent from sidecars written before it existed.
+    #[serde(default)]
+    pub shifted_reentries: usize,
 }
 
 impl TelemetrySnapshot {
@@ -698,6 +743,8 @@ impl TelemetrySnapshot {
         self.fallback_branch += other.fallback_branch;
         self.fallback_trap += other.fallback_trap;
         self.fallback_output += other.fallback_output;
+        self.plant_only_iterations += other.plant_only_iterations;
+        self.shifted_reentries += other.shifted_reentries;
     }
 }
 
@@ -777,10 +824,11 @@ impl fmt::Display for TelemetrySnapshot {
             let total: usize = fallbacks.iter().map(|(_, n)| n).sum();
             write!(
                 f,
-                " | replay {} ({} events, steady {}), fallback {total}",
+                " | replay {} ({} events, steady {}, shifted {}), fallback {total}",
                 self.replayed,
                 count(self.replay_events),
-                self.steady
+                self.steady,
+                self.shifted_reentries
             )?;
             let by_reason: Vec<String> = fallbacks
                 .iter()
@@ -790,6 +838,9 @@ impl fmt::Display for TelemetrySnapshot {
             if !by_reason.is_empty() {
                 write!(f, " ({})", by_reason.join(", "))?;
             }
+        }
+        if self.plant_only_iterations > 0 {
+            write!(f, " | plant-only {} it", self.plant_only_iterations)?;
         }
         if self.plan_micros > 0 {
             write!(f, " | plan {} µs", self.plan_micros)?;

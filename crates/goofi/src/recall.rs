@@ -18,9 +18,10 @@ use std::collections::HashMap;
 
 /// A drive consults and feeds the memo at every this-many-th golden
 /// checkpoint. At every 4th, the paper's Algorithm I campaign (`--threads
-/// 1`) interprets 28 702 247 instructions instead of 28 714 199 and
-/// replays 257 640 events instead of 285 664, but probes and files at
-/// twice as many boundaries.
+/// 1`) interprets 24 986 669 instructions instead of 24 998 621 and
+/// replays 257 754 events instead of 285 778, but probes and files at
+/// twice as many boundaries, and its peak resident set grows by about
+/// 3 % (EXPERIMENTS.md "Plant-only stretches and shifted re-entry").
 pub(crate) const RECALL_EVERY: usize = 8;
 
 /// How a filed trajectory ends, seen from any boundary it was filed at.

@@ -35,8 +35,10 @@
 //! until it needs the interpreter. `--no-prune` is the reference
 //! configuration: it interprets every fault from injection. `--paranoid N`
 //! re-runs up to N replayed experiments on the interpreter, compares up
-//! to N steady-delta jumped runs' end diffs with the interpreter's, and
-//! panics if any disagrees. Outcomes are bit-identical either way.
+//! to N steady-delta jumped runs' end diffs with the interpreter's,
+//! re-runs up to N runs with a plant-only stretch and up to N with a
+//! shifted re-entry from reset on the interpreter alone, and panics if
+//! any disagrees. Outcomes are bit-identical either way.
 //!
 //! Builds carrying the `failpoints` feature accept `--failpoint
 //! id=action[@N]` (repeatable) to arm deterministic crash/error/panic/
@@ -250,9 +252,11 @@ fn usage() {
          \tinjection (by default flip-model campaigns classify overwritten/\n\
          \tlatent faults analytically from the golden traces and diff-replay\n\
          \tthe rest from injection; outcomes are bit-identical either way)\n\
-         --paranoid N   re-run up to N replayed experiments, and up to N\n\
-         \tsteady-delta jumped end states, on the interpreter, as a\n\
-         \truntime cross-check of diff replay\n\
+         --paranoid N   re-run up to N replayed experiments, up to N\n\
+         \tsteady-delta jumped end states, and up to N runs with a\n\
+         \tplant-only stretch and N with a shifted re-entry, on the\n\
+         \tinterpreter, as a runtime cross-check of diff replay and the\n\
+         \tcheckpoint decision\n\
          --out FILE     stream records to a checksummed JSONL result store\n\
          --resume       continue an interrupted store (validates that it\n\
          \tbelongs to this campaign; re-runs only the missing faults)\n\

@@ -10,8 +10,9 @@
 //! latter large enough for faults that share a fate), every fault model (the
 //! re-asserting ones and parity-cache runs bypass the resolver and stay
 //! byte-identical to `prune: false`), pinned untraceable and replay-edge
-//! lists, random seeds, the paper's 650 iterations, and `paranoid` audits,
-//! whose clean completion is itself the assertion.
+//! lists, pinned runs through the boundary decision's plant-only and
+//! shifted re-entry arms, random seeds, the paper's 650 iterations, and
+//! `paranoid` audits, whose clean completion is itself the assertion.
 //!
 //! Property tests show the planner's analysis is *load-bearing*: a
 //! perturbed golden trace (an extra read between two faults that share a
@@ -160,6 +161,49 @@ fn replay_death_instants_match_the_plain_reference() {
     let model = FaultModel::AdjacentDoubleBit;
     let campaign = Campaign::listed(Workload::algorithm_two(), model, faults.to_vec());
     check(&campaign.iterations(650), &[Point::DEFAULT]);
+}
+
+/// A fault of the paper's Algorithm I campaign (seed 20010701) whose run
+/// reaches a golden checkpoint with golden's machine but not golden's
+/// plant: the plant-only stretch steps the plant alone from iteration 576
+/// until its speed port leaves golden's at an iteration before 588, and the
+/// run goes on from golden's checkpoint at 584, interpreted, to a
+/// transient value failure.
+#[test]
+fn a_plant_only_stretch_that_ends_before_the_run_matches_the_plain_reference() {
+    let fault = FaultSpec {
+        location_index: 19,
+        inject_at: 8_955,
+    };
+    let model = FaultModel::SingleBit;
+    let campaign = Campaign::listed(Workload::algorithm_one(), model, vec![fault]);
+    let runs = check(&campaign.iterations(650), &[Point::DEFAULT]);
+    assert_eq!(runs[0].telemetry.plant_only_iterations, 8);
+    let record = &runs[0].result.records[0];
+    assert!(record.outcome.is_value_failure() && record.pruned_at.is_none());
+}
+
+/// Three faults of the paper's Algorithm I campaign (seed 20010701) that
+/// fall back from diff replay and reach a golden checkpoint with a
+/// carriable diff 1 280, 10 and −120 instructions off golden's count: each
+/// goes back to replay shifted by that offset, to a latent end, a latent
+/// end and convergence. Unsupervised, so a debug build's lockstep check of
+/// each shifted segment (its states and instruction counts against the
+/// interpreter's) fails the test instead of a retry.
+#[test]
+fn shifted_reentries_match_the_plain_reference() {
+    let faults =
+        [(1677, 3_374), (1670, 79_366), (1650, 858)].map(|(location_index, inject_at)| FaultSpec {
+            location_index,
+            inject_at,
+        });
+    let model = FaultModel::SingleBit;
+    let campaign = Campaign::listed(Workload::algorithm_one(), model, faults.to_vec());
+    let runs = check(
+        &campaign.iterations(650),
+        &[Point::DEFAULT.supervised(false)],
+    );
+    assert_eq!(runs[0].telemetry.shifted_reentries, 3);
 }
 
 /// Every lattice point on both workloads, every fault model, and both
